@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .control import Gains, GeoNdiController, IndiController, make_model
 from .dynamics import (DisturbanceSpec, NoiseSpec, NonFiniteState,
-                       RigidBodyState, SensorReadings)
+                       SensorReadings)
 from .experiments import RunMetrics, Scenario, build_scenario, repeat_runs, \
     run_scenario
 from .vehicle import (ActuatorCommand, DegenerateGeometry,

@@ -274,18 +274,25 @@ def cmd_run(config):
     return EXIT_OK
 
 
+# sweep axis -> (scenario, the [run] key it sets, the grid of values)
+_SWEEP_AXES = {
+    "frequency": ("exp4", "controller_freq", experiments.CONTROLLER_FREQS),
+    "noise": ("exp5", "noise_scale", experiments.NOISE_SCALES),
+}
+
+
 def _sweep_cell(args):
-    """One (controller, axis value) cell; run in a worker process."""
+    """One (controller, axis value) cell; run in a worker process.
+
+    The cell's scenario goes through build_run_scenario like `hexsim run`,
+    so [run], [gains] and [filters] keys apply to every cell.
+    """
     controller, axis, value, repeats, config = args
     params = build_params(config)
-    if axis == "frequency":
-        scenario_id, overrides = "exp4", {"controller_freq": value}
-    else:
-        scenario_id, overrides = "exp5", {"noise_scale": value}
-    overrides["seed"] = config["run"]["seed"]
-    if "duration" in config["run"] and config["run"]["duration"] is not None:
-        overrides["duration"] = config["run"]["duration"]
-    scenario = experiments.build_scenario(scenario_id, controller, overrides)
+    scenario_id, key, _ = _SWEEP_AXES[axis]
+    run = dict(config["run"], scenario=scenario_id, controller=controller)
+    run[key] = value
+    scenario = build_run_scenario(dict(config, run=run))
     try:
         agg, _ = experiments.repeat_runs(scenario, repeats, params=params)
     except dynamics.NonFiniteState as exc:
@@ -297,12 +304,11 @@ def cmd_sweep(config):
     axis = config["sweep"]["axis"]
     repeats = config["sweep"]["repeats"]
     jobs = config["sweep"]["jobs"]
-    if axis not in ("frequency", "noise"):
+    if axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep axis must be frequency or noise, got {axis}")
     if repeats < 1:
         raise ConfigError("sweep repeats must be >= 1")
-    values = (experiments.CONTROLLER_FREQS if axis == "frequency"
-              else experiments.NOISE_SCALES)
+    values = _SWEEP_AXES[axis][2]
     cells = [(controller, axis, value, repeats, config)
              for controller in ("geo", "indi") for value in values]
     if jobs > 1:

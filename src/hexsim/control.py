@@ -24,6 +24,10 @@ from .geometry import (E3, angular_rate_error, attitude_error_vector,
 from .vehicle import GRAVITY, allocate, build_effectiveness, saturate, \
     with_cf_factor
 
+# INDI feedback filter defaults
+FILTER_CUTOFF_HZ = 15.0
+FILTER_DAMPING = 0.7
+
 
 @dataclass(frozen=True)
 class Gains:
@@ -99,10 +103,9 @@ class ReferenceShaper:
     Euler-rate matrix derivative, adequate for the commanded step sizes.
     """
 
-    def __init__(self, dt, pos_freq=4.0, att_freq=12.0, damping=1.0):
-        self.dt = dt
-        self._pos = _ShapedAxes(dt, pos_freq, damping, 3)
-        self._att = _ShapedAxes(dt, att_freq, damping, 3)
+    def __init__(self, dt):
+        self._pos = _ShapedAxes(dt, 4.0, 3)    # natural frequencies, rad/s
+        self._att = _ShapedAxes(dt, 12.0, 3)
 
     def reset_to(self, pos, rpy):
         self._pos.reset_to(pos)
@@ -120,9 +123,9 @@ class ReferenceShaper:
 
 
 class _ShapedAxes:
-    def __init__(self, dt, natural_frequency, damping, channels):
+    def __init__(self, dt, natural_frequency, channels):
         self.wn = natural_frequency
-        self.zeta = damping
+        self.zeta = 1.0
         a = np.array([[0.0, 1.0, 0.0],
                       [-self.wn ** 2, -2 * self.zeta * self.wn, self.wn ** 2],
                       [0.0, 0.0, 0.0]])
@@ -162,14 +165,13 @@ class GeoNdiController:
 
     name = "geo"
 
-    def __init__(self, model, gains, dt, pos_freq=4.0, att_freq=12.0):
+    def __init__(self, model, gains, dt):
         self.model = model
         self.gains = gains
-        self.dt = dt
-        self.shaper = ReferenceShaper(dt, pos_freq, att_freq)
+        self.shaper = ReferenceShaper(dt)
 
-    def warm_start(self, state, trim_cmd):
-        self.shaper.reset_to(state.p, rpy_from_quat(state.q))
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)
@@ -182,8 +184,9 @@ class GeoNdiController:
 class IndiController:
     """Sensor-based incremental inversion.
 
-    The accelerometer, gyro and rotor-speed channels run through identical
-    second-order low-pass filters (matched group delay); the angular
+    The accelerometer, gyro and rotor-speed channels run through one
+    12-channel second-order low-pass filter, so their group delays match
+    by construction (Smeur, Chu & de Croon, JGCD 2016); the angular
     acceleration is the backward difference of the filtered gyro.  The
     commanded u is an increment on the *measured* rotor state, so after
     saturation the next increment starts from what the actuators actually
@@ -192,35 +195,30 @@ class IndiController:
 
     name = "indi"
 
-    def __init__(self, model, gains, dt, pos_freq=4.0, att_freq=12.0,
-                 filter_cutoff_hz=15.0, filter_damping=0.7):
+    def __init__(self, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,
+                 filter_damping=FILTER_DAMPING):
         self.model = model
         self.gains = gains
-        self.dt = dt
-        self.shaper = ReferenceShaper(dt, pos_freq, att_freq)
-        wn = 2 * np.pi * filter_cutoff_hz
-        self.f_accel = SecondOrderFilter(wn, filter_damping, dt, 3)
-        self.f_gyro = SecondOrderFilter(wn, filter_damping, dt, 3)
-        self.f_u = SecondOrderFilter(wn, filter_damping, dt, 6)
-        assert self.f_accel.same_parameters(self.f_gyro)
-        assert self.f_accel.same_parameters(self.f_u)
+        self.shaper = ReferenceShaper(dt)
+        # channels: specific force (3), gyro (3), squared rotor speeds (6)
+        self.feedback = SecondOrderFilter(
+            2 * np.pi * filter_cutoff_hz, filter_damping, dt, 12)
         self.d_gyro = FilteredDerivative(dt, 3)
 
-    def warm_start(self, state, trim_cmd):
-        self.shaper.reset_to(state.p, rpy_from_quat(state.q))
-        self.f_accel.reset_to(GRAVITY * E3)
-        self.f_gyro.reset_to(np.zeros(3))
-        self.f_u.reset_to(trim_cmd.u)
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
+        self.feedback.reset_to(
+            np.concatenate([GRAVITY * E3, np.zeros(3), trim_cmd.u]))
         self.d_gyro.reset_to(np.zeros(3))
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)
 
         rot = quat_to_rotmat(inputs.q)
-        accel_f = self.f_accel.step(inputs.accel)
-        gyro_f = self.f_gyro.step(inputs.gyro)
         u_meas = inputs.rotor_w_meas * np.abs(inputs.rotor_w_meas)
-        u0 = self.f_u.step(u_meas)
+        filtered = self.feedback.step(
+            np.concatenate([inputs.accel, inputs.gyro, u_meas]))
+        accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
 
         # the gyro channel is low-pass filtered like every other sensor
         # path, so the rate error sees the same group delay
@@ -237,12 +235,13 @@ class IndiController:
         return saturate(self.model.eff, u), ref
 
 
-def make_controller(kind, model, gains, dt, **kwargs):
+def make_controller(kind, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,
+                    filter_damping=FILTER_DAMPING):
+    """Controller of the given kind; the filter settings apply to indi."""
     if kind == "geo":
-        kwargs.pop("filter_cutoff_hz", None)
-        kwargs.pop("filter_damping", None)
-        return GeoNdiController(model, gains, dt, **kwargs)
+        return GeoNdiController(model, gains, dt)
     if kind == "indi":
-        return IndiController(model, gains, dt, **kwargs)
+        return IndiController(model, gains, dt, filter_cutoff_hz,
+                              filter_damping)
     raise ValueError(f"unknown controller {kind!r}")
 

@@ -20,17 +20,18 @@ class NonFiniteState(Exception):
     """Simulation diverged: a state component became non-finite."""
 
 
-@dataclass
-class RigidBodyState:
-    p: np.ndarray          # m, world
-    v: np.ndarray          # m/s, world
-    q: np.ndarray          # unit quaternion body->world
-    omega: np.ndarray      # rad/s, body
-    rotor_w: np.ndarray    # rad/s, actual rotor speeds
+# State vector x = [p, v, q, omega, rotor_w]; no other module hard-codes it
+P = slice(0, 3)           # m, world
+V = slice(3, 6)           # m/s, world
+Q = slice(6, 10)          # unit quaternion body->world
+OMEGA = slice(10, 13)     # rad/s, body
+ROTOR_W = slice(13, 19)   # rad/s, actual rotor speeds
+STATE_SIZE = 19
 
-    def copy(self):
-        return RigidBodyState(self.p.copy(), self.v.copy(), self.q.copy(),
-                              self.omega.copy(), self.rotor_w.copy())
+
+def pack(p, v, q, omega, rotor_w):
+    """State vector from its blocks."""
+    return np.concatenate((p, v, q, omega, rotor_w), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -52,36 +53,23 @@ class DisturbanceSpec:
             raise ValueError("gust_corr_time must be positive")
 
 
-def sample_disturbance(spec, t, rng=None):
-    """Stateless disturbance lookup for the non-gust kinds.
-
-    Gusts carry colored-noise state; use DisturbanceSampler for those.
-    With gust_std == 0 the gust degenerates to its mean force and this
-    function handles it too.
-    """
-    zero = (np.zeros(3), np.zeros(3))
-    if spec.kind == "none":
-        return zero
-    if not (spec.t_on <= t < spec.t_off):
-        return zero
-    if spec.kind == "gust" and spec.gust_std > 0.0:
-        raise ValueError("stochastic gust needs a DisturbanceSampler")
-    return spec.force.copy(), spec.moment.copy()
-
-
 class DisturbanceSampler:
     """Per-run disturbance source; holds the colored-noise gust state.
 
-    The gust force is the spec mean plus an Ornstein-Uhlenbeck process
-    (std gust_std, correlation time gust_corr_time) updated once per
-    simulation step, reproducible from the run RNG.
+    step(t) returns the (world force, body moment) held over the truth step
+    starting at t: the spec's values inside [t_on, t_off), zero outside.
+    A gust adds to the force an Ornstein-Uhlenbeck process (std gust_std,
+    correlation time gust_corr_time) that advances on every call.
+
+    run_scenario steps it once before the loop and again at k = 0, and the
+    accelerometer at a tick sees the previous step's draw.
     """
 
     def __init__(self, spec, dt, rng):
         self.spec = spec
-        self.dt = dt
         self.rng = rng
         self._ou = np.zeros(3)
+        self._zero = np.zeros(3)
         self._decay = np.exp(-dt / spec.gust_corr_time)
         self._diffusion = spec.gust_std * np.sqrt(1.0 - self._decay ** 2)
 
@@ -90,73 +78,63 @@ class DisturbanceSampler:
         if spec.kind == "gust":
             self._ou = (self._decay * self._ou
                         + self._diffusion * self.rng.standard_normal(3))
-            if spec.t_on <= t < spec.t_off:
-                return spec.force + self._ou, spec.moment.copy()
-            return np.zeros(3), np.zeros(3)
-        return sample_disturbance(spec, t)
+        if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
+            return self._zero, self._zero
+        return spec.force + self._ou, spec.moment
 
 
-def derivative(state, params, eff, w_cmd, dist_force, dist_moment):
-    """Time derivative of the full state under the current rotor speeds.
+def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
+    """Time derivative of the state vector under the current rotor speeds.
 
-    Returns (dp, dv, dq, domega, drotor).  Force balance in world frame,
-    moment balance in body frame, rotor speeds lagging toward w_cmd.
+    Force balance in world frame, moment balance in body frame, rotor
+    speeds lagging toward w_cmd.
     """
-    u = state.rotor_w * np.abs(state.rotor_w)
-    rot = quat_to_rotmat(state.q)
+    q, om, rotor_w = x[Q], x[OMEGA], x[ROTOR_W]
+    u = rotor_w * np.abs(rotor_w)
+    rot = quat_to_rotmat(q)
     j = params.inertia_diag
-    om = state.omega
     jw = j * om
     gyroscopic = np.array([om[1] * jw[2] - om[2] * jw[1],
                            om[2] * jw[0] - om[0] * jw[2],
                            om[0] * jw[1] - om[1] * jw[0]])
     force_w = rot @ (eff.F1 @ u) - params.mass * GRAVITY * E3 + dist_force
     torque = eff.F2 @ u - gyroscopic + dist_moment
-    return (
-        state.v,
-        force_w / params.mass,
-        quat_derivative(state.q, state.omega),
-        torque / j,
-        (w_cmd - state.rotor_w) / params.motor_time_constant,
-    )
+    dx = np.empty(STATE_SIZE)
+    dx[P] = x[V]
+    dx[V] = force_w / params.mass
+    dx[Q] = quat_derivative(q, om)
+    dx[OMEGA] = torque / j
+    dx[ROTOR_W] = (w_cmd - rotor_w) / params.motor_time_constant
+    return dx
 
 
-def acceleration(state, params, eff, dist_force):
-    """World-frame translational acceleration at the current state."""
-    u = state.rotor_w * np.abs(state.rotor_w)
-    force_w = (quat_to_rotmat(state.q) @ (eff.F1 @ u)
+def acceleration(x, params, eff, dist_force):
+    """World-frame translational acceleration at state x."""
+    rotor_w = x[ROTOR_W]
+    u = rotor_w * np.abs(rotor_w)
+    force_w = (quat_to_rotmat(x[Q]) @ (eff.F1 @ u)
                - params.mass * GRAVITY * E3 + dist_force)
     return force_w / params.mass
 
 
-def step(state, params, eff, cmd, dist_force, dist_moment, dt):
+def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     """One RK4 step; disturbance held constant over the step.
 
-    Raises NonFiniteState if any component diverges.
+    Returns a new state vector and never writes into x.  Raises
+    NonFiniteState if any component diverges.
     """
     w_cmd = cmd.w_cmd
 
     def f(s):
         return derivative(s, params, eff, w_cmd, dist_force, dist_moment)
 
-    def advance(s, k, h):
-        return RigidBodyState(
-            s.p + h * k[0], s.v + h * k[1], s.q + h * k[2],
-            s.omega + h * k[3], s.rotor_w + h * k[4])
-
-    k1 = f(state)
-    k2 = f(advance(state, k1, 0.5 * dt))
-    k3 = f(advance(state, k2, 0.5 * dt))
-    k4 = f(advance(state, k3, dt))
-    out = RigidBodyState(
-        *(s + dt / 6.0 * (a + 2 * b + 2 * c + d)
-          for s, a, b, c, d in zip(
-              (state.p, state.v, state.q, state.omega, state.rotor_w),
-              k1, k2, k3, k4)))
-    out.q = out.q / np.linalg.norm(out.q)
-    if not (np.isfinite(out.p).all() and np.isfinite(out.v).all()
-            and np.isfinite(out.q).all() and np.isfinite(out.omega).all()
-            and np.isfinite(out.rotor_w).all()):
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    out[Q] /= np.linalg.norm(out[Q])
+    if not np.isfinite(out).all():
         raise NonFiniteState("simulation state diverged")
     return out
 
@@ -174,28 +152,21 @@ class SensorReadings:
     accel: np.ndarray         # specific force, body, m/s^2
     gyro: np.ndarray          # rad/s, body
     rotor_w_meas: np.ndarray  # rad/s
-    pose_p: np.ndarray        # m, world
-    pose_q: np.ndarray        # unit quaternion
-    timestamp: float
 
 
-def synthesize_sensors(state, accel_world, noise, t, rng):
-    """Sensor outputs at the current truth state.
+def synthesize_sensors(x, accel_world, noise, rng):
+    """Sensor outputs at the truth state x.
 
     accel is the specific force R(q)^T (p_ddot + g e3); gyro and rotor
     tachometers read the body rate and rotor speeds.  Per-channel white
-    Gaussian noise with sigma * scale; pose passes through untouched.
+    Gaussian noise with sigma * scale.
     """
-    rot = quat_to_rotmat(state.q)
+    rot = quat_to_rotmat(x[Q])
     accel = rot.T @ (accel_world + GRAVITY * E3)
+    gyro, rotor = x[OMEGA], x[ROTOR_W]
     s = noise.scale
     if s > 0.0:
         accel = accel + s * noise.accel_sigma * rng.standard_normal(3)
-        gyro = state.omega + s * noise.gyro_sigma * rng.standard_normal(3)
-        rotor = state.rotor_w + s * noise.rotor_sigma * rng.standard_normal(6)
-    else:
-        gyro = state.omega.copy()
-        rotor = state.rotor_w.copy()
-    return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor,
-                          pose_p=state.p.copy(), pose_q=state.q.copy(),
-                          timestamp=t)
+        gyro = gyro + s * noise.gyro_sigma * rng.standard_normal(3)
+        rotor = rotor + s * noise.rotor_sigma * rng.standard_normal(6)
+    return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import vehicle
-from .control import ControllerInputs, Gains, make_controller, make_model
+from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerInputs,
+                      Gains, make_controller, make_model)
 from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)
@@ -72,8 +73,8 @@ class Scenario:
     seed: int = 1
     residual_scale: float = 1.0
     gains: Gains = field(default_factory=Gains)
-    filter_cutoff_hz: float = 15.0
-    filter_damping: float = 0.7
+    filter_cutoff_hz: float = FILTER_CUTOFF_HZ
+    filter_damping: float = FILTER_DAMPING
 
     def __post_init__(self):
         if self.controller not in ("geo", "indi"):
@@ -227,26 +228,22 @@ def run_scenario(scenario, params=None):
 
     controller = make_controller(
         scenario.controller, model, scenario.gains, dt_c,
-        filter_cutoff_hz=scenario.filter_cutoff_hz,
-        filter_damping=scenario.filter_damping)
+        scenario.filter_cutoff_hz, scenario.filter_damping)
 
     trim = vehicle.hover_command(params, eff)
     p0, rpy0 = _script_target(scenario.script, 0.0)
-    state = dyn.RigidBodyState(
-        p=np.asarray(p0, dtype=float).copy(), v=np.zeros(3),
-        q=quat_from_rpy(*rpy0), omega=np.zeros(3),
-        rotor_w=trim.w_cmd.copy())
-    controller.warm_start(state, trim)
+    q0 = quat_from_rpy(*rpy0)
+    x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd)
+    controller.warm_start(p0, q0, trim)
 
     residual_f = scenario.residual_scale * RESIDUAL_FORCE
     residual_m = scenario.residual_scale * RESIDUAL_MOMENT
     sampler = dyn.DisturbanceSampler(scenario.disturbance, dt, rng)
 
     n_ticks = (n_steps + n_sub - 1) // n_sub
+    states = np.empty((n_ticks, dyn.STATE_SIZE))
     log = {
         "t": np.empty(n_ticks),
-        "p": np.empty((n_ticks, 3)), "v": np.empty((n_ticks, 3)),
-        "q": np.empty((n_ticks, 4)), "omega": np.empty((n_ticks, 3)),
         "ref_p": np.empty((n_ticks, 3)), "ref_v": np.empty((n_ticks, 3)),
         "ref_q": np.empty((n_ticks, 4)), "ref_omega": np.empty((n_ticks, 3)),
         "e_p": np.empty((n_ticks, 3)), "e_att_deg": np.empty((n_ticks, 3)),
@@ -256,46 +253,47 @@ def run_scenario(scenario, params=None):
         "saturated": np.empty((n_ticks, 6), dtype=bool),
     }
 
+    # step() returns a fresh vector and never writes into x, so the pose
+    # and velocity below may stay views of it
     cmd = trim
-    pose_p, pose_q = state.p.copy(), state.q.copy()
+    pose_p, pose_q = x[dyn.P], x[dyn.Q]
     dist_f, dist_m = sampler.step(0.0)
     tick = 0
     for k in range(n_steps):
         t = k * dt
         if k % n_sub == 0:
             if k % pose_every == 0:
-                pose_p, pose_q = state.p.copy(), state.q.copy()
-            accel_w = dyn.acceleration(state, params, eff,
-                                       dist_f + residual_f)
-            sensors = dyn.synthesize_sensors(state, accel_w, noise, t, rng)
+                pose_p, pose_q = x[dyn.P], x[dyn.Q]
+            accel_w = dyn.acceleration(x, params, eff, dist_f + residual_f)
+            sensors = dyn.synthesize_sensors(x, accel_w, noise, rng)
             inputs = ControllerInputs(
-                pos=pose_p, vel=state.v.copy(), q=pose_q,
+                pos=pose_p, vel=x[dyn.V], q=pose_q,
                 gyro=sensors.gyro, accel=sensors.accel,
                 rotor_w_meas=sensors.rotor_w_meas)
             target_pos, target_rpy = _script_target(scenario.script, t)
             cmd, ref = controller.tick(target_pos, target_rpy, inputs)
 
-            e_q = quat_mul(ref.q_d, quat_conj(state.q))
+            q = x[dyn.Q]
+            e_q = quat_mul(ref.q_d, quat_conj(q))
             log["t"][tick] = t
-            log["p"][tick] = state.p
-            log["v"][tick] = state.v
-            log["q"][tick] = state.q
-            log["omega"][tick] = state.omega
+            states[tick] = x
             log["ref_p"][tick] = ref.p_d
             log["ref_v"][tick] = ref.v_d
             log["ref_q"][tick] = ref.q_d
             log["ref_omega"][tick] = ref.omega_d
-            log["e_p"][tick] = ref.p_d - state.p
+            log["e_p"][tick] = ref.p_d - x[dyn.P]
             log["e_att_deg"][tick] = np.degrees(rpy_from_quat(e_q))
-            log["rpy"][tick] = rpy_from_quat(state.q)
+            log["rpy"][tick] = rpy_from_quat(q)
             log["u"][tick] = cmd.u
             log["w_cmd"][tick] = cmd.w_cmd
             log["w_meas"][tick] = sensors.rotor_w_meas
             log["saturated"][tick] = cmd.saturated
             tick += 1
         dist_f, dist_m = sampler.step(t)
-        state = dyn.step(state, params, eff, cmd,
-                         dist_f + residual_f, dist_m + residual_m, dt)
+        x = dyn.step(x, params, eff, cmd,
+                     dist_f + residual_f, dist_m + residual_m, dt)
+    log.update(p=states[:, dyn.P], v=states[:, dyn.V], q=states[:, dyn.Q],
+               omega=states[:, dyn.OMEGA])
 
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
     if scenario.id in ("exp1", "exp4"):
@@ -345,13 +343,13 @@ def error_statistics(log, window):
 
 
 def repeat_runs(scenario, n, seed_base=None, params=None):
-    """n runs with consecutive seeds; norm statistics pooled over all
-    samples of all runs.  Returns (aggregate RunMetrics, per-run list)."""
+    """n runs with consecutive seeds.  The aggregate is error_statistics
+    over the samples of all runs pooled, plus the mean roll rise time.
+    Returns (aggregate RunMetrics, per-run list)."""
     if n < 1:
         raise ValueError("need n >= 1")
     seed_base = scenario.seed if seed_base is None else seed_base
-    per_run = []
-    lon_samples, pos_samples = [], []
+    per_run, samples = [], []
     for i in range(n):
         sc = replace(scenario, seed=seed_base + i)
         try:
@@ -359,23 +357,11 @@ def repeat_runs(scenario, n, seed_base=None, params=None):
         except dyn.NonFiniteState as exc:
             raise dyn.NonFiniteState(f"run {i} (seed {sc.seed}): {exc}")
         per_run.append(metrics)
-        mask = (log["t"] >= WARMUP_S) & (log["t"] < sc.duration)
-        lon_samples.append(
-            np.linalg.norm(log["e_att_deg"][mask][:, :2], axis=1))
-        pos_samples.append(np.linalg.norm(log["e_p"][mask], axis=1))
-    lon = np.concatenate(lon_samples)
-    pos = np.concatenate(pos_samples)
-    agg = RunMetrics(
-        pos_abs_mean=np.mean([m.pos_abs_mean for m in per_run], axis=0),
-        pos_abs_peak=np.max([m.pos_abs_peak for m in per_run], axis=0),
-        att_abs_mean_deg=np.mean(
-            [m.att_abs_mean_deg for m in per_run], axis=0),
-        att_abs_peak_deg=np.max(
-            [m.att_abs_peak_deg for m in per_run], axis=0),
-        lon_att_mean_deg=float(lon.mean()),
-        lon_att_std_deg=float(lon.std()),
-        pos_norm_mean=float(pos.mean()),
-        pos_norm_std=float(pos.std()),
-        roll_rise_time=per_run[0].roll_rise_time,
-    )
+        samples.append({key: log[key] for key in ("t", "e_p", "e_att_deg")})
+    pooled = {key: np.concatenate([run[key] for run in samples])
+              for key in samples[0]}
+    agg = error_statistics(pooled, (WARMUP_S, scenario.duration))
+    if per_run[0].roll_rise_time is not None:
+        agg.roll_rise_time = float(
+            np.mean([m.roll_rise_time for m in per_run]))
     return agg, per_run

@@ -1,9 +1,9 @@
 """Second-order low-pass filtering and synchronized differentiation.
 
 The sensor-based controller passes its accelerometer, gyro and rotor-speed
-feedback through identical filters so all channels see the same group
-delay; the rotational acceleration is obtained by differentiating the
-filtered gyro signal.
+feedback through one multi-channel filter so all channels see the same
+group delay; the rotational acceleration is obtained by differentiating
+the filtered gyro signal.
 """
 
 import numpy as np
@@ -27,9 +27,6 @@ class SecondOrderFilter:
         self.b = np.array([wn * wn, 2 * wn * wn, wn * wn]) / a0
         self.a1 = (2 * wn * wn - 2 * k * k) / a0
         self.a2 = (k * k - 2 * damping * wn * k + wn * wn) / a0
-        self.natural_frequency = wn
-        self.damping = damping
-        self.sample_time = sample_time
         self._z1 = np.zeros(channels)
         self._z2 = np.zeros(channels)
 
@@ -46,11 +43,6 @@ class SecondOrderFilter:
         self._z1 = self.b[1] * x - self.a1 * y + self._z2
         self._z2 = self.b[2] * x - self.a2 * y
         return y
-
-    def same_parameters(self, other):
-        return (self.natural_frequency == other.natural_frequency
-                and self.damping == other.damping
-                and self.sample_time == other.sample_time)
 
 
 class FilteredDerivative:

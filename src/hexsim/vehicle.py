@@ -108,14 +108,6 @@ def default_params(**overrides):
     return params
 
 
-def rotor_wrench(params, i, w):
-    """Force and torque of rotor i at speed w, in the rotor frame."""
-    u = w * abs(w)
-    force = params.c_f * u * E3
-    torque = params.rotor_spin_dirs[i] * params.c_tau * u * E3
-    return force, torque
-
-
 @dataclass(frozen=True)
 class EffectivenessMatrices:
     F1: np.ndarray             # 3x6, world force per unit u at identity attitude

@@ -124,19 +124,17 @@ def test_03_pole_placement(params, eff, trim, capsys):
     ref = PoseReference(p_d=np.array([1.0, 0, 0]), v_d=np.zeros(3),
                         a_d=np.zeros(3), q_d=np.array([1.0, 0, 0, 0]),
                         omega_d=np.zeros(3), omega_dot_d=np.zeros(3))
-    state = dyn.RigidBodyState(p=np.zeros(3), v=np.zeros(3),
-                               q=np.array([1.0, 0, 0, 0]),
-                               omega=np.zeros(3), rotor_w=trim.w_cmd.copy())
+    state = dyn.pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
+                     trim.w_cmd)
     cmd = trim
     ts, es = [], []
     for k in range(int(4.0 / dyn.SIM_DT)):
         if k % 4 == 0:  # 500 Hz controller
-            nu = outer_loop(gains, ref, state.p, state.v, state.q,
-                            state.omega)
-            cmd = vehicle.allocate(eff, state.q,
-                                   ndi_invert(nu, state.omega, model))
+            p, q, omega = state[dyn.P], state[dyn.Q], state[dyn.OMEGA]
+            nu = outer_loop(gains, ref, p, state[dyn.V], q, omega)
+            cmd = vehicle.allocate(eff, q, ndi_invert(nu, omega, model))
             ts.append(k * dyn.SIM_DT)
-            es.append(1.0 - state.p[0])
+            es.append(1.0 - p[0])
         state = dyn.step(state, params, eff, cmd, np.zeros(3), np.zeros(3),
                          dyn.SIM_DT)
     ts, es = np.array(ts), np.array(es)
@@ -272,17 +270,17 @@ def test_10_determinism(tmp_path, capsys):
 
 def test_11_integrator_order(params, eff, trim, capsys):
     def propagate(h):
-        st = dyn.RigidBodyState(
-            p=np.zeros(3), v=np.array([0.5, -0.3, 0.2]),
-            q=np.array([1.0, 0, 0, 0]), omega=np.array([2.0, -1.5, 1.0]),
-            rotor_w=trim.w_cmd * np.array([1.1, 0.9, 1.05, 0.95, 1.0, 1.0]))
+        st = dyn.pack(
+            np.zeros(3), [0.5, -0.3, 0.2], [1.0, 0, 0, 0], [2.0, -1.5, 1.0],
+            trim.w_cmd * np.array([1.1, 0.9, 1.05, 0.95, 1.0, 1.0]))
         cmd = vehicle.ActuatorCommand(
             u=trim.u,
             w_cmd=trim.w_cmd * np.array([0.9, 1.1, 1.0, 1.0, 1.05, 0.95]),
             saturated=np.zeros(6, dtype=bool))
         for _ in range(int(round(1.0 / h))):
             st = dyn.step(st, params, eff, cmd, np.zeros(3), np.zeros(3), h)
-        return np.concatenate([st.p, st.v, st.q, st.omega])
+        return np.concatenate(
+            [st[dyn.P], st[dyn.V], st[dyn.Q], st[dyn.OMEGA]])
 
     h = dyn.SIM_DT
     x1, x2, x4 = propagate(h), propagate(h / 2), propagate(h / 4)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hexsim import cli
+from hexsim import cli, experiments
+from hexsim.control import Gains
 
 
 def run_cli(*argv):
@@ -151,3 +152,37 @@ def test_sweep_noise_row_count(tmp_path):
     assert len(lines) == 1 + 12
     assert lines[0].startswith("noise,controller,")
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_sweep_cells_carry_config(tmp_path, monkeypatch):
+    # every cell's scenario must carry the [run], [gains] and [filters]
+    # keys; the axis value overrides the [run] key it sweeps
+    seen = []
+
+    def fake_repeat_runs(scenario, n, seed_base=None, params=None):
+        seen.append(scenario)
+        return experiments.RunMetrics(lon_att_mean_deg=0.0,
+                                      lon_att_std_deg=0.0,
+                                      pos_norm_mean=0.0,
+                                      pos_norm_std=0.0), []
+
+    monkeypatch.setattr(experiments, "repeat_runs", fake_repeat_runs)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nseed = 4\nduration = 2.5\ncf_mismatch = 0.5\n"
+                   "residual_scale = 0.25\nnoise_scale = 3\n"
+                   "[gains]\nk_p = 5.0\n"
+                   "[filters]\ncutoff_hz = 20.0\ndamping = 0.9\n")
+    assert run_cli("sweep", "--config", str(cfg), "--axis", "frequency",
+                   "--repeats", "1", "--out",
+                   str(tmp_path / "sweep.csv")) == 0
+    assert len(seen) == 2 * len(experiments.CONTROLLER_FREQS)
+    assert [sc.controller_freq for sc in seen[:5]] == list(
+        experiments.CONTROLLER_FREQS)
+    for sc in seen:
+        assert sc.id == "exp4"
+        assert (sc.seed, sc.duration) == (4, 2.5)
+        assert (sc.cf_mismatch, sc.residual_scale) == (0.5, 0.25)
+        assert sc.noise_scale == 3
+        assert sc.gains == Gains(k_p=5.0)
+        assert (sc.filter_cutoff_hz, sc.filter_damping) == (20.0, 0.9)
+    assert {sc.controller for sc in seen} == {"geo", "indi"}

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hexsim import dynamics as dyn
 from hexsim import vehicle
 from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
                             IndiController, PoseReference, PseudoControl,
@@ -11,6 +10,7 @@ from hexsim.geometry import E3, quat_from_rpy
 from hexsim.vehicle import GRAVITY
 
 DT = 0.002  # 500 Hz
+HOVER_Q = np.array([1.0, 0, 0, 0])
 
 
 def hover_reference():
@@ -114,10 +114,7 @@ def test_shaper_attitude_quaternion_consistency():
 
 def test_geo_hover_outputs_trim(params, trim):
     ctrl = GeoNdiController(make_model(params), Gains(), DT)
-    state = dyn.RigidBodyState(p=np.zeros(3), v=np.zeros(3),
-                               q=np.array([1.0, 0, 0, 0]),
-                               omega=np.zeros(3), rotor_w=trim.w_cmd.copy())
-    ctrl.warm_start(state, trim)
+    ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     cmd, ref = ctrl.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     np.testing.assert_allclose(cmd.w_cmd, trim.w_cmd, rtol=1e-9)
     assert not cmd.saturated.any()
@@ -125,10 +122,7 @@ def test_geo_hover_outputs_trim(params, trim):
 
 def test_indi_hover_outputs_trim(params, trim):
     ctrl = IndiController(make_model(params), Gains(), DT)
-    state = dyn.RigidBodyState(p=np.zeros(3), v=np.zeros(3),
-                               q=np.array([1.0, 0, 0, 0]),
-                               omega=np.zeros(3), rotor_w=trim.w_cmd.copy())
-    ctrl.warm_start(state, trim)
+    ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     for _ in range(5):
         cmd, ref = ctrl.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     np.testing.assert_allclose(cmd.w_cmd, trim.w_cmd, rtol=1e-6)
@@ -138,10 +132,7 @@ def test_indi_increment_tracks_measured_rotor_state(params, trim):
     # same pseudo-control demand on top of a lower measured rotor speed
     # yields a lower command: increments ride on the measurement
     ctrl = IndiController(make_model(params), Gains(), DT)
-    state = dyn.RigidBodyState(p=np.zeros(3), v=np.zeros(3),
-                               q=np.array([1.0, 0, 0, 0]),
-                               omega=np.zeros(3), rotor_w=trim.w_cmd.copy())
-    ctrl.warm_start(state, trim)
+    ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     low = hover_inputs(trim)
     low = ControllerInputs(pos=low.pos, vel=low.vel, q=low.q, gyro=low.gyro,
                            accel=low.accel, rotor_w_meas=0.9 * trim.w_cmd)
@@ -155,11 +146,8 @@ def test_mismatched_model_scales_inverse(params, trim):
     # hover for the model-based controller
     ctrl_full = GeoNdiController(make_model(params, 1.0), Gains(), DT)
     ctrl_half = GeoNdiController(make_model(params, 0.5), Gains(), DT)
-    state = dyn.RigidBodyState(p=np.zeros(3), v=np.zeros(3),
-                               q=np.array([1.0, 0, 0, 0]),
-                               omega=np.zeros(3), rotor_w=trim.w_cmd.copy())
     for c in (ctrl_full, ctrl_half):
-        c.warm_start(state, trim)
+        c.warm_start(np.zeros(3), HOVER_Q, trim)
     cmd_full, _ = ctrl_full.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     cmd_half, _ = ctrl_half.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     np.testing.assert_allclose(cmd_half.u, 2 * cmd_full.u, rtol=1e-9)

@@ -138,3 +138,37 @@ def test_repeat_runs_pools_and_validates():
     assert agg.pos_norm_mean > 0.0
     with pytest.raises(ValueError):
         ex.repeat_runs(sc, 0)
+
+
+def test_repeat_runs_pools_samples_and_averages_rise_time(monkeypatch):
+    # two canned runs: the aggregate pools their windowed samples and
+    # averages their rise times
+    t = np.arange(0.0, 3.0, 0.5)
+    rng = np.random.default_rng(5)
+    logs = [{"t": t, "e_p": rng.normal(size=(6, 3)),
+             "e_att_deg": rng.normal(size=(6, 3))} for _ in range(2)]
+    canned = iter(zip(logs, (0.2, 0.5)))
+
+    def fake_run_scenario(scenario, params=None):
+        log, rise = next(canned)
+        metrics = ex.error_statistics(log, (ex.WARMUP_S, scenario.duration))
+        metrics.roll_rise_time = rise
+        return log, metrics
+
+    monkeypatch.setattr(ex, "run_scenario", fake_run_scenario)
+    sc = ex.build_scenario("exp1", "geo", {"duration": 3.0})
+    agg, per = ex.repeat_runs(sc, 2)
+    assert [m.roll_rise_time for m in per] == [0.2, 0.5]
+    assert agg.roll_rise_time == pytest.approx(0.35)
+    window = t >= ex.WARMUP_S
+    pos = np.concatenate([np.linalg.norm(log["e_p"][window], axis=1)
+                          for log in logs])
+    lon = np.concatenate([np.linalg.norm(log["e_att_deg"][window, :2],
+                                         axis=1) for log in logs])
+    assert agg.pos_norm_mean == pos.mean()
+    assert agg.pos_norm_std == pos.std()
+    assert agg.lon_att_mean_deg == lon.mean()
+    assert agg.lon_att_std_deg == lon.std()
+    np.testing.assert_array_equal(
+        agg.pos_abs_peak, np.abs(np.concatenate(
+            [log["e_p"][window] for log in logs])).max(axis=0))

@@ -61,14 +61,6 @@ def test_parameter_validation():
         SecondOrderFilter(WN, 0.0, DT)
 
 
-def test_same_parameters():
-    a = SecondOrderFilter(WN, 0.7, DT)
-    b = SecondOrderFilter(WN, 0.7, DT, channels=3)
-    c = SecondOrderFilter(WN, 0.8, DT)
-    assert a.same_parameters(b)
-    assert not a.same_parameters(c)
-
-
 def test_derivative_first_call_zero():
     d = FilteredDerivative(DT)
     assert np.all(d.step(5.0) == 0.0)
