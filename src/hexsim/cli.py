@@ -222,20 +222,17 @@ LOG_COLUMNS = (
 
 def write_log_csv(path, log):
     """Fixed-order columns, header always present, floats formatted with
-    round-trip-exact repr."""
-    n = len(log["t"])
+    round-trip-exact repr and the saturation flags as 0/1."""
+    flags = [c for c in LOG_COLUMNS if c[1] == "saturated"]
+    floats = [c for c in LOG_COLUMNS if c[1] != "saturated"]
+    values = np.column_stack(
+        [log["t"] if key is None else log[key][:, col]
+         for _, key, col in floats]).tolist()
+    sat = log["saturated"][:, [col for _, _, col in flags]].astype(int).tolist()
     with open(path, "w") as fh:
-        fh.write(",".join(name for name, _, _ in LOG_COLUMNS) + "\n")
-        for row in range(n):
-            cells = []
-            for name, key, col in LOG_COLUMNS:
-                if name == "t":
-                    cells.append(repr(float(log["t"][row])))
-                elif key == "saturated":
-                    cells.append(str(int(log[key][row, col])))
-                else:
-                    cells.append(repr(float(log[key][row, col])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(name for name, _, _ in floats + flags) + "\n")
+        fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
+                      for row, row_sat in zip(values, sat))
 
 
 def write_metrics_json(path, metrics, config, scenario):

@@ -12,10 +12,10 @@ accelerations are turned into rotor commands:
     commands an increment on the measured actuator state.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .filters import FilteredDerivative, SecondOrderFilter
 from .geometry import (E3, angular_rate_error, attitude_error_vector,
@@ -98,8 +98,8 @@ class ReferenceShaper:
     physically feasible references with consistent derivatives.
 
     Position axes and Euler-angle axes are shaped independently by
-    critically damped second-order dynamics discretized exactly (matrix
-    exponential) at the controller rate.  Body-rate references neglect the
+    critically damped second-order dynamics discretized exactly (closed-form
+    zero-order hold) at the controller rate.  Body-rate references neglect the
     Euler-rate matrix derivative, adequate for the commanded step sizes.
     """
 
@@ -123,15 +123,18 @@ class ReferenceShaper:
 
 
 class _ShapedAxes:
+    """Critically damped second-order shaping of each channel toward its
+    target, x'' = wn^2 (target - x) - 2 wn x', discretized exactly under
+    a zero-order hold on the target."""
+
     def __init__(self, dt, natural_frequency, channels):
-        self.wn = natural_frequency
-        self.zeta = 1.0
-        a = np.array([[0.0, 1.0, 0.0],
-                      [-self.wn ** 2, -2 * self.zeta * self.wn, self.wn ** 2],
-                      [0.0, 0.0, 0.0]])
-        m = expm(a * dt)
-        self.ad = m[:2, :2]
-        self.bd = m[:2, 2]
+        wn = self.wn = natural_frequency
+        e = math.exp(-wn * dt)
+        self.ad = e * np.array([[1.0 + wn * dt, dt],
+                                [-wn * wn * dt, 1.0 - wn * dt]])
+        # 1 - e (1 + wn dt), written so it does not cancel for small wn dt
+        self.bd = np.array([-math.expm1(-wn * dt) - wn * dt * e,
+                            e * wn * wn * dt])
         self.x = np.zeros(channels)
         self.xd = np.zeros(channels)
 
@@ -141,7 +144,7 @@ class _ShapedAxes:
 
     def step(self, target):
         target = np.asarray(target, dtype=float)
-        acc = self.wn ** 2 * (target - self.x) - 2 * self.zeta * self.wn * self.xd
+        acc = self.wn ** 2 * (target - self.x) - 2 * self.wn * self.xd
         x_new = self.ad[0, 0] * self.x + self.ad[0, 1] * self.xd + self.bd[0] * target
         xd_new = self.ad[1, 0] * self.x + self.ad[1, 1] * self.xd + self.bd[1] * target
         out = (self.x.copy(), self.xd.copy(), acc)

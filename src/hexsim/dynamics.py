@@ -6,11 +6,12 @@ dynamics in the body frame.  Rotor speeds follow a first-order lag toward
 the commanded setpoints, evaluated inside the RK4 stages.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import E3, quat_derivative, quat_to_rotmat
+from .geometry import E3, quat_to_rotmat
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
@@ -83,60 +84,96 @@ class DisturbanceSampler:
         return spec.force + self._ou, spec.moment
 
 
+def _force_world(params, eff, q, u, dist_force):
+    """World-frame force on the airframe: the rotor force F1 u rotated
+    by R(q), gravity and the disturbance force.  Python floats in, a
+    3-tuple out.  q need not have unit norm; inside the RK4 stages it
+    does not."""
+    qw, qx, qy, qz = q
+    u1, u2, u3, u4, u5, u6 = u
+    bx, by, bz = [a * u1 + b * u2 + c * u3 + d * u4 + e * u5 + f * u6
+                  for a, b, c, d, e, f in eff.F1_rows]
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    wx, wy, wz = qw * qx, qw * qy, qw * qz
+    fx = ((1 - 2 * (yy + zz)) * bx + 2 * (xy - wz) * by
+          + 2 * (xz + wy) * bz)
+    fy = (2 * (xy + wz) * bx + (1 - 2 * (xx + zz)) * by
+          + 2 * (yz - wx) * bz)
+    fz = (2 * (xz - wy) * bx + 2 * (yz + wx) * by
+          + (1 - 2 * (xx + yy)) * bz)
+    return (fx + dist_force[0], fy + dist_force[1],
+            fz - params.mass * GRAVITY + dist_force[2])
+
+
 def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
-    """Time derivative of the state vector under the current rotor speeds.
+    """Time derivative of the state under the current rotor speeds.
 
     Force balance in world frame, moment balance in body frame, rotor
-    speeds lagging toward w_cmd.
+    speeds lagging toward w_cmd.  Works on Python floats: x is laid out
+    as the state vector, w_cmd has 6 entries and each disturbance 3.
+    Returns a list of 19 floats.
     """
-    q, om, rotor_w = x[Q], x[OMEGA], x[ROTOR_W]
-    u = rotor_w * np.abs(rotor_w)
-    rot = quat_to_rotmat(q)
-    j = params.inertia_diag
-    jw = j * om
-    gyroscopic = np.array([om[1] * jw[2] - om[2] * jw[1],
-                           om[2] * jw[0] - om[0] * jw[2],
-                           om[0] * jw[1] - om[1] * jw[0]])
-    force_w = rot @ (eff.F1 @ u) - params.mass * GRAVITY * E3 + dist_force
-    torque = eff.F2 @ u - gyroscopic + dist_moment
-    dx = np.empty(STATE_SIZE)
-    dx[P] = x[V]
-    dx[V] = force_w / params.mass
-    dx[Q] = quat_derivative(q, om)
-    dx[OMEGA] = torque / j
-    dx[ROTOR_W] = (w_cmd - rotor_w) / params.motor_time_constant
-    return dx
+    (_, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, *rotor_w) = x
+    u = [w * abs(w) for w in rotor_w]
+    u1, u2, u3, u4, u5, u6 = u
+    m = params.mass
+    fx, fy, fz = _force_world(params, eff, (qw, qx, qy, qz), u, dist_force)
+    tx, ty, tz = [a * u1 + b * u2 + c * u3 + d * u4 + e * u5 + f * u6
+                  for a, b, c, d, e, f in eff.F2_rows]
+    jx, jy, jz = params.inertia_diag
+    hx, hy, hz = jx * ox, jy * oy, jz * oz
+    tau = params.motor_time_constant
+    return [
+        vx, vy, vz,
+        fx / m, fy / m, fz / m,
+        # q_dot = 0.5 q (x) (0, omega)
+        0.5 * (-qx * ox - qy * oy - qz * oz),
+        0.5 * (qw * ox + qy * oz - qz * oy),
+        0.5 * (qw * oy - qx * oz + qz * ox),
+        0.5 * (qw * oz + qx * oy - qy * ox),
+        # J omega_dot = F2 u - omega x J omega + moment
+        (tx - (oy * hz - oz * hy) + dist_moment[0]) / jx,
+        (ty - (oz * hx - ox * hz) + dist_moment[1]) / jy,
+        (tz - (ox * hy - oy * hx) + dist_moment[2]) / jz,
+        *[(c - w) / tau for c, w in zip(w_cmd, rotor_w)],
+    ]
 
 
 def acceleration(x, params, eff, dist_force):
-    """World-frame translational acceleration at state x."""
-    rotor_w = x[ROTOR_W]
-    u = rotor_w * np.abs(rotor_w)
-    force_w = (quat_to_rotmat(x[Q]) @ (eff.F1 @ u)
-               - params.mass * GRAVITY * E3 + dist_force)
-    return force_w / params.mass
+    """World-frame translational acceleration at state vector x."""
+    u = [w * abs(w) for w in x[ROTOR_W].tolist()]
+    force_w = _force_world(params, eff, x[Q].tolist(), u, dist_force.tolist())
+    return np.array(force_w) / params.mass
 
 
 def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     """One RK4 step; disturbance held constant over the step.
 
-    Returns a new state vector and never writes into x.  Raises
-    NonFiniteState if any component diverges.
+    Takes and returns a state vector and never writes into x.  The
+    stages run over Python floats: on 19 numbers that costs a fraction
+    of numpy's per-call overhead.  Raises NonFiniteState if any
+    component diverges.
     """
-    w_cmd = cmd.w_cmd
-
-    def f(s):
-        return derivative(s, params, eff, w_cmd, dist_force, dist_moment)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    out[Q] /= np.linalg.norm(out[Q])
-    if not np.isfinite(out).all():
+    args = (params, eff, cmd.w_cmd.tolist(), dist_force.tolist(),
+            dist_moment.tolist())
+    s = x.tolist()
+    h = 0.5 * dt
+    k1 = derivative(s, *args)
+    k2 = derivative([a + h * b for a, b in zip(s, k1)], *args)
+    k3 = derivative([a + h * b for a, b in zip(s, k2)], *args)
+    k4 = derivative([a + dt * b for a, b in zip(s, k3)], *args)
+    c = dt / 6.0
+    out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+    qw, qx, qy, qz = out[Q]
+    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    # a sum of floats is finite only if every term is (or it overflows,
+    # which is divergence too)
+    if not (norm > 0.0 and math.isfinite(sum(out))):
         raise NonFiniteState("simulation state diverged")
-    return out
+    out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
+    return np.array(out)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ Conventions used throughout the package:
   * rotation matrices map body vectors into the world frame
 """
 
+import math
+
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -54,11 +56,17 @@ def quat_from_axis_angle(axis, angle):
 
 
 def quat_from_rpy(roll, pitch, yaw):
-    """ZYX Euler angles (yaw about z, then pitch, then roll) to quaternion."""
-    qz = quat_from_axis_angle(E3, yaw)
-    qy = quat_from_axis_angle([0.0, 1.0, 0.0], pitch)
-    qx = quat_from_axis_angle([1.0, 0.0, 0.0], roll)
-    return quat_mul(quat_mul(qz, qy), qx)
+    """ZYX Euler angles (yaw about z, then pitch, then roll) to quaternion:
+    the product qz(yaw) (x) qy(pitch) (x) qx(roll) in closed form."""
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return np.array([
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    ])
 
 
 def rpy_from_quat(q):
@@ -101,8 +109,8 @@ def angular_rate_error(omega_b, omega_d, q_b, q_d):
 
 def euler_rate_matrix(roll, pitch):
     """Maps ZYX Euler angle rates [roll', pitch', yaw'] to body rates."""
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
     return np.array([
         [1.0, 0.0, -sp],
         [0.0, cr, sr * cp],

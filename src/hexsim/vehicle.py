@@ -58,8 +58,8 @@ class PlatformParams:
 
     @cached_property
     def inertia_diag(self):
-        """Diagonal of the inertia tensor as a flat vector."""
-        return np.ascontiguousarray(np.diag(self.inertia))
+        """Diagonal of the inertia tensor as a tuple of Python floats."""
+        return tuple(np.diag(self.inertia).tolist())
 
     @property
     def rotor_positions(self):
@@ -116,6 +116,16 @@ class EffectivenessMatrices:
     condition_number: float
     u_min: float
     u_max: float
+
+    @cached_property
+    def F1_rows(self):
+        """F1 as a tuple of rows of Python floats, for the scalar kernel."""
+        return tuple(map(tuple, self.F1.tolist()))
+
+    @cached_property
+    def F2_rows(self):
+        """F2 as a tuple of rows of Python floats, for the scalar kernel."""
+        return tuple(map(tuple, self.F2.tolist()))
 
 
 def build_effectiveness(params):

@@ -103,6 +103,37 @@ def test_log_csv_header_and_round_trip(tmp_path):
     assert float(row[0]) == 9 * (1.0 / 500.0)
 
 
+def per_cell_log_csv(path, log):
+    """The cell-by-cell writer that write_log_csv replaced, kept as its
+    oracle."""
+    n = len(log["t"])
+    with open(path, "w") as fh:
+        fh.write(",".join(name for name, _, _ in cli.LOG_COLUMNS) + "\n")
+        for row in range(n):
+            cells = []
+            for name, key, col in cli.LOG_COLUMNS:
+                if name == "t":
+                    cells.append(repr(float(log["t"][row])))
+                elif key == "saturated":
+                    cells.append(str(int(log[key][row, col])))
+                else:
+                    cells.append(repr(float(log[key][row, col])))
+            fh.write(",".join(cells) + "\n")
+
+
+def test_log_csv_matches_per_cell_writer(tmp_path):
+    sc = experiments.build_scenario("exp3", "indi",
+                                    {"gust": True, "duration": 2.5})
+    log, _ = experiments.run_scenario(sc)
+    # the short hover saturates nothing; set flags so both values show
+    log["saturated"][::7, 2] = True
+    log["saturated"][::3, 5] = True
+    cli.write_log_csv(tmp_path / "rows.csv", log)
+    per_cell_log_csv(tmp_path / "cells.csv", log)
+    assert ((tmp_path / "rows.csv").read_bytes()
+            == (tmp_path / "cells.csv").read_bytes())
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[run]\nscenario = exp5\ncontroller = geo\n"

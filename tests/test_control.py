@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hexsim import vehicle
 from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
                             IndiController, PoseReference, PseudoControl,
-                            ReferenceShaper, make_controller, make_model,
-                            ndi_invert, outer_loop)
+                            ReferenceShaper, _ShapedAxes, make_controller,
+                            make_model, ndi_invert, outer_loop)
+from hexsim.experiments import CONTROLLER_FREQS
 from hexsim.geometry import E3, quat_from_rpy
 from hexsim.vehicle import GRAVITY
 
@@ -67,6 +69,19 @@ def test_ndi_invert_gyroscopic_term(params):
     j = np.diag(params.inertia)
     np.testing.assert_allclose(wrench[3:], np.cross(omega, j * omega),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("freq", CONTROLLER_FREQS)
+@pytest.mark.parametrize("wn", [4.0, 12.0])
+def test_shaper_discretisation_matches_expm(freq, wn):
+    # zero-order hold of [x, x', target] with the target held constant
+    a = np.array([[0.0, 1.0, 0.0],
+                  [-wn ** 2, -2.0 * wn, wn ** 2],
+                  [0.0, 0.0, 0.0]])
+    m = expm(a / freq)
+    axes = _ShapedAxes(1.0 / freq, wn, 3)
+    np.testing.assert_allclose(axes.ad, m[:2, :2], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(axes.bd, m[:2, 2], rtol=1e-12, atol=0.0)
 
 
 def test_shaper_converges_to_step():

@@ -3,7 +3,7 @@ import pytest
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
-from hexsim.geometry import E3
+from hexsim.geometry import E3, quat_derivative, quat_to_rotmat
 from hexsim.vehicle import GRAVITY
 
 
@@ -162,3 +162,68 @@ def test_rk4_order(params, eff, trim):
     e1 = np.linalg.norm(x1 - x4)
     e2 = np.linalg.norm(x2 - x4)
     assert e1 / e2 >= 12.0
+
+
+def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
+    """The numpy form of dyn.derivative over state vectors, kept as the
+    oracle of the scalar kernel."""
+    q, om, rotor_w = x[dyn.Q], x[dyn.OMEGA], x[dyn.ROTOR_W]
+    u = rotor_w * np.abs(rotor_w)
+    j = np.diag(params.inertia)
+    force_w = (quat_to_rotmat(q) @ (eff.F1 @ u)
+               - params.mass * GRAVITY * E3 + dist_force)
+    torque = eff.F2 @ u - np.cross(om, j * om) + dist_moment
+    dx = np.empty(dyn.STATE_SIZE)
+    dx[dyn.P] = x[dyn.V]
+    dx[dyn.V] = force_w / params.mass
+    dx[dyn.Q] = quat_derivative(q, om)
+    dx[dyn.OMEGA] = torque / j
+    dx[dyn.ROTOR_W] = (w_cmd - rotor_w) / params.motor_time_constant
+    return dx
+
+
+def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
+    def f(s):
+        return numpy_derivative(s, params, eff, cmd.w_cmd, dist_force,
+                                dist_moment)
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    out[dyn.Q] /= np.linalg.norm(out[dyn.Q])
+    return out
+
+
+def random_case(params, rng):
+    """A state with a random attitude, body rates up to 5 rad/s and rotor
+    speeds inside the actuator range, a random rotor command and nonzero
+    disturbances."""
+    q = rng.normal(size=4)
+    x = dyn.pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
+                 rng.uniform(-5.0, 5.0, 3),
+                 rng.uniform(params.w_min, params.w_max, 6))
+    w_cmd = rng.uniform(params.w_min, params.w_max, 6)
+    cmd = vehicle.ActuatorCommand(u=w_cmd ** 2, w_cmd=w_cmd,
+                                  saturated=np.zeros(6, dtype=bool))
+    return x, cmd, rng.normal(0.0, 3.0, 3), rng.normal(0.0, 0.5, 3)
+
+
+def test_scalar_step_matches_numpy_oracle(params, eff, rng):
+    for _ in range(300):
+        x, cmd, dist_f, dist_m = random_case(params, rng)
+        before = x.copy()
+        out = dyn.step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_allclose(
+            out, numpy_step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT),
+            rtol=1e-12, atol=0.0)
+
+
+def test_acceleration_is_the_derivative_force_balance(params, eff, rng):
+    for _ in range(50):
+        x, cmd, dist_f, dist_m = random_case(params, rng)
+        dx = dyn.derivative(x.tolist(), params, eff, cmd.w_cmd.tolist(),
+                            dist_f.tolist(), dist_m.tolist())
+        np.testing.assert_array_equal(
+            dyn.acceleration(x, params, eff, dist_f), dx[dyn.V])
