@@ -6,8 +6,10 @@ rejected.  Command-line flags override config keys.  All artifacts embed
 the fully resolved configuration and the seed so they are
 self-describing.
 
-Exit codes: 0 success, 2 config error, 3 simulation divergence, 4 IO
-error.
+Exit codes: 0 success, 2 config error, 3 simulation divergence (for a
+sweep: any cell diverged; the other cells are still written), 4 IO
+error.  A divergence prints its time, scenario, seed and last finite
+state to stderr.
 """
 
 import argparse
@@ -293,7 +295,7 @@ def _sweep_cell(args):
     try:
         agg, _ = experiments.repeat_runs(scenario, repeats, params=params)
     except dynamics.NonFiniteState as exc:
-        return (value, controller, repeats, None, f"diverged: {exc}")
+        return (value, controller, repeats, None, _divergence_report(exc))
     return (value, controller, repeats, agg, "ok")
 
 
@@ -320,7 +322,10 @@ def cmd_sweep(config):
                  "lon_att_std_deg,pos_norm_mean,pos_norm_std,status\n")
         for value, controller, n, agg, status in rows:
             if agg is None:
-                fh.write(f"{value},{controller},{n},,,,,{status}\n")
+                print(f"{axis}={value} {controller}: {status}",
+                      file=sys.stderr)
+                summary = status.splitlines()[0]
+                fh.write(f"{value},{controller},{n},,,,,{summary}\n")
                 continue
             fh.write(",".join([
                 repr(float(value)), controller, str(n),
@@ -331,7 +336,23 @@ def cmd_sweep(config):
                   f"lon={agg.lon_att_mean_deg:.4f}±{agg.lon_att_std_deg:.4f} "
                   f"deg, pos={agg.pos_norm_mean:.4f}±{agg.pos_norm_std:.4f} m")
     print(f"wrote {out}")
+    if any(agg is None for _, _, _, agg, _ in rows):
+        return EXIT_DIVERGED
     return EXIT_OK
+
+
+def _divergence_report(exc):
+    """What a diverged run reports: a line with the time, scenario and
+    seed, then the blocks of the last finite state."""
+    lines = [f"simulation diverged: {exc}"]
+    if exc.state is not None:
+        lines.append("  last finite state:")
+        for name, block in (("p", dynamics.P), ("v", dynamics.V),
+                            ("q", dynamics.Q), ("omega", dynamics.OMEGA),
+                            ("rotor_w", dynamics.ROTOR_W)):
+            values = ", ".join(map(repr, exc.state[block].tolist()))
+            lines.append(f"    {name}: [{values}]")
+    return "\n".join(lines)
 
 
 def cmd_validate(config):
@@ -420,7 +441,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dynamics.NonFiniteState as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
+        print(_divergence_report(exc), file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

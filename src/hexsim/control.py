@@ -13,16 +13,14 @@ accelerations are turned into rotor commands:
 """
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .filters import FilteredDerivative, SecondOrderFilter
-from .geometry import (E3, angular_rate_error, attitude_error_vector,
-                       euler_rate_matrix, quat_from_rpy, quat_to_rotmat,
-                       rpy_from_quat)
+from .geometry import (angular_rate_error, attitude_error_vector,
+                       euler_rate_matrix, mat_vec, quat_from_rpy,
+                       rotmat_rows, rpy_from_quat)
 from .vehicle import GRAVITY, allocate, build_effectiveness, saturate, \
-    with_cf_factor
+    solve_wrench, with_cf_factor
 
 # INDI feedback filter defaults
 FILTER_CUTOFF_HZ = 15.0
@@ -44,18 +42,19 @@ class Gains:
 
 @dataclass
 class PoseReference:
-    p_d: np.ndarray
-    v_d: np.ndarray
-    a_d: np.ndarray
-    q_d: np.ndarray
-    omega_d: np.ndarray
-    omega_dot_d: np.ndarray
+    """Shaped reference; the shaper fills it with Python floats."""
+    p_d: list
+    v_d: list
+    a_d: list
+    q_d: tuple
+    omega_d: tuple
+    omega_dot_d: tuple
 
 
 @dataclass
 class PseudoControl:
-    v_p: np.ndarray     # commanded translational acceleration, world
-    v_att: np.ndarray   # commanded angular acceleration, body
+    v_p: list     # commanded translational acceleration, world
+    v_att: list   # commanded angular acceleration, body
 
 
 @dataclass(frozen=True)
@@ -72,25 +71,36 @@ def make_model(params, cf_factor=1.0):
 
 
 def outer_loop(gains, ref, pos, vel, q, omega):
-    """Shared error dynamics producing the pseudo-control accelerations."""
-    e_p = ref.p_d - pos
-    e_v = ref.v_d - vel
-    v_p = gains.k_p * e_p + gains.k_v * e_v + ref.a_d
+    """Shared error dynamics producing the pseudo-control accelerations.
+
+    Every argument is a sequence of numbers; a list of Python floats is
+    fastest."""
+    k_p, k_v, k_q, k_w = gains.k_p, gains.k_v, gains.k_q, gains.k_w
+    v_p = [k_p * (p_d - p) + k_v * (v_d - v) + a_d
+           for p_d, p, v_d, v, a_d in zip(ref.p_d, pos, ref.v_d, vel,
+                                          ref.a_d)]
     e_q = attitude_error_vector(ref.q_d, q)
     e_w = angular_rate_error(omega, ref.omega_d, q, ref.q_d)
-    v_att = gains.k_q * e_q - gains.k_w * e_w + ref.omega_dot_d
+    v_att = [k_q * eq - k_w * ew + wd
+             for eq, ew, wd in zip(e_q, e_w, ref.omega_dot_d)]
     return PseudoControl(v_p=v_p, v_att=v_att)
 
 
 def ndi_invert(nu, omega, model):
     """Model-based inversion: wrench cancelling gravity and the gyroscopic
-    term plus the inertia-scaled pseudo control.  The downstream allocation
-    applies F(q)^-1."""
+    term plus the inertia-scaled pseudo control, as a 6-tuple.  The
+    downstream allocation applies F(q)^-1."""
     p = model.params
-    jw = np.diag(p.inertia) * omega
-    force = p.mass * nu.v_p + p.mass * GRAVITY * E3
-    torque = np.diag(p.inertia) * nu.v_att + np.cross(omega, jw)
-    return np.concatenate([force, torque])
+    m = p.mass
+    jx, jy, jz = p.inertia_diag
+    ax, ay, az = nu.v_p
+    bx, by, bz = nu.v_att
+    ox, oy, oz = omega
+    hx, hy, hz = jx * ox, jy * oy, jz * oz
+    return (m * ax, m * ay, m * az + m * GRAVITY,
+            jx * bx + (oy * hz - oz * hy),
+            jy * by + (oz * hx - ox * hz),
+            jz * bz + (ox * hy - oy * hx))
 
 
 class ReferenceShaper:
@@ -114,53 +124,60 @@ class ReferenceShaper:
     def step(self, target_pos, target_rpy):
         p_d, v_d, a_d = self._pos.step(target_pos)
         rpy, rpy_rate, rpy_acc = self._att.step(target_rpy)
-        e = euler_rate_matrix(rpy[0], rpy[1])
+        rows = euler_rate_matrix(rpy[0], rpy[1])
         return PoseReference(
             p_d=p_d, v_d=v_d, a_d=a_d,
             q_d=quat_from_rpy(*rpy),
-            omega_d=e @ rpy_rate,
-            omega_dot_d=e @ rpy_acc)
+            omega_d=mat_vec(rows, rpy_rate),
+            omega_dot_d=mat_vec(rows, rpy_acc))
 
 
 class _ShapedAxes:
     """Critically damped second-order shaping of each channel toward its
     target, x'' = wn^2 (target - x) - 2 wn x', discretized exactly under
-    a zero-order hold on the target."""
+    a zero-order hold on the target.  The state is kept as lists of
+    Python floats."""
 
     def __init__(self, dt, natural_frequency, channels):
         wn = self.wn = natural_frequency
         e = math.exp(-wn * dt)
-        self.ad = e * np.array([[1.0 + wn * dt, dt],
-                                [-wn * wn * dt, 1.0 - wn * dt]])
+        self.ad = ((e * (1.0 + wn * dt), e * dt),
+                   (e * (-wn * wn * dt), e * (1.0 - wn * dt)))
         # 1 - e (1 + wn dt), written so it does not cancel for small wn dt
-        self.bd = np.array([-math.expm1(-wn * dt) - wn * dt * e,
-                            e * wn * wn * dt])
-        self.x = np.zeros(channels)
-        self.xd = np.zeros(channels)
+        self.bd = (-math.expm1(-wn * dt) - wn * dt * e, e * wn * wn * dt)
+        self.x = [0.0] * channels
+        self.xd = [0.0] * channels
 
     def reset_to(self, value):
-        self.x = np.asarray(value, dtype=float).copy()
-        self.xd = np.zeros_like(self.x)
+        self.x = [float(v) for v in value]
+        self.xd = [0.0] * len(self.x)
 
     def step(self, target):
-        target = np.asarray(target, dtype=float)
-        acc = self.wn ** 2 * (target - self.x) - 2 * self.wn * self.xd
-        x_new = self.ad[0, 0] * self.x + self.ad[0, 1] * self.xd + self.bd[0] * target
-        xd_new = self.ad[1, 0] * self.x + self.ad[1, 1] * self.xd + self.bd[1] * target
-        out = (self.x.copy(), self.xd.copy(), acc)
+        """Advance one sample toward target; returns the value, rate and
+        acceleration before the step."""
+        (a00, a01), (a10, a11) = self.ad
+        b0, b1 = self.bd
+        wn2, two_wn = self.wn ** 2, 2 * self.wn
+        x, xd = self.x, self.xd
+        acc, x_new, xd_new = [], [], []
+        for g, v, r in zip(target, x, xd):
+            acc.append(wn2 * (g - v) - two_wn * r)
+            x_new.append(a00 * v + a01 * r + b0 * g)
+            xd_new.append(a10 * v + a11 * r + b1 * g)
         self.x, self.xd = x_new, xd_new
-        return out
+        return x, xd, acc
 
 
 @dataclass
 class ControllerInputs:
-    """Everything a controller may consume at one tick."""
-    pos: np.ndarray
-    vel: np.ndarray
-    q: np.ndarray
-    gyro: np.ndarray
-    accel: np.ndarray           # specific force, body
-    rotor_w_meas: np.ndarray
+    """Everything a controller may consume at one tick; each field is a
+    sequence of numbers (run_scenario passes lists of Python floats)."""
+    pos: list
+    vel: list
+    q: list
+    gyro: list
+    accel: list            # specific force, body
+    rotor_w_meas: list
 
 
 class GeoNdiController:
@@ -205,36 +222,38 @@ class IndiController:
         self.shaper = ReferenceShaper(dt)
         # channels: specific force (3), gyro (3), squared rotor speeds (6)
         self.feedback = SecondOrderFilter(
-            2 * np.pi * filter_cutoff_hz, filter_damping, dt, 12)
+            2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
         self.d_gyro = FilteredDerivative(dt, 3)
 
     def warm_start(self, pos, q, trim_cmd):
         self.shaper.reset_to(pos, rpy_from_quat(q))
-        self.feedback.reset_to(
-            np.concatenate([GRAVITY * E3, np.zeros(3), trim_cmd.u]))
-        self.d_gyro.reset_to(np.zeros(3))
+        self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
+                                *trim_cmd.u.tolist()])
+        self.d_gyro.reset_to(0.0)
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)
 
-        rot = quat_to_rotmat(inputs.q)
-        u_meas = inputs.rotor_w_meas * np.abs(inputs.rotor_w_meas)
+        u_meas = [w * abs(w) for w in inputs.rotor_w_meas]
         filtered = self.feedback.step(
-            np.concatenate([inputs.accel, inputs.gyro, u_meas]))
+            [*inputs.accel, *inputs.gyro, *u_meas]).tolist()
         accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
 
         # the gyro channel is low-pass filtered like every other sensor
         # path, so the rate error sees the same group delay
         nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
                         inputs.q, gyro_f)
-        pddot0 = rot @ accel_f - GRAVITY * E3
-        omdot0 = self.d_gyro.step(gyro_f)
+        ax, ay, az = mat_vec(rotmat_rows(inputs.q), accel_f)
+        omdot0 = self.d_gyro.step(gyro_f).tolist()
 
         p = self.model.params
-        force_inc = p.mass * (nu.v_p - pddot0)
-        torque_inc = np.diag(p.inertia) * (nu.v_att - omdot0)
-        rhs = np.concatenate([rot.T @ force_inc, torque_inc])
-        u = self.model.eff.F0_inv @ rhs + u0
+        m = p.mass
+        vx, vy, vz = nu.v_p
+        increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
+                     *[j * (v - w) for j, v, w in zip(p.inertia_diag,
+                                                      nu.v_att, omdot0)])
+        u = [a + b for a, b in zip(
+            solve_wrench(self.model.eff, inputs.q, increment), u0)]
         return saturate(self.model.eff, u), ref
 
 

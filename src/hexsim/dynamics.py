@@ -11,14 +11,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import E3, quat_to_rotmat
+from .geometry import mat_t_vec, rotmat_rows
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
 
 
 class NonFiniteState(Exception):
-    """Simulation diverged: a state component became non-finite."""
+    """Simulation diverged: a state component became non-finite.
+
+    step raises it bare; run_scenario raises it again with the time t at
+    the start of the step that diverged, the scenario id, the seed and
+    the last finite state vector.
+    """
+
+    def __init__(self, message="simulation state diverged", t=None,
+                 scenario=None, seed=None, state=None):
+        # every field goes into args, so the exception pickles
+        super().__init__(message, t, scenario, seed, state)
+        self.message, self.t, self.scenario, self.seed, self.state = (
+            message, t, scenario, seed, state)
+
+    def __str__(self):
+        if self.t is None:
+            return self.message
+        return (f"{self.message} at t = {self.t:.4f} s in scenario "
+                f"{self.scenario} with seed {self.seed}")
 
 
 # State vector x = [p, v, q, omega, rotor_w]; no other module hard-codes it
@@ -141,10 +159,13 @@ def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
 
 
 def acceleration(x, params, eff, dist_force):
-    """World-frame translational acceleration at state vector x."""
-    u = [w * abs(w) for w in x[ROTOR_W].tolist()]
-    force_w = _force_world(params, eff, x[Q].tolist(), u, dist_force.tolist())
-    return np.array(force_w) / params.mass
+    """World-frame translational acceleration at state x, as a 3-tuple.
+    x (laid out as the state vector) and dist_force are sequences of
+    numbers; lists of Python floats are fastest."""
+    u = [w * abs(w) for w in x[ROTOR_W]]
+    fx, fy, fz = _force_world(params, eff, x[Q], u, dist_force)
+    m = params.mass
+    return fx / m, fy / m, fz / m
 
 
 def step(x, params, eff, cmd, dist_force, dist_moment, dt):
@@ -171,7 +192,7 @@ def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     # a sum of floats is finite only if every term is (or it overflows,
     # which is divergence too)
     if not (norm > 0.0 and math.isfinite(sum(out))):
-        raise NonFiniteState("simulation state diverged")
+        raise NonFiniteState()
     out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
     return np.array(out)
 
@@ -186,24 +207,29 @@ class NoiseSpec:
 
 @dataclass
 class SensorReadings:
-    accel: np.ndarray         # specific force, body, m/s^2
-    gyro: np.ndarray          # rad/s, body
-    rotor_w_meas: np.ndarray  # rad/s
+    accel: list          # specific force, body, m/s^2
+    gyro: list           # rad/s, body
+    rotor_w_meas: list   # rad/s
 
 
 def synthesize_sensors(x, accel_world, noise, rng):
-    """Sensor outputs at the truth state x.
+    """Sensor outputs at the truth state x (a sequence laid out as the
+    state vector; a list of Python floats is fastest).
 
     accel is the specific force R(q)^T (p_ddot + g e3); gyro and rotor
     tachometers read the body rate and rotor speeds.  Per-channel white
-    Gaussian noise with sigma * scale.
+    Gaussian noise with sigma * scale, drawn as 12 normals per call in
+    the order accel, gyro, rotor.
     """
-    rot = quat_to_rotmat(x[Q])
-    accel = rot.T @ (accel_world + GRAVITY * E3)
+    ax, ay, az = accel_world
+    accel = mat_t_vec(rotmat_rows(x[Q]), (ax, ay, az + GRAVITY))
     gyro, rotor = x[OMEGA], x[ROTOR_W]
     s = noise.scale
     if s > 0.0:
-        accel = accel + s * noise.accel_sigma * rng.standard_normal(3)
-        gyro = gyro + s * noise.gyro_sigma * rng.standard_normal(3)
-        rotor = rotor + s * noise.rotor_sigma * rng.standard_normal(6)
+        draws = rng.standard_normal(12).tolist()
+        sa, sg, sr = (s * noise.accel_sigma, s * noise.gyro_sigma,
+                      s * noise.rotor_sigma)
+        accel = [a + sa * d for a, d in zip(accel, draws[:3])]
+        gyro = [g + sg * d for g, d in zip(gyro, draws[3:6])]
+        rotor = [w + sr * d for w, d in zip(rotor, draws[6:])]
     return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor)

@@ -18,6 +18,7 @@ residual_scale = 0 for ideal-model studies.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,9 +55,18 @@ class EmptyWindow(Exception):
 
 @dataclass(frozen=True)
 class Setpoint:
+    """Position and ZYX attitude target from time t on; pos and rpy are
+    kept as tuples of three finite Python floats."""
     t: float
-    pos: np.ndarray
-    rpy: np.ndarray
+    pos: tuple
+    rpy: tuple
+
+    def __post_init__(self):
+        for name in ("pos", "rpy"):
+            value = tuple(float(v) for v in getattr(self, name))
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ValueError(f"setpoint {name} must be 3 finite numbers")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -196,13 +206,12 @@ def build_scenario(scenario_id, controller, overrides=None):
     return base
 
 
-def _script_target(script, t):
-    target = script[0]
-    for sp in script:
-        if sp.t <= t:
-            target = sp
-        else:
-            break
+def _script_target(script, times, t):
+    """(pos, rpy) of the last setpoint at or before t, or of the first
+    setpoint while t is before it.  `times` holds the setpoint times, in
+    order."""
+    i = bisect_right(times, t)
+    target = script[i - 1] if i else script[0]
     return target.pos, target.rpy
 
 
@@ -211,6 +220,8 @@ def run_scenario(scenario, params=None):
     frequency) and return (log, RunMetrics).
 
     The log is a dict of numpy arrays sampled at the controller rate.
+    Raises NonFiniteState carrying the time, scenario id, seed and last
+    finite state if the truth state diverges.
     """
     params = params or vehicle.default_params()
     eff = vehicle.build_effectiveness(params)
@@ -231,7 +242,8 @@ def run_scenario(scenario, params=None):
         scenario.filter_cutoff_hz, scenario.filter_damping)
 
     trim = vehicle.hover_command(params, eff)
-    p0, rpy0 = _script_target(scenario.script, 0.0)
+    times = [sp.t for sp in scenario.script]
+    p0, rpy0 = _script_target(scenario.script, times, 0.0)
     q0 = quat_from_rpy(*rpy0)
     x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd)
     controller.warm_start(p0, q0, trim)
@@ -240,60 +252,69 @@ def run_scenario(scenario, params=None):
     residual_m = scenario.residual_scale * RESIDUAL_MOMENT
     sampler = dyn.DisturbanceSampler(scenario.disturbance, dt, rng)
 
+    # one row per tick; everything derived from these rows is computed
+    # after the loop
     n_ticks = (n_steps + n_sub - 1) // n_sub
     states = np.empty((n_ticks, dyn.STATE_SIZE))
-    log = {
-        "t": np.empty(n_ticks),
-        "ref_p": np.empty((n_ticks, 3)), "ref_v": np.empty((n_ticks, 3)),
-        "ref_q": np.empty((n_ticks, 4)), "ref_omega": np.empty((n_ticks, 3)),
-        "e_p": np.empty((n_ticks, 3)), "e_att_deg": np.empty((n_ticks, 3)),
-        "rpy": np.empty((n_ticks, 3)),
-        "u": np.empty((n_ticks, 6)), "w_cmd": np.empty((n_ticks, 6)),
-        "w_meas": np.empty((n_ticks, 6)),
-        "saturated": np.empty((n_ticks, 6), dtype=bool),
-    }
+    refs = np.empty((n_ticks, 13))      # p_d, v_d, q_d, omega_d
+    u = np.empty((n_ticks, 6))
+    w_cmd = np.empty((n_ticks, 6))
+    w_meas = np.empty((n_ticks, 6))
+    saturated = np.empty((n_ticks, 6), dtype=bool)
 
-    # step() returns a fresh vector and never writes into x, so the pose
-    # and velocity below may stay views of it
+    # the controller works on Python floats: xs is the state as a list,
+    # taken at every tick; the pose is taken only at ticks that fall on
+    # the 250 Hz pose clock
     cmd = trim
-    pose_p, pose_q = x[dyn.P], x[dyn.Q]
+    xs = x.tolist()
+    pose_p, pose_q = xs[dyn.P], xs[dyn.Q]
     dist_f, dist_m = sampler.step(0.0)
+    force = dist_f + residual_f
     tick = 0
-    for k in range(n_steps):
-        t = k * dt
-        if k % n_sub == 0:
-            if k % pose_every == 0:
-                pose_p, pose_q = x[dyn.P], x[dyn.Q]
-            accel_w = dyn.acceleration(x, params, eff, dist_f + residual_f)
-            sensors = dyn.synthesize_sensors(x, accel_w, noise, rng)
-            inputs = ControllerInputs(
-                pos=pose_p, vel=x[dyn.V], q=pose_q,
-                gyro=sensors.gyro, accel=sensors.accel,
-                rotor_w_meas=sensors.rotor_w_meas)
-            target_pos, target_rpy = _script_target(scenario.script, t)
-            cmd, ref = controller.tick(target_pos, target_rpy, inputs)
+    try:
+        for k in range(n_steps):
+            t = k * dt
+            if k % n_sub == 0:
+                xs = x.tolist()
+                if k % pose_every == 0:
+                    pose_p, pose_q = xs[dyn.P], xs[dyn.Q]
+                accel_w = dyn.acceleration(xs, params, eff, force.tolist())
+                sensors = dyn.synthesize_sensors(xs, accel_w, noise, rng)
+                inputs = ControllerInputs(
+                    pos=pose_p, vel=xs[dyn.V], q=pose_q,
+                    gyro=sensors.gyro, accel=sensors.accel,
+                    rotor_w_meas=sensors.rotor_w_meas)
+                target_pos, target_rpy = _script_target(scenario.script,
+                                                        times, t)
+                cmd, ref = controller.tick(target_pos, target_rpy, inputs)
 
-            q = x[dyn.Q]
-            e_q = quat_mul(ref.q_d, quat_conj(q))
-            log["t"][tick] = t
-            states[tick] = x
-            log["ref_p"][tick] = ref.p_d
-            log["ref_v"][tick] = ref.v_d
-            log["ref_q"][tick] = ref.q_d
-            log["ref_omega"][tick] = ref.omega_d
-            log["e_p"][tick] = ref.p_d - x[dyn.P]
-            log["e_att_deg"][tick] = np.degrees(rpy_from_quat(e_q))
-            log["rpy"][tick] = rpy_from_quat(q)
-            log["u"][tick] = cmd.u
-            log["w_cmd"][tick] = cmd.w_cmd
-            log["w_meas"][tick] = sensors.rotor_w_meas
-            log["saturated"][tick] = cmd.saturated
-            tick += 1
-        dist_f, dist_m = sampler.step(t)
-        x = dyn.step(x, params, eff, cmd,
-                     dist_f + residual_f, dist_m + residual_m, dt)
-    log.update(p=states[:, dyn.P], v=states[:, dyn.V], q=states[:, dyn.Q],
-               omega=states[:, dyn.OMEGA])
+                states[tick] = x
+                refs[tick] = [*ref.p_d, *ref.v_d, *ref.q_d, *ref.omega_d]
+                u[tick] = cmd.u
+                w_cmd[tick] = cmd.w_cmd
+                w_meas[tick] = sensors.rotor_w_meas
+                saturated[tick] = cmd.saturated
+                tick += 1
+            dist_f, dist_m = sampler.step(t)
+            force = dist_f + residual_f
+            x = dyn.step(x, params, eff, cmd, force, dist_m + residual_m, dt)
+    except dyn.NonFiniteState as exc:
+        raise dyn.NonFiniteState(exc.message, t=t, scenario=scenario.id,
+                                 seed=scenario.seed, state=x) from exc
+
+    q, ref_q = states[:, dyn.Q], refs[:, 6:10]
+    e_q = quat_mul(ref_q.T, quat_conj(q.T))
+    log = {
+        "t": np.arange(0, n_steps, n_sub) * dt,
+        "ref_p": refs[:, 0:3], "ref_v": refs[:, 3:6], "ref_q": ref_q,
+        "ref_omega": refs[:, 10:13],
+        "e_p": refs[:, 0:3] - states[:, dyn.P],
+        "e_att_deg": np.degrees(rpy_from_quat(e_q)).T,
+        "rpy": rpy_from_quat(q.T).T,
+        "u": u, "w_cmd": w_cmd, "w_meas": w_meas, "saturated": saturated,
+        "p": states[:, dyn.P], "v": states[:, dyn.V], "q": q,
+        "omega": states[:, dyn.OMEGA],
+    }
 
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
     if scenario.id in ("exp1", "exp4"):
@@ -351,11 +372,8 @@ def repeat_runs(scenario, n, seed_base=None, params=None):
     seed_base = scenario.seed if seed_base is None else seed_base
     per_run, samples = [], []
     for i in range(n):
-        sc = replace(scenario, seed=seed_base + i)
-        try:
-            log, metrics = run_scenario(sc, params)
-        except dyn.NonFiniteState as exc:
-            raise dyn.NonFiniteState(f"run {i} (seed {sc.seed}): {exc}")
+        log, metrics = run_scenario(replace(scenario, seed=seed_base + i),
+                                    params)
         per_run.append(metrics)
         samples.append({key: log[key] for key in ("t", "e_p", "e_att_deg")})
     pooled = {key: np.concatenate([run[key] for run in samples])

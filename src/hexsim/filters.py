@@ -9,11 +9,20 @@ the filtered gyro signal.
 import numpy as np
 
 
+def _as_floats(x, channels):
+    """A new list of Python floats from x: one value per channel, or a
+    scalar for all of them."""
+    if isinstance(x, list):
+        return list(x)
+    return np.broadcast_to(np.asarray(x, dtype=float), (channels,)).tolist()
+
+
 class SecondOrderFilter:
     """Discrete second-order low-pass wn^2 / (s^2 + 2 zeta wn s + wn^2),
     bilinear transform at the given sample time, unity DC gain.
 
-    Works elementwise on vectors; one biquad state per channel.
+    Works elementwise on vectors; one biquad state per channel, kept as
+    Python floats.
     """
 
     def __init__(self, natural_frequency, damping, sample_time, channels=1):
@@ -24,25 +33,35 @@ class SecondOrderFilter:
         wn = natural_frequency
         k = 2.0 / sample_time
         a0 = k * k + 2 * damping * wn * k + wn * wn
-        self.b = np.array([wn * wn, 2 * wn * wn, wn * wn]) / a0
+        self.b = (wn * wn / a0, 2 * wn * wn / a0, wn * wn / a0)
         self.a1 = (2 * wn * wn - 2 * k * k) / a0
         self.a2 = (k * k - 2 * damping * wn * k + wn * wn) / a0
-        self._z1 = np.zeros(channels)
-        self._z2 = np.zeros(channels)
+        self._channels = channels
+        self._z1 = [0.0] * channels
+        self._z2 = [0.0] * channels
 
     def reset_to(self, value):
         """Set the internal state so a constant input `value` passes
         through unchanged (steady-state warm start)."""
-        value = np.broadcast_to(np.asarray(value, dtype=float), self._z1.shape)
-        self._z2 = (self.b[2] - self.a2) * value
-        self._z1 = (self.b[1] - self.a1) * value + self._z2
+        _, b1, b2 = self.b
+        value = _as_floats(value, self._channels)
+        self._z2 = [(b2 - self.a2) * v for v in value]
+        self._z1 = [(b1 - self.a1) * v + z for v, z in zip(value, self._z2)]
 
     def step(self, x):
-        x = np.asarray(x, dtype=float)
-        y = self.b[0] * x + self._z1
-        self._z1 = self.b[1] * x - self.a1 * y + self._z2
-        self._z2 = self.b[2] * x - self.a2 * y
-        return y
+        """Filter one sample: x holds one value per channel, or a scalar
+        for all.  Returns an array."""
+        b0, b1, b2 = self.b
+        a1, a2 = self.a1, self.a2
+        y, z1, z2 = [], [], []
+        for v, s1, s2 in zip(_as_floats(x, self._channels), self._z1,
+                             self._z2):
+            w = b0 * v + s1
+            y.append(w)
+            z1.append(b1 * v - a1 * w + s2)
+            z2.append(b2 * v - a2 * w)
+        self._z1, self._z2 = z1, z2
+        return np.array(y)
 
 
 class FilteredDerivative:
@@ -57,17 +76,17 @@ class FilteredDerivative:
         self._channels = channels
 
     def reset_to(self, value):
-        self._prev = np.broadcast_to(
-            np.asarray(value, dtype=float), (self._channels,)).copy()
+        self._prev = _as_floats(value, self._channels)
 
     def step(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._prev is None:
-            self._prev = x.copy()
-            return np.zeros_like(x)
-        out = (x - self._prev) / self.sample_time
-        self._prev = x.copy()
-        return out
+        """Difference of x (one value per channel, or a scalar) with the
+        previous sample over the sample time.  Returns an array."""
+        x = _as_floats(x, self._channels)
+        prev, self._prev = self._prev, x
+        if prev is None:
+            return np.zeros(self._channels)
+        dt = self.sample_time
+        return np.array([(v - p) / dt for v, p in zip(x, prev)])
 
 
 def analytic_step_response(natural_frequency, damping, t):

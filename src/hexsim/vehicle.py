@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import E3, quat_to_rotmat
+from .geometry import E3, mat_t_vec, quat_to_rotmat, rotmat_rows
 
 GRAVITY = 9.81
 
@@ -127,6 +127,12 @@ class EffectivenessMatrices:
         """F2 as a tuple of rows of Python floats, for the scalar kernel."""
         return tuple(map(tuple, self.F2.tolist()))
 
+    @cached_property
+    def F0_inv_rows(self):
+        """F0_inv as a tuple of rows of Python floats, for the controller
+        tick."""
+        return tuple(map(tuple, self.F0_inv.tolist()))
+
 
 def build_effectiveness(params):
     """Assemble F1/F2 from the rotor layout; raises DegenerateGeometry if
@@ -166,21 +172,40 @@ class ActuatorCommand:
 
 
 def saturate(eff, u):
-    """Clamp squared-speed commands into actuator limits."""
-    clamped = np.clip(u, eff.u_min, eff.u_max)
-    flags = (u < eff.u_min) | (u > eff.u_max)
-    return ActuatorCommand(u=clamped, w_cmd=np.sqrt(clamped), saturated=flags)
+    """Clamp squared-speed commands (any sequence of 6 numbers) into
+    actuator limits.  A NaN passes through, unflagged."""
+    lo, hi = eff.u_min, eff.u_max
+    clamped, flags = [], []
+    for v in u:
+        if v < lo:
+            clamped.append(lo)
+            flags.append(True)
+        elif v > hi:
+            clamped.append(hi)
+            flags.append(True)
+        else:
+            clamped.append(v)
+            flags.append(False)
+    clamped = np.array(clamped)
+    return ActuatorCommand(u=clamped, w_cmd=np.sqrt(clamped),
+                           saturated=np.array(flags))
 
 
-def allocate(eff, q, wrench_demand):
-    """Solve F(q) u = wrench for the rotor commands, then clamp.
+def solve_wrench(eff, q, wrench):
+    """The unclamped u solving F(q) u = wrench, as a list.
 
     Uses the precomputed inverse of [F1; F2]; the attitude only rotates
     the force rows, so F(q)^-1 = F0^-1 blkdiag(R^T, I).
     """
-    rot = quat_to_rotmat(q)
-    rhs = np.concatenate([rot.T @ wrench_demand[:3], wrench_demand[3:]])
-    return saturate(eff, eff.F0_inv @ rhs)
+    fx, fy, fz, t1, t2, t3 = wrench
+    r1, r2, r3 = mat_t_vec(rotmat_rows(q), (fx, fy, fz))
+    return [a * r1 + b * r2 + c * r3 + d * t1 + e * t2 + f * t3
+            for a, b, c, d, e, f in eff.F0_inv_rows]
+
+
+def allocate(eff, q, wrench_demand):
+    """Solve F(q) u = wrench for the rotor commands, then clamp."""
+    return saturate(eff, solve_wrench(eff, q, wrench_demand))
 
 
 def hover_command(params, eff):

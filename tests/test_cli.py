@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hexsim import cli, experiments
+from hexsim import cli, dynamics, experiments, vehicle
 from hexsim.control import Gains
 
 
@@ -217,3 +218,59 @@ def test_sweep_cells_carry_config(tmp_path, monkeypatch):
         assert sc.gains == Gains(k_p=5.0)
         assert (sc.filter_cutoff_hz, sc.filter_damping) == (20.0, 0.9)
     assert {sc.controller for sc in seen} == {"geo", "indi"}
+
+
+def nan_command_after(monkeypatch, steps):
+    """Make every truth step after the first `steps` of each run see NaN
+    rotor commands, so the run diverges there."""
+    real = dynamics.step
+    count = []
+
+    def step(x, params, eff, cmd, dist_force, dist_moment, dt):
+        count.append(1)
+        if len(count) > steps:
+            cmd = vehicle.ActuatorCommand(u=cmd.u, w_cmd=np.full(6, np.nan),
+                                          saturated=cmd.saturated)
+        return real(x, params, eff, cmd, dist_force, dist_moment, dt)
+
+    def run_scenario(scenario, params=None):
+        count.clear()
+        return real_run(scenario, params)
+
+    real_run = experiments.run_scenario
+    monkeypatch.setattr(dynamics, "step", step)
+    monkeypatch.setattr(experiments, "run_scenario", run_scenario)
+
+
+def assert_divergence_report(err, scenario, seed):
+    assert f"simulation diverged: simulation state diverged at t = 0.0500 s " \
+        f"in scenario {scenario} with seed {seed}" in err
+    assert "last finite state:" in err
+    for block in ("p", "v", "q", "omega", "rotor_w"):
+        values = next(line for line in err.splitlines()
+                      if line.strip().startswith(f"{block}: ["))
+        numbers = values.split("[", 1)[1].rstrip("]").split(", ")
+        assert all(math.isfinite(float(v)) for v in numbers)
+
+
+def test_run_divergence_reported(tmp_path, monkeypatch, capsys):
+    nan_command_after(monkeypatch, 100)
+    code = run_cli("run", "--scenario", "exp5", "--controller", "geo",
+                   "--seed", "4", "--duration", "1",
+                   "--out", str(tmp_path / "art"))
+    assert code == cli.EXIT_DIVERGED
+    assert_divergence_report(capsys.readouterr().err, "exp5", 4)
+
+
+def test_sweep_divergence_reported(tmp_path, monkeypatch, capsys):
+    nan_command_after(monkeypatch, 100)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nseed = 6\nduration = 1\n")
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--config", str(cfg), "--axis", "noise",
+                   "--repeats", "1", "--out", str(out))
+    assert code == cli.EXIT_DIVERGED
+    assert_divergence_report(capsys.readouterr().err, "exp5", 6)
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all("diverged at t = 0.0500 s" in row for row in rows)

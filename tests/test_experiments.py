@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from hexsim import dynamics as dyn
 from hexsim import experiments as ex
+from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
 
 
 def test_build_all_scenarios():
@@ -172,3 +176,84 @@ def test_repeat_runs_pools_samples_and_averages_rise_time(monkeypatch):
     np.testing.assert_array_equal(
         agg.pos_abs_peak, np.abs(np.concatenate(
             [log["e_p"][window] for log in logs])).max(axis=0))
+
+
+def scan_script_target(script, t):
+    """The linear scan _script_target replaced, kept as its oracle."""
+    target = script[0]
+    for sp in script:
+        if sp.t <= t:
+            target = sp
+        else:
+            break
+    return target.pos, target.rpy
+
+
+@pytest.mark.parametrize("sid", ["exp1", "exp2", "exp3", "exp4", "exp5"])
+def test_script_target_matches_linear_scan(sid):
+    sc = ex.build_scenario(sid, "geo")
+    n_sub = int(round(1.0 / (sc.controller_freq * dyn.SIM_DT)))
+    n_steps = int(round(sc.duration / dyn.SIM_DT))
+    setpoint_times = [sp.t for sp in sc.script]
+    for t in [-1.0] + [k * dyn.SIM_DT for k in range(0, n_steps, n_sub)]:
+        assert ex._script_target(sc.script, setpoint_times, t) == \
+            scan_script_target(sc.script, t)
+
+
+def test_script_target_before_and_between_setpoints():
+    script = (ex.Setpoint(1.0, (1.0, 0.0, 0.0), (0.1, 0.0, 0.0)),
+              ex.Setpoint(2.0, (2.0, 0.0, 0.0), (0.2, 0.0, 0.0)),
+              ex.Setpoint(3.0, (3.0, 0.0, 0.0), (0.3, 0.0, 0.0)))
+    times = [sp.t for sp in script]
+    for t in (0.0, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0, 99.0):
+        assert ex._script_target(script, times, t) == \
+            scan_script_target(script, t)
+
+
+def test_setpoint_rejects_non_finite_targets():
+    with pytest.raises(ValueError):
+        ex.Setpoint(0.0, (0.0, np.inf, 0.0), np.zeros(3))
+    with pytest.raises(ValueError):
+        ex.Setpoint(0.0, np.zeros(3), (np.nan, 0.0, 0.0))
+
+
+def test_logged_attitudes_match_per_tick_formula():
+    # rpy and e_att_deg are computed after the loop from the stacked
+    # quaternions; the roll step at 5 s gives errors near a degree
+    sc = ex.build_scenario("exp1", "indi", {"duration": 5.6})
+    log, _ = ex.run_scenario(sc)
+    for q, ref_q, rpy, e_att in zip(log["q"], log["ref_q"], log["rpy"],
+                                    log["e_att_deg"]):
+        np.testing.assert_allclose(rpy, rpy_from_quat(q),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            e_att, np.degrees(rpy_from_quat(quat_mul(ref_q, quat_conj(q)))),
+            rtol=1e-12, atol=1e-13)
+    assert np.abs(log["e_att_deg"]).max() > 0.5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("controller", ["geo", "indi"])
+def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
+    # a NaN gyro reading from t = 0.1 s on makes the controller command
+    # NaN rotor speeds; the truth step must report the divergence, with
+    # its time, scenario, seed and last finite state
+    real = dyn.synthesize_sensors
+
+    def nan_gyro(x, accel_world, noise, rng):
+        readings = real(x, accel_world, noise, rng)
+        if len(calls) >= 50:
+            readings.gyro = [math.nan] * 3
+        calls.append(1)
+        return readings
+
+    calls = []
+    monkeypatch.setattr(dyn, "synthesize_sensors", nan_gyro)
+    sc = ex.build_scenario("exp5", controller, {"duration": 1.0, "seed": 7})
+    with pytest.raises(dyn.NonFiniteState) as info:
+        ex.run_scenario(sc)
+    exc = info.value
+    assert exc.t == pytest.approx(0.1)
+    assert (exc.scenario, exc.seed) == ("exp5", 7)
+    assert np.isfinite(exc.state).all() and exc.state.shape == (19,)
+    assert "t = 0.1000 s" in str(exc)

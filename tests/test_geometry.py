@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexsim.geometry import (E3, angular_rate_error, attitude_error_vector,
                              euler_rate_matrix, quat_conj, quat_derivative,
@@ -105,3 +109,30 @@ def test_angular_rate_error_same_frame():
 def test_euler_rate_matrix_level():
     np.testing.assert_allclose(euler_rate_matrix(0.0, 0.0), np.eye(3),
                                atol=1e-12)
+
+
+angle = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+# ZYX angles lose the roll/yaw split at pitch = +-pi/2 (gimbal lock)
+pitch = st.floats(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roll=angle, pitch=pitch, yaw=angle)
+def test_rpy_quat_rpy_round_trip(roll, pitch, yaw):
+    q = quat_from_rpy(roll, pitch, yaw)
+    assert math.fsum(v * v for v in q) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(rpy_from_quat(q), [roll, pitch, yaw],
+                               rtol=0, atol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: sum(v * v for v in q) > 1e-2))
+def test_quat_rpy_quat_round_trip(q):
+    q = np.array(q) / np.linalg.norm(q)
+    rpy = rpy_from_quat(q)
+    assume(abs(rpy[1]) < math.pi / 2 - 0.05)
+    back = np.array(quat_from_rpy(*rpy))
+    # q and -q are the same attitude
+    sign = 1.0 if back @ q >= 0.0 else -1.0
+    np.testing.assert_allclose(sign * back, q, rtol=0, atol=1e-9)

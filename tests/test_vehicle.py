@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsim import vehicle
 from hexsim.geometry import quat_from_axis_angle
@@ -121,3 +123,24 @@ def test_with_cf_factor(params):
     half = vehicle.with_cf_factor(params, 0.5)
     assert half.c_f == pytest.approx(0.5 * params.c_f)
     assert half.c_tau == params.c_tau
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.tuples(unit, unit, unit, unit).filter(
+           lambda q: sum(v * v for v in q) > 1e-2),
+       share=st.tuples(*[st.floats(0.01, 0.99)] * 6))
+def test_allocate_reproduces_feasible_wrench(eff, q, share):
+    # a wrench made by rotor commands inside the limits is feasible at any
+    # attitude, so allocation must return those commands and reproduce it
+    q = np.array(q) / np.linalg.norm(q)
+    u = eff.u_min + np.array(share) * (eff.u_max - eff.u_min)
+    F = vehicle.assemble_F(eff, q)
+    wrench = F @ u
+    cmd = vehicle.allocate(eff, q, wrench)
+    assert not cmd.saturated.any()
+    np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
+    assert (np.linalg.norm(F @ cmd.u - wrench)
+            <= 1e-9 * np.linalg.norm(wrench))
