@@ -14,6 +14,7 @@ state to stderr.
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -37,24 +38,20 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
-_RUN_KEYS = {
-    "scenario": str, "controller": str, "controller_freq": float,
-    "cf_mismatch": float, "noise_scale": int, "seed": int,
-    "duration": float, "gust": bool, "residual_scale": float, "out": str,
-}
-_GAIN_KEYS = {"k_p": float, "k_v": float, "k_q": float, "k_w": float}
-_FILTER_KEYS = {"cutoff_hz": float, "damping": float}
-_PLATFORM_KEYS = {
-    "mass": float, "arm_length": float, "tilt_angle_deg": float,
-    "c_f": float, "c_tau": float, "w_min": float, "w_max": float,
-    "motor_time_constant": float,
-    "inertia_xx": float, "inertia_yy": float, "inertia_zz": float,
-}
-_SWEEP_KEYS = {"axis": str, "repeats": int, "jobs": int, "out": str}
-
+# every config key and its type; a setting's flag is typed the same
 _SECTIONS = {
-    "run": _RUN_KEYS, "gains": _GAIN_KEYS, "filters": _FILTER_KEYS,
-    "platform": _PLATFORM_KEYS, "sweep": _SWEEP_KEYS,
+    "run": {"scenario": str, "controller": str, "controller_freq": float,
+            "cf_mismatch": float, "noise_scale": int, "seed": int,
+            "duration": float, "gust": bool, "residual_scale": float,
+            "out": str},
+    "gains": {f.name: float for f in dataclasses.fields(Gains)},
+    "filters": {"cutoff_hz": float, "damping": float},
+    "platform": {
+        "mass": float, "arm_length": float, "tilt_angle_deg": float,
+        "c_f": float, "c_tau": float, "w_min": float, "w_max": float,
+        "motor_time_constant": float,
+        "inertia_xx": float, "inertia_yy": float, "inertia_zz": float},
+    "sweep": {"axis": str, "repeats": int, "jobs": int, "out": str},
 }
 
 _DEFAULTS = {
@@ -70,14 +67,10 @@ def _coerce(section, key, raw):
     kind = _SECTIONS[section][key]
     try:
         if kind is bool:
-            lowered = str(raw).strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[
+                raw.strip().lower()]
         return kind(raw)
-    except (TypeError, ValueError):
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}")
 
@@ -107,43 +100,27 @@ def load_config(path=None):
 
 
 def _apply_flags(config, args):
-    """Command-line flags override config keys."""
-    for section, key, attr in (
-            ("run", "scenario", "scenario"),
-            ("run", "controller", "controller"),
-            ("run", "controller_freq", "controller_freq"),
-            ("run", "cf_mismatch", "cf_mismatch"),
-            ("run", "noise_scale", "noise_scale"),
-            ("run", "seed", "seed"),
-            ("run", "duration", "duration"),
-            ("run", "residual_scale", "residual_scale"),
-            ("run", "out", "out"),
-            ("sweep", "axis", "axis"),
-            ("sweep", "repeats", "repeats"),
-            ("sweep", "jobs", "jobs"),
-            ("sweep", "out", "sweep_out"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
+    """Command-line flags override config keys.  A setting's flag has the
+    dest "section.key" and the default None (see _add_setting)."""
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key and value is not None:
             config[section][key] = value
-    if getattr(args, "gust", False):
-        config["run"]["gust"] = True
     return config
 
 
 def build_params(config):
     overrides = dict(config["platform"])
-    inertia = [overrides.pop("inertia_" + ax, default)
-               for ax, default in (("xx", 0.08), ("yy", 0.08), ("zz", 0.14))]
-    if any(k.startswith("inertia_") for k in config["platform"]):
-        overrides["inertia"] = np.diag(inertia)
+    nominal = vehicle.default_params()
+    overrides["inertia"] = [overrides.pop(f"inertia_{ax}", j)
+                            for ax, j in zip(("xx", "yy", "zz"),
+                                             nominal.inertia)]
     tilt_deg = overrides.pop("tilt_angle_deg", None)
     if tilt_deg is not None:
         overrides["tilt_angle"] = math.radians(tilt_deg)
-    if "c_f" not in overrides:
-        # the force coefficient is a rotor property; keep the nominal
-        # value instead of re-anchoring it to an overridden mass
-        overrides["c_f"] = vehicle.default_params().c_f
+    # the force coefficient is a rotor property; keep the nominal value
+    # instead of re-anchoring it to an overridden mass
+    overrides.setdefault("c_f", nominal.c_f)
     try:
         return vehicle.default_params(**overrides)
     except (TypeError, ValueError) as exc:
@@ -151,25 +128,16 @@ def build_params(config):
 
 
 def build_run_scenario(config):
+    """The Scenario of the [run] keys (other than what to run and where to
+    write), the [gains] and the [filters] keys (as filter_<key>)."""
     run = config["run"]
-    overrides = {}
-    for key in ("controller_freq", "cf_mismatch", "noise_scale", "seed",
-                "duration", "residual_scale"):
-        if key in run and run[key] is not None and key not in _DEFAULTS["run"]:
-            overrides[key] = run[key]
-    overrides["seed"] = run["seed"]
-    if run["gust"]:
-        overrides["gust"] = True
-    if config["gains"]:
-        try:
-            overrides["gains"] = Gains(**config["gains"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gains: {exc}")
-    if "cutoff_hz" in config["filters"]:
-        overrides["filter_cutoff_hz"] = config["filters"]["cutoff_hz"]
-    if "damping" in config["filters"]:
-        overrides["filter_damping"] = config["filters"]["damping"]
+    overrides = {key: value for key, value in run.items()
+                 if key not in ("scenario", "controller", "out")}
+    overrides.update((f"filter_{key}", value)
+                     for key, value in config["filters"].items())
     try:
+        if config["gains"]:
+            overrides["gains"] = Gains(**config["gains"])
         return experiments.build_scenario(
             run["scenario"], run["controller"], overrides)
     except (experiments.UnknownScenario, ValueError) as exc:
@@ -177,22 +145,18 @@ def build_run_scenario(config):
 
 
 def _resolved_config(config, scenario):
-    """Fully resolved configuration for embedding in artifacts."""
+    """Fully resolved configuration for embedding in artifacts; the
+    scenario's fields are recorded as experiments.Scenario describes, a
+    dataclass as a dict."""
     out = {sec: dict(vals) for sec, vals in config.items()}
-    out["scenario"] = {
-        "id": scenario.id,
-        "controller": scenario.controller,
-        "controller_freq": scenario.controller_freq,
-        "cf_mismatch": scenario.cf_mismatch,
-        "noise_scale": scenario.noise_scale,
-        "duration": scenario.duration,
-        "seed": scenario.seed,
-        "residual_scale": scenario.residual_scale,
-        "gains": scenario.gains.__dict__,
-        "filter_cutoff_hz": scenario.filter_cutoff_hz,
-        "filter_damping": scenario.filter_damping,
-        "disturbance_kind": scenario.disturbance.kind,
-    }
+    record = out["scenario"] = {}
+    for f in dataclasses.fields(scenario):
+        value, attr = getattr(scenario, f.name), f.metadata.get("record", "")
+        if attr:
+            record[f"{f.name}_{attr}"] = getattr(value, attr)
+        elif attr is not None:
+            record[f.name] = (dataclasses.asdict(value)
+                              if dataclasses.is_dataclass(value) else value)
     return out
 
 
@@ -307,6 +271,8 @@ def cmd_sweep(config):
         raise ConfigError(f"sweep axis must be frequency or noise, got {axis}")
     if repeats < 1:
         raise ConfigError("sweep repeats must be >= 1")
+    if jobs < 1:
+        raise ConfigError("sweep jobs must be >= 1")
     values = _SWEEP_AXES[axis][2]
     cells = [(controller, axis, value, repeats, config)
              for controller in ("geo", "indi") for value in values]
@@ -386,6 +352,17 @@ def cmd_validate(config):
 
 # ---------------------------------------------------------------------------
 
+def _add_setting(parser, section, key, **kwargs):
+    """Flag --key-name for the config key [section] key, typed like it.
+    Its dest is "section.key" and its default None, so _apply_flags
+    copies exactly the flags given."""
+    if "choices" not in kwargs and "action" not in kwargs:
+        kwargs = {"type": _SECTIONS[section][key], "metavar": key.upper(),
+                  **kwargs}
+    parser.add_argument("--" + key.replace("_", "-"),
+                        dest=f"{section}.{key}", default=None, **kwargs)
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="hexsim",
@@ -399,26 +376,24 @@ def make_parser():
 
     run = sub.add_parser("run", help="run one scenario, write log + metrics")
     add_common(run)
-    run.add_argument("--scenario",
-                     choices=["exp1", "exp2", "exp3", "exp4", "exp5"])
-    run.add_argument("--controller", choices=["geo", "indi"])
-    run.add_argument("--controller-freq", type=float, dest="controller_freq")
-    run.add_argument("--cf-mismatch", type=float, dest="cf_mismatch")
-    run.add_argument("--noise-scale", type=int, dest="noise_scale")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--duration", type=float)
-    run.add_argument("--residual-scale", type=float, dest="residual_scale")
-    run.add_argument("--gust", action="store_true")
-    run.add_argument("--out", help="output directory")
+    _add_setting(run, "run", "scenario",
+                 choices=["exp1", "exp2", "exp3", "exp4", "exp5"])
+    _add_setting(run, "run", "controller", choices=["geo", "indi"])
+    for key in ("controller_freq", "cf_mismatch", "noise_scale", "seed",
+                "duration", "residual_scale"):
+        _add_setting(run, "run", key)
+    _add_setting(run, "run", "gust", action="store_true")
+    _add_setting(run, "run", "out", help="output directory")
 
     sweep = sub.add_parser(
         "sweep", help="grid over controller frequency or noise level")
     add_common(sweep)
-    sweep.add_argument("--axis", choices=["frequency", "noise"])
-    sweep.add_argument("--repeats", type=int)
-    sweep.add_argument("--jobs", type=int)
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out", dest="sweep_out", help="output csv path")
+    _add_setting(sweep, "sweep", "axis", choices=["frequency", "noise"])
+    _add_setting(sweep, "sweep", "repeats")
+    _add_setting(sweep, "sweep", "jobs")
+    _add_setting(sweep, "run", "seed")
+    _add_setting(sweep, "sweep", "out", metavar="SWEEP_OUT",
+                 help="output csv path")
 
     validate = sub.add_parser(
         "validate", help="check geometry, allocation, and hover trim")
@@ -437,7 +412,7 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(config)
         return cmd_validate(config)
-    except ConfigError as exc:
+    except (ConfigError, vehicle.DegenerateGeometry) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dynamics.NonFiniteState as exc:

@@ -36,7 +36,10 @@ class Gains:
     k_w: float = 26.0    # 1/s
 
     def __post_init__(self):
-        if min(self.k_p, self.k_v, self.k_q, self.k_w) <= 0:
+        gains = (self.k_p, self.k_v, self.k_q, self.k_w)
+        if not all(map(math.isfinite, gains)):
+            raise ValueError("gains must be finite")
+        if min(gains) <= 0:
             raise ValueError("gains must be positive")
 
 
@@ -92,7 +95,7 @@ def ndi_invert(nu, omega, model):
     downstream allocation applies F(q)^-1."""
     p = model.params
     m = p.mass
-    jx, jy, jz = p.inertia_diag
+    jx, jy, jz = p.inertia
     ax, ay, az = nu.v_p
     bx, by, bz = nu.v_att
     ox, oy, oz = omega
@@ -250,8 +253,8 @@ class IndiController:
         m = p.mass
         vx, vy, vz = nu.v_p
         increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
-                     *[j * (v - w) for j, v, w in zip(p.inertia_diag,
-                                                      nu.v_att, omdot0)])
+                     *[j * (v - w)
+                       for j, v, w in zip(p.inertia, nu.v_att, omdot0)])
         u = [a + b for a, b in zip(
             solve_wrench(self.model.eff, inputs.q, increment), u0)]
         return saturate(self.model.eff, u), ref

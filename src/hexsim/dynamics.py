@@ -75,22 +75,29 @@ class DisturbanceSpec:
 class DisturbanceSampler:
     """Per-run disturbance source; holds the colored-noise gust state.
 
-    step(t) returns the (world force, body moment) held over the truth step
-    starting at t: the spec's values inside [t_on, t_off), zero outside.
-    A gust adds to the force an Ornstein-Uhlenbeck process (std gust_std,
-    correlation time gust_corr_time) that advances on every call.
+    step(t) returns the total (world force, body moment) held over the
+    truth step starting at t: the spec's values inside [t_on, t_off), zero
+    outside, plus the constant residual wrench.  A gust adds to the force
+    an Ornstein-Uhlenbeck process (std gust_std, correlation time
+    gust_corr_time) that advances on every call; every other held value
+    is computed once.
 
     run_scenario steps it once before the loop and again at k = 0, and the
     accelerometer at a tick sees the previous step's draw.
     """
 
-    def __init__(self, spec, dt, rng):
+    def __init__(self, spec, dt, rng, residual_force=(0.0, 0.0, 0.0),
+                 residual_moment=(0.0, 0.0, 0.0)):
         self.spec = spec
         self.rng = rng
         self._ou = np.zeros(3)
-        self._zero = np.zeros(3)
         self._decay = np.exp(-dt / spec.gust_corr_time)
         self._diffusion = spec.gust_std * np.sqrt(1.0 - self._decay ** 2)
+        self._residual_force = np.asarray(residual_force)
+        zero = np.zeros(3)
+        self._off = (zero + self._residual_force, zero + residual_moment)
+        self._on = ((spec.force + self._ou) + self._residual_force,
+                    spec.moment + residual_moment)
 
     def step(self, t):
         spec = self.spec
@@ -98,8 +105,11 @@ class DisturbanceSampler:
             self._ou = (self._decay * self._ou
                         + self._diffusion * self.rng.standard_normal(3))
         if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
-            return self._zero, self._zero
-        return spec.force + self._ou, spec.moment
+            return self._off
+        if spec.kind == "gust":
+            return ((spec.force + self._ou) + self._residual_force,
+                    self._on[1])
+        return self._on
 
 
 def _force_world(params, eff, q, u, dist_force):
@@ -139,7 +149,7 @@ def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
     fx, fy, fz = _force_world(params, eff, (qw, qx, qy, qz), u, dist_force)
     tx, ty, tz = [a * u1 + b * u2 + c * u3 + d * u4 + e * u5 + f * u6
                   for a, b, c, d, e, f in eff.F2_rows]
-    jx, jy, jz = params.inertia_diag
+    jx, jy, jz = params.inertia
     hx, hy, hz = jx * ox, jy * oy, jz * oz
     tau = params.motor_time_constant
     return [

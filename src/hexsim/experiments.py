@@ -71,14 +71,17 @@ class Setpoint:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One closed-loop run.  A field's "record" metadata says how
+    metrics.json records it: as the one attribute it names, or not at all
+    if None; every other field is recorded by value."""
     id: str
     controller: str                       # geo | indi
     controller_freq: float = 500.0
     cf_mismatch: float = 1.0
     disturbance: dyn.DisturbanceSpec = field(
-        default_factory=dyn.DisturbanceSpec)
+        default_factory=dyn.DisturbanceSpec, metadata={"record": "kind"})
     noise_scale: float = 0.0
-    script: tuple = ()
+    script: tuple = field(default=(), metadata={"record": None})
     duration: float = 10.0
     seed: int = 1
     residual_scale: float = 1.0
@@ -94,8 +97,13 @@ class Scenario:
                 f"controller_freq must be one of {CONTROLLER_FREQS}")
         if self.noise_scale not in NOISE_SCALES:
             raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
+        for name in ("duration", "cf_mismatch", "residual_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if self.cf_mismatch <= 0:
+            raise ValueError("cf_mismatch must be positive")
 
 
 @dataclass
@@ -159,10 +167,13 @@ def build_scenario(scenario_id, controller, overrides=None):
     """Construct one of the five predefined scenarios.
 
     overrides is a flat dict applied on top of the defaults; unknown keys
-    raise. `gust` (exp3 only) switches the fan disturbance on.
+    raise. `gust` switches exp3's fan disturbance on; any other scenario
+    rejects it.
     """
     overrides = dict(overrides or {})
     gust = bool(overrides.pop("gust", False))
+    if gust and scenario_id != "exp3":
+        raise ValueError(f"gust applies to exp3 only, not {scenario_id}")
     if scenario_id == "exp1":
         script, dur = _exp1_script()
         base = Scenario(id=scenario_id, controller=controller,
@@ -248,9 +259,10 @@ def run_scenario(scenario, params=None):
     x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd)
     controller.warm_start(p0, q0, trim)
 
-    residual_f = scenario.residual_scale * RESIDUAL_FORCE
-    residual_m = scenario.residual_scale * RESIDUAL_MOMENT
-    sampler = dyn.DisturbanceSampler(scenario.disturbance, dt, rng)
+    sampler = dyn.DisturbanceSampler(
+        scenario.disturbance, dt, rng,
+        scenario.residual_scale * RESIDUAL_FORCE,
+        scenario.residual_scale * RESIDUAL_MOMENT)
 
     # one row per tick; everything derived from these rows is computed
     # after the loop
@@ -268,8 +280,7 @@ def run_scenario(scenario, params=None):
     cmd = trim
     xs = x.tolist()
     pose_p, pose_q = xs[dyn.P], xs[dyn.Q]
-    dist_f, dist_m = sampler.step(0.0)
-    force = dist_f + residual_f
+    force, moment = sampler.step(0.0)
     tick = 0
     try:
         for k in range(n_steps):
@@ -295,9 +306,8 @@ def run_scenario(scenario, params=None):
                 w_meas[tick] = sensors.rotor_w_meas
                 saturated[tick] = cmd.saturated
                 tick += 1
-            dist_f, dist_m = sampler.step(t)
-            force = dist_f + residual_f
-            x = dyn.step(x, params, eff, cmd, force, dist_m + residual_m, dt)
+            force, moment = sampler.step(t)
+            x = dyn.step(x, params, eff, cmd, force, moment, dt)
     except dyn.NonFiniteState as exc:
         raise dyn.NonFiniteState(exc.message, t=t, scenario=scenario.id,
                                  seed=scenario.seed, state=x) from exc

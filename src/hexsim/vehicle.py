@@ -6,7 +6,7 @@ direction alternate around the ring, which is what makes the stacked
 force/torque effectiveness matrix full rank (checked at construction).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,48 +31,52 @@ def _axis_angle_matrix(axis, angle):
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
+# Tilt sign and spin direction per rotor, alternating around the ring: the
+# fixed layout that makes the platform fully actuated.
+ROTOR_COUNT = 6
+ROTOR_TILT_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+ROTOR_SPIN_DIRS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     mass: float
-    inertia: np.ndarray            # 3x3 diagonal, kg m^2
+    inertia: tuple                 # principal moments (xx, yy, zz), kg m^2
     c_f: float                     # N per (rad/s)^2
     c_tau: float                   # N m per (rad/s)^2
     arm_length: float              # m
     tilt_angle: float              # rad
-    rotor_tilt_signs: np.ndarray   # +-1 per rotor
-    rotor_spin_dirs: np.ndarray    # +-1 per rotor
     w_min: float                   # rad/s
     w_max: float                   # rad/s
     motor_time_constant: float     # s
-    rotor_count: int = 6
 
     def __post_init__(self):
+        # the kernels read the moments as Python floats
+        object.__setattr__(self, "inertia", tuple(map(float, self.inertia)))
+        if not np.isfinite(np.hstack(astuple(self))).all():
+            raise ValueError("platform parameters must be finite")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if not (0 < self.w_min < self.w_max):
             raise ValueError("need 0 < w_min < w_max")
         if abs(self.tilt_angle) >= np.pi / 2:
             raise ValueError("|tilt_angle| must be < pi/2")
-        if np.any(np.diag(self.inertia) <= 0):
-            raise ValueError("inertia must be positive definite")
-
-    @cached_property
-    def inertia_diag(self):
-        """Diagonal of the inertia tensor as a tuple of Python floats."""
-        return tuple(np.diag(self.inertia).tolist())
+        if len(self.inertia) != 3 or min(self.inertia) <= 0:
+            raise ValueError("inertia must be 3 positive principal moments")
 
     @property
     def rotor_positions(self):
         """Rotor hub positions in the body frame, one row per rotor."""
-        az = np.arange(self.rotor_count) * (2 * np.pi / self.rotor_count)
+        az = np.arange(ROTOR_COUNT) * (2 * np.pi / ROTOR_COUNT)
         return self.arm_length * np.stack(
             [np.cos(az), np.sin(az), np.zeros_like(az)], axis=1)
 
     def rotor_frame(self, i):
         """R_{P_i}^B: rotation from rotor frame i to the body frame."""
-        az = i * 2 * np.pi / self.rotor_count
+        az = i * 2 * np.pi / ROTOR_COUNT
         radial = np.array([np.cos(az), np.sin(az), 0.0])
-        return _axis_angle_matrix(radial, self.rotor_tilt_signs[i] * self.tilt_angle)
+        return _axis_angle_matrix(radial,
+                                  ROTOR_TILT_SIGNS[i] * self.tilt_angle)
 
 
 def default_params(**overrides):
@@ -90,15 +94,11 @@ def default_params(**overrides):
         "c_f", 2.8 * mass * GRAVITY / (6.0 * w_max ** 2 * np.cos(tilt)))
     params = PlatformParams(
         mass=mass,
-        inertia=overrides.pop("inertia", np.diag([0.08, 0.08, 0.14])),
+        inertia=overrides.pop("inertia", (0.08, 0.08, 0.14)),
         c_f=c_f,
         c_tau=overrides.pop("c_tau", 0.016 * c_f),
         arm_length=overrides.pop("arm_length", 0.375),
         tilt_angle=tilt,
-        rotor_tilt_signs=overrides.pop(
-            "rotor_tilt_signs", np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])),
-        rotor_spin_dirs=overrides.pop(
-            "rotor_spin_dirs", np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])),
         w_min=w_min,
         w_max=w_max,
         motor_time_constant=overrides.pop("motor_time_constant", 0.02),
@@ -137,14 +137,13 @@ class EffectivenessMatrices:
 def build_effectiveness(params):
     """Assemble F1/F2 from the rotor layout; raises DegenerateGeometry if
     the stacked 6x6 matrix is rank deficient (e.g. zero tilt)."""
-    n = params.rotor_count
     positions = params.rotor_positions
-    F1 = np.zeros((3, n))
-    F2 = np.zeros((3, n))
-    for i in range(n):
+    F1 = np.zeros((3, ROTOR_COUNT))
+    F2 = np.zeros((3, ROTOR_COUNT))
+    for i in range(ROTOR_COUNT):
         rot = params.rotor_frame(i)
         thrust_dir = rot @ (params.c_f * E3)
-        drag_dir = rot @ (params.rotor_spin_dirs[i] * params.c_tau * E3)
+        drag_dir = rot @ (ROTOR_SPIN_DIRS[i] * params.c_tau * E3)
         F1[:, i] = thrust_dir
         F2[:, i] = np.cross(positions[i], thrust_dir) + drag_dir
     F0 = np.vstack([F1, F2])

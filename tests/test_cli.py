@@ -60,6 +60,84 @@ def test_missing_config_exits_2(tmp_path):
                    str(tmp_path / "nope.ini")) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, ini", [
+    (["--cf-mismatch", "0"], None),
+    (["--cf-mismatch", "-0.5"], None),
+    (["--cf-mismatch", "nan"], None),
+    (["--duration", "nan"], None),
+    (["--duration", "inf"], None),
+    (["--residual-scale", "inf"], None),
+    ([], "[platform]\ntilt_angle_deg = nan\n"),
+    ([], "[platform]\ntilt_angle_deg = 0\n"),
+    ([], "[platform]\ninertia_zz = inf\n"),
+    ([], "[gains]\nk_p = nan\n"),
+    (["--scenario", "exp1", "--gust"], None),
+    (["--scenario", "exp2", "--gust"], None),
+    (["--scenario", "exp4", "--gust"], None),
+    (["--scenario", "exp5", "--gust"], None),
+    ([], "[run]\nscenario = exp5\ngust = true\n"),
+], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
+        "duration-nan", "duration-inf", "residual-scale-inf",
+        "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
+        "gust-exp1", "gust-exp2", "gust-exp4", "gust-exp5",
+        "ini-gust-exp5"])
+def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
+    # a bad input is a config error (exit 2), never a traceback; the
+    # short duration comes first so a case's own --duration wins
+    if ini is not None:
+        (tmp_path / "c.ini").write_text(ini)
+        argv = [*argv, "--config", str(tmp_path / "c.ini")]
+    assert run_cli("run", "--duration", "2.5", *argv,
+                   "--out", str(tmp_path / "art")) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# (command, flags, the INI text that must give the same typed config)
+FLAG_AND_INI = [
+    ("run", ["--scenario", "exp3"], "[run]\nscenario = exp3"),
+    ("run", ["--controller", "geo"], "[run]\ncontroller = geo"),
+    ("run", ["--controller-freq", "62.5"], "[run]\ncontroller_freq = 62.5"),
+    ("run", ["--cf-mismatch", "0.5"], "[run]\ncf_mismatch = 0.5"),
+    ("run", ["--noise-scale", "3"], "[run]\nnoise_scale = 3"),
+    ("run", ["--seed", "7"], "[run]\nseed = 7"),
+    ("run", ["--duration", "4.5"], "[run]\nduration = 4.5"),
+    ("run", ["--residual-scale", "0.25"], "[run]\nresidual_scale = 0.25"),
+    ("run", ["--gust"], "[run]\ngust = true"),
+    ("run", ["--out", "results/a"], "[run]\nout = results/a"),
+    ("sweep", ["--axis", "noise"], "[sweep]\naxis = noise"),
+    ("sweep", ["--repeats", "2"], "[sweep]\nrepeats = 2"),
+    ("sweep", ["--jobs", "2"], "[sweep]\njobs = 2"),
+    ("sweep", ["--seed", "9"], "[run]\nseed = 9"),
+    ("sweep", ["--out", "s.csv"], "[sweep]\nout = s.csv"),
+]
+
+
+def typed(config):
+    return {(section, key): (type(value), value)
+            for section, values in config.items()
+            for key, value in values.items()}
+
+
+@pytest.mark.parametrize("command, flags, ini", FLAG_AND_INI,
+                         ids=[f"{c}{f[0]}" for c, f, _ in FLAG_AND_INI])
+def test_flag_sets_same_value_as_ini_key(tmp_path, command, flags, ini):
+    (tmp_path / "c.ini").write_text(ini + "\n")
+    args = cli.make_parser().parse_args([command, *flags])
+    from_flags = cli._apply_flags(cli.load_config(), args)
+    assert typed(from_flags) == typed(cli.load_config(tmp_path / "c.ini"))
+
+
+def test_every_setting_flag_is_checked():
+    # a setting's flag has the dest "section.key"; FLAG_AND_INI covers all
+    parser = cli.make_parser()
+    for command in ("run", "sweep"):
+        settings = {dest for dest in vars(parser.parse_args([command]))
+                    if "." in dest}
+        checked = {ini[1:].replace("]\n", ".").split(" = ")[0]
+                   for c, _, ini in FLAG_AND_INI if c == command}
+        assert settings == checked
+
+
 def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "art"
     assert run_cli("run", "--scenario", "exp5", "--controller", "indi",
@@ -162,9 +240,20 @@ def test_gains_and_filters_from_config(tmp_path):
     assert sc["filter_damping"] == 0.8
 
 
-def test_sweep_zero_repeats_rejected():
-    assert run_cli("sweep", "--axis", "noise",
-                   "--repeats", "0") == cli.EXIT_CONFIG
+@pytest.mark.parametrize("argv, ini", [
+    (["--repeats", "0"], None),
+    (["--jobs", "0"], None),
+    ([], "[sweep]\njobs = -2\n"),
+    ([], "[run]\ngust = true\n"),
+], ids=["repeats-0", "jobs-0", "ini-jobs-negative", "ini-gust"])
+def test_sweep_zero_repeats_rejected(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        (tmp_path / "c.ini").write_text(ini)
+        argv = [*argv, "--config", str(tmp_path / "c.ini")]
+    assert run_cli("sweep", "--axis", "noise", *argv,
+                   "--out", str(tmp_path / "s.csv")) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_bad_axis_rejected():

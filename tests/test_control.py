@@ -71,7 +71,7 @@ def test_ndi_invert_gyroscopic_term(params):
     omega = np.array([1.0, 2.0, 3.0])
     wrench = ndi_invert(PseudoControl(v_p=np.zeros(3), v_att=np.zeros(3)),
                         omega, model)
-    j = np.diag(params.inertia)
+    j = np.asarray(params.inertia)
     np.testing.assert_allclose(wrench[3:], np.cross(omega, j * omega),
                                atol=1e-12)
 
@@ -216,9 +216,9 @@ def numpy_outer_loop(gains, ref, pos, vel, q, omega):
 
 def numpy_ndi_invert(nu, omega, model):
     p = model.params
-    jw = np.diag(p.inertia) * omega
+    jw = np.asarray(p.inertia) * omega
     force = p.mass * np.asarray(nu.v_p) + p.mass * GRAVITY * E3
-    torque = np.diag(p.inertia) * nu.v_att + np.cross(omega, jw)
+    torque = np.asarray(p.inertia) * nu.v_att + np.cross(omega, jw)
     return np.concatenate([force, torque])
 
 
@@ -335,7 +335,7 @@ class NumpyIndi:
         self.prev_gyro = gyro_f.copy()
         p = self.model.params
         force_inc = p.mass * (nu.v_p - pddot0)
-        torque_inc = np.diag(p.inertia) * (nu.v_att - omdot0)
+        torque_inc = np.asarray(p.inertia) * (nu.v_att - omdot0)
         rhs = np.concatenate([rot.T @ force_inc, torque_inc])
         u = self.model.eff.F0_inv @ rhs + u0
         return numpy_saturate(self.model.eff, u), ref

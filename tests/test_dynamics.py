@@ -85,6 +85,27 @@ def test_constant_disturbance_window():
     assert not f.any() and not m.any()
 
 
+@pytest.mark.parametrize("spec", [
+    dyn.DisturbanceSpec(),
+    dyn.DisturbanceSpec(kind="constant_load", force=np.array([1.0, 0, 0]),
+                        moment=np.array([0, 0.1, 0]), t_on=2.0, t_off=5.0),
+    dyn.DisturbanceSpec(kind="gust", force=np.array([2.0, 0, 0]),
+                        t_on=2.0, t_off=5.0, gust_std=1.0),
+], ids=["none", "constant_load", "gust"])
+def test_sampler_adds_residual_wrench(spec):
+    # the held total is the spec's wrench plus the residual, inside the
+    # window and outside it, bit for bit
+    residual_f, residual_m = np.array([1.4, 1.6, 3.7]), np.array([0, 0, 0.01])
+    bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3))
+    total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3),
+                                   residual_f, residual_m)
+    for t in (0.0, 1.0, 2.0, 3.0, 4.9995, 5.0, 6.0):
+        f, m = bare.step(t)
+        tf, tm = total.step(t)
+        np.testing.assert_array_equal(tf, f + residual_f)
+        np.testing.assert_array_equal(tm, m + residual_m)
+
+
 def test_disturbance_validation():
     with pytest.raises(ValueError):
         dyn.DisturbanceSpec(kind="wind")
@@ -169,7 +190,7 @@ def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
     oracle of the scalar kernel."""
     q, om, rotor_w = x[dyn.Q], x[dyn.OMEGA], x[dyn.ROTOR_W]
     u = rotor_w * np.abs(rotor_w)
-    j = np.diag(params.inertia)
+    j = np.asarray(params.inertia)
     force_w = (quat_to_rotmat(q) @ (eff.F1 @ u)
                - params.mass * GRAVITY * E3 + dist_force)
     torque = eff.F2 @ u - np.cross(om, j * om) + dist_moment

@@ -58,7 +58,7 @@ def test_effectiveness_column_matches_rotor_geometry(params, eff):
         f = params.c_f * R_i[:, 2]
         np.testing.assert_allclose(eff.F1[:, i], f, atol=1e-12)
         tau = (np.cross(params.rotor_positions[i], f)
-               + params.rotor_spin_dirs[i] * params.c_tau * R_i[:, 2])
+               + vehicle.ROTOR_SPIN_DIRS[i] * params.c_tau * R_i[:, 2])
         np.testing.assert_allclose(eff.F2[:, i], tau, atol=1e-12)
 
 
@@ -144,3 +144,21 @@ def test_allocate_reproduces_feasible_wrench(eff, q, share):
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
     assert (np.linalg.norm(F @ cmd.u - wrench)
             <= 1e-9 * np.linalg.norm(wrench))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilt_deg=st.floats(0.01, 89.9), sign=st.sampled_from((1.0, -1.0)),
+       share=st.tuples(*[st.floats(0.01, 0.99)] * 6))
+def test_full_rank_over_tilt_range(tilt_deg, sign, share):
+    # the fixed alternating tilt/spin layout is fully actuated at every
+    # nonzero tilt below 90 deg (the condition number reaches about 8e3
+    # at 0.01 deg), so a feasible wrench is reproduced exactly
+    params = vehicle.default_params(tilt_angle=sign * np.deg2rad(tilt_deg))
+    eff = vehicle.build_effectiveness(params)
+    assert np.linalg.matrix_rank(np.vstack([eff.F1, eff.F2])) == 6
+    u = eff.u_min + np.array(share) * (eff.u_max - eff.u_min)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    wrench = vehicle.assemble_F(eff, q) @ u
+    cmd = vehicle.allocate(eff, q, wrench)
+    assert not cmd.saturated.any()
+    np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
