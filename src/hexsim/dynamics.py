@@ -112,99 +112,150 @@ class DisturbanceSampler:
         return self._on
 
 
-def _force_world(params, eff, q, u, dist_force):
-    """World-frame force on the airframe: the rotor force F1 u rotated
-    by R(q), gravity and the disturbance force.  Python floats in, a
-    3-tuple out.  q need not have unit norm; inside the RK4 stages it
-    does not."""
-    qw, qx, qy, qz = q
-    u1, u2, u3, u4, u5, u6 = u
-    bx, by, bz = [a * u1 + b * u2 + c * u3 + d * u4 + e * u5 + f * u6
-                  for a, b, c, d, e, f in eff.F1_rows]
-    xx, yy, zz = qx * qx, qy * qy, qz * qz
-    xy, xz, yz = qx * qy, qx * qz, qy * qz
-    wx, wy, wz = qw * qx, qw * qy, qw * qz
-    fx = ((1 - 2 * (yy + zz)) * bx + 2 * (xy - wz) * by
-          + 2 * (xz + wy) * bz)
-    fy = (2 * (xy + wz) * bx + (1 - 2 * (xx + zz)) * by
-          + 2 * (yz - wx) * bz)
-    fz = (2 * (xz - wy) * bx + 2 * (yz + wx) * by
-          + (1 - 2 * (xx + yy)) * bz)
-    return (fx + dist_force[0], fy + dist_force[1],
-            fz - params.mass * GRAVITY + dist_force[2])
+def make_step(params, eff):
+    """The truth dynamics of one platform, specialised once: returns the
+    pair (rates, step), with every constant of (params, eff) bound as a
+    closure local.  Both work on Python floats.
+
+    rates(s, w_cmd, dist_force, dist_moment) is the time derivative of
+    the state s (laid out as the state vector) under its rotor speeds, as
+    a list of 19 floats: force balance in world frame, moment balance in
+    body frame, rotor speeds lagging toward w_cmd (6 entries).  The
+    world force dist_force and body moment dist_moment have 3 entries
+    each.  The quaternion need not have unit norm; inside the RK4 stages
+    it does not.
+
+    step(s, w_cmd, dist_force, dist_moment, dt) is one RK4 step from s
+    with the disturbance held, one rates call per stage.  It returns the
+    new state as a list with the quaternion normalised, and raises
+    NonFiniteState if any component diverges.
+    """
+    ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
+     (fz1, fz2, fz3, fz4, fz5, fz6)) = eff.F1.tolist()
+    ((mx1, mx2, mx3, mx4, mx5, mx6), (my1, my2, my3, my4, my5, my6),
+     (mz1, mz2, mz3, mz4, mz5, mz6)) = eff.F2.tolist()
+    m = params.mass
+    weight = m * GRAVITY
+    jx, jy, jz = params.inertia
+    tau = params.motor_time_constant
+
+    def rates(s, w_cmd, dist_force, dist_moment):
+        (_, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
+         w1, w2, w3, w4, w5, w6) = s
+        c1, c2, c3, c4, c5, c6 = w_cmd
+        dfx, dfy, dfz = dist_force
+        dmx, dmy, dmz = dist_moment
+        u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
+        u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
+        # rotor force F1 u in the body frame, rotated to world by R(q)
+        bx = fx1 * u1 + fx2 * u2 + fx3 * u3 + fx4 * u4 + fx5 * u5 + fx6 * u6
+        by = fy1 * u1 + fy2 * u2 + fy3 * u3 + fy4 * u4 + fy5 * u5 + fy6 * u6
+        bz = fz1 * u1 + fz2 * u2 + fz3 * u3 + fz4 * u4 + fz5 * u5 + fz6 * u6
+        xx, yy, zz = qx * qx, qy * qy, qz * qz
+        xy, xz, yz = qx * qy, qx * qz, qy * qz
+        wx, wy, wz = qw * qx, qw * qy, qw * qz
+        fx = ((1 - 2 * (yy + zz)) * bx + 2 * (xy - wz) * by
+              + 2 * (xz + wy) * bz) + dfx
+        fy = (2 * (xy + wz) * bx + (1 - 2 * (xx + zz)) * by
+              + 2 * (yz - wx) * bz) + dfy
+        fz = (2 * (xz - wy) * bx + 2 * (yz + wx) * by
+              + (1 - 2 * (xx + yy)) * bz) - weight + dfz
+        tx = mx1 * u1 + mx2 * u2 + mx3 * u3 + mx4 * u4 + mx5 * u5 + mx6 * u6
+        ty = my1 * u1 + my2 * u2 + my3 * u3 + my4 * u4 + my5 * u5 + my6 * u6
+        tz = mz1 * u1 + mz2 * u2 + mz3 * u3 + mz4 * u4 + mz5 * u5 + mz6 * u6
+        hx, hy, hz = jx * ox, jy * oy, jz * oz
+        return [
+            vx, vy, vz,
+            fx / m, fy / m, fz / m,
+            # q_dot = 0.5 q (x) (0, omega)
+            0.5 * (-qx * ox - qy * oy - qz * oz),
+            0.5 * (qw * ox + qy * oz - qz * oy),
+            0.5 * (qw * oy - qx * oz + qz * ox),
+            0.5 * (qw * oz + qx * oy - qy * ox),
+            # J omega_dot = F2 u - omega x J omega + moment
+            (tx - (oy * hz - oz * hy) + dmx) / jx,
+            (ty - (oz * hx - ox * hz) + dmy) / jy,
+            (tz - (ox * hy - oy * hx) + dmz) / jz,
+            (c1 - w1) / tau, (c2 - w2) / tau, (c3 - w3) / tau,
+            (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
+        ]
+
+    def step(s, w_cmd, dist_force, dist_moment, dt):
+        h = 0.5 * dt
+        k1 = rates(s, w_cmd, dist_force, dist_moment)
+        k2 = rates([a + h * b for a, b in zip(s, k1)],
+                   w_cmd, dist_force, dist_moment)
+        k3 = rates([a + h * b for a, b in zip(s, k2)],
+                   w_cmd, dist_force, dist_moment)
+        k4 = rates([a + dt * b for a, b in zip(s, k3)],
+                   w_cmd, dist_force, dist_moment)
+        c = dt / 6.0
+        out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4)
+               for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        qw, qx, qy, qz = out[Q]
+        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        # a sum of floats is finite only if every term is (or it
+        # overflows, which is divergence too)
+        if not (norm > 0.0 and math.isfinite(sum(out))):
+            raise NonFiniteState()
+        out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
+        return out
+
+    return rates, step
+
+
+# (params, eff, make_step(params, eff)) of the last pair stepped.  Keyed
+# on identity; holding both objects keeps their ids from being reused.
+_kernel = (None, None, None)
+
+
+def _kernel_of(params, eff):
+    """make_step(params, eff), built once per run: on the first call for
+    the pair and kept until a call for another pair."""
+    global _kernel
+    cached_params, cached_eff, kernel = _kernel
+    if cached_params is not params or cached_eff is not eff:
+        kernel = make_step(params, eff)
+        _kernel = (params, eff, kernel)
+    return kernel
+
+
+# what acceleration passes for the inputs whose rates it drops: the rotor
+# command and the disturbance moment
+_IDLE = (0.0,) * 6
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
-    """Time derivative of the state under the current rotor speeds.
-
-    Force balance in world frame, moment balance in body frame, rotor
-    speeds lagging toward w_cmd.  Works on Python floats: x is laid out
-    as the state vector, w_cmd has 6 entries and each disturbance 3.
-    Returns a list of 19 floats.
-    """
-    (_, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, *rotor_w) = x
-    u = [w * abs(w) for w in rotor_w]
-    u1, u2, u3, u4, u5, u6 = u
-    m = params.mass
-    fx, fy, fz = _force_world(params, eff, (qw, qx, qy, qz), u, dist_force)
-    tx, ty, tz = [a * u1 + b * u2 + c * u3 + d * u4 + e * u5 + f * u6
-                  for a, b, c, d, e, f in eff.F2_rows]
-    jx, jy, jz = params.inertia
-    hx, hy, hz = jx * ox, jy * oy, jz * oz
-    tau = params.motor_time_constant
-    return [
-        vx, vy, vz,
-        fx / m, fy / m, fz / m,
-        # q_dot = 0.5 q (x) (0, omega)
-        0.5 * (-qx * ox - qy * oy - qz * oz),
-        0.5 * (qw * ox + qy * oz - qz * oy),
-        0.5 * (qw * oy - qx * oz + qz * ox),
-        0.5 * (qw * oz + qx * oy - qy * ox),
-        # J omega_dot = F2 u - omega x J omega + moment
-        (tx - (oy * hz - oz * hy) + dist_moment[0]) / jx,
-        (ty - (oz * hx - ox * hz) + dist_moment[1]) / jy,
-        (tz - (ox * hy - oy * hx) + dist_moment[2]) / jz,
-        *[(c - w) / tau for c, w in zip(w_cmd, rotor_w)],
-    ]
+    """Time derivative of the state x under its rotor speeds, as a list of
+    19 floats: the rates of make_step(params, eff).  Works on Python
+    floats: x is laid out as the state vector, w_cmd has 6 entries and
+    each disturbance 3."""
+    rates, _ = _kernel_of(params, eff)
+    return rates(x, w_cmd, dist_force, dist_moment)
 
 
 def acceleration(x, params, eff, dist_force):
-    """World-frame translational acceleration at state x, as a 3-tuple.
-    x (laid out as the state vector) and dist_force are sequences of
-    numbers; lists of Python floats are fastest."""
-    u = [w * abs(w) for w in x[ROTOR_W]]
-    fx, fy, fz = _force_world(params, eff, x[Q], u, dist_force)
-    m = params.mass
-    return fx / m, fy / m, fz / m
+    """World-frame translational acceleration at state x, as a list of 3
+    floats: the velocity rates of make_step(params, eff).  x (laid out as
+    the state vector) and dist_force are sequences of numbers; lists of
+    Python floats are fastest."""
+    rates, _ = _kernel_of(params, eff)
+    return rates(x, _IDLE, dist_force, _ZERO3)[V]
 
 
 def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     """One RK4 step; disturbance held constant over the step.
 
     Takes and returns a state vector and never writes into x.  The
-    stages run over Python floats: on 19 numbers that costs a fraction
-    of numpy's per-call overhead.  Raises NonFiniteState if any
-    component diverges.
+    stages run in the kernel of make_step(params, eff) over Python
+    floats: on 19 numbers that costs a fraction of numpy's per-call
+    overhead.  Raises NonFiniteState if any component diverges.
     """
-    args = (params, eff, cmd.w_cmd.tolist(), dist_force.tolist(),
-            dist_moment.tolist())
-    s = x.tolist()
-    h = 0.5 * dt
-    k1 = derivative(s, *args)
-    k2 = derivative([a + h * b for a, b in zip(s, k1)], *args)
-    k3 = derivative([a + h * b for a, b in zip(s, k2)], *args)
-    k4 = derivative([a + dt * b for a, b in zip(s, k3)], *args)
-    c = dt / 6.0
-    out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4)
-           for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
-    qw, qx, qy, qz = out[Q]
-    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    # a sum of floats is finite only if every term is (or it overflows,
-    # which is divergence too)
-    if not (norm > 0.0 and math.isfinite(sum(out))):
-        raise NonFiniteState()
-    out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
-    return np.array(out)
+    _, kernel_step = _kernel_of(params, eff)
+    return np.array(kernel_step(x.tolist(), cmd.w_cmd.tolist(),
+                                dist_force.tolist(), dist_moment.tolist(),
+                                dt))
 
 
 @dataclass(frozen=True)

@@ -97,13 +97,28 @@ class Scenario:
                 f"controller_freq must be one of {CONTROLLER_FREQS}")
         if self.noise_scale not in NOISE_SCALES:
             raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
-        for name in ("duration", "cf_mismatch", "residual_scale"):
+        for name in ("duration", "cf_mismatch", "residual_scale",
+                     "filter_cutoff_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
+        if self.filter_cutoff_hz <= 0:
+            raise ValueError("filter_cutoff_hz must be positive")
+        if not 0 < self.filter_damping <= 2:
+            raise ValueError("filter_damping must be in (0, 2]")
+        n_sub, n_steps = _clock(self)
+        if (n_steps - 1) // n_sub * n_sub * dyn.SIM_DT < WARMUP_S:
+            raise ValueError(
+                f"duration {self.duration} s leaves no controller tick "
+                f"after the {WARMUP_S} s metric warm-up")
+
+
+def _clock(scenario):
+    """(truth steps per controller tick, truth steps) of a run; the ticks
+    fall on the steps k = 0, n_sub, 2 n_sub, ... below n_steps."""
+    return (int(round(1.0 / (scenario.controller_freq * dyn.SIM_DT))),
+            int(round(scenario.duration / dyn.SIM_DT)))
 
 
 @dataclass
@@ -239,10 +254,9 @@ def run_scenario(scenario, params=None):
     model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
-    n_sub = int(round(1.0 / (scenario.controller_freq * dt)))
+    n_sub, n_steps = _clock(scenario)
     dt_c = n_sub * dt
     pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
-    n_steps = int(round(scenario.duration / dt))
 
     rng = np.random.default_rng(scenario.seed)
     noise = dyn.NoiseSpec(rotor_sigma=0.0,

@@ -57,6 +57,10 @@ class PlatformParams:
             raise ValueError("platform parameters must be finite")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
+        if self.c_f <= 0:
+            raise ValueError("c_f must be positive")
+        if self.motor_time_constant <= 0:
+            raise ValueError("motor_time_constant must be positive")
         if not (0 < self.w_min < self.w_max):
             raise ValueError("need 0 < w_min < w_max")
         if abs(self.tilt_angle) >= np.pi / 2:
@@ -116,16 +120,6 @@ class EffectivenessMatrices:
     condition_number: float
     u_min: float
     u_max: float
-
-    @cached_property
-    def F1_rows(self):
-        """F1 as a tuple of rows of Python floats, for the scalar kernel."""
-        return tuple(map(tuple, self.F1.tolist()))
-
-    @cached_property
-    def F2_rows(self):
-        """F2 as a tuple of rows of Python floats, for the scalar kernel."""
-        return tuple(map(tuple, self.F2.tolist()))
 
     @cached_property
     def F0_inv_rows(self):

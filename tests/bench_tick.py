@@ -6,9 +6,10 @@ run it on its own:
     PYTHONPATH=src python -m pytest tests/bench_tick.py
 
 It times one RK4 truth step, one geo and one indi controller tick on the
-inputs run_scenario passes (lists of Python floats) and one 500 Hz
+inputs run_scenario passes (lists of Python floats), one 500 Hz
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
-workload (exp5 at noise level 7).
+workload (exp5 at noise level 7) and one 50 Hz run_scenario of the 2.2 s
+exp4 hover of the sweep_freq workload, where the truth step dominates.
 """
 
 import math
@@ -58,5 +59,13 @@ def test_controller_tick(benchmark, params, trim, hover, kind):
 @pytest.mark.parametrize("kind", ["geo", "indi"])
 def test_run_scenario_500hz(benchmark, kind):
     sc = ex.build_scenario("exp5", kind, {"duration": 2.1, "noise_scale": 7})
+    benchmark.pedantic(ex.run_scenario, args=(sc,), rounds=5,
+                       warmup_rounds=1)
+
+
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+def test_run_scenario_50hz(benchmark, kind):
+    sc = ex.build_scenario("exp4", kind, {"duration": 2.2,
+                                          "controller_freq": 50.0})
     benchmark.pedantic(ex.run_scenario, args=(sc,), rounds=5,
                        warmup_rounds=1)

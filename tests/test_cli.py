@@ -71,6 +71,21 @@ def test_missing_config_exits_2(tmp_path):
     ([], "[platform]\ntilt_angle_deg = 0\n"),
     ([], "[platform]\ninertia_zz = inf\n"),
     ([], "[gains]\nk_p = nan\n"),
+    ([], "[platform]\nmotor_time_constant = 0\n"),
+    ([], "[platform]\nmotor_time_constant = -0.02\n"),
+    ([], "[platform]\nc_f = -1\n"),
+    ([], "[platform]\nc_f = 0\n"),
+    ([], "[filters]\ncutoff_hz = -1\n"),
+    ([], "[filters]\ncutoff_hz = 0\n"),
+    ([], "[filters]\ncutoff_hz = nan\n"),
+    ([], "[filters]\ncutoff_hz = inf\n"),
+    ([], "[filters]\ndamping = 3\n"),
+    ([], "[filters]\ndamping = 0\n"),
+    ([], "[filters]\ndamping = nan\n"),
+    (["--duration", "1.5"], None),
+    (["--duration", "2"], None),
+    (["--duration", "-1"], None),
+    (["--controller-freq", "50", "--duration", "2.0001"], None),
     (["--scenario", "exp1", "--gust"], None),
     (["--scenario", "exp2", "--gust"], None),
     (["--scenario", "exp4", "--gust"], None),
@@ -79,6 +94,11 @@ def test_missing_config_exits_2(tmp_path):
 ], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
         "duration-nan", "duration-inf", "residual-scale-inf",
         "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
+        "ini-tau-0", "ini-tau-negative", "ini-c_f-negative", "ini-c_f-0",
+        "ini-cutoff-negative", "ini-cutoff-0", "ini-cutoff-nan",
+        "ini-cutoff-inf", "ini-damping-3", "ini-damping-0", "ini-damping-nan",
+        "duration-1.5", "duration-warmup", "duration-negative",
+        "duration-no-tick-after-warmup",
         "gust-exp1", "gust-exp2", "gust-exp4", "gust-exp5",
         "ini-gust-exp5"])
 def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
@@ -345,7 +365,7 @@ def assert_divergence_report(err, scenario, seed):
 def test_run_divergence_reported(tmp_path, monkeypatch, capsys):
     nan_command_after(monkeypatch, 100)
     code = run_cli("run", "--scenario", "exp5", "--controller", "geo",
-                   "--seed", "4", "--duration", "1",
+                   "--seed", "4", "--duration", "2.5",
                    "--out", str(tmp_path / "art"))
     assert code == cli.EXIT_DIVERGED
     assert_divergence_report(capsys.readouterr().err, "exp5", 4)
@@ -354,7 +374,7 @@ def test_run_divergence_reported(tmp_path, monkeypatch, capsys):
 def test_sweep_divergence_reported(tmp_path, monkeypatch, capsys):
     nan_command_after(monkeypatch, 100)
     cfg = tmp_path / "c.ini"
-    cfg.write_text("[run]\nseed = 6\nduration = 1\n")
+    cfg.write_text("[run]\nseed = 6\nduration = 2.5\n")
     out = tmp_path / "sweep.csv"
     code = run_cli("sweep", "--config", str(cfg), "--axis", "noise",
                    "--repeats", "1", "--out", str(out))

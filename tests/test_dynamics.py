@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
@@ -248,3 +250,51 @@ def test_acceleration_is_the_derivative_force_balance(params, eff, rng):
                             dist_f.tolist(), dist_m.tolist())
         np.testing.assert_array_equal(
             dyn.acceleration(x, params, eff, dist_f), dx[dyn.V])
+
+
+def test_kernel_cache_follows_the_platform(params, eff, rng):
+    # step and acceleration alternate between two platforms on every
+    # call; each must use the kernel of the pair it is given
+    other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
+                                   motor_time_constant=0.035,
+                                   c_f=1.3 * params.c_f)
+    pairs = [(params, eff), (other, vehicle.build_effectiveness(other))]
+    kernels = [dyn.make_step(p, e) for p, e in pairs]
+    for i in range(40):
+        p, e = pairs[i % 2]
+        rates, kernel_step = kernels[i % 2]
+        x, cmd, dist_f, dist_m = random_case(p, rng)
+        out = dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT)
+        np.testing.assert_array_equal(out, kernel_step(
+            x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(), dist_m.tolist(),
+            dyn.SIM_DT))
+        np.testing.assert_allclose(
+            out, numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+            rtol=1e-12, atol=0.0)
+        p, e = pairs[(i + 1) % 2]
+        rates, _ = kernels[(i + 1) % 2]
+        np.testing.assert_array_equal(
+            dyn.acceleration(x, p, e, dist_f),
+            rates(x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(),
+                  dist_m.tolist())[dyn.V])
+
+
+@settings(max_examples=50, deadline=None)
+@given(mass=st.floats(0.5, 10.0),
+       inertia=st.tuples(*[st.floats(0.01, 0.5)] * 3),
+       tau=st.floats(0.005, 0.1),
+       cf_factor=st.floats(0.3, 3.0),
+       tilt_deg=st.floats(5.0, 60.0) | st.floats(-60.0, -5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
+                                                  cf_factor, tilt_deg, seed):
+    p = vehicle.default_params(
+        mass=mass, inertia=inertia, motor_time_constant=tau,
+        c_f=cf_factor * vehicle.default_params().c_f,
+        tilt_angle=np.radians(tilt_deg))
+    e = vehicle.build_effectiveness(p)
+    x, cmd, dist_f, dist_m = random_case(p, np.random.default_rng(seed))
+    np.testing.assert_allclose(
+        dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        rtol=1e-12, atol=0.0)

@@ -33,6 +33,21 @@ def test_scenario_validation():
         ex.build_scenario("exp5", "geo", {"noise_scale": 2})
 
 
+def test_duration_must_leave_a_tick_after_warmup():
+    # at 50 Hz a tick falls every 40 truth steps: 2.0002 s (4000 steps)
+    # ends before the tick at t = 2 s, 2.0005 s (4001 steps) keeps it as
+    # the one scored sample
+    for duration in (1.5, ex.WARMUP_S, 2.0002):
+        with pytest.raises(ValueError, match="warm-up"):
+            ex.build_scenario("exp5", "geo", {"controller_freq": 50.0,
+                                              "duration": duration})
+    sc = ex.build_scenario("exp5", "geo", {"controller_freq": 50.0,
+                                           "duration": 2.0005})
+    log, metrics = ex.run_scenario(sc)
+    assert log["t"][-1] == ex.WARMUP_S
+    assert math.isfinite(metrics.pos_norm_mean)
+
+
 def test_exp1_script_shape():
     sc = ex.build_scenario("exp1", "geo")
     # hover plus 6 steps (two signs x three axes), each with a return
@@ -249,7 +264,7 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
 
     calls = []
     monkeypatch.setattr(dyn, "synthesize_sensors", nan_gyro)
-    sc = ex.build_scenario("exp5", controller, {"duration": 1.0, "seed": 7})
+    sc = ex.build_scenario("exp5", controller, {"duration": 2.5, "seed": 7})
     with pytest.raises(dyn.NonFiniteState) as info:
         ex.run_scenario(sc)
     exc = info.value
