@@ -334,12 +334,10 @@ def cmd_validate(config):
     print(f"effectiveness rank: 6, condition number: "
           f"{eff.condition_number:.3f}")
     trim = vehicle.hover_command(params, eff)
-    speeds = trim.w_cmd
     print("hover trim speeds (rad/s): "
-          + " ".join(f"{w:.2f}" for w in speeds))
-    within = bool(np.all(speeds >= params.w_min)
-                  and np.all(speeds <= params.w_max))
-    if trim.saturated.any() or not within:
+          + " ".join(f"{w:.2f}" for w in trim.w_cmd))
+    within = all(params.w_min <= w <= params.w_max for w in trim.w_cmd)
+    if any(trim.saturated) or not within:
         print(f"trim outside actuator limits "
               f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s")
         print("result: FAIL")

@@ -231,7 +231,7 @@ class IndiController:
     def warm_start(self, pos, q, trim_cmd):
         self.shaper.reset_to(pos, rpy_from_quat(q))
         self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
-                                *trim_cmd.u.tolist()])
+                                *trim_cmd.u])
         self.d_gyro.reset_to(0.0)
 
     def tick(self, target_pos, target_rpy, inputs):
@@ -239,7 +239,7 @@ class IndiController:
 
         u_meas = [w * abs(w) for w in inputs.rotor_w_meas]
         filtered = self.feedback.step(
-            [*inputs.accel, *inputs.gyro, *u_meas]).tolist()
+            [*inputs.accel, *inputs.gyro, *u_meas])
         accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
 
         # the gyro channel is low-pass filtered like every other sensor
@@ -247,7 +247,7 @@ class IndiController:
         nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
                         inputs.q, gyro_f)
         ax, ay, az = mat_vec(rotmat_rows(inputs.q), accel_f)
-        omdot0 = self.d_gyro.step(gyro_f).tolist()
+        omdot0 = self.d_gyro.step(gyro_f)
 
         p = self.model.params
         m = p.mass

@@ -75,12 +75,12 @@ class DisturbanceSpec:
 class DisturbanceSampler:
     """Per-run disturbance source; holds the colored-noise gust state.
 
-    step(t) returns the total (world force, body moment) held over the
-    truth step starting at t: the spec's values inside [t_on, t_off), zero
-    outside, plus the constant residual wrench.  A gust adds to the force
-    an Ornstein-Uhlenbeck process (std gust_std, correlation time
-    gust_corr_time) that advances on every call; every other held value
-    is computed once.
+    step(t) returns the total (world force, body moment), two 3-tuples
+    of floats, held over the truth step starting at t: the spec's values
+    inside [t_on, t_off), zero outside, plus the constant residual
+    wrench.  A gust adds to the force an Ornstein-Uhlenbeck process (std
+    gust_std, correlation time gust_corr_time) that advances on every
+    call; every other held value is computed once.
 
     run_scenario steps it once before the loop and again at k = 0, and the
     accelerometer at a tick sees the previous step's draw.
@@ -90,25 +90,29 @@ class DisturbanceSampler:
                  residual_moment=(0.0, 0.0, 0.0)):
         self.spec = spec
         self.rng = rng
-        self._ou = np.zeros(3)
-        self._decay = np.exp(-dt / spec.gust_corr_time)
-        self._diffusion = spec.gust_std * np.sqrt(1.0 - self._decay ** 2)
-        self._residual_force = np.asarray(residual_force)
+        self._ou = [0.0, 0.0, 0.0]
+        decay = np.exp(-dt / spec.gust_corr_time)
+        self._decay = float(decay)
+        self._diffusion = float(spec.gust_std * np.sqrt(1.0 - decay ** 2))
+        self._force = np.asarray(spec.force, dtype=float).tolist()
+        self._residual_force = np.asarray(residual_force, dtype=float).tolist()
         zero = np.zeros(3)
-        self._off = (zero + self._residual_force, zero + residual_moment)
-        self._on = ((spec.force + self._ou) + self._residual_force,
-                    spec.moment + residual_moment)
+        self._off = (tuple((zero + residual_force).tolist()),
+                     tuple((zero + residual_moment).tolist()))
+        self._on = (tuple(((spec.force + zero) + residual_force).tolist()),
+                    tuple((spec.moment + residual_moment).tolist()))
 
     def step(self, t):
         spec = self.spec
         if spec.kind == "gust":
-            self._ou = (self._decay * self._ou
-                        + self._diffusion * self.rng.standard_normal(3))
+            a, s = self._decay, self._diffusion
+            self._ou = [a * o + s * n for o, n in
+                        zip(self._ou, self.rng.standard_normal(3).tolist())]
         if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
             return self._off
         if spec.kind == "gust":
-            return ((spec.force + self._ou) + self._residual_force,
-                    self._on[1])
+            return (tuple((f + o) + r for f, o, r in zip(
+                self._force, self._ou, self._residual_force)), self._on[1])
         return self._on
 
 
@@ -247,15 +251,14 @@ def acceleration(x, params, eff, dist_force):
 def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     """One RK4 step; disturbance held constant over the step.
 
-    Takes and returns a state vector and never writes into x.  The
-    stages run in the kernel of make_step(params, eff) over Python
-    floats: on 19 numbers that costs a fraction of numpy's per-call
-    overhead.  Raises NonFiniteState if any component diverges.
+    x is a sequence laid out as the state vector, cmd.w_cmd has 6
+    entries and each disturbance 3; lists and tuples of Python floats
+    are fastest.  Returns the new state as a list of 19 floats and never
+    writes into x.  The stages run in the kernel of make_step(params,
+    eff).  Raises NonFiniteState if any component diverges.
     """
     _, kernel_step = _kernel_of(params, eff)
-    return np.array(kernel_step(x.tolist(), cmd.w_cmd.tolist(),
-                                dist_force.tolist(), dist_moment.tolist(),
-                                dt))
+    return kernel_step(x, cmd.w_cmd, dist_force, dist_moment, dt)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerInputs,
                       Gains, make_controller, make_model)
 from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
 
-CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)
+CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
 NOISE_SCALES = (0, 1, 3, 7, 15, 31)
 
 POSE_RATE_HZ = 250.0
@@ -92,9 +92,14 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in ("geo", "indi"):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.controller_freq not in CONTROLLER_FREQS:
+        # a tick spans a whole number (>= 1) of truth steps
+        ticks_per_step = self.controller_freq * dyn.SIM_DT
+        steps = 1.0 / ticks_per_step if ticks_per_step > 0 else 0.0
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9):
             raise ValueError(
-                f"controller_freq must be one of {CONTROLLER_FREQS}")
+                f"controller_freq must be {1 / dyn.SIM_DT:g} Hz over a "
+                f"whole number of truth steps, not {self.controller_freq}")
         if self.noise_scale not in NOISE_SCALES:
             raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
         for name in ("duration", "cf_mismatch", "residual_scale",
@@ -270,7 +275,7 @@ def run_scenario(scenario, params=None):
     times = [sp.t for sp in scenario.script]
     p0, rpy0 = _script_target(scenario.script, times, 0.0)
     q0 = quat_from_rpy(*rpy0)
-    x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd)
+    x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd).tolist()
     controller.warm_start(p0, q0, trim)
 
     sampler = dyn.DisturbanceSampler(
@@ -288,25 +293,21 @@ def run_scenario(scenario, params=None):
     w_meas = np.empty((n_ticks, 6))
     saturated = np.empty((n_ticks, 6), dtype=bool)
 
-    # the controller works on Python floats: xs is the state as a list,
-    # taken at every tick; the pose is taken only at ticks that fall on
-    # the 250 Hz pose clock
+    # x is the state as a list of Python floats; the pose is the latest
+    # sample of the 250 Hz pose clock, held between samples
     cmd = trim
-    xs = x.tolist()
-    pose_p, pose_q = xs[dyn.P], xs[dyn.Q]
     force, moment = sampler.step(0.0)
     tick = 0
     try:
         for k in range(n_steps):
             t = k * dt
+            if k % pose_every == 0:
+                pose_p, pose_q = x[dyn.P], x[dyn.Q]
             if k % n_sub == 0:
-                xs = x.tolist()
-                if k % pose_every == 0:
-                    pose_p, pose_q = xs[dyn.P], xs[dyn.Q]
-                accel_w = dyn.acceleration(xs, params, eff, force.tolist())
-                sensors = dyn.synthesize_sensors(xs, accel_w, noise, rng)
+                accel_w = dyn.acceleration(x, params, eff, force)
+                sensors = dyn.synthesize_sensors(x, accel_w, noise, rng)
                 inputs = ControllerInputs(
-                    pos=pose_p, vel=xs[dyn.V], q=pose_q,
+                    pos=pose_p, vel=x[dyn.V], q=pose_q,
                     gyro=sensors.gyro, accel=sensors.accel,
                     rotor_w_meas=sensors.rotor_w_meas)
                 target_pos, target_rpy = _script_target(scenario.script,
@@ -324,7 +325,8 @@ def run_scenario(scenario, params=None):
             x = dyn.step(x, params, eff, cmd, force, moment, dt)
     except dyn.NonFiniteState as exc:
         raise dyn.NonFiniteState(exc.message, t=t, scenario=scenario.id,
-                                 seed=scenario.seed, state=x) from exc
+                                 seed=scenario.seed,
+                                 state=np.array(x)) from exc
 
     q, ref_q = states[:, dyn.Q], refs[:, 6:10]
     e_q = quat_mul(ref_q.T, quat_conj(q.T))

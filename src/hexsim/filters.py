@@ -50,7 +50,7 @@ class SecondOrderFilter:
 
     def step(self, x):
         """Filter one sample: x holds one value per channel, or a scalar
-        for all.  Returns an array."""
+        for all.  Returns a list."""
         b0, b1, b2 = self.b
         a1, a2 = self.a1, self.a2
         y, z1, z2 = [], [], []
@@ -61,7 +61,7 @@ class SecondOrderFilter:
             z1.append(b1 * v - a1 * w + s2)
             z2.append(b2 * v - a2 * w)
         self._z1, self._z2 = z1, z2
-        return np.array(y)
+        return y
 
 
 class FilteredDerivative:
@@ -80,26 +80,10 @@ class FilteredDerivative:
 
     def step(self, x):
         """Difference of x (one value per channel, or a scalar) with the
-        previous sample over the sample time.  Returns an array."""
+        previous sample over the sample time.  Returns a list."""
         x = _as_floats(x, self._channels)
         prev, self._prev = self._prev, x
         if prev is None:
-            return np.zeros(self._channels)
+            return [0.0] * self._channels
         dt = self.sample_time
-        return np.array([(v - p) / dt for v, p in zip(x, prev)])
-
-
-def analytic_step_response(natural_frequency, damping, t):
-    """Continuous-time unit step response of the same second-order system
-    (oracle for the discrete implementation)."""
-    wn, z = natural_frequency, damping
-    t = np.asarray(t, dtype=float)
-    if z < 1.0:
-        wd = wn * np.sqrt(1 - z * z)
-        phi = np.arccos(z)
-        return 1 - np.exp(-z * wn * t) * np.sin(wd * t + phi) / np.sqrt(1 - z * z)
-    if z == 1.0:
-        return 1 - np.exp(-wn * t) * (1 + wn * t)
-    r1 = -wn * (z - np.sqrt(z * z - 1))
-    r2 = -wn * (z + np.sqrt(z * z - 1))
-    return 1 + (r2 * np.exp(r1 * t) - r1 * np.exp(r2 * t)) / (r1 - r2)
+        return [(v - p) / dt for v, p in zip(x, prev)]

@@ -6,12 +6,13 @@ Conventions used throughout the package:
   * world frame is z-up, gravity acts along -z
   * rotation matrices map body vectors into the world frame
 
-The helpers the controller tick calls (rotmat_rows, mat_vec, mat_t_vec,
+The helpers of the closed loop (rotmat_rows, mat_vec, mat_t_vec,
 quat_from_rpy, euler_rate_matrix, attitude_error_vector,
-angular_rate_error) take any sequence of numbers and return tuples; on
-Python floats that costs a fraction of numpy's per-call overhead.  The
-others work on numpy arrays; quat_conj, quat_mul and rpy_from_quat also
-work column-wise on stacked quaternions of shape (4, n).
+angular_rate_error) take any sequence of numbers and return tuples of
+Python floats when given floats.  quat_conj, quat_mul, quat_to_rotmat
+and rpy_from_quat return numpy arrays, for set-up and for the maths
+after the loop; all but quat_to_rotmat also work column-wise on stacked
+quaternions of shape (4, n).
 """
 
 import math
@@ -19,12 +20,6 @@ import math
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
-
-
-def quat_normalize(q):
-    """Return q scaled to unit norm."""
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
 
 
 def quat_conj(q):
@@ -76,13 +71,6 @@ def quat_to_rotmat(q):
     return np.array(rotmat_rows(q))
 
 
-def quat_from_axis_angle(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis))
-
-
 def quat_from_rpy(roll, pitch, yaw):
     """ZYX Euler angles (yaw about z, then pitch, then roll) to quaternion:
     the product qz(yaw) (x) qy(pitch) (x) qx(roll) in closed form."""
@@ -103,18 +91,6 @@ def rpy_from_quat(q):
     pitch = np.arcsin(s)
     yaw = np.arctan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))
     return np.array([roll, pitch, yaw])
-
-
-def quat_derivative(q, omega_body):
-    """q_dot = 0.5 * q (x) (0, omega), omega in body frame. Not normalized."""
-    ow, ox, oy, oz = 0.0, omega_body[0], omega_body[1], omega_body[2]
-    w, x, y, z = q
-    return 0.5 * np.array([
-        w * ow - x * ox - y * oy - z * oz,
-        w * ox + x * ow + y * oz - z * oy,
-        w * oy - x * oz + y * ow + z * ox,
-        w * oz + x * oy - y * ox + z * ow,
-    ])
 
 
 def attitude_error_vector(q_d, q_b):

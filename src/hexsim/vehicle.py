@@ -6,12 +6,13 @@ direction alternate around the ring, which is what makes the stacked
 force/torque effectiveness matrix full rank (checked at construction).
 """
 
+import math
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import E3, mat_t_vec, quat_to_rotmat, rotmat_rows
+from .geometry import E3, mat_t_vec, rotmat_rows
 
 GRAVITY = 9.81
 
@@ -152,36 +153,20 @@ def build_effectiveness(params):
         u_min=params.w_min ** 2, u_max=params.w_max ** 2)
 
 
-def assemble_F(eff, q):
-    """Attitude-dependent 6x6 effectiveness: rows 1-3 rotated to world."""
-    return np.vstack([quat_to_rotmat(q) @ eff.F1, eff.F2])
-
-
 @dataclass(frozen=True)
 class ActuatorCommand:
-    u: np.ndarray           # signed squared rotor speeds after clamping
-    w_cmd: np.ndarray       # rad/s setpoints
-    saturated: np.ndarray   # bool flags
+    u: tuple           # 6 floats: signed squared rotor speeds after clamping
+    w_cmd: tuple       # 6 floats: rad/s setpoints
+    saturated: tuple   # 6 bools: clamped or not
 
 
 def saturate(eff, u):
     """Clamp squared-speed commands (any sequence of 6 numbers) into
     actuator limits.  A NaN passes through, unflagged."""
     lo, hi = eff.u_min, eff.u_max
-    clamped, flags = [], []
-    for v in u:
-        if v < lo:
-            clamped.append(lo)
-            flags.append(True)
-        elif v > hi:
-            clamped.append(hi)
-            flags.append(True)
-        else:
-            clamped.append(v)
-            flags.append(False)
-    clamped = np.array(clamped)
-    return ActuatorCommand(u=clamped, w_cmd=np.sqrt(clamped),
-                           saturated=np.array(flags))
+    clamped = tuple(lo if v < lo else hi if v > hi else v for v in u)
+    return ActuatorCommand(u=clamped, w_cmd=tuple(map(math.sqrt, clamped)),
+                           saturated=tuple(v < lo or v > hi for v in u))
 
 
 def solve_wrench(eff, q, wrench):
@@ -203,8 +188,8 @@ def allocate(eff, q, wrench_demand):
 
 def hover_command(params, eff):
     """Rotor command that balances gravity at identity attitude."""
-    wrench = np.array([0.0, 0.0, params.mass * GRAVITY, 0.0, 0.0, 0.0])
-    return allocate(eff, np.array([1.0, 0.0, 0.0, 0.0]), wrench)
+    wrench = (0.0, 0.0, params.mass * GRAVITY, 0.0, 0.0, 0.0)
+    return allocate(eff, (1.0, 0.0, 0.0, 0.0), wrench)
 
 
 def with_cf_factor(params, factor):

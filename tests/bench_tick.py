@@ -29,21 +29,21 @@ HOVER_Q = [1.0, 0.0, 0.0, 0.0]
 def hover(params, eff, trim):
     """Hover state and the controller inputs synthesised from it, with
     the sensor noise of exp5 at noise level 7."""
-    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
-    xs = x.tolist()
-    accel = dyn.acceleration(xs, params, eff, [0.0, 0.0, 0.0])
+    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
+                 trim.w_cmd).tolist()
+    accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
     noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    sensors = dyn.synthesize_sensors(xs, accel, noise,
+    sensors = dyn.synthesize_sensors(x, accel, noise,
                                      np.random.default_rng(1))
     inputs = ControllerInputs(
-        pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=sensors.gyro,
+        pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=sensors.gyro,
         accel=sensors.accel, rotor_w_meas=sensors.rotor_w_meas)
     return x, inputs
 
 
 def test_dynamics_step(benchmark, params, eff, trim, hover):
     x, _ = hover
-    zero = np.zeros(3)
+    zero = (0.0, 0.0, 0.0)
     benchmark(dyn.step, x, params, eff, trim, zero, zero, dyn.SIM_DT)
 
 

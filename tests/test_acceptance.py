@@ -23,10 +23,9 @@ from hexsim import experiments as ex
 from hexsim import vehicle
 from hexsim.control import (Gains, PoseReference, make_model, ndi_invert,
                             outer_loop)
-from hexsim.filters import (FilteredDerivative, SecondOrderFilter,
-                            analytic_step_response)
-from hexsim.geometry import quat_from_axis_angle
+from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.vehicle import GRAVITY
+from oracles import analytic_step_response, assemble_F, quat_from_axis_angle
 
 
 def report(capsys, name, ok, detail):
@@ -87,9 +86,9 @@ def test_01_allocation_round_trip(params, eff, capsys):
             + rng.uniform(-3, 3, 3),
             rng.uniform(-0.3, 0.3, 3)])
         cmd = vehicle.allocate(eff, q, wrench)
-        if cmd.saturated.any():
+        if np.asarray(cmd.saturated).any():
             continue
-        F = vehicle.assemble_F(eff, q)
+        F = assemble_F(eff, q)
         worst = max(worst, np.linalg.norm(F @ cmd.u - wrench)
                     / np.linalg.norm(wrench))
         tested += 1

@@ -91,6 +91,10 @@ def test_missing_config_exits_2(tmp_path):
     (["--scenario", "exp4", "--gust"], None),
     (["--scenario", "exp5", "--gust"], None),
     ([], "[run]\nscenario = exp5\ngust = true\n"),
+    (["--controller-freq", "123"], None),
+    (["--controller-freq", "0"], None),
+    (["--controller-freq", "nan"], None),
+    (["--noise-scale", "2"], None),
 ], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
         "duration-nan", "duration-inf", "residual-scale-inf",
         "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
@@ -100,7 +104,8 @@ def test_missing_config_exits_2(tmp_path):
         "duration-1.5", "duration-warmup", "duration-negative",
         "duration-no-tick-after-warmup",
         "gust-exp1", "gust-exp2", "gust-exp4", "gust-exp5",
-        "ini-gust-exp5"])
+        "ini-gust-exp5", "controller-freq-123", "controller-freq-0",
+        "controller-freq-nan", "noise-scale-2"])
 def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
     # a bad input is a config error (exit 2), never a traceback; the
     # short duration comes first so a case's own --duration wins

@@ -137,7 +137,7 @@ def test_geo_hover_outputs_trim(params, trim):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     cmd, ref = ctrl.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     np.testing.assert_allclose(cmd.w_cmd, trim.w_cmd, rtol=1e-9)
-    assert not cmd.saturated.any()
+    assert not np.asarray(cmd.saturated).any()
 
 
 def test_indi_hover_outputs_trim(params, trim):
@@ -155,10 +155,11 @@ def test_indi_increment_tracks_measured_rotor_state(params, trim):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     low = hover_inputs(trim)
     low = ControllerInputs(pos=low.pos, vel=low.vel, q=low.q, gyro=low.gyro,
-                           accel=low.accel, rotor_w_meas=0.9 * trim.w_cmd)
+                           accel=low.accel,
+                           rotor_w_meas=0.9 * np.asarray(trim.w_cmd))
     for _ in range(400):
         cmd, _ = ctrl.tick(np.zeros(3), np.zeros(3), low)
-    assert np.all(cmd.u < trim.u)
+    assert np.all(np.asarray(cmd.u) < np.asarray(trim.u))
 
 
 def test_mismatched_model_scales_inverse(params, trim):
@@ -170,7 +171,8 @@ def test_mismatched_model_scales_inverse(params, trim):
         c.warm_start(np.zeros(3), HOVER_Q, trim)
     cmd_full, _ = ctrl_full.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     cmd_half, _ = ctrl_half.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
-    np.testing.assert_allclose(cmd_half.u, 2 * cmd_full.u, rtol=1e-9)
+    np.testing.assert_allclose(cmd_half.u, 2 * np.asarray(cmd_full.u),
+                               rtol=1e-9)
 
 
 def test_make_controller_kinds(params):
@@ -480,7 +482,7 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else (0.0, 0.0, 0.0)
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
-        xs = x.tolist()
+        xs = np.asarray(x).tolist()
         accel = dyn.acceleration(xs, params, eff, [0.0, 0.0, 0.0])
         sensors = dyn.synthesize_sensors(xs, accel, noise, rng)
         inputs = ControllerInputs(

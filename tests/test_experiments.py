@@ -1,8 +1,10 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from hexsim import control
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
@@ -31,6 +33,94 @@ def test_scenario_validation():
         ex.build_scenario("exp4", "geo", {"controller_freq": 123.0})
     with pytest.raises(ValueError):
         ex.build_scenario("exp5", "geo", {"noise_scale": 2})
+
+
+def test_controller_freq_must_divide_the_truth_rate():
+    # any rate with a whole number of truth steps per tick is valid
+    for freq in (2000.0, 400.0, 2000.0 / 6, 2000.0 / 7, 40.0):
+        assert ex.build_scenario("exp5", "geo", {"controller_freq": freq,
+                                                 "duration": 2.1})
+    for freq in (123.0, 3000.0, 0.0, -500.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="controller_freq"):
+            ex.build_scenario("exp5", "geo", {"controller_freq": freq})
+
+
+@pytest.mark.parametrize("freq", [400.0, 2000.0 / 6], ids=["400Hz", "333Hz"])
+def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
+    # the pose clock samples the state every 8 truth steps (250 Hz)
+    # whatever the controller rate, so the tick at step k sees the state
+    # dyn.step received at step 8 floor(k / 8)
+    states, poses = [], []
+    real_step, real_tick = dyn.step, control.GeoNdiController.tick
+
+    def recording_step(x, *args):
+        states.append(list(x))
+        return real_step(x, *args)
+
+    def recording_tick(self, target_pos, target_rpy, inputs):
+        poses.append((list(inputs.pos), list(inputs.q)))
+        return real_tick(self, target_pos, target_rpy, inputs)
+
+    monkeypatch.setattr(dyn, "step", recording_step)
+    monkeypatch.setattr(control.GeoNdiController, "tick", recording_tick)
+    ex.run_scenario(ex.build_scenario("exp5", "geo", {
+        "controller_freq": freq, "duration": 2.1}))
+    n_sub = round(1.0 / (freq * dyn.SIM_DT))
+    assert len(states) == 4200 and len(poses) == -(-4200 // n_sub)
+    held_back = 0
+    for i, (pos, q) in enumerate(poses):
+        k = i * n_sub
+        sample = states[8 * (k // 8)]
+        assert (pos, q) == (sample[dyn.P], sample[dyn.Q])
+        held_back += sample[dyn.P] != states[k][dyn.P]
+    # the held sample is not the tick's own state at most ticks
+    assert held_back > len(poses) // 2
+
+
+@pytest.mark.parametrize("controller", ["geo", "indi"])
+def test_closed_loop_passes_python_floats(monkeypatch, controller):
+    # every number the truth step, the disturbance sampler and the
+    # controller tick take or return is a Python float (a bool for the
+    # saturation flags), never a numpy scalar
+    types = defaultdict(set)
+
+    def note(name, *seqs):
+        for seq in seqs:
+            types[name].update(map(type, seq))
+
+    real_step = dyn.step
+
+    def step(x, params, eff, cmd, dist_force, dist_moment, dt):
+        out = real_step(x, params, eff, cmd, dist_force, dist_moment, dt)
+        note("step", x, cmd.u, cmd.w_cmd, dist_force, dist_moment, [dt], out)
+        note("saturated", cmd.saturated)
+        return out
+
+    real_sample = dyn.DisturbanceSampler.step
+
+    def sample(self, t):
+        force, moment = real_sample(self, t)
+        note("sampler", [t], force, moment)
+        return force, moment
+
+    def traced_tick(real_tick):
+        def tick(self, target_pos, target_rpy, inputs):
+            cmd, ref = real_tick(self, target_pos, target_rpy, inputs)
+            note("tick", target_pos, target_rpy, *vars(inputs).values(),
+                 cmd.u, cmd.w_cmd, *vars(ref).values())
+            note("saturated", cmd.saturated)
+            return cmd, ref
+        return tick
+
+    monkeypatch.setattr(dyn, "step", step)
+    monkeypatch.setattr(dyn.DisturbanceSampler, "step", sample)
+    for cls in (control.GeoNdiController, control.IndiController):
+        monkeypatch.setattr(cls, "tick", traced_tick(cls.tick))
+    # the gust is on from t = 2 s, so both sampler branches run
+    ex.run_scenario(ex.build_scenario("exp3", controller, {
+        "gust": True, "duration": 2.5}))
+    assert dict(types) == {"step": {float}, "sampler": {float},
+                           "tick": {float}, "saturated": {bool}}
 
 
 def test_duration_must_leave_a_tick_after_warmup():

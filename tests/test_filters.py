@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
-from hexsim.filters import (FilteredDerivative, SecondOrderFilter,
-                            analytic_step_response)
+from hexsim.filters import FilteredDerivative, SecondOrderFilter
+from oracles import analytic_step_response
 
 FS = 500.0
 DT = 1.0 / FS
@@ -41,7 +43,7 @@ def test_unity_dc_gain():
 
 def test_vector_channels():
     f = SecondOrderFilter(WN, 0.7, DT, channels=3)
-    out = f.step(np.array([1.0, 2.0, -1.0]))
+    out = np.asarray(f.step(np.array([1.0, 2.0, -1.0])))
     assert out.shape == (3,)
     np.testing.assert_allclose(out / out[0], [1.0, 2.0, -1.0])
 
@@ -63,7 +65,7 @@ def test_parameter_validation():
 
 def test_derivative_first_call_zero():
     d = FilteredDerivative(DT)
-    assert np.all(d.step(5.0) == 0.0)
+    assert np.all(np.asarray(d.step(5.0)) == 0.0)
 
 
 def test_derivative_ramp_exact():
@@ -79,3 +81,29 @@ def test_derivative_reset_to():
     d.reset_to(np.array([1.0, 2.0, 3.0]))
     out = d.step(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
+
+
+filter_settings = dict(cutoff_hz=st.floats(0.1, 200.0),
+                       damping=st.floats(0.0, 2.0, exclude_min=True),
+                       rate_hz=st.floats(20.0, 5000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**filter_settings)
+def test_unity_dc_gain_over_settings(cutoff_hz, damping, rate_hz):
+    # the transfer function at z = 1 is (b0 + b1 + b2) / (1 + a1 + a2)
+    f = SecondOrderFilter(2 * np.pi * cutoff_hz, damping, 1.0 / rate_hz)
+    assert sum(f.b) / (1.0 + f.a1 + f.a2) == pytest.approx(1.0, rel=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**filter_settings,
+       value=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_reset_to_is_a_steady_state_over_settings(cutoff_hz, damping,
+                                                 rate_hz, value):
+    f = SecondOrderFilter(2 * np.pi * cutoff_hz, damping, 1.0 / rate_hz,
+                          channels=3)
+    f.reset_to(value)
+    for _ in range(20):
+        np.testing.assert_allclose(f.step(value), value, rtol=1e-9,
+                                   atol=1e-9)

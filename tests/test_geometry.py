@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexsim.geometry import (E3, angular_rate_error, attitude_error_vector,
-                             euler_rate_matrix, quat_conj, quat_derivative,
-                             quat_from_axis_angle, quat_from_rpy, quat_mul,
-                             quat_normalize, quat_to_rotmat, rpy_from_quat)
+                             euler_rate_matrix, quat_conj, quat_from_rpy,
+                             quat_mul, quat_to_rotmat, rotmat_rows,
+                             rpy_from_quat)
+from oracles import quat_derivative, quat_from_axis_angle, quat_normalize
 
 
 def random_quat(rng):
@@ -136,3 +137,36 @@ def test_quat_rpy_quat_round_trip(q):
     # q and -q are the same attitude
     sign = 1.0 if back @ q >= 0.0 else -1.0
     np.testing.assert_allclose(sign * back, q, rtol=0, atol=1e-9)
+
+
+unit_quat = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: sum(v * v for v in q) > 1e-2).map(
+    lambda q: np.array(q) / np.linalg.norm(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=unit_quat, b=unit_quat)
+def test_quat_mul_of_unit_quaternions_is_unit(a, b):
+    assert np.linalg.norm(quat_mul(a, b)) == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=unit_quat, b=unit_quat, c=unit_quat)
+def test_quat_mul_is_associative(a, b, c):
+    np.testing.assert_allclose(quat_mul(quat_mul(a, b), c),
+                               quat_mul(a, quat_mul(b, c)), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=unit_quat)
+def test_quat_times_its_conjugate_is_identity(q):
+    np.testing.assert_allclose(quat_mul(q, quat_conj(q)), [1.0, 0, 0, 0],
+                               rtol=0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=unit_quat)
+def test_rotmat_rows_is_orthonormal(q):
+    r = np.array(rotmat_rows(q))
+    np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-14)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsim import vehicle
-from hexsim.geometry import quat_from_axis_angle
 from hexsim.vehicle import GRAVITY
+from oracles import assemble_F, quat_from_axis_angle
 
 
 def test_default_params_values(params):
@@ -73,9 +73,9 @@ def test_hover_trim_speed(params, eff, trim):
     w_expected = np.sqrt(params.mass * GRAVITY
                          / (6 * params.c_f * np.cos(params.tilt_angle)))
     np.testing.assert_allclose(trim.w_cmd, w_expected, rtol=1e-9)
-    assert not trim.saturated.any()
-    assert np.all(trim.w_cmd > params.w_min)
-    assert np.all(trim.w_cmd < params.w_max)
+    assert not np.asarray(trim.saturated).any()
+    assert np.all(np.asarray(trim.w_cmd) > params.w_min)
+    assert np.all(np.asarray(trim.w_cmd) < params.w_max)
 
 
 def test_allocate_round_trip(params, eff, rng):
@@ -87,9 +87,9 @@ def test_allocate_round_trip(params, eff, rng):
             + rng.uniform(-3, 3, 3),
             rng.uniform(-0.3, 0.3, 3)])
         cmd = vehicle.allocate(eff, q, wrench)
-        if cmd.saturated.any():
+        if np.asarray(cmd.saturated).any():
             continue
-        F = vehicle.assemble_F(eff, q)
+        F = assemble_F(eff, q)
         assert (np.linalg.norm(F @ cmd.u - wrench)
                 < 1e-9 * np.linalg.norm(wrench))
 
@@ -97,7 +97,7 @@ def test_allocate_round_trip(params, eff, rng):
 def test_allocate_saturation_clamps(params, eff):
     heavy = np.array([0, 0, 10 * params.mass * GRAVITY, 0, 0, 0])
     cmd = vehicle.allocate(eff, np.array([1.0, 0, 0, 0]), heavy)
-    assert cmd.saturated.all()
+    assert np.asarray(cmd.saturated).all()
     np.testing.assert_allclose(cmd.u, params.w_max ** 2)
     np.testing.assert_allclose(cmd.w_cmd, params.w_max)
 
@@ -106,16 +106,16 @@ def test_allocate_negative_clamped_to_min(params, eff):
     pull_down = np.array([0, 0, -5 * params.mass * GRAVITY, 0, 0, 0])
     cmd = vehicle.allocate(eff, np.array([1.0, 0, 0, 0]), pull_down)
     # unidirectional rotors: commands clamp at the lower speed limit
-    assert np.all(cmd.u >= params.w_min ** 2 - 1e-12)
-    assert np.all(cmd.w_cmd >= params.w_min - 1e-12)
+    assert np.all(np.asarray(cmd.u) >= params.w_min ** 2 - 1e-12)
+    assert np.all(np.asarray(cmd.w_cmd) >= params.w_min - 1e-12)
 
 
 def test_lateral_force_without_attitude_change(params, eff):
     # full actuation: pure lateral force demand is feasible near hover
     wrench = np.array([2.0, 0, params.mass * GRAVITY, 0, 0, 0])
     cmd = vehicle.allocate(eff, np.array([1.0, 0, 0, 0]), wrench)
-    assert not cmd.saturated.any()
-    F = vehicle.assemble_F(eff, np.array([1.0, 0, 0, 0]))
+    assert not np.asarray(cmd.saturated).any()
+    F = assemble_F(eff, np.array([1.0, 0, 0, 0]))
     np.testing.assert_allclose(F @ cmd.u, wrench, atol=1e-9)
 
 
@@ -137,10 +137,10 @@ def test_allocate_reproduces_feasible_wrench(eff, q, share):
     # attitude, so allocation must return those commands and reproduce it
     q = np.array(q) / np.linalg.norm(q)
     u = eff.u_min + np.array(share) * (eff.u_max - eff.u_min)
-    F = vehicle.assemble_F(eff, q)
+    F = assemble_F(eff, q)
     wrench = F @ u
     cmd = vehicle.allocate(eff, q, wrench)
-    assert not cmd.saturated.any()
+    assert not np.asarray(cmd.saturated).any()
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
     assert (np.linalg.norm(F @ cmd.u - wrench)
             <= 1e-9 * np.linalg.norm(wrench))
@@ -158,7 +158,7 @@ def test_full_rank_over_tilt_range(tilt_deg, sign, share):
     assert np.linalg.matrix_rank(np.vstack([eff.F1, eff.F2])) == 6
     u = eff.u_min + np.array(share) * (eff.u_max - eff.u_min)
     q = np.array([1.0, 0.0, 0.0, 0.0])
-    wrench = vehicle.assemble_F(eff, q) @ u
+    wrench = assemble_F(eff, q) @ u
     cmd = vehicle.allocate(eff, q, wrench)
-    assert not cmd.saturated.any()
+    assert not np.asarray(cmd.saturated).any()
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
