@@ -165,6 +165,7 @@ def _resolved_config(config, scenario):
 
 _VEC3 = ("x", "y", "z")
 _QUAT = ("w", "x", "y", "z")
+LOG_BLOCK_ROWS = 256  # log rows converted to Python floats at a time
 
 LOG_COLUMNS = (
     [("t", None, 0)]
@@ -188,17 +189,20 @@ LOG_COLUMNS = (
 
 def write_log_csv(path, log):
     """Fixed-order columns, header always present, floats formatted with
-    round-trip-exact repr and the saturation flags as 0/1."""
+    round-trip-exact repr and the saturation flags as 0/1, written
+    LOG_BLOCK_ROWS rows at a time."""
     flags = [c for c in LOG_COLUMNS if c[1] == "saturated"]
     floats = [c for c in LOG_COLUMNS if c[1] != "saturated"]
-    values = np.column_stack(
-        [log["t"] if key is None else log[key][:, col]
-         for _, key, col in floats]).tolist()
-    sat = log["saturated"][:, [col for _, _, col in flags]].astype(int).tolist()
+    columns = [log["t"] if key is None else log[key][:, col]
+               for _, key, col in floats]
+    sat = log["saturated"][:, [col for _, _, col in flags]].astype(int)
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _, _ in floats + flags) + "\n")
-        fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
-                      for row, row_sat in zip(values, sat))
+        for i in range(0, len(sat), LOG_BLOCK_ROWS):
+            j = i + LOG_BLOCK_ROWS
+            values = np.column_stack([c[i:j] for c in columns]).tolist()
+            fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
+                          for row, row_sat in zip(values, sat[i:j].tolist()))
 
 
 def write_metrics_json(path, metrics, config, scenario):

@@ -121,18 +121,19 @@ def make_step(params, eff):
     pair (rates, step), with every constant of (params, eff) bound as a
     closure local.  Both work on Python floats.
 
-    rates(s, w_cmd, dist_force, dist_moment) is the time derivative of
-    the state s (laid out as the state vector) under its rotor speeds, as
-    a list of 19 floats: force balance in world frame, moment balance in
-    body frame, rotor speeds lagging toward w_cmd (6 entries).  The
-    world force dist_force and body moment dist_moment have 3 entries
-    each.  The quaternion need not have unit norm; inside the RK4 stages
-    it does not.
+    rates(qw, qx, qy, qz, ox, oy, oz, w1, ..., w6, inputs) takes the
+    state scalars it reads and the 12-tuple inputs (w_cmd, the world
+    force dist_force, the body moment dist_moment).  It returns the
+    rates of v, q, omega and the rotor speeds as a 16-tuple: force
+    balance in world frame, moment balance in body frame, rotor speeds
+    lagging toward w_cmd.  q need not have unit norm; inside the RK4
+    stages it does not.
 
     step(s, w_cmd, dist_force, dist_moment, dt) is one RK4 step from s
-    with the disturbance held, one rates call per stage.  It returns the
-    new state as a list with the quaternion normalised, and raises
-    NonFiniteState if any component diverges.
+    with the disturbance held, over local floats, one rates call per
+    stage; no stage position is formed, as its rate is the stage
+    velocity.  It returns the new state as a list with the quaternion
+    normalised, and raises NonFiniteState if any component diverges.
     """
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
      (fz1, fz2, fz3, fz4, fz5, fz6)) = eff.F1.tolist()
@@ -143,12 +144,8 @@ def make_step(params, eff):
     jx, jy, jz = params.inertia
     tau = params.motor_time_constant
 
-    def rates(s, w_cmd, dist_force, dist_moment):
-        (_, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
-         w1, w2, w3, w4, w5, w6) = s
-        c1, c2, c3, c4, c5, c6 = w_cmd
-        dfx, dfy, dfz = dist_force
-        dmx, dmy, dmz = dist_moment
+    def rates(qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4, w5, w6, inputs):
+        c1, c2, c3, c4, c5, c6, dfx, dfy, dfz, dmx, dmy, dmz = inputs
         u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
         u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
         # rotor force F1 u in the body frame, rotated to world by R(q)
@@ -168,8 +165,7 @@ def make_step(params, eff):
         ty = my1 * u1 + my2 * u2 + my3 * u3 + my4 * u4 + my5 * u5 + my6 * u6
         tz = mz1 * u1 + mz2 * u2 + mz3 * u3 + mz4 * u4 + mz5 * u5 + mz6 * u6
         hx, hy, hz = jx * ox, jy * oy, jz * oz
-        return [
-            vx, vy, vz,
+        return (
             fx / m, fy / m, fz / m,
             # q_dot = 0.5 q (x) (0, omega)
             0.5 * (-qx * ox - qy * oy - qz * oz),
@@ -182,20 +178,57 @@ def make_step(params, eff):
             (tz - (ox * hy - oy * hx) + dmz) / jz,
             (c1 - w1) / tau, (c2 - w2) / tau, (c3 - w3) / tau,
             (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
-        ]
+        )
 
     def step(s, w_cmd, dist_force, dist_moment, dt):
+        (px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
+         w1, w2, w3, w4, w5, w6) = s
+        inputs = (*w_cmd, *dist_force, *dist_moment)
         h = 0.5 * dt
-        k1 = rates(s, w_cmd, dist_force, dist_moment)
-        k2 = rates([a + h * b for a, b in zip(s, k1)],
-                   w_cmd, dist_force, dist_moment)
-        k3 = rates([a + h * b for a, b in zip(s, k2)],
-                   w_cmd, dist_force, dist_moment)
-        k4 = rates([a + dt * b for a, b in zip(s, k3)],
-                   w_cmd, dist_force, dist_moment)
+        (dvxa, dvya, dvza, dqwa, dqxa, dqya, dqza, doxa, doya, doza,
+         dr1a, dr2a, dr3a, dr4a, dr5a, dr6a) = rates(
+            qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4, w5, w6, inputs)
+        vxb, vyb, vzb = vx + h * dvxa, vy + h * dvya, vz + h * dvza
+        (dvxb, dvyb, dvzb, dqwb, dqxb, dqyb, dqzb, doxb, doyb, dozb,
+         dr1b, dr2b, dr3b, dr4b, dr5b, dr6b) = rates(
+            qw + h * dqwa, qx + h * dqxa, qy + h * dqya, qz + h * dqza,
+            ox + h * doxa, oy + h * doya, oz + h * doza, w1 + h * dr1a,
+            w2 + h * dr2a, w3 + h * dr3a, w4 + h * dr4a, w5 + h * dr5a,
+            w6 + h * dr6a, inputs)
+        vxc, vyc, vzc = vx + h * dvxb, vy + h * dvyb, vz + h * dvzb
+        (dvxc, dvyc, dvzc, dqwc, dqxc, dqyc, dqzc, doxc, doyc, dozc,
+         dr1c, dr2c, dr3c, dr4c, dr5c, dr6c) = rates(
+            qw + h * dqwb, qx + h * dqxb, qy + h * dqyb, qz + h * dqzb,
+            ox + h * doxb, oy + h * doyb, oz + h * dozb, w1 + h * dr1b,
+            w2 + h * dr2b, w3 + h * dr3b, w4 + h * dr4b, w5 + h * dr5b,
+            w6 + h * dr6b, inputs)
+        vxd, vyd, vzd = vx + dt * dvxc, vy + dt * dvyc, vz + dt * dvzc
+        (dvxd, dvyd, dvzd, dqwd, dqxd, dqyd, dqzd, doxd, doyd, dozd,
+         dr1d, dr2d, dr3d, dr4d, dr5d, dr6d) = rates(
+            qw + dt * dqwc, qx + dt * dqxc, qy + dt * dqyc, qz + dt * dqzc,
+            ox + dt * doxc, oy + dt * doyc, oz + dt * dozc, w1 + dt * dr1c,
+            w2 + dt * dr2c, w3 + dt * dr3c, w4 + dt * dr4c, w5 + dt * dr5c,
+            w6 + dt * dr6c, inputs)
         c = dt / 6.0
-        out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4)
-               for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        out = [px + c * (vx + 2 * vxb + 2 * vxc + vxd),
+               py + c * (vy + 2 * vyb + 2 * vyc + vyd),
+               pz + c * (vz + 2 * vzb + 2 * vzc + vzd),
+               vx + c * (dvxa + 2 * dvxb + 2 * dvxc + dvxd),
+               vy + c * (dvya + 2 * dvyb + 2 * dvyc + dvyd),
+               vz + c * (dvza + 2 * dvzb + 2 * dvzc + dvzd),
+               qw + c * (dqwa + 2 * dqwb + 2 * dqwc + dqwd),
+               qx + c * (dqxa + 2 * dqxb + 2 * dqxc + dqxd),
+               qy + c * (dqya + 2 * dqyb + 2 * dqyc + dqyd),
+               qz + c * (dqza + 2 * dqzb + 2 * dqzc + dqzd),
+               ox + c * (doxa + 2 * doxb + 2 * doxc + doxd),
+               oy + c * (doya + 2 * doyb + 2 * doyc + doyd),
+               oz + c * (doza + 2 * dozb + 2 * dozc + dozd),
+               w1 + c * (dr1a + 2 * dr1b + 2 * dr1c + dr1d),
+               w2 + c * (dr2a + 2 * dr2b + 2 * dr2c + dr2d),
+               w3 + c * (dr3a + 2 * dr3b + 2 * dr3c + dr3d),
+               w4 + c * (dr4a + 2 * dr4b + 2 * dr4c + dr4d),
+               w5 + c * (dr5a + 2 * dr5b + 2 * dr5c + dr5d),
+               w6 + c * (dr6a + 2 * dr6b + 2 * dr6c + dr6d)]
         qw, qx, qy, qz = out[Q]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         # a sum of floats is finite only if every term is (or it
@@ -224,19 +257,18 @@ def _kernel_of(params, eff):
     return kernel
 
 
-# what acceleration passes for the inputs whose rates it drops: the rotor
-# command and the disturbance moment
+# what acceleration passes for the rotor command, whose rates it drops
 _IDLE = (0.0,) * 6
-_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
     """Time derivative of the state x under its rotor speeds, as a list of
-    19 floats: the rates of make_step(params, eff).  Works on Python
-    floats: x is laid out as the state vector, w_cmd has 6 entries and
-    each disturbance 3."""
+    19 floats: the velocity, then the rates of make_step(params, eff).
+    Works on Python floats: x is laid out as the state vector, w_cmd has
+    6 entries and each disturbance 3."""
     rates, _ = _kernel_of(params, eff)
-    return rates(x, w_cmd, dist_force, dist_moment)
+    return [*x[V], *rates(*x[Q.start:],
+                          (*w_cmd, *dist_force, *dist_moment))]
 
 
 def acceleration(x, params, eff, dist_force):
@@ -245,7 +277,7 @@ def acceleration(x, params, eff, dist_force):
     the state vector) and dist_force are sequences of numbers; lists of
     Python floats are fastest."""
     rates, _ = _kernel_of(params, eff)
-    return rates(x, _IDLE, dist_force, _ZERO3)[V]
+    return [*rates(*x[Q.start:], (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]]
 
 
 def step(x, params, eff, cmd, dist_force, dist_moment, dt):

@@ -11,8 +11,10 @@ import numpy as np
 
 def _as_floats(x, channels):
     """A new list of Python floats from x: one value per channel, or a
-    scalar for all of them."""
+    scalar for all of them.  Raises ValueError for any other length."""
     if isinstance(x, list):
+        if len(x) != channels:
+            raise ValueError(f"expected {channels} values, got {len(x)}")
         return list(x)
     return np.broadcast_to(np.asarray(x, dtype=float), (channels,)).tolist()
 

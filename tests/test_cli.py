@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,60 @@ def test_log_csv_matches_per_cell_writer(tmp_path):
     per_cell_log_csv(tmp_path / "cells.csv", log)
     assert ((tmp_path / "rows.csv").read_bytes()
             == (tmp_path / "cells.csv").read_bytes())
+
+
+def one_shot_log_csv(path, log):
+    """The writer that converted the whole log to Python lists at once,
+    kept as the oracle of the block writer."""
+    flags = [c for c in cli.LOG_COLUMNS if c[1] == "saturated"]
+    floats = [c for c in cli.LOG_COLUMNS if c[1] != "saturated"]
+    values = np.column_stack(
+        [log["t"] if key is None else log[key][:, col]
+         for _, key, col in floats]).tolist()
+    sat = log["saturated"][:, [col for _, _, col in flags]]
+    sat = sat.astype(int).tolist()
+    with open(path, "w") as fh:
+        fh.write(",".join(name for name, _, _ in floats + flags) + "\n")
+        fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
+                      for row, row_sat in zip(values, sat))
+
+
+def random_log(n, rng):
+    """A log of n rows with every LOG_COLUMNS key, random floats and
+    random saturation flags."""
+    width = {}
+    for _, key, col in cli.LOG_COLUMNS:
+        width[key] = max(width.get(key, 0), col + 1)
+    log = {key: rng.normal(0.0, 10.0, (n, w)) for key, w in width.items()
+           if key not in (None, "saturated")}
+    log["t"] = np.arange(n) * 0.002
+    log["saturated"] = rng.random((n, width["saturated"])) < 0.3
+    return log
+
+
+@pytest.mark.parametrize("n, block", [(700, 256), (700, 1), (256, 256),
+                                      (255, 256), (0, 256)])
+def test_block_writer_matches_one_shot_writer(tmp_path, monkeypatch, n,
+                                              block):
+    monkeypatch.setattr(cli, "LOG_BLOCK_ROWS", block)
+    log = random_log(n, np.random.default_rng(n + block))
+    cli.write_log_csv(tmp_path / "blocks.csv", log)
+    one_shot_log_csv(tmp_path / "once.csv", log)
+    assert ((tmp_path / "blocks.csv").read_bytes()
+            == (tmp_path / "once.csv").read_bytes())
+
+
+def test_log_writer_memory_is_bounded(tmp_path):
+    # the 3500 rows of a 7 s exp3 gust log; converting them all at once
+    # peaked at about 7.4 MB, one 256-row block at a time at about 1.2 MB
+    log = random_log(3500, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        cli.write_log_csv(tmp_path / "log.csv", log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_flags_override_config(tmp_path):

@@ -7,6 +7,7 @@ from hexsim import dynamics as dyn
 from hexsim import vehicle
 from hexsim.geometry import E3, quat_to_rotmat
 from hexsim.vehicle import GRAVITY
+import oracles
 from oracles import quat_derivative
 
 
@@ -277,8 +278,31 @@ def test_kernel_cache_follows_the_platform(params, eff, rng):
         rates, _ = kernels[(i + 1) % 2]
         np.testing.assert_array_equal(
             dyn.acceleration(x, p, e, dist_f),
-            rates(x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(),
-                  dist_m.tolist())[dyn.V])
+            rates(*x.tolist()[dyn.Q.start:], (*cmd.w_cmd.tolist(),
+                  *dist_f.tolist(), *dist_m.tolist()))[:3])
+
+
+def test_kernel_equals_list_form_oracle(params, eff, rng):
+    # step, derivative and acceleration against the list-form kernel, bit
+    # for bit, on the default platform and on a second one
+    other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
+                                   motor_time_constant=0.035,
+                                   c_f=1.3 * params.c_f)
+    for p, e in [(params, eff), (other, vehicle.build_effectiveness(other))]:
+        rates, kernel_step = oracles.make_step(p, e)
+        for _ in range(300):
+            x, cmd, dist_f, dist_m = random_case(p, rng)
+            x, w_cmd = x.tolist(), cmd.w_cmd.tolist()
+            dist_f, dist_m = dist_f.tolist(), dist_m.tolist()
+            np.testing.assert_array_equal(
+                dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+                kernel_step(x, w_cmd, dist_f, dist_m, dyn.SIM_DT))
+            np.testing.assert_array_equal(
+                dyn.derivative(x, p, e, w_cmd, dist_f, dist_m),
+                rates(x, w_cmd, dist_f, dist_m))
+            np.testing.assert_array_equal(
+                dyn.acceleration(x, p, e, dist_f),
+                rates(x, [0.0] * 6, dist_f, [0.0] * 3)[dyn.V])
 
 
 @settings(max_examples=50, deadline=None)
@@ -300,3 +324,8 @@ def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
         dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
         numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
         rtol=1e-12, atol=0.0)
+    _, oracle_step = oracles.make_step(p, e)
+    np.testing.assert_array_equal(
+        dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        oracle_step(x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(),
+                    dist_m.tolist(), dyn.SIM_DT))

@@ -63,6 +63,22 @@ def test_parameter_validation():
         SecondOrderFilter(WN, 0.0, DT)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SecondOrderFilter(WN, 0.7, DT, channels=12),
+    lambda: FilteredDerivative(DT, channels=12)],
+    ids=["SecondOrderFilter", "FilteredDerivative"])
+def test_wrong_length_list_is_rejected(make):
+    # zip would truncate an 11-value list and leave an 11-channel bank
+    bank = make()
+    bank.step([1.0] * 12)
+    for bad in ([1.0] * 11, [1.0] * 13):
+        with pytest.raises(ValueError, match="expected 12 values"):
+            bank.step(bad)
+        with pytest.raises(ValueError, match="expected 12 values"):
+            bank.reset_to(bad)
+    assert len(bank.step([1.0] * 12)) == 12
+
+
 def test_derivative_first_call_zero():
     d = FilteredDerivative(DT)
     assert np.all(np.asarray(d.step(5.0)) == 0.0)
