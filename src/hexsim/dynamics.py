@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import mat_t_vec, rotmat_rows
+from .geometry import rotmat
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
@@ -90,7 +90,7 @@ class DisturbanceSampler:
                  residual_moment=(0.0, 0.0, 0.0)):
         self.spec = spec
         self.rng = rng
-        self._ou = [0.0, 0.0, 0.0]
+        self._ou = (0.0, 0.0, 0.0)
         decay = np.exp(-dt / spec.gust_corr_time)
         self._decay = float(decay)
         self._diffusion = float(spec.gust_std * np.sqrt(1.0 - decay ** 2))
@@ -104,16 +104,20 @@ class DisturbanceSampler:
 
     def step(self, t):
         spec = self.spec
-        if spec.kind == "gust":
-            a, s = self._decay, self._diffusion
-            self._ou = [a * o + s * n for o, n in
-                        zip(self._ou, self.rng.standard_normal(3).tolist())]
-        if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
+        if spec.kind != "gust":
+            if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
+                return self._off
+            return self._on
+        a, s = self._decay, self._diffusion
+        n1, n2, n3 = self.rng.standard_normal(3).tolist()
+        o1, o2, o3 = self._ou
+        o1, o2, o3 = a * o1 + s * n1, a * o2 + s * n2, a * o3 + s * n3
+        self._ou = o1, o2, o3
+        if not spec.t_on <= t < spec.t_off:
             return self._off
-        if spec.kind == "gust":
-            return (tuple((f + o) + r for f, o, r in zip(
-                self._force, self._ou, self._residual_force)), self._on[1])
-        return self._on
+        f1, f2, f3 = self._force
+        r1, r2, r3 = self._residual_force
+        return ((f1 + o1) + r1, (f2 + o2) + r2, (f3 + o3) + r3), self._on[1]
 
 
 def make_step(params, eff):
@@ -318,14 +322,21 @@ def synthesize_sensors(x, accel_world, noise, rng):
     the order accel, gyro, rotor.
     """
     ax, ay, az = accel_world
-    accel = mat_t_vec(rotmat_rows(x[Q]), (ax, ay, az + GRAVITY))
+    az = az + GRAVITY
+    a, b, c, d, e, f, g, h, i = rotmat(x[Q])
+    accel = [a * ax + d * ay + g * az, b * ax + e * ay + h * az,
+             c * ax + f * ay + i * az]
     gyro, rotor = x[OMEGA], x[ROTOR_W]
     s = noise.scale
     if s > 0.0:
-        draws = rng.standard_normal(12).tolist()
+        n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12 = (
+            rng.standard_normal(12).tolist())
         sa, sg, sr = (s * noise.accel_sigma, s * noise.gyro_sigma,
                       s * noise.rotor_sigma)
-        accel = [a + sa * d for a, d in zip(accel, draws[:3])]
-        gyro = [g + sg * d for g, d in zip(gyro, draws[3:6])]
-        rotor = [w + sr * d for w, d in zip(rotor, draws[6:])]
+        (a1, a2, a3), (g1, g2, g3) = accel, gyro
+        w1, w2, w3, w4, w5, w6 = rotor
+        accel = [a1 + sa * n1, a2 + sa * n2, a3 + sa * n3]
+        gyro = [g1 + sg * n4, g2 + sg * n5, g3 + sg * n6]
+        rotor = [w1 + sr * n7, w2 + sr * n8, w3 + sr * n9,
+                 w4 + sr * n10, w5 + sr * n11, w6 + sr * n12]
     return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor)

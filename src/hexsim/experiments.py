@@ -106,6 +106,8 @@ class Scenario:
                      "filter_cutoff_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
         if self.filter_cutoff_hz <= 0:
@@ -283,15 +285,12 @@ def run_scenario(scenario, params=None):
         scenario.residual_scale * RESIDUAL_FORCE,
         scenario.residual_scale * RESIDUAL_MOMENT)
 
-    # one row per tick; everything derived from these rows is computed
-    # after the loop
+    # one float row per tick: the state (columns 0-18), the reference
+    # p_d, v_d, q_d, omega_d (19-31), u (32-37), w_cmd (38-43), w_meas
+    # (44-49) and the saturation flags as 0/1 (50-55); everything derived
+    # from the rows is computed after the loop
     n_ticks = (n_steps + n_sub - 1) // n_sub
-    states = np.empty((n_ticks, dyn.STATE_SIZE))
-    refs = np.empty((n_ticks, 13))      # p_d, v_d, q_d, omega_d
-    u = np.empty((n_ticks, 6))
-    w_cmd = np.empty((n_ticks, 6))
-    w_meas = np.empty((n_ticks, 6))
-    saturated = np.empty((n_ticks, 6), dtype=bool)
+    rows = np.empty((n_ticks, 56))
 
     # x is the state as a list of Python floats; the pose is the latest
     # sample of the 250 Hz pose clock, held between samples
@@ -313,13 +312,9 @@ def run_scenario(scenario, params=None):
                 target_pos, target_rpy = _script_target(scenario.script,
                                                         times, t)
                 cmd, ref = controller.tick(target_pos, target_rpy, inputs)
-
-                states[tick] = x
-                refs[tick] = [*ref.p_d, *ref.v_d, *ref.q_d, *ref.omega_d]
-                u[tick] = cmd.u
-                w_cmd[tick] = cmd.w_cmd
-                w_meas[tick] = sensors.rotor_w_meas
-                saturated[tick] = cmd.saturated
+                rows[tick] = (*x, *ref.p_d, *ref.v_d, *ref.q_d, *ref.omega_d,
+                              *cmd.u, *cmd.w_cmd, *sensors.rotor_w_meas,
+                              *cmd.saturated)
                 tick += 1
             force, moment = sampler.step(t)
             x = dyn.step(x, params, eff, cmd, force, moment, dt)
@@ -328,6 +323,7 @@ def run_scenario(scenario, params=None):
                                  seed=scenario.seed,
                                  state=np.array(x)) from exc
 
+    states, refs = rows[:, :19], rows[:, 19:32]
     q, ref_q = states[:, dyn.Q], refs[:, 6:10]
     e_q = quat_mul(ref_q.T, quat_conj(q.T))
     log = {
@@ -337,7 +333,8 @@ def run_scenario(scenario, params=None):
         "e_p": refs[:, 0:3] - states[:, dyn.P],
         "e_att_deg": np.degrees(rpy_from_quat(e_q)).T,
         "rpy": rpy_from_quat(q.T).T,
-        "u": u, "w_cmd": w_cmd, "w_meas": w_meas, "saturated": saturated,
+        "u": rows[:, 32:38], "w_cmd": rows[:, 38:44],
+        "w_meas": rows[:, 44:50], "saturated": rows[:, 50:].astype(bool),
         "p": states[:, dyn.P], "v": states[:, dyn.V], "q": q,
         "omega": states[:, dyn.OMEGA],
     }

@@ -6,13 +6,12 @@ Conventions used throughout the package:
   * world frame is z-up, gravity acts along -z
   * rotation matrices map body vectors into the world frame
 
-The helpers of the closed loop (rotmat_rows, mat_vec, mat_t_vec,
-quat_from_rpy, euler_rate_matrix, attitude_error_vector,
-angular_rate_error) take any sequence of numbers and return tuples of
-Python floats when given floats.  quat_conj, quat_mul, quat_to_rotmat
-and rpy_from_quat return numpy arrays, for set-up and for the maths
-after the loop; all but quat_to_rotmat also work column-wise on stacked
-quaternions of shape (4, n).
+The helpers of the closed loop (rotmat, quat_from_rpy) take any
+sequence of numbers and return tuples of Python floats when given
+floats.  quat_conj, quat_mul, quat_to_rotmat and rpy_from_quat return
+numpy arrays, for set-up and for the maths after the loop; all but
+quat_to_rotmat also work column-wise on stacked quaternions of shape
+(4, n).
 """
 
 import math
@@ -40,35 +39,18 @@ def quat_mul(a, b):
     return out / np.linalg.norm(out, axis=0)
 
 
-def rotmat_rows(q):
-    """R(q) mapping body vectors to world, as three row tuples."""
+def rotmat(q):
+    """R(q) mapping body vectors to world, as a flat row-major 9-tuple
+    (r00, r01, r02, r10, ..., r22)."""
     w, x, y, z = q
-    return (
-        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
-        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
-        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
-    )
-
-
-def mat_vec(rows, v):
-    """The 3x3 matrix given by its rows times the 3-vector v."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    x, y, z = v
-    return (a * x + b * y + c * z, d * x + e * y + f * z,
-            g * x + h * y + i * z)
-
-
-def mat_t_vec(rows, v):
-    """The transpose of the 3x3 matrix given by its rows times v."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    x, y, z = v
-    return (a * x + d * y + g * z, b * x + e * y + h * z,
-            c * x + f * y + i * z)
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
 
 
 def quat_to_rotmat(q):
     """Rotation matrix R(q) mapping body vectors to world."""
-    return np.array(rotmat_rows(q))
+    return np.array(rotmat(q)).reshape(3, 3)
 
 
 def quat_from_rpy(roll, pitch, yaw):
@@ -91,36 +73,3 @@ def rpy_from_quat(q):
     pitch = np.arcsin(s)
     yaw = np.arctan2(2 * (w * z + x * y), 1 - 2 * (y * y + z * z))
     return np.array([roll, pitch, yaw])
-
-
-def attitude_error_vector(q_d, q_b):
-    """Shortest-path attitude error 2*sign(eta)*eps of q_d (x) q_b^-1
-    for unit quaternions q_d and q_b.
-
-    Zero iff the two attitudes agree up to quaternion sign; magnitude
-    is bounded by 2.
-    """
-    dw, dx, dy, dz = q_d
-    w, x, y, z = q_b
-    eta = dw * w + dx * x + dy * y + dz * z
-    s = 2.0 if eta >= 0.0 else -2.0
-    return (s * (-dw * x + dx * w - dy * z + dz * y),
-            s * (-dw * y + dx * z + dy * w - dz * x),
-            s * (-dw * z - dx * y + dy * x + dz * w))
-
-
-def angular_rate_error(omega_b, omega_d, q_b, q_d):
-    """Body-frame rate error: omega_b - R(q_b)^T R(q_d) omega_d."""
-    r0, r1, r2 = mat_t_vec(rotmat_rows(q_b),
-                           mat_vec(rotmat_rows(q_d), omega_d))
-    return omega_b[0] - r0, omega_b[1] - r1, omega_b[2] - r2
-
-
-def euler_rate_matrix(roll, pitch):
-    """Maps ZYX Euler angle rates [roll', pitch', yaw'] to body rates;
-    three row tuples."""
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    return ((1.0, 0.0, -sp),
-            (0.0, cr, sr * cp),
-            (0.0, -sr, cr * cp))

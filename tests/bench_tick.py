@@ -6,7 +6,9 @@ run it on its own:
     PYTHONPATH=src python -m pytest tests/bench_tick.py
 
 It times one RK4 truth step, one geo and one indi controller tick on the
-inputs run_scenario passes (lists of Python floats), one 500 Hz
+inputs run_scenario passes (lists of Python floats), one sensor
+synthesis at exp5's noise level 7, one step of exp3's gust sampler
+inside its window, one 500 Hz
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the 2.2 s
 exp4 hover of the sweep_freq workload, where the truth step dominates.
@@ -45,6 +47,22 @@ def test_dynamics_step(benchmark, params, eff, trim, hover):
     x, _ = hover
     zero = (0.0, 0.0, 0.0)
     benchmark(dyn.step, x, params, eff, trim, zero, zero, dyn.SIM_DT)
+
+
+def test_synthesize_sensors(benchmark, params, eff, hover):
+    x, _ = hover
+    accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
+    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
+    benchmark(dyn.synthesize_sensors, x, accel, noise,
+              np.random.default_rng(1))
+
+
+def test_gust_sampler_step(benchmark):
+    sc = ex.build_scenario("exp3", "geo", {"gust": True})
+    sampler = dyn.DisturbanceSampler(
+        sc.disturbance, dyn.SIM_DT, np.random.default_rng(1),
+        ex.RESIDUAL_FORCE, ex.RESIDUAL_MOMENT)
+    benchmark(sampler.step, 3.0)
 
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])

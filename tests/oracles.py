@@ -1,15 +1,32 @@
 """Reference helpers that only the tests use: quaternion constructors
 and kinematics, the attitude-dependent effectiveness matrix, the
-continuous-time step response of the INDI feedback filter and the
-list-form RK4 truth kernel."""
+continuous-time step response of the INDI feedback filter, the list-form
+RK4 truth kernel, the tick side of the closed loop as it was before it
+was written out straight-line, and the numpy forms of the controller
+layers and the truth step."""
 
 import math
 
 import numpy as np
 
-from hexsim.dynamics import NonFiniteState, Q
-from hexsim.geometry import quat_to_rotmat
-from hexsim.vehicle import GRAVITY
+from hexsim import dynamics as dyn
+from hexsim import vehicle
+from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, PoseReference,
+                            PseudoControl, ndi_invert)
+from hexsim.dynamics import (OMEGA, Q, ROTOR_W, NonFiniteState,
+                             SensorReadings)
+from hexsim.filters import FilteredDerivative, SecondOrderFilter
+from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
+                             quat_to_rotmat, rpy_from_quat)
+from hexsim.vehicle import GRAVITY, ActuatorCommand
+
+
+def bits(values):
+    """float.hex of every number in a sequence of numbers or of such
+    sequences: equal lists mean the same values with the same signs of
+    zero."""
+    return [bits(v) if hasattr(v, "__len__") else float(v).hex()
+            for v in values]
 
 
 def quat_normalize(q):
@@ -151,3 +168,511 @@ def make_step(params, eff):
         return out
 
     return rates, step
+
+
+# ---------------------------------------------------------------------------
+# The tick side of the closed loop as it was before it was written out
+# straight-line: the shaper, the outer loop, the geo and indi ticks,
+# solve_wrench/saturate/allocate, the disturbance sampler and sensor
+# synthesis, over the row-tuple geometry helpers.  The package's forms
+# must equal them bit for bit.
+
+def rotmat_rows(q):
+    """R(q) mapping body vectors to world, as three row tuples."""
+    w, x, y, z = q
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+
+
+def mat_vec(rows, v):
+    """The 3x3 matrix given by its rows times the 3-vector v."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z,
+            g * x + h * y + i * z)
+
+
+def mat_t_vec(rows, v):
+    """The transpose of the 3x3 matrix given by its rows times v."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + d * y + g * z, b * x + e * y + h * z,
+            c * x + f * y + i * z)
+
+
+def attitude_error_vector(q_d, q_b):
+    """Shortest-path attitude error 2*sign(eta)*eps of q_d (x) q_b^-1
+    for unit quaternions q_d and q_b.
+
+    Zero iff the two attitudes agree up to quaternion sign; magnitude
+    is bounded by 2.
+    """
+    dw, dx, dy, dz = q_d
+    w, x, y, z = q_b
+    eta = dw * w + dx * x + dy * y + dz * z
+    s = 2.0 if eta >= 0.0 else -2.0
+    return (s * (-dw * x + dx * w - dy * z + dz * y),
+            s * (-dw * y + dx * z + dy * w - dz * x),
+            s * (-dw * z - dx * y + dy * x + dz * w))
+
+
+def angular_rate_error(omega_b, omega_d, q_b, q_d):
+    """Body-frame rate error: omega_b - R(q_b)^T R(q_d) omega_d."""
+    r0, r1, r2 = mat_t_vec(rotmat_rows(q_b),
+                           mat_vec(rotmat_rows(q_d), omega_d))
+    return omega_b[0] - r0, omega_b[1] - r1, omega_b[2] - r2
+
+
+def euler_rate_matrix(roll, pitch):
+    """Maps ZYX Euler angle rates [roll', pitch', yaw'] to body rates;
+    three row tuples."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return ((1.0, 0.0, -sp),
+            (0.0, cr, sr * cp),
+            (0.0, -sr, cr * cp))
+
+
+def outer_loop(gains, ref, pos, vel, q, omega):
+    """Shared error dynamics producing the pseudo-control accelerations.
+
+    Every argument is a sequence of numbers; a list of Python floats is
+    fastest."""
+    k_p, k_v, k_q, k_w = gains.k_p, gains.k_v, gains.k_q, gains.k_w
+    v_p = [k_p * (p_d - p) + k_v * (v_d - v) + a_d
+           for p_d, p, v_d, v, a_d in zip(ref.p_d, pos, ref.v_d, vel,
+                                          ref.a_d)]
+    e_q = attitude_error_vector(ref.q_d, q)
+    e_w = angular_rate_error(omega, ref.omega_d, q, ref.q_d)
+    v_att = [k_q * eq - k_w * ew + wd
+             for eq, ew, wd in zip(e_q, e_w, ref.omega_dot_d)]
+    return PseudoControl(v_p=v_p, v_att=v_att)
+
+
+class ReferenceShaper:
+    """Second-order reference model turning raw setpoints into smooth,
+    physically feasible references with consistent derivatives.
+
+    Position axes and Euler-angle axes are shaped independently by
+    critically damped second-order dynamics discretized exactly (closed-form
+    zero-order hold) at the controller rate.  Body-rate references neglect the
+    Euler-rate matrix derivative, adequate for the commanded step sizes.
+    """
+
+    def __init__(self, dt):
+        self._pos = _ShapedAxes(dt, 4.0, 3)    # natural frequencies, rad/s
+        self._att = _ShapedAxes(dt, 12.0, 3)
+
+    def reset_to(self, pos, rpy):
+        self._pos.reset_to(pos)
+        self._att.reset_to(rpy)
+
+    def step(self, target_pos, target_rpy):
+        p_d, v_d, a_d = self._pos.step(target_pos)
+        rpy, rpy_rate, rpy_acc = self._att.step(target_rpy)
+        rows = euler_rate_matrix(rpy[0], rpy[1])
+        return PoseReference(
+            p_d=p_d, v_d=v_d, a_d=a_d,
+            q_d=quat_from_rpy(*rpy),
+            omega_d=mat_vec(rows, rpy_rate),
+            omega_dot_d=mat_vec(rows, rpy_acc))
+
+
+class _ShapedAxes:
+    """Critically damped second-order shaping of each channel toward its
+    target, x'' = wn^2 (target - x) - 2 wn x', discretized exactly under
+    a zero-order hold on the target.  The state is kept as lists of
+    Python floats."""
+
+    def __init__(self, dt, natural_frequency, channels):
+        wn = self.wn = natural_frequency
+        e = math.exp(-wn * dt)
+        self.ad = ((e * (1.0 + wn * dt), e * dt),
+                   (e * (-wn * wn * dt), e * (1.0 - wn * dt)))
+        # 1 - e (1 + wn dt), written so it does not cancel for small wn dt
+        self.bd = (-math.expm1(-wn * dt) - wn * dt * e, e * wn * wn * dt)
+        self.x = [0.0] * channels
+        self.xd = [0.0] * channels
+
+    def reset_to(self, value):
+        self.x = [float(v) for v in value]
+        self.xd = [0.0] * len(self.x)
+
+    def step(self, target):
+        """Advance one sample toward target; returns the value, rate and
+        acceleration before the step."""
+        (a00, a01), (a10, a11) = self.ad
+        b0, b1 = self.bd
+        wn2, two_wn = self.wn ** 2, 2 * self.wn
+        x, xd = self.x, self.xd
+        acc, x_new, xd_new = [], [], []
+        for g, v, r in zip(target, x, xd):
+            acc.append(wn2 * (g - v) - two_wn * r)
+            x_new.append(a00 * v + a01 * r + b0 * g)
+            xd_new.append(a10 * v + a11 * r + b1 * g)
+        self.x, self.xd = x_new, xd_new
+        return x, xd, acc
+
+
+class GeoNdiController:
+    """Model-based geometric NDI: outer loop -> model inversion -> allocation."""
+
+    name = "geo"
+
+    def __init__(self, model, gains, dt):
+        self.model = model
+        self.gains = gains
+        self.shaper = ReferenceShaper(dt)
+
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
+
+    def tick(self, target_pos, target_rpy, inputs):
+        ref = self.shaper.step(target_pos, target_rpy)
+        nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
+                        inputs.q, inputs.gyro)
+        wrench = ndi_invert(nu, inputs.gyro, self.model)
+        return allocate(self.model.eff, inputs.q, wrench), ref
+
+
+class IndiController:
+    """Sensor-based incremental inversion.
+
+    The accelerometer, gyro and rotor-speed channels run through one
+    12-channel second-order low-pass filter, so their group delays match
+    by construction (Smeur, Chu & de Croon, JGCD 2016); the angular
+    acceleration is the backward difference of the filtered gyro.  The
+    commanded u is an increment on the *measured* rotor state, so after
+    saturation the next increment starts from what the actuators actually
+    achieved.
+    """
+
+    name = "indi"
+
+    def __init__(self, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,
+                 filter_damping=FILTER_DAMPING):
+        self.model = model
+        self.gains = gains
+        self.shaper = ReferenceShaper(dt)
+        # channels: specific force (3), gyro (3), squared rotor speeds (6)
+        self.feedback = SecondOrderFilter(
+            2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
+        self.d_gyro = FilteredDerivative(dt, 3)
+
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
+        self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
+                                *trim_cmd.u])
+        self.d_gyro.reset_to(0.0)
+
+    def tick(self, target_pos, target_rpy, inputs):
+        ref = self.shaper.step(target_pos, target_rpy)
+
+        u_meas = [w * abs(w) for w in inputs.rotor_w_meas]
+        filtered = self.feedback.step(
+            [*inputs.accel, *inputs.gyro, *u_meas])
+        accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
+
+        # the gyro channel is low-pass filtered like every other sensor
+        # path, so the rate error sees the same group delay
+        nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
+                        inputs.q, gyro_f)
+        ax, ay, az = mat_vec(rotmat_rows(inputs.q), accel_f)
+        omdot0 = self.d_gyro.step(gyro_f)
+
+        p = self.model.params
+        m = p.mass
+        vx, vy, vz = nu.v_p
+        increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
+                     *[j * (v - w)
+                       for j, v, w in zip(p.inertia, nu.v_att, omdot0)])
+        u = [a + b for a, b in zip(
+            solve_wrench(self.model.eff, inputs.q, increment), u0)]
+        return saturate(self.model.eff, u), ref
+
+
+def saturate(eff, u):
+    """Clamp squared-speed commands (any sequence of 6 numbers) into
+    actuator limits.  A NaN passes through, unflagged."""
+    lo, hi = eff.u_min, eff.u_max
+    clamped = tuple(lo if v < lo else hi if v > hi else v for v in u)
+    return ActuatorCommand(u=clamped, w_cmd=tuple(map(math.sqrt, clamped)),
+                           saturated=tuple(v < lo or v > hi for v in u))
+
+
+def solve_wrench(eff, q, wrench):
+    """The unclamped u solving F(q) u = wrench, as a list.
+
+    Uses the precomputed inverse of [F1; F2]; the attitude only rotates
+    the force rows, so F(q)^-1 = F0^-1 blkdiag(R^T, I).
+    """
+    fx, fy, fz, t1, t2, t3 = wrench
+    r1, r2, r3 = mat_t_vec(rotmat_rows(q), (fx, fy, fz))
+    return [a * r1 + b * r2 + c * r3 + d * t1 + e * t2 + f * t3
+            for a, b, c, d, e, f in eff.F0_inv_rows]
+
+
+def allocate(eff, q, wrench_demand):
+    """Solve F(q) u = wrench for the rotor commands, then clamp."""
+    return saturate(eff, solve_wrench(eff, q, wrench_demand))
+
+
+class DisturbanceSampler:
+    """Per-run disturbance source; holds the colored-noise gust state.
+
+    step(t) returns the total (world force, body moment), two 3-tuples
+    of floats, held over the truth step starting at t: the spec's values
+    inside [t_on, t_off), zero outside, plus the constant residual
+    wrench.  A gust adds to the force an Ornstein-Uhlenbeck process (std
+    gust_std, correlation time gust_corr_time) that advances on every
+    call; every other held value is computed once.
+
+    run_scenario steps it once before the loop and again at k = 0, and the
+    accelerometer at a tick sees the previous step's draw.
+    """
+
+    def __init__(self, spec, dt, rng, residual_force=(0.0, 0.0, 0.0),
+                 residual_moment=(0.0, 0.0, 0.0)):
+        self.spec = spec
+        self.rng = rng
+        self._ou = [0.0, 0.0, 0.0]
+        decay = np.exp(-dt / spec.gust_corr_time)
+        self._decay = float(decay)
+        self._diffusion = float(spec.gust_std * np.sqrt(1.0 - decay ** 2))
+        self._force = np.asarray(spec.force, dtype=float).tolist()
+        self._residual_force = np.asarray(residual_force, dtype=float).tolist()
+        zero = np.zeros(3)
+        self._off = (tuple((zero + residual_force).tolist()),
+                     tuple((zero + residual_moment).tolist()))
+        self._on = (tuple(((spec.force + zero) + residual_force).tolist()),
+                    tuple((spec.moment + residual_moment).tolist()))
+
+    def step(self, t):
+        spec = self.spec
+        if spec.kind == "gust":
+            a, s = self._decay, self._diffusion
+            self._ou = [a * o + s * n for o, n in
+                        zip(self._ou, self.rng.standard_normal(3).tolist())]
+        if spec.kind == "none" or not spec.t_on <= t < spec.t_off:
+            return self._off
+        if spec.kind == "gust":
+            return (tuple((f + o) + r for f, o, r in zip(
+                self._force, self._ou, self._residual_force)), self._on[1])
+        return self._on
+
+
+def synthesize_sensors(x, accel_world, noise, rng):
+    """Sensor outputs at the truth state x (a sequence laid out as the
+    state vector; a list of Python floats is fastest).
+
+    accel is the specific force R(q)^T (p_ddot + g e3); gyro and rotor
+    tachometers read the body rate and rotor speeds.  Per-channel white
+    Gaussian noise with sigma * scale, drawn as 12 normals per call in
+    the order accel, gyro, rotor.
+    """
+    ax, ay, az = accel_world
+    accel = mat_t_vec(rotmat_rows(x[Q]), (ax, ay, az + GRAVITY))
+    gyro, rotor = x[OMEGA], x[ROTOR_W]
+    s = noise.scale
+    if s > 0.0:
+        draws = rng.standard_normal(12).tolist()
+        sa, sg, sr = (s * noise.accel_sigma, s * noise.gyro_sigma,
+                      s * noise.rotor_sigma)
+        accel = [a + sa * d for a, d in zip(accel, draws[:3])]
+        gyro = [g + sg * d for g, d in zip(gyro, draws[3:6])]
+        rotor = [w + sr * d for w, d in zip(rotor, draws[6:])]
+    return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor)
+
+
+# ---------------------------------------------------------------------------
+# numpy oracles: the controller layers and the truth step as they were
+# written over numpy arrays, before the closed loop moved to Python
+# floats.  The float versions must match them to rounding.
+
+def numpy_attitude_error_vector(q_d, q_b):
+    e = quat_mul(q_d, quat_conj(q_b))
+    sign = 1.0 if e[0] >= 0.0 else -1.0
+    return 2.0 * sign * e[1:]
+
+
+def numpy_angular_rate_error(omega_b, omega_d, q_b, q_d):
+    return omega_b - quat_to_rotmat(q_b).T @ (quat_to_rotmat(q_d) @ omega_d)
+
+
+def numpy_euler_rate_matrix(roll, pitch):
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return np.array([[1.0, 0.0, -sp], [0.0, cr, sr * cp],
+                     [0.0, -sr, cr * cp]])
+
+
+def numpy_outer_loop(gains, ref, pos, vel, q, omega):
+    e_p = np.asarray(ref.p_d) - pos
+    e_v = np.asarray(ref.v_d) - vel
+    v_p = gains.k_p * e_p + gains.k_v * e_v + ref.a_d
+    e_q = numpy_attitude_error_vector(np.asarray(ref.q_d), q)
+    e_w = numpy_angular_rate_error(omega, np.asarray(ref.omega_d), q,
+                                   np.asarray(ref.q_d))
+    v_att = gains.k_q * e_q - gains.k_w * e_w + ref.omega_dot_d
+    return PseudoControl(v_p=v_p, v_att=v_att)
+
+
+def numpy_ndi_invert(nu, omega, model):
+    p = model.params
+    jw = np.asarray(p.inertia) * omega
+    force = p.mass * np.asarray(nu.v_p) + p.mass * GRAVITY * E3
+    torque = np.asarray(p.inertia) * nu.v_att + np.cross(omega, jw)
+    return np.concatenate([force, torque])
+
+
+def numpy_saturate(eff, u):
+    clamped = np.clip(u, eff.u_min, eff.u_max)
+    flags = (u < eff.u_min) | (u > eff.u_max)
+    return vehicle.ActuatorCommand(u=clamped, w_cmd=np.sqrt(clamped),
+                                   saturated=flags)
+
+
+def numpy_allocate(eff, q, wrench):
+    rot = quat_to_rotmat(q)
+    rhs = np.concatenate([rot.T @ wrench[:3], wrench[3:]])
+    return numpy_saturate(eff, eff.F0_inv @ rhs)
+
+
+class NumpyShapedAxes:
+    def __init__(self, dt, wn):
+        axes = _ShapedAxes(dt, wn, 3)
+        self.wn, self.ad, self.bd = wn, np.array(axes.ad), np.array(axes.bd)
+        self.x, self.xd = np.zeros(3), np.zeros(3)
+
+    def step(self, target):
+        target = np.asarray(target, dtype=float)
+        acc = self.wn ** 2 * (target - self.x) - 2 * self.wn * self.xd
+        x_new = (self.ad[0, 0] * self.x + self.ad[0, 1] * self.xd
+                 + self.bd[0] * target)
+        xd_new = (self.ad[1, 0] * self.x + self.ad[1, 1] * self.xd
+                  + self.bd[1] * target)
+        out = (self.x.copy(), self.xd.copy(), acc)
+        self.x, self.xd = x_new, xd_new
+        return out
+
+
+class NumpyShaper:
+    def __init__(self, dt):
+        self._pos = NumpyShapedAxes(dt, 4.0)
+        self._att = NumpyShapedAxes(dt, 12.0)
+
+    def reset_to(self, pos, rpy):
+        for axes, value in ((self._pos, pos), (self._att, rpy)):
+            axes.x = np.asarray(value, dtype=float).copy()
+            axes.xd = np.zeros(3)
+
+    def step(self, target_pos, target_rpy):
+        p_d, v_d, a_d = self._pos.step(target_pos)
+        rpy, rpy_rate, rpy_acc = self._att.step(target_rpy)
+        e = numpy_euler_rate_matrix(rpy[0], rpy[1])
+        return PoseReference(p_d=p_d, v_d=v_d, a_d=a_d,
+                             q_d=np.array(quat_from_rpy(*rpy)),
+                             omega_d=e @ rpy_rate, omega_dot_d=e @ rpy_acc)
+
+
+class NumpyBiquad:
+    def __init__(self, wn, damping, dt, channels):
+        k = 2.0 / dt
+        a0 = k * k + 2 * damping * wn * k + wn * wn
+        self.b = np.array([wn * wn, 2 * wn * wn, wn * wn]) / a0
+        self.a1 = (2 * wn * wn - 2 * k * k) / a0
+        self.a2 = (k * k - 2 * damping * wn * k + wn * wn) / a0
+        self.z1, self.z2 = np.zeros(channels), np.zeros(channels)
+
+    def reset_to(self, value):
+        self.z2 = (self.b[2] - self.a2) * value
+        self.z1 = (self.b[1] - self.a1) * value + self.z2
+
+    def step(self, x):
+        y = self.b[0] * x + self.z1
+        self.z1 = self.b[1] * x - self.a1 * y + self.z2
+        self.z2 = self.b[2] * x - self.a2 * y
+        return y
+
+
+class NumpyGeo:
+    def __init__(self, model, gains, dt):
+        self.model, self.gains, self.shaper = model, gains, NumpyShaper(dt)
+
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
+
+    def tick(self, target_pos, target_rpy, inputs):
+        ref = self.shaper.step(target_pos, target_rpy)
+        nu = numpy_outer_loop(self.gains, ref, inputs.pos, inputs.vel,
+                              inputs.q, inputs.gyro)
+        wrench = numpy_ndi_invert(nu, inputs.gyro, self.model)
+        return numpy_allocate(self.model.eff, inputs.q, wrench), ref
+
+
+class NumpyIndi:
+    def __init__(self, model, gains, dt):
+        self.model, self.gains, self.dt = model, gains, dt
+        self.shaper = NumpyShaper(dt)
+        self.feedback = NumpyBiquad(2 * np.pi * FILTER_CUTOFF_HZ,
+                                    FILTER_DAMPING, dt, 12)
+        self.prev_gyro = np.zeros(3)
+
+    def warm_start(self, pos, q, trim_cmd):
+        self.shaper.reset_to(pos, rpy_from_quat(q))
+        self.feedback.reset_to(
+            np.concatenate([GRAVITY * E3, np.zeros(3), trim_cmd.u]))
+        self.prev_gyro = np.zeros(3)
+
+    def tick(self, target_pos, target_rpy, inputs):
+        ref = self.shaper.step(target_pos, target_rpy)
+        rot = quat_to_rotmat(inputs.q)
+        u_meas = inputs.rotor_w_meas * np.abs(inputs.rotor_w_meas)
+        filtered = self.feedback.step(
+            np.concatenate([inputs.accel, inputs.gyro, u_meas]))
+        accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
+        nu = numpy_outer_loop(self.gains, ref, inputs.pos, inputs.vel,
+                              inputs.q, gyro_f)
+        pddot0 = rot @ accel_f - GRAVITY * E3
+        omdot0 = (gyro_f - self.prev_gyro) / self.dt
+        self.prev_gyro = gyro_f.copy()
+        p = self.model.params
+        force_inc = p.mass * (nu.v_p - pddot0)
+        torque_inc = np.asarray(p.inertia) * (nu.v_att - omdot0)
+        rhs = np.concatenate([rot.T @ force_inc, torque_inc])
+        u = self.model.eff.F0_inv @ rhs + u0
+        return numpy_saturate(self.model.eff, u), ref
+
+
+def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
+    """The numpy form of dyn.derivative over state vectors, kept as the
+    oracle of the scalar kernel."""
+    q, om, rotor_w = x[dyn.Q], x[dyn.OMEGA], x[dyn.ROTOR_W]
+    u = rotor_w * np.abs(rotor_w)
+    j = np.asarray(params.inertia)
+    force_w = (quat_to_rotmat(q) @ (eff.F1 @ u)
+               - params.mass * GRAVITY * E3 + dist_force)
+    torque = eff.F2 @ u - np.cross(om, j * om) + dist_moment
+    dx = np.empty(dyn.STATE_SIZE)
+    dx[dyn.P] = x[dyn.V]
+    dx[dyn.V] = force_w / params.mass
+    dx[dyn.Q] = quat_derivative(q, om)
+    dx[dyn.OMEGA] = torque / j
+    dx[dyn.ROTOR_W] = (w_cmd - rotor_w) / params.motor_time_constant
+    return dx
+
+
+def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
+    def f(s):
+        return numpy_derivative(s, params, eff, cmd.w_cmd, dist_force,
+                                dist_moment)
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    out[dyn.Q] /= np.linalg.norm(out[dyn.Q])
+    return out

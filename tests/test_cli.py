@@ -96,6 +96,7 @@ def test_missing_config_exits_2(tmp_path):
     (["--controller-freq", "0"], None),
     (["--controller-freq", "nan"], None),
     (["--noise-scale", "2"], None),
+    (["--seed", "-1"], None),
 ], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
         "duration-nan", "duration-inf", "residual-scale-inf",
         "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
@@ -106,7 +107,7 @@ def test_missing_config_exits_2(tmp_path):
         "duration-no-tick-after-warmup",
         "gust-exp1", "gust-exp2", "gust-exp4", "gust-exp5",
         "ini-gust-exp5", "controller-freq-123", "controller-freq-0",
-        "controller-freq-nan", "noise-scale-2"])
+        "controller-freq-nan", "noise-scale-2", "seed-negative"])
 def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
     # a bad input is a config error (exit 2), never a traceback; the
     # short duration comes first so a case's own --duration wins
@@ -325,7 +326,9 @@ def test_gains_and_filters_from_config(tmp_path):
     (["--jobs", "0"], None),
     ([], "[sweep]\njobs = -2\n"),
     ([], "[run]\ngust = true\n"),
-], ids=["repeats-0", "jobs-0", "ini-jobs-negative", "ini-gust"])
+    ([], "[run]\nseed = -1\n"),
+], ids=["repeats-0", "jobs-0", "ini-jobs-negative", "ini-gust",
+        "ini-seed-negative"])
 def test_sweep_zero_repeats_rejected(tmp_path, capsys, argv, ini):
     if ini is not None:
         (tmp_path / "c.ini").write_text(ini)

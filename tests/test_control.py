@@ -6,15 +6,16 @@ from scipy.linalg import expm
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
-from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING,
-                            ControllerInputs, Gains, GeoNdiController,
+from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
                             IndiController, PoseReference, PseudoControl,
                             ReferenceShaper, _ShapedAxes, make_controller,
                             make_model, ndi_invert, outer_loop)
 from hexsim.experiments import CONTROLLER_FREQS
-from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
-                             quat_to_rotmat, rpy_from_quat)
+from hexsim.geometry import E3, quat_from_rpy, quat_to_rotmat, rotmat
 from hexsim.vehicle import GRAVITY
+import oracles
+from oracles import (NumpyGeo, NumpyIndi, NumpyShaper, bits, numpy_allocate,
+                     numpy_ndi_invert, numpy_outer_loop, numpy_saturate)
 
 DT = 0.002  # 500 Hz
 HOVER_Q = np.array([1.0, 0, 0, 0])
@@ -84,7 +85,7 @@ def test_shaper_discretisation_matches_expm(freq, wn):
                   [-wn ** 2, -2.0 * wn, wn ** 2],
                   [0.0, 0.0, 0.0]])
     m = expm(a / freq)
-    axes = _ShapedAxes(1.0 / freq, wn, 3)
+    axes = _ShapedAxes(1.0 / freq, wn)
     np.testing.assert_allclose(axes.ad, m[:2, :2], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(axes.bd, m[:2, 2], rtol=1e-12, atol=0.0)
 
@@ -181,166 +182,6 @@ def test_make_controller_kinds(params):
     assert make_controller("indi", model, Gains(), DT).name == "indi"
     with pytest.raises(ValueError):
         make_controller("pid", model, Gains(), DT)
-
-
-# ---------------------------------------------------------------------------
-# numpy oracles: the controller layers as they were written over numpy
-# arrays, before the tick moved to Python floats.  The float versions must
-# match them to rounding.
-
-def numpy_attitude_error_vector(q_d, q_b):
-    e = quat_mul(q_d, quat_conj(q_b))
-    sign = 1.0 if e[0] >= 0.0 else -1.0
-    return 2.0 * sign * e[1:]
-
-
-def numpy_angular_rate_error(omega_b, omega_d, q_b, q_d):
-    return omega_b - quat_to_rotmat(q_b).T @ (quat_to_rotmat(q_d) @ omega_d)
-
-
-def numpy_euler_rate_matrix(roll, pitch):
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    return np.array([[1.0, 0.0, -sp], [0.0, cr, sr * cp],
-                     [0.0, -sr, cr * cp]])
-
-
-def numpy_outer_loop(gains, ref, pos, vel, q, omega):
-    e_p = np.asarray(ref.p_d) - pos
-    e_v = np.asarray(ref.v_d) - vel
-    v_p = gains.k_p * e_p + gains.k_v * e_v + ref.a_d
-    e_q = numpy_attitude_error_vector(np.asarray(ref.q_d), q)
-    e_w = numpy_angular_rate_error(omega, np.asarray(ref.omega_d), q,
-                                   np.asarray(ref.q_d))
-    v_att = gains.k_q * e_q - gains.k_w * e_w + ref.omega_dot_d
-    return PseudoControl(v_p=v_p, v_att=v_att)
-
-
-def numpy_ndi_invert(nu, omega, model):
-    p = model.params
-    jw = np.asarray(p.inertia) * omega
-    force = p.mass * np.asarray(nu.v_p) + p.mass * GRAVITY * E3
-    torque = np.asarray(p.inertia) * nu.v_att + np.cross(omega, jw)
-    return np.concatenate([force, torque])
-
-
-def numpy_saturate(eff, u):
-    clamped = np.clip(u, eff.u_min, eff.u_max)
-    flags = (u < eff.u_min) | (u > eff.u_max)
-    return vehicle.ActuatorCommand(u=clamped, w_cmd=np.sqrt(clamped),
-                                   saturated=flags)
-
-
-def numpy_allocate(eff, q, wrench):
-    rot = quat_to_rotmat(q)
-    rhs = np.concatenate([rot.T @ wrench[:3], wrench[3:]])
-    return numpy_saturate(eff, eff.F0_inv @ rhs)
-
-
-class NumpyShapedAxes:
-    def __init__(self, dt, wn):
-        axes = _ShapedAxes(dt, wn, 3)
-        self.wn, self.ad, self.bd = wn, np.array(axes.ad), np.array(axes.bd)
-        self.x, self.xd = np.zeros(3), np.zeros(3)
-
-    def step(self, target):
-        target = np.asarray(target, dtype=float)
-        acc = self.wn ** 2 * (target - self.x) - 2 * self.wn * self.xd
-        x_new = (self.ad[0, 0] * self.x + self.ad[0, 1] * self.xd
-                 + self.bd[0] * target)
-        xd_new = (self.ad[1, 0] * self.x + self.ad[1, 1] * self.xd
-                  + self.bd[1] * target)
-        out = (self.x.copy(), self.xd.copy(), acc)
-        self.x, self.xd = x_new, xd_new
-        return out
-
-
-class NumpyShaper:
-    def __init__(self, dt):
-        self._pos = NumpyShapedAxes(dt, 4.0)
-        self._att = NumpyShapedAxes(dt, 12.0)
-
-    def reset_to(self, pos, rpy):
-        for axes, value in ((self._pos, pos), (self._att, rpy)):
-            axes.x = np.asarray(value, dtype=float).copy()
-            axes.xd = np.zeros(3)
-
-    def step(self, target_pos, target_rpy):
-        p_d, v_d, a_d = self._pos.step(target_pos)
-        rpy, rpy_rate, rpy_acc = self._att.step(target_rpy)
-        e = numpy_euler_rate_matrix(rpy[0], rpy[1])
-        return PoseReference(p_d=p_d, v_d=v_d, a_d=a_d,
-                             q_d=np.array(quat_from_rpy(*rpy)),
-                             omega_d=e @ rpy_rate, omega_dot_d=e @ rpy_acc)
-
-
-class NumpyBiquad:
-    def __init__(self, wn, damping, dt, channels):
-        k = 2.0 / dt
-        a0 = k * k + 2 * damping * wn * k + wn * wn
-        self.b = np.array([wn * wn, 2 * wn * wn, wn * wn]) / a0
-        self.a1 = (2 * wn * wn - 2 * k * k) / a0
-        self.a2 = (k * k - 2 * damping * wn * k + wn * wn) / a0
-        self.z1, self.z2 = np.zeros(channels), np.zeros(channels)
-
-    def reset_to(self, value):
-        self.z2 = (self.b[2] - self.a2) * value
-        self.z1 = (self.b[1] - self.a1) * value + self.z2
-
-    def step(self, x):
-        y = self.b[0] * x + self.z1
-        self.z1 = self.b[1] * x - self.a1 * y + self.z2
-        self.z2 = self.b[2] * x - self.a2 * y
-        return y
-
-
-class NumpyGeo:
-    def __init__(self, model, gains, dt):
-        self.model, self.gains, self.shaper = model, gains, NumpyShaper(dt)
-
-    def warm_start(self, pos, q, trim_cmd):
-        self.shaper.reset_to(pos, rpy_from_quat(q))
-
-    def tick(self, target_pos, target_rpy, inputs):
-        ref = self.shaper.step(target_pos, target_rpy)
-        nu = numpy_outer_loop(self.gains, ref, inputs.pos, inputs.vel,
-                              inputs.q, inputs.gyro)
-        wrench = numpy_ndi_invert(nu, inputs.gyro, self.model)
-        return numpy_allocate(self.model.eff, inputs.q, wrench), ref
-
-
-class NumpyIndi:
-    def __init__(self, model, gains, dt):
-        self.model, self.gains, self.dt = model, gains, dt
-        self.shaper = NumpyShaper(dt)
-        self.feedback = NumpyBiquad(2 * np.pi * FILTER_CUTOFF_HZ,
-                                    FILTER_DAMPING, dt, 12)
-        self.prev_gyro = np.zeros(3)
-
-    def warm_start(self, pos, q, trim_cmd):
-        self.shaper.reset_to(pos, rpy_from_quat(q))
-        self.feedback.reset_to(
-            np.concatenate([GRAVITY * E3, np.zeros(3), trim_cmd.u]))
-        self.prev_gyro = np.zeros(3)
-
-    def tick(self, target_pos, target_rpy, inputs):
-        ref = self.shaper.step(target_pos, target_rpy)
-        rot = quat_to_rotmat(inputs.q)
-        u_meas = inputs.rotor_w_meas * np.abs(inputs.rotor_w_meas)
-        filtered = self.feedback.step(
-            np.concatenate([inputs.accel, inputs.gyro, u_meas]))
-        accel_f, gyro_f, u0 = filtered[:3], filtered[3:6], filtered[6:]
-        nu = numpy_outer_loop(self.gains, ref, inputs.pos, inputs.vel,
-                              inputs.q, gyro_f)
-        pddot0 = rot @ accel_f - GRAVITY * E3
-        omdot0 = (gyro_f - self.prev_gyro) / self.dt
-        self.prev_gyro = gyro_f.copy()
-        p = self.model.params
-        force_inc = p.mass * (nu.v_p - pddot0)
-        torque_inc = np.asarray(p.inertia) * (nu.v_att - omdot0)
-        rhs = np.concatenate([rot.T @ force_inc, torque_inc])
-        u = self.model.eff.F0_inv @ rhs + u0
-        return numpy_saturate(self.model.eff, u), ref
 
 
 def random_unit_quat(rng):
@@ -492,5 +333,133 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
         cmd_o, ref_o = oracle.tick(target_pos, target_rpy, as_arrays(inputs))
         assert_command_close(cmd, cmd_o)
         assert_reference_close(ref, ref_o)
+        for _ in range(4):
+            x = dyn.step(x, params, eff, cmd, zero, zero, dyn.SIM_DT)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracles: the straight-line tick against the forms it
+# replaced (oracles.py), compared with float.hex so a zero keeps its sign
+
+def assert_same_reference(ref, oracle):
+    for name in ("p_d", "v_d", "a_d", "q_d", "omega_d", "omega_dot_d"):
+        assert bits(getattr(ref, name)) == bits(getattr(oracle, name)), name
+
+
+def assert_same_command(cmd, oracle):
+    assert bits(cmd.u) == bits(oracle.u)
+    assert bits(cmd.w_cmd) == bits(oracle.w_cmd)
+    assert cmd.saturated == oracle.saturated
+
+
+def random_targets(rng, case):
+    """A position and attitude target; every fourth case draws zeros of
+    either sign, where the Euler-rate product could lose a sign."""
+    if case % 4 == 0:
+        return (tuple(rng.choice([0.0, -0.0], 3).tolist()),
+                tuple(rng.choice([0.0, -0.0], 3).tolist()))
+    return (tuple(rng.normal(size=3).tolist()),
+            tuple(rng.uniform(-0.8, 0.8, 3).tolist()))
+
+
+@pytest.mark.parametrize("dt", [DT, 0.02])
+def test_shaper_equals_float_oracle(rng, dt):
+    for case in range(300):
+        shaper, oracle = ReferenceShaper(dt), oracles.ReferenceShaper(dt)
+        pos, rpy = random_targets(rng, case)
+        shaper.reset_to(pos, rpy)
+        oracle.reset_to(pos, rpy)
+        for _ in range(2):
+            target_pos, target_rpy = random_targets(rng, case)
+            assert_same_reference(shaper.step(target_pos, target_rpy),
+                                  oracle.step(target_pos, target_rpy))
+
+
+def test_outer_loop_equals_float_oracle(params, rng):
+    gains = Gains(k_p=5.0, k_v=3.5, k_q=150.0, k_w=22.0)
+    for _ in range(300):
+        ref = random_reference(rng)
+        ref = PoseReference(**{k: v.tolist() for k, v in ref.__dict__.items()})
+        inputs = random_inputs(rng, params)
+        expected = oracles.outer_loop(gains, ref, inputs.pos, inputs.vel,
+                                      inputs.q, inputs.gyro)
+        for rot in (None, rotmat(inputs.q)):
+            nu = outer_loop(gains, ref, inputs.pos, inputs.vel, inputs.q,
+                            inputs.gyro, rot)
+            assert bits(nu.v_p) == bits(expected.v_p)
+            assert bits(nu.v_att) == bits(expected.v_att)
+
+
+def test_allocation_equals_float_oracle(params, eff, rng):
+    hover = params.mass * GRAVITY
+    for case in range(300):
+        q = random_unit_quat(rng).tolist()
+        body_force = [rng.normal(0.0, 6.0), rng.normal(0.0, 6.0),
+                      hover * rng.uniform(0.5, 2.5)]
+        wrench = (quat_to_rotmat(q) @ body_force).tolist() + rng.normal(
+            0.0, 1.0, 3).tolist()
+        expected = oracles.solve_wrench(eff, q, wrench)
+        for rot in (None, rotmat(q)):
+            assert bits(vehicle.solve_wrench(eff, q, wrench, rot)) == bits(
+                expected)
+            assert_same_command(vehicle.allocate(eff, q, wrench, rot),
+                                oracles.allocate(eff, q, wrench))
+        # inside, outside and exactly on the limits, and a NaN
+        u = rng.uniform(0.0, 1.5 * eff.u_max, 6).tolist()
+        u[case % 6] = (eff.u_min, eff.u_max, math.nan)[case % 3]
+        assert_same_command(vehicle.saturate(eff, u),
+                            oracles.saturate(eff, u))
+
+
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+def test_tick_equals_float_oracle(params, trim, rng, kind):
+    oracle_cls = {"geo": oracles.GeoNdiController,
+                  "indi": oracles.IndiController}[kind]
+    model = make_model(params, 0.8)
+    for case in range(300):
+        ctrl = make_controller(kind, model, Gains(), DT)
+        oracle = oracle_cls(model, Gains(), DT)
+        pos, q = rng.normal(size=3), random_unit_quat(rng)
+        ctrl.warm_start(pos, q, trim)
+        oracle.warm_start(pos, q, trim)
+        for _ in range(3):
+            inputs = random_inputs(rng, params)
+            target_pos, target_rpy = random_targets(rng, case)
+            cmd, ref = ctrl.tick(target_pos, target_rpy, inputs)
+            cmd_o, ref_o = oracle.tick(target_pos, target_rpy, inputs)
+            assert_same_command(cmd, cmd_o)
+            assert_same_reference(ref, ref_o)
+
+
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
+    # 600 closed-loop ticks at 500 Hz with noisy sensors, flying a
+    # position and attitude step; the oracle tick sees the same inputs
+    oracle_cls = {"geo": oracles.GeoNdiController,
+                  "indi": oracles.IndiController}[kind]
+    model = make_model(params, 0.9)
+    ctrl = make_controller(kind, model, Gains(), DT)
+    oracle = oracle_cls(model, Gains(), DT)
+    ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
+    oracle.warm_start(np.zeros(3), HOVER_Q, trim)
+    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
+    rng, rng_o = np.random.default_rng(11), np.random.default_rng(11)
+    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
+                 trim.w_cmd).tolist()
+    zero = (0.0, 0.0, 0.0)
+    for tick in range(600):
+        target_pos = (0.5, -0.3, 0.2) if tick >= 50 else zero
+        target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
+        accel = dyn.acceleration(x, params, eff, zero)
+        sensors = dyn.synthesize_sensors(x, accel, noise, rng)
+        sensors_o = oracles.synthesize_sensors(x, accel, noise, rng_o)
+        assert bits(vars(sensors).values()) == bits(vars(sensors_o).values())
+        inputs = ControllerInputs(
+            pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=sensors.gyro,
+            accel=sensors.accel, rotor_w_meas=sensors.rotor_w_meas)
+        cmd, ref = ctrl.tick(target_pos, target_rpy, inputs)
+        cmd_o, ref_o = oracle.tick(target_pos, target_rpy, inputs)
+        assert_same_command(cmd, cmd_o)
+        assert_same_reference(ref, ref_o)
         for _ in range(4):
             x = dyn.step(x, params, eff, cmd, zero, zero, dyn.SIM_DT)

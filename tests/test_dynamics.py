@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
-from hexsim.geometry import E3, quat_to_rotmat
+from hexsim.geometry import E3
 from hexsim.vehicle import GRAVITY
 import oracles
-from oracles import quat_derivative
+from oracles import bits, numpy_step
 
 
 def hover_state(trim):
@@ -171,6 +171,45 @@ def test_sensor_noise_scales(params, eff, trim):
     assert samples.std() == pytest.approx(3.0 * 0.02, rel=0.05)
 
 
+@pytest.mark.parametrize("rotor_sigma", [0.0, 1.0])
+def test_sensors_equal_float_oracle(params, eff, rng, rotor_sigma):
+    # noiseless and every noise level of exp5, with the same stream
+    for case in range(300):
+        x, _, dist_f, _ = random_case(params, rng)
+        x = x.tolist()
+        accel_w = dyn.acceleration(x, params, eff, dist_f.tolist())
+        noise = dyn.NoiseSpec(rotor_sigma=rotor_sigma,
+                              scale=np.sqrt((0, 1, 3, 7, 15, 31)[case % 6]))
+        seed = int(rng.integers(2 ** 32))
+        got = dyn.synthesize_sensors(x, accel_w, noise,
+                                     np.random.default_rng(seed))
+        want = oracles.synthesize_sensors(x, accel_w, noise,
+                                          np.random.default_rng(seed))
+        assert bits(vars(got).values()) == bits(vars(want).values())
+
+
+@pytest.mark.parametrize("kind", ["none", "constant_load", "gust"])
+def test_sampler_equals_float_oracle(rng, kind):
+    # 300 random specs and residuals, each stepped across its window;
+    # both samplers draw from generators of one seed
+    for _ in range(300):
+        t_on = float(rng.uniform(0.0, 0.005))
+        spec = dyn.DisturbanceSpec(
+            kind=kind, force=rng.normal(0.0, 2.0, 3),
+            moment=rng.normal(0.0, 0.5, 3), t_on=t_on, t_off=t_on + 0.004,
+            gust_std=float(rng.uniform(0.1, 2.0)),
+            gust_corr_time=float(rng.uniform(0.01, 1.0)))
+        residual = rng.normal(0.0, 2.0, 3), rng.normal(0.0, 0.1, 3)
+        seed = int(rng.integers(2 ** 32))
+        got = dyn.DisturbanceSampler(spec, dyn.SIM_DT,
+                                     np.random.default_rng(seed), *residual)
+        want = oracles.DisturbanceSampler(
+            spec, dyn.SIM_DT, np.random.default_rng(seed), *residual)
+        for k in range(20):
+            t = k * dyn.SIM_DT
+            assert bits(got.step(t)) == bits(want.step(t))
+
+
 def test_rk4_order(params, eff, trim):
     def propagate(h):
         st = dyn.pack(
@@ -188,37 +227,6 @@ def test_rk4_order(params, eff, trim):
     e1 = np.linalg.norm(x1 - x4)
     e2 = np.linalg.norm(x2 - x4)
     assert e1 / e2 >= 12.0
-
-
-def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
-    """The numpy form of dyn.derivative over state vectors, kept as the
-    oracle of the scalar kernel."""
-    q, om, rotor_w = x[dyn.Q], x[dyn.OMEGA], x[dyn.ROTOR_W]
-    u = rotor_w * np.abs(rotor_w)
-    j = np.asarray(params.inertia)
-    force_w = (quat_to_rotmat(q) @ (eff.F1 @ u)
-               - params.mass * GRAVITY * E3 + dist_force)
-    torque = eff.F2 @ u - np.cross(om, j * om) + dist_moment
-    dx = np.empty(dyn.STATE_SIZE)
-    dx[dyn.P] = x[dyn.V]
-    dx[dyn.V] = force_w / params.mass
-    dx[dyn.Q] = quat_derivative(q, om)
-    dx[dyn.OMEGA] = torque / j
-    dx[dyn.ROTOR_W] = (w_cmd - rotor_w) / params.motor_time_constant
-    return dx
-
-
-def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
-    def f(s):
-        return numpy_derivative(s, params, eff, cmd.w_cmd, dist_force,
-                                dist_moment)
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    out[dyn.Q] /= np.linalg.norm(out[dyn.Q])
-    return out
 
 
 def random_case(params, rng):

@@ -3,9 +3,9 @@
 The benchmark's per-layer trace wraps named functions at their module
 attributes (or on their class) and reads, among others, one
 dynamics.step call per truth step and one DisturbanceSampler.step call
-per disturbance draw.  These tests keep run_scenario making exactly
-those calls through the wrappable attributes, and every traced name
-resolving.  The benchmark file is only read for its TARGETS table.
+per disturbance draw, and one call of each controller layer per tick.
+These tests keep run_scenario making exactly those calls through the
+wrappable attributes, and every traced name resolving.  The benchmark file is only read for its TARGETS table.
 """
 
 import importlib
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from hexsim import control, filters, vehicle
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 
@@ -77,3 +78,35 @@ def test_run_scenario_makes_the_traced_calls(monkeypatch, scenario_id,
     # one truth step per step; one draw before the loop and one per step
     assert steps[0] == n_steps
     assert draws[0] == n_steps + 1
+
+
+@pytest.mark.parametrize("controller", ["geo", "indi"])
+def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
+    counts = {
+        "tick": count_calls(monkeypatch, control.GeoNdiController, "tick"),
+        "other_tick": count_calls(monkeypatch, control.IndiController,
+                                  "tick"),
+        "shaper": count_calls(monkeypatch, control.ReferenceShaper, "step"),
+        "outer_loop": count_calls(monkeypatch, control, "outer_loop"),
+        "ndi_invert": count_calls(monkeypatch, control, "ndi_invert"),
+        "allocate": count_calls(monkeypatch, vehicle, "allocate"),
+        "saturate": count_calls(monkeypatch, vehicle, "saturate"),
+        "filter": count_calls(monkeypatch, filters.SecondOrderFilter, "step"),
+        "derivative": count_calls(monkeypatch, filters.FilteredDerivative,
+                                  "step"),
+    }
+    if controller == "indi":
+        counts["tick"], counts["other_tick"] = (counts["other_tick"],
+                                                counts["tick"])
+    scenario = ex.build_scenario("exp5", controller,
+                                 {"duration": 2.1, "noise_scale": 7})
+    n_sub, n_steps = ex._clock(scenario)
+    ex.run_scenario(scenario)
+    ticks = (n_steps + n_sub - 1) // n_sub
+    # the hover trim is allocated (and so saturated) once before the loop
+    geo = controller == "geo"
+    assert {name: calls[0] for name, calls in counts.items()} == {
+        "tick": ticks, "other_tick": 0, "shaper": ticks,
+        "outer_loop": ticks, "ndi_invert": ticks if geo else 0,
+        "allocate": 1 + (ticks if geo else 0), "saturate": 1 + ticks,
+        "filter": 0 if geo else ticks, "derivative": 0 if geo else ticks}
