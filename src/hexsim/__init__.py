@@ -5,8 +5,7 @@ scenario harness behind the comparison studies."""
 __version__ = "0.1.0"
 
 from .control import Gains, GeoNdiController, IndiController, make_model
-from .dynamics import (DisturbanceSpec, NoiseSpec, NonFiniteState,
-                       SensorReadings)
+from .dynamics import DisturbanceSpec, NonFiniteState
 from .experiments import RunMetrics, Scenario, build_scenario, repeat_runs, \
     run_scenario
 from .vehicle import (ActuatorCommand, DegenerateGeometry,

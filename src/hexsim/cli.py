@@ -6,10 +6,11 @@ rejected.  Command-line flags override config keys.  All artifacts embed
 the fully resolved configuration and the seed so they are
 self-describing.
 
-Exit codes: 0 success, 2 config error, 3 simulation divergence (for a
-sweep: any cell diverged; the other cells are still written), 4 IO
-error.  A divergence prints its time, scenario, seed and last finite
-state to stderr.
+Exit codes: 0 success, 2 config error (also a `validate` FAIL, and a
+`run` or `sweep` of a platform whose hover trim saturates), 3 simulation
+divergence (for a sweep: any cell diverged; the other cells are still
+written), 4 IO error.  A divergence prints its time, scenario, seed and
+last finite state to stderr.
 """
 
 import argparse
@@ -41,7 +42,7 @@ class ConfigError(Exception):
 # every config key and its type; a setting's flag is typed the same
 _SECTIONS = {
     "run": {"scenario": str, "controller": str, "controller_freq": float,
-            "cf_mismatch": float, "noise_scale": int, "seed": int,
+            "cf_mismatch": float, "noise_scale": float, "seed": int,
             "duration": float, "gust": bool, "residual_scale": float,
             "out": str},
     "gains": {f.name: float for f in dataclasses.fields(Gains)},
@@ -206,7 +207,6 @@ def write_log_csv(path, log):
 
 
 def write_metrics_json(path, metrics, config, scenario):
-    import scipy
     doc = {
         "metrics": metrics.as_dict(),
         "config": _resolved_config(config, scenario),
@@ -214,7 +214,6 @@ def write_metrics_json(path, metrics, config, scenario):
         "versions": {
             "hexsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }
@@ -226,10 +225,22 @@ def write_metrics_json(path, metrics, config, scenario):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def require_hover(params):
+    """Raise ConfigError if the platform's hover trim saturates a rotor:
+    a platform that cannot hover is not flown.  A rotor layout that
+    cannot span all six wrench axes raises DegenerateGeometry first."""
+    trim = vehicle.hover_command(params, vehicle.build_effectiveness(params))
+    if any(trim.saturated):
+        raise ConfigError(
+            f"hover trim outside actuator limits [{params.w_min:.2f}, "
+            f"{params.w_max:.2f}] rad/s: the platform cannot hover")
+
+
 def cmd_run(config):
     from pathlib import Path
     params = build_params(config)
     scenario = build_run_scenario(config)
+    require_hover(params)
     out_dir = Path(config["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     log, metrics = experiments.run_scenario(scenario, params)
@@ -277,6 +288,7 @@ def cmd_sweep(config):
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
         raise ConfigError("sweep jobs must be >= 1")
+    require_hover(build_params(config))
     values = _SWEEP_AXES[axis][2]
     cells = [(controller, axis, value, repeats, config)
              for controller in ("geo", "indi") for value in values]
@@ -334,21 +346,19 @@ def cmd_validate(config):
     except vehicle.DegenerateGeometry as exc:
         print(f"effectiveness: DEGENERATE ({exc})")
         print("result: FAIL")
-        return EXIT_OK
+        return EXIT_CONFIG
     print(f"effectiveness rank: 6, condition number: "
           f"{eff.condition_number:.3f}")
     trim = vehicle.hover_command(params, eff)
     print("hover trim speeds (rad/s): "
           + " ".join(f"{w:.2f}" for w in trim.w_cmd))
-    within = all(params.w_min <= w <= params.w_max for w in trim.w_cmd)
-    if any(trim.saturated) or not within:
-        print(f"trim outside actuator limits "
-              f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s")
+    limits = f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s"
+    if any(trim.saturated):
+        print(f"trim outside actuator limits {limits}")
         print("result: FAIL")
-    else:
-        print(f"trim within actuator limits "
-              f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s")
-        print("result: OK")
+        return EXIT_CONFIG
+    print(f"trim within actuator limits {limits}")
+    print("result: OK")
     return EXIT_OK
 
 

@@ -262,7 +262,7 @@ class IndiController:
         self.shaper.reset_to(pos, rpy_from_quat(q))
         self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
                                 *trim_cmd.u])
-        self.d_gyro.reset_to(0.0)
+        self.d_gyro.reset_to([0.0, 0.0, 0.0])
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)

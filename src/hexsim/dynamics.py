@@ -297,46 +297,35 @@ def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     return kernel_step(x, cmd.w_cmd, dist_force, dist_moment, dt)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    gyro_sigma: float = 0.02     # rad/s
-    accel_sigma: float = 0.05    # m/s^2
-    rotor_sigma: float = 1.0     # rad/s
-    scale: float = 0.0           # experiment factor applied to all sigmas
+GYRO_SIGMA = 0.02    # rad/s, gyro white noise at noise scale 1
+ACCEL_SIGMA = 0.05   # m/s^2, accelerometer white noise at noise scale 1
 
 
-@dataclass
-class SensorReadings:
-    accel: list          # specific force, body, m/s^2
-    gyro: list           # rad/s, body
-    rotor_w_meas: list   # rad/s
+def synthesize_sensors(x, accel_world, scale, rng):
+    """Sensor outputs (accel, gyro, rotor_w_meas) at the truth state x (a
+    sequence laid out as the state vector; a list of Python floats is
+    fastest).
 
-
-def synthesize_sensors(x, accel_world, noise, rng):
-    """Sensor outputs at the truth state x (a sequence laid out as the
-    state vector; a list of Python floats is fastest).
-
-    accel is the specific force R(q)^T (p_ddot + g e3); gyro and rotor
-    tachometers read the body rate and rotor speeds.  Per-channel white
-    Gaussian noise with sigma * scale, drawn as 12 normals per call in
-    the order accel, gyro, rotor.
+    accel is the specific force R(q)^T (p_ddot + g e3); gyro and the
+    rotor tachometers read the body rate and the rotor speeds.  For
+    scale > 0 the accel and gyro channels add white Gaussian noise with
+    sigma ACCEL_SIGMA * scale and GYRO_SIGMA * scale; the tachometers
+    stay noise-free.
     """
     ax, ay, az = accel_world
     az = az + GRAVITY
     a, b, c, d, e, f, g, h, i = rotmat(x[Q])
     accel = [a * ax + d * ay + g * az, b * ax + e * ay + h * az,
              c * ax + f * ay + i * az]
-    gyro, rotor = x[OMEGA], x[ROTOR_W]
-    s = noise.scale
-    if s > 0.0:
-        n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12 = (
-            rng.standard_normal(12).tolist())
-        sa, sg, sr = (s * noise.accel_sigma, s * noise.gyro_sigma,
-                      s * noise.rotor_sigma)
+    gyro = x[OMEGA]
+    if scale > 0.0:
+        # 12 normals a call, in the order accel, gyro, rotor.  The six
+        # rotor draws go unused; drawing them keeps every later draw of
+        # the shared stream (the next ticks' noise and the gust) equal to
+        # the stored references'
+        n1, n2, n3, n4, n5, n6 = rng.standard_normal(12).tolist()[:6]
+        sa, sg = scale * ACCEL_SIGMA, scale * GYRO_SIGMA
         (a1, a2, a3), (g1, g2, g3) = accel, gyro
-        w1, w2, w3, w4, w5, w6 = rotor
         accel = [a1 + sa * n1, a2 + sa * n2, a3 + sa * n3]
         gyro = [g1 + sg * n4, g2 + sg * n5, g3 + sg * n6]
-        rotor = [w1 + sr * n7, w2 + sr * n8, w3 + sr * n9,
-                 w4 + sr * n10, w5 + sr * n11, w6 + sr * n12]
-    return SensorReadings(accel=accel, gyro=gyro, rotor_w_meas=rotor)
+    return accel, gyro, x[ROTOR_W]

@@ -30,7 +30,7 @@ from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerInputs,
 from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
-NOISE_SCALES = (0, 1, 3, 7, 15, 31)
+NOISE_SCALES = (0, 1, 3, 7, 15, 31)  # the exp5 sweep grid
 
 POSE_RATE_HZ = 250.0
 WARMUP_S = 2.0   # excluded from all metric windows
@@ -100,12 +100,12 @@ class Scenario:
             raise ValueError(
                 f"controller_freq must be {1 / dyn.SIM_DT:g} Hz over a "
                 f"whole number of truth steps, not {self.controller_freq}")
-        if self.noise_scale not in NOISE_SCALES:
-            raise ValueError(f"noise_scale must be one of {NOISE_SCALES}")
-        for name in ("duration", "cf_mismatch", "residual_scale",
-                     "filter_cutoff_hz"):
+        for name in ("duration", "cf_mismatch", "noise_scale",
+                     "residual_scale", "filter_cutoff_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.noise_scale < 0:
+            raise ValueError("noise_scale must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.cf_mismatch <= 0:
@@ -266,8 +266,8 @@ def run_scenario(scenario, params=None):
     pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
 
     rng = np.random.default_rng(scenario.seed)
-    noise = dyn.NoiseSpec(rotor_sigma=0.0,
-                          scale=math.sqrt(scenario.noise_scale))
+    # noise_scale multiplies the noise variances, so sigma goes with its root
+    sigma_scale = math.sqrt(scenario.noise_scale)
 
     controller = make_controller(
         scenario.controller, model, scenario.gains, dt_c,
@@ -304,16 +304,16 @@ def run_scenario(scenario, params=None):
                 pose_p, pose_q = x[dyn.P], x[dyn.Q]
             if k % n_sub == 0:
                 accel_w = dyn.acceleration(x, params, eff, force)
-                sensors = dyn.synthesize_sensors(x, accel_w, noise, rng)
+                accel, gyro, w_meas = dyn.synthesize_sensors(
+                    x, accel_w, sigma_scale, rng)
                 inputs = ControllerInputs(
-                    pos=pose_p, vel=x[dyn.V], q=pose_q,
-                    gyro=sensors.gyro, accel=sensors.accel,
-                    rotor_w_meas=sensors.rotor_w_meas)
+                    pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
+                    accel=accel, rotor_w_meas=w_meas)
                 target_pos, target_rpy = _script_target(scenario.script,
                                                         times, t)
                 cmd, ref = controller.tick(target_pos, target_rpy, inputs)
                 rows[tick] = (*x, *ref.p_d, *ref.v_d, *ref.q_d, *ref.omega_d,
-                              *cmd.u, *cmd.w_cmd, *sensors.rotor_w_meas,
+                              *cmd.u, *cmd.w_cmd, *w_meas,
                               *cmd.saturated)
                 tick += 1
             force, moment = sampler.step(t)
@@ -344,17 +344,17 @@ def run_scenario(scenario, params=None):
         try:
             metrics.roll_rise_time = rise_time(
                 log["t"], log["rpy"][:, 0], onset=5.0,
-                magnitude=math.radians(8.0), baseline=0.0)
+                magnitude=math.radians(8.0))
         except NotReached:
             metrics.roll_rise_time = float("nan")
     return log, metrics
 
 
-def rise_time(t, signal, onset, magnitude, baseline=0.0):
-    """10%-90% rise time of `signal` after a step of `magnitude` commanded
-    at `onset`.  Raises NotReached if 90% is never attained."""
+def rise_time(t, signal, onset, magnitude):
+    """10%-90% rise time of `signal` after a step of `magnitude` from zero
+    commanded at `onset`.  Raises NotReached if 90% is never attained."""
     mask = t >= onset
-    ts, ys = t[mask], (signal[mask] - baseline) / magnitude
+    ts, ys = t[mask], signal[mask] / magnitude
     above90 = np.nonzero(ys >= 0.9)[0]
     if len(above90) == 0:
         raise NotReached("signal never reached 90% of the step")
@@ -386,17 +386,16 @@ def error_statistics(log, window):
     )
 
 
-def repeat_runs(scenario, n, seed_base=None, params=None):
-    """n runs with consecutive seeds.  The aggregate is error_statistics
-    over the samples of all runs pooled, plus the mean roll rise time.
-    Returns (aggregate RunMetrics, per-run list)."""
+def repeat_runs(scenario, n, params=None):
+    """n runs with consecutive seeds from scenario.seed on.  The aggregate
+    is error_statistics over the samples of all runs pooled, plus the mean
+    roll rise time.  Returns (aggregate RunMetrics, per-run list)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    seed_base = scenario.seed if seed_base is None else seed_base
     per_run, samples = [], []
     for i in range(n):
-        log, metrics = run_scenario(replace(scenario, seed=seed_base + i),
-                                    params)
+        log, metrics = run_scenario(
+            replace(scenario, seed=scenario.seed + i), params)
         per_run.append(metrics)
         samples.append({key: log[key] for key in ("t", "e_p", "e_att_deg")})
     pooled = {key: np.concatenate([run[key] for run in samples])

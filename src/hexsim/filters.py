@@ -6,17 +6,13 @@ group delay; the rotational acceleration is obtained by differentiating
 the filtered gyro signal.
 """
 
-import numpy as np
 
-
-def _as_floats(x, channels):
-    """A new list of Python floats from x: one value per channel, or a
-    scalar for all of them.  Raises ValueError for any other length."""
-    if isinstance(x, list):
-        if len(x) != channels:
-            raise ValueError(f"expected {channels} values, got {len(x)}")
-        return list(x)
-    return np.broadcast_to(np.asarray(x, dtype=float), (channels,)).tolist()
+def _as_list(x, channels):
+    """A new list of the values of the sequence x, which must hold one
+    value per channel; raises ValueError for any other length."""
+    if len(x) != channels:
+        raise ValueError(f"expected {channels} values, got {len(x)}")
+    return list(x)
 
 
 class SecondOrderFilter:
@@ -43,20 +39,21 @@ class SecondOrderFilter:
         self._z2 = [0.0] * channels
 
     def reset_to(self, value):
-        """Set the internal state so a constant input `value` passes
-        through unchanged (steady-state warm start)."""
+        """Set the internal state so a constant input `value` (one value
+        per channel) passes through unchanged (steady-state warm
+        start)."""
         _, b1, b2 = self.b
-        value = _as_floats(value, self._channels)
+        value = _as_list(value, self._channels)
         self._z2 = [(b2 - self.a2) * v for v in value]
         self._z1 = [(b1 - self.a1) * v + z for v, z in zip(value, self._z2)]
 
     def step(self, x):
-        """Filter one sample: x holds one value per channel, or a scalar
-        for all.  Returns a list."""
+        """Filter one sample: x holds one value per channel.  Returns a
+        list."""
         b0, b1, b2 = self.b
         a1, a2 = self.a1, self.a2
         y, z1, z2 = [], [], []
-        for v, s1, s2 in zip(_as_floats(x, self._channels), self._z1,
+        for v, s1, s2 in zip(_as_list(x, self._channels), self._z1,
                              self._z2):
             w = b0 * v + s1
             y.append(w)
@@ -78,12 +75,12 @@ class FilteredDerivative:
         self._channels = channels
 
     def reset_to(self, value):
-        self._prev = _as_floats(value, self._channels)
+        self._prev = _as_list(value, self._channels)
 
     def step(self, x):
-        """Difference of x (one value per channel, or a scalar) with the
-        previous sample over the sample time.  Returns a list."""
-        x = _as_floats(x, self._channels)
+        """Difference of x (one value per channel) with the previous
+        sample over the sample time.  Returns a list."""
+        x = _as_list(x, self._channels)
         prev, self._prev = self._prev, x
         if prev is None:
             return [0.0] * self._channels

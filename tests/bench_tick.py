@@ -34,12 +34,11 @@ def hover(params, eff, trim):
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
     accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
-    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    sensors = dyn.synthesize_sensors(x, accel, noise,
-                                     np.random.default_rng(1))
+    accel, gyro, w_meas = dyn.synthesize_sensors(
+        x, accel, math.sqrt(7.0), np.random.default_rng(1))
     inputs = ControllerInputs(
-        pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=sensors.gyro,
-        accel=sensors.accel, rotor_w_meas=sensors.rotor_w_meas)
+        pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=gyro, accel=accel,
+        rotor_w_meas=w_meas)
     return x, inputs
 
 
@@ -52,8 +51,7 @@ def test_dynamics_step(benchmark, params, eff, trim, hover):
 def test_synthesize_sensors(benchmark, params, eff, hover):
     x, _ = hover
     accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
-    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    benchmark(dyn.synthesize_sensors, x, accel, noise,
+    benchmark(dyn.synthesize_sensors, x, accel, math.sqrt(7.0),
               np.random.default_rng(1))
 
 

@@ -2,10 +2,12 @@
 and kinematics, the attitude-dependent effectiveness matrix, the
 continuous-time step response of the INDI feedback filter, the list-form
 RK4 truth kernel, the tick side of the closed loop as it was before it
-was written out straight-line, and the numpy forms of the controller
-layers and the truth step."""
+was written out straight-line (with the sensor-noise settings and the
+sensor record it read and returned), and the numpy forms of the
+controller layers and the truth step."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,8 +15,7 @@ from hexsim import dynamics as dyn
 from hexsim import vehicle
 from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, PoseReference,
                             PseudoControl, ndi_invert)
-from hexsim.dynamics import (OMEGA, Q, ROTOR_W, NonFiniteState,
-                             SensorReadings)
+from hexsim.dynamics import OMEGA, Q, ROTOR_W, NonFiniteState
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
                              quat_to_rotmat, rpy_from_quat)
@@ -366,7 +367,7 @@ class IndiController:
         self.shaper.reset_to(pos, rpy_from_quat(q))
         self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
                                 *trim_cmd.u])
-        self.d_gyro.reset_to(0.0)
+        self.d_gyro.reset_to([0.0, 0.0, 0.0])
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)
@@ -462,6 +463,21 @@ class DisturbanceSampler:
             return (tuple((f + o) + r for f, o, r in zip(
                 self._force, self._ou, self._residual_force)), self._on[1])
         return self._on
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    gyro_sigma: float = 0.02     # rad/s
+    accel_sigma: float = 0.05    # m/s^2
+    rotor_sigma: float = 1.0     # rad/s
+    scale: float = 0.0           # experiment factor applied to all sigmas
+
+
+@dataclass
+class SensorReadings:
+    accel: list          # specific force, body, m/s^2
+    gyro: list           # rad/s, body
+    rotor_w_meas: list   # rad/s
 
 
 def synthesize_sensors(x, accel_world, noise, rng):

@@ -241,11 +241,11 @@ def test_09_filters(capsys):
     worst_rms = 0.0
     for damping in (0.5, 0.7, 1.0, 1.4):
         f = SecondOrderFilter(wn, damping, 1.0 / fs)
-        y = np.array([np.asarray(f.step(1.0)).item() for _ in t])
+        y = np.array([f.step([1.0])[0] for _ in t])
         ya = analytic_step_response(wn, damping, t)
         worst_rms = max(worst_rms, float(np.sqrt(np.mean((y - ya) ** 2))))
     d = FilteredDerivative(1.0 / fs)
-    ramp = [np.asarray(d.step(3.7 * k / fs)).item() for k in range(50)]
+    ramp = [d.step([3.7 * k / fs])[0] for k in range(50)]
     ramp_err = max(abs(v - 3.7) for v in ramp[1:])
     ok = worst_rms < 0.02 and ramp_err < 1e-9
     report(capsys, "filters", ok,

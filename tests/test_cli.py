@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ def test_validate_default(capsys):
 def test_validate_degenerate_tilt(tmp_path, capsys):
     cfg = tmp_path / "flat.ini"
     cfg.write_text("[platform]\ntilt_angle_deg = 0\n")
-    assert run_cli("validate", "--config", str(cfg)) == 0
+    assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
     out = capsys.readouterr().out
     assert "DEGENERATE" in out
     assert "result: FAIL" in out
@@ -32,9 +33,39 @@ def test_validate_degenerate_tilt(tmp_path, capsys):
 def test_validate_overweight(tmp_path, capsys):
     cfg = tmp_path / "heavy.ini"
     cfg.write_text("[platform]\nmass = 100\n")
-    assert run_cli("validate", "--config", str(cfg)) == 0
+    assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
     out = capsys.readouterr().out
     assert "outside actuator limits" in out
+    assert "result: FAIL" in out
+
+
+# a platform too heavy for its rotors: validate prints "trim outside
+# actuator limits ... result: FAIL"
+HEAVY = "[platform]\nmass = 40\n"
+
+
+def test_run_rejects_a_platform_that_cannot_hover(tmp_path, capsys):
+    (tmp_path / "c.ini").write_text(HEAVY)
+    assert run_cli("run", "--scenario", "exp5", "--duration", "3",
+                   "--config", str(tmp_path / "c.ini"),
+                   "--out", str(tmp_path / "art")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "trim" in err
+    assert not (tmp_path / "art").exists()
+
+
+def test_sweep_rejects_a_platform_that_cannot_hover(tmp_path, capsys,
+                                                   monkeypatch):
+    cells = []
+    monkeypatch.setattr(cli, "_sweep_cell", cells.append)
+    (tmp_path / "c.ini").write_text(HEAVY + "[run]\nduration = 2.1\n")
+    assert run_cli("sweep", "--axis", "noise", "--repeats", "1",
+                   "--config", str(tmp_path / "c.ini"),
+                   "--out", str(tmp_path / "s.csv")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "trim" in err
+    assert cells == []
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -95,7 +126,9 @@ def test_missing_config_exits_2(tmp_path):
     (["--controller-freq", "123"], None),
     (["--controller-freq", "0"], None),
     (["--controller-freq", "nan"], None),
-    (["--noise-scale", "2"], None),
+    (["--noise-scale", "-1"], None),
+    (["--noise-scale", "nan"], None),
+    (["--noise-scale", "inf"], None),
     (["--seed", "-1"], None),
 ], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
         "duration-nan", "duration-inf", "residual-scale-inf",
@@ -107,7 +140,8 @@ def test_missing_config_exits_2(tmp_path):
         "duration-no-tick-after-warmup",
         "gust-exp1", "gust-exp2", "gust-exp4", "gust-exp5",
         "ini-gust-exp5", "controller-freq-123", "controller-freq-0",
-        "controller-freq-nan", "noise-scale-2", "seed-negative"])
+        "controller-freq-nan", "noise-scale-negative", "noise-scale-nan",
+        "noise-scale-inf", "seed-negative"])
 def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
     # a bad input is a config error (exit 2), never a traceback; the
     # short duration comes first so a case's own --duration wins
@@ -165,7 +199,10 @@ def test_every_setting_flag_is_checked():
         assert settings == checked
 
 
-def test_run_writes_artifacts(tmp_path):
+def test_run_writes_artifacts(tmp_path, monkeypatch):
+    # scipy is a test tool only: None in sys.modules makes `import scipy`
+    # raise ImportError
+    monkeypatch.setitem(sys.modules, "scipy", None)
     out = tmp_path / "art"
     assert run_cli("run", "--scenario", "exp5", "--controller", "indi",
                    "--duration", "3", "--out", str(out)) == 0
@@ -174,6 +211,18 @@ def test_run_writes_artifacts(tmp_path):
     assert doc["seed"] == 1
     assert doc["config"]["scenario"]["controller"] == "indi"
     assert "hexsim" in doc["versions"]
+    assert "scipy" not in doc["versions"]
+    assert all(np.isfinite(v) for v in doc["metrics"]["pos_abs_mean"])
+
+
+def test_run_takes_a_noise_scale_off_the_sweep_grid(tmp_path):
+    # any finite noise scale >= 0 runs; the sweep grid is only the default
+    out = tmp_path / "art"
+    assert run_cli("run", "--scenario", "exp5", "--controller", "indi",
+                   "--noise-scale", "2", "--duration", "2.5",
+                   "--out", str(out)) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["config"]["scenario"]["noise_scale"] == 2.0
     assert all(np.isfinite(v) for v in doc["metrics"]["pos_abs_mean"])
 
 
@@ -363,7 +412,7 @@ def test_sweep_cells_carry_config(tmp_path, monkeypatch):
     # keys; the axis value overrides the [run] key it sweeps
     seen = []
 
-    def fake_repeat_runs(scenario, n, seed_base=None, params=None):
+    def fake_repeat_runs(scenario, n, params=None):
         seen.append(scenario)
         return experiments.RunMetrics(lon_att_mean_deg=0.0,
                                       lon_att_std_deg=0.0,

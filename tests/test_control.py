@@ -316,7 +316,6 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
     oracle = oracle_cls(model, Gains(), DT)
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
-    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
     rng = np.random.default_rng(11)
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
     zero = np.zeros(3)
@@ -324,11 +323,12 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else (0.0, 0.0, 0.0)
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
         xs = np.asarray(x).tolist()
-        accel = dyn.acceleration(xs, params, eff, [0.0, 0.0, 0.0])
-        sensors = dyn.synthesize_sensors(xs, accel, noise, rng)
+        accel_w = dyn.acceleration(xs, params, eff, [0.0, 0.0, 0.0])
+        accel, gyro, w_meas = dyn.synthesize_sensors(xs, accel_w,
+                                                     math.sqrt(7.0), rng)
         inputs = ControllerInputs(
-            pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=sensors.gyro,
-            accel=sensors.accel, rotor_w_meas=sensors.rotor_w_meas)
+            pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=gyro,
+            accel=accel, rotor_w_meas=w_meas)
         cmd, ref = ctrl.tick(target_pos, target_rpy, inputs)
         cmd_o, ref_o = oracle.tick(target_pos, target_rpy, as_arrays(inputs))
         assert_command_close(cmd, cmd_o)
@@ -442,7 +442,7 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
     oracle = oracle_cls(model, Gains(), DT)
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
-    noise = dyn.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
+    noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
     rng, rng_o = np.random.default_rng(11), np.random.default_rng(11)
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
@@ -450,13 +450,14 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else zero
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
-        accel = dyn.acceleration(x, params, eff, zero)
-        sensors = dyn.synthesize_sensors(x, accel, noise, rng)
-        sensors_o = oracles.synthesize_sensors(x, accel, noise, rng_o)
-        assert bits(vars(sensors).values()) == bits(vars(sensors_o).values())
+        accel_w = dyn.acceleration(x, params, eff, zero)
+        sensors = dyn.synthesize_sensors(x, accel_w, noise.scale, rng)
+        sensors_o = oracles.synthesize_sensors(x, accel_w, noise, rng_o)
+        assert bits(sensors) == bits(vars(sensors_o).values())
+        accel, gyro, w_meas = sensors
         inputs = ControllerInputs(
-            pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=sensors.gyro,
-            accel=sensors.accel, rotor_w_meas=sensors.rotor_w_meas)
+            pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=gyro,
+            accel=accel, rotor_w_meas=w_meas)
         cmd, ref = ctrl.tick(target_pos, target_rpy, inputs)
         cmd_o, ref_o = oracle.tick(target_pos, target_rpy, inputs)
         assert_same_command(cmd, cmd_o)

@@ -151,41 +151,55 @@ def test_gust_reproducible():
 def test_sensors_noiseless_exact(params, eff, trim):
     state = hover_state(trim)
     accel_w = dyn.acceleration(state, params, eff, np.zeros(3))
-    readings = dyn.synthesize_sensors(state, accel_w,
-                                      dyn.NoiseSpec(scale=0.0),
-                                      np.random.default_rng(0))
+    accel, gyro, w_meas = dyn.synthesize_sensors(
+        state, accel_w, 0.0, np.random.default_rng(0))
     # at hover the specific force reads +g on body z
-    np.testing.assert_allclose(readings.accel, GRAVITY * E3, atol=1e-9)
-    np.testing.assert_array_equal(readings.gyro, state[dyn.OMEGA])
-    np.testing.assert_array_equal(readings.rotor_w_meas, state[dyn.ROTOR_W])
+    np.testing.assert_allclose(accel, GRAVITY * E3, atol=1e-9)
+    np.testing.assert_array_equal(gyro, state[dyn.OMEGA])
+    np.testing.assert_array_equal(w_meas, state[dyn.ROTOR_W])
 
 
 def test_sensor_noise_scales(params, eff, trim):
     state = hover_state(trim)
     accel_w = dyn.acceleration(state, params, eff, np.zeros(3))
-    noise = dyn.NoiseSpec(scale=np.sqrt(9.0))
     rng = np.random.default_rng(3)
     samples = np.array([
-        dyn.synthesize_sensors(state, accel_w, noise, rng).gyro
+        dyn.synthesize_sensors(state, accel_w, np.sqrt(9.0), rng)[1]
         for _ in range(20000)])
     assert samples.std() == pytest.approx(3.0 * 0.02, rel=0.05)
 
 
-@pytest.mark.parametrize("rotor_sigma", [0.0, 1.0])
-def test_sensors_equal_float_oracle(params, eff, rng, rotor_sigma):
-    # noiseless and every noise level of exp5, with the same stream
+def test_sensors_equal_float_oracle(params, eff, rng):
+    # noiseless and every noise level of exp5, with the same stream; the
+    # oracle's rotor sigma is the 0 that run_scenario always set
     for case in range(300):
         x, _, dist_f, _ = random_case(params, rng)
         x = x.tolist()
         accel_w = dyn.acceleration(x, params, eff, dist_f.tolist())
-        noise = dyn.NoiseSpec(rotor_sigma=rotor_sigma,
-                              scale=np.sqrt((0, 1, 3, 7, 15, 31)[case % 6]))
+        scale = np.sqrt((0, 1, 3, 7, 15, 31)[case % 6])
         seed = int(rng.integers(2 ** 32))
-        got = dyn.synthesize_sensors(x, accel_w, noise,
+        got = dyn.synthesize_sensors(x, accel_w, scale,
                                      np.random.default_rng(seed))
-        want = oracles.synthesize_sensors(x, accel_w, noise,
-                                          np.random.default_rng(seed))
-        assert bits(vars(got).values()) == bits(vars(want).values())
+        want = oracles.synthesize_sensors(
+            x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
+            np.random.default_rng(seed))
+        assert bits(got) == bits(vars(want).values())
+
+
+def test_sensor_stream_equals_float_oracle(params, eff, rng):
+    # 300 noisy calls on one stream: the tachometers read the rotor speeds
+    # exactly, and every call still draws 12 normals, so the stream ends
+    # where the oracle's does
+    noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=np.sqrt(7.0))
+    stream, stream_o = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(300):
+        x, _, dist_f, _ = random_case(params, rng)
+        x = x.tolist()
+        accel_w = dyn.acceleration(x, params, eff, dist_f.tolist())
+        _, _, w_meas = dyn.synthesize_sensors(x, accel_w, noise.scale, stream)
+        oracles.synthesize_sensors(x, accel_w, noise, stream_o)
+        assert bits(w_meas) == bits(x[dyn.ROTOR_W])
+    assert stream.bit_generator.state == stream_o.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["none", "constant_load", "gust"])

@@ -32,7 +32,7 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ex.build_scenario("exp4", "geo", {"controller_freq": 123.0})
     with pytest.raises(ValueError):
-        ex.build_scenario("exp5", "geo", {"noise_scale": 2})
+        ex.build_scenario("exp5", "geo", {"noise_scale": -1})
 
 
 def test_controller_freq_must_divide_the_truth_rate():
@@ -345,12 +345,12 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     # its time, scenario, seed and last finite state
     real = dyn.synthesize_sensors
 
-    def nan_gyro(x, accel_world, noise, rng):
-        readings = real(x, accel_world, noise, rng)
+    def nan_gyro(x, accel_world, scale, rng):
+        accel, gyro, w_meas = real(x, accel_world, scale, rng)
         if len(calls) >= 50:
-            readings.gyro = [math.nan] * 3
+            gyro = [math.nan] * 3
         calls.append(1)
-        return readings
+        return accel, gyro, w_meas
 
     calls = []
     monkeypatch.setattr(dyn, "synthesize_sensors", nan_gyro)

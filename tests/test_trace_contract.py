@@ -5,11 +5,20 @@ attributes (or on their class) and reads, among others, one
 dynamics.step call per truth step and one DisturbanceSampler.step call
 per disturbance draw, and one call of each controller layer per tick.
 These tests keep run_scenario making exactly those calls through the
-wrappable attributes, and every traced name resolving.  The benchmark file is only read for its TARGETS table.
+wrappable attributes, and every traced name resolving.  layertrace.py
+is only read for its TARGETS table.
+
+The benchmark also times, in a fresh interpreter, a set-up snippet that
+calls the package with positional arguments and defaults of its own
+choosing; a test runs that snippet as the benchmark does, and reads
+perfbench/run.py only for its SETUP_* assignments.
 """
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,8 +28,9 @@ from hexsim import control, filters, vehicle
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 
-LAYERTRACE = (Path(__file__).resolve().parents[1] / "perfbench"
-              / "layertrace.py")
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+BENCH_RUN = ROOT / "perfbench" / "run.py"
 
 
 def layertrace_targets():
@@ -110,3 +120,25 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
         "outer_loop": ticks, "ndi_invert": ticks if geo else 0,
         "allocate": 1 + (ticks if geo else 0), "saturate": 1 + ticks,
         "filter": 0 if geo else ticks, "derivative": 0 if geo else ticks}
+
+
+def setup_snippet():
+    """perfbench/run.py's SETUP_SNIPPET, from the module-level SETUP_*
+    assignments alone; the rest of that file is not run."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    body = [node for node in tree.body if isinstance(node, ast.Assign)
+            and all(isinstance(t, ast.Name) and t.id.startswith("SETUP_")
+                    for t in node.targets)]
+    namespace = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(BENCH_RUN),
+                 "exec"), namespace)
+    return namespace["SETUP_SNIPPET"]
+
+
+def test_benchmark_setup_snippet_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", setup_snippet()], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.split()) == 3
