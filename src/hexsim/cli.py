@@ -164,44 +164,21 @@ def _resolved_config(config, scenario):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-_VEC3 = ("x", "y", "z")
-_QUAT = ("w", "x", "y", "z")
 LOG_BLOCK_ROWS = 256  # log rows converted to Python floats at a time
-
-LOG_COLUMNS = (
-    [("t", None, 0)]
-    + [(f"p_{ax}", "p", i) for i, ax in enumerate(_VEC3)]
-    + [(f"v_{ax}", "v", i) for i, ax in enumerate(_VEC3)]
-    + [(f"q_{ax}", "q", i) for i, ax in enumerate(_QUAT)]
-    + [(f"omega_{ax}", "omega", i) for i, ax in enumerate(_VEC3)]
-    + [(f"ref_p_{ax}", "ref_p", i) for i, ax in enumerate(_VEC3)]
-    + [(f"ref_v_{ax}", "ref_v", i) for i, ax in enumerate(_VEC3)]
-    + [(f"ref_q_{ax}", "ref_q", i) for i, ax in enumerate(_QUAT)]
-    + [(f"ref_omega_{ax}", "ref_omega", i) for i, ax in enumerate(_VEC3)]
-    + [(f"e_p_{ax}", "e_p", i) for i, ax in enumerate(_VEC3)]
-    + [(f"e_att_deg_{ax}", "e_att_deg", i)
-       for i, ax in enumerate(("roll", "pitch", "yaw"))]
-    + [(f"u_{i + 1}", "u", i) for i in range(6)]
-    + [(f"w_cmd_{i + 1}", "w_cmd", i) for i in range(6)]
-    + [(f"w_meas_{i + 1}", "w_meas", i) for i in range(6)]
-    + [(f"sat_{i + 1}", "saturated", i) for i in range(6)]
-)
 
 
 def write_log_csv(path, log):
-    """Fixed-order columns, header always present, floats formatted with
-    round-trip-exact repr and the saturation flags as 0/1, written
-    LOG_BLOCK_ROWS rows at a time."""
-    flags = [c for c in LOG_COLUMNS if c[1] == "saturated"]
-    floats = [c for c in LOG_COLUMNS if c[1] != "saturated"]
-    columns = [log["t"] if key is None else log[key][:, col]
-               for _, key, col in floats]
-    sat = log["saturated"][:, [col for _, _, col in flags]].astype(int)
+    """experiments.LOG_HEADER, then a line per row with the blocks of
+    experiments.LOG_LAYOUT in order: floats as round-trip-exact repr, the
+    last block's flags as 0/1, written LOG_BLOCK_ROWS rows at a time."""
+    *floats, (flags, _) = experiments.LOG_LAYOUT
+    blocks = [log[name] for name, _ in floats]
+    sat = log[flags].astype(int)
     with open(path, "w") as fh:
-        fh.write(",".join(name for name, _, _ in floats + flags) + "\n")
+        fh.write(",".join(experiments.LOG_HEADER) + "\n")
         for i in range(0, len(sat), LOG_BLOCK_ROWS):
             j = i + LOG_BLOCK_ROWS
-            values = np.column_stack([c[i:j] for c in columns]).tolist()
+            values = np.column_stack([b[i:j] for b in blocks]).tolist()
             fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
                           for row, row_sat in zip(values, sat[i:j].tolist()))
 
@@ -293,7 +270,8 @@ def cmd_sweep(config):
     cells = [(controller, axis, value, repeats, config)
              for controller in ("geo", "indi") for value in values]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

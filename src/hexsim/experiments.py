@@ -40,6 +40,30 @@ WARMUP_S = 2.0   # excluded from all metric windows
 RESIDUAL_FORCE = np.array([1.4, 1.6, 3.7])     # N
 RESIDUAL_MOMENT = np.array([0.02, 0.02, 0.01])  # N m
 
+# The run log, a row per controller tick: each block's name and column
+# suffixes, in log.csv order.  "t" is one unsuffixed column; the last
+# block, the saturation flags as 0/1, is headed sat_1 ... sat_6.
+_XYZ, _ROTORS = ("x", "y", "z"), ("1", "2", "3", "4", "5", "6")
+LOG_LAYOUT = (
+    ("t", None), ("p", _XYZ), ("v", _XYZ), ("q", ("w", *_XYZ)),
+    ("omega", _XYZ), ("ref_p", _XYZ), ("ref_v", _XYZ),
+    ("ref_q", ("w", *_XYZ)), ("ref_omega", _XYZ), ("e_p", _XYZ),
+    ("e_att_deg", ("roll", "pitch", "yaw")), ("u", _ROTORS),
+    ("w_cmd", _ROTORS), ("w_meas", _ROTORS), ("saturated", _ROTORS))
+
+
+def _log_blocks():
+    """Each block's column (t) or slice of the row, and the header."""
+    blocks, header = {}, []
+    for name, suffixes in LOG_LAYOUT:
+        start, prefix = len(header), {"saturated": "sat"}.get(name, name)
+        header += [f"{prefix}_{s}" for s in suffixes] if suffixes else [name]
+        blocks[name] = slice(start, len(header)) if suffixes else start
+    return blocks, tuple(header)
+
+
+LOG_BLOCKS, LOG_HEADER = _log_blocks()
+
 
 class UnknownScenario(Exception):
     pass
@@ -252,7 +276,8 @@ def run_scenario(scenario, params=None):
     """Execute the closed loop (truth at 2 kHz, controller at the scenario
     frequency) and return (log, RunMetrics).
 
-    The log is a dict of numpy arrays sampled at the controller rate.
+    The log maps each block of LOG_LAYOUT to its view of one float array,
+    a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
     Raises NonFiniteState carrying the time, scenario id, seed and last
     finite state if the truth state diverges.
     """
@@ -285,12 +310,12 @@ def run_scenario(scenario, params=None):
         scenario.residual_scale * RESIDUAL_FORCE,
         scenario.residual_scale * RESIDUAL_MOMENT)
 
-    # one float row per tick: the state (columns 0-18), the reference
-    # p_d, v_d, q_d, omega_d (19-31), u (32-37), w_cmd (38-43), w_meas
-    # (44-49) and the saturation flags as 0/1 (50-55); everything derived
-    # from the rows is computed after the loop
+    # a row per tick in LOG_LAYOUT order; the errors are zeros until they
+    # are computed after the loop, and w_meas holds the rotor speeds
     n_ticks = (n_steps + n_sub - 1) // n_sub
-    rows = np.empty((n_ticks, 56))
+    rows = np.empty((n_ticks, len(LOG_HEADER)))
+    motion = slice(dyn.P.start, dyn.OMEGA.stop)
+    errors = (0.0,) * (LOG_BLOCKS["e_att_deg"].stop - LOG_BLOCKS["e_p"].start)
 
     # x is the state as a list of Python floats; the pose is the latest
     # sample of the 250 Hz pose clock, held between samples
@@ -312,9 +337,9 @@ def run_scenario(scenario, params=None):
                 target_pos, target_rpy = _script_target(scenario.script,
                                                         times, t)
                 cmd, ref = controller.tick(target_pos, target_rpy, inputs)
-                rows[tick] = (*x, *ref.p_d, *ref.v_d, *ref.q_d, *ref.omega_d,
-                              *cmd.u, *cmd.w_cmd, *w_meas,
-                              *cmd.saturated)
+                rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
+                              *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
+                              *w_meas, *cmd.saturated)
                 tick += 1
             force, moment = sampler.step(t)
             x = dyn.step(x, params, eff, cmd, force, moment, dt)
@@ -323,21 +348,11 @@ def run_scenario(scenario, params=None):
                                  seed=scenario.seed,
                                  state=np.array(x)) from exc
 
-    states, refs = rows[:, :19], rows[:, 19:32]
-    q, ref_q = states[:, dyn.Q], refs[:, 6:10]
-    e_q = quat_mul(ref_q.T, quat_conj(q.T))
-    log = {
-        "t": np.arange(0, n_steps, n_sub) * dt,
-        "ref_p": refs[:, 0:3], "ref_v": refs[:, 3:6], "ref_q": ref_q,
-        "ref_omega": refs[:, 10:13],
-        "e_p": refs[:, 0:3] - states[:, dyn.P],
-        "e_att_deg": np.degrees(rpy_from_quat(e_q)).T,
-        "rpy": rpy_from_quat(q.T).T,
-        "u": rows[:, 32:38], "w_cmd": rows[:, 38:44],
-        "w_meas": rows[:, 44:50], "saturated": rows[:, 50:].astype(bool),
-        "p": states[:, dyn.P], "v": states[:, dyn.V], "q": q,
-        "omega": states[:, dyn.OMEGA],
-    }
+    log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
+    log["e_p"][:] = log["ref_p"] - log["p"]
+    e_q = quat_mul(log["ref_q"].T, quat_conj(log["q"].T))
+    log["e_att_deg"][:] = np.degrees(rpy_from_quat(e_q)).T
+    log["rpy"] = rpy_from_quat(log["q"].T).T
 
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
     if scenario.id in ("exp1", "exp4"):
@@ -397,7 +412,10 @@ def repeat_runs(scenario, n, params=None):
         log, metrics = run_scenario(
             replace(scenario, seed=scenario.seed + i), params)
         per_run.append(metrics)
-        samples.append({key: log[key] for key in ("t", "e_p", "e_att_deg")})
+        # copies, so that no run's whole log outlives its samples
+        samples.append({key: log[key].copy()
+                        for key in ("t", "e_p", "e_att_deg")})
+        del log
     pooled = {key: np.concatenate([run[key] for run in samples])
               for key in samples[0]}
     agg = error_statistics(pooled, (WARMUP_S, scenario.duration))

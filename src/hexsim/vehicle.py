@@ -60,6 +60,8 @@ class PlatformParams:
             raise ValueError("mass must be positive")
         if self.c_f <= 0:
             raise ValueError("c_f must be positive")
+        if self.arm_length <= 0:
+            raise ValueError("arm_length must be positive")
         if self.motor_time_constant <= 0:
             raise ValueError("motor_time_constant must be positive")
         if not (0 < self.w_min < self.w_max):

@@ -39,6 +39,18 @@ def test_validate_overweight(tmp_path, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("arm", ["0", "-0.375"])
+def test_validate_rejects_a_nonpositive_arm(tmp_path, capsys, arm):
+    # a zero arm would fly on drag torque alone, a negative one a
+    # mirrored ring; neither is a platform
+    cfg = tmp_path / "arm.ini"
+    cfg.write_text(f"[platform]\narm_length = {arm}\n")
+    assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "arm_length must be positive" in err
+    assert "result: OK" not in out
+
+
 # a platform too heavy for its rotors: validate prints "trim outside
 # actuator limits ... result: FAIL"
 HEAVY = "[platform]\nmass = 40\n"
@@ -107,6 +119,8 @@ def test_missing_config_exits_2(tmp_path):
     ([], "[platform]\nmotor_time_constant = -0.02\n"),
     ([], "[platform]\nc_f = -1\n"),
     ([], "[platform]\nc_f = 0\n"),
+    ([], "[platform]\narm_length = 0\n"),
+    ([], "[platform]\narm_length = -0.375\n"),
     ([], "[filters]\ncutoff_hz = -1\n"),
     ([], "[filters]\ncutoff_hz = 0\n"),
     ([], "[filters]\ncutoff_hz = nan\n"),
@@ -134,6 +148,7 @@ def test_missing_config_exits_2(tmp_path):
         "duration-nan", "duration-inf", "residual-scale-inf",
         "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
         "ini-tau-0", "ini-tau-negative", "ini-c_f-negative", "ini-c_f-0",
+        "ini-arm-0", "ini-arm-negative",
         "ini-cutoff-negative", "ini-cutoff-0", "ini-cutoff-nan",
         "ini-cutoff-inf", "ini-damping-3", "ini-damping-0", "ini-damping-nan",
         "duration-1.5", "duration-warmup", "duration-negative",
@@ -244,13 +259,26 @@ def test_run_deterministic_log(tmp_path):
     assert (a / "log.csv").read_bytes() == (b / "log.csv").read_bytes()
 
 
+# log.csv's header written out, so that a schema change shows here
+LOG_CSV_HEADER = (
+    "t,p_x,p_y,p_z,v_x,v_y,v_z,q_w,q_x,q_y,q_z,omega_x,omega_y,omega_z,"
+    "ref_p_x,ref_p_y,ref_p_z,ref_v_x,ref_v_y,ref_v_z,"
+    "ref_q_w,ref_q_x,ref_q_y,ref_q_z,ref_omega_x,ref_omega_y,ref_omega_z,"
+    "e_p_x,e_p_y,e_p_z,e_att_deg_roll,e_att_deg_pitch,e_att_deg_yaw,"
+    "u_1,u_2,u_3,u_4,u_5,u_6,w_cmd_1,w_cmd_2,w_cmd_3,w_cmd_4,w_cmd_5,"
+    "w_cmd_6,w_meas_1,w_meas_2,w_meas_3,w_meas_4,w_meas_5,w_meas_6,"
+    "sat_1,sat_2,sat_3,sat_4,sat_5,sat_6")
+
+
 def test_log_csv_header_and_round_trip(tmp_path):
     out = tmp_path / "art"
     run_cli("run", "--scenario", "exp5", "--controller", "geo",
             "--duration", "3", "--out", str(out))
     lines = (out / "log.csv").read_text().splitlines()
+    assert lines[0] == LOG_CSV_HEADER
     header = lines[0].split(",")
-    assert header == [name for name, _, _ in cli.LOG_COLUMNS]
+    assert header == [name for name, _, _ in LOG_COLUMNS]
+    assert len(header) == 57
     assert header[0] == "t"
     assert header[-1] == "sat_6"
     # repr formatting survives a parse round trip exactly
@@ -258,15 +286,28 @@ def test_log_csv_header_and_round_trip(tmp_path):
     assert float(row[0]) == 9 * (1.0 / 500.0)
 
 
+def log_columns():
+    """(column name, log key, column of the key's block) of each log.csv
+    column, with the key None for t: the oracle writers' view of
+    experiments.LOG_LAYOUT."""
+    names = iter(experiments.LOG_HEADER)
+    return [(next(names), key if suffixes else None, col)
+            for key, suffixes in experiments.LOG_LAYOUT
+            for col in range(len(suffixes) if suffixes else 1)]
+
+
+LOG_COLUMNS = log_columns()
+
+
 def per_cell_log_csv(path, log):
     """The cell-by-cell writer that write_log_csv replaced, kept as its
     oracle."""
     n = len(log["t"])
     with open(path, "w") as fh:
-        fh.write(",".join(name for name, _, _ in cli.LOG_COLUMNS) + "\n")
+        fh.write(",".join(name for name, _, _ in LOG_COLUMNS) + "\n")
         for row in range(n):
             cells = []
-            for name, key, col in cli.LOG_COLUMNS:
+            for name, key, col in LOG_COLUMNS:
                 if name == "t":
                     cells.append(repr(float(log["t"][row])))
                 elif key == "saturated":
@@ -292,8 +333,8 @@ def test_log_csv_matches_per_cell_writer(tmp_path):
 def one_shot_log_csv(path, log):
     """The writer that converted the whole log to Python lists at once,
     kept as the oracle of the block writer."""
-    flags = [c for c in cli.LOG_COLUMNS if c[1] == "saturated"]
-    floats = [c for c in cli.LOG_COLUMNS if c[1] != "saturated"]
+    flags = [c for c in LOG_COLUMNS if c[1] == "saturated"]
+    floats = [c for c in LOG_COLUMNS if c[1] != "saturated"]
     values = np.column_stack(
         [log["t"] if key is None else log[key][:, col]
          for _, key, col in floats]).tolist()
@@ -309,7 +350,7 @@ def random_log(n, rng):
     """A log of n rows with every LOG_COLUMNS key, random floats and
     random saturation flags."""
     width = {}
-    for _, key, col in cli.LOG_COLUMNS:
+    for _, key, col in LOG_COLUMNS:
         width[key] = max(width.get(key, 0), col + 1)
     log = {key: rng.normal(0.0, 10.0, (n, w)) for key, w in width.items()
            if key not in (None, "saturated")}
@@ -439,6 +480,45 @@ def test_sweep_cells_carry_config(tmp_path, monkeypatch):
         assert sc.gains == Gains(k_p=5.0)
         assert (sc.filter_cutoff_hz, sc.filter_damping) == (20.0, 0.9)
     assert {sc.controller for sc in seen} == {"geo", "indi"}
+
+
+@pytest.mark.parametrize("axis, jobs, workers", [
+    ("noise", 2, 2), ("noise", 12, 12), ("noise", 64, 12),
+    ("frequency", 11, 10), ("frequency", 10 ** 6, 10)])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
+                                                 axis, jobs, workers):
+    # the pool starts all its workers up front, so --jobs is capped at the
+    # number of cells; a stand-in pool records max_workers and runs the
+    # cells here, starting no process
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    def fake_repeat_runs(scenario, n, params=None):
+        return experiments.RunMetrics(lon_att_mean_deg=0.0,
+                                      lon_att_std_deg=0.0,
+                                      pos_norm_mean=0.0,
+                                      pos_norm_std=0.0), []
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "repeat_runs", fake_repeat_runs)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--axis", axis, "--repeats", "1",
+                   "--jobs", str(jobs), "--out", str(out)) == 0
+    assert pools == [workers]
+    cells = 2 * len(cli._SWEEP_AXES[axis][2])
+    assert len(out.read_text().splitlines()) == 1 + cells
 
 
 def nan_command_after(monkeypatch, steps):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -204,6 +206,41 @@ def test_run_scenario_log_shapes():
     assert log["u"].shape == (n, 6)
     assert np.isfinite(log["p"]).all()
     assert metrics.pos_norm_mean >= 0.0
+
+
+def test_log_blocks_are_views_of_one_row_per_tick():
+    # the log is one float row per tick, exactly log.csv's columns, and
+    # each block of the layout is a view of it
+    sc = ex.build_scenario("exp5", "indi", {"duration": 2.5})
+    log, _ = ex.run_scenario(sc)
+    rows = log["t"].base
+    assert rows.shape == (len(log["t"]), len(ex.LOG_HEADER)) == (
+        len(log["t"]), 57)
+    assert [name for name, _ in ex.LOG_LAYOUT] == list(ex.LOG_BLOCKS)
+    for name, suffixes in ex.LOG_LAYOUT:
+        assert log[name].base is rows
+        assert log[name].shape[1:] == (() if suffixes is None
+                                       else (len(suffixes),))
+    assert set(np.unique(log["saturated"])) <= {0.0, 1.0}
+    np.testing.assert_array_equal(log["e_p"], log["ref_p"] - log["p"])
+
+
+def test_repeat_runs_holds_no_earlier_log(monkeypatch):
+    # the pooled samples are copies, so no run's log is held while the
+    # next run goes
+    real, logs, held = ex.run_scenario, [], []
+
+    def run_scenario(scenario, params=None):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in logs))
+        log, metrics = real(scenario, params)
+        logs.append(weakref.ref(log["t"].base))
+        return log, metrics
+
+    monkeypatch.setattr(ex, "run_scenario", run_scenario)
+    sc = ex.build_scenario("exp5", "geo", {"duration": 2.1})
+    ex.repeat_runs(sc, 3)
+    assert held == [0, 0, 0]
 
 
 def test_run_scenario_low_rate_tick_count():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsim import vehicle
+from hexsim import dynamics, vehicle
 from hexsim.vehicle import GRAVITY
 from oracles import assemble_F, quat_from_axis_angle
 
@@ -146,9 +146,13 @@ def test_allocate_reproduces_feasible_wrench(eff, q, share):
             <= 1e-9 * np.linalg.norm(wrench))
 
 
+tilt_degs = st.floats(0.01, 89.9)
+tilt_signs = st.sampled_from((1.0, -1.0))
+shares = st.tuples(*[st.floats(0.01, 0.99)] * 6)
+
+
 @settings(max_examples=100, deadline=None)
-@given(tilt_deg=st.floats(0.01, 89.9), sign=st.sampled_from((1.0, -1.0)),
-       share=st.tuples(*[st.floats(0.01, 0.99)] * 6))
+@given(tilt_deg=tilt_degs, sign=tilt_signs, share=shares)
 def test_full_rank_over_tilt_range(tilt_deg, sign, share):
     # the fixed alternating tilt/spin layout is fully actuated at every
     # nonzero tilt below 90 deg (the condition number reaches about 8e3
@@ -162,3 +166,66 @@ def test_full_rank_over_tilt_range(tilt_deg, sign, share):
     cmd = vehicle.allocate(eff, q, wrench)
     assert not np.asarray(cmd.saturated).any()
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
+
+
+def can_hover(params):
+    eff = vehicle.build_effectiveness(params)
+    return not any(vehicle.hover_command(params, eff).saturated)
+
+
+@st.composite
+def platforms(draw):
+    """A valid platform: mass, inertia, tilt of either sign, arm length,
+    rotor limits, c_f (as a thrust-to-weight ratio at w_max, some of them
+    below 1), c_tau and motor lag."""
+    mass = draw(st.floats(0.5, 10.0))
+    tilt = draw(tilt_signs) * np.deg2rad(draw(tilt_degs))
+    w_min = draw(st.floats(20.0, 200.0))
+    w_max = w_min * draw(st.floats(3.0, 12.0))
+    c_f = (draw(st.floats(0.8, 5.0)) * mass * GRAVITY
+           / (6.0 * w_max ** 2 * np.cos(tilt)))
+    return vehicle.PlatformParams(
+        mass=mass, inertia=draw(st.tuples(*[st.floats(0.01, 0.5)] * 3)),
+        c_f=c_f, c_tau=draw(st.floats(0.005, 0.05)) * c_f,
+        arm_length=draw(st.floats(0.05, 1.0)), tilt_angle=tilt,
+        w_min=w_min, w_max=w_max,
+        motor_time_constant=draw(st.floats(0.005, 0.1)))
+
+
+hovering_platforms = platforms().filter(can_hover)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=hovering_platforms)
+def test_hover_trim_is_an_equilibrium_over_platforms(params):
+    # at the trim, level and at rest, the truth kernel's rates of v,
+    # omega and the rotor speeds vanish up to rounding
+    eff = vehicle.build_effectiveness(params)
+    w = vehicle.hover_command(params, eff).w_cmd
+    rates, _ = dynamics.make_step(params, eff)
+    r = rates(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *w, (*w, *[0.0] * 6))
+    moment = params.mass * GRAVITY * params.arm_length
+    assert np.abs(r[0:3]).max() <= 1e-9 * GRAVITY
+    np.testing.assert_allclose(r[7:10], 0.0,
+                               atol=1e-9 * moment / min(params.inertia))
+    assert r[3:7] == (0.0, 0.0, 0.0, 0.0)
+    assert r[10:16] == (0.0,) * 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=hovering_platforms,
+       q=st.tuples(unit, unit, unit, unit).filter(
+           lambda q: sum(v * v for v in q) > 1e-2),
+       share=shares)
+def test_allocation_is_exact_over_platforms(params, q, share):
+    # a wrench made by rotor commands inside the limits is reproduced
+    eff = vehicle.build_effectiveness(params)
+    q = np.array(q) / np.linalg.norm(q)
+    u = eff.u_min + np.array(share) * (eff.u_max - eff.u_min)
+    F = assemble_F(eff, q)
+    wrench = F @ u
+    cmd = vehicle.allocate(eff, q, wrench)
+    assert not np.asarray(cmd.saturated).any()
+    np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
+    assert (np.linalg.norm(F @ cmd.u - wrench)
+            <= 1e-9 * np.linalg.norm(wrench))
