@@ -9,8 +9,8 @@ self-describing.
 Exit codes: 0 success, 2 config error (also a `validate` FAIL, and a
 `run` or `sweep` of a platform whose hover trim saturates), 3 simulation
 divergence (for a sweep: any cell diverged; the other cells are still
-written), 4 IO error.  A divergence prints its time, scenario, seed and
-last finite state to stderr.
+written), 4 IO error (also a failed log.csv writer).  A divergence
+prints its time, scenario, seed and last finite state to stderr.
 """
 
 import argparse
@@ -164,23 +164,108 @@ def _resolved_config(config, scenario):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-LOG_BLOCK_ROWS = 256  # log rows converted to Python floats at a time
+def write_log_blocks(fh, blocks):
+    """experiments.LOG_HEADER, then a line per row of each block of log
+    rows (the blocks of experiments.LOG_LAYOUT in order): floats as
+    round-trip-exact repr, the last block's flags as 0/1."""
+    flags = -len(experiments.LOG_LAYOUT[-1][1])
+    fh.write(",".join(experiments.LOG_HEADER) + "\n")
+    for block in blocks:
+        values = block[:, :flags].tolist()
+        sat = block[:, flags:].astype(int).tolist()
+        fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
+                      for row, row_sat in zip(values, sat))
 
 
-def write_log_csv(path, log):
-    """experiments.LOG_HEADER, then a line per row with the blocks of
-    experiments.LOG_LAYOUT in order: floats as round-trip-exact repr, the
-    last block's flags as 0/1, written LOG_BLOCK_ROWS rows at a time."""
-    *floats, (flags, _) = experiments.LOG_LAYOUT
-    blocks = [log[name] for name, _ in floats]
-    sat = log[flags].astype(int)
-    with open(path, "w") as fh:
-        fh.write(",".join(experiments.LOG_HEADER) + "\n")
-        for i in range(0, len(sat), LOG_BLOCK_ROWS):
-            j = i + LOG_BLOCK_ROWS
-            values = np.column_stack([b[i:j] for b in blocks]).tolist()
-            fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
-                          for row, row_sat in zip(values, sat[i:j].tolist()))
+def _received_blocks(pipe):
+    """The blocks of log rows read from a pipe until it closes."""
+    width = len(experiments.LOG_HEADER)
+    while data := pipe.read(experiments.LOG_BLOCK_ROWS * width * 8):
+        yield np.frombuffer(data).reshape(-1, width)
+
+
+class LogWriter:
+    """log.csv at `path`, written while the closed loop runs by a forked
+    process: it writes the blocks of log rows that `send` hands it down
+    a pipe (write_log_blocks) and exits 0 once write_log_csv closes the
+    pipe.  Used as a context manager: an exception that leaves the block
+    kills and reaps the process and removes the file, so no partial log
+    is left."""
+
+    def __init__(self, path):
+        import fcntl
+        import os
+        self.path = path
+        fh = open(path, "w")
+        read_fd, write_fd = os.pipe()
+        try:  # room for several blocks, so that a send rarely waits (Linux)
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):
+            pass
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            fh.close()
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        # The writer leaves only through os._exit.  It calls no BLAS
+        # routine, so forking beside numpy's BLAS threads is safe.
+        if self.pid == 0:
+            code = 1
+            try:
+                # the loop comes first: a writer woken by a send can share
+                # the loop's core until the scheduler moves it
+                os.nice(19)
+                os.close(write_fd)
+                with fh, open(read_fd, "rb") as pipe:
+                    write_log_blocks(fh, _received_blocks(pipe))
+                code = 0
+            except Exception as exc:
+                print(f"log writer: {exc}", file=sys.stderr, flush=True)
+            finally:
+                os._exit(code)
+        fh.close()
+        os.close(read_fd)
+        self.pipe = open(write_fd, "wb")
+
+    def send(self, rows):
+        """Hand a block of finished log rows to the writer."""
+        try:
+            self.pipe.write(rows.tobytes())
+            self.pipe.flush()
+        except BrokenPipeError:
+            raise OSError(f"log writer for {self.path} stopped") from None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        import os
+        import signal
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        try:
+            self.pipe.close()  # flushes what a failed send left, if any
+        except OSError:
+            pass
+        if exc_type is not None:
+            self.path.unlink(missing_ok=True)
+        return False
+
+
+def write_log_csv(writer):
+    """Finish a LogWriter's log.csv: close the pipe and wait for the
+    writer to exit.  Raises OSError unless it exits 0."""
+    import os
+    writer.pipe.close()
+    _, status = os.waitpid(writer.pid, 0)
+    writer.pid = None
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise OSError(f"log writer for {writer.path} exited with {code}")
 
 
 def write_metrics_json(path, metrics, config, scenario):
@@ -220,8 +305,9 @@ def cmd_run(config):
     require_hover(params)
     out_dir = Path(config["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    log, metrics = experiments.run_scenario(scenario, params)
-    write_log_csv(out_dir / "log.csv", log)
+    with LogWriter(out_dir / "log.csv") as writer:
+        _, metrics = experiments.run_scenario(scenario, params, writer.send)
+        write_log_csv(writer)
     write_metrics_json(out_dir / "metrics.json", metrics, config, scenario)
     print(f"wrote {out_dir / 'log.csv'} and {out_dir / 'metrics.json'}")
     for key, value in sorted(metrics.as_dict().items()):

@@ -63,6 +63,7 @@ def _log_blocks():
 
 
 LOG_BLOCKS, LOG_HEADER = _log_blocks()
+LOG_BLOCK_ROWS = 256  # log rows finished (errors filled) at a time
 
 
 class UnknownScenario(Exception):
@@ -272,12 +273,15 @@ def _script_target(script, times, t):
     return target.pos, target.rpy
 
 
-def run_scenario(scenario, params=None):
+def run_scenario(scenario, params=None, on_block=None):
     """Execute the closed loop (truth at 2 kHz, controller at the scenario
     frequency) and return (log, RunMetrics).
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
+    Every LOG_BLOCK_ROWS ticks the rows just written are finished: their
+    tracking errors are filled in and, if given, on_block is called with
+    a view of them; the last, shorter block is finished after the loop.
     Raises NonFiniteState carrying the time, scenario id, seed and last
     finite state if the truth state diverges.
     """
@@ -310,8 +314,8 @@ def run_scenario(scenario, params=None):
         scenario.residual_scale * RESIDUAL_FORCE,
         scenario.residual_scale * RESIDUAL_MOMENT)
 
-    # a row per tick in LOG_LAYOUT order; the errors are zeros until they
-    # are computed after the loop, and w_meas holds the rotor speeds
+    # a row per tick in LOG_LAYOUT order; the errors are zeros until the
+    # row's block is finished, and w_meas holds the rotor speeds
     n_ticks = (n_steps + n_sub - 1) // n_sub
     rows = np.empty((n_ticks, len(LOG_HEADER)))
     motion = slice(dyn.P.start, dyn.OMEGA.stop)
@@ -341,6 +345,8 @@ def run_scenario(scenario, params=None):
                               *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
                               *w_meas, *cmd.saturated)
                 tick += 1
+                if tick % LOG_BLOCK_ROWS == 0:
+                    _finish_block(rows[tick - LOG_BLOCK_ROWS:tick], on_block)
             force, moment = sampler.step(t)
             x = dyn.step(x, params, eff, cmd, force, moment, dt)
     except dyn.NonFiniteState as exc:
@@ -348,10 +354,9 @@ def run_scenario(scenario, params=None):
                                  seed=scenario.seed,
                                  state=np.array(x)) from exc
 
+    if tick % LOG_BLOCK_ROWS:
+        _finish_block(rows[tick - tick % LOG_BLOCK_ROWS:], on_block)
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
-    log["e_p"][:] = log["ref_p"] - log["p"]
-    e_q = quat_mul(log["ref_q"].T, quat_conj(log["q"].T))
-    log["e_att_deg"][:] = np.degrees(rpy_from_quat(e_q)).T
     log["rpy"] = rpy_from_quat(log["q"].T).T
 
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
@@ -363,6 +368,19 @@ def run_scenario(scenario, params=None):
         except NotReached:
             metrics.roll_rise_time = float("nan")
     return log, metrics
+
+
+def _finish_block(rows, on_block):
+    """Fill in the tracking errors of a block of log rows from their
+    reference and truth columns, then hand the block to on_block, if
+    given."""
+    block = {name: rows[:, LOG_BLOCKS[name]]
+             for name in ("p", "q", "ref_p", "ref_q", "e_p", "e_att_deg")}
+    block["e_p"][:] = block["ref_p"] - block["p"]
+    e_q = quat_mul(block["ref_q"].T, quat_conj(block["q"].T))
+    block["e_att_deg"][:] = np.degrees(rpy_from_quat(e_q)).T
+    if on_block is not None:
+        on_block(rows)
 
 
 def rise_time(t, signal, onset, magnitude):

@@ -3,8 +3,9 @@ and kinematics, the attitude-dependent effectiveness matrix, the
 continuous-time step response of the INDI feedback filter, the list-form
 RK4 truth kernel, the tick side of the closed loop as it was before it
 was written out straight-line (with the sensor-noise settings and the
-sensor record it read and returned), and the numpy forms of the
-controller layers and the truth step."""
+sensor record it read and returned), the numpy forms of the
+controller layers and the truth step, and the tracking errors of a run
+log computed over the whole log at once."""
 
 import math
 from dataclasses import dataclass
@@ -692,3 +693,14 @@ def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
     out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     out[dyn.Q] /= np.linalg.norm(out[dyn.Q])
     return out
+
+
+def whole_log_errors(log):
+    """(e_p, e_att_deg, rpy) of a run log, computed after the loop over
+    the whole log at once, as run_scenario did before it filled the
+    errors a block of rows at a time: the oracle of that block form."""
+    e_p = log["ref_p"] - log["p"]
+    e_q = quat_mul(log["ref_q"].T, quat_conj(log["q"].T))
+    e_att_deg = np.degrees(rpy_from_quat(e_q)).T
+    rpy = rpy_from_quat(log["q"].T).T
+    return e_p, e_att_deg, rpy

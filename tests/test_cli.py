@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -300,8 +302,8 @@ LOG_COLUMNS = log_columns()
 
 
 def per_cell_log_csv(path, log):
-    """The cell-by-cell writer that write_log_csv replaced, kept as its
-    oracle."""
+    """The cell-by-cell writer that the block writer
+    (cli.write_log_blocks) replaced, kept as its oracle."""
     n = len(log["t"])
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _, _ in LOG_COLUMNS) + "\n")
@@ -324,10 +326,26 @@ def test_log_csv_matches_per_cell_writer(tmp_path):
     # the short hover saturates nothing; set flags so both values show
     log["saturated"][::7, 2] = True
     log["saturated"][::3, 5] = True
-    cli.write_log_csv(tmp_path / "rows.csv", log)
+    stream_log_csv(tmp_path / "rows.csv", log, experiments.LOG_BLOCK_ROWS)
     per_cell_log_csv(tmp_path / "cells.csv", log)
     assert ((tmp_path / "rows.csv").read_bytes()
             == (tmp_path / "cells.csv").read_bytes())
+
+
+def row_blocks(log, block):
+    """A log's rows, LOG_LAYOUT's blocks side by side as in run_scenario's
+    row array, in blocks of `block` rows."""
+    rows = np.column_stack([log[name] for name, _ in experiments.LOG_LAYOUT])
+    return [rows[i:i + block] for i in range(0, len(rows), block)]
+
+
+def stream_log_csv(path, log, block):
+    """Write log.csv as `hexsim run` does: through a forked LogWriter,
+    sending `block` rows at a time."""
+    with cli.LogWriter(path) as writer:
+        for rows in row_blocks(log, block):
+            writer.send(rows)
+        cli.write_log_csv(writer)
 
 
 def one_shot_log_csv(path, log):
@@ -361,23 +379,28 @@ def random_log(n, rng):
 
 @pytest.mark.parametrize("n, block", [(700, 256), (700, 1), (256, 256),
                                       (255, 256), (0, 256)])
-def test_block_writer_matches_one_shot_writer(tmp_path, monkeypatch, n,
-                                              block):
-    monkeypatch.setattr(cli, "LOG_BLOCK_ROWS", block)
+def test_block_writer_matches_one_shot_writer(tmp_path, n, block):
+    # in this process, and through the forked writer, which reads the
+    # pipe in blocks of its own
     log = random_log(n, np.random.default_rng(n + block))
-    cli.write_log_csv(tmp_path / "blocks.csv", log)
+    with open(tmp_path / "blocks.csv", "w") as fh:
+        cli.write_log_blocks(fh, row_blocks(log, block))
+    stream_log_csv(tmp_path / "streamed.csv", log, block)
     one_shot_log_csv(tmp_path / "once.csv", log)
-    assert ((tmp_path / "blocks.csv").read_bytes()
-            == (tmp_path / "once.csv").read_bytes())
+    once = (tmp_path / "once.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == once
+    assert (tmp_path / "streamed.csv").read_bytes() == once
 
 
 def test_log_writer_memory_is_bounded(tmp_path):
     # the 3500 rows of a 7 s exp3 gust log; converting them all at once
     # peaked at about 7.4 MB, one 256-row block at a time at about 1.2 MB
     log = random_log(3500, np.random.default_rng(0))
+    blocks = row_blocks(log, experiments.LOG_BLOCK_ROWS)
     tracemalloc.start()
     try:
-        cli.write_log_csv(tmp_path / "log.csv", log)
+        with open(tmp_path / "log.csv", "w") as fh:
+            cli.write_log_blocks(fh, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,9 +557,9 @@ def nan_command_after(monkeypatch, steps):
                                           saturated=cmd.saturated)
         return real(x, params, eff, cmd, dist_force, dist_moment, dt)
 
-    def run_scenario(scenario, params=None):
+    def run_scenario(scenario, params=None, on_block=None):
         count.clear()
-        return real_run(scenario, params)
+        return real_run(scenario, params, on_block)
 
     real_run = experiments.run_scenario
     monkeypatch.setattr(dynamics, "step", step)
@@ -561,6 +584,83 @@ def test_run_divergence_reported(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "art"))
     assert code == cli.EXIT_DIVERGED
     assert_divergence_report(capsys.readouterr().err, "exp5", 4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_sends(monkeypatch):
+    """Record the row count of every block sent to a LogWriter."""
+    sent, real_send = [], cli.LogWriter.send
+
+    def send(self, rows):
+        sent.append(len(rows))
+        return real_send(self, rows)
+
+    monkeypatch.setattr(cli.LogWriter, "send", send)
+    return sent
+
+
+RUN_EXP5 = ("run", "--scenario", "exp5", "--controller", "geo",
+            "--duration", "2.5")
+
+
+def test_streamed_run_leaves_a_whole_log_and_no_process(tmp_path,
+                                                       monkeypatch):
+    sent = count_sends(monkeypatch)
+    out = tmp_path / "art"
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == 0
+    assert sent == [256] * 4 + [226]
+    assert len((out / "log.csv").read_text().splitlines()) == 1 + 1250
+    assert_no_child_left()
+
+
+def test_divergence_after_streamed_blocks_leaves_no_log(tmp_path,
+                                                        monkeypatch, capsys):
+    # 3000 truth steps are 750 ticks at 500 Hz: two blocks are streamed
+    # before the run diverges
+    sent = count_sends(monkeypatch)
+    nan_command_after(monkeypatch, 3000)
+    out = tmp_path / "art"
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_DIVERGED
+    assert sent == [256, 256]
+    assert "diverged at t = 1.5000 s" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == []
+    assert_no_child_left()
+
+
+def test_log_path_that_is_a_directory_exits_4(tmp_path, capsys):
+    out = tmp_path / "art"
+    (out / "log.csv").mkdir(parents=True)
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("io error:")
+    assert (out / "log.csv").is_dir()
+    assert not (out / "metrics.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("blocks_read, message", [
+    (1, "log writer for"), (None, "exited with 1")],
+    ids=["mid-stream", "at-close"])
+def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
+                                                 capsys, blocks_read,
+                                                 message):
+    # the forked writer runs this module's functions as they were at the
+    # fork: it fails after the first block, or after reading every block
+    # (then the loop has sent them all and learns it from the exit code)
+    def failing_writer(fh, blocks):
+        list(itertools.islice(blocks, blocks_read))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "write_log_blocks", failing_writer)
+    out = tmp_path / "art"
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and message in err
+    assert sorted(out.iterdir()) == []
+    assert_no_child_left()
 
 
 def test_sweep_divergence_reported(tmp_path, monkeypatch, capsys):

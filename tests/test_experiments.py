@@ -10,6 +10,7 @@ from hexsim import control
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
+from oracles import whole_log_errors
 
 
 def test_build_all_scenarios():
@@ -223,6 +224,46 @@ def test_log_blocks_are_views_of_one_row_per_tick():
                                        else (len(suffixes),))
     assert set(np.unique(log["saturated"])) <= {0.0, 1.0}
     np.testing.assert_array_equal(log["e_p"], log["ref_p"] - log["p"])
+
+
+def same_bits(a, b):
+    return (np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("scenario_id, controller, overrides", [
+    ("exp1", "geo", {"duration": 20.0}),
+    ("exp1", "indi", {"duration": 20.0}),
+    ("exp3", "indi", {"gust": True, "duration": 7.0, "seed": 3}),
+], ids=["exp1-geo", "exp1-indi", "exp3-gust"])
+def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
+                                               overrides):
+    # the errors are filled a block of rows at a time, bit for bit as the
+    # whole-log expressions gave them; the 20 s exp1 runs hold the roll
+    # and pitch steps and 39 full blocks and one partial one
+    sc = ex.build_scenario(scenario_id, controller, overrides)
+    log, _ = ex.run_scenario(sc)
+    e_p, e_att_deg, rpy = whole_log_errors(log)
+    assert np.abs(log["e_att_deg"]).max() > 0.1
+    assert same_bits(log["e_p"], e_p)
+    assert same_bits(log["e_att_deg"], e_att_deg)
+    assert same_bits(log["rpy"], rpy)
+
+
+@pytest.mark.parametrize("scenario_id, overrides, sizes", [
+    ("exp4", {"controller_freq": 50.0, "duration": 2.2}, [110]),
+    ("exp5", {"duration": 2.048}, [256] * 4),
+], ids=["exp4-50Hz", "exp5-1024-ticks"])
+def test_blocks_handed_on_make_up_the_log(scenario_id, overrides, sizes):
+    # each block is handed on finished: copies taken at the hand-off
+    # equal the returned rows, errors included, and together make them up
+    blocks = []
+    sc = ex.build_scenario(scenario_id, "indi", overrides)
+    log, _ = ex.run_scenario(sc, None, lambda rows: blocks.append(rows.copy()))
+    assert [len(b) for b in blocks] == sizes
+    rows = log["t"].base
+    assert same_bits(np.concatenate(blocks), rows)
+    assert np.abs(rows[:, ex.LOG_BLOCKS["e_p"]]).max() > 0
 
 
 def test_repeat_runs_holds_no_earlier_log(monkeypatch):

@@ -3,10 +3,11 @@
 The benchmark's per-layer trace wraps named functions at their module
 attributes (or on their class) and reads, among others, one
 dynamics.step call per truth step and one DisturbanceSampler.step call
-per disturbance draw, and one call of each controller layer per tick.
-These tests keep run_scenario making exactly those calls through the
-wrappable attributes, and every traced name resolving.  layertrace.py
-is only read for its TARGETS table.
+per disturbance draw, one call of each controller layer per tick, and
+one cli.write_log_csv call per `hexsim run`.  These tests keep the
+package making exactly those calls through the wrappable attributes,
+and every traced name resolving.  layertrace.py is only read for its
+TARGETS table.
 
 The benchmark also times, in a fresh interpreter, a set-up snippet that
 calls the package with positional arguments and defaults of its own
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from hexsim import control, filters, vehicle
+from hexsim import cli, control, filters, vehicle
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 
@@ -120,6 +121,17 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
         "outer_loop": ticks, "ndi_invert": ticks if geo else 0,
         "allocate": 1 + (ticks if geo else 0), "saturate": 1 + ticks,
         "filter": 0 if geo else ticks, "derivative": 0 if geo else ticks}
+
+
+def test_a_run_waits_for_its_log_writer_once(monkeypatch, tmp_path):
+    # the log is written by a forked process; the parent's one call of
+    # write_log_csv is its wait for that process
+    waits = count_calls(monkeypatch, cli, "write_log_csv")
+    runs = count_calls(monkeypatch, ex, "run_scenario")
+    assert cli.main(["run", "--scenario", "exp5", "--duration", "2.1",
+                     "--out", str(tmp_path)]) == 0
+    assert (waits[0], runs[0]) == (1, 1)
+    assert (tmp_path / "log.csv").exists()
 
 
 def setup_snippet():
