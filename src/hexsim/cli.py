@@ -197,17 +197,20 @@ class LogWriter:
         import os
         self.path = path
         fh = open(path, "w")
-        read_fd, write_fd = os.pipe()
-        try:  # room for several blocks, so that a send rarely waits (Linux)
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):
-            pass
+        fds = ()
         try:
+            fds = read_fd, write_fd = os.pipe()
+            try:  # room for several blocks, so a send rarely waits (Linux)
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (AttributeError, OSError):
+                pass
             self.pid = os.fork()
         except BaseException:
+            # no writer: leave no log.csv, as __exit__ would
             fh.close()
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
+            path.unlink(missing_ok=True)
             raise
         # The writer leaves only through os._exit.  It calls no BLAS
         # routine, so forking beside numpy's BLAS threads is safe.

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import rotmat
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
+CHUNK = 384    # normals a Normals tape draws at a time
 
 
 class NonFiniteState(Exception):
@@ -72,6 +72,32 @@ class DisturbanceSpec:
             raise ValueError("gust_corr_time must be positive")
 
 
+class Normals:
+    """A run's tape of standard normals, read from one Generator in order.
+
+    take(n) returns the next n normals as a list of floats, equal bit for
+    bit to rng.standard_normal(n).tolist() at the same point of the
+    stream: the tape draws CHUNK normals at a time, so the generator runs
+    ahead of what has been taken.  run_scenario shares one tape between
+    the gust and the sensor noise, in the order they draw.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._tape = []
+        self._at = 0
+
+    def take(self, n):
+        at, tape = self._at, self._tape
+        end = at + n
+        if end > len(tape):
+            tape = self._tape = (
+                tape[at:] + self.rng.standard_normal(max(CHUNK, n)).tolist())
+            at, end = 0, n
+        self._at = end
+        return tape[at:end]
+
+
 class DisturbanceSampler:
     """Per-run disturbance source; holds the colored-noise gust state.
 
@@ -80,16 +106,17 @@ class DisturbanceSampler:
     inside [t_on, t_off), zero outside, plus the constant residual
     wrench.  A gust adds to the force an Ornstein-Uhlenbeck process (std
     gust_std, correlation time gust_corr_time) that advances on every
-    call; every other held value is computed once.
+    call, with 3 normals from the Normals tape `normals`; every other
+    held value is computed once.
 
     run_scenario steps it once before the loop and again at k = 0, and the
     accelerometer at a tick sees the previous step's draw.
     """
 
-    def __init__(self, spec, dt, rng, residual_force=(0.0, 0.0, 0.0),
+    def __init__(self, spec, dt, normals, residual_force=(0.0, 0.0, 0.0),
                  residual_moment=(0.0, 0.0, 0.0)):
         self.spec = spec
-        self.rng = rng
+        self.normals = normals
         self._ou = (0.0, 0.0, 0.0)
         decay = np.exp(-dt / spec.gust_corr_time)
         self._decay = float(decay)
@@ -109,7 +136,7 @@ class DisturbanceSampler:
                 return self._off
             return self._on
         a, s = self._decay, self._diffusion
-        n1, n2, n3 = self.rng.standard_normal(3).tolist()
+        n1, n2, n3 = self.normals.take(3)
         o1, o2, o3 = self._ou
         o1, o2, o3 = a * o1 + s * n1, a * o2 + s * n2, a * o3 + s * n3
         self._ou = o1, o2, o3
@@ -122,8 +149,8 @@ class DisturbanceSampler:
 
 def make_step(params, eff):
     """The truth dynamics of one platform, specialised once: returns the
-    pair (rates, step), with every constant of (params, eff) bound as a
-    closure local.  Both work on Python floats.
+    triple (rates, step, specific_force), with every constant of (params,
+    eff) bound as a closure local.  All three work on Python floats.
 
     rates(qw, qx, qy, qz, ox, oy, oz, w1, ..., w6, inputs) takes the
     state scalars it reads and the 12-tuple inputs (w_cmd, the world
@@ -138,6 +165,12 @@ def make_step(params, eff):
     stage; no stage position is formed, as its rate is the stage
     velocity.  It returns the new state as a list with the quaternion
     normalised, and raises NonFiniteState if any component diverges.
+
+    specific_force(s, dist_force) is what an accelerometer at state s
+    reads, R(q)^T (p_ddot + g e3) in the body frame, as a list of 3
+    floats: the force balance of rates alone (the rotor command and the
+    moment play no part in it), with the same expressions, rotated back
+    by the R(q) it formed.
     """
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
      (fz1, fz2, fz3, fz4, fz5, fz6)) = eff.F1.tolist()
@@ -242,7 +275,28 @@ def make_step(params, eff):
         out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
         return out
 
-    return rates, step
+    def specific_force(s, dist_force):
+        (_, _, _, _, _, _, qw, qx, qy, qz, _, _, _,
+         w1, w2, w3, w4, w5, w6) = s
+        dfx, dfy, dfz = dist_force
+        u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
+        u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
+        bx = fx1 * u1 + fx2 * u2 + fx3 * u3 + fx4 * u4 + fx5 * u5 + fx6 * u6
+        by = fy1 * u1 + fy2 * u2 + fy3 * u3 + fy4 * u4 + fy5 * u5 + fy6 * u6
+        bz = fz1 * u1 + fz2 * u2 + fz3 * u3 + fz4 * u4 + fz5 * u5 + fz6 * u6
+        xx, yy, zz = qx * qx, qy * qy, qz * qz
+        xy, xz, yz = qx * qy, qx * qz, qy * qz
+        wx, wy, wz = qw * qx, qw * qy, qw * qz
+        r00, r01, r02 = 1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)
+        r10, r11, r12 = 2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)
+        r20, r21, r22 = 2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)
+        ax = ((r00 * bx + r01 * by + r02 * bz) + dfx) / m
+        ay = ((r10 * bx + r11 * by + r12 * bz) + dfy) / m
+        az = ((r20 * bx + r21 * by + r22 * bz) - weight + dfz) / m + GRAVITY
+        return [r00 * ax + r10 * ay + r20 * az, r01 * ax + r11 * ay + r21 * az,
+                r02 * ax + r12 * ay + r22 * az]
+
+    return rates, step, specific_force
 
 
 # (params, eff, make_step(params, eff)) of the last pair stepped.  Keyed
@@ -270,7 +324,7 @@ def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
     19 floats: the velocity, then the rates of make_step(params, eff).
     Works on Python floats: x is laid out as the state vector, w_cmd has
     6 entries and each disturbance 3."""
-    rates, _ = _kernel_of(params, eff)
+    rates, _, _ = _kernel_of(params, eff)
     return [*x[V], *rates(*x[Q.start:],
                           (*w_cmd, *dist_force, *dist_moment))]
 
@@ -279,8 +333,9 @@ def acceleration(x, params, eff, dist_force):
     """World-frame translational acceleration at state x, as a list of 3
     floats: the velocity rates of make_step(params, eff).  x (laid out as
     the state vector) and dist_force are sequences of numbers; lists of
-    Python floats are fastest."""
-    rates, _ = _kernel_of(params, eff)
+    Python floats are fastest.  The closed loop does not call it: the
+    accelerometer reads make_step's specific_force."""
+    rates, _, _ = _kernel_of(params, eff)
     return [*rates(*x[Q.start:], (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]]
 
 
@@ -293,7 +348,7 @@ def step(x, params, eff, cmd, dist_force, dist_moment, dt):
     writes into x.  The stages run in the kernel of make_step(params,
     eff).  Raises NonFiniteState if any component diverges.
     """
-    _, kernel_step = _kernel_of(params, eff)
+    _, kernel_step, _ = _kernel_of(params, eff)
     return kernel_step(x, cmd.w_cmd, dist_force, dist_moment, dt)
 
 
@@ -301,29 +356,27 @@ GYRO_SIGMA = 0.02    # rad/s, gyro white noise at noise scale 1
 ACCEL_SIGMA = 0.05   # m/s^2, accelerometer white noise at noise scale 1
 
 
-def synthesize_sensors(x, accel_world, scale, rng):
+def synthesize_sensors(x, params, eff, dist_force, scale, normals):
     """Sensor outputs (accel, gyro, rotor_w_meas) at the truth state x (a
     sequence laid out as the state vector; a list of Python floats is
-    fastest).
+    fastest) under the world force dist_force.
 
-    accel is the specific force R(q)^T (p_ddot + g e3); gyro and the
-    rotor tachometers read the body rate and the rotor speeds.  For
-    scale > 0 the accel and gyro channels add white Gaussian noise with
-    sigma ACCEL_SIGMA * scale and GYRO_SIGMA * scale; the tachometers
-    stay noise-free.
+    accel is the specific force R(q)^T (p_ddot + g e3), from the
+    specific_force of make_step(params, eff); gyro and the rotor
+    tachometers read the body rate and the rotor speeds.  For scale > 0
+    the accel and gyro channels add white Gaussian noise with sigma
+    ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the Normals tape
+    `normals`; the tachometers stay noise-free.
     """
-    ax, ay, az = accel_world
-    az = az + GRAVITY
-    a, b, c, d, e, f, g, h, i = rotmat(x[Q])
-    accel = [a * ax + d * ay + g * az, b * ax + e * ay + h * az,
-             c * ax + f * ay + i * az]
+    _, _, specific_force = _kernel_of(params, eff)
+    accel = specific_force(x, dist_force)
     gyro = x[OMEGA]
     if scale > 0.0:
         # 12 normals a call, in the order accel, gyro, rotor.  The six
-        # rotor draws go unused; drawing them keeps every later draw of
+        # rotor draws go unused; taking them keeps every later draw of
         # the shared stream (the next ticks' noise and the gust) equal to
         # the stored references'
-        n1, n2, n3, n4, n5, n6 = rng.standard_normal(12).tolist()[:6]
+        n1, n2, n3, n4, n5, n6 = normals.take(12)[:6]
         sa, sg = scale * ACCEL_SIGMA, scale * GYRO_SIGMA
         (a1, a2, a3), (g1, g2, g3) = accel, gyro
         accel = [a1 + sa * n1, a2 + sa * n2, a3 + sa * n3]

@@ -294,7 +294,9 @@ def run_scenario(scenario, params=None, on_block=None):
     dt_c = n_sub * dt
     pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
 
-    rng = np.random.default_rng(scenario.seed)
+    # one tape feeds the gust (3 normals a truth step) and the sensor noise
+    # (12 a noisy tick), in the order they draw
+    normals = dyn.Normals(np.random.default_rng(scenario.seed))
     # noise_scale multiplies the noise variances, so sigma goes with its root
     sigma_scale = math.sqrt(scenario.noise_scale)
 
@@ -310,7 +312,7 @@ def run_scenario(scenario, params=None, on_block=None):
     controller.warm_start(p0, q0, trim)
 
     sampler = dyn.DisturbanceSampler(
-        scenario.disturbance, dt, rng,
+        scenario.disturbance, dt, normals,
         scenario.residual_scale * RESIDUAL_FORCE,
         scenario.residual_scale * RESIDUAL_MOMENT)
 
@@ -322,40 +324,43 @@ def run_scenario(scenario, params=None, on_block=None):
     errors = (0.0,) * (LOG_BLOCKS["e_att_deg"].stop - LOG_BLOCKS["e_p"].start)
 
     # x is the state as a list of Python floats; the pose is the latest
-    # sample of the 250 Hz pose clock, held between samples
-    cmd = trim
+    # sample of the 250 Hz pose clock, held between samples.  Each tick
+    # senses, ticks and logs at its first truth step k, then runs its
+    # n_sub truth steps
+    script, P, Q = scenario.script, dyn.P, dyn.Q
     force, moment = sampler.step(0.0)
-    tick = 0
+    pose_p, pose_q = x[P], x[Q]
     try:
-        for k in range(n_steps):
+        for tick in range(n_ticks):
+            k = tick * n_sub
             t = k * dt
-            if k % pose_every == 0:
-                pose_p, pose_q = x[dyn.P], x[dyn.Q]
-            if k % n_sub == 0:
-                accel_w = dyn.acceleration(x, params, eff, force)
-                accel, gyro, w_meas = dyn.synthesize_sensors(
-                    x, accel_w, sigma_scale, rng)
-                inputs = ControllerInputs(
-                    pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
-                    accel=accel, rotor_w_meas=w_meas)
-                target_pos, target_rpy = _script_target(scenario.script,
-                                                        times, t)
-                cmd, ref = controller.tick(target_pos, target_rpy, inputs)
-                rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
-                              *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
-                              *w_meas, *cmd.saturated)
-                tick += 1
-                if tick % LOG_BLOCK_ROWS == 0:
-                    _finish_block(rows[tick - LOG_BLOCK_ROWS:tick], on_block)
-            force, moment = sampler.step(t)
-            x = dyn.step(x, params, eff, cmd, force, moment, dt)
+            accel, gyro, w_meas = dyn.synthesize_sensors(
+                x, params, eff, force, sigma_scale, normals)
+            inputs = ControllerInputs(
+                pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
+                accel=accel, rotor_w_meas=w_meas)
+            target_pos, target_rpy = _script_target(script, times, t)
+            cmd, ref = controller.tick(target_pos, target_rpy, inputs)
+            rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
+                          *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
+                          *w_meas, *cmd.saturated)
+            if (tick + 1) % LOG_BLOCK_ROWS == 0:
+                _finish_block(rows[tick + 1 - LOG_BLOCK_ROWS:tick + 1],
+                              on_block)
+            for k in range(k, min(k + n_sub, n_steps)):
+                t = k * dt
+                force, moment = sampler.step(t)
+                x = dyn.step(x, params, eff, cmd, force, moment, dt)
+                # the pose sample at step k + 1, taken before that step
+                if (k + 1) % pose_every == 0:
+                    pose_p, pose_q = x[P], x[Q]
     except dyn.NonFiniteState as exc:
         raise dyn.NonFiniteState(exc.message, t=t, scenario=scenario.id,
                                  seed=scenario.seed,
                                  state=np.array(x)) from exc
 
-    if tick % LOG_BLOCK_ROWS:
-        _finish_block(rows[tick - tick % LOG_BLOCK_ROWS:], on_block)
+    if n_ticks % LOG_BLOCK_ROWS:
+        _finish_block(rows[n_ticks - n_ticks % LOG_BLOCK_ROWS:], on_block)
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
     log["rpy"] = rpy_from_quat(log["q"].T).T
 

@@ -9,6 +9,7 @@ force/torque effectiveness matrix full rank (checked at construction).
 import math
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +156,7 @@ def build_effectiveness(params):
         u_min=params.w_min ** 2, u_max=params.w_max ** 2)
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class ActuatorCommand(NamedTuple):
     u: tuple           # 6 floats: signed squared rotor speeds after clamping
     w_cmd: tuple       # 6 floats: rad/s setpoints
     saturated: tuple   # 6 bools: clamped or not

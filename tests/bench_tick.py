@@ -8,7 +8,8 @@ run it on its own:
 It times one RK4 truth step, one geo and one indi controller tick on the
 inputs run_scenario passes (lists of Python floats), one sensor
 synthesis at exp5's noise level 7, one step of exp3's gust sampler
-inside its window, one 500 Hz
+inside its window, one take(3) of a Normals tape (a gust step's draw),
+one 500 Hz
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the 2.2 s
 exp4 hover of the sweep_freq workload, where the truth step dominates.
@@ -25,6 +26,11 @@ from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
 
 HOVER_Q = [1.0, 0.0, 0.0, 0.0]
+ZERO = (0.0, 0.0, 0.0)
+
+
+def tape():
+    return dyn.Normals(np.random.default_rng(1))
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +39,8 @@ def hover(params, eff, trim):
     the sensor noise of exp5 at noise level 7."""
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
-    accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        x, accel, math.sqrt(7.0), np.random.default_rng(1))
+        x, params, eff, ZERO, math.sqrt(7.0), tape())
     inputs = ControllerInputs(
         pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=gyro, accel=accel,
         rotor_w_meas=w_meas)
@@ -44,23 +49,25 @@ def hover(params, eff, trim):
 
 def test_dynamics_step(benchmark, params, eff, trim, hover):
     x, _ = hover
-    zero = (0.0, 0.0, 0.0)
-    benchmark(dyn.step, x, params, eff, trim, zero, zero, dyn.SIM_DT)
+    benchmark(dyn.step, x, params, eff, trim, ZERO, ZERO, dyn.SIM_DT)
 
 
 def test_synthesize_sensors(benchmark, params, eff, hover):
     x, _ = hover
-    accel = dyn.acceleration(x, params, eff, [0.0, 0.0, 0.0])
-    benchmark(dyn.synthesize_sensors, x, accel, math.sqrt(7.0),
-              np.random.default_rng(1))
+    benchmark(dyn.synthesize_sensors, x, params, eff, ZERO, math.sqrt(7.0),
+              tape())
 
 
 def test_gust_sampler_step(benchmark):
     sc = ex.build_scenario("exp3", "geo", {"gust": True})
     sampler = dyn.DisturbanceSampler(
-        sc.disturbance, dyn.SIM_DT, np.random.default_rng(1),
-        ex.RESIDUAL_FORCE, ex.RESIDUAL_MOMENT)
+        sc.disturbance, dyn.SIM_DT, tape(), ex.RESIDUAL_FORCE,
+        ex.RESIDUAL_MOMENT)
     benchmark(sampler.step, 3.0)
+
+
+def test_tape_take_3(benchmark):
+    benchmark(tape().take, 3)
 
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])

@@ -466,6 +466,17 @@ class DisturbanceSampler:
         return self._on
 
 
+class PerCallNormals:
+    """dynamics.Normals as each draw was made before the tape: take(n)
+    draws rng.standard_normal(n) at the call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def take(self, n):
+        return self.rng.standard_normal(n).tolist()
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     gyro_sigma: float = 0.02     # rad/s

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import math
@@ -641,20 +642,28 @@ def test_log_path_that_is_a_directory_exits_4(tmp_path, capsys):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("blocks_read, message", [
-    (1, "log writer for"), (None, "exited with 1")],
-    ids=["mid-stream", "at-close"])
+@pytest.mark.parametrize("failure, message", [
+    ("mid-stream", "log writer for"), ("at-close", "exited with 1"),
+    ("at-fork", "[Errno 11]")], ids=["mid-stream", "at-close", "at-fork"])
 def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
-                                                 capsys, blocks_read,
-                                                 message):
+                                                 capsys, failure, message):
     # the forked writer runs this module's functions as they were at the
     # fork: it fails after the first block, or after reading every block
-    # (then the loop has sent them all and learns it from the exit code)
+    # (then the loop has sent them all and learns it from the exit code).
+    # Or the fork itself fails, after log.csv was opened
+    blocks_read = 1 if failure == "mid-stream" else None
+
     def failing_writer(fh, blocks):
         list(itertools.islice(blocks, blocks_read))
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli, "write_log_blocks", failing_writer)
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    if failure == "at-fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        monkeypatch.setattr(cli, "write_log_blocks", failing_writer)
     out = tmp_path / "art"
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
     err = capsys.readouterr().err

@@ -316,16 +316,15 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
     oracle = oracle_cls(model, Gains(), DT)
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
-    rng = np.random.default_rng(11)
+    normals = dyn.Normals(np.random.default_rng(11))
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
     zero = np.zeros(3)
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else (0.0, 0.0, 0.0)
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
         xs = np.asarray(x).tolist()
-        accel_w = dyn.acceleration(xs, params, eff, [0.0, 0.0, 0.0])
-        accel, gyro, w_meas = dyn.synthesize_sensors(xs, accel_w,
-                                                     math.sqrt(7.0), rng)
+        accel, gyro, w_meas = dyn.synthesize_sensors(
+            xs, params, eff, (0.0, 0.0, 0.0), math.sqrt(7.0), normals)
         inputs = ControllerInputs(
             pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=gyro,
             accel=accel, rotor_w_meas=w_meas)
@@ -443,7 +442,8 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    rng, rng_o = np.random.default_rng(11), np.random.default_rng(11)
+    normals = dyn.Normals(np.random.default_rng(11))
+    rng_o = np.random.default_rng(11)
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
     zero = (0.0, 0.0, 0.0)
@@ -451,7 +451,8 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else zero
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
         accel_w = dyn.acceleration(x, params, eff, zero)
-        sensors = dyn.synthesize_sensors(x, accel_w, noise.scale, rng)
+        sensors = dyn.synthesize_sensors(x, params, eff, zero, noise.scale,
+                                         normals)
         sensors_o = oracles.synthesize_sensors(x, accel_w, noise, rng_o)
         assert bits(sensors) == bits(vars(sensors_o).values())
         accel, gyro, w_meas = sensors

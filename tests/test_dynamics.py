@@ -11,6 +11,11 @@ import oracles
 from oracles import bits, numpy_step
 
 
+def tape(seed):
+    """A Normals tape of default_rng(seed), as run_scenario makes one."""
+    return dyn.Normals(np.random.default_rng(seed))
+
+
 def hover_state(trim):
     return dyn.pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
                     trim.w_cmd)
@@ -80,7 +85,7 @@ def test_constant_disturbance_window():
                                force=np.array([1.0, 0, 0]),
                                moment=np.array([0, 0.1, 0]),
                                t_on=2.0, t_off=5.0)
-    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, None)
+    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(0))
     f, m = sampler.step(1.0)
     assert not np.asarray(f).any() and not np.asarray(m).any()
     f, m = sampler.step(3.0)
@@ -101,9 +106,9 @@ def test_sampler_adds_residual_wrench(spec):
     # the held total is the spec's wrench plus the residual, inside the
     # window and outside it, bit for bit
     residual_f, residual_m = np.array([1.4, 1.6, 3.7]), np.array([0, 0, 0.01])
-    bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3))
-    total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3),
-                                   residual_f, residual_m)
+    bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3))
+    total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3), residual_f,
+                                   residual_m)
     for t in (0.0, 1.0, 2.0, 3.0, 4.9995, 5.0, 6.0):
         f, m = bare.step(t)
         tf, tm = total.step(t)
@@ -122,7 +127,7 @@ def test_gust_statistics(rng):
     spec = dyn.DisturbanceSpec(kind="gust", force=np.array([2.0, 0, 0]),
                                t_on=0.0, t_off=1e9, gust_std=1.0,
                                gust_corr_time=0.5)
-    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, rng)
+    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, dyn.Normals(rng))
     n = 200000
     xs = np.empty(n)
     for i in range(n):
@@ -140,19 +145,37 @@ def test_gust_statistics(rng):
 def test_gust_reproducible():
     spec = dyn.DisturbanceSpec(kind="gust", force=np.zeros(3),
                                t_on=0.0, t_off=10.0, gust_std=1.0)
-    a = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(7))
-    b = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(7))
+    a = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
+    b = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
     for i in range(100):
         fa, _ = a.step(i * dyn.SIM_DT)
         fb, _ = b.step(i * dyn.SIM_DT)
         np.testing.assert_array_equal(fa, fb)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       widths=st.lists(st.sampled_from([3, 12]), min_size=130, max_size=400))
+def test_tape_equals_per_call_draws(seed, widths):
+    # gust-wide and sensor-wide takes in any order, across at least one
+    # refill (130 takes hold at least 390 normals), bit for bit
+    assert 130 * 3 > dyn.CHUNK
+    normals = tape(seed)
+    per_call = oracles.PerCallNormals(np.random.default_rng(seed))
+    for n in widths:
+        assert bits(normals.take(n)) == bits(per_call.take(n))
+
+
+def test_tape_takes_more_than_a_chunk():
+    normals, rng = tape(4), np.random.default_rng(4)
+    for n in (5, dyn.CHUNK + 7, 3, 2 * dyn.CHUNK):
+        assert bits(normals.take(n)) == bits(rng.standard_normal(n))
+
+
 def test_sensors_noiseless_exact(params, eff, trim):
-    state = hover_state(trim)
-    accel_w = dyn.acceleration(state, params, eff, np.zeros(3))
+    state = hover_state(trim).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        state, accel_w, 0.0, np.random.default_rng(0))
+        state, params, eff, (0.0, 0.0, 0.0), 0.0, tape(0))
     # at hover the specific force reads +g on body z
     np.testing.assert_allclose(accel, GRAVITY * E3, atol=1e-9)
     np.testing.assert_array_equal(gyro, state[dyn.OMEGA])
@@ -160,26 +183,27 @@ def test_sensors_noiseless_exact(params, eff, trim):
 
 
 def test_sensor_noise_scales(params, eff, trim):
-    state = hover_state(trim)
-    accel_w = dyn.acceleration(state, params, eff, np.zeros(3))
-    rng = np.random.default_rng(3)
+    state = hover_state(trim).tolist()
+    normals = tape(3)
     samples = np.array([
-        dyn.synthesize_sensors(state, accel_w, np.sqrt(9.0), rng)[1]
+        dyn.synthesize_sensors(state, params, eff, (0.0, 0.0, 0.0),
+                               np.sqrt(9.0), normals)[1]
         for _ in range(20000)])
     assert samples.std() == pytest.approx(3.0 * 0.02, rel=0.05)
 
 
 def test_sensors_equal_float_oracle(params, eff, rng):
     # noiseless and every noise level of exp5, with the same stream; the
-    # oracle's rotor sigma is the 0 that run_scenario always set
+    # oracle's rotor sigma is the 0 that run_scenario always set, and it
+    # reads the acceleration that dynamics.acceleration gives
     for case in range(300):
         x, _, dist_f, _ = random_case(params, rng)
-        x = x.tolist()
-        accel_w = dyn.acceleration(x, params, eff, dist_f.tolist())
+        x, dist_f = x.tolist(), dist_f.tolist()
+        accel_w = dyn.acceleration(x, params, eff, dist_f)
         scale = np.sqrt((0, 1, 3, 7, 15, 31)[case % 6])
         seed = int(rng.integers(2 ** 32))
-        got = dyn.synthesize_sensors(x, accel_w, scale,
-                                     np.random.default_rng(seed))
+        got = dyn.synthesize_sensors(x, params, eff, dist_f, scale,
+                                     tape(seed))
         want = oracles.synthesize_sensors(
             x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
             np.random.default_rng(seed))
@@ -188,18 +212,19 @@ def test_sensors_equal_float_oracle(params, eff, rng):
 
 def test_sensor_stream_equals_float_oracle(params, eff, rng):
     # 300 noisy calls on one stream: the tachometers read the rotor speeds
-    # exactly, and every call still draws 12 normals, so the stream ends
-    # where the oracle's does
+    # exactly, and every call still takes 12 normals, so the tape's next
+    # draws are the oracle stream's next draws
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=np.sqrt(7.0))
-    stream, stream_o = np.random.default_rng(5), np.random.default_rng(5)
+    stream, stream_o = tape(5), np.random.default_rng(5)
     for _ in range(300):
         x, _, dist_f, _ = random_case(params, rng)
-        x = x.tolist()
-        accel_w = dyn.acceleration(x, params, eff, dist_f.tolist())
-        _, _, w_meas = dyn.synthesize_sensors(x, accel_w, noise.scale, stream)
+        x, dist_f = x.tolist(), dist_f.tolist()
+        accel_w = dyn.acceleration(x, params, eff, dist_f)
+        _, _, w_meas = dyn.synthesize_sensors(x, params, eff, dist_f,
+                                              noise.scale, stream)
         oracles.synthesize_sensors(x, accel_w, noise, stream_o)
         assert bits(w_meas) == bits(x[dyn.ROTOR_W])
-    assert stream.bit_generator.state == stream_o.bit_generator.state
+    assert bits(stream.take(12)) == bits(stream_o.standard_normal(12))
 
 
 @pytest.mark.parametrize("kind", ["none", "constant_load", "gust"])
@@ -215,8 +240,8 @@ def test_sampler_equals_float_oracle(rng, kind):
             gust_corr_time=float(rng.uniform(0.01, 1.0)))
         residual = rng.normal(0.0, 2.0, 3), rng.normal(0.0, 0.1, 3)
         seed = int(rng.integers(2 ** 32))
-        got = dyn.DisturbanceSampler(spec, dyn.SIM_DT,
-                                     np.random.default_rng(seed), *residual)
+        got = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(seed),
+                                     *residual)
         want = oracles.DisturbanceSampler(
             spec, dyn.SIM_DT, np.random.default_rng(seed), *residual)
         for k in range(20):
@@ -278,8 +303,9 @@ def test_acceleration_is_the_derivative_force_balance(params, eff, rng):
 
 
 def test_kernel_cache_follows_the_platform(params, eff, rng):
-    # step and acceleration alternate between two platforms on every
-    # call; each must use the kernel of the pair it is given
+    # step, acceleration and the sensors' specific force alternate between
+    # two platforms on every call; each must use the kernel of the pair
+    # it is given
     other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
                                    motor_time_constant=0.035,
                                    c_f=1.3 * params.c_f)
@@ -287,7 +313,7 @@ def test_kernel_cache_follows_the_platform(params, eff, rng):
     kernels = [dyn.make_step(p, e) for p, e in pairs]
     for i in range(40):
         p, e = pairs[i % 2]
-        rates, kernel_step = kernels[i % 2]
+        rates, kernel_step, specific_force = kernels[i % 2]
         x, cmd, dist_f, dist_m = random_case(p, rng)
         out = dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT)
         np.testing.assert_array_equal(out, kernel_step(
@@ -296,12 +322,16 @@ def test_kernel_cache_follows_the_platform(params, eff, rng):
         np.testing.assert_allclose(
             out, numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
             rtol=1e-12, atol=0.0)
-        p, e = pairs[(i + 1) % 2]
-        rates, _ = kernels[(i + 1) % 2]
+        p_next, e_next = pairs[(i + 1) % 2]
+        rates_next = kernels[(i + 1) % 2][0]
         np.testing.assert_array_equal(
-            dyn.acceleration(x, p, e, dist_f),
-            rates(*x.tolist()[dyn.Q.start:], (*cmd.w_cmd.tolist(),
-                  *dist_f.tolist(), *dist_m.tolist()))[:3])
+            dyn.acceleration(x, p_next, e_next, dist_f),
+            rates_next(*x.tolist()[dyn.Q.start:], (*cmd.w_cmd.tolist(),
+                       *dist_f.tolist(), *dist_m.tolist()))[:3])
+        np.testing.assert_array_equal(
+            dyn.synthesize_sensors(x.tolist(), p, e, dist_f.tolist(), 0.0,
+                                   None)[0],
+            specific_force(x.tolist(), dist_f.tolist()))
 
 
 def test_kernel_equals_list_form_oracle(params, eff, rng):

@@ -10,6 +10,7 @@ from hexsim import control
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
+import oracles
 from oracles import whole_log_errors
 
 
@@ -235,7 +236,9 @@ def same_bits(a, b):
     ("exp1", "geo", {"duration": 20.0}),
     ("exp1", "indi", {"duration": 20.0}),
     ("exp3", "indi", {"gust": True, "duration": 7.0, "seed": 3}),
-], ids=["exp1-geo", "exp1-indi", "exp3-gust"])
+    ("exp3", "indi", {"gust": True, "noise_scale": 3, "duration": 7.0,
+                      "seed": 5}),
+], ids=["exp1-geo", "exp1-indi", "exp3-gust", "exp3-gust-noise"])
 def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
                                                overrides):
     # the errors are filled a block of rows at a time, bit for bit as the
@@ -248,6 +251,26 @@ def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
     assert same_bits(log["e_p"], e_p)
     assert same_bits(log["e_att_deg"], e_att_deg)
     assert same_bits(log["rpy"], rpy)
+
+
+# gust and sensor noise on, so both draw from the run's one stream
+SHARED_STREAM_RUNS = [
+    ("indi", {"gust": True, "noise_scale": 3, "duration": 4.0, "seed": 5}),
+    ("geo", {"gust": True, "noise_scale": 1, "controller_freq": 125.0,
+             "duration": 4.0, "seed": 9}),
+]
+
+
+@pytest.mark.parametrize("controller, overrides", SHARED_STREAM_RUNS,
+                         ids=["indi-500Hz", "geo-125Hz"])
+def test_tape_run_equals_per_call_draws(monkeypatch, controller, overrides):
+    # a run on the chunked tape logs, bit for bit, what it logged when
+    # the gust and the sensors drew their normals at every call
+    sc = ex.build_scenario("exp3", controller, overrides)
+    log, _ = ex.run_scenario(sc)
+    monkeypatch.setattr(dyn, "Normals", oracles.PerCallNormals)
+    want, _ = ex.run_scenario(sc)
+    assert same_bits(log["t"].base, want["t"].base)
 
 
 @pytest.mark.parametrize("scenario_id, overrides, sizes", [
@@ -423,8 +446,9 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     # its time, scenario, seed and last finite state
     real = dyn.synthesize_sensors
 
-    def nan_gyro(x, accel_world, scale, rng):
-        accel, gyro, w_meas = real(x, accel_world, scale, rng)
+    def nan_gyro(x, params, eff, dist_force, scale, normals):
+        accel, gyro, w_meas = real(x, params, eff, dist_force, scale,
+                                   normals)
         if len(calls) >= 50:
             gyro = [math.nan] * 3
         calls.append(1)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from hexsim import dynamics, vehicle
 from hexsim.vehicle import GRAVITY
-from oracles import assemble_F, quat_from_axis_angle
+import oracles
+from oracles import assemble_F, bits, quat_from_axis_angle
 
 
 def test_default_params_values(params):
@@ -202,7 +203,7 @@ def test_hover_trim_is_an_equilibrium_over_platforms(params):
     # omega and the rotor speeds vanish up to rounding
     eff = vehicle.build_effectiveness(params)
     w = vehicle.hover_command(params, eff).w_cmd
-    rates, _ = dynamics.make_step(params, eff)
+    rates, _, _ = dynamics.make_step(params, eff)
     r = rates(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *w, (*w, *[0.0] * 6))
     moment = params.mass * GRAVITY * params.arm_length
     assert np.abs(r[0:3]).max() <= 1e-9 * GRAVITY
@@ -229,3 +230,33 @@ def test_allocation_is_exact_over_platforms(params, q, share):
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
     assert (np.linalg.norm(F @ cmd.u - wrench)
             <= 1e-9 * np.linalg.norm(wrench))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=platforms(), seed=st.integers(0, 2 ** 32 - 1),
+       noisy=st.booleans())
+def test_fused_accelerometer_equals_two_call_form_over_platforms(
+        params, seed, noisy):
+    # the kernel's specific force, and the readings synthesize_sensors
+    # makes of it, equal dynamics.acceleration followed by the sensor
+    # oracle bit for bit, at a random state and disturbance force
+    eff = vehicle.build_effectiveness(params)
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=4)
+    x = dynamics.pack(rng.normal(size=3), rng.normal(size=3),
+                      q / np.linalg.norm(q), rng.uniform(-5.0, 5.0, 3),
+                      rng.uniform(params.w_min, params.w_max, 6)).tolist()
+    dist_f = rng.normal(0.0, 3.0, 3).tolist()
+    scale = np.sqrt(7.0) if noisy else 0.0
+    accel_w = dynamics.acceleration(x, params, eff, dist_f)
+    got = dynamics.synthesize_sensors(
+        x, params, eff, dist_f, scale,
+        dynamics.Normals(np.random.default_rng(seed)))
+    want = oracles.synthesize_sensors(
+        x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
+        np.random.default_rng(seed))
+    assert bits(got) == bits(vars(want).values())
+    specific_force = dynamics.make_step(params, eff)[2]
+    noiseless = oracles.synthesize_sensors(
+        x, accel_w, oracles.NoiseSpec(scale=0.0), None)
+    assert bits(specific_force(x, dist_f)) == bits(noiseless.accel)
