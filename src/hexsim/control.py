@@ -2,14 +2,15 @@
 
 Both controllers consume the same shaped reference and the same error
 dynamics (position/velocity PD in the world frame, quaternion attitude
-error and body-rate damping).  They differ only in how the commanded
-accelerations are turned into rotor commands:
+error and body-rate damping), whose pseudo control (v_p, v_att) is the
+commanded acceleration, world, and angular acceleration, body.  They
+differ only in the inversion that turns it into a wrench:
 
-  * GeoNdiController inverts the on-board model (mass, inertia, gravity,
-    gyroscopic term, effectiveness matrix).
-  * IndiController replaces the model terms with filtered measurements of
-    translational acceleration, angular acceleration and rotor speeds, and
-    commands an increment on the measured actuator state.
+  * ndi_invert (GeoNdiController) inverts the on-board model: mass,
+    inertia, gravity and the gyroscopic term.
+  * indi_invert (IndiController) puts filtered measurements of specific
+    force and angular acceleration in place of the model terms; its
+    wrench is an increment on the measured rotor state.
 """
 
 import math
@@ -52,12 +53,6 @@ class PoseReference:
     omega_dot_d: tuple
 
 
-@dataclass
-class PseudoControl:
-    v_p: list     # commanded translational acceleration, world
-    v_att: list   # commanded angular acceleration, body
-
-
 @dataclass(frozen=True)
 class ControllerModel:
     """What the controller believes about the platform (possibly wrong)."""
@@ -72,7 +67,7 @@ def make_model(params, cf_factor=1.0):
 
 
 def outer_loop(gains, ref, pos, vel, q, omega, rot=None):
-    """Shared error dynamics producing the pseudo-control accelerations.
+    """Shared error dynamics producing the pseudo control (v_p, v_att).
 
     Every argument is a sequence of numbers; a list of Python floats is
     fastest.  rot is R(q) as geometry.rotmat returns it, for a caller
@@ -95,13 +90,13 @@ def outer_loop(gains, ref, pos, vel, q, omega, rot=None):
                   g * ox + h * oy + i * oz)
     a, b, c, d, e, f, g, h, i = rotmat(q) if rot is None else rot
     (wx, wy, wz), (wdx, wdy, wdz) = omega, ref.omega_dot_d
-    return PseudoControl(v_p=v_p, v_att=[
+    return v_p, [
         k_q * (s * (-dw * x + dx * w - dy * z + dz * y))
         - k_w * (wx - (a * r1 + d * r2 + g * r3)) + wdx,
         k_q * (s * (-dw * y + dx * z + dy * w - dz * x))
         - k_w * (wy - (b * r1 + e * r2 + h * r3)) + wdy,
         k_q * (s * (-dw * z - dx * y + dy * x + dz * w))
-        - k_w * (wz - (c * r1 + f * r2 + i * r3)) + wdz])
+        - k_w * (wz - (c * r1 + f * r2 + i * r3)) + wdz]
 
 
 def ndi_invert(nu, omega, model):
@@ -111,14 +106,30 @@ def ndi_invert(nu, omega, model):
     p = model.params
     m = p.mass
     jx, jy, jz = p.inertia
-    ax, ay, az = nu.v_p
-    bx, by, bz = nu.v_att
+    (ax, ay, az), (bx, by, bz) = nu
     ox, oy, oz = omega
     hx, hy, hz = jx * ox, jy * oy, jz * oz
     return (m * ax, m * ay, m * az + m * GRAVITY,
             jx * bx + (oy * hz - oz * hy),
             jy * by + (oz * hx - ox * hz),
             jz * bz + (ox * hy - oy * hx))
+
+
+def indi_invert(nu, rot, accel, omega_dot, model):
+    """Sensor-based inversion: the wrench increment from the measured
+    accelerations, R(q) accel - g and omega_dot, to the pseudo control,
+    as a 6-tuple; accel is the body specific force, rot is R(q)."""
+    p = model.params
+    m = p.mass
+    jx, jy, jz = p.inertia
+    (vx, vy, vz), (bx, by, bz) = nu
+    a, b, c, d, e, f, g, h, i = rot
+    (fx, fy, fz), (dx, dy, dz) = accel, omega_dot
+    # the specific force in the world frame, R(q) f
+    ax, ay, az = (a * fx + b * fy + c * fz, d * fx + e * fy + f * fz,
+                  g * fx + h * fy + i * fz)
+    return (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
+            jx * (bx - dx), jy * (by - dy), jz * (bz - dz))
 
 
 class ReferenceShaper:
@@ -251,7 +262,6 @@ class IndiController:
                  filter_damping=FILTER_DAMPING):
         self.model = model
         self.gains = gains
-        self._mass_inertia = (model.params.mass, *model.params.inertia)
         self.shaper = ReferenceShaper(dt)
         # channels: specific force (3), gyro (3), squared rotor speeds (6)
         self.feedback = SecondOrderFilter(
@@ -266,30 +276,20 @@ class IndiController:
 
     def tick(self, target_pos, target_rpy, inputs):
         ref = self.shaper.step(target_pos, target_rpy)
-
         w1, w2, w3, w4, w5, w6 = inputs.rotor_w_meas
         fx, fy, fz, gx, gy, gz, u1, u2, u3, u4, u5, u6 = self.feedback.step(
             [*inputs.accel, *inputs.gyro, w1 * abs(w1), w2 * abs(w2),
              w3 * abs(w3), w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)])
         gyro_f = [gx, gy, gz]
-
         # the gyro channel is low-pass filtered like every other sensor
         # path, so the rate error sees the same group delay
         q = inputs.q
-        rot = a, b, c, d, e, f, g, h, i = rotmat(q)
+        rot = rotmat(q)
         nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel, q, gyro_f,
                         rot)
-        # the filtered specific force in the world frame, R(q) f
-        ax, ay, az = (a * fx + b * fy + c * fz, d * fx + e * fy + f * fz,
-                      g * fx + h * fy + i * fz)
-        dx, dy, dz = self.d_gyro.step(gyro_f)
-
-        m, jx, jy, jz = self._mass_inertia
-        (vx, vy, vz), (bx, by, bz) = nu.v_p, nu.v_att
-        s1, s2, s3, s4, s5, s6 = solve_wrench(
-            self.model.eff, q,
-            (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
-             jx * (bx - dx), jy * (by - dy), jz * (bz - dz)), rot)
+        wrench = indi_invert(nu, rot, (fx, fy, fz), self.d_gyro.step(gyro_f),
+                             self.model)
+        s1, s2, s3, s4, s5, s6 = solve_wrench(self.model.eff, q, wrench, rot)
         return saturate(self.model.eff, (s1 + u1, s2 + u2, s3 + u3, s4 + u4,
                                          s5 + u5, s6 + u6)), ref
 

@@ -4,18 +4,20 @@ continuous-time step response of the INDI feedback filter, the list-form
 RK4 truth kernel, the tick side of the closed loop as it was before it
 was written out straight-line (with the sensor-noise settings and the
 sensor record it read and returned), the numpy forms of the
-controller layers and the truth step, and the tracking errors of a run
-log computed over the whole log at once."""
+controller layers and the truth step, the tracking errors of a run
+log computed over the whole log at once, and the hypothesis strategies
+the property tests draw from: valid platforms and numbers in [-1, 1]."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
 from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, PoseReference,
-                            PseudoControl, ndi_invert)
+                            ndi_invert)
 from hexsim.dynamics import OMEGA, Q, ROTOR_W, NonFiniteState
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
@@ -251,7 +253,7 @@ def outer_loop(gains, ref, pos, vel, q, omega):
     e_w = angular_rate_error(omega, ref.omega_d, q, ref.q_d)
     v_att = [k_q * eq - k_w * ew + wd
              for eq, ew, wd in zip(e_q, e_w, ref.omega_dot_d)]
-    return PseudoControl(v_p=v_p, v_att=v_att)
+    return v_p, v_att
 
 
 class ReferenceShaper:
@@ -387,10 +389,10 @@ class IndiController:
 
         p = self.model.params
         m = p.mass
-        vx, vy, vz = nu.v_p
+        (vx, vy, vz), v_att = nu
         increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
                      *[j * (v - w)
-                       for j, v, w in zip(p.inertia, nu.v_att, omdot0)])
+                       for j, v, w in zip(p.inertia, v_att, omdot0)])
         u = [a + b for a, b in zip(
             solve_wrench(self.model.eff, inputs.q, increment), u0)]
         return saturate(self.model.eff, u), ref
@@ -545,14 +547,15 @@ def numpy_outer_loop(gains, ref, pos, vel, q, omega):
     e_w = numpy_angular_rate_error(omega, np.asarray(ref.omega_d), q,
                                    np.asarray(ref.q_d))
     v_att = gains.k_q * e_q - gains.k_w * e_w + ref.omega_dot_d
-    return PseudoControl(v_p=v_p, v_att=v_att)
+    return v_p, v_att
 
 
 def numpy_ndi_invert(nu, omega, model):
     p = model.params
+    v_p, v_att = nu
     jw = np.asarray(p.inertia) * omega
-    force = p.mass * np.asarray(nu.v_p) + p.mass * GRAVITY * E3
-    torque = np.asarray(p.inertia) * nu.v_att + np.cross(omega, jw)
+    force = p.mass * np.asarray(v_p) + p.mass * GRAVITY * E3
+    torque = np.asarray(p.inertia) * v_att + np.cross(omega, jw)
     return np.concatenate([force, torque])
 
 
@@ -668,8 +671,9 @@ class NumpyIndi:
         omdot0 = (gyro_f - self.prev_gyro) / self.dt
         self.prev_gyro = gyro_f.copy()
         p = self.model.params
-        force_inc = p.mass * (nu.v_p - pddot0)
-        torque_inc = np.asarray(p.inertia) * (nu.v_att - omdot0)
+        v_p, v_att = nu
+        force_inc = p.mass * (v_p - pddot0)
+        torque_inc = np.asarray(p.inertia) * (v_att - omdot0)
         rhs = np.concatenate([rot.T @ force_inc, torque_inc])
         u = self.model.eff.F0_inv @ rhs + u0
         return numpy_saturate(self.model.eff, u), ref
@@ -715,3 +719,38 @@ def whole_log_errors(log):
     e_att_deg = np.degrees(rpy_from_quat(e_q)).T
     rpy = rpy_from_quat(log["q"].T).T
     return e_p, e_att_deg, rpy
+
+
+# ---------------------------------------------------------------------------
+# valid platforms for the property tests
+
+unit = st.floats(-1.0, 1.0)
+tilt_degs = st.floats(0.01, 89.9)
+tilt_signs = st.sampled_from((1.0, -1.0))
+
+
+def can_hover(params):
+    eff = vehicle.build_effectiveness(params)
+    return not any(vehicle.hover_command(params, eff).saturated)
+
+
+@st.composite
+def platforms(draw):
+    """A valid platform: mass, inertia, tilt of either sign, arm length,
+    rotor limits, c_f (as a thrust-to-weight ratio at w_max, some of them
+    below 1), c_tau and motor lag."""
+    mass = draw(st.floats(0.5, 10.0))
+    tilt = draw(tilt_signs) * np.deg2rad(draw(tilt_degs))
+    w_min = draw(st.floats(20.0, 200.0))
+    w_max = w_min * draw(st.floats(3.0, 12.0))
+    c_f = (draw(st.floats(0.8, 5.0)) * mass * GRAVITY
+           / (6.0 * w_max ** 2 * np.cos(tilt)))
+    return vehicle.PlatformParams(
+        mass=mass, inertia=draw(st.tuples(*[st.floats(0.01, 0.5)] * 3)),
+        c_f=c_f, c_tau=draw(st.floats(0.005, 0.05)) * c_f,
+        arm_length=draw(st.floats(0.05, 1.0)), tilt_angle=tilt,
+        w_min=w_min, w_max=w_max,
+        motor_time_constant=draw(st.floats(0.005, 0.1)))
+
+
+hovering_platforms = platforms().filter(can_hover)

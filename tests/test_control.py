@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
 from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
-                            IndiController, PoseReference, PseudoControl,
-                            ReferenceShaper, _ShapedAxes, make_controller,
+                            IndiController, PoseReference, ReferenceShaper,
+                            _ShapedAxes, indi_invert, make_controller,
                             make_model, ndi_invert, outer_loop)
 from hexsim.experiments import CONTROLLER_FREQS
 from hexsim.geometry import E3, quat_from_rpy, quat_to_rotmat, rotmat
 from hexsim.vehicle import GRAVITY
 import oracles
 from oracles import (NumpyGeo, NumpyIndi, NumpyShaper, bits, numpy_allocate,
-                     numpy_ndi_invert, numpy_outer_loop, numpy_saturate)
+                     numpy_ndi_invert, numpy_outer_loop, numpy_saturate,
+                     platforms, unit)
 
 DT = 0.002  # 500 Hz
 HOVER_Q = np.array([1.0, 0, 0, 0])
@@ -43,19 +46,19 @@ def test_outer_loop_zero_error_gives_feedforward():
     ref = PoseReference(p_d=ref.p_d, v_d=ref.v_d, a_d=np.array([0, 0, 1.0]),
                         q_d=ref.q_d, omega_d=ref.omega_d,
                         omega_dot_d=np.array([0.5, 0, 0]))
-    nu = outer_loop(Gains(), ref, np.zeros(3), np.zeros(3),
-                    np.array([1.0, 0, 0, 0]), np.zeros(3))
-    np.testing.assert_allclose(nu.v_p, [0, 0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(nu.v_att, [0.5, 0, 0], atol=1e-12)
+    v_p, v_att = outer_loop(Gains(), ref, np.zeros(3), np.zeros(3),
+                            np.array([1.0, 0, 0, 0]), np.zeros(3))
+    np.testing.assert_allclose(v_p, [0, 0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(v_att, [0.5, 0, 0], atol=1e-12)
 
 
 def test_outer_loop_proportional_terms():
     g = Gains()
-    nu = outer_loop(g, hover_reference(), np.array([-1.0, 0, 0]),
-                    np.zeros(3), np.array([1.0, 0, 0, 0]),
-                    np.array([0, 0, 0.1]))
-    np.testing.assert_allclose(nu.v_p, [g.k_p, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(nu.v_att, [0, 0, -g.k_w * 0.1], atol=1e-12)
+    v_p, v_att = outer_loop(g, hover_reference(), np.array([-1.0, 0, 0]),
+                            np.zeros(3), np.array([1.0, 0, 0, 0]),
+                            np.array([0, 0, 0.1]))
+    np.testing.assert_allclose(v_p, [g.k_p, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(v_att, [0, 0, -g.k_w * 0.1], atol=1e-12)
 
 
 def test_ndi_invert_hover_wrench(params):
@@ -70,11 +73,48 @@ def test_ndi_invert_hover_wrench(params):
 def test_ndi_invert_gyroscopic_term(params):
     model = make_model(params)
     omega = np.array([1.0, 2.0, 3.0])
-    wrench = ndi_invert(PseudoControl(v_p=np.zeros(3), v_att=np.zeros(3)),
-                        omega, model)
+    wrench = ndi_invert((np.zeros(3), np.zeros(3)), omega, model)
     j = np.asarray(params.inertia)
     np.testing.assert_allclose(wrench[3:], np.cross(omega, j * omega),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("cf_factor,holds", [(1.0, True), (0.5, False)],
+                         ids=["ideal", "cf-mismatch-0.5"])
+@settings(max_examples=100, deadline=None)
+@given(params=platforms(),
+       q=st.tuples(unit, unit, unit, unit).filter(
+           lambda q: sum(v * v for v in q) > 1e-2),
+       omega=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+       share=st.tuples(*[st.floats(0.0, 1.0)] * 6),
+       v_p=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       v_att=st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+def test_indi_equals_ndi_on_truth_measurements_over_platforms(
+        params, q, omega, share, v_p, v_att, cf_factor, holds):
+    # fed the truth's specific force, angular acceleration and
+    # u0 = w|w|, u0 plus INDI's allocated increment is NDI's allocation
+    # of the same pseudo control, before saturation, when the model is
+    # the truth: unlike a hover, this tells the two inversions apart.
+    # With the believed c_f halved the identity fails on every draw.
+    # The scale is u0 as well as u, as the increment cancels F(q) u0.
+    eff = vehicle.build_effectiveness(params)
+    rates, _, specific_force = dyn.make_step(params, eff)
+    q = (np.array(q) / np.linalg.norm(q)).tolist()
+    w = [params.w_min + s * (params.w_max - params.w_min) for s in share]
+    x = dyn.pack(np.zeros(3), np.zeros(3), q, omega, w).tolist()
+    f = specific_force(x, (0.0, 0.0, 0.0))
+    omega_dot = rates(*q, *omega, *w, (*w, *[0.0] * 6))[7:10]
+    model = make_model(params, cf_factor)
+    rot = rotmat(q)
+    nu = (list(v_p), list(v_att))
+    u0 = np.array(w) * np.abs(w)
+    u_indi = u0 + vehicle.solve_wrench(
+        model.eff, q, indi_invert(nu, rot, f, omega_dot, model), rot)
+    u_ndi = np.array(vehicle.solve_wrench(
+        model.eff, q, ndi_invert(nu, omega, model), rot))
+    gap = np.abs(u_indi - u_ndi).max() / max(np.abs(u_ndi).max(),
+                                             np.abs(u0).max())
+    assert (gap <= 1e-12) == holds
 
 
 @pytest.mark.parametrize("freq", CONTROLLER_FREQS)
@@ -246,21 +286,20 @@ def test_outer_loop_matches_numpy_oracle(params, rng):
         inputs = random_inputs(rng, params)
         float_ref = PoseReference(**{k: v.tolist()
                                      for k, v in ref.__dict__.items()})
-        nu = outer_loop(gains, float_ref, inputs.pos, inputs.vel, inputs.q,
-                        inputs.gyro)
+        v_p, v_att = outer_loop(gains, float_ref, inputs.pos, inputs.vel,
+                                inputs.q, inputs.gyro)
         arrays = as_arrays(inputs)
-        expected = numpy_outer_loop(gains, ref, arrays.pos, arrays.vel,
-                                    arrays.q, arrays.gyro)
-        np.testing.assert_allclose(nu.v_p, expected.v_p, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(nu.v_att, expected.v_att, rtol=1e-12,
-                                   atol=0)
+        expected_p, expected_att = numpy_outer_loop(
+            gains, ref, arrays.pos, arrays.vel, arrays.q, arrays.gyro)
+        np.testing.assert_allclose(v_p, expected_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(v_att, expected_att, rtol=1e-12, atol=0)
 
 
 def test_ndi_invert_matches_numpy_oracle(params, rng):
     model = make_model(params)
     for _ in range(300):
-        nu = PseudoControl(v_p=rng.normal(0.0, 3.0, 3).tolist(),
-                           v_att=rng.normal(0.0, 30.0, 3).tolist())
+        nu = (rng.normal(0.0, 3.0, 3).tolist(),
+              rng.normal(0.0, 30.0, 3).tolist())
         omega = rng.uniform(-5.0, 5.0, 3)
         np.testing.assert_allclose(
             ndi_invert(nu, omega.tolist(), model),
@@ -380,13 +419,13 @@ def test_outer_loop_equals_float_oracle(params, rng):
         ref = random_reference(rng)
         ref = PoseReference(**{k: v.tolist() for k, v in ref.__dict__.items()})
         inputs = random_inputs(rng, params)
-        expected = oracles.outer_loop(gains, ref, inputs.pos, inputs.vel,
-                                      inputs.q, inputs.gyro)
+        expected_p, expected_att = oracles.outer_loop(
+            gains, ref, inputs.pos, inputs.vel, inputs.q, inputs.gyro)
         for rot in (None, rotmat(inputs.q)):
-            nu = outer_loop(gains, ref, inputs.pos, inputs.vel, inputs.q,
-                            inputs.gyro, rot)
-            assert bits(nu.v_p) == bits(expected.v_p)
-            assert bits(nu.v_att) == bits(expected.v_att)
+            v_p, v_att = outer_loop(gains, ref, inputs.pos, inputs.vel,
+                                    inputs.q, inputs.gyro, rot)
+            assert bits(v_p) == bits(expected_p)
+            assert bits(v_att) == bits(expected_att)
 
 
 def test_allocation_equals_float_oracle(params, eff, rng):

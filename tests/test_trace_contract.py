@@ -100,6 +100,7 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
         "shaper": count_calls(monkeypatch, control.ReferenceShaper, "step"),
         "outer_loop": count_calls(monkeypatch, control, "outer_loop"),
         "ndi_invert": count_calls(monkeypatch, control, "ndi_invert"),
+        "indi_invert": count_calls(monkeypatch, control, "indi_invert"),
         "allocate": count_calls(monkeypatch, vehicle, "allocate"),
         "saturate": count_calls(monkeypatch, vehicle, "saturate"),
         "filter": count_calls(monkeypatch, filters.SecondOrderFilter, "step"),
@@ -119,6 +120,7 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
     assert {name: calls[0] for name, calls in counts.items()} == {
         "tick": ticks, "other_tick": 0, "shaper": ticks,
         "outer_loop": ticks, "ndi_invert": ticks if geo else 0,
+        "indi_invert": 0 if geo else ticks,
         "allocate": 1 + (ticks if geo else 0), "saturate": 1 + ticks,
         "filter": 0 if geo else ticks, "derivative": 0 if geo else ticks}
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hexsim import dynamics, vehicle
 from hexsim.vehicle import GRAVITY
 import oracles
-from oracles import assemble_F, bits, quat_from_axis_angle
+from oracles import (assemble_F, bits, hovering_platforms, platforms,
+                     quat_from_axis_angle, tilt_degs, tilt_signs, unit)
 
 
 def test_default_params_values(params):
@@ -126,9 +127,6 @@ def test_with_cf_factor(params):
     assert half.c_tau == params.c_tau
 
 
-unit = st.floats(-1.0, 1.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(q=st.tuples(unit, unit, unit, unit).filter(
            lambda q: sum(v * v for v in q) > 1e-2),
@@ -147,8 +145,6 @@ def test_allocate_reproduces_feasible_wrench(eff, q, share):
             <= 1e-9 * np.linalg.norm(wrench))
 
 
-tilt_degs = st.floats(0.01, 89.9)
-tilt_signs = st.sampled_from((1.0, -1.0))
 shares = st.tuples(*[st.floats(0.01, 0.99)] * 6)
 
 
@@ -167,33 +163,6 @@ def test_full_rank_over_tilt_range(tilt_deg, sign, share):
     cmd = vehicle.allocate(eff, q, wrench)
     assert not np.asarray(cmd.saturated).any()
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
-
-
-def can_hover(params):
-    eff = vehicle.build_effectiveness(params)
-    return not any(vehicle.hover_command(params, eff).saturated)
-
-
-@st.composite
-def platforms(draw):
-    """A valid platform: mass, inertia, tilt of either sign, arm length,
-    rotor limits, c_f (as a thrust-to-weight ratio at w_max, some of them
-    below 1), c_tau and motor lag."""
-    mass = draw(st.floats(0.5, 10.0))
-    tilt = draw(tilt_signs) * np.deg2rad(draw(tilt_degs))
-    w_min = draw(st.floats(20.0, 200.0))
-    w_max = w_min * draw(st.floats(3.0, 12.0))
-    c_f = (draw(st.floats(0.8, 5.0)) * mass * GRAVITY
-           / (6.0 * w_max ** 2 * np.cos(tilt)))
-    return vehicle.PlatformParams(
-        mass=mass, inertia=draw(st.tuples(*[st.floats(0.01, 0.5)] * 3)),
-        c_f=c_f, c_tau=draw(st.floats(0.005, 0.05)) * c_f,
-        arm_length=draw(st.floats(0.05, 1.0)), tilt_angle=tilt,
-        w_min=w_min, w_max=w_max,
-        motor_time_constant=draw(st.floats(0.005, 0.1)))
-
-
-hovering_platforms = platforms().filter(can_hover)
 
 
 @settings(max_examples=100, deadline=None)
