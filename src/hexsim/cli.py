@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -302,7 +303,6 @@ def require_hover(params):
 
 
 def cmd_run(config):
-    from pathlib import Path
     params = build_params(config)
     scenario = build_run_scenario(config)
     require_hover(params)
@@ -323,71 +323,70 @@ _SWEEP_AXES = {
     "frequency": ("exp4", "controller_freq", experiments.CONTROLLER_FREQS),
     "noise": ("exp5", "noise_scale", experiments.NOISE_SCALES),
 }
+# a sweep row's RunMetrics fields
+_SWEEP_STATS = ("lon_att_mean_deg", "lon_att_std_deg", "pos_norm_mean",
+                "pos_norm_std")
 
 
-def _sweep_cell(args):
-    """One (controller, axis value) cell; run in a worker process.
-
-    The cell's scenario goes through build_run_scenario like `hexsim run`,
-    so [run], [gains] and [filters] keys apply to every cell.
-    """
-    controller, axis, value, repeats, config = args
-    params = build_params(config)
-    scenario_id, key, _ = _SWEEP_AXES[axis]
-    run = dict(config["run"], scenario=scenario_id, controller=controller)
-    run[key] = value
-    scenario = build_run_scenario(dict(config, run=run))
+def _sweep_cell(cell):
+    """(repeat_runs(*cell)'s aggregate, "ok") or (None, divergence report)."""
     try:
-        agg, _ = experiments.repeat_runs(scenario, repeats, params=params)
+        return experiments.repeat_runs(*cell)[0], "ok"
     except dynamics.NonFiniteState as exc:
-        return (value, controller, repeats, None, _divergence_report(exc))
-    return (value, controller, repeats, agg, "ok")
+        return None, _divergence_report(exc)
+
+
+def _sweep_results(cells, jobs):
+    """Each cell's result, in grid order, as it arrives."""
+    if jobs == 1:
+        yield from map(_sweep_cell, cells)
+    else:  # the pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            yield from pool.map(_sweep_cell, cells)
 
 
 def cmd_sweep(config):
-    axis = config["sweep"]["axis"]
-    repeats = config["sweep"]["repeats"]
-    jobs = config["sweep"]["jobs"]
+    axis, repeats, jobs, out = (
+        config["sweep"][key] for key in ("axis", "repeats", "jobs", "out"))
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep axis must be frequency or noise, got {axis}")
     if repeats < 1:
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
         raise ConfigError("sweep jobs must be >= 1")
-    require_hover(build_params(config))
-    values = _SWEEP_AXES[axis][2]
-    cells = [(controller, axis, value, repeats, config)
+    params = build_params(config)
+    require_hover(params)
+    scenario_id, key, values = _SWEEP_AXES[axis]
+    cells = [(build_run_scenario(dict(config, run={
+                  **config["run"], "scenario": scenario_id,
+                  "controller": controller, key: value})), repeats, params)
              for controller in ("geo", "indi") for value in values]
-    if jobs > 1:
-        # the pool starts all its workers up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
-
-    out = config["sweep"]["out"]
+    diverged = False
     with open(out, "w") as fh:
-        fh.write(f"{axis},controller,n_runs,lon_att_mean_deg,"
-                 "lon_att_std_deg,pos_norm_mean,pos_norm_std,status\n")
-        for value, controller, n, agg, status in rows:
-            if agg is None:
-                print(f"{axis}={value} {controller}: {status}",
-                      file=sys.stderr)
-                summary = status.splitlines()[0]
-                fh.write(f"{value},{controller},{n},,,,,{summary}\n")
-                continue
-            fh.write(",".join([
-                repr(float(value)), controller, str(n),
-                repr(agg.lon_att_mean_deg), repr(agg.lon_att_std_deg),
-                repr(agg.pos_norm_mean), repr(agg.pos_norm_std),
-                status]) + "\n")
-            print(f"{axis}={value} {controller}: "
-                  f"lon={agg.lon_att_mean_deg:.4f}±{agg.lon_att_std_deg:.4f} "
-                  f"deg, pos={agg.pos_norm_mean:.4f}±{agg.pos_norm_std:.4f} m")
+        try:
+            fh.write(",".join([axis, "controller", "n_runs", *_SWEEP_STATS,
+                               "status"]) + "\n")
+            for (scenario, _, _), (agg, status) in zip(
+                    cells, _sweep_results(cells, jobs)):
+                value = getattr(scenario, key)
+                label = f"{axis}={value} {scenario.controller}"
+                if agg is None:
+                    diverged = True
+                    print(f"{label}: {status}", file=sys.stderr)
+                    stats, status = [""] * 4, status.splitlines()[0]
+                else:
+                    stats = [repr(getattr(agg, name)) for name in _SWEEP_STATS]
+                    print(f"{label}: lon={agg.lon_att_mean_deg:.4f}±"
+                          f"{agg.lon_att_std_deg:.4f} deg, pos="
+                          f"{agg.pos_norm_mean:.4f}±{agg.pos_norm_std:.4f} m")
+                fh.write(",".join([repr(float(value)), scenario.controller,
+                                   str(repeats), *stats, status]) + "\n")
+        except BaseException:
+            # leave no partial CSV, as `hexsim run` leaves no log.csv
+            Path(out).unlink(missing_ok=True)
+            raise
     print(f"wrote {out}")
-    if any(agg is None for _, _, _, agg, _ in rows):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 def _divergence_report(exc):

@@ -8,11 +8,19 @@ noise degradation).  Each test prints one PASS/FAIL line with the
 measured numbers.
 
 The study fixtures run full closed-loop simulations and are module
-scoped; the whole file takes several minutes.
+scoped.  The exp4 and exp5 grids fly through `hexsim sweep` on every
+core and are read back from its CSV; the determinism check runs its two
+`hexsim run` invocations in two fresh interpreters at once.
 """
 
+import csv
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +34,8 @@ from hexsim.control import (Gains, PoseReference, make_model, ndi_invert,
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.vehicle import GRAVITY
 from oracles import analytic_step_response, assemble_F, quat_from_axis_angle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(capsys, name, ok, detail):
@@ -51,26 +61,31 @@ def exp2_logs(params):
             for ctrl in ("geo", "indi")}
 
 
-@pytest.fixture(scope="module")
-def exp4_table(params):
-    table = {}
-    for ctrl in ("geo", "indi"):
-        for freq in ex.CONTROLLER_FREQS:
-            sc = ex.build_scenario("exp4", ctrl, {"controller_freq": freq})
-            _, metrics = ex.run_scenario(sc, params)
-            table[ctrl, freq] = metrics
-    return table
+def sweep_table(tmp_path_factory, axis, repeats):
+    """`hexsim sweep` over an axis on every core, its CSV read back as
+    {(controller, axis value): row}, the row's statistics as floats."""
+    out = tmp_path_factory.mktemp(axis) / "sweep.csv"
+    assert cli.main(["sweep", "--axis", axis, "--repeats", str(repeats),
+                     "--jobs", str(os.cpu_count() or 1),
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return {(row["controller"], float(row[axis])): SimpleNamespace(
+                    lon_att_mean_deg=float(row["lon_att_mean_deg"]),
+                    pos_norm_mean=float(row["pos_norm_mean"]))
+                for row in csv.DictReader(fh)}
 
 
 @pytest.fixture(scope="module")
-def exp5_table(params):
-    table = {}
-    for ctrl in ("geo", "indi"):
-        for level in (1, 3, 7, 15, 31):
-            sc = ex.build_scenario("exp5", ctrl, {"noise_scale": level})
-            agg, _ = ex.repeat_runs(sc, 3)
-            table[ctrl, level] = agg
-    return table
+def exp4_table(tmp_path_factory):
+    # one run per cell: repeat_runs pools one run's samples, so its
+    # statistics are that run's
+    return sweep_table(tmp_path_factory, "frequency", 1)
+
+
+@pytest.fixture(scope="module")
+def exp5_table(tmp_path_factory):
+    # the grid also flies noise level 0, which criterion 8 does not read
+    return sweep_table(tmp_path_factory, "noise", 3)
 
 
 def test_01_allocation_round_trip(params, eff, capsys):
@@ -254,11 +269,19 @@ def test_09_filters(capsys):
 
 
 def test_10_determinism(tmp_path, capsys):
+    # two fresh interpreters at once, so no state carries between the runs
     dirs = [tmp_path / "a", tmp_path / "b"]
-    for d in dirs:
-        code = cli.main(["run", "--scenario", "exp1", "--controller",
-                         "indi", "--out", str(d)])
-        assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "hexsim.cli", "run", "--scenario", "exp1",
+         "--controller", "indi", "--out", str(d)],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL) for d in dirs]
+    try:
+        assert [run.wait(timeout=300) for run in runs] == [0, 0]
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
     a = (dirs[0] / "log.csv").read_bytes()
     b = (dirs[1] / "log.csv").read_bytes()
     ok = a == b

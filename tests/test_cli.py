@@ -684,3 +684,55 @@ def test_sweep_divergence_reported(tmp_path, monkeypatch, capsys):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 12
     assert all("diverged at t = 0.0500 s" in row for row in rows)
+    # the axis value is written as an ok row writes it
+    assert [row.split(",")[0] for row in rows] == [
+        repr(float(level)) for level in experiments.NOISE_SCALES] * 2
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_sweep_unwritable_out_exits_4_before_any_cell(tmp_path, capsys,
+                                                      monkeypatch, target):
+    cells = []
+    monkeypatch.setattr(cli, "_sweep_cell", cells.append)
+    out = tmp_path / "s.csv"
+    if target == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "s.csv"
+    assert run_cli("sweep", "--axis", "noise", "--repeats", "1",
+                   "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("io error:")
+    assert cells == []
+    assert sorted(tmp_path.iterdir()) == ([out] if out.is_dir() else [])
+
+
+def test_sweep_failing_mid_grid_leaves_no_csv(tmp_path, capsys,
+                                              monkeypatch):
+    cells = []
+
+    def failing_cell(cell):
+        cells.append(cell)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_sweep_cell", failing_cell)
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--axis", "noise", "--repeats", "1",
+                   "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("io error:")
+    assert len(cells) == 1
+    assert not out.exists()
+
+
+def test_sweep_worker_pool_writes_the_serial_bytes(tmp_path):
+    # the real ProcessPoolExecutor, whose workers are all reaped
+    (tmp_path / "c.ini").write_text("[run]\nduration = 2.1\n")
+    csvs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run_cli("sweep", "--config", str(tmp_path / "c.ini"),
+                       "--axis", "noise", "--repeats", "1",
+                       "--jobs", str(jobs), "--out", str(out)) == 0
+        csvs[jobs] = out.read_bytes()
+    assert csvs[2] == csvs[1]
+    assert len(csvs[1].splitlines()) == 1 + 12
+    assert_no_child_left()
