@@ -1,10 +1,10 @@
 """Command-line front end: `hexsim run|sweep|validate`.
 
 Configuration is an INI-style file with sections [run], [gains],
-[filters], [platform] and [sweep]; unknown sections or keys are
-rejected.  Command-line flags override config keys.  All artifacts embed
-the fully resolved configuration and the seed so they are
-self-describing.
+[filters], [platform] and [sweep]; unknown sections (also [DEFAULT])
+or keys are rejected.  Command-line flags override config keys.  All
+artifacts embed the fully resolved configuration and the seed so they
+are self-describing.
 
 Exit codes: 0 success, 2 config error (also a `validate` FAIL, and a
 `run` or `sweep` of a platform whose hover trim saturates), 3 simulation
@@ -83,7 +83,9 @@ def load_config(path=None):
     config = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
     if path is None:
         return config
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is read as a section of its own and
+    # rejected below, not copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -8,6 +8,7 @@ the commanded setpoints, evaluated inside the RK4 stages.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -147,10 +148,18 @@ class DisturbanceSampler:
         return ((f1 + o1) + r1, (f2 + o2) + r2, (f3 + o3) + r3), self._on[1]
 
 
+class Kernel(NamedTuple):
+    rates: Callable
+    step: Callable
+    specific_force: Callable
+
+
 def make_step(params, eff):
     """The truth dynamics of one platform, specialised once: returns the
-    triple (rates, step, specific_force), with every constant of (params,
+    Kernel (rates, step, specific_force), with every constant of (params,
     eff) bound as a closure local.  All three work on Python floats.
+    run_scenario builds one per run and passes it to step and
+    synthesize_sensors.
 
     rates(qw, qx, qy, qz, ox, oy, oz, w1, ..., w6, inputs) takes the
     state scalars it reads and the 12-tuple inputs (w_cmd, the world
@@ -296,80 +305,61 @@ def make_step(params, eff):
         return [r00 * ax + r10 * ay + r20 * az, r01 * ax + r11 * ay + r21 * az,
                 r02 * ax + r12 * ay + r22 * az]
 
-    return rates, step, specific_force
-
-
-# (params, eff, make_step(params, eff)) of the last pair stepped.  Keyed
-# on identity; holding both objects keeps their ids from being reused.
-_kernel = (None, None, None)
-
-
-def _kernel_of(params, eff):
-    """make_step(params, eff), built once per run: on the first call for
-    the pair and kept until a call for another pair."""
-    global _kernel
-    cached_params, cached_eff, kernel = _kernel
-    if cached_params is not params or cached_eff is not eff:
-        kernel = make_step(params, eff)
-        _kernel = (params, eff, kernel)
-    return kernel
+    return Kernel(rates, step, specific_force)
 
 
 # what acceleration passes for the rotor command, whose rates it drops
 _IDLE = (0.0,) * 6
 
 
-def derivative(x, params, eff, w_cmd, dist_force, dist_moment):
+def derivative(x, kernel, w_cmd, dist_force, dist_moment):
     """Time derivative of the state x under its rotor speeds, as a list of
-    19 floats: the velocity, then the rates of make_step(params, eff).
+    19 floats: the velocity, then the rates of the Kernel `kernel`.
     Works on Python floats: x is laid out as the state vector, w_cmd has
     6 entries and each disturbance 3."""
-    rates, _, _ = _kernel_of(params, eff)
-    return [*x[V], *rates(*x[Q.start:],
-                          (*w_cmd, *dist_force, *dist_moment))]
+    return [*x[V], *kernel.rates(*x[Q.start:],
+                                 (*w_cmd, *dist_force, *dist_moment))]
 
 
-def acceleration(x, params, eff, dist_force):
+def acceleration(x, kernel, dist_force):
     """World-frame translational acceleration at state x, as a list of 3
-    floats: the velocity rates of make_step(params, eff).  x (laid out as
+    floats: the velocity rates of the Kernel `kernel`.  x (laid out as
     the state vector) and dist_force are sequences of numbers; lists of
     Python floats are fastest.  The closed loop does not call it: the
-    accelerometer reads make_step's specific_force."""
-    rates, _, _ = _kernel_of(params, eff)
-    return [*rates(*x[Q.start:], (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]]
+    accelerometer reads the kernel's specific_force."""
+    return [*kernel.rates(*x[Q.start:],
+                          (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]]
 
 
-def step(x, params, eff, cmd, dist_force, dist_moment, dt):
+def step(x, kernel, cmd, dist_force, dist_moment, dt):
     """One RK4 step; disturbance held constant over the step.
 
     x is a sequence laid out as the state vector, cmd.w_cmd has 6
     entries and each disturbance 3; lists and tuples of Python floats
     are fastest.  Returns the new state as a list of 19 floats and never
-    writes into x.  The stages run in the kernel of make_step(params,
-    eff).  Raises NonFiniteState if any component diverges.
+    writes into x.  The stages run in the Kernel `kernel`.  Raises
+    NonFiniteState if any component diverges.
     """
-    _, kernel_step, _ = _kernel_of(params, eff)
-    return kernel_step(x, cmd.w_cmd, dist_force, dist_moment, dt)
+    return kernel.step(x, cmd.w_cmd, dist_force, dist_moment, dt)
 
 
 GYRO_SIGMA = 0.02    # rad/s, gyro white noise at noise scale 1
 ACCEL_SIGMA = 0.05   # m/s^2, accelerometer white noise at noise scale 1
 
 
-def synthesize_sensors(x, params, eff, dist_force, scale, normals):
+def synthesize_sensors(x, kernel, dist_force, scale, normals):
     """Sensor outputs (accel, gyro, rotor_w_meas) at the truth state x (a
     sequence laid out as the state vector; a list of Python floats is
     fastest) under the world force dist_force.
 
     accel is the specific force R(q)^T (p_ddot + g e3), from the
-    specific_force of make_step(params, eff); gyro and the rotor
+    specific_force of the Kernel `kernel`; gyro and the rotor
     tachometers read the body rate and the rotor speeds.  For scale > 0
     the accel and gyro channels add white Gaussian noise with sigma
     ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the Normals tape
     `normals`; the tachometers stay noise-free.
     """
-    _, _, specific_force = _kernel_of(params, eff)
-    accel = specific_force(x, dist_force)
+    accel = kernel.specific_force(x, dist_force)
     gyro = x[OMEGA]
     if scale > 0.0:
         # 12 normals a call, in the order accel, gyro, rotor.  The six

@@ -166,15 +166,13 @@ class RunMetrics:
     roll_rise_time: float = None
 
     def as_dict(self):
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, np.ndarray):
-                out[k] = [float(x) for x in v]
-            elif v is not None:
-                out[k] = float(v)
-            else:
-                out[k] = None
-        return out
+        """The metrics as JSON values: arrays as lists of floats, and a
+        value that is unset or not finite (a rise time whose roll step
+        never reaches 90 %) as None."""
+        def value(v):
+            return float(v) if v is not None and math.isfinite(v) else None
+        return {k: [value(x) for x in v] if isinstance(v, np.ndarray)
+                else value(v) for k, v in self.__dict__.items()}
 
 
 def _step_script(axis_angles):
@@ -287,6 +285,7 @@ def run_scenario(scenario, params=None, on_block=None):
     """
     params = params or vehicle.default_params()
     eff = vehicle.build_effectiveness(params)
+    kernel = dyn.make_step(params, eff)
     model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
@@ -335,7 +334,7 @@ def run_scenario(scenario, params=None, on_block=None):
             k = tick * n_sub
             t = k * dt
             accel, gyro, w_meas = dyn.synthesize_sensors(
-                x, params, eff, force, sigma_scale, normals)
+                x, kernel, force, sigma_scale, normals)
             inputs = ControllerInputs(
                 pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
                 accel=accel, rotor_w_meas=w_meas)
@@ -350,7 +349,7 @@ def run_scenario(scenario, params=None, on_block=None):
             for k in range(k, min(k + n_sub, n_steps)):
                 t = k * dt
                 force, moment = sampler.step(t)
-                x = dyn.step(x, params, eff, cmd, force, moment, dt)
+                x = dyn.step(x, kernel, cmd, force, moment, dt)
                 # the pose sample at step k + 1, taken before that step
                 if (k + 1) % pose_every == 0:
                     pose_p, pose_q = x[P], x[Q]

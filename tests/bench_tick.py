@@ -34,28 +34,27 @@ def tape():
 
 
 @pytest.fixture(scope="module")
-def hover(params, eff, trim):
+def hover(kernel, trim):
     """Hover state and the controller inputs synthesised from it, with
     the sensor noise of exp5 at noise level 7."""
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        x, params, eff, ZERO, math.sqrt(7.0), tape())
+        x, kernel, ZERO, math.sqrt(7.0), tape())
     inputs = ControllerInputs(
         pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=gyro, accel=accel,
         rotor_w_meas=w_meas)
     return x, inputs
 
 
-def test_dynamics_step(benchmark, params, eff, trim, hover):
+def test_dynamics_step(benchmark, kernel, trim, hover):
     x, _ = hover
-    benchmark(dyn.step, x, params, eff, trim, ZERO, ZERO, dyn.SIM_DT)
+    benchmark(dyn.step, x, kernel, trim, ZERO, ZERO, dyn.SIM_DT)
 
 
-def test_synthesize_sensors(benchmark, params, eff, hover):
+def test_synthesize_sensors(benchmark, kernel, hover):
     x, _ = hover
-    benchmark(dyn.synthesize_sensors, x, params, eff, ZERO, math.sqrt(7.0),
-              tape())
+    benchmark(dyn.synthesize_sensors, x, kernel, ZERO, math.sqrt(7.0), tape())
 
 
 def test_gust_sampler_step(benchmark):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexsim import vehicle
+from hexsim import dynamics, vehicle
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +12,11 @@ def params():
 @pytest.fixture(scope="session")
 def eff(params):
     return vehicle.build_effectiveness(params)
+
+
+@pytest.fixture(scope="session")
+def kernel(params, eff):
+    return dynamics.make_step(params, eff)
 
 
 @pytest.fixture(scope="session")

@@ -130,7 +130,7 @@ def test_02_hover_equilibrium(params, capsys):
            f"{worst_att:.2e} deg, both controllers, {elapsed:.1f} s")
 
 
-def test_03_pole_placement(params, eff, trim, capsys):
+def test_03_pole_placement(params, eff, kernel, trim, capsys):
     # unshaped 1 m position step through the model-based inversion; the
     # closed loop should follow e'' + k_v e' + k_p e = 0
     gains = Gains()
@@ -149,7 +149,7 @@ def test_03_pole_placement(params, eff, trim, capsys):
             cmd = vehicle.allocate(eff, q, ndi_invert(nu, omega, model))
             ts.append(k * dyn.SIM_DT)
             es.append(1.0 - p[0])
-        state = dyn.step(state, params, eff, cmd, np.zeros(3), np.zeros(3),
+        state = dyn.step(state, kernel, cmd, np.zeros(3), np.zeros(3),
                          dyn.SIM_DT)
     ts, es = np.array(ts), np.array(es)
     wn = math.sqrt(gains.k_p)
@@ -290,7 +290,7 @@ def test_10_determinism(tmp_path, capsys):
            f"byte-identical: {ok}")
 
 
-def test_11_integrator_order(params, eff, trim, capsys):
+def test_11_integrator_order(kernel, trim, capsys):
     def propagate(h):
         st = dyn.pack(
             np.zeros(3), [0.5, -0.3, 0.2], [1.0, 0, 0, 0], [2.0, -1.5, 1.0],
@@ -300,7 +300,7 @@ def test_11_integrator_order(params, eff, trim, capsys):
             w_cmd=trim.w_cmd * np.array([0.9, 1.1, 1.0, 1.0, 1.05, 0.95]),
             saturated=np.zeros(6, dtype=bool))
         for _ in range(int(round(1.0 / h))):
-            st = dyn.step(st, params, eff, cmd, np.zeros(3), np.zeros(3), h)
+            st = dyn.step(st, kernel, cmd, np.zeros(3), np.zeros(3), h)
         return np.concatenate(
             [st[dyn.P], st[dyn.V], st[dyn.Q], st[dyn.OMEGA]])
 

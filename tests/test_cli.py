@@ -90,10 +90,15 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_unknown_section_exits_2(tmp_path):
+def test_unknown_section_exits_2(tmp_path, capsys):
+    # configparser would copy a [DEFAULT] section's keys into every
+    # section, [run] included; hexsim has no such section
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[rocket]\nstages = 2\n")
-    assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+    for text in ("[rocket]\nstages = 2\n", "[DEFAULT]\nseed = 5\n",
+                 "[run]\nscenario = exp2\n[DEFAULT]\nseed = 5\n"):
+        cfg.write_text(text)
+        assert run_cli("validate", "--config", str(cfg)) == cli.EXIT_CONFIG
+        assert "unknown config section" in capsys.readouterr().err
 
 
 def test_unparsable_value_exits_2(tmp_path):
@@ -231,6 +236,21 @@ def test_run_writes_artifacts(tmp_path, monkeypatch):
     assert "hexsim" in doc["versions"]
     assert "scipy" not in doc["versions"]
     assert all(np.isfinite(v) for v in doc["metrics"]["pos_abs_mean"])
+
+
+def test_metrics_json_is_strict_json(tmp_path):
+    # exp1 cut at 3 s ends before its roll step at 5 s, so the rise time
+    # is never reached: metrics.json records it as null, not as the NaN
+    # that strict JSON parsers reject
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = tmp_path / "art"
+    assert run_cli("run", "--scenario", "exp1", "--duration", "3",
+                   "--out", str(out)) == 0
+    doc = json.loads((out / "metrics.json").read_text(),
+                     parse_constant=reject)
+    assert doc["metrics"]["roll_rise_time"] is None
 
 
 def test_run_takes_a_noise_scale_off_the_sweep_grid(tmp_path):
@@ -551,12 +571,12 @@ def nan_command_after(monkeypatch, steps):
     real = dynamics.step
     count = []
 
-    def step(x, params, eff, cmd, dist_force, dist_moment, dt):
+    def step(x, kernel, cmd, dist_force, dist_moment, dt):
         count.append(1)
         if len(count) > steps:
             cmd = vehicle.ActuatorCommand(u=cmd.u, w_cmd=np.full(6, np.nan),
                                           saturated=cmd.saturated)
-        return real(x, params, eff, cmd, dist_force, dist_moment, dt)
+        return real(x, kernel, cmd, dist_force, dist_moment, dt)
 
     def run_scenario(scenario, params=None, on_block=None):
         count.clear()

@@ -346,7 +346,7 @@ def test_indi_update_matches_numpy_oracle(params, trim, rng):
 
 @pytest.mark.parametrize("kind,oracle_cls", [("geo", NumpyGeo),
                                              ("indi", NumpyIndi)])
-def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
+def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
                                          oracle_cls):
     # 600 closed-loop ticks at 500 Hz with noisy sensors, flying a
     # position and attitude step; both controllers see the same inputs
@@ -363,7 +363,7 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
         xs = np.asarray(x).tolist()
         accel, gyro, w_meas = dyn.synthesize_sensors(
-            xs, params, eff, (0.0, 0.0, 0.0), math.sqrt(7.0), normals)
+            xs, kernel, (0.0, 0.0, 0.0), math.sqrt(7.0), normals)
         inputs = ControllerInputs(
             pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=gyro,
             accel=accel, rotor_w_meas=w_meas)
@@ -372,7 +372,7 @@ def test_whole_tick_matches_numpy_oracle(params, eff, trim, kind,
         assert_command_close(cmd, cmd_o)
         assert_reference_close(ref, ref_o)
         for _ in range(4):
-            x = dyn.step(x, params, eff, cmd, zero, zero, dyn.SIM_DT)
+            x = dyn.step(x, kernel, cmd, zero, zero, dyn.SIM_DT)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ def test_tick_equals_float_oracle(params, trim, rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])
-def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
+def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
     # 600 closed-loop ticks at 500 Hz with noisy sensors, flying a
     # position and attitude step; the oracle tick sees the same inputs
     oracle_cls = {"geo": oracles.GeoNdiController,
@@ -489,8 +489,8 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else zero
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
-        accel_w = dyn.acceleration(x, params, eff, zero)
-        sensors = dyn.synthesize_sensors(x, params, eff, zero, noise.scale,
+        accel_w = dyn.acceleration(x, kernel, zero)
+        sensors = dyn.synthesize_sensors(x, kernel, zero, noise.scale,
                                          normals)
         sensors_o = oracles.synthesize_sensors(x, accel_w, noise, rng_o)
         assert bits(sensors) == bits(vars(sensors_o).values())
@@ -503,4 +503,4 @@ def test_closed_loop_equals_float_oracle(params, eff, trim, kind):
         assert_same_command(cmd, cmd_o)
         assert_same_reference(ref, ref_o)
         for _ in range(4):
-            x = dyn.step(x, params, eff, cmd, zero, zero, dyn.SIM_DT)
+            x = dyn.step(x, kernel, cmd, zero, zero, dyn.SIM_DT)

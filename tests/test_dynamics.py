@@ -21,17 +21,17 @@ def hover_state(trim):
                     trim.w_cmd)
 
 
-def test_hover_is_equilibrium(params, eff, trim):
+def test_hover_is_equilibrium(kernel, trim):
     state = hover_state(trim)
     for _ in range(int(1.0 / dyn.SIM_DT)):
-        state = dyn.step(state, params, eff, trim,
+        state = dyn.step(state, kernel, trim,
                          np.zeros(3), np.zeros(3), dyn.SIM_DT)
     assert np.linalg.norm(state[dyn.P]) < 1e-9
     assert np.linalg.norm(state[dyn.V]) < 1e-9
     assert np.linalg.norm(state[dyn.OMEGA]) < 1e-9
 
 
-def test_free_fall_when_rotors_stopped(params, eff, trim):
+def test_free_fall_when_rotors_stopped(params, kernel, trim):
     # zero commanded speed: thrust decays at the motor-lag rate, vehicle
     # descends
     zero_cmd = vehicle.ActuatorCommand(
@@ -39,13 +39,13 @@ def test_free_fall_when_rotors_stopped(params, eff, trim):
         saturated=np.ones(6, dtype=bool))
     state = hover_state(trim)
     for _ in range(int(0.5 / dyn.SIM_DT)):
-        state = dyn.step(state, params, eff, zero_cmd,
+        state = dyn.step(state, kernel, zero_cmd,
                          np.zeros(3), np.zeros(3), dyn.SIM_DT)
     assert state[dyn.V][2] < -1.0
     assert state[dyn.P][2] < -0.2
 
 
-def test_motor_lag_63_percent(params, eff, trim):
+def test_motor_lag_63_percent(params, kernel, trim):
     stepped = vehicle.ActuatorCommand(
         u=(1.2 * np.asarray(trim.w_cmd)) ** 2,
         w_cmd=1.2 * np.asarray(trim.w_cmd),
@@ -53,17 +53,17 @@ def test_motor_lag_63_percent(params, eff, trim):
     state = hover_state(trim)
     n = int(round(params.motor_time_constant / dyn.SIM_DT))
     for _ in range(n):
-        state = dyn.step(state, params, eff, stepped,
+        state = dyn.step(state, kernel, stepped,
                          np.zeros(3), np.zeros(3), dyn.SIM_DT)
     frac = (state[dyn.ROTOR_W][0] - trim.w_cmd[0]) / (0.2 * trim.w_cmd[0])
     assert frac == pytest.approx(1 - np.exp(-1), abs=0.02)
 
 
-def test_quaternion_stays_normalized(params, eff, trim, rng):
+def test_quaternion_stays_normalized(kernel, trim, rng):
     state = hover_state(trim)
     state[dyn.OMEGA] = [2.0, -1.0, 0.5]
     for _ in range(2000):
-        state = dyn.step(state, params, eff, trim,
+        state = dyn.step(state, kernel, trim,
                          np.zeros(3), np.zeros(3), dyn.SIM_DT)
         assert np.linalg.norm(state[dyn.Q]) == pytest.approx(1.0, abs=1e-12)
 
@@ -72,12 +72,11 @@ def test_quaternion_stays_normalized(params, eff, trim, rng):
 @pytest.mark.parametrize("block", [dyn.P, dyn.V, dyn.Q, dyn.OMEGA,
                                    dyn.ROTOR_W],
                          ids=["p", "v", "q", "omega", "rotor_w"])
-def test_nonfinite_state_raises(params, eff, trim, block):
+def test_nonfinite_state_raises(kernel, trim, block):
     state = hover_state(trim)
     state[block.start] = np.inf
     with pytest.raises(dyn.NonFiniteState):
-        dyn.step(state, params, eff, trim, np.zeros(3), np.zeros(3),
-                 dyn.SIM_DT)
+        dyn.step(state, kernel, trim, np.zeros(3), np.zeros(3), dyn.SIM_DT)
 
 
 def test_constant_disturbance_window():
@@ -172,45 +171,44 @@ def test_tape_takes_more_than_a_chunk():
         assert bits(normals.take(n)) == bits(rng.standard_normal(n))
 
 
-def test_sensors_noiseless_exact(params, eff, trim):
+def test_sensors_noiseless_exact(kernel, trim):
     state = hover_state(trim).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        state, params, eff, (0.0, 0.0, 0.0), 0.0, tape(0))
+        state, kernel, (0.0, 0.0, 0.0), 0.0, tape(0))
     # at hover the specific force reads +g on body z
     np.testing.assert_allclose(accel, GRAVITY * E3, atol=1e-9)
     np.testing.assert_array_equal(gyro, state[dyn.OMEGA])
     np.testing.assert_array_equal(w_meas, state[dyn.ROTOR_W])
 
 
-def test_sensor_noise_scales(params, eff, trim):
+def test_sensor_noise_scales(kernel, trim):
     state = hover_state(trim).tolist()
     normals = tape(3)
     samples = np.array([
-        dyn.synthesize_sensors(state, params, eff, (0.0, 0.0, 0.0),
-                               np.sqrt(9.0), normals)[1]
+        dyn.synthesize_sensors(state, kernel, (0.0, 0.0, 0.0), np.sqrt(9.0),
+                               normals)[1]
         for _ in range(20000)])
     assert samples.std() == pytest.approx(3.0 * 0.02, rel=0.05)
 
 
-def test_sensors_equal_float_oracle(params, eff, rng):
+def test_sensors_equal_float_oracle(params, kernel, rng):
     # noiseless and every noise level of exp5, with the same stream; the
     # oracle's rotor sigma is the 0 that run_scenario always set, and it
     # reads the acceleration that dynamics.acceleration gives
     for case in range(300):
         x, _, dist_f, _ = random_case(params, rng)
         x, dist_f = x.tolist(), dist_f.tolist()
-        accel_w = dyn.acceleration(x, params, eff, dist_f)
+        accel_w = dyn.acceleration(x, kernel, dist_f)
         scale = np.sqrt((0, 1, 3, 7, 15, 31)[case % 6])
         seed = int(rng.integers(2 ** 32))
-        got = dyn.synthesize_sensors(x, params, eff, dist_f, scale,
-                                     tape(seed))
+        got = dyn.synthesize_sensors(x, kernel, dist_f, scale, tape(seed))
         want = oracles.synthesize_sensors(
             x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
             np.random.default_rng(seed))
         assert bits(got) == bits(vars(want).values())
 
 
-def test_sensor_stream_equals_float_oracle(params, eff, rng):
+def test_sensor_stream_equals_float_oracle(params, kernel, rng):
     # 300 noisy calls on one stream: the tachometers read the rotor speeds
     # exactly, and every call still takes 12 normals, so the tape's next
     # draws are the oracle stream's next draws
@@ -219,8 +217,8 @@ def test_sensor_stream_equals_float_oracle(params, eff, rng):
     for _ in range(300):
         x, _, dist_f, _ = random_case(params, rng)
         x, dist_f = x.tolist(), dist_f.tolist()
-        accel_w = dyn.acceleration(x, params, eff, dist_f)
-        _, _, w_meas = dyn.synthesize_sensors(x, params, eff, dist_f,
+        accel_w = dyn.acceleration(x, kernel, dist_f)
+        _, _, w_meas = dyn.synthesize_sensors(x, kernel, dist_f,
                                               noise.scale, stream)
         oracles.synthesize_sensors(x, accel_w, noise, stream_o)
         assert bits(w_meas) == bits(x[dyn.ROTOR_W])
@@ -249,7 +247,7 @@ def test_sampler_equals_float_oracle(rng, kind):
             assert bits(got.step(t)) == bits(want.step(t))
 
 
-def test_rk4_order(params, eff, trim):
+def test_rk4_order(kernel, trim):
     def propagate(h):
         st = dyn.pack(
             np.zeros(3), [0.5, -0.3, 0.2], [1.0, 0, 0, 0], [2.0, -1.5, 1.0],
@@ -258,7 +256,7 @@ def test_rk4_order(params, eff, trim):
             u=trim.u, w_cmd=np.asarray(trim.w_cmd) * 1.02,
             saturated=np.zeros(6, dtype=bool))
         for _ in range(int(round(0.5 / h))):
-            st = dyn.step(st, params, eff, cmd, np.zeros(3), np.zeros(3), h)
+            st = dyn.step(st, kernel, cmd, np.zeros(3), np.zeros(3), h)
         return np.concatenate([st[dyn.P], st[dyn.V], st[dyn.Q], st[dyn.OMEGA]])
 
     h = dyn.SIM_DT
@@ -282,56 +280,24 @@ def random_case(params, rng):
     return x, cmd, rng.normal(0.0, 3.0, 3), rng.normal(0.0, 0.5, 3)
 
 
-def test_scalar_step_matches_numpy_oracle(params, eff, rng):
+def test_scalar_step_matches_numpy_oracle(params, eff, kernel, rng):
     for _ in range(300):
         x, cmd, dist_f, dist_m = random_case(params, rng)
         before = x.copy()
-        out = dyn.step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT)
+        out = dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT)
         np.testing.assert_array_equal(x, before)
         np.testing.assert_allclose(
             out, numpy_step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT),
             rtol=1e-12, atol=0.0)
 
 
-def test_acceleration_is_the_derivative_force_balance(params, eff, rng):
+def test_acceleration_is_the_derivative_force_balance(params, kernel, rng):
     for _ in range(50):
         x, cmd, dist_f, dist_m = random_case(params, rng)
-        dx = dyn.derivative(x.tolist(), params, eff, cmd.w_cmd.tolist(),
+        dx = dyn.derivative(x.tolist(), kernel, cmd.w_cmd.tolist(),
                             dist_f.tolist(), dist_m.tolist())
         np.testing.assert_array_equal(
-            dyn.acceleration(x, params, eff, dist_f), dx[dyn.V])
-
-
-def test_kernel_cache_follows_the_platform(params, eff, rng):
-    # step, acceleration and the sensors' specific force alternate between
-    # two platforms on every call; each must use the kernel of the pair
-    # it is given
-    other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
-                                   motor_time_constant=0.035,
-                                   c_f=1.3 * params.c_f)
-    pairs = [(params, eff), (other, vehicle.build_effectiveness(other))]
-    kernels = [dyn.make_step(p, e) for p, e in pairs]
-    for i in range(40):
-        p, e = pairs[i % 2]
-        rates, kernel_step, specific_force = kernels[i % 2]
-        x, cmd, dist_f, dist_m = random_case(p, rng)
-        out = dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT)
-        np.testing.assert_array_equal(out, kernel_step(
-            x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(), dist_m.tolist(),
-            dyn.SIM_DT))
-        np.testing.assert_allclose(
-            out, numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
-            rtol=1e-12, atol=0.0)
-        p_next, e_next = pairs[(i + 1) % 2]
-        rates_next = kernels[(i + 1) % 2][0]
-        np.testing.assert_array_equal(
-            dyn.acceleration(x, p_next, e_next, dist_f),
-            rates_next(*x.tolist()[dyn.Q.start:], (*cmd.w_cmd.tolist(),
-                       *dist_f.tolist(), *dist_m.tolist()))[:3])
-        np.testing.assert_array_equal(
-            dyn.synthesize_sensors(x.tolist(), p, e, dist_f.tolist(), 0.0,
-                                   None)[0],
-            specific_force(x.tolist(), dist_f.tolist()))
+            dyn.acceleration(x, kernel, dist_f), dx[dyn.V])
 
 
 def test_kernel_equals_list_form_oracle(params, eff, rng):
@@ -342,18 +308,19 @@ def test_kernel_equals_list_form_oracle(params, eff, rng):
                                    c_f=1.3 * params.c_f)
     for p, e in [(params, eff), (other, vehicle.build_effectiveness(other))]:
         rates, kernel_step = oracles.make_step(p, e)
+        kernel = dyn.make_step(p, e)
         for _ in range(300):
             x, cmd, dist_f, dist_m = random_case(p, rng)
             x, w_cmd = x.tolist(), cmd.w_cmd.tolist()
             dist_f, dist_m = dist_f.tolist(), dist_m.tolist()
             np.testing.assert_array_equal(
-                dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+                dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
                 kernel_step(x, w_cmd, dist_f, dist_m, dyn.SIM_DT))
             np.testing.assert_array_equal(
-                dyn.derivative(x, p, e, w_cmd, dist_f, dist_m),
+                dyn.derivative(x, kernel, w_cmd, dist_f, dist_m),
                 rates(x, w_cmd, dist_f, dist_m))
             np.testing.assert_array_equal(
-                dyn.acceleration(x, p, e, dist_f),
+                dyn.acceleration(x, kernel, dist_f),
                 rates(x, [0.0] * 6, dist_f, [0.0] * 3)[dyn.V])
 
 
@@ -371,13 +338,14 @@ def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
         c_f=cf_factor * vehicle.default_params().c_f,
         tilt_angle=np.radians(tilt_deg))
     e = vehicle.build_effectiveness(p)
+    kernel = dyn.make_step(p, e)
     x, cmd, dist_f, dist_m = random_case(p, np.random.default_rng(seed))
     np.testing.assert_allclose(
-        dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
         numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
         rtol=1e-12, atol=0.0)
     _, oracle_step = oracles.make_step(p, e)
     np.testing.assert_array_equal(
-        dyn.step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
         oracle_step(x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(),
                     dist_m.tolist(), dyn.SIM_DT))

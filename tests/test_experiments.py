@@ -6,7 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from hexsim import control
+from hexsim import control, vehicle
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
@@ -94,8 +94,8 @@ def test_closed_loop_passes_python_floats(monkeypatch, controller):
 
     real_step = dyn.step
 
-    def step(x, params, eff, cmd, dist_force, dist_moment, dt):
-        out = real_step(x, params, eff, cmd, dist_force, dist_moment, dt)
+    def step(x, kernel, cmd, dist_force, dist_moment, dt):
+        out = real_step(x, kernel, cmd, dist_force, dist_moment, dt)
         note("step", x, cmd.u, cmd.w_cmd, dist_force, dist_moment, [dt], out)
         note("saturated", cmd.saturated)
         return out
@@ -307,6 +307,18 @@ def test_repeat_runs_holds_no_earlier_log(monkeypatch):
     assert held == [0, 0, 0]
 
 
+def test_finished_run_keeps_nothing_of_its_platform():
+    # the truth kernel belongs to its run: once the run is over and its
+    # caller lets go of the platform, nothing in the package holds it
+    params = vehicle.default_params(mass=3.0)
+    ref = weakref.ref(params)
+    ex.run_scenario(ex.build_scenario("exp5", "geo", {"duration": 2.1}),
+                    params)
+    del params
+    gc.collect()
+    assert ref() is None
+
+
 def test_run_scenario_low_rate_tick_count():
     sc = ex.build_scenario("exp5", "geo",
                            {"duration": 3.0, "controller_freq": 62.5})
@@ -446,9 +458,8 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     # its time, scenario, seed and last finite state
     real = dyn.synthesize_sensors
 
-    def nan_gyro(x, params, eff, dist_force, scale, normals):
-        accel, gyro, w_meas = real(x, params, eff, dist_force, scale,
-                                   normals)
+    def nan_gyro(x, kernel, dist_force, scale, normals):
+        accel, gyro, w_meas = real(x, kernel, dist_force, scale, normals)
         if len(calls) >= 50:
             gyro = [math.nan] * 3
         calls.append(1)

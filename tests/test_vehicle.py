@@ -209,7 +209,7 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
     # the kernel's specific force, and the readings synthesize_sensors
     # makes of it, equal dynamics.acceleration followed by the sensor
     # oracle bit for bit, at a random state and disturbance force
-    eff = vehicle.build_effectiveness(params)
+    kernel = dynamics.make_step(params, vehicle.build_effectiveness(params))
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     x = dynamics.pack(rng.normal(size=3), rng.normal(size=3),
@@ -217,15 +217,15 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
                       rng.uniform(params.w_min, params.w_max, 6)).tolist()
     dist_f = rng.normal(0.0, 3.0, 3).tolist()
     scale = np.sqrt(7.0) if noisy else 0.0
-    accel_w = dynamics.acceleration(x, params, eff, dist_f)
+    accel_w = dynamics.acceleration(x, kernel, dist_f)
     got = dynamics.synthesize_sensors(
-        x, params, eff, dist_f, scale,
+        x, kernel, dist_f, scale,
         dynamics.Normals(np.random.default_rng(seed)))
     want = oracles.synthesize_sensors(
         x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
         np.random.default_rng(seed))
     assert bits(got) == bits(vars(want).values())
-    specific_force = dynamics.make_step(params, eff)[2]
+    specific_force = kernel.specific_force
     noiseless = oracles.synthesize_sensors(
         x, accel_w, oracles.NoiseSpec(scale=0.0), None)
     assert bits(specific_force(x, dist_f)) == bits(noiseless.accel)
