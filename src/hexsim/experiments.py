@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import vehicle
 from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerInputs,
-                      Gains, make_controller, make_model)
+                      ControllerModel, Gains, make_controller, make_model)
 from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
@@ -286,15 +286,18 @@ def run_scenario(scenario, params=None, on_block=None):
     params = params or vehicle.default_params()
     eff = vehicle.build_effectiveness(params)
     kernel = dyn.make_step(params, eff)
-    model = make_model(params, scenario.cf_mismatch)
+    # the controller's belief: the truth's own matrix unless it is wrong
+    model = (ControllerModel(params=params, eff=eff)
+             if scenario.cf_mismatch == 1
+             else make_model(params, scenario.cf_mismatch))
 
     dt = dyn.SIM_DT
     n_sub, n_steps = _clock(scenario)
     dt_c = n_sub * dt
     pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
 
-    # one tape feeds the gust (3 normals a truth step) and the sensor noise
-    # (12 a noisy tick), in the order they draw
+    # one tape feeds the gust (3 normals a truth step, drawn a tick at a
+    # time) and the sensor noise (12 a noisy tick), in the order they draw
     normals = dyn.Normals(np.random.default_rng(scenario.seed))
     # noise_scale multiplies the noise variances, so sigma goes with its root
     sigma_scale = math.sqrt(scenario.noise_scale)
@@ -324,10 +327,11 @@ def run_scenario(scenario, params=None, on_block=None):
 
     # x is the state as a list of Python floats; the pose is the latest
     # sample of the 250 Hz pose clock, held between samples.  Each tick
-    # senses, ticks and logs at its first truth step k, then runs its
-    # n_sub truth steps
+    # senses, ticks and logs at its first truth step k, draws the wrenches
+    # of its n_sub truth steps, then runs them in segments that end at a
+    # pose sample or at the tick's end, one dynamics.step call each
     script, P, Q = scenario.script, dyn.P, dyn.Q
-    force, moment = sampler.step(0.0)
+    force = sampler.step(0, 1)[0][:3]
     pose_p, pose_q = x[P], x[Q]
     try:
         for tick in range(n_ticks):
@@ -346,17 +350,21 @@ def run_scenario(scenario, params=None, on_block=None):
             if (tick + 1) % LOG_BLOCK_ROWS == 0:
                 _finish_block(rows[tick + 1 - LOG_BLOCK_ROWS:tick + 1],
                               on_block)
-            for k in range(k, min(k + n_sub, n_steps)):
-                t = k * dt
-                force, moment = sampler.step(t)
-                x = dyn.step(x, kernel, cmd, force, moment, dt)
-                # the pose sample at step k + 1, taken before that step
-                if (k + 1) % pose_every == 0:
+            first, end = k, min(k + n_sub, n_steps)
+            wrenches = sampler.step(k, end - k)
+            force = wrenches[-1][:3]
+            while k < end:
+                cut = min(end, k - k % pose_every + pose_every)
+                x = dyn.step(x, kernel, cmd,
+                             wrenches[k - first:cut - first], dt)
+                k = cut
+                if k % pose_every == 0:
                     pose_p, pose_q = x[P], x[Q]
     except dyn.NonFiniteState as exc:
-        raise dyn.NonFiniteState(exc.message, t=t, scenario=scenario.id,
-                                 seed=scenario.seed,
-                                 state=np.array(x)) from exc
+        # k is the first step of the segment that diverged
+        raise dyn.NonFiniteState(
+            exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
+            seed=scenario.seed, state=np.array(exc.state)) from exc
 
     if n_ticks % LOG_BLOCK_ROWS:
         _finish_block(rows[n_ticks - n_ticks % LOG_BLOCK_ROWS:], on_block)

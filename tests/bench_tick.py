@@ -5,14 +5,16 @@ run it on its own:
 
     PYTHONPATH=src python -m pytest tests/bench_tick.py
 
-It times one RK4 truth step, one geo and one indi controller tick on the
+It times one dynamics.step call over the 4 truth steps of a 500 Hz tick
+and one over the 40 of a 50 Hz tick (divide by extra_info["steps"] for
+the cost of a truth step), one geo and one indi controller tick on the
 inputs run_scenario passes (lists of Python floats), one sensor
-synthesis at exp5's noise level 7, one step of exp3's gust sampler
-inside its window, one take(3) of a Normals tape (a gust step's draw),
-one 500 Hz
-run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
-workload (exp5 at noise level 7) and one 50 Hz run_scenario of the 2.2 s
-exp4 hover of the sweep_freq workload, where the truth step dominates.
+synthesis at exp5's noise level 7, one draw of exp3's gust sampler over
+the 4 truth steps of a 500 Hz tick inside its window, one take(3) of a
+Normals tape (a truth step's gust draw), one 500 Hz run_scenario of the
+2.1 s noisy hover of the sweep_noise benchmark workload (exp5 at noise
+level 7) and one 50 Hz run_scenario of the 2.2 s exp4 hover of the
+sweep_freq workload, where the truth step dominates.
 """
 
 import math
@@ -27,6 +29,7 @@ from hexsim.control import ControllerInputs, Gains, make_controller, \
 
 HOVER_Q = [1.0, 0.0, 0.0, 0.0]
 ZERO = (0.0, 0.0, 0.0)
+CALM = (0.0,) * 6  # a held wrench with no force and no moment
 
 
 def tape():
@@ -47,9 +50,11 @@ def hover(kernel, trim):
     return x, inputs
 
 
-def test_dynamics_step(benchmark, kernel, trim, hover):
+@pytest.mark.parametrize("steps", [4, 40], ids=["500Hz-tick", "50Hz-tick"])
+def test_dynamics_step(benchmark, kernel, trim, hover, steps):
     x, _ = hover
-    benchmark(dyn.step, x, kernel, trim, ZERO, ZERO, dyn.SIM_DT)
+    benchmark.extra_info["steps"] = steps
+    benchmark(dyn.step, x, kernel, trim, [CALM] * steps, dyn.SIM_DT)
 
 
 def test_synthesize_sensors(benchmark, kernel, hover):
@@ -62,7 +67,7 @@ def test_gust_sampler_step(benchmark):
     sampler = dyn.DisturbanceSampler(
         sc.disturbance, dyn.SIM_DT, tape(), ex.RESIDUAL_FORCE,
         ex.RESIDUAL_MOMENT)
-    benchmark(sampler.step, 3.0)
+    benchmark(sampler.step, int(round(3.0 / dyn.SIM_DT)), 4)
 
 
 def test_tape_take_3(benchmark):

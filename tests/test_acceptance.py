@@ -149,8 +149,7 @@ def test_03_pole_placement(params, eff, kernel, trim, capsys):
             cmd = vehicle.allocate(eff, q, ndi_invert(nu, omega, model))
             ts.append(k * dyn.SIM_DT)
             es.append(1.0 - p[0])
-        state = dyn.step(state, kernel, cmd, np.zeros(3), np.zeros(3),
-                         dyn.SIM_DT)
+        state = dyn.step(state, kernel, cmd, [(0.0,) * 6], dyn.SIM_DT)
     ts, es = np.array(ts), np.array(es)
     wn = math.sqrt(gains.k_p)
     zeta = gains.k_v / (2 * wn)
@@ -299,8 +298,8 @@ def test_11_integrator_order(kernel, trim, capsys):
             u=trim.u,
             w_cmd=trim.w_cmd * np.array([0.9, 1.1, 1.0, 1.0, 1.05, 0.95]),
             saturated=np.zeros(6, dtype=bool))
-        for _ in range(int(round(1.0 / h))):
-            st = dyn.step(st, kernel, cmd, np.zeros(3), np.zeros(3), h)
+        st = dyn.step(st, kernel, cmd, [(0.0,) * 6] * int(round(1.0 / h)),
+                      h)
         return np.concatenate(
             [st[dyn.P], st[dyn.V], st[dyn.Q], st[dyn.OMEGA]])
 

@@ -567,19 +567,29 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
 
 def nan_command_after(monkeypatch, steps):
     """Make every truth step after the first `steps` of each run see NaN
-    rotor commands, so the run diverges there."""
+    rotor commands, so the run diverges there, wherever that step falls
+    in its dynamics.step call."""
     real = dynamics.step
-    count = []
+    count = [0]
 
-    def step(x, kernel, cmd, dist_force, dist_moment, dt):
-        count.append(1)
-        if len(count) > steps:
-            cmd = vehicle.ActuatorCommand(u=cmd.u, w_cmd=np.full(6, np.nan),
-                                          saturated=cmd.saturated)
-        return real(x, kernel, cmd, dist_force, dist_moment, dt)
+    def step(x, kernel, cmd, wrenches, dt):
+        clean = max(0, steps - count[0])
+        count[0] += len(wrenches)
+        if clean >= len(wrenches):
+            return real(x, kernel, cmd, wrenches, dt)
+        x = real(x, kernel, cmd, wrenches[:clean], dt)
+        nan = vehicle.ActuatorCommand(u=cmd.u, w_cmd=np.full(6, np.nan),
+                                      saturated=cmd.saturated)
+        try:
+            return real(x, kernel, nan, wrenches[clean:], dt)
+        except dynamics.NonFiniteState as exc:
+            # the offset within this call, as one real call reports it
+            raise dynamics.NonFiniteState(
+                exc.message, state=exc.state,
+                offset=clean + exc.offset) from exc
 
     def run_scenario(scenario, params=None, on_block=None):
-        count.clear()
+        count[0] = 0
         return real_run(scenario, params, on_block)
 
     real_run = experiments.run_scenario
@@ -587,8 +597,8 @@ def nan_command_after(monkeypatch, steps):
     monkeypatch.setattr(experiments, "run_scenario", run_scenario)
 
 
-def assert_divergence_report(err, scenario, seed):
-    assert f"simulation diverged: simulation state diverged at t = 0.0500 s " \
+def assert_divergence_report(err, scenario, seed, t="0.0500"):
+    assert f"simulation diverged: simulation state diverged at t = {t} s " \
         f"in scenario {scenario} with seed {seed}" in err
     assert "last finite state:" in err
     for block in ("p", "v", "q", "omega", "rotor_w"):
@@ -605,6 +615,18 @@ def test_run_divergence_reported(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "art"))
     assert code == cli.EXIT_DIVERGED
     assert_divergence_report(capsys.readouterr().err, "exp5", 4)
+
+
+def test_divergence_inside_a_segment_reported(tmp_path, monkeypatch, capsys):
+    # at 50 Hz a tick's 40 truth steps run in segments of 8, cut at the
+    # 250 Hz pose samples; step 1003 diverges 3 steps into the segment
+    # that starts at step 1000 (t = 0.5 s)
+    nan_command_after(monkeypatch, 1003)
+    code = run_cli("run", "--scenario", "exp5", "--controller", "indi",
+                   "--controller-freq", "50", "--seed", "4",
+                   "--duration", "2.5", "--out", str(tmp_path / "art"))
+    assert code == cli.EXIT_DIVERGED
+    assert_divergence_report(capsys.readouterr().err, "exp5", 4, "0.5015")
 
 
 def assert_no_child_left():

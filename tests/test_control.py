@@ -357,7 +357,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
     normals = dyn.Normals(np.random.default_rng(11))
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
-    zero = np.zeros(3)
+    calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else (0.0, 0.0, 0.0)
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
@@ -371,8 +371,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
         cmd_o, ref_o = oracle.tick(target_pos, target_rpy, as_arrays(inputs))
         assert_command_close(cmd, cmd_o)
         assert_reference_close(ref, ref_o)
-        for _ in range(4):
-            x = dyn.step(x, kernel, cmd, zero, zero, dyn.SIM_DT)
+        x = dyn.step(x, kernel, cmd, calm, dyn.SIM_DT)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +485,7 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
     x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
                  trim.w_cmd).tolist()
     zero = (0.0, 0.0, 0.0)
+    calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else zero
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
@@ -502,5 +502,4 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
         cmd_o, ref_o = oracle.tick(target_pos, target_rpy, inputs)
         assert_same_command(cmd, cmd_o)
         assert_same_reference(ref, ref_o)
-        for _ in range(4):
-            x = dyn.step(x, kernel, cmd, zero, zero, dyn.SIM_DT)
+        x = dyn.step(x, kernel, cmd, calm, dyn.SIM_DT)

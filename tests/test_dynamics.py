@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,17 @@ import oracles
 from oracles import bits, numpy_step
 
 
+CALM = (0.0,) * 6  # a held wrench with no force and no moment
+
+
 def tape(seed):
     """A Normals tape of default_rng(seed), as run_scenario makes one."""
     return dyn.Normals(np.random.default_rng(seed))
+
+
+def at(t):
+    """The truth step that starts at time t."""
+    return int(round(t / dyn.SIM_DT))
 
 
 def hover_state(trim):
@@ -22,10 +32,8 @@ def hover_state(trim):
 
 
 def test_hover_is_equilibrium(kernel, trim):
-    state = hover_state(trim)
-    for _ in range(int(1.0 / dyn.SIM_DT)):
-        state = dyn.step(state, kernel, trim,
-                         np.zeros(3), np.zeros(3), dyn.SIM_DT)
+    state = dyn.step(hover_state(trim), kernel, trim,
+                     [CALM] * int(1.0 / dyn.SIM_DT), dyn.SIM_DT)
     assert np.linalg.norm(state[dyn.P]) < 1e-9
     assert np.linalg.norm(state[dyn.V]) < 1e-9
     assert np.linalg.norm(state[dyn.OMEGA]) < 1e-9
@@ -37,10 +45,8 @@ def test_free_fall_when_rotors_stopped(params, kernel, trim):
     zero_cmd = vehicle.ActuatorCommand(
         u=np.zeros(6), w_cmd=np.full(6, params.w_min),
         saturated=np.ones(6, dtype=bool))
-    state = hover_state(trim)
-    for _ in range(int(0.5 / dyn.SIM_DT)):
-        state = dyn.step(state, kernel, zero_cmd,
-                         np.zeros(3), np.zeros(3), dyn.SIM_DT)
+    state = dyn.step(hover_state(trim), kernel, zero_cmd,
+                     [CALM] * int(0.5 / dyn.SIM_DT), dyn.SIM_DT)
     assert state[dyn.V][2] < -1.0
     assert state[dyn.P][2] < -0.2
 
@@ -50,11 +56,9 @@ def test_motor_lag_63_percent(params, kernel, trim):
         u=(1.2 * np.asarray(trim.w_cmd)) ** 2,
         w_cmd=1.2 * np.asarray(trim.w_cmd),
         saturated=np.zeros(6, dtype=bool))
-    state = hover_state(trim)
     n = int(round(params.motor_time_constant / dyn.SIM_DT))
-    for _ in range(n):
-        state = dyn.step(state, kernel, stepped,
-                         np.zeros(3), np.zeros(3), dyn.SIM_DT)
+    state = dyn.step(hover_state(trim), kernel, stepped, [CALM] * n,
+                     dyn.SIM_DT)
     frac = (state[dyn.ROTOR_W][0] - trim.w_cmd[0]) / (0.2 * trim.w_cmd[0])
     assert frac == pytest.approx(1 - np.exp(-1), abs=0.02)
 
@@ -63,8 +67,7 @@ def test_quaternion_stays_normalized(kernel, trim, rng):
     state = hover_state(trim)
     state[dyn.OMEGA] = [2.0, -1.0, 0.5]
     for _ in range(2000):
-        state = dyn.step(state, kernel, trim,
-                         np.zeros(3), np.zeros(3), dyn.SIM_DT)
+        state = dyn.step(state, kernel, trim, [CALM], dyn.SIM_DT)
         assert np.linalg.norm(state[dyn.Q]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -75,8 +78,31 @@ def test_quaternion_stays_normalized(kernel, trim, rng):
 def test_nonfinite_state_raises(kernel, trim, block):
     state = hover_state(trim)
     state[block.start] = np.inf
-    with pytest.raises(dyn.NonFiniteState):
-        dyn.step(state, kernel, trim, np.zeros(3), np.zeros(3), dyn.SIM_DT)
+    with pytest.raises(dyn.NonFiniteState) as info:
+        dyn.step(state, kernel, trim, [CALM] * 3, dyn.SIM_DT)
+    # the first step diverges, from the state it was given
+    assert info.value.offset == 0
+    assert bits(info.value.state) == bits(state)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n, bad", [(1, 0), (4, 3), (40, 17), (40, 39)])
+def test_divergence_reports_its_step_and_the_last_finite_state(kernel, trim,
+                                                               n, bad):
+    # a NaN wrench at offset `bad` of an n-step call: the call reports
+    # that offset and the state after the `bad` clean steps before it,
+    # bit for bit, and the exception survives a pickle round trip (the
+    # sweep pool sends it between processes)
+    wrenches = [(0.1, -0.2, 0.3, 0.01, 0.0, -0.02)] * n
+    wrenches[bad] = (np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)
+    state = hover_state(trim).tolist()
+    with pytest.raises(dyn.NonFiniteState) as info:
+        dyn.step(state, kernel, trim, wrenches, dyn.SIM_DT)
+    exc = pickle.loads(pickle.dumps(info.value))
+    assert exc.offset == bad
+    assert bits(exc.state) == bits(
+        dyn.step(state, kernel, trim, wrenches[:bad], dyn.SIM_DT))
+    assert np.isfinite(exc.state).all()
 
 
 def test_constant_disturbance_window():
@@ -85,13 +111,15 @@ def test_constant_disturbance_window():
                                moment=np.array([0, 0.1, 0]),
                                t_on=2.0, t_off=5.0)
     sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(0))
-    f, m = sampler.step(1.0)
-    assert not np.asarray(f).any() and not np.asarray(m).any()
-    f, m = sampler.step(3.0)
-    np.testing.assert_array_equal(f, [1.0, 0, 0])
-    np.testing.assert_array_equal(m, [0, 0.1, 0])
-    f, m = sampler.step(5.0)
-    assert not np.asarray(f).any() and not np.asarray(m).any()
+    (off,) = sampler.step(at(1.0), 1)
+    assert not np.asarray(off).any()
+    (on,) = sampler.step(at(3.0), 1)
+    np.testing.assert_array_equal(on, [1.0, 0, 0, 0, 0.1, 0])
+    (after,) = sampler.step(at(5.0), 1)
+    assert not np.asarray(after).any()
+    # one call across each edge holds each step's own value
+    assert sampler.step(at(2.0) - 2, 4) == [off, off, on, on]
+    assert sampler.step(at(5.0) - 2, 4) == [on, on, off, off]
 
 
 @pytest.mark.parametrize("spec", [
@@ -108,11 +136,11 @@ def test_sampler_adds_residual_wrench(spec):
     bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3))
     total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3), residual_f,
                                    residual_m)
+    residual = np.concatenate((residual_f, residual_m))
     for t in (0.0, 1.0, 2.0, 3.0, 4.9995, 5.0, 6.0):
-        f, m = bare.step(t)
-        tf, tm = total.step(t)
-        np.testing.assert_array_equal(tf, f + residual_f)
-        np.testing.assert_array_equal(tm, m + residual_m)
+        (wrench,) = bare.step(at(t), 1)
+        (held,) = total.step(at(t), 1)
+        np.testing.assert_array_equal(held, np.asarray(wrench) + residual)
 
 
 def test_disturbance_validation():
@@ -128,10 +156,8 @@ def test_gust_statistics(rng):
                                gust_corr_time=0.5)
     sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, dyn.Normals(rng))
     n = 200000
-    xs = np.empty(n)
-    for i in range(n):
-        f, _ = sampler.step(i * dyn.SIM_DT)
-        xs[i] = f[0]
+    xs = np.array([wrench[0] for k in range(0, n, 40)
+                   for wrench in sampler.step(k, 40)])
     assert xs.mean() == pytest.approx(2.0, abs=0.15)
     assert xs.std() == pytest.approx(1.0, abs=0.1)
     # autocorrelation at one correlation time ~ 1/e
@@ -144,12 +170,12 @@ def test_gust_statistics(rng):
 def test_gust_reproducible():
     spec = dyn.DisturbanceSpec(kind="gust", force=np.zeros(3),
                                t_on=0.0, t_off=10.0, gust_std=1.0)
+    # the same draws whether a call spans one step or many
     a = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
     b = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
-    for i in range(100):
-        fa, _ = a.step(i * dyn.SIM_DT)
-        fb, _ = b.step(i * dyn.SIM_DT)
-        np.testing.assert_array_equal(fa, fb)
+    one_by_one = [a.step(k, 1)[0] for k in range(100)]
+    chunked = [*b.step(0, 4), *b.step(4, 40), *b.step(44, 1), *b.step(45, 55)]
+    assert bits(one_by_one) == bits(chunked)
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,8 +253,9 @@ def test_sensor_stream_equals_float_oracle(params, kernel, rng):
 
 @pytest.mark.parametrize("kind", ["none", "constant_load", "gust"])
 def test_sampler_equals_float_oracle(rng, kind):
-    # 300 random specs and residuals, each stepped across its window;
-    # both samplers draw from generators of one seed
+    # 300 random specs and residuals, each stepped across its window in
+    # calls of 1 to 40 steps; step(k, n) equals n oracle step(t) calls,
+    # and both samplers draw from generators of one seed
     for _ in range(300):
         t_on = float(rng.uniform(0.0, 0.005))
         spec = dyn.DisturbanceSpec(
@@ -242,9 +269,13 @@ def test_sampler_equals_float_oracle(rng, kind):
                                      *residual)
         want = oracles.DisturbanceSampler(
             spec, dyn.SIM_DT, np.random.default_rng(seed), *residual)
-        for k in range(20):
-            t = k * dyn.SIM_DT
-            assert bits(got.step(t)) == bits(want.step(t))
+        k = 0
+        while k < 20:
+            n = int(rng.integers(1, 41))
+            assert bits(got.step(k, n)) == bits(
+                [(*f, *m) for f, m in (want.step(j * dyn.SIM_DT)
+                                       for j in range(k, k + n))])
+            k += n
 
 
 def test_rk4_order(kernel, trim):
@@ -255,8 +286,7 @@ def test_rk4_order(kernel, trim):
         cmd = vehicle.ActuatorCommand(
             u=trim.u, w_cmd=np.asarray(trim.w_cmd) * 1.02,
             saturated=np.zeros(6, dtype=bool))
-        for _ in range(int(round(0.5 / h))):
-            st = dyn.step(st, kernel, cmd, np.zeros(3), np.zeros(3), h)
+        st = dyn.step(st, kernel, cmd, [CALM] * int(round(0.5 / h)), h)
         return np.concatenate([st[dyn.P], st[dyn.V], st[dyn.Q], st[dyn.OMEGA]])
 
     h = dyn.SIM_DT
@@ -280,11 +310,30 @@ def random_case(params, rng):
     return x, cmd, rng.normal(0.0, 3.0, 3), rng.normal(0.0, 0.5, 3)
 
 
+def wrench_run(rng, n, dist_f, dist_m, varying):
+    """n held wrenches as step takes them: (dist_f, dist_m) over every
+    step, or, if varying, a fresh random wrench for each step after the
+    first."""
+    wrenches = [(*dist_f.tolist(), *dist_m.tolist())] * n
+    if varying:
+        wrenches[1:] = [(*rng.normal(0.0, 3.0, 3).tolist(),
+                         *rng.normal(0.0, 0.5, 3).tolist())
+                        for _ in range(n - 1)]
+    return wrenches
+
+
+def oracle_steps(oracle_step, x, w_cmd, wrenches):
+    """One list-form oracle step per wrench, in order."""
+    for wrench in wrenches:
+        x = oracle_step(x, w_cmd, wrench[:3], wrench[3:], dyn.SIM_DT)
+    return x
+
+
 def test_scalar_step_matches_numpy_oracle(params, eff, kernel, rng):
     for _ in range(300):
         x, cmd, dist_f, dist_m = random_case(params, rng)
         before = x.copy()
-        out = dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT)
+        out = dyn.step(x, kernel, cmd, [(*dist_f, *dist_m)], dyn.SIM_DT)
         np.testing.assert_array_equal(x, before)
         np.testing.assert_allclose(
             out, numpy_step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT),
@@ -302,20 +351,23 @@ def test_acceleration_is_the_derivative_force_balance(params, kernel, rng):
 
 def test_kernel_equals_list_form_oracle(params, eff, rng):
     # step, derivative and acceleration against the list-form kernel, bit
-    # for bit, on the default platform and on a second one
+    # for bit, on the default platform and on a second one: one step call
+    # over n = 1 ... 40 wrenches, held or varying from step to step,
+    # equals n oracle steps
     other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
                                    motor_time_constant=0.035,
                                    c_f=1.3 * params.c_f)
     for p, e in [(params, eff), (other, vehicle.build_effectiveness(other))]:
         rates, kernel_step = oracles.make_step(p, e)
         kernel = dyn.make_step(p, e)
-        for _ in range(300):
+        for case in range(300):
             x, cmd, dist_f, dist_m = random_case(p, rng)
+            wrenches = wrench_run(rng, 1 + case % 40, dist_f, dist_m,
+                                  varying=case // 40 % 2 == 1)
             x, w_cmd = x.tolist(), cmd.w_cmd.tolist()
             dist_f, dist_m = dist_f.tolist(), dist_m.tolist()
-            np.testing.assert_array_equal(
-                dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
-                kernel_step(x, w_cmd, dist_f, dist_m, dyn.SIM_DT))
+            assert bits(dyn.step(x, kernel, cmd, wrenches, dyn.SIM_DT)) == \
+                bits(oracle_steps(kernel_step, x, w_cmd, wrenches))
             np.testing.assert_array_equal(
                 dyn.derivative(x, kernel, w_cmd, dist_f, dist_m),
                 rates(x, w_cmd, dist_f, dist_m))
@@ -330,22 +382,26 @@ def test_kernel_equals_list_form_oracle(params, eff, rng):
        tau=st.floats(0.005, 0.1),
        cf_factor=st.floats(0.3, 3.0),
        tilt_deg=st.floats(5.0, 60.0) | st.floats(-60.0, -5.0),
-       seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 40), varying=st.booleans())
 def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
-                                                  cf_factor, tilt_deg, seed):
+                                                  cf_factor, tilt_deg, seed,
+                                                  n, varying):
+    # one step against the numpy oracle, and one call over n wrenches
+    # against n list-form oracle steps, bit for bit
     p = vehicle.default_params(
         mass=mass, inertia=inertia, motor_time_constant=tau,
         c_f=cf_factor * vehicle.default_params().c_f,
         tilt_angle=np.radians(tilt_deg))
     e = vehicle.build_effectiveness(p)
     kernel = dyn.make_step(p, e)
-    x, cmd, dist_f, dist_m = random_case(p, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    x, cmd, dist_f, dist_m = random_case(p, rng)
     np.testing.assert_allclose(
-        dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
+        dyn.step(x, kernel, cmd, [(*dist_f, *dist_m)], dyn.SIM_DT),
         numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
         rtol=1e-12, atol=0.0)
     _, oracle_step = oracles.make_step(p, e)
-    np.testing.assert_array_equal(
-        dyn.step(x, kernel, cmd, dist_f, dist_m, dyn.SIM_DT),
-        oracle_step(x.tolist(), cmd.w_cmd.tolist(), dist_f.tolist(),
-                    dist_m.tolist(), dyn.SIM_DT))
+    wrenches = wrench_run(rng, n, dist_f, dist_m, varying)
+    assert bits(dyn.step(x, kernel, cmd, wrenches, dyn.SIM_DT)) == bits(
+        oracle_steps(oracle_step, x.tolist(), cmd.w_cmd.tolist(), wrenches))

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from collections import defaultdict
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -49,17 +50,24 @@ def test_controller_freq_must_divide_the_truth_rate():
             ex.build_scenario("exp5", "geo", {"controller_freq": freq})
 
 
-@pytest.mark.parametrize("freq", [400.0, 2000.0 / 6], ids=["400Hz", "333Hz"])
+@pytest.mark.parametrize("freq", [400.0, 2000.0 / 6, 2000.0 / 7],
+                         ids=["400Hz", "333Hz", "286Hz"])
 def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
     # the pose clock samples the state every 8 truth steps (250 Hz)
     # whatever the controller rate, so the tick at step k sees the state
-    # dyn.step received at step 8 floor(k / 8)
-    states, poses = [], []
+    # that truth step 8 floor(k / 8) started from.  Each dyn.step call
+    # runs one segment: it ends at a pose sample or at a tick's end, and
+    # crosses neither
+    states, poses, segments = [], [], []
     real_step, real_tick = dyn.step, control.GeoNdiController.tick
 
-    def recording_step(x, *args):
-        states.append(list(x))
-        return real_step(x, *args)
+    def recording_step(x, kernel, cmd, wrenches, dt):
+        # the same steps one at a time, keeping each one's start state
+        segments.append(len(wrenches))
+        for wrench in wrenches:
+            states.append(list(x))
+            x = real_step(x, kernel, cmd, [wrench], dt)
+        return x
 
     def recording_tick(self, target_pos, target_rpy, inputs):
         poses.append((list(inputs.pos), list(inputs.q)))
@@ -71,6 +79,8 @@ def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
         "controller_freq": freq, "duration": 2.1}))
     n_sub = round(1.0 / (freq * dyn.SIM_DT))
     assert len(states) == 4200 and len(poses) == -(-4200 // n_sub)
+    assert list(accumulate(segments)) == sorted(
+        {*range(8, 4200, 8), *range(n_sub, 4200, n_sub), 4200})
     held_back = 0
     for i, (pos, q) in enumerate(poses):
         k = i * n_sub
@@ -94,18 +104,19 @@ def test_closed_loop_passes_python_floats(monkeypatch, controller):
 
     real_step = dyn.step
 
-    def step(x, kernel, cmd, dist_force, dist_moment, dt):
-        out = real_step(x, kernel, cmd, dist_force, dist_moment, dt)
-        note("step", x, cmd.u, cmd.w_cmd, dist_force, dist_moment, [dt], out)
+    def step(x, kernel, cmd, wrenches, dt):
+        out = real_step(x, kernel, cmd, wrenches, dt)
+        note("step", x, cmd.u, cmd.w_cmd, *wrenches, [dt], out)
         note("saturated", cmd.saturated)
         return out
 
     real_sample = dyn.DisturbanceSampler.step
 
-    def sample(self, t):
-        force, moment = real_sample(self, t)
-        note("sampler", [t], force, moment)
-        return force, moment
+    def sample(self, k, n):
+        wrenches = real_sample(self, k, n)
+        note("sampler", *wrenches)
+        note("steps", [k, n])
+        return wrenches
 
     def traced_tick(real_tick):
         def tick(self, target_pos, target_rpy, inputs):
@@ -124,7 +135,27 @@ def test_closed_loop_passes_python_floats(monkeypatch, controller):
     ex.run_scenario(ex.build_scenario("exp3", controller, {
         "gust": True, "duration": 2.5}))
     assert dict(types) == {"step": {float}, "sampler": {float},
-                           "tick": {float}, "saturated": {bool}}
+                           "steps": {int}, "tick": {float},
+                           "saturated": {bool}}
+
+
+@pytest.mark.parametrize("cf_mismatch, built", [(1.0, 1), (0.5, 2)])
+def test_controller_builds_a_matrix_only_when_mismatched(
+        monkeypatch, cf_mismatch, built):
+    # a right belief flies on the truth's own effectiveness matrix; a
+    # mismatched model builds its own from its scaled force coefficient
+    c_fs, real = [], vehicle.build_effectiveness
+
+    def build(params):
+        c_fs.append(params.c_f)
+        return real(params)
+
+    monkeypatch.setattr(vehicle, "build_effectiveness", build)
+    monkeypatch.setattr(control, "build_effectiveness", build)
+    params = vehicle.default_params()
+    ex.run_scenario(ex.build_scenario("exp5", "indi", {
+        "duration": 2.1, "cf_mismatch": cf_mismatch}), params)
+    assert c_fs == [params.c_f, params.c_f * cf_mismatch][:built]
 
 
 def test_duration_must_leave_a_tick_after_warmup():

@@ -16,4 +16,4 @@ def test_bench_tick_runs_once():
          "--benchmark-disable", str(ROOT / "tests" / "bench_tick.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "10 passed" in done.stdout.splitlines()[-1]
+    assert "11 passed" in done.stdout.splitlines()[-1]

@@ -2,9 +2,10 @@
 
 The benchmark's per-layer trace wraps named functions at their module
 attributes (or on their class) and reads, among others, one
-dynamics.step call per truth step and one DisturbanceSampler.step call
-per disturbance draw, one call of each controller layer per tick, and
-one cli.write_log_csv call per `hexsim run`.  These tests keep the
+dynamics.step call per segment of truth steps (a tick's steps, cut at
+every 250 Hz pose sample), one DisturbanceSampler.step call per tick
+plus one before the loop, one call of each controller layer per tick,
+and one cli.write_log_csv call per `hexsim run`.  These tests keep the
 package making exactly those calls through the wrappable attributes,
 and every traced name resolving.  layertrace.py is only read for its
 TARGETS table.
@@ -52,16 +53,18 @@ def test_every_trace_target_resolves():
         assert callable(owner), f"{module_name}.{attr}"
 
 
-def count_calls(monkeypatch, owner, leaf):
+def count_calls(monkeypatch, owner, leaf, record=None):
     """Replace owner.leaf with a call counter the way layertrace installs
     its wrappers: on the class for a method, and at every hexsim module
-    attribute that holds it for a function.  Returns the one-element
-    count list."""
+    attribute that holds it for a function.  record, if given, is called
+    with each call's arguments.  Returns the one-element count list."""
     original = owner.__dict__[leaf]
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        if record is not None:
+            record(*args, **kwargs)
         return original(*args, **kwargs)
 
     if isinstance(owner, type):
@@ -81,14 +84,25 @@ def count_calls(monkeypatch, owner, leaf):
 ], ids=["exp3-gust", "exp4-50Hz"])
 def test_run_scenario_makes_the_traced_calls(monkeypatch, scenario_id,
                                              controller, overrides):
-    steps = count_calls(monkeypatch, dyn, "step")
+    held = [0]
+
+    def add_wrenches(x, kernel, cmd, wrenches, dt):
+        held[0] += len(wrenches)
+
+    calls = count_calls(monkeypatch, dyn, "step", add_wrenches)
     draws = count_calls(monkeypatch, dyn.DisturbanceSampler, "step")
     scenario = ex.build_scenario(scenario_id, controller, overrides)
-    _, n_steps = ex._clock(scenario)
+    n_sub, n_steps = ex._clock(scenario)
+    pose_every = round(1.0 / (ex.POSE_RATE_HZ * dyn.SIM_DT))
     ex.run_scenario(scenario)
-    # one truth step per step; one draw before the loop and one per step
-    assert steps[0] == n_steps
-    assert draws[0] == n_steps + 1
+    # every truth step runs once; a call runs one segment, which ends at
+    # a pose sample or at a tick's end; one draw before the loop and one
+    # per tick
+    segments = len({*range(pose_every, n_steps, pose_every),
+                    *range(n_sub, n_steps, n_sub), n_steps})
+    assert held[0] == n_steps
+    assert calls[0] == segments
+    assert draws[0] == -(-n_steps // n_sub) + 1
 
 
 @pytest.mark.parametrize("controller", ["geo", "indi"])
