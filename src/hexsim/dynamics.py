@@ -188,9 +188,11 @@ def make_step(params, eff):
     under the rotor command w_cmd, each with its wrench (fx, fy, fz, mx,
     my, mz: world force, body moment) held, over 19 local floats.  The
     four stages are written out inline, each with the expressions of
-    rates in their order; no stage position is formed, as its rate is
-    the stage velocity.  After every step the quaternion is normalised
-    and the state checked.  It returns the new state as a list, and if
+    rates in their order but for two trims that give the same floats:
+    R(q) from the doubled components 2x, 2y, 2z, and q_dot's 0.5 folded
+    into the step sizes.  No stage position is formed, as its rate is
+    the stage velocity.  After every step the
+    quaternion is normalised and the state checked.  It returns the new state as a list, and if
     a component diverges it raises NonFiniteState with the offset of
     that step within the call and the state it started from.
 
@@ -245,13 +247,23 @@ def make_step(params, eff):
             (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
         )
 
+    constants = (*eff.F1.ravel().tolist(), *eff.F2.ravel().tolist(),
+                 m, weight, jx, jy, jz, tau)
+
     def step(s, w_cmd, wrenches, dt):
+        (fx1, fx2, fx3, fx4, fx5, fx6, fy1, fy2, fy3, fy4, fy5, fy6,
+         fz1, fz2, fz3, fz4, fz5, fz6, mx1, mx2, mx3, mx4, mx5, mx6,
+         my1, my2, my3, my4, my5, my6, mz1, mz2, mz3, mz4, mz5, mz6,
+         m, weight, jx, jy, jz, tau) = constants
         (px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
          w1, w2, w3, w4, w5, w6) = s
         c1, c2, c3, c4, c5, c6 = w_cmd
         h, c = 0.5 * dt, dt / 6.0
+        # the dq are q (x) (0, omega), twice q_dot: the 0.5 rides on the
+        # step sizes
+        qh, qdt, qc = 0.5 * h, 0.5 * dt, 0.5 * c
         for i, (dfx, dfy, dfz, dmx, dmy, dmz) in enumerate(wrenches):
-            # stage a: the rates at the state
+            # stage a: the rates at the state; R(q) from doubled x2, y2, z2
             u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
             u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
             bx = (fx1 * u1 + fx2 * u2 + fx3 * u3
@@ -260,19 +272,20 @@ def make_step(params, eff):
                   + fy4 * u4 + fy5 * u5 + fy6 * u6)
             bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
                   + fz4 * u4 + fz5 * u5 + fz6 * u6)
-            xx, yy, zz = qx * qx, qy * qy, qz * qz
-            xy, xz, yz = qx * qy, qx * qz, qy * qz
-            wx, wy, wz = qw * qx, qw * qy, qw * qz
-            dvxa = ((1.0 - 2.0 * (yy + zz)) * bx + 2.0 * (xy - wz) * by
-                    + 2.0 * (xz + wy) * bz + dfx) / m
-            dvya = (2.0 * (xy + wz) * bx + (1.0 - 2.0 * (xx + zz)) * by
-                    + 2.0 * (yz - wx) * bz + dfy) / m
-            dvza = (2.0 * (xz - wy) * bx + 2.0 * (yz + wx) * by
-                    + (1.0 - 2.0 * (xx + yy)) * bz - weight + dfz) / m
-            dqwa = 0.5 * (-qx * ox - qy * oy - qz * oz)
-            dqxa = 0.5 * (qw * ox + qy * oz - qz * oy)
-            dqya = 0.5 * (qw * oy - qx * oz + qz * ox)
-            dqza = 0.5 * (qw * oz + qx * oy - qy * ox)
+            x2, y2, z2 = qx + qx, qy + qy, qz + qz
+            xx, yy, zz = qx * x2, qy * y2, qz * z2
+            xy, xz, yz = qx * y2, qx * z2, qy * z2
+            wx, wy, wz = qw * x2, qw * y2, qw * z2
+            dvxa = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + dfx) / m
+            dvya = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + dfy) / m
+            dvza = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+            dqwa = -qx * ox - qy * oy - qz * oz
+            dqxa = qw * ox + qy * oz - qz * oy
+            dqya = qw * oy - qx * oz + qz * ox
+            dqza = qw * oz + qx * oy - qy * ox
             tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
                   + mx4 * u4 + mx5 * u5 + mx6 * u6)
             ty = (my1 * u1 + my2 * u2 + my3 * u3
@@ -288,8 +301,8 @@ def make_step(params, eff):
             dr4a, dr5a, dr6a = ((c4 - w4) / tau, (c5 - w5) / tau,
                                (c6 - w6) / tau)
             # stage b: at the state plus h times stage a's rates
-            qwb, qxb, qyb, qzb = (qw + h * dqwa, qx + h * dqxa,
-                                  qy + h * dqya, qz + h * dqza)
+            qwb, qxb, qyb, qzb = (qw + qh * dqwa, qx + qh * dqxa,
+                                  qy + qh * dqya, qz + qh * dqza)
             oxb, oyb, ozb = ox + h * doxa, oy + h * doya, oz + h * doza
             w1b, w2b, w3b = w1 + h * dr1a, w2 + h * dr2a, w3 + h * dr3a
             w4b, w5b, w6b = w4 + h * dr4a, w5 + h * dr5a, w6 + h * dr6a
@@ -301,19 +314,20 @@ def make_step(params, eff):
                   + fy4 * u4 + fy5 * u5 + fy6 * u6)
             bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
                   + fz4 * u4 + fz5 * u5 + fz6 * u6)
-            xx, yy, zz = qxb * qxb, qyb * qyb, qzb * qzb
-            xy, xz, yz = qxb * qyb, qxb * qzb, qyb * qzb
-            wx, wy, wz = qwb * qxb, qwb * qyb, qwb * qzb
-            dvxb = ((1.0 - 2.0 * (yy + zz)) * bx + 2.0 * (xy - wz) * by
-                    + 2.0 * (xz + wy) * bz + dfx) / m
-            dvyb = (2.0 * (xy + wz) * bx + (1.0 - 2.0 * (xx + zz)) * by
-                    + 2.0 * (yz - wx) * bz + dfy) / m
-            dvzb = (2.0 * (xz - wy) * bx + 2.0 * (yz + wx) * by
-                    + (1.0 - 2.0 * (xx + yy)) * bz - weight + dfz) / m
-            dqwb = 0.5 * (-qxb * oxb - qyb * oyb - qzb * ozb)
-            dqxb = 0.5 * (qwb * oxb + qyb * ozb - qzb * oyb)
-            dqyb = 0.5 * (qwb * oyb - qxb * ozb + qzb * oxb)
-            dqzb = 0.5 * (qwb * ozb + qxb * oyb - qyb * oxb)
+            x2, y2, z2 = qxb + qxb, qyb + qyb, qzb + qzb
+            xx, yy, zz = qxb * x2, qyb * y2, qzb * z2
+            xy, xz, yz = qxb * y2, qxb * z2, qyb * z2
+            wx, wy, wz = qwb * x2, qwb * y2, qwb * z2
+            dvxb = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + dfx) / m
+            dvyb = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + dfy) / m
+            dvzb = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+            dqwb = -qxb * oxb - qyb * oyb - qzb * ozb
+            dqxb = qwb * oxb + qyb * ozb - qzb * oyb
+            dqyb = qwb * oyb - qxb * ozb + qzb * oxb
+            dqzb = qwb * ozb + qxb * oyb - qyb * oxb
             tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
                   + mx4 * u4 + mx5 * u5 + mx6 * u6)
             ty = (my1 * u1 + my2 * u2 + my3 * u3
@@ -330,8 +344,8 @@ def make_step(params, eff):
                                (c6 - w6b) / tau)
             vxb, vyb, vzb = vx + h * dvxa, vy + h * dvya, vz + h * dvza
             # stage c: at the state plus h times stage b's rates
-            qwc, qxc, qyc, qzc = (qw + h * dqwb, qx + h * dqxb,
-                                  qy + h * dqyb, qz + h * dqzb)
+            qwc, qxc, qyc, qzc = (qw + qh * dqwb, qx + qh * dqxb,
+                                  qy + qh * dqyb, qz + qh * dqzb)
             oxc, oyc, ozc = ox + h * doxb, oy + h * doyb, oz + h * dozb
             w1c, w2c, w3c = w1 + h * dr1b, w2 + h * dr2b, w3 + h * dr3b
             w4c, w5c, w6c = w4 + h * dr4b, w5 + h * dr5b, w6 + h * dr6b
@@ -343,19 +357,20 @@ def make_step(params, eff):
                   + fy4 * u4 + fy5 * u5 + fy6 * u6)
             bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
                   + fz4 * u4 + fz5 * u5 + fz6 * u6)
-            xx, yy, zz = qxc * qxc, qyc * qyc, qzc * qzc
-            xy, xz, yz = qxc * qyc, qxc * qzc, qyc * qzc
-            wx, wy, wz = qwc * qxc, qwc * qyc, qwc * qzc
-            dvxc = ((1.0 - 2.0 * (yy + zz)) * bx + 2.0 * (xy - wz) * by
-                    + 2.0 * (xz + wy) * bz + dfx) / m
-            dvyc = (2.0 * (xy + wz) * bx + (1.0 - 2.0 * (xx + zz)) * by
-                    + 2.0 * (yz - wx) * bz + dfy) / m
-            dvzc = (2.0 * (xz - wy) * bx + 2.0 * (yz + wx) * by
-                    + (1.0 - 2.0 * (xx + yy)) * bz - weight + dfz) / m
-            dqwc = 0.5 * (-qxc * oxc - qyc * oyc - qzc * ozc)
-            dqxc = 0.5 * (qwc * oxc + qyc * ozc - qzc * oyc)
-            dqyc = 0.5 * (qwc * oyc - qxc * ozc + qzc * oxc)
-            dqzc = 0.5 * (qwc * ozc + qxc * oyc - qyc * oxc)
+            x2, y2, z2 = qxc + qxc, qyc + qyc, qzc + qzc
+            xx, yy, zz = qxc * x2, qyc * y2, qzc * z2
+            xy, xz, yz = qxc * y2, qxc * z2, qyc * z2
+            wx, wy, wz = qwc * x2, qwc * y2, qwc * z2
+            dvxc = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + dfx) / m
+            dvyc = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + dfy) / m
+            dvzc = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+            dqwc = -qxc * oxc - qyc * oyc - qzc * ozc
+            dqxc = qwc * oxc + qyc * ozc - qzc * oyc
+            dqyc = qwc * oyc - qxc * ozc + qzc * oxc
+            dqzc = qwc * ozc + qxc * oyc - qyc * oxc
             tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
                   + mx4 * u4 + mx5 * u5 + mx6 * u6)
             ty = (my1 * u1 + my2 * u2 + my3 * u3
@@ -372,8 +387,8 @@ def make_step(params, eff):
                                (c6 - w6c) / tau)
             vxc, vyc, vzc = vx + h * dvxb, vy + h * dvyb, vz + h * dvzb
             # stage d: at the state plus dt times stage c's rates
-            qwd, qxd, qyd, qzd = (qw + dt * dqwc, qx + dt * dqxc,
-                                  qy + dt * dqyc, qz + dt * dqzc)
+            qwd, qxd, qyd, qzd = (qw + qdt * dqwc, qx + qdt * dqxc,
+                                  qy + qdt * dqyc, qz + qdt * dqzc)
             oxd, oyd, ozd = ox + dt * doxc, oy + dt * doyc, oz + dt * dozc
             w1d, w2d, w3d = w1 + dt * dr1c, w2 + dt * dr2c, w3 + dt * dr3c
             w4d, w5d, w6d = w4 + dt * dr4c, w5 + dt * dr5c, w6 + dt * dr6c
@@ -385,19 +400,20 @@ def make_step(params, eff):
                   + fy4 * u4 + fy5 * u5 + fy6 * u6)
             bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
                   + fz4 * u4 + fz5 * u5 + fz6 * u6)
-            xx, yy, zz = qxd * qxd, qyd * qyd, qzd * qzd
-            xy, xz, yz = qxd * qyd, qxd * qzd, qyd * qzd
-            wx, wy, wz = qwd * qxd, qwd * qyd, qwd * qzd
-            dvxd = ((1.0 - 2.0 * (yy + zz)) * bx + 2.0 * (xy - wz) * by
-                    + 2.0 * (xz + wy) * bz + dfx) / m
-            dvyd = (2.0 * (xy + wz) * bx + (1.0 - 2.0 * (xx + zz)) * by
-                    + 2.0 * (yz - wx) * bz + dfy) / m
-            dvzd = (2.0 * (xz - wy) * bx + 2.0 * (yz + wx) * by
-                    + (1.0 - 2.0 * (xx + yy)) * bz - weight + dfz) / m
-            dqwd = 0.5 * (-qxd * oxd - qyd * oyd - qzd * ozd)
-            dqxd = 0.5 * (qwd * oxd + qyd * ozd - qzd * oyd)
-            dqyd = 0.5 * (qwd * oyd - qxd * ozd + qzd * oxd)
-            dqzd = 0.5 * (qwd * ozd + qxd * oyd - qyd * oxd)
+            x2, y2, z2 = qxd + qxd, qyd + qyd, qzd + qzd
+            xx, yy, zz = qxd * x2, qyd * y2, qzd * z2
+            xy, xz, yz = qxd * y2, qxd * z2, qyd * z2
+            wx, wy, wz = qwd * x2, qwd * y2, qwd * z2
+            dvxd = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + dfx) / m
+            dvyd = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + dfy) / m
+            dvzd = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+            dqwd = -qxd * oxd - qyd * oyd - qzd * ozd
+            dqxd = qwd * oxd + qyd * ozd - qzd * oyd
+            dqyd = qwd * oyd - qxd * ozd + qzd * oxd
+            dqzd = qwd * ozd + qxd * oyd - qyd * oxd
             tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
                   + mx4 * u4 + mx5 * u5 + mx6 * u6)
             ty = (my1 * u1 + my2 * u2 + my3 * u3
@@ -413,10 +429,10 @@ def make_step(params, eff):
             dr4d, dr5d, dr6d = ((c4 - w4d) / tau, (c5 - w5d) / tau,
                                (c6 - w6d) / tau)
             vxd, vyd, vzd = vx + dt * dvxc, vy + dt * dvyc, vz + dt * dvzc
-            nw = qw + c * (dqwa + 2.0 * dqwb + 2.0 * dqwc + dqwd)
-            nx = qx + c * (dqxa + 2.0 * dqxb + 2.0 * dqxc + dqxd)
-            ny = qy + c * (dqya + 2.0 * dqyb + 2.0 * dqyc + dqyd)
-            nz = qz + c * (dqza + 2.0 * dqzb + 2.0 * dqzc + dqzd)
+            nw = qw + qc * (dqwa + 2.0 * dqwb + 2.0 * dqwc + dqwd)
+            nx = qx + qc * (dqxa + 2.0 * dqxb + 2.0 * dqxc + dqxd)
+            ny = qy + qc * (dqya + 2.0 * dqyb + 2.0 * dqyc + dqyd)
+            nz = qz + qc * (dqza + 2.0 * dqzb + 2.0 * dqzc + dqzd)
             out = (px + c * (vx + 2.0 * vxb + 2.0 * vxc + vxd),
                    py + c * (vy + 2.0 * vyb + 2.0 * vyc + vyd),
                    pz + c * (vz + 2.0 * vzb + 2.0 * vzc + vzd),

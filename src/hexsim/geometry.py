@@ -43,9 +43,13 @@ def rotmat(q):
     """R(q) mapping body vectors to world, as a flat row-major 9-tuple
     (r00, r01, r02, r10, ..., r22)."""
     w, x, y, z = q
-    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+    # float literals: the same values as 1 and 2, without CPython's
+    # slower mixed-type path
+    return (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z),
+            2.0 * (x * z + w * y), 2.0 * (x * y + w * z),
+            1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x),
+            1.0 - 2.0 * (x * x + y * y))
 
 
 def quat_to_rotmat(q):

@@ -5,7 +5,8 @@ placement, controller equivalence, filters, determinism, integrator
 order) plus direction-of-effect/ordering checks on the five study
 scenarios (model mismatch, load rejection, controller-rate degradation,
 noise degradation).  Each test prints one PASS/FAIL line with the
-measured numbers.
+measured numbers.  A last test checks every metric the study fixtures
+compute against tests/golden_studies.json (see tests/test_golden.py).
 
 The study fixtures run full closed-loop simulations and are module
 scoped.  The exp4 and exp5 grids fly through `hexsim sweep` on every
@@ -14,6 +15,7 @@ core and are read back from its CSV; the determinism check runs its two
 """
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -34,6 +36,7 @@ from hexsim.control import (Gains, PoseReference, make_model, ndi_invert,
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.vehicle import GRAVITY
 from oracles import analytic_step_response, assemble_F, quat_from_axis_angle
+from test_golden import STUDIES_PATH, off_record, studies_record
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,8 +47,9 @@ def report(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def exp1_table(params):
+def exp1_study(params):
+    """exp1 per controller at full and half thrust-coefficient knowledge:
+    {(controller, cf_mismatch): RunMetrics}."""
     table = {}
     for ctrl in ("geo", "indi"):
         for cf in (1.0, 0.5):
@@ -55,37 +59,55 @@ def exp1_table(params):
     return table
 
 
-@pytest.fixture(scope="module")
-def exp2_logs(params):
+def exp2_study(params):
+    """exp2 per controller: {controller: (log, RunMetrics)}."""
     return {ctrl: ex.run_scenario(ex.build_scenario("exp2", ctrl), params)
             for ctrl in ("geo", "indi")}
 
 
-def sweep_table(tmp_path_factory, axis, repeats):
-    """`hexsim sweep` over an axis on every core, its CSV read back as
-    {(controller, axis value): row}, the row's statistics as floats."""
-    out = tmp_path_factory.mktemp(axis) / "sweep.csv"
+def sweep_table(out_dir, axis, repeats):
+    """`hexsim sweep` over an axis on every core, its CSV (written in
+    out_dir) read back as {(controller, axis value): row}, the row's
+    statistics as floats."""
+    out = out_dir / f"{axis}.csv"
     assert cli.main(["sweep", "--axis", axis, "--repeats", str(repeats),
                      "--jobs", str(os.cpu_count() or 1),
                      "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         return {(row["controller"], float(row[axis])): SimpleNamespace(
-                    lon_att_mean_deg=float(row["lon_att_mean_deg"]),
-                    pos_norm_mean=float(row["pos_norm_mean"]))
+                    **{name: float(row[name]) for name in cli._SWEEP_STATS})
                 for row in csv.DictReader(fh)}
+
+
+def exp4_study(out_dir):
+    # one run per cell: repeat_runs pools one run's samples, so its
+    # statistics are that run's
+    return sweep_table(out_dir, "frequency", 1)
+
+
+def exp5_study(out_dir):
+    # the grid also flies noise level 0, which criterion 8 does not read
+    return sweep_table(out_dir, "noise", 3)
+
+
+@pytest.fixture(scope="module")
+def exp1_table(params):
+    return exp1_study(params)
+
+
+@pytest.fixture(scope="module")
+def exp2_logs(params):
+    return exp2_study(params)
 
 
 @pytest.fixture(scope="module")
 def exp4_table(tmp_path_factory):
-    # one run per cell: repeat_runs pools one run's samples, so its
-    # statistics are that run's
-    return sweep_table(tmp_path_factory, "frequency", 1)
+    return exp4_study(tmp_path_factory.mktemp("exp4"))
 
 
 @pytest.fixture(scope="module")
 def exp5_table(tmp_path_factory):
-    # the grid also flies noise level 0, which criterion 8 does not read
-    return sweep_table(tmp_path_factory, "noise", 3)
+    return exp5_study(tmp_path_factory.mktemp("exp5"))
 
 
 def test_01_allocation_round_trip(params, eff, capsys):
@@ -312,3 +334,11 @@ def test_11_integrator_order(kernel, trim, capsys):
     report(capsys, "integrator order", ok,
            f"1 s trajectory error {e1:.2e} at dt -> {e2:.2e} at dt/2 "
            f"(factor {ratio:.1f}, need >= 12)")
+
+
+def test_studies_match_golden_record(exp1_table, exp2_logs, exp4_table,
+                                     exp5_table):
+    off = off_record(
+        studies_record(exp1_table, exp2_logs, exp4_table, exp5_table),
+        json.loads(STUDIES_PATH.read_text()))
+    assert not off, f"study metrics off the golden record: {off}"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
                              quat_to_rotmat, rotmat, rpy_from_quat)
-from oracles import (angular_rate_error, attitude_error_vector,
+from oracles import (angular_rate_error, attitude_error_vector, bits,
                      euler_rate_matrix, quat_derivative, quat_from_axis_angle,
-                     quat_normalize)
+                     quat_normalize, rotmat_rows)
 
 
 def random_quat(rng):
@@ -170,3 +170,10 @@ def test_rotmat_rows_is_orthonormal(q):
     r = np.array(rotmat(q)).reshape(3, 3)
     np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-14)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=unit_quat | st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_rotmat_equals_int_literal_rows(q):
+    # float literals change the speed of rotmat, not its values
+    assert bits(rotmat(q)) == bits(sum(rotmat_rows(q), ()))

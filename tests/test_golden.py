@@ -6,13 +6,20 @@ flies with the gust, exp4 at its lowest controller rate and exp5 with
 noise, so the gust sampler, the low-rate path and the noisy sensors are
 all covered.  A change that keeps behaviour must reproduce the stored
 numbers to the tolerance below; a change that alters results on purpose
-regenerates the file in a change of its own:
+regenerates the file in a change of its own.
+
+golden_studies.json holds, at the same tolerance, every metric of the
+full-length studies that the acceptance fixtures compute: the exp1
+mismatch table, the exp2 runs and the exp4 and exp5 sweep tables.
+test_acceptance.py checks it from its module fixtures, so it costs no
+run of its own.  Both files are written by
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,7 @@ import pytest
 from hexsim import experiments as ex
 
 GOLDEN_PATH = Path(__file__).with_name("golden_metrics.json")
+STUDIES_PATH = Path(__file__).with_name("golden_studies.json")
 
 # one unit in the last place of a model parameter moves no metric by more
 # than 9.8e-14 in absolute terms (perfbench/README.md, Output check)
@@ -52,6 +60,30 @@ def _close(actual, expected):
     return math.isclose(actual, expected, rel_tol=REL, abs_tol=ABS)
 
 
+def off_record(actual, expected):
+    """{key: (actual, expected)} for each value of a flat record of
+    metrics off its stored value."""
+    assert actual.keys() == expected.keys()
+    return {k: (actual[k], expected[k]) for k in expected
+            if not _close(actual[k], expected[k])}
+
+
+def studies_record(exp1_table, exp2_runs, exp4_table, exp5_table):
+    """The acceptance fixtures' study metrics as one flat record: each
+    exp1 and exp2 run's metrics and each sweep row's statistics, under
+    "<study>/<controller>[/<cell>]/<metric>"."""
+    runs = {f"exp1/{ctrl}/cf_mismatch={cf}": m.as_dict()
+            for (ctrl, cf), m in exp1_table.items()}
+    runs.update((f"exp2/{ctrl}", m.as_dict())
+                for ctrl, (_, m) in exp2_runs.items())
+    for sid, axis, table in (("exp4", "frequency", exp4_table),
+                             ("exp5", "noise", exp5_table)):
+        runs.update((f"{sid}/{ctrl}/{axis}={value}", vars(row))
+                    for (ctrl, value), row in table.items())
+    return {f"{run}/{k}": v for run, metrics in runs.items()
+            for k, v in metrics.items()}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -59,15 +91,23 @@ def golden():
 
 @pytest.mark.parametrize("scenario_id,controller", CASES)
 def test_matches_golden(golden, scenario_id, controller):
-    expected = golden[f"{scenario_id}/{controller}"]
-    actual = run_metrics(scenario_id, controller)
-    assert actual.keys() == expected.keys()
-    off = {k: (actual[k], expected[k]) for k in expected
-           if not _close(actual[k], expected[k])}
+    off = off_record(run_metrics(scenario_id, controller),
+                     golden[f"{scenario_id}/{controller}"])
     assert not off, f"metrics off the golden record: {off}"
 
 
+def write(path, record):
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":
-    record = {f"{sid}/{ctrl}": run_metrics(sid, ctrl) for sid, ctrl in CASES}
-    GOLDEN_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    import test_acceptance as acc
+    from hexsim import vehicle
+    write(GOLDEN_PATH, {f"{sid}/{ctrl}": run_metrics(sid, ctrl)
+                        for sid, ctrl in CASES})
+    params = vehicle.default_params()
+    with tempfile.TemporaryDirectory() as tmp:
+        write(STUDIES_PATH, studies_record(
+            acc.exp1_study(params), acc.exp2_study(params),
+            acc.exp4_study(Path(tmp)), acc.exp5_study(Path(tmp))))
