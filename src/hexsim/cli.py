@@ -7,7 +7,8 @@ artifacts embed the fully resolved configuration and the seed so they
 are self-describing.
 
 Exit codes: 0 success, 2 config error (also a `validate` FAIL, and a
-`run` or `sweep` of a platform whose hover trim saturates), 3 simulation
+`run` or `sweep` of a platform whose hover trim saturates or whose
+motor lag is too fast for RK4 at the truth step), 3 simulation
 divergence (for a sweep: any cell diverged; the other cells are still
 written), 4 IO error (also a failed log.csv writer).  A divergence
 prints its time, scenario, seed and last finite state to stderr.
@@ -304,10 +305,23 @@ def require_hover(params):
             f"{params.w_max:.2f}] rad/s: the platform cannot hover")
 
 
+def require_stable_motor_lag(params):
+    """Raise ConfigError if RK4 at SIM_DT cannot follow the motor lag:
+    a step scales w - w_cmd by P(SIM_DT / tau), P(x) = 1 - x + x^2/2 -
+    x^3/6 + x^4/24, which grows once |P| >= 1 (tau below about 0.18 ms)."""
+    x = dynamics.SIM_DT / params.motor_time_constant
+    if abs(1.0 - x + x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0) >= 1.0:
+        raise ConfigError(
+            f"motor_time_constant {params.motor_time_constant!r} s is "
+            f"outside RK4's stability interval at the {dynamics.SIM_DT} s "
+            f"truth step: the rotor speeds would diverge")
+
+
 def cmd_run(config):
     params = build_params(config)
     scenario = build_run_scenario(config)
     require_hover(params)
+    require_stable_motor_lag(params)
     out_dir = Path(config["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with LogWriter(out_dir / "log.csv") as writer:
@@ -358,6 +372,7 @@ def cmd_sweep(config):
         raise ConfigError("sweep jobs must be >= 1")
     params = build_params(config)
     require_hover(params)
+    require_stable_motor_lag(params)
     scenario_id, key, values = _SWEEP_AXES[axis]
     cells = [(build_run_scenario(dict(config, run={
                   **config["run"], "scenario": scenario_id,

@@ -180,21 +180,18 @@ def make_step(params, eff):
     force dist_force, the body moment dist_moment).  It returns the
     rates of v, q, omega and the rotor speeds as a 16-tuple: force
     balance in world frame, moment balance in body frame, rotor speeds
-    lagging toward w_cmd.  q need not have unit norm; inside the RK4
-    stages it does not.  The closed loop does not call it; derivative and
-    acceleration read it.
+    lagging toward w_cmd.  q need not have unit norm.  The closed loop
+    does not call it; derivative and acceleration read it.
 
-    step(s, w_cmd, wrenches, dt) runs len(wrenches) RK4 steps from s
-    under the rotor command w_cmd, each with its wrench (fx, fy, fz, mx,
-    my, mz: world force, body moment) held, over 19 local floats.  The
-    four stages are written out inline, each with the expressions of
-    rates in their order but for two trims that give the same floats:
-    R(q) from the doubled components 2x, 2y, 2z, and q_dot's 0.5 folded
-    into the step sizes.  No stage position is formed, as its rate is
-    the stage velocity.  After every step the
-    quaternion is normalised and the state checked.  It returns the new state as a list, and if
-    a component diverges it raises NonFiniteState with the offset of
-    that step within the call and the state it started from.
+    step(s, w_cmd, wrenches, dt) runs len(wrenches) classical RK4 steps
+    from s under the rotor command w_cmd, each with its wrench (fx, fy,
+    fz, mx, my, mz: world force, body moment) held, over 19 local
+    floats.  Its inline stages take rates' dynamics in fewer operations,
+    equal to rounding: a stage's rotor speeds are w_cmd + k (w - w_cmd),
+    and p gains dt v + dt^2/6 (a_a + a_b + a_c).  After every step q is
+    normalised and the state checked; a diverging step raises
+    NonFiniteState with its offset in the call and the state it started
+    from.  It returns the new state as a list.
 
     specific_force(s, dist_force) is what an accelerometer at state s
     reads, R(q)^T (p_ddot + g e3) in the body frame, as a list of 3
@@ -247,195 +244,173 @@ def make_step(params, eff):
             (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
         )
 
-    constants = (*eff.F1.ravel().tolist(), *eff.F2.ravel().tolist(),
-                 m, weight, jx, jy, jz, tau)
+    # F1 / m, F2's rows over J_x, J_y, J_z, what scales a step's wrench,
+    # the gyroscopic coefficients (J_y - J_z) / J_x, ... and 1 / tau
+    per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
+    constants = (*(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
+                 m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
+                 GRAVITY, 1.0 / tau)
 
     def step(s, w_cmd, wrenches, dt):
-        (fx1, fx2, fx3, fx4, fx5, fx6, fy1, fy2, fy3, fy4, fy5, fy6,
-         fz1, fz2, fz3, fz4, fz5, fz6, mx1, mx2, mx3, mx4, mx5, mx6,
-         my1, my2, my3, my4, my5, my6, mz1, mz2, mz3, mz4, mz5, mz6,
-         m, weight, jx, jy, jz, tau) = constants
+        (ax1, ax2, ax3, ax4, ax5, ax6, ay1, ay2, ay3, ay4, ay5, ay6,
+         az1, az2, az3, az4, az5, az6, nx1, nx2, nx3, nx4, nx5, nx6,
+         ny1, ny2, ny3, ny4, ny5, ny6, nz1, nz2, nz3, nz4, nz5, nz6,
+         m, jx, jy, jz, ix, iy, iz, g, lam) = constants
         (px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
          w1, w2, w3, w4, w5, w6) = s
         c1, c2, c3, c4, c5, c6 = w_cmd
-        h, c = 0.5 * dt, dt / 6.0
-        # the dq are q (x) (0, omega), twice q_dot: the 0.5 rides on the
-        # step sizes
+        h, c, cp = 0.5 * dt, dt / 6.0, dt * dt / 6.0
+        # the dq are twice q_dot: the 0.5 rides on the step sizes
         qh, qdt, qc = 0.5 * h, 0.5 * dt, 0.5 * c
+        # the motor lag is linear: stage s's rotor speeds are c + ks (w - c)
+        kb = 1.0 - h * lam
+        kc = 1.0 - h * lam * kb
+        kd = 1.0 - dt * lam * kc
+        kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd)
         for i, (dfx, dfy, dfz, dmx, dmy, dmz) in enumerate(wrenches):
             # stage a: the rates at the state; R(q) from doubled x2, y2, z2
+            sx, sy, sz = dfx / m, dfy / m, dfz / m - g
+            ex, ey, ez = dmx / jx, dmy / jy, dmz / jz
+            r1, r2, r3 = w1 - c1, w2 - c2, w3 - c3
+            r4, r5, r6 = w4 - c4, w5 - c5, w6 - c6
             u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
             u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
-            bx = (fx1 * u1 + fx2 * u2 + fx3 * u3
-                  + fx4 * u4 + fx5 * u5 + fx6 * u6)
-            by = (fy1 * u1 + fy2 * u2 + fy3 * u3
-                  + fy4 * u4 + fy5 * u5 + fy6 * u6)
-            bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
-                  + fz4 * u4 + fz5 * u5 + fz6 * u6)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
             x2, y2, z2 = qx + qx, qy + qy, qz + qz
             xx, yy, zz = qx * x2, qy * y2, qz * z2
             xy, xz, yz = qx * y2, qx * z2, qy * z2
             wx, wy, wz = qw * x2, qw * y2, qw * z2
             dvxa = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + dfx) / m
+                    + (xz + wy) * bz + sx)
             dvya = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + dfy) / m
+                    + (yz - wx) * bz + sy)
             dvza = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+                    + (1.0 - (xx + yy)) * bz + sz)
             dqwa = -qx * ox - qy * oy - qz * oz
             dqxa = qw * ox + qy * oz - qz * oy
             dqya = qw * oy - qx * oz + qz * ox
             dqza = qw * oz + qx * oy - qy * ox
-            tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
-                  + mx4 * u4 + mx5 * u5 + mx6 * u6)
-            ty = (my1 * u1 + my2 * u2 + my3 * u3
-                  + my4 * u4 + my5 * u5 + my6 * u6)
-            tz = (mz1 * u1 + mz2 * u2 + mz3 * u3
-                  + mz4 * u4 + mz5 * u5 + mz6 * u6)
-            hx, hy, hz = jx * ox, jy * oy, jz * oz
-            doxa = (tx - (oy * hz - oz * hy) + dmx) / jx
-            doya = (ty - (oz * hx - ox * hz) + dmy) / jy
-            doza = (tz - (ox * hy - oy * hx) + dmz) / jz
-            dr1a, dr2a, dr3a = ((c1 - w1) / tau, (c2 - w2) / tau,
-                               (c3 - w3) / tau)
-            dr4a, dr5a, dr6a = ((c4 - w4) / tau, (c5 - w5) / tau,
-                               (c6 - w6) / tau)
+            doxa = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oy * oz + ex)
+            doya = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * oz * ox + ey)
+            doza = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * ox * oy + ez)
             # stage b: at the state plus h times stage a's rates
             qwb, qxb, qyb, qzb = (qw + qh * dqwa, qx + qh * dqxa,
                                   qy + qh * dqya, qz + qh * dqza)
             oxb, oyb, ozb = ox + h * doxa, oy + h * doya, oz + h * doza
-            w1b, w2b, w3b = w1 + h * dr1a, w2 + h * dr2a, w3 + h * dr3a
-            w4b, w5b, w6b = w4 + h * dr4a, w5 + h * dr5a, w6 + h * dr6a
+            w1b, w2b, w3b = c1 + kb * r1, c2 + kb * r2, c3 + kb * r3
+            w4b, w5b, w6b = c4 + kb * r4, c5 + kb * r5, c6 + kb * r6
             u1, u2, u3 = w1b * abs(w1b), w2b * abs(w2b), w3b * abs(w3b)
             u4, u5, u6 = w4b * abs(w4b), w5b * abs(w5b), w6b * abs(w6b)
-            bx = (fx1 * u1 + fx2 * u2 + fx3 * u3
-                  + fx4 * u4 + fx5 * u5 + fx6 * u6)
-            by = (fy1 * u1 + fy2 * u2 + fy3 * u3
-                  + fy4 * u4 + fy5 * u5 + fy6 * u6)
-            bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
-                  + fz4 * u4 + fz5 * u5 + fz6 * u6)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
             x2, y2, z2 = qxb + qxb, qyb + qyb, qzb + qzb
             xx, yy, zz = qxb * x2, qyb * y2, qzb * z2
             xy, xz, yz = qxb * y2, qxb * z2, qyb * z2
             wx, wy, wz = qwb * x2, qwb * y2, qwb * z2
             dvxb = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + dfx) / m
+                    + (xz + wy) * bz + sx)
             dvyb = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + dfy) / m
+                    + (yz - wx) * bz + sy)
             dvzb = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+                    + (1.0 - (xx + yy)) * bz + sz)
             dqwb = -qxb * oxb - qyb * oyb - qzb * ozb
             dqxb = qwb * oxb + qyb * ozb - qzb * oyb
             dqyb = qwb * oyb - qxb * ozb + qzb * oxb
             dqzb = qwb * ozb + qxb * oyb - qyb * oxb
-            tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
-                  + mx4 * u4 + mx5 * u5 + mx6 * u6)
-            ty = (my1 * u1 + my2 * u2 + my3 * u3
-                  + my4 * u4 + my5 * u5 + my6 * u6)
-            tz = (mz1 * u1 + mz2 * u2 + mz3 * u3
-                  + mz4 * u4 + mz5 * u5 + mz6 * u6)
-            hx, hy, hz = jx * oxb, jy * oyb, jz * ozb
-            doxb = (tx - (oyb * hz - ozb * hy) + dmx) / jx
-            doyb = (ty - (ozb * hx - oxb * hz) + dmy) / jy
-            dozb = (tz - (oxb * hy - oyb * hx) + dmz) / jz
-            dr1b, dr2b, dr3b = ((c1 - w1b) / tau, (c2 - w2b) / tau,
-                               (c3 - w3b) / tau)
-            dr4b, dr5b, dr6b = ((c4 - w4b) / tau, (c5 - w5b) / tau,
-                               (c6 - w6b) / tau)
-            vxb, vyb, vzb = vx + h * dvxa, vy + h * dvya, vz + h * dvza
+            doxb = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyb * ozb + ex)
+            doyb = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozb * oxb + ey)
+            dozb = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxb * oyb + ez)
             # stage c: at the state plus h times stage b's rates
             qwc, qxc, qyc, qzc = (qw + qh * dqwb, qx + qh * dqxb,
                                   qy + qh * dqyb, qz + qh * dqzb)
             oxc, oyc, ozc = ox + h * doxb, oy + h * doyb, oz + h * dozb
-            w1c, w2c, w3c = w1 + h * dr1b, w2 + h * dr2b, w3 + h * dr3b
-            w4c, w5c, w6c = w4 + h * dr4b, w5 + h * dr5b, w6 + h * dr6b
+            w1c, w2c, w3c = c1 + kc * r1, c2 + kc * r2, c3 + kc * r3
+            w4c, w5c, w6c = c4 + kc * r4, c5 + kc * r5, c6 + kc * r6
             u1, u2, u3 = w1c * abs(w1c), w2c * abs(w2c), w3c * abs(w3c)
             u4, u5, u6 = w4c * abs(w4c), w5c * abs(w5c), w6c * abs(w6c)
-            bx = (fx1 * u1 + fx2 * u2 + fx3 * u3
-                  + fx4 * u4 + fx5 * u5 + fx6 * u6)
-            by = (fy1 * u1 + fy2 * u2 + fy3 * u3
-                  + fy4 * u4 + fy5 * u5 + fy6 * u6)
-            bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
-                  + fz4 * u4 + fz5 * u5 + fz6 * u6)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
             x2, y2, z2 = qxc + qxc, qyc + qyc, qzc + qzc
             xx, yy, zz = qxc * x2, qyc * y2, qzc * z2
             xy, xz, yz = qxc * y2, qxc * z2, qyc * z2
             wx, wy, wz = qwc * x2, qwc * y2, qwc * z2
             dvxc = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + dfx) / m
+                    + (xz + wy) * bz + sx)
             dvyc = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + dfy) / m
+                    + (yz - wx) * bz + sy)
             dvzc = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+                    + (1.0 - (xx + yy)) * bz + sz)
             dqwc = -qxc * oxc - qyc * oyc - qzc * ozc
             dqxc = qwc * oxc + qyc * ozc - qzc * oyc
             dqyc = qwc * oyc - qxc * ozc + qzc * oxc
             dqzc = qwc * ozc + qxc * oyc - qyc * oxc
-            tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
-                  + mx4 * u4 + mx5 * u5 + mx6 * u6)
-            ty = (my1 * u1 + my2 * u2 + my3 * u3
-                  + my4 * u4 + my5 * u5 + my6 * u6)
-            tz = (mz1 * u1 + mz2 * u2 + mz3 * u3
-                  + mz4 * u4 + mz5 * u5 + mz6 * u6)
-            hx, hy, hz = jx * oxc, jy * oyc, jz * ozc
-            doxc = (tx - (oyc * hz - ozc * hy) + dmx) / jx
-            doyc = (ty - (ozc * hx - oxc * hz) + dmy) / jy
-            dozc = (tz - (oxc * hy - oyc * hx) + dmz) / jz
-            dr1c, dr2c, dr3c = ((c1 - w1c) / tau, (c2 - w2c) / tau,
-                               (c3 - w3c) / tau)
-            dr4c, dr5c, dr6c = ((c4 - w4c) / tau, (c5 - w5c) / tau,
-                               (c6 - w6c) / tau)
-            vxc, vyc, vzc = vx + h * dvxb, vy + h * dvyb, vz + h * dvzb
+            doxc = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyc * ozc + ex)
+            doyc = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozc * oxc + ey)
+            dozc = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxc * oyc + ez)
             # stage d: at the state plus dt times stage c's rates
             qwd, qxd, qyd, qzd = (qw + qdt * dqwc, qx + qdt * dqxc,
                                   qy + qdt * dqyc, qz + qdt * dqzc)
             oxd, oyd, ozd = ox + dt * doxc, oy + dt * doyc, oz + dt * dozc
-            w1d, w2d, w3d = w1 + dt * dr1c, w2 + dt * dr2c, w3 + dt * dr3c
-            w4d, w5d, w6d = w4 + dt * dr4c, w5 + dt * dr5c, w6 + dt * dr6c
+            w1d, w2d, w3d = c1 + kd * r1, c2 + kd * r2, c3 + kd * r3
+            w4d, w5d, w6d = c4 + kd * r4, c5 + kd * r5, c6 + kd * r6
             u1, u2, u3 = w1d * abs(w1d), w2d * abs(w2d), w3d * abs(w3d)
             u4, u5, u6 = w4d * abs(w4d), w5d * abs(w5d), w6d * abs(w6d)
-            bx = (fx1 * u1 + fx2 * u2 + fx3 * u3
-                  + fx4 * u4 + fx5 * u5 + fx6 * u6)
-            by = (fy1 * u1 + fy2 * u2 + fy3 * u3
-                  + fy4 * u4 + fy5 * u5 + fy6 * u6)
-            bz = (fz1 * u1 + fz2 * u2 + fz3 * u3
-                  + fz4 * u4 + fz5 * u5 + fz6 * u6)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
             x2, y2, z2 = qxd + qxd, qyd + qyd, qzd + qzd
             xx, yy, zz = qxd * x2, qyd * y2, qzd * z2
             xy, xz, yz = qxd * y2, qxd * z2, qyd * z2
             wx, wy, wz = qwd * x2, qwd * y2, qwd * z2
             dvxd = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + dfx) / m
+                    + (xz + wy) * bz + sx)
             dvyd = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + dfy) / m
+                    + (yz - wx) * bz + sy)
             dvzd = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz - weight + dfz) / m
+                    + (1.0 - (xx + yy)) * bz + sz)
             dqwd = -qxd * oxd - qyd * oyd - qzd * ozd
             dqxd = qwd * oxd + qyd * ozd - qzd * oyd
             dqyd = qwd * oyd - qxd * ozd + qzd * oxd
             dqzd = qwd * ozd + qxd * oyd - qyd * oxd
-            tx = (mx1 * u1 + mx2 * u2 + mx3 * u3
-                  + mx4 * u4 + mx5 * u5 + mx6 * u6)
-            ty = (my1 * u1 + my2 * u2 + my3 * u3
-                  + my4 * u4 + my5 * u5 + my6 * u6)
-            tz = (mz1 * u1 + mz2 * u2 + mz3 * u3
-                  + mz4 * u4 + mz5 * u5 + mz6 * u6)
-            hx, hy, hz = jx * oxd, jy * oyd, jz * ozd
-            doxd = (tx - (oyd * hz - ozd * hy) + dmx) / jx
-            doyd = (ty - (ozd * hx - oxd * hz) + dmy) / jy
-            dozd = (tz - (oxd * hy - oyd * hx) + dmz) / jz
-            dr1d, dr2d, dr3d = ((c1 - w1d) / tau, (c2 - w2d) / tau,
-                               (c3 - w3d) / tau)
-            dr4d, dr5d, dr6d = ((c4 - w4d) / tau, (c5 - w5d) / tau,
-                               (c6 - w6d) / tau)
-            vxd, vyd, vzd = vx + dt * dvxc, vy + dt * dvyc, vz + dt * dvzc
+            doxd = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyd * ozd + ex)
+            doyd = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozd * oxd + ey)
+            dozd = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxd * oyd + ez)
             nw = qw + qc * (dqwa + 2.0 * dqwb + 2.0 * dqwc + dqwd)
             nx = qx + qc * (dqxa + 2.0 * dqxb + 2.0 * dqxc + dqxd)
             ny = qy + qc * (dqya + 2.0 * dqyb + 2.0 * dqyc + dqyd)
             nz = qz + qc * (dqza + 2.0 * dqzb + 2.0 * dqzc + dqzd)
-            out = (px + c * (vx + 2.0 * vxb + 2.0 * vxc + vxd),
-                   py + c * (vy + 2.0 * vyb + 2.0 * vyc + vyd),
-                   pz + c * (vz + 2.0 * vzb + 2.0 * vzc + vzd),
+            # p gains dt v + dt^2/6 (a_a + a_b + a_c): no stage velocity
+            out = (px + dt * vx + cp * (dvxa + dvxb + dvxc),
+                   py + dt * vy + cp * (dvya + dvyb + dvyc),
+                   pz + dt * vz + cp * (dvza + dvzb + dvzc),
                    vx + c * (dvxa + 2.0 * dvxb + 2.0 * dvxc + dvxd),
                    vy + c * (dvya + 2.0 * dvyb + 2.0 * dvyc + dvyd),
                    vz + c * (dvza + 2.0 * dvzb + 2.0 * dvzc + dvzd),
@@ -443,12 +418,8 @@ def make_step(params, eff):
                    ox + c * (doxa + 2.0 * doxb + 2.0 * doxc + doxd),
                    oy + c * (doya + 2.0 * doyb + 2.0 * doyc + doyd),
                    oz + c * (doza + 2.0 * dozb + 2.0 * dozc + dozd),
-                   w1 + c * (dr1a + 2.0 * dr1b + 2.0 * dr1c + dr1d),
-                   w2 + c * (dr2a + 2.0 * dr2b + 2.0 * dr2c + dr2d),
-                   w3 + c * (dr3a + 2.0 * dr3b + 2.0 * dr3c + dr3d),
-                   w4 + c * (dr4a + 2.0 * dr4b + 2.0 * dr4c + dr4d),
-                   w5 + c * (dr5a + 2.0 * dr5b + 2.0 * dr5c + dr5d),
-                   w6 + c * (dr6a + 2.0 * dr6b + 2.0 * dr6c + dr6d))
+                   c1 + kn * r1, c2 + kn * r2, c3 + kn * r3,
+                   c4 + kn * r4, c5 + kn * r5, c6 + kn * r6)
             norm = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
             # a sum of floats is finite only if every term is (or it
             # overflows, which is divergence too)
@@ -510,16 +481,13 @@ def acceleration(x, kernel, dist_force):
 
 
 def step(x, kernel, cmd, wrenches, dt):
-    """len(wrenches) RK4 steps of dt under the rotor command cmd.w_cmd,
-    each with its wrench (world force, body moment; 6 numbers) held.
-
-    x is a sequence laid out as the state vector and cmd.w_cmd has 6
-    entries; lists and tuples of Python floats are fastest.  Returns the
-    new state as a list of 19 floats and never writes into x.  The steps
-    run in the Kernel `kernel`.  Raises NonFiniteState, with the offset
-    of the diverging step and the last finite state, if any component
-    diverges.
-    """
+    """len(wrenches) RK4 steps of dt in the Kernel `kernel` under the
+    rotor command cmd.w_cmd (6 entries), each with its wrench (world
+    force, body moment; 6 numbers) held.  x is laid out as the state
+    vector; lists and tuples of Python floats are fastest.  Returns the
+    new state as a list of 19 floats and never writes into x.  Raises
+    NonFiniteState, with the offset of the diverging step and the last
+    finite state, if any component diverges."""
     return kernel.step(x, cmd.w_cmd, wrenches, dt)
 
 

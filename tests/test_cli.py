@@ -125,6 +125,7 @@ def test_missing_config_exits_2(tmp_path):
     ([], "[gains]\nk_p = nan\n"),
     ([], "[platform]\nmotor_time_constant = 0\n"),
     ([], "[platform]\nmotor_time_constant = -0.02\n"),
+    ([], "[platform]\nmotor_time_constant = 1e-4\n"),
     ([], "[platform]\nc_f = -1\n"),
     ([], "[platform]\nc_f = 0\n"),
     ([], "[platform]\narm_length = 0\n"),
@@ -155,7 +156,8 @@ def test_missing_config_exits_2(tmp_path):
 ], ids=["cf-mismatch-0", "cf-mismatch-negative", "cf-mismatch-nan",
         "duration-nan", "duration-inf", "residual-scale-inf",
         "ini-tilt-nan", "ini-tilt-0", "ini-inertia-inf", "ini-k_p-nan",
-        "ini-tau-0", "ini-tau-negative", "ini-c_f-negative", "ini-c_f-0",
+        "ini-tau-0", "ini-tau-negative", "ini-tau-unstable",
+        "ini-c_f-negative", "ini-c_f-0",
         "ini-arm-0", "ini-arm-negative",
         "ini-cutoff-negative", "ini-cutoff-0", "ini-cutoff-nan",
         "ini-cutoff-inf", "ini-damping-3", "ini-damping-0", "ini-damping-nan",
@@ -174,6 +176,18 @@ def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
     assert run_cli("run", "--duration", "2.5", *argv,
                    "--out", str(tmp_path / "art")) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_run_flies_a_motor_lag_inside_rk4_stability(tmp_path):
+    # tau = 0.19 ms is just inside the interval that tau = 0.1 ms is
+    # outside (ini-tau-unstable): P(SIM_DT / tau) is about 0.79
+    (tmp_path / "c.ini").write_text(
+        "[platform]\nmotor_time_constant = 1.9e-4\n")
+    out = tmp_path / "art"
+    assert run_cli("run", "--duration", "2.5", "--config",
+                   str(tmp_path / "c.ini"), "--out", str(out)) == cli.EXIT_OK
+    doc = json.loads((out / "metrics.json").read_text())
+    assert all(np.isfinite(v) for v in doc["metrics"]["pos_abs_mean"])
 
 
 # (command, flags, the INI text that must give the same typed config)
@@ -461,8 +475,9 @@ def test_gains_and_filters_from_config(tmp_path):
     ([], "[sweep]\njobs = -2\n"),
     ([], "[run]\ngust = true\n"),
     ([], "[run]\nseed = -1\n"),
+    ([], "[platform]\nmotor_time_constant = 1e-4\n[run]\nduration = 2.1\n"),
 ], ids=["repeats-0", "jobs-0", "ini-jobs-negative", "ini-gust",
-        "ini-seed-negative"])
+        "ini-seed-negative", "ini-tau-unstable"])
 def test_sweep_zero_repeats_rejected(tmp_path, capsys, argv, ini):
     if ini is not None:
         (tmp_path / "c.ini").write_text(ini)

@@ -6,7 +6,7 @@ flies with the gust, exp4 at its lowest controller rate and exp5 with
 noise, so the gust sampler, the low-rate path and the noisy sensors are
 all covered.  A change that keeps behaviour must reproduce the stored
 numbers to the tolerance below; a change that alters results on purpose
-regenerates the file in a change of its own.
+regenerates the files in a change of its own.
 
 golden_studies.json holds, at the same tolerance, every metric of the
 full-length studies that the acceptance fixtures compute: the exp1
