@@ -6,12 +6,12 @@ or keys are rejected.  Command-line flags override config keys.  All
 artifacts embed the fully resolved configuration and the seed so they
 are self-describing.
 
-Exit codes: 0 success, 2 config error (also a `validate` FAIL, and a
-`run` or `sweep` of a platform whose hover trim saturates or whose
-motor lag is too fast for RK4 at the truth step), 3 simulation
-divergence (for a sweep: any cell diverged; the other cells are still
-written), 4 IO error (also a failed log.csv writer).  A divergence
-prints its time, scenario, seed and last finite state to stderr.
+Exit codes: 0 success, 2 config error (also a failed `preflight`
+check, which `validate` reports after resolving the config as `run`
+does, and a run log too long to allocate), 3 simulation divergence (for
+a sweep: any cell diverged; the other cells are still written), 4 IO
+error (also a failed log.csv writer).  A divergence prints its time,
+scenario, seed and last finite state to stderr.
 """
 
 import argparse
@@ -294,34 +294,44 @@ def write_metrics_json(path, metrics, config, scenario):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def require_hover(params):
-    """Raise ConfigError if the platform's hover trim saturates a rotor:
-    a platform that cannot hover is not flown.  A rotor layout that
-    cannot span all six wrench axes raises DegenerateGeometry first."""
-    trim = vehicle.hover_command(params, vehicle.build_effectiveness(params))
-    if any(trim.saturated):
-        raise ConfigError(
-            f"hover trim outside actuator limits [{params.w_min:.2f}, "
-            f"{params.w_max:.2f}] rad/s: the platform cannot hover")
-
-
-def require_stable_motor_lag(params):
-    """Raise ConfigError if RK4 at SIM_DT cannot follow the motor lag:
-    a step scales w - w_cmd by P(SIM_DT / tau), P(x) = 1 - x + x^2/2 -
-    x^3/6 + x^4/24, which grows once |P| >= 1 (tau below about 0.18 ms)."""
+def preflight(params):
+    """Yield (line, passed) for each check a platform must pass to fly:
+    the effectiveness rank (a degenerate layout ends the checks), the
+    hover trim inside the actuator limits and the motor lag inside RK4's
+    stability interval."""
+    try:
+        eff = vehicle.build_effectiveness(params)
+    except vehicle.DegenerateGeometry as exc:
+        yield f"effectiveness: DEGENERATE ({exc})", False
+        return
+    yield (f"effectiveness rank: 6, condition number: "
+           f"{eff.condition_number:.3f}", True)
+    trim = vehicle.hover_command(params, eff)
+    hovers = not any(trim.saturated)
+    yield (f"hover trim {'within' if hovers else 'outside'} actuator limits "
+           f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s: "
+           f"{' '.join(f'{w:.2f}' for w in trim.w_cmd)} rad/s", hovers)
+    # a truth step scales w - w_cmd by P(SIM_DT / tau), P(x) = 1 - x +
+    # x^2/2 - x^3/6 + x^4/24, which grows once |P| >= 1 (tau < ~0.18 ms)
     x = dynamics.SIM_DT / params.motor_time_constant
-    if abs(1.0 - x + x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0) >= 1.0:
-        raise ConfigError(
-            f"motor_time_constant {params.motor_time_constant!r} s is "
-            f"outside RK4's stability interval at the {dynamics.SIM_DT} s "
-            f"truth step: the rotor speeds would diverge")
+    stable = abs(1.0 - x + x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0) < 1.0
+    yield (f"motor lag {params.motor_time_constant!r} s "
+           f"{'inside' if stable else 'outside'} RK4's stability interval "
+           f"at the {dynamics.SIM_DT} s truth step", stable)
+
+
+def _flyable_params(config):
+    """build_params, or ConfigError with the first failed preflight line."""
+    params = build_params(config)
+    for line, passed in preflight(params):
+        if not passed:
+            raise ConfigError(line)
+    return params
 
 
 def cmd_run(config):
-    params = build_params(config)
+    params = _flyable_params(config)
     scenario = build_run_scenario(config)
-    require_hover(params)
-    require_stable_motor_lag(params)
     out_dir = Path(config["run"]["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with LogWriter(out_dir / "log.csv") as writer:
@@ -370,9 +380,7 @@ def cmd_sweep(config):
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
         raise ConfigError("sweep jobs must be >= 1")
-    params = build_params(config)
-    require_hover(params)
-    require_stable_motor_lag(params)
+    params = _flyable_params(config)
     scenario_id, key, values = _SWEEP_AXES[axis]
     cells = [(build_run_scenario(dict(config, run={
                   **config["run"], "scenario": scenario_id,
@@ -422,27 +430,12 @@ def _divergence_report(exc):
 
 def cmd_validate(config):
     params = build_params(config)
+    build_run_scenario(config)  # the [run], [gains] and [filters] checks
     print(f"mass: {params.mass} kg, arm: {params.arm_length} m, "
           f"tilt: {math.degrees(params.tilt_angle):.1f} deg")
-    try:
-        eff = vehicle.build_effectiveness(params)
-    except vehicle.DegenerateGeometry as exc:
-        print(f"effectiveness: DEGENERATE ({exc})")
-        print("result: FAIL")
-        return EXIT_CONFIG
-    print(f"effectiveness rank: 6, condition number: "
-          f"{eff.condition_number:.3f}")
-    trim = vehicle.hover_command(params, eff)
-    print("hover trim speeds (rad/s): "
-          + " ".join(f"{w:.2f}" for w in trim.w_cmd))
-    limits = f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s"
-    if any(trim.saturated):
-        print(f"trim outside actuator limits {limits}")
-        print("result: FAIL")
-        return EXIT_CONFIG
-    print(f"trim within actuator limits {limits}")
-    print("result: OK")
-    return EXIT_OK
+    lines, verdicts = zip(*preflight(params))
+    print(*lines, f"result: {'OK' if all(verdicts) else 'FAIL'}", sep="\n")
+    return EXIT_OK if all(verdicts) else EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,8 @@ def make_parser():
                  help="output csv path")
 
     validate = sub.add_parser(
-        "validate", help="check geometry, allocation, and hover trim")
+        "validate", help="resolve the config as run does, then check the "
+                         "allocation rank, hover trim and motor lag")
     add_common(validate)
     return parser
 
@@ -507,7 +501,7 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(config)
         return cmd_validate(config)
-    except (ConfigError, vehicle.DegenerateGeometry) as exc:
+    except (ConfigError, vehicle.DegenerateGeometry, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dynamics.NonFiniteState as exc:

@@ -21,6 +21,7 @@ def test_validate_default(capsys):
     assert run_cli("validate") == 0
     out = capsys.readouterr().out
     assert "condition number" in out
+    assert "motor lag 0.02 s inside RK4's stability interval" in out
     assert "result: OK" in out
 
 
@@ -176,6 +177,12 @@ def test_bad_run_input_exits_2(tmp_path, capsys, argv, ini):
     assert run_cli("run", "--duration", "2.5", *argv,
                    "--out", str(tmp_path / "art")) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    if ini is not None:  # validate rejects every config that run rejects
+        assert run_cli("validate", "--config",
+                       str(tmp_path / "c.ini")) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") or out.endswith(
+            "result: FAIL\n")
 
 
 def test_run_flies_a_motor_lag_inside_rk4_stability(tmp_path):
@@ -184,10 +191,27 @@ def test_run_flies_a_motor_lag_inside_rk4_stability(tmp_path):
     (tmp_path / "c.ini").write_text(
         "[platform]\nmotor_time_constant = 1.9e-4\n")
     out = tmp_path / "art"
+    assert run_cli("validate", "--config", str(tmp_path / "c.ini")) == 0
     assert run_cli("run", "--duration", "2.5", "--config",
                    str(tmp_path / "c.ini"), "--out", str(out)) == cli.EXIT_OK
     doc = json.loads((out / "metrics.json").read_text())
     assert all(np.isfinite(v) for v in doc["metrics"]["pos_abs_mean"])
+
+
+def test_a_log_too_long_to_allocate_is_a_config_error(tmp_path, capsys):
+    # 1e9 s at 500 Hz is a 207 TiB log, beyond any address space, so the
+    # allocation fails at once and nothing is allocated
+    (tmp_path / "c.ini").write_text("[run]\nduration = 1e9\n")
+    for argv in (["run", "--scenario", "exp5", "--duration", "1e9",
+                  "--out", str(tmp_path / "art")],
+                 ["sweep", "--axis", "noise", "--repeats", "1", "--config",
+                  str(tmp_path / "c.ini"), "--out", str(tmp_path / "s.csv")]):
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "art" / "log.csv").exists()
+    assert not (tmp_path / "s.csv").exists()
 
 
 # (command, flags, the INI text that must give the same typed config)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
@@ -119,11 +119,15 @@ pitch = st.floats(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
 
 @settings(max_examples=300, deadline=None)
 @given(roll=angle, pitch=pitch, yaw=angle)
+@example(roll=2.0, pitch=1.5199188325851283, yaw=-3.1415926535897922)
 def test_rpy_quat_rpy_round_trip(roll, pitch, yaw):
     q = quat_from_rpy(roll, pitch, yaw)
     assert math.fsum(v * v for v in q) == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(rpy_from_quat(q), [roll, pitch, yaw],
-                               rtol=0, atol=1e-9)
+    # each angle is compared modulo 2 pi, its difference wrapped into
+    # (-pi, pi]: a yaw of -pi may come back as +pi, the same attitude
+    diff = np.asarray(rpy_from_quat(q)) - [roll, pitch, yaw]
+    np.testing.assert_allclose(math.pi - (math.pi - diff) % (2 * math.pi),
+                               0.0, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
