@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 config error (also a failed `preflight`
 check, which `validate` reports after resolving the config as `run`
 does, and a run log too long to allocate), 3 simulation divergence (for
 a sweep: any cell diverged; the other cells are still written), 4 IO
-error (also a failed log.csv writer).  A divergence prints its time,
+error (also a failed log.csv writer or build of the compiled truth step,
+which `run` and `sweep` load first).  A divergence prints its time,
 scenario, seed and last finite state to stderr.
 """
 
@@ -19,8 +20,8 @@ import configparser
 import dataclasses
 import json
 import math
+import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -332,12 +333,19 @@ def _flyable_params(config):
 def cmd_run(config):
     params = _flyable_params(config)
     scenario = build_run_scenario(config)
+    dynamics.load_truth()  # before any output, and before the writer forks
     out_dir = Path(config["run"]["out"])
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    with LogWriter(out_dir / "log.csv") as writer:
-        _, metrics = experiments.run_scenario(scenario, params, writer.send)
-        write_log_csv(writer)
-    write_metrics_json(out_dir / "metrics.json", metrics, config, scenario)
+    try:
+        with LogWriter(out_dir / "log.csv") as log:
+            _, metrics = experiments.run_scenario(scenario, params, log.send)
+            write_log_csv(log)
+        write_metrics_json(out_dir / "metrics.json", metrics, config, scenario)
+    except BaseException:
+        for top in made[-1:]:  # a failed run leaves no directory it made
+            shutil.rmtree(top, ignore_errors=True)
+        raise
     print(f"wrote {out_dir / 'log.csv'} and {out_dir / 'metrics.json'}")
     for key, value in sorted(metrics.as_dict().items()):
         print(f"  {key}: {value}")
@@ -367,6 +375,8 @@ def _sweep_results(cells, jobs):
     if jobs == 1:
         yield from map(_sweep_cell, cells)
     else:  # the pool starts all its workers up front
+        # imported here: multiprocessing keeps about 1 MB resident
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             yield from pool.map(_sweep_cell, cells)
 
@@ -386,6 +396,7 @@ def cmd_sweep(config):
                   **config["run"], "scenario": scenario_id,
                   "controller": controller, key: value})), repeats, params)
              for controller in ("geo", "indi") for value in values]
+    dynamics.load_truth()  # before any output, and before the pool forks
     diverged = False
     with open(out, "w") as fh:
         try:

@@ -1,3 +1,6 @@
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,13 @@ def trim(params, eff):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of src/hexsim under tmp_path / "src", for a fresh
+    interpreter's PYTHONPATH: its cache holds no compiled truth step."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(dynamics.__file__).parent, src / "hexsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src

@@ -174,6 +174,210 @@ def make_step(params, eff):
     return rates, step
 
 
+# The truth step as dynamics.make_step wrote it in Python before it was
+# compiled: the RK4 stages written out inline over 19 local floats, over
+# the 45 constants make_step binds.  _truth.c must equal it bit for bit.
+def make_segment_step(params, eff):
+    """step(s, w_cmd, wrenches, dt) of the platform (params, eff), as
+    dynamics.make_step's Kernel.step: len(wrenches) RK4 steps from s
+    under w_cmd, each with its wrench held, returned as a list; a
+    diverging step raises NonFiniteState with its offset in the call and
+    the state it started from."""
+    m = params.mass
+    jx, jy, jz = params.inertia
+    tau = params.motor_time_constant
+    # F1 / m, F2's rows over J_x, J_y, J_z, what scales a step's wrench,
+    # the gyroscopic coefficients (J_y - J_z) / J_x, ... and 1 / tau
+    per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
+    constants = (*(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
+                 m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
+                 GRAVITY, 1.0 / tau)
+
+    def step(s, w_cmd, wrenches, dt):
+        (ax1, ax2, ax3, ax4, ax5, ax6, ay1, ay2, ay3, ay4, ay5, ay6,
+         az1, az2, az3, az4, az5, az6, nx1, nx2, nx3, nx4, nx5, nx6,
+         ny1, ny2, ny3, ny4, ny5, ny6, nz1, nz2, nz3, nz4, nz5, nz6,
+         m, jx, jy, jz, ix, iy, iz, g, lam) = constants
+        (px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
+         w1, w2, w3, w4, w5, w6) = s
+        c1, c2, c3, c4, c5, c6 = w_cmd
+        h, c, cp = 0.5 * dt, dt / 6.0, dt * dt / 6.0
+        # the dq are twice q_dot: the 0.5 rides on the step sizes
+        qh, qdt, qc = 0.5 * h, 0.5 * dt, 0.5 * c
+        # the motor lag is linear: stage s's rotor speeds are c + ks (w - c)
+        kb = 1.0 - h * lam
+        kc = 1.0 - h * lam * kb
+        kd = 1.0 - dt * lam * kc
+        kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd)
+        for i, (dfx, dfy, dfz, dmx, dmy, dmz) in enumerate(wrenches):
+            # stage a: the rates at the state; R(q) from doubled x2, y2, z2
+            sx, sy, sz = dfx / m, dfy / m, dfz / m - g
+            ex, ey, ez = dmx / jx, dmy / jy, dmz / jz
+            r1, r2, r3 = w1 - c1, w2 - c2, w3 - c3
+            r4, r5, r6 = w4 - c4, w5 - c5, w6 - c6
+            u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
+            u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
+            x2, y2, z2 = qx + qx, qy + qy, qz + qz
+            xx, yy, zz = qx * x2, qy * y2, qz * z2
+            xy, xz, yz = qx * y2, qx * z2, qy * z2
+            wx, wy, wz = qw * x2, qw * y2, qw * z2
+            dvxa = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + sx)
+            dvya = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + sy)
+            dvza = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz + sz)
+            dqwa = -qx * ox - qy * oy - qz * oz
+            dqxa = qw * ox + qy * oz - qz * oy
+            dqya = qw * oy - qx * oz + qz * ox
+            dqza = qw * oz + qx * oy - qy * ox
+            doxa = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oy * oz + ex)
+            doya = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * oz * ox + ey)
+            doza = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * ox * oy + ez)
+            # stage b: at the state plus h times stage a's rates
+            qwb, qxb, qyb, qzb = (qw + qh * dqwa, qx + qh * dqxa,
+                                  qy + qh * dqya, qz + qh * dqza)
+            oxb, oyb, ozb = ox + h * doxa, oy + h * doya, oz + h * doza
+            w1b, w2b, w3b = c1 + kb * r1, c2 + kb * r2, c3 + kb * r3
+            w4b, w5b, w6b = c4 + kb * r4, c5 + kb * r5, c6 + kb * r6
+            u1, u2, u3 = w1b * abs(w1b), w2b * abs(w2b), w3b * abs(w3b)
+            u4, u5, u6 = w4b * abs(w4b), w5b * abs(w5b), w6b * abs(w6b)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
+            x2, y2, z2 = qxb + qxb, qyb + qyb, qzb + qzb
+            xx, yy, zz = qxb * x2, qyb * y2, qzb * z2
+            xy, xz, yz = qxb * y2, qxb * z2, qyb * z2
+            wx, wy, wz = qwb * x2, qwb * y2, qwb * z2
+            dvxb = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + sx)
+            dvyb = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + sy)
+            dvzb = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz + sz)
+            dqwb = -qxb * oxb - qyb * oyb - qzb * ozb
+            dqxb = qwb * oxb + qyb * ozb - qzb * oyb
+            dqyb = qwb * oyb - qxb * ozb + qzb * oxb
+            dqzb = qwb * ozb + qxb * oyb - qyb * oxb
+            doxb = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyb * ozb + ex)
+            doyb = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozb * oxb + ey)
+            dozb = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxb * oyb + ez)
+            # stage c: at the state plus h times stage b's rates
+            qwc, qxc, qyc, qzc = (qw + qh * dqwb, qx + qh * dqxb,
+                                  qy + qh * dqyb, qz + qh * dqzb)
+            oxc, oyc, ozc = ox + h * doxb, oy + h * doyb, oz + h * dozb
+            w1c, w2c, w3c = c1 + kc * r1, c2 + kc * r2, c3 + kc * r3
+            w4c, w5c, w6c = c4 + kc * r4, c5 + kc * r5, c6 + kc * r6
+            u1, u2, u3 = w1c * abs(w1c), w2c * abs(w2c), w3c * abs(w3c)
+            u4, u5, u6 = w4c * abs(w4c), w5c * abs(w5c), w6c * abs(w6c)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
+            x2, y2, z2 = qxc + qxc, qyc + qyc, qzc + qzc
+            xx, yy, zz = qxc * x2, qyc * y2, qzc * z2
+            xy, xz, yz = qxc * y2, qxc * z2, qyc * z2
+            wx, wy, wz = qwc * x2, qwc * y2, qwc * z2
+            dvxc = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + sx)
+            dvyc = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + sy)
+            dvzc = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz + sz)
+            dqwc = -qxc * oxc - qyc * oyc - qzc * ozc
+            dqxc = qwc * oxc + qyc * ozc - qzc * oyc
+            dqyc = qwc * oyc - qxc * ozc + qzc * oxc
+            dqzc = qwc * ozc + qxc * oyc - qyc * oxc
+            doxc = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyc * ozc + ex)
+            doyc = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozc * oxc + ey)
+            dozc = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxc * oyc + ez)
+            # stage d: at the state plus dt times stage c's rates
+            qwd, qxd, qyd, qzd = (qw + qdt * dqwc, qx + qdt * dqxc,
+                                  qy + qdt * dqyc, qz + qdt * dqzc)
+            oxd, oyd, ozd = ox + dt * doxc, oy + dt * doyc, oz + dt * dozc
+            w1d, w2d, w3d = c1 + kd * r1, c2 + kd * r2, c3 + kd * r3
+            w4d, w5d, w6d = c4 + kd * r4, c5 + kd * r5, c6 + kd * r6
+            u1, u2, u3 = w1d * abs(w1d), w2d * abs(w2d), w3d * abs(w3d)
+            u4, u5, u6 = w4d * abs(w4d), w5d * abs(w5d), w6d * abs(w6d)
+            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
+                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
+            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
+                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
+            bz = (az1 * u1 + az2 * u2 + az3 * u3
+                  + az4 * u4 + az5 * u5 + az6 * u6)
+            x2, y2, z2 = qxd + qxd, qyd + qyd, qzd + qzd
+            xx, yy, zz = qxd * x2, qyd * y2, qzd * z2
+            xy, xz, yz = qxd * y2, qxd * z2, qyd * z2
+            wx, wy, wz = qwd * x2, qwd * y2, qwd * z2
+            dvxd = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
+                    + (xz + wy) * bz + sx)
+            dvyd = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
+                    + (yz - wx) * bz + sy)
+            dvzd = ((xz - wy) * bx + (yz + wx) * by
+                    + (1.0 - (xx + yy)) * bz + sz)
+            dqwd = -qxd * oxd - qyd * oyd - qzd * ozd
+            dqxd = qwd * oxd + qyd * ozd - qzd * oyd
+            dqyd = qwd * oyd - qxd * ozd + qzd * oxd
+            dqzd = qwd * ozd + qxd * oyd - qyd * oxd
+            doxd = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
+                    + nx5 * u5 + nx6 * u6 + ix * oyd * ozd + ex)
+            doyd = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
+                    + ny5 * u5 + ny6 * u6 + iy * ozd * oxd + ey)
+            dozd = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
+                    + nz5 * u5 + nz6 * u6 + iz * oxd * oyd + ez)
+            nw = qw + qc * (dqwa + 2.0 * dqwb + 2.0 * dqwc + dqwd)
+            nx = qx + qc * (dqxa + 2.0 * dqxb + 2.0 * dqxc + dqxd)
+            ny = qy + qc * (dqya + 2.0 * dqyb + 2.0 * dqyc + dqyd)
+            nz = qz + qc * (dqza + 2.0 * dqzb + 2.0 * dqzc + dqzd)
+            # p gains dt v + dt^2/6 (a_a + a_b + a_c): no stage velocity
+            out = (px + dt * vx + cp * (dvxa + dvxb + dvxc),
+                   py + dt * vy + cp * (dvya + dvyb + dvyc),
+                   pz + dt * vz + cp * (dvza + dvzb + dvzc),
+                   vx + c * (dvxa + 2.0 * dvxb + 2.0 * dvxc + dvxd),
+                   vy + c * (dvya + 2.0 * dvyb + 2.0 * dvyc + dvyd),
+                   vz + c * (dvza + 2.0 * dvzb + 2.0 * dvzc + dvzd),
+                   nw, nx, ny, nz,
+                   ox + c * (doxa + 2.0 * doxb + 2.0 * doxc + doxd),
+                   oy + c * (doya + 2.0 * doyb + 2.0 * doyc + doyd),
+                   oz + c * (doza + 2.0 * dozb + 2.0 * dozc + dozd),
+                   c1 + kn * r1, c2 + kn * r2, c3 + kn * r3,
+                   c4 + kn * r4, c5 + kn * r5, c6 + kn * r6)
+            norm = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
+            # a sum of floats is finite only if every term is (or it
+            # overflows, which is divergence too)
+            if not (norm > 0.0 and math.isfinite(sum(out))):
+                raise NonFiniteState(
+                    state=[px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy,
+                           oz, w1, w2, w3, w4, w5, w6], offset=i)
+            (px, py, pz, vx, vy, vz, _, _, _, _, ox, oy, oz,
+             w1, w2, w3, w4, w5, w6) = out
+            qw, qx, qy, qz = nw / norm, nx / norm, ny / norm, nz / norm
+        return [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
+                w1, w2, w3, w4, w5, w6]
+
+    return step
+
+
 # ---------------------------------------------------------------------------
 # The tick side of the closed loop as it was before it was written out
 # straight-line: the shaper, the outer loop, the geo and indi ticks,

@@ -1,9 +1,12 @@
+import concurrent.futures
 import errno
 import itertools
 import json
 import math
 import os
+import subprocess
 import sys
+import sysconfig
 import tracemalloc
 
 import numpy as np
@@ -212,6 +215,49 @@ def test_a_log_too_long_to_allocate_is_a_config_error(tmp_path, capsys):
         assert err.count("\n") == 1
     assert not (tmp_path / "art" / "log.csv").exists()
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_rejected_run_leaves_no_output_directory(tmp_path):
+    # run_scenario fails before its first tick: the output directory and
+    # the parent that run made for it are gone again
+    for out in (tmp_path / "X", tmp_path / "new" / "X"):
+        assert run_cli("run", "--scenario", "exp5", "--duration", "1e9",
+                       "--out", str(out)) == cli.EXIT_CONFIG
+        assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_failed_truth_step_build_exits_4_and_writes_nothing(
+        tmp_path, package_copy, compiler):
+    # a fresh copy of the package must build the truth step, with no
+    # compiler on PATH or with one that fails: run and sweep exit 4 with
+    # the compiler command and the first line of its stderr, before
+    # writing anything
+    cc = sysconfig.get_config_var("CC").split()[0]
+    if os.path.isabs(cc):
+        pytest.skip(f"the compiler is named by an absolute path, {cc}")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler == "failing":
+        (bin_dir / cc).write_text(
+            "#!/bin/sh\necho 'cc: no headers' >&2\necho more >&2\nexit 1\n")
+        (bin_dir / cc).chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(package_copy), PATH=str(bin_dir))
+    for argv in (["run", "--duration", "2.5", "--out", "X"],
+                 ["sweep", "--axis", "noise", "--out", "s.csv"]):
+        done = subprocess.run([sys.executable, "-m", "hexsim.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == cli.EXIT_IO, done.stderr
+        assert done.stderr.startswith(
+            f"io error: cannot build the truth step: {cc} ")
+        assert done.stderr.endswith(
+            ": cc: no headers\n" if compiler == "failing"
+            else f"No such file or directory: '{cc}'\n")
+    assert not (tmp_path / "X").exists()
+    assert not (tmp_path / "s.csv").exists()
+    assert list(package_copy.glob("hexsim/__pycache__/_truth*")) == []
 
 
 # (command, flags, the INI text that must give the same typed config)
@@ -594,7 +640,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
                                       pos_norm_mean=0.0,
                                       pos_norm_std=0.0), []
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "repeat_runs", fake_repeat_runs)
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--axis", axis, "--repeats", "1",
@@ -709,7 +755,7 @@ def test_divergence_after_streamed_blocks_leaves_no_log(tmp_path,
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_DIVERGED
     assert sent == [256, 256]
     assert "diverged at t = 1.5000 s" in capsys.readouterr().err
-    assert sorted(out.iterdir()) == []
+    assert not out.exists()
     assert_no_child_left()
 
 
@@ -749,7 +795,7 @@ def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("io error:") and message in err
-    assert sorted(out.iterdir()) == []
+    assert not out.exists()
     assert_no_child_left()
 
 

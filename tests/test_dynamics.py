@@ -1,4 +1,7 @@
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -439,3 +442,115 @@ def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
     assert_blocks_close(
         dyn.step(x, kernel, cmd, wrenches, dyn.SIM_DT),
         oracle_steps(oracle_step, x.tolist(), cmd.w_cmd.tolist(), wrenches))
+
+
+def trim_case(params, eff, rng, n):
+    """As lists: a state with a unit q, body rates up to 5 rad/s and
+    rotor speeds from 0.5 to 1.5 times the hover trim, a rotor command in
+    the same range and n random wrenches."""
+    trim = np.asarray(vehicle.hover_command(params, eff).w_cmd)
+    q = rng.normal(size=4)
+    x = dyn.pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
+                 rng.uniform(-5.0, 5.0, 3), trim * rng.uniform(0.5, 1.5, 6))
+    wrenches = [(*rng.normal(0.0, 3.0, 3).tolist(),
+                 *rng.normal(0.0, 0.5, 3).tolist()) for _ in range(n)]
+    return x.tolist(), (trim * rng.uniform(0.5, 1.5, 6)).tolist(), wrenches
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=oracles.platforms(), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 40))
+def test_compiled_step_equals_python_oracle(p, seed, n):
+    # the compiled step against the Python step it was ported from, over
+    # valid platforms and calls of 1 to 40 wrenches, bit for bit
+    e = vehicle.build_effectiveness(p)
+    x, w_cmd, wrenches = trim_case(p, e, np.random.default_rng(seed), n)
+    got = dyn.make_step(p, e).step(x, w_cmd, wrenches, dyn.SIM_DT)
+    want = oracles.make_segment_step(p, e)(x, w_cmd, wrenches, dyn.SIM_DT)
+    assert bits(got) == bits(want)
+
+
+def divergence(step, x, w_cmd, wrenches):
+    """The offset and the bits of the state a diverging step call
+    reports."""
+    with pytest.raises(dyn.NonFiniteState) as info:
+        step(x, w_cmd, wrenches, dyn.SIM_DT)
+    return info.value.offset, bits(info.value.state)
+
+
+@pytest.mark.parametrize("fault", ["overflowing wrench", "nan state",
+                                   "zero q"])
+def test_compiled_divergence_equals_python_oracle(params, eff, fault):
+    # an overflowing wrench diverges at its own offset, a NaN anywhere in
+    # the state or a zero q at the first step; the compiled step reports
+    # the offset and the last finite state the Python one does
+    kernel = dyn.make_step(params, eff)
+    oracle = oracles.make_segment_step(params, eff)
+    rng = np.random.default_rng(11)
+    for n in (1, 4, 40):
+        x, w_cmd, wrenches = trim_case(params, eff, rng, n)
+        bad = int(rng.integers(n)) if fault == "overflowing wrench" else 0
+        if fault == "overflowing wrench":
+            wrenches[bad] = (1e308, -1e308, 1e308, 0.0, 0.0, 0.0)
+        elif fault == "nan state":
+            x[int(rng.integers(dyn.STATE_SIZE))] = float("nan")
+        else:
+            x[dyn.Q] = [0.0] * 4
+        got = divergence(kernel.step, x, w_cmd, wrenches)
+        assert got == divergence(oracle, x, w_cmd, wrenches)
+        assert got[0] == bad
+
+
+def test_set_up_without_a_kernel_does_not_build_the_step(package_copy):
+    # import hexsim, the effectiveness matrix and a controller (what the
+    # benchmark's set-up times) neither build nor load the library
+    code = ("from hexsim import control, dynamics, vehicle\n"
+            "p = vehicle.default_params()\n"
+            "vehicle.build_effectiveness(p)\n"
+            "control.make_controller('indi', control.make_model(p),\n"
+            "                        control.Gains(), 0.002)\n"
+            "print(dynamics._truth)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(package_copy)), timeout=120)
+    assert (done.returncode, done.stdout) == (0, "None\n"), done.stderr
+    assert list(package_copy.glob("hexsim/__pycache__/_truth*")) == []
+
+
+STEP_IN_A_FRESH_INTERPRETER = """
+from hexsim import dynamics, vehicle
+p = vehicle.default_params()
+e = vehicle.build_effectiveness(p)
+trim = vehicle.hover_command(p, e)
+x = dynamics.pack([0.0] * 3, [0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0] * 3, trim.w_cmd)
+print(dynamics.step(x, dynamics.make_step(p, e), trim, [(0.1,) * 6] * 8,
+                    dynamics.SIM_DT))
+"""
+
+
+def test_two_fresh_interpreters_build_one_library(params, eff, trim,
+                                                  package_copy):
+    # two interpreters at once against an empty cache, as
+    # test_10_determinism starts them: both build, import and step, and
+    # one whole library is left, with no temporary file
+    env = dict(os.environ, PYTHONPATH=str(package_copy))
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", STEP_IN_A_FRESH_INTERPRETER], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)]
+    try:
+        outs = [run.communicate(timeout=300) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
+    assert [run.returncode for run in runs] == [0, 0], outs
+    x = hover_state(trim)
+    x[dyn.V] = [0.1, 0.0, 0.0]
+    here = dyn.step(x, dyn.make_step(params, eff), trim, [(0.1,) * 6] * 8,
+                    dyn.SIM_DT)
+    assert [out for out, _ in outs] == [f"{here}\n"] * 2
+    cache = package_copy / "hexsim" / "__pycache__"
+    library = os.path.basename(dyn.load_truth().__file__)
+    assert [f.name for f in cache.glob("_truth*")] == [library]

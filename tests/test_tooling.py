@@ -3,7 +3,10 @@
 import os
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
+
+from hexsim import dynamics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +20,15 @@ def test_bench_tick_runs_once():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "11 passed" in done.stdout.splitlines()[-1]
+
+
+def test_truth_step_compiles_without_warnings():
+    # the run-time build has no -Werror: a warning fails here, not in a
+    # user's first run
+    done = subprocess.run(
+        [*sysconfig.get_config_var("CC").split(), *dynamics.CFLAGS,
+         "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         "-I", sysconfig.get_paths()["include"],
+         str(ROOT / "src" / "hexsim" / "_truth.c")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
