@@ -337,16 +337,24 @@ def cmd_run(config):
     out_dir = Path(config["run"]["out"])
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    log_csv, metrics_json = out_dir / "log.csv", out_dir / "metrics.json"
+    begun = [log_csv]
     try:
-        with LogWriter(out_dir / "log.csv") as log:
+        with LogWriter(log_csv) as log:
             _, metrics = experiments.run_scenario(scenario, params, log.send)
             write_log_csv(log)
-        write_metrics_json(out_dir / "metrics.json", metrics, config, scenario)
+        begun.append(metrics_json)
+        write_metrics_json(metrics_json, metrics, config, scenario)
     except BaseException:
-        for top in made[-1:]:  # a failed run leaves no directory it made
+        # a failed run leaves no artifact file it began (a directory in
+        # its place stays) and no directory it made
+        for path in begun:
+            if path.is_file():
+                path.unlink()
+        for top in made[-1:]:
             shutil.rmtree(top, ignore_errors=True)
         raise
-    print(f"wrote {out_dir / 'log.csv'} and {out_dir / 'metrics.json'}")
+    print(f"wrote {log_csv} and {metrics_json}")
     for key, value in sorted(metrics.as_dict().items()):
         print(f"  {key}: {value}")
     return EXIT_OK
@@ -434,7 +442,7 @@ def _divergence_report(exc):
         for name, block in (("p", dynamics.P), ("v", dynamics.V),
                             ("q", dynamics.Q), ("omega", dynamics.OMEGA),
                             ("rotor_w", dynamics.ROTOR_W)):
-            values = ", ".join(map(repr, exc.state[block].tolist()))
+            values = ", ".join(map(repr, exc.state[block]))
             lines.append(f"    {name}: [{values}]")
     return "\n".join(lines)
 

@@ -7,11 +7,13 @@ the commanded setpoints, evaluated inside the RK4 stages.
 """
 
 import functools
+import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,16 +57,21 @@ ROTOR_W = slice(13, 19)   # rad/s, actual rotor speeds
 STATE_SIZE = 19
 
 
-def pack(p, v, q, omega, rotor_w):
-    """State vector from its blocks."""
-    return np.concatenate((p, v, q, omega, rotor_w), dtype=float)
+def set_three_floats(obj, label, *names):
+    """Set each field `names` of the frozen dataclass obj to a tuple of
+    three Python floats; ValueError unless each holds 3 finite numbers."""
+    for name in names:
+        value = tuple(float(v) for v in getattr(obj, name))
+        if len(value) != 3 or not all(map(math.isfinite, value)):
+            raise ValueError(f"{label} {name} must be 3 finite numbers")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
     kind: str = "none"                 # none | constant_load | gust
-    force: np.ndarray = field(default_factory=lambda: np.zeros(3))   # N, world
-    moment: np.ndarray = field(default_factory=lambda: np.zeros(3))  # N m, body
+    force: tuple = (0.0, 0.0, 0.0)     # N, world
+    moment: tuple = (0.0, 0.0, 0.0)    # N m, body
     t_on: float = 0.0
     t_off: float = 0.0
     gust_std: float = 0.0              # N
@@ -77,6 +84,7 @@ class DisturbanceSpec:
             raise ValueError("need t_on < t_off")
         if self.kind == "gust" and self.gust_corr_time <= 0:
             raise ValueError("gust_corr_time must be positive")
+        set_three_floats(self, "disturbance", "force", "moment")
 
 
 class Normals:
@@ -131,13 +139,11 @@ class DisturbanceSampler:
         decay = np.exp(-dt / spec.gust_corr_time)
         self._decay = float(decay)
         self._diffusion = float(spec.gust_std * np.sqrt(1.0 - decay ** 2))
-        self._force = np.asarray(spec.force, dtype=float).tolist()
-        self._residual_force = np.asarray(residual_force, dtype=float).tolist()
-        zero = np.zeros(3)
-        self._off = (*(zero + residual_force).tolist(),
-                     *(zero + residual_moment).tolist())
-        self._on = (*((spec.force + zero) + residual_force).tolist(),
-                    *(spec.moment + residual_moment).tolist())
+        rf = self._residual_force = tuple(map(float, residual_force))
+        rm = tuple(map(float, residual_moment))
+        self._off = (*(0.0 + r for r in rf), *(0.0 + r for r in rm))
+        self._on = (*((f + 0.0) + r for f, r in zip(spec.force, rf)),
+                    *(m + r for m, r in zip(spec.moment, rm)))
 
     def step(self, k, n):
         spec, dt, off = self.spec, self.dt, self._off
@@ -150,7 +156,7 @@ class DisturbanceSampler:
                     for j in range(k, k + n)]
         a, s = self._decay, self._diffusion
         o1, o2, o3 = self._ou
-        f1, f2, f3 = self._force
+        f1, f2, f3 = spec.force
         r1, r2, r3 = self._residual_force
         _, _, _, m1, m2, m3 = self._on
         draws = iter(self.normals.take(3 * n))
@@ -174,7 +180,9 @@ def load_truth():
     """The compiled step, the module hexsim._truth of _truth.c, loaded
     once per process (forked processes inherit it) from the __pycache__
     directory beside this file, where it is named by the CRC-32 of the
-    source, CFLAGS and the extension suffix; built there if missing."""
+    source, CFLAGS and the extension suffix.  If missing, it is built
+    there, and the libraries of that suffix built from an older source
+    or CFLAGS are removed."""
     global _truth
     if _truth is None:
         here = os.path.dirname(os.path.abspath(__file__))
@@ -186,6 +194,9 @@ def load_truth():
         path = os.path.join(here, "__pycache__", f"_truth.{key:08x}{suffix}")
         if not os.path.exists(path):
             _build(source, path)
+            for old in Path(path).parent.glob(f"_truth.*{suffix}"):
+                if str(old) != path:
+                    old.unlink(missing_ok=True)
         loader = ExtensionFileLoader("hexsim._truth", path)
         _truth = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(_truth)

@@ -37,8 +37,8 @@ WARMUP_S = 2.0   # excluded from all metric windows
 
 # hardware-reality stand-in: constant unmodeled force (world) and moment
 # (body) present in all experiment scenarios
-RESIDUAL_FORCE = np.array([1.4, 1.6, 3.7])     # N
-RESIDUAL_MOMENT = np.array([0.02, 0.02, 0.01])  # N m
+RESIDUAL_FORCE = (1.4, 1.6, 3.7)     # N
+RESIDUAL_MOMENT = (0.02, 0.02, 0.01)  # N m
 
 # The run log, a row per controller tick: each block's name and column
 # suffixes, in log.csv order.  "t" is one unsuffixed column; the last
@@ -87,11 +87,11 @@ class Setpoint:
     rpy: tuple
 
     def __post_init__(self):
-        for name in ("pos", "rpy"):
-            value = tuple(float(v) for v in getattr(self, name))
-            if len(value) != 3 or not all(map(math.isfinite, value)):
-                raise ValueError(f"setpoint {name} must be 3 finite numbers")
-            object.__setattr__(self, name, value)
+        dyn.set_three_floats(self, "setpoint", "pos", "rpy")
+
+
+_ZERO = (0.0, 0.0, 0.0)
+_HOVER = Setpoint(0.0, _ZERO, _ZERO)  # level at the origin from t = 0 on
 
 
 @dataclass(frozen=True)
@@ -175,35 +175,26 @@ class RunMetrics:
                 else value(v) for k, v in self.__dict__.items()}
 
 
-def _step_script(axis_angles):
-    """5 s hover, then each attitude step held 4 s with a 4 s return to
-    zero, axis by axis."""
-    script = [Setpoint(0.0, np.zeros(3), np.zeros(3))]
-    t = 5.0
-    for axis, mag in axis_angles:
+def _exp1_script():
+    """5 s hover, then attitude steps of +-8 deg roll, +-8 deg pitch and
+    +-45 deg yaw, each held 4 s with a 4 s return to zero."""
+    script, t = [_HOVER], 5.0
+    for axis, deg in ((0, 8.0), (1, 8.0), (2, 45.0)):
         for sign in (1.0, -1.0):
-            rpy = np.zeros(3)
-            rpy[axis] = sign * mag
-            script.append(Setpoint(t, np.zeros(3), rpy))
-            script.append(Setpoint(t + 4.0, np.zeros(3), np.zeros(3)))
+            rpy = tuple(sign * math.radians(deg) if i == axis else 0.0
+                        for i in range(3))
+            script.append(Setpoint(t, _ZERO, rpy))
+            script.append(Setpoint(t + 4.0, _ZERO, _ZERO))
             t += 8.0
     return tuple(script), t
-
-
-def _exp1_script():
-    return _step_script([(0, math.radians(8.0)),
-                         (1, math.radians(8.0)),
-                         (2, math.radians(45.0))])
 
 
 def _exp3_script():
     """2 m square at 0.25 m/s legs (8 s per leg), yaw held."""
     corners = [(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)]
-    script = [Setpoint(0.0, np.zeros(3), np.zeros(3))]
-    t = 5.0
+    script, t = [_HOVER], 5.0
     for x, y in corners[1:]:
-        script.append(Setpoint(t, np.array([float(x), float(y), 0.0]),
-                               np.zeros(3)))
+        script.append(Setpoint(t, (x, y, 0.0), _ZERO))
         t += 8.0
     return tuple(script), t + 4.0
 
@@ -226,18 +217,17 @@ def build_scenario(scenario_id, controller, overrides=None):
     elif scenario_id == "exp2":
         load = dyn.DisturbanceSpec(
             kind="constant_load",
-            force=np.array([0.0, -4.905, 0.0]),
-            moment=np.array([0.0, 4.905 * 0.13, 0.0]),  # 0.638 N m pitch
+            force=(0.0, -4.905, 0.0),
+            moment=(0.0, 4.905 * 0.13, 0.0),  # 0.638 N m pitch
             t_on=6.0, t_off=14.0)
         base = Scenario(id=scenario_id, controller=controller,
-                        script=(Setpoint(0.0, np.zeros(3), np.zeros(3)),),
-                        duration=20.0, disturbance=load)
+                        script=(_HOVER,), duration=20.0, disturbance=load)
     elif scenario_id == "exp3":
         script, dur = _exp3_script()
         disturbance = dyn.DisturbanceSpec(kind="none")
         if gust:
             disturbance = dyn.DisturbanceSpec(
-                kind="gust", force=np.array([2.0, 0.0, 0.0]),
+                kind="gust", force=(2.0, 0.0, 0.0),
                 t_on=WARMUP_S, t_off=dur, gust_std=1.0, gust_corr_time=0.5)
         base = Scenario(id=scenario_id, controller=controller,
                         script=script, duration=dur, disturbance=disturbance)
@@ -249,8 +239,7 @@ def build_scenario(scenario_id, controller, overrides=None):
                         script=script, duration=dur, noise_scale=1)
     elif scenario_id == "exp5":
         base = Scenario(id=scenario_id, controller=controller,
-                        script=(Setpoint(0.0, np.zeros(3), np.zeros(3)),),
-                        duration=12.0)
+                        script=(_HOVER,), duration=12.0)
     else:
         raise UnknownScenario(scenario_id)
     if overrides:
@@ -310,13 +299,13 @@ def run_scenario(scenario, params=None, on_block=None):
     times = [sp.t for sp in scenario.script]
     p0, rpy0 = _script_target(scenario.script, times, 0.0)
     q0 = quat_from_rpy(*rpy0)
-    x = dyn.pack(p0, np.zeros(3), q0, np.zeros(3), trim.w_cmd).tolist()
+    x = [*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0, *trim.w_cmd]
     controller.warm_start(p0, q0, trim)
 
     sampler = dyn.DisturbanceSampler(
         scenario.disturbance, dt, normals,
-        scenario.residual_scale * RESIDUAL_FORCE,
-        scenario.residual_scale * RESIDUAL_MOMENT)
+        [scenario.residual_scale * r for r in RESIDUAL_FORCE],
+        [scenario.residual_scale * r for r in RESIDUAL_MOMENT])
 
     # a row per tick in LOG_LAYOUT order; the errors are zeros until the
     # row's block is finished, and w_meas holds the rotor speeds
@@ -364,7 +353,7 @@ def run_scenario(scenario, params=None, on_block=None):
         # k is the first step of the segment that diverged
         raise dyn.NonFiniteState(
             exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
-            seed=scenario.seed, state=np.array(exc.state)) from exc
+            seed=scenario.seed, state=exc.state) from exc
 
     if n_ticks % LOG_BLOCK_ROWS:
         _finish_block(rows[n_ticks - n_ticks % LOG_BLOCK_ROWS:], on_block)

@@ -26,6 +26,7 @@ from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
+from oracles import pack
 
 HOVER_Q = [1.0, 0.0, 0.0, 0.0]
 ZERO = (0.0, 0.0, 0.0)
@@ -40,8 +41,8 @@ def tape():
 def hover(kernel, trim):
     """Hover state and the controller inputs synthesised from it, with
     the sensor noise of exp5 at noise level 7."""
-    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
-                 trim.w_cmd).tolist()
+    x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
+             trim.w_cmd).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
         x, kernel, ZERO, math.sqrt(7.0), tape())
     inputs = ControllerInputs(

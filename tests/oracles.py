@@ -1,12 +1,13 @@
-"""Reference helpers that only the tests use: quaternion constructors
-and kinematics, the attitude-dependent effectiveness matrix, the
-continuous-time step response of the INDI feedback filter, the list-form
-RK4 truth kernel, the tick side of the closed loop as it was before it
-was written out straight-line (with the sensor-noise settings and the
-sensor record it read and returned), the numpy forms of the
-controller layers and the truth step, the tracking errors of a run
-log computed over the whole log at once, and the hypothesis strategies
-the property tests draw from: valid platforms and numbers in [-1, 1]."""
+"""Reference helpers that only the tests use: the state vector from its
+blocks, quaternion constructors and kinematics, the attitude-dependent
+effectiveness matrix, the continuous-time step response of the INDI
+feedback filter, the list-form RK4 truth kernel, the tick side of the
+closed loop as it was before it was written out straight-line (with the
+sensor-noise settings and the sensor record it read and returned), the
+numpy forms of the controller layers and the truth step, the tracking
+errors of a run log computed over the whole log at once, and the
+hypothesis strategies the property tests draw from: valid platforms and
+numbers in [-1, 1]."""
 
 import math
 from dataclasses import dataclass
@@ -31,6 +32,11 @@ def bits(values):
     zero."""
     return [bits(v) if hasattr(v, "__len__") else float(v).hex()
             for v in values]
+
+
+def pack(p, v, q, omega, rotor_w):
+    """State vector from its blocks, as a float array."""
+    return np.concatenate((p, v, q, omega, rotor_w), dtype=float)
 
 
 def quat_normalize(q):
@@ -656,7 +662,7 @@ class DisturbanceSampler:
         self._off = (tuple((zero + residual_force).tolist()),
                      tuple((zero + residual_moment).tolist()))
         self._on = (tuple(((spec.force + zero) + residual_force).tolist()),
-                    tuple((spec.moment + residual_moment).tolist()))
+                    tuple(np.add(spec.moment, residual_moment).tolist()))
 
     def step(self, t):
         spec = self.spec

@@ -35,7 +35,8 @@ from hexsim.control import (Gains, PoseReference, make_model, ndi_invert,
                             outer_loop)
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.vehicle import GRAVITY
-from oracles import analytic_step_response, assemble_F, quat_from_axis_angle
+from oracles import (analytic_step_response, assemble_F, pack,
+                     quat_from_axis_angle)
 from test_golden import STUDIES_PATH, off_record, studies_record
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,8 +161,8 @@ def test_03_pole_placement(params, eff, kernel, trim, capsys):
     ref = PoseReference(p_d=np.array([1.0, 0, 0]), v_d=np.zeros(3),
                         a_d=np.zeros(3), q_d=np.array([1.0, 0, 0, 0]),
                         omega_d=np.zeros(3), omega_dot_d=np.zeros(3))
-    state = dyn.pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
-                     trim.w_cmd)
+    state = pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
+                 trim.w_cmd)
     cmd = trim
     ts, es = [], []
     for k in range(int(4.0 / dyn.SIM_DT)):
@@ -313,7 +314,7 @@ def test_10_determinism(tmp_path, capsys):
 
 def test_11_integrator_order(kernel, trim, capsys):
     def propagate(h):
-        st = dyn.pack(
+        st = pack(
             np.zeros(3), [0.5, -0.3, 0.2], [1.0, 0, 0, 0], [2.0, -1.5, 1.0],
             trim.w_cmd * np.array([1.1, 0.9, 1.05, 0.95, 1.0, 1.0]))
         cmd = vehicle.ActuatorCommand(

@@ -769,6 +769,33 @@ def test_log_path_that_is_a_directory_exits_4(tmp_path, capsys):
     assert_no_child_left()
 
 
+def test_metrics_path_that_is_a_directory_leaves_no_log(tmp_path, capsys):
+    # the log is whole when metrics.json fails to open; the run removes it
+    out = tmp_path / "art"
+    (out / "metrics.json").mkdir(parents=True)
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("io error: [Errno 21]")
+    assert (out / "metrics.json").is_dir()
+    assert not (out / "log.csv").exists()
+    assert_no_child_left()
+
+
+def test_failed_metrics_write_leaves_no_artifact(tmp_path, monkeypatch,
+                                                 capsys):
+    # metrics.json fails half written: neither it nor log.csv is left
+    def failing_dump(doc, fh, **kwargs):
+        fh.write("{")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    out = tmp_path / "art"
+    out.mkdir()
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
+    assert capsys.readouterr().err == "io error: no space left on device\n"
+    assert list(out.iterdir()) == []
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("failure, message", [
     ("mid-stream", "log writer for"), ("at-close", "exited with 1"),
     ("at-fork", "[Errno 11]")], ids=["mid-stream", "at-close", "at-fork"])

@@ -18,7 +18,7 @@ from hexsim.vehicle import GRAVITY
 import oracles
 from oracles import (NumpyGeo, NumpyIndi, NumpyShaper, bits, numpy_allocate,
                      numpy_ndi_invert, numpy_outer_loop, numpy_saturate,
-                     platforms, unit)
+                     pack, platforms, unit)
 
 DT = 0.002  # 500 Hz
 HOVER_Q = np.array([1.0, 0, 0, 0])
@@ -101,7 +101,7 @@ def test_indi_equals_ndi_on_truth_measurements_over_platforms(
     rates, _, specific_force = dyn.make_step(params, eff)
     q = (np.array(q) / np.linalg.norm(q)).tolist()
     w = [params.w_min + s * (params.w_max - params.w_min) for s in share]
-    x = dyn.pack(np.zeros(3), np.zeros(3), q, omega, w).tolist()
+    x = pack(np.zeros(3), np.zeros(3), q, omega, w).tolist()
     f = specific_force(x, (0.0, 0.0, 0.0))
     omega_dot = rates(*q, *omega, *w, (*w, *[0.0] * 6))[7:10]
     model = make_model(params, cf_factor)
@@ -356,7 +356,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
     normals = dyn.Normals(np.random.default_rng(11))
-    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
+    x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
     calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):
         target_pos = (0.5, -0.3, 0.2) if tick >= 50 else (0.0, 0.0, 0.0)
@@ -482,8 +482,8 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
     normals = dyn.Normals(np.random.default_rng(11))
     rng_o = np.random.default_rng(11)
-    x = dyn.pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
-                 trim.w_cmd).tolist()
+    x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
+             trim.w_cmd).tolist()
     zero = (0.0, 0.0, 0.0)
     calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hexsim import vehicle
 from hexsim.geometry import E3
 from hexsim.vehicle import GRAVITY
 import oracles
-from oracles import bits, numpy_step
+from oracles import bits, numpy_step, pack
 
 
 CALM = (0.0,) * 6  # a held wrench with no force and no moment
@@ -30,8 +31,8 @@ def at(t):
 
 
 def hover_state(trim):
-    return dyn.pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
-                    trim.w_cmd)
+    return pack(np.zeros(3), np.zeros(3), [1.0, 0, 0, 0], np.zeros(3),
+                trim.w_cmd)
 
 
 def test_hover_is_equilibrium(kernel, trim):
@@ -151,6 +152,16 @@ def test_disturbance_validation():
         dyn.DisturbanceSpec(kind="wind")
     with pytest.raises(ValueError):
         dyn.DisturbanceSpec(kind="constant_load", t_on=3.0, t_off=1.0)
+
+
+def test_disturbance_vectors_are_float_tuples():
+    spec = dyn.DisturbanceSpec(kind="constant_load",
+                               force=np.array([1.0, -2.0, 0.5]), t_off=1.0)
+    assert spec.force == (1.0, -2.0, 0.5)
+    assert [type(f) for f in (*spec.force, *spec.moment)] == [float] * 6
+    for force in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (0.0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="force must be 3 finite"):
+            dyn.DisturbanceSpec(force=force)
 
 
 def test_gust_statistics(rng):
@@ -302,7 +313,7 @@ def test_rotor_lane_is_rk4_of_the_lag(tau, n, seed):
 
 def test_rk4_order(kernel, trim):
     def propagate(h):
-        st = dyn.pack(
+        st = pack(
             np.zeros(3), [0.5, -0.3, 0.2], [1.0, 0, 0, 0], [2.0, -1.5, 1.0],
             trim.w_cmd * np.array([1.1, 0.9, 1.05, 0.95, 1.0, 1.0]))
         cmd = vehicle.ActuatorCommand(
@@ -323,9 +334,9 @@ def random_case(params, rng):
     speeds inside the actuator range, a random rotor command and nonzero
     disturbances."""
     q = rng.normal(size=4)
-    x = dyn.pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
-                 rng.uniform(-5.0, 5.0, 3),
-                 rng.uniform(params.w_min, params.w_max, 6))
+    x = pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
+             rng.uniform(-5.0, 5.0, 3),
+             rng.uniform(params.w_min, params.w_max, 6))
     w_cmd = rng.uniform(params.w_min, params.w_max, 6)
     cmd = vehicle.ActuatorCommand(u=w_cmd ** 2, w_cmd=w_cmd,
                                   saturated=np.zeros(6, dtype=bool))
@@ -450,8 +461,8 @@ def trim_case(params, eff, rng, n):
     the same range and n random wrenches."""
     trim = np.asarray(vehicle.hover_command(params, eff).w_cmd)
     q = rng.normal(size=4)
-    x = dyn.pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
-                 rng.uniform(-5.0, 5.0, 3), trim * rng.uniform(0.5, 1.5, 6))
+    x = pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
+             rng.uniform(-5.0, 5.0, 3), trim * rng.uniform(0.5, 1.5, 6))
     wrenches = [(*rng.normal(0.0, 3.0, 3).tolist(),
                  *rng.normal(0.0, 0.5, 3).tolist()) for _ in range(n)]
     return x.tolist(), (trim * rng.uniform(0.5, 1.5, 6)).tolist(), wrenches
@@ -522,8 +533,8 @@ from hexsim import dynamics, vehicle
 p = vehicle.default_params()
 e = vehicle.build_effectiveness(p)
 trim = vehicle.hover_command(p, e)
-x = dynamics.pack([0.0] * 3, [0.1, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                  [0.0] * 3, trim.w_cmd)
+x = [0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+     *trim.w_cmd]
 print(dynamics.step(x, dynamics.make_step(p, e), trim, [(0.1,) * 6] * 8,
                     dynamics.SIM_DT))
 """
@@ -554,3 +565,25 @@ def test_two_fresh_interpreters_build_one_library(params, eff, trim,
     cache = package_copy / "hexsim" / "__pycache__"
     library = os.path.basename(dyn.load_truth().__file__)
     assert [f.name for f in cache.glob("_truth*")] == [library]
+
+
+def test_a_build_removes_stale_libraries_of_its_suffix(package_copy):
+    # a library built from an older source goes; one built for another
+    # Python, with another extension suffix, stays
+    suffix = EXTENSION_SUFFIXES[0]
+    cache = package_copy / "hexsim" / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"_truth.00000000{suffix}"
+    other = cache / "_truth.00000000.cpython-39-other.so"
+    for planted in (stale, other):
+        planted.write_bytes(b"not a library")
+    done = subprocess.run(
+        [sys.executable, "-c", "from hexsim import dynamics\n"
+                               "print(dynamics.load_truth().__file__)"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(package_copy)))
+    assert done.returncode == 0, done.stderr
+    library = os.path.basename(dyn.load_truth().__file__)
+    assert done.stdout == f"{cache / library}\n"
+    assert sorted(f.name for f in cache.glob("_truth*")) == sorted(
+        [library, other.name])

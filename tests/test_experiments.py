@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -206,6 +207,32 @@ def test_exp4_carries_intrinsic_noise():
     sc = ex.build_scenario("exp4", "indi", {"controller_freq": 62.5})
     assert sc.noise_scale == 1
     assert sc.controller_freq == 62.5
+
+
+def leaves(value):
+    """The values in a Scenario, through its dataclasses and tuples."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("sid, overrides", [
+    ("exp1", {}), ("exp2", {}), ("exp3", {}), ("exp3", {"gust": True}),
+    ("exp4", {}), ("exp5", {})],
+    ids=["exp1", "exp2", "exp3", "exp3-gust", "exp4", "exp5"])
+def test_scenario_is_a_plain_value(sid, overrides):
+    # two builds are equal and hash equal; another seed is another value
+    a = ex.build_scenario(sid, "geo", overrides)
+    b = ex.build_scenario(sid, "geo", overrides)
+    assert a == b and hash(a) == hash(b)
+    assert dataclasses.replace(a, seed=a.seed + 1) != a
+    # no array anywhere in it, down to its spec, setpoints and gains
+    values = leaves(a)
+    assert not any(isinstance(v, np.ndarray) for v in values)
+    assert {type(v) for v in values} <= {str, int, float}
+    assert len(values) > len(dataclasses.fields(a))
 
 
 def test_rise_time_on_synthetic_first_order():
@@ -504,5 +531,5 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     exc = info.value
     assert exc.t == pytest.approx(0.1)
     assert (exc.scenario, exc.seed) == ("exp5", 7)
-    assert np.isfinite(exc.state).all() and exc.state.shape == (19,)
+    assert np.isfinite(exc.state).all() and len(exc.state) == 19
     assert "t = 0.1000 s" in str(exc)

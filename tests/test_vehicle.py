@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hexsim import dynamics, vehicle
 from hexsim.vehicle import GRAVITY
 import oracles
-from oracles import (assemble_F, bits, hovering_platforms, platforms,
+from oracles import (assemble_F, bits, hovering_platforms, pack, platforms,
                      quat_from_axis_angle, tilt_degs, tilt_signs, unit)
 
 
@@ -212,9 +212,9 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
     kernel = dynamics.make_step(params, vehicle.build_effectiveness(params))
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
-    x = dynamics.pack(rng.normal(size=3), rng.normal(size=3),
-                      q / np.linalg.norm(q), rng.uniform(-5.0, 5.0, 3),
-                      rng.uniform(params.w_min, params.w_max, 6)).tolist()
+    x = pack(rng.normal(size=3), rng.normal(size=3),
+             q / np.linalg.norm(q), rng.uniform(-5.0, 5.0, 3),
+             rng.uniform(params.w_min, params.w_max, 6)).tolist()
     dist_f = rng.normal(0.0, 3.0, 3).tolist()
     scale = np.sqrt(7.0) if noisy else 0.0
     accel_w = dynamics.acceleration(x, kernel, dist_f)
