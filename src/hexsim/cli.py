@@ -194,8 +194,7 @@ class LogWriter:
     process: it writes the blocks of log rows that `send` hands it down
     a pipe (write_log_blocks) and exits 0 once write_log_csv closes the
     pipe.  Used as a context manager: an exception that leaves the block
-    kills and reaps the process and removes the file, so no partial log
-    is left."""
+    kills and reaps the process; cmd_run then removes the partial log."""
 
     def __init__(self, path):
         import fcntl
@@ -211,11 +210,9 @@ class LogWriter:
                 pass
             self.pid = os.fork()
         except BaseException:
-            # no writer: leave no log.csv, as __exit__ would
             fh.close()
             for fd in fds:
                 os.close(fd)
-            path.unlink(missing_ok=True)
             raise
         # The writer leaves only through os._exit.  It calls no BLAS
         # routine, so forking beside numpy's BLAS threads is safe.
@@ -259,8 +256,6 @@ class LogWriter:
             self.pipe.close()  # flushes what a failed send left, if any
         except OSError:
             pass
-        if exc_type is not None:
-            self.path.unlink(missing_ok=True)
         return False
 
 
