@@ -11,15 +11,24 @@ differ only in the inversion that turns it into a wrench:
   * indi_invert (IndiController) puts filtered measurements of specific
     force and angular acceleration in place of the model terms; its
     wrench is an increment on the measured rotor state.
+
+A controller ticks in C: warm_start binds geo_tick or indi_tick of
+_truth.c, a port of these layers expression by expression that agrees
+with them bit for bit, to the controller's constants and state.  The
+Python layers stay as its readable reference.
 """
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .filters import FilteredDerivative, SecondOrderFilter
 from .geometry import quat_from_rpy, rotmat, rpy_from_quat
-from .vehicle import GRAVITY, allocate, build_effectiveness, saturate, \
-    solve_wrench, with_cf_factor
+from .vehicle import GRAVITY, ActuatorCommand, build_effectiveness, \
+    with_cf_factor
+# perfbench's tests read vehicle.allocate through this module too
+from .vehicle import allocate  # noqa: F401
 
 # INDI feedback filter defaults
 FILTER_CUTOFF_HZ = 15.0
@@ -44,7 +53,8 @@ class Gains:
 
 @dataclass
 class PoseReference:
-    """Shaped reference; the shaper fills it with Python floats."""
+    """Shaped reference; a tick fills p_d, v_d and a_d with lists of
+    Python floats and the rest with tuples."""
     p_d: list
     v_d: list
     a_d: list
@@ -66,12 +76,11 @@ def make_model(params, cf_factor=1.0):
                            eff=build_effectiveness(model_params))
 
 
-def outer_loop(gains, ref, pos, vel, q, omega, rot=None):
+def outer_loop(gains, ref, pos, vel, q, omega):
     """Shared error dynamics producing the pseudo control (v_p, v_att).
 
     Every argument is a sequence of numbers; a list of Python floats is
-    fastest.  rot is R(q) as geometry.rotmat returns it, for a caller
-    that has formed it."""
+    fastest."""
     k_p, k_v, k_q, k_w = gains.k_p, gains.k_v, gains.k_q, gains.k_w
     (pdx, pdy, pdz), (px, py, pz) = ref.p_d, pos
     (vdx, vdy, vdz), (vx, vy, vz) = ref.v_d, vel
@@ -88,7 +97,7 @@ def outer_loop(gains, ref, pos, vel, q, omega, rot=None):
     ox, oy, oz = ref.omega_d
     r1, r2, r3 = (a * ox + b * oy + c * oz, d * ox + e * oy + f * oz,
                   g * ox + h * oy + i * oz)
-    a, b, c, d, e, f, g, h, i = rotmat(q) if rot is None else rot
+    a, b, c, d, e, f, g, h, i = rotmat(q)
     (wx, wy, wz), (wdx, wdy, wdz) = omega, ref.omega_dot_d
     return v_p, [
         k_q * (s * (-dw * x + dx * w - dy * z + dz * y))
@@ -150,6 +159,17 @@ class ReferenceShaper:
         self._pos.reset_to(pos)
         self._att.reset_to(rpy)
 
+    @property
+    def coefficients(self):
+        """Each axis' discretised coefficients, wn^2 and 2 wn: position,
+        then attitude."""
+        return (*self._pos.coefficients, *self._att.coefficients)
+
+    @property
+    def state(self):
+        """x and x' of the position axes, then of the attitude axes."""
+        return (*self._pos.x, *self._pos.xd, *self._att.x, *self._att.xd)
+
     def step(self, target_pos, target_rpy):
         p_d, v_d, a_d = self._pos.step(target_pos)
         (roll, pitch, yaw), (dr, dp, dy), (ar, ap, ay) = self._att.step(
@@ -183,8 +203,8 @@ class _ShapedAxes:
                    (e * (-wn * wn * dt), e * (1.0 - wn * dt)))
         # 1 - e (1 + wn dt), written so it does not cancel for small wn dt
         self.bd = (-math.expm1(-wn * dt) - wn * dt * e, e * wn * wn * dt)
-        self._coefficients = (*self.ad[0], *self.ad[1], *self.bd, wn ** 2,
-                              2 * wn)
+        self.coefficients = (*self.ad[0], *self.ad[1], *self.bd, wn ** 2,
+                             2 * wn)
         self.x = [0.0, 0.0, 0.0]
         self.xd = [0.0, 0.0, 0.0]
 
@@ -196,7 +216,7 @@ class _ShapedAxes:
     def step(self, target):
         """Advance one sample toward target; returns the value, rate and
         acceleration before the step."""
-        a00, a01, a10, a11, b0, b1, wn2, two_wn = self._coefficients
+        a00, a01, a10, a11, b0, b1, wn2, two_wn = self.coefficients
         g1, g2, g3 = target
         x, xd = self.x, self.xd
         (x1, x2, x3), (r1, r2, r3) = x, xd
@@ -222,8 +242,36 @@ class ControllerInputs:
     rotor_w_meas: list
 
 
+def _before_warm_start(*args):
+    raise RuntimeError("a controller ticks only after its warm_start")
+
+
+def _bind(entry, constants, state):
+    """(tick, buffer): the tick `entry` of _truth.c bound to the floats
+    constants and to buffer, an array('d') of the floats state that each
+    tick updates in place; both laid out as _truth.c's C_ and S_
+    offsets say."""
+    from .dynamics import load_truth
+    buffer = array("d", state)
+    return (functools.partial(getattr(load_truth(), entry),
+                              array("d", constants), buffer), buffer)
+
+
+def _model_constants(controller):
+    """What a tick reads of the gains, the shaper and the model: k_p,
+    k_v, k_q, k_w, the shaper's coefficients, m, J_x, J_y, J_z, g,
+    F0^-1 row by row, u_min and u_max."""
+    g, eff, p = controller.gains, controller.model.eff, controller.model.params
+    return (g.k_p, g.k_v, g.k_q, g.k_w, *controller.shaper.coefficients,
+            p.mass, *p.inertia, GRAVITY, *sum(eff.F0_inv_rows, ()),
+            eff.u_min, eff.u_max)
+
+
 class GeoNdiController:
-    """Model-based geometric NDI: outer loop -> model inversion -> allocation."""
+    """Model-based geometric NDI: outer loop -> model inversion -> allocation.
+
+    Its shaper gives the compiled tick its coefficients and warm start;
+    from there the tick carries the shaper's state in `state`."""
 
     name = "geo"
 
@@ -231,17 +279,18 @@ class GeoNdiController:
         self.model = model
         self.gains = gains
         self.shaper = ReferenceShaper(dt)
+        self.state = None
+        self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
         self.shaper.reset_to(pos, rpy_from_quat(q))
+        self._tick, self.state = _bind("geo_tick", _model_constants(self),
+                                       self.shaper.state)
 
     def tick(self, target_pos, target_rpy, inputs):
-        ref = self.shaper.step(target_pos, target_rpy)
-        q, gyro = inputs.q, inputs.gyro
-        rot = rotmat(q)
-        nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel, q, gyro, rot)
-        wrench = ndi_invert(nu, gyro, self.model)
-        return allocate(self.model.eff, q, wrench, rot), ref
+        cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,
+                              inputs.q, inputs.gyro)
+        return ActuatorCommand(*cmd), PoseReference(*ref)
 
 
 class IndiController:
@@ -254,6 +303,10 @@ class IndiController:
     commanded u is an increment on the *measured* rotor state, so after
     saturation the next increment starts from what the actuators actually
     achieved.
+
+    The shaper, the filter bank and the gyro difference give the
+    compiled tick their coefficients and warm start; from there the tick
+    carries their state in `state`.
     """
 
     name = "indi"
@@ -267,31 +320,25 @@ class IndiController:
         self.feedback = SecondOrderFilter(
             2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
         self.d_gyro = FilteredDerivative(dt, 3)
+        self.state = None
+        self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
         self.shaper.reset_to(pos, rpy_from_quat(q))
         self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
                                 *trim_cmd.u])
         self.d_gyro.reset_to([0.0, 0.0, 0.0])
+        feedback = self.feedback
+        self._tick, self.state = _bind(
+            "indi_tick", (*_model_constants(self), *feedback.b, feedback.a1,
+                          feedback.a2, self.d_gyro.sample_time),
+            (*self.shaper.state, *feedback.state, *self.d_gyro.state))
 
     def tick(self, target_pos, target_rpy, inputs):
-        ref = self.shaper.step(target_pos, target_rpy)
-        w1, w2, w3, w4, w5, w6 = inputs.rotor_w_meas
-        fx, fy, fz, gx, gy, gz, u1, u2, u3, u4, u5, u6 = self.feedback.step(
-            [*inputs.accel, *inputs.gyro, w1 * abs(w1), w2 * abs(w2),
-             w3 * abs(w3), w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)])
-        gyro_f = [gx, gy, gz]
-        # the gyro channel is low-pass filtered like every other sensor
-        # path, so the rate error sees the same group delay
-        q = inputs.q
-        rot = rotmat(q)
-        nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel, q, gyro_f,
-                        rot)
-        wrench = indi_invert(nu, rot, (fx, fy, fz), self.d_gyro.step(gyro_f),
-                             self.model)
-        s1, s2, s3, s4, s5, s6 = solve_wrench(self.model.eff, q, wrench, rot)
-        return saturate(self.model.eff, (s1 + u1, s2 + u2, s3 + u3, s4 + u4,
-                                         s5 + u5, s6 + u6)), ref
+        cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,
+                              inputs.q, inputs.gyro, inputs.accel,
+                              inputs.rotor_w_meas)
+        return ActuatorCommand(*cmd), PoseReference(*ref)
 
 
 def make_controller(kind, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,

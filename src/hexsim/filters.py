@@ -47,6 +47,11 @@ class SecondOrderFilter:
         self._z2 = [(b2 - self.a2) * v for v in value]
         self._z1 = [(b1 - self.a1) * v + z for v, z in zip(value, self._z2)]
 
+    @property
+    def state(self):
+        """The first biquad state of every channel, then the second."""
+        return (*self._z1, *self._z2)
+
     def step(self, x):
         """Filter one sample: x holds one value per channel.  Returns a
         list."""
@@ -76,6 +81,11 @@ class FilteredDerivative:
 
     def reset_to(self, value):
         self._prev = _as_list(value, self._channels)
+
+    @property
+    def state(self):
+        """The previous sample, one value per channel."""
+        return tuple(self._prev)
 
     def step(self, x):
         """Difference of x (one value per channel) with the previous

@@ -182,15 +182,14 @@ def saturate(eff, u):
                    u5 < lo or u5 > hi, u6 < lo or u6 > hi))
 
 
-def solve_wrench(eff, q, wrench, rot=None):
-    """The unclamped u solving F(q) u = wrench, as a list.  rot is R(q)
-    as geometry.rotmat returns it, for a caller that has formed it.
+def solve_wrench(eff, q, wrench):
+    """The unclamped u solving F(q) u = wrench, as a list.
 
     Uses the precomputed inverse of [F1; F2]; the attitude only rotates
     the force rows, so F(q)^-1 = F0^-1 blkdiag(R^T, I).
     """
     fx, fy, fz, t1, t2, t3 = wrench
-    a, b, c, d, e, f, g, h, i = rotmat(q) if rot is None else rot
+    a, b, c, d, e, f, g, h, i = rotmat(q)
     r1, r2, r3 = (a * fx + d * fy + g * fz, b * fx + e * fy + h * fz,
                   c * fx + f * fy + i * fz)
     ((a1, b1, c1, d1, e1, f1), (a2, b2, c2, d2, e2, f2),
@@ -204,10 +203,9 @@ def solve_wrench(eff, q, wrench, rot=None):
             a6 * r1 + b6 * r2 + c6 * r3 + d6 * t1 + e6 * t2 + f6 * t3]
 
 
-def allocate(eff, q, wrench_demand, rot=None):
-    """Solve F(q) u = wrench for the rotor commands, then clamp; rot as
-    for solve_wrench."""
-    return saturate(eff, solve_wrench(eff, q, wrench_demand, rot))
+def allocate(eff, q, wrench_demand):
+    """Solve F(q) u = wrench for the rotor commands, then clamp."""
+    return saturate(eff, solve_wrench(eff, q, wrench_demand))
 
 
 def hover_command(params, eff):

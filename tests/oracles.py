@@ -388,8 +388,8 @@ def make_segment_step(params, eff):
 # The tick side of the closed loop as it was before it was written out
 # straight-line: the shaper, the outer loop, the geo and indi ticks,
 # solve_wrench/saturate/allocate, the disturbance sampler and sensor
-# synthesis, over the row-tuple geometry helpers.  The package's forms
-# must equal them bit for bit.
+# synthesis, over the row-tuple geometry helpers.  The package's forms,
+# the compiled controller ticks included, must equal them bit for bit.
 
 def rotmat_rows(q):
     """R(q) mapping body vectors to world, as three row tuples."""

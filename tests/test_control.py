@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
-from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
+from hexsim.control import (ControllerInputs, ControllerModel, Gains,
+                            GeoNdiController,
                             IndiController, PoseReference, ReferenceShaper,
                             _ShapedAxes, indi_invert, make_controller,
                             make_model, ndi_invert, outer_loop)
@@ -109,9 +111,9 @@ def test_indi_equals_ndi_on_truth_measurements_over_platforms(
     nu = (list(v_p), list(v_att))
     u0 = np.array(w) * np.abs(w)
     u_indi = u0 + vehicle.solve_wrench(
-        model.eff, q, indi_invert(nu, rot, f, omega_dot, model), rot)
+        model.eff, q, indi_invert(nu, rot, f, omega_dot, model))
     u_ndi = np.array(vehicle.solve_wrench(
-        model.eff, q, ndi_invert(nu, omega, model), rot))
+        model.eff, q, ndi_invert(nu, omega, model)))
     gap = np.abs(u_indi - u_ndi).max() / max(np.abs(u_ndi).max(),
                                              np.abs(u0).max())
     assert (gap <= 1e-12) == holds
@@ -420,11 +422,10 @@ def test_outer_loop_equals_float_oracle(params, rng):
         inputs = random_inputs(rng, params)
         expected_p, expected_att = oracles.outer_loop(
             gains, ref, inputs.pos, inputs.vel, inputs.q, inputs.gyro)
-        for rot in (None, rotmat(inputs.q)):
-            v_p, v_att = outer_loop(gains, ref, inputs.pos, inputs.vel,
-                                    inputs.q, inputs.gyro, rot)
-            assert bits(v_p) == bits(expected_p)
-            assert bits(v_att) == bits(expected_att)
+        v_p, v_att = outer_loop(gains, ref, inputs.pos, inputs.vel,
+                                inputs.q, inputs.gyro)
+        assert bits(v_p) == bits(expected_p)
+        assert bits(v_att) == bits(expected_att)
 
 
 def test_allocation_equals_float_oracle(params, eff, rng):
@@ -435,12 +436,10 @@ def test_allocation_equals_float_oracle(params, eff, rng):
                       hover * rng.uniform(0.5, 2.5)]
         wrench = (quat_to_rotmat(q) @ body_force).tolist() + rng.normal(
             0.0, 1.0, 3).tolist()
-        expected = oracles.solve_wrench(eff, q, wrench)
-        for rot in (None, rotmat(q)):
-            assert bits(vehicle.solve_wrench(eff, q, wrench, rot)) == bits(
-                expected)
-            assert_same_command(vehicle.allocate(eff, q, wrench, rot),
-                                oracles.allocate(eff, q, wrench))
+        assert bits(vehicle.solve_wrench(eff, q, wrench)) == bits(
+            oracles.solve_wrench(eff, q, wrench))
+        assert_same_command(vehicle.allocate(eff, q, wrench),
+                            oracles.allocate(eff, q, wrench))
         # inside, outside and exactly on the limits, and a NaN
         u = rng.uniform(0.0, 1.5 * eff.u_max, 6).tolist()
         u[case % 6] = (eff.u_min, eff.u_max, math.nan)[case % 3]
@@ -503,3 +502,96 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
         assert_same_command(cmd, cmd_o)
         assert_same_reference(ref, ref_o)
         x = dyn.step(x, kernel, cmd, calm, dyn.SIM_DT)
+
+
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+def test_a_tick_before_warm_start_raises(params, trim, kind):
+    ctrl = make_controller(kind, make_model(params), Gains(), DT)
+    with pytest.raises(RuntimeError, match="after its warm_start"):
+        ctrl.tick((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), hover_inputs(trim))
+
+
+TICKS = 3  # ticks a draw flies
+INPUTS = ("pos", "vel", "q", "gyro", "accel", "rotor_w_meas")
+# a target component: a zero of either sign or a number
+target = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+# an attitude within about 25 degrees of level
+near_level = st.tuples(*[st.floats(-0.2, 0.2)] * 3).map(
+    lambda v: (np.array([1.0, *v]) / np.linalg.norm([1.0, *v])).tolist())
+
+
+def floats_near(*centre, spread):
+    return st.tuples(*[st.floats(c - spread, c + spread)
+                       for c in centre]).map(list)
+
+
+@st.composite
+def tick_inputs(draw, params):
+    """The inputs of one tick near hover, as lists of floats, with rotor
+    speeds across the actuator range."""
+    return ControllerInputs(
+        pos=draw(floats_near(0.0, 0.0, 0.0, spread=0.5)),
+        vel=draw(floats_near(0.0, 0.0, 0.0, spread=0.5)),
+        q=draw(near_level), gyro=draw(floats_near(0.0, 0.0, 0.0, spread=1.0)),
+        accel=draw(floats_near(0.0, 0.0, GRAVITY, spread=3.0)),
+        rotor_w_meas=draw(floats_near(
+            *[0.5 * (params.w_min + params.w_max)] * 6,
+            spread=0.5 * (params.w_max - params.w_min))))
+
+
+# a failing draw is reported as drawn: shrinking the hundred-odd numbers
+# of a flight takes minutes
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(params=platforms(), cf_mismatch=st.floats(0.5, 2.0),
+       gains=st.builds(Gains, st.floats(0.5, 20.0), st.floats(0.5, 10.0),
+                       st.floats(10.0, 400.0), st.floats(2.0, 60.0)),
+       cutoff=st.floats(0.5, 200.0), damping=st.floats(0.05, 2.0),
+       n=st.integers(1, 40), data=st.data())
+def test_compiled_tick_equals_float_oracle_over_platforms(
+        kind, params, cf_mismatch, gains, cutoff, damping, n, data):
+    # the compiled tick against the float oracle, bit for bit, over
+    # platforms, models, gains, filters and controller rates of n truth
+    # steps, with targets of either zero, at times a NaN reading (it
+    # passes through, unflagged) and u exactly on a limit
+    compiled_cls, oracle_cls = {
+        "geo": (GeoNdiController, oracles.GeoNdiController),
+        "indi": (IndiController, oracles.IndiController)}[kind]
+    trim = vehicle.hover_command(params, vehicle.build_effectiveness(params))
+    pos, q = data.draw(st.tuples(target, target, target)), data.draw(
+        near_level)
+    ticks = [(data.draw(st.tuples(target, target, target)),
+              data.draw(st.tuples(target, target, target)),
+              data.draw(tick_inputs(params))) for _ in range(TICKS)]
+    nan = data.draw(st.none() | st.tuples(
+        st.integers(0, TICKS - 1), st.sampled_from(INPUTS),
+        st.integers(0, 2)))
+    if nan is not None:
+        at, name, i = nan
+        getattr(ticks[at][2], name)[i] = math.nan
+
+    def fly(cls, model):
+        ctrl = (cls(model, gains, n * dyn.SIM_DT) if kind == "geo"
+                else cls(model, gains, n * dyn.SIM_DT, cutoff, damping))
+        ctrl.warm_start(pos, q, trim)
+        return [ctrl.tick(*tick) for tick in ticks]
+
+    # a limit set to a rotor's unclamped u on the first tick, which the
+    # limits do not change
+    model = make_model(params, cf_mismatch)
+    first, _ = fly(oracle_cls, model)[0]
+    free = [j for j in range(6)
+            if not (first.saturated[j] or math.isnan(first.u[j]))]
+    limit = data.draw(st.sampled_from([None, "u_min", "u_max"]))
+    if limit is not None and free:
+        j = data.draw(st.sampled_from(free))
+        model = ControllerModel(params=model.params, eff=replace(
+            model.eff, **{limit: first.u[j]}))
+    flown = fly(compiled_cls, model)
+    for (cmd, ref), (cmd_o, ref_o) in zip(flown, fly(oracle_cls, model)):
+        assert_same_command(cmd, cmd_o)
+        assert_same_reference(ref, ref_o)
+    if limit is not None and free:
+        assert flown[0][0].u[j] == getattr(model.eff, limit)
+        assert not flown[0][0].saturated[j]

@@ -4,16 +4,18 @@ The benchmark's per-layer trace wraps named functions at their module
 attributes (or on their class) and reads, among others, one
 dynamics.step call per segment of truth steps (a tick's steps, cut at
 every 250 Hz pose sample), one DisturbanceSampler.step call per tick
-plus one before the loop, one call of each controller layer per tick,
-and one cli.write_log_csv call per `hexsim run`.  These tests keep the
+plus one before the loop, one controller tick per tick (compiled, so its
+stages read no calls), and one cli.write_log_csv call per `hexsim
+run`.  These tests keep the
 package making exactly those calls through the wrappable attributes,
 and every traced name resolving.  layertrace.py is only read for its
 TARGETS table.
 
 The benchmark also times, in a fresh interpreter, a set-up snippet that
 calls the package with positional arguments and defaults of its own
-choosing; a test runs that snippet as the benchmark does, and reads
-perfbench/run.py only for its SETUP_* assignments.
+choosing; two tests run that snippet as the benchmark does, one of them
+checking that it loads no compiled code, and read perfbench/run.py only
+for its SETUP_* assignments.
 """
 
 import ast
@@ -129,14 +131,13 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
     n_sub, n_steps = ex._clock(scenario)
     ex.run_scenario(scenario)
     ticks = (n_steps + n_sub - 1) // n_sub
-    # the hover trim is allocated (and so saturated) once before the loop
-    geo = controller == "geo"
+    # the tick is one compiled layer: its stages are not called through
+    # the package, and only the hover trim is allocated (and so
+    # saturated), once before the loop
     assert {name: calls[0] for name, calls in counts.items()} == {
-        "tick": ticks, "other_tick": 0, "shaper": ticks,
-        "outer_loop": ticks, "ndi_invert": ticks if geo else 0,
-        "indi_invert": 0 if geo else ticks,
-        "allocate": 1 + (ticks if geo else 0), "saturate": 1 + ticks,
-        "filter": 0 if geo else ticks, "derivative": 0 if geo else ticks}
+        "tick": ticks, "other_tick": 0, "shaper": 0, "outer_loop": 0,
+        "ndi_invert": 0, "indi_invert": 0, "allocate": 1, "saturate": 1,
+        "filter": 0, "derivative": 0}
 
 
 def test_a_run_waits_for_its_log_writer_once(monkeypatch, tmp_path):
@@ -170,3 +171,17 @@ def test_benchmark_setup_snippet_runs():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.split()) == 3
+
+
+def test_benchmark_setup_loads_no_compiled_code():
+    # the set-up the benchmark times makes a controller but binds no
+    # tick: neither dynamics nor the compiled library is imported
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = setup_snippet() + (
+        "import sys\n"
+        "print([m for m in ('hexsim.dynamics', 'hexsim._truth')"
+        " if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
