@@ -14,8 +14,9 @@ differ only in the inversion that turns it into a wrench:
 
 A controller ticks in C: warm_start binds geo_tick or indi_tick of
 _truth.c, a port of these layers expression by expression that agrees
-with them bit for bit, to the controller's constants and state.  The
-Python layers stay as its readable reference.
+with them bit for bit, to the controller's constants and state, which
+experiments.run_scenario's compiled loop ticks on too.  The Python
+layers stay as its readable reference.
 """
 
 import functools
@@ -233,7 +234,7 @@ class _ShapedAxes:
 @dataclass
 class ControllerInputs:
     """Everything a controller may consume at one tick; each field is a
-    sequence of numbers (run_scenario passes lists of Python floats)."""
+    sequence of numbers; lists of Python floats are fastest."""
     pos: list
     vel: list
     q: list
@@ -246,15 +247,17 @@ def _before_warm_start(*args):
     raise RuntimeError("a controller ticks only after its warm_start")
 
 
-def _bind(entry, constants, state):
-    """(tick, buffer): the tick `entry` of _truth.c bound to the floats
-    constants and to buffer, an array('d') of the floats state that each
-    tick updates in place; both laid out as _truth.c's C_ and S_
-    offsets say."""
+def _bind(controller, entry, constants, state):
+    """Bind controller's tick to `entry` of _truth.c over its constants
+    and state: two array('d') of these floats, laid out as _truth.c's C_
+    and S_ offsets say, kept as controller.constants and
+    controller.state.  Each tick updates the state in place."""
     from .dynamics import load_truth
-    buffer = array("d", state)
-    return (functools.partial(getattr(load_truth(), entry),
-                              array("d", constants), buffer), buffer)
+    controller.constants = array("d", constants)
+    controller.state = array("d", state)
+    controller._tick = functools.partial(getattr(load_truth(), entry),
+                                         controller.constants,
+                                         controller.state)
 
 
 def _model_constants(controller):
@@ -271,7 +274,8 @@ class GeoNdiController:
     """Model-based geometric NDI: outer loop -> model inversion -> allocation.
 
     Its shaper gives the compiled tick its coefficients and warm start;
-    from there the tick carries the shaper's state in `state`."""
+    from there the tick reads `constants` and carries the shaper's state
+    in `state`, which the closed loop's compiled ticks use too."""
 
     name = "geo"
 
@@ -279,13 +283,12 @@ class GeoNdiController:
         self.model = model
         self.gains = gains
         self.shaper = ReferenceShaper(dt)
-        self.state = None
+        self.constants = self.state = None
         self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
         self.shaper.reset_to(pos, rpy_from_quat(q))
-        self._tick, self.state = _bind("geo_tick", _model_constants(self),
-                                       self.shaper.state)
+        _bind(self, "geo_tick", _model_constants(self), self.shaper.state)
 
     def tick(self, target_pos, target_rpy, inputs):
         cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,
@@ -306,7 +309,8 @@ class IndiController:
 
     The shaper, the filter bank and the gyro difference give the
     compiled tick their coefficients and warm start; from there the tick
-    carries their state in `state`.
+    reads `constants` and carries their state in `state`, as
+    GeoNdiController's does.
     """
 
     name = "indi"
@@ -320,7 +324,7 @@ class IndiController:
         self.feedback = SecondOrderFilter(
             2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
         self.d_gyro = FilteredDerivative(dt, 3)
-        self.state = None
+        self.constants = self.state = None
         self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
@@ -329,10 +333,10 @@ class IndiController:
                                 *trim_cmd.u])
         self.d_gyro.reset_to([0.0, 0.0, 0.0])
         feedback = self.feedback
-        self._tick, self.state = _bind(
-            "indi_tick", (*_model_constants(self), *feedback.b, feedback.a1,
-                          feedback.a2, self.d_gyro.sample_time),
-            (*self.shaper.state, *feedback.state, *self.d_gyro.state))
+        _bind(self, "indi_tick",
+              (*_model_constants(self), *feedback.b, feedback.a1,
+               feedback.a2, self.d_gyro.sample_time),
+              (*self.shaper.state, *feedback.state, *self.d_gyro.state))
 
     def tick(self, target_pos, target_rpy, inputs):
         cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,

@@ -10,6 +10,7 @@ import functools
 import math
 import os
 import zlib
+from array import array
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -21,16 +22,15 @@ import numpy as np
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
-CHUNK = 384    # normals a Normals tape draws at a time
 
 
 class NonFiniteState(Exception):
     """Simulation diverged: a state component became non-finite.
 
-    step raises it with the offset of the diverging truth step within its
-    call and the last finite state; run_scenario raises it again with the
-    time t at the start of that step, the scenario id, the seed and the
-    last finite state vector.
+    step and _truth.c's ticks raise it with the offset of the diverging
+    truth step within their call and the last finite state; run_scenario
+    raises it again with the time t at the start of that step, the
+    scenario id, the seed and the last finite state vector.
     """
 
     def __init__(self, message="simulation state diverged", t=None,
@@ -87,32 +87,6 @@ class DisturbanceSpec:
         set_three_floats(self, "disturbance", "force", "moment")
 
 
-class Normals:
-    """A run's tape of standard normals, read from one Generator in order.
-
-    take(n) returns the next n normals as a list of floats, equal bit for
-    bit to rng.standard_normal(n).tolist() at the same point of the
-    stream: the tape draws CHUNK normals at a time, so the generator runs
-    ahead of what has been taken.  run_scenario shares one tape between
-    the gust and the sensor noise, in the order they draw.
-    """
-
-    def __init__(self, rng):
-        self.rng = rng
-        self._tape = []
-        self._at = 0
-
-    def take(self, n):
-        at, tape = self._at, self._tape
-        end = at + n
-        if end > len(tape):
-            tape = self._tape = (
-                tape[at:] + self.rng.standard_normal(max(CHUNK, n)).tolist())
-            at, end = 0, n
-        self._at = end
-        return tape[at:end]
-
-
 class DisturbanceSampler:
     """Per-run disturbance source; holds the colored-noise gust state.
 
@@ -122,12 +96,14 @@ class DisturbanceSampler:
     inside [t_on, t_off), zero outside, plus the constant residual
     wrench.  A gust adds to the force an Ornstein-Uhlenbeck process (std
     gust_std, correlation time gust_corr_time) that advances on every
-    truth step, with 3 normals a step from the Normals tape `normals`,
-    taken in one take(3 n); every other held value is computed once.
+    truth step, with 3 normals a step from the tape `normals`, taken in
+    one take(3 n) (normals.take(n) returns the next n normals as a list
+    of floats); every other held value is computed once.
 
-    run_scenario steps it over step 0 once before the loop, then over
-    each tick's steps, and the accelerometer at a tick sees the force of
-    the previous step's draw.
+    The closed loop steps it over step 0 once before the first tick, then
+    over each tick's steps, and the accelerometer at a tick sees the
+    force of the previous step's draw; _truth.c's ticks does so from
+    its constants, and does not call step.
     """
 
     def __init__(self, spec, dt, normals, residual_force=(0.0, 0.0, 0.0),
@@ -144,6 +120,18 @@ class DisturbanceSampler:
         self._off = (*(0.0 + r for r in rf), *(0.0 + r for r in rm))
         self._on = (*((f + 0.0) + r for f, r in zip(spec.force, rf)),
                     *(m + r for m, r in zip(spec.moment, rm)))
+
+    @property
+    def constants(self):
+        """What _truth.c's ticks read of the sampler, from its R_KIND
+        offset on: the kind (0 none, 1 constant_load, 2 gust), t_on and
+        t_off, the gust's decay and diffusion a truth step, the spec's
+        force, the residual force, and the wrenches held inside and
+        outside [t_on, t_off)."""
+        spec = self.spec
+        return (("none", "constant_load", "gust").index(spec.kind),
+                spec.t_on, spec.t_off, self._decay, self._diffusion,
+                *spec.force, *self._residual_force, *self._on, *self._off)
 
     def step(self, k, n):
         spec, dt, off = self.spec, self.dt, self._off
@@ -176,21 +164,35 @@ CFLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
 _truth = None
 
 
+def compile_command(source):
+    """The command, less its -o, that builds _truth.c at source:
+    sysconfig's C compiler with CFLAGS, the CPython and numpy headers and
+    numpy's static library of random distributions, whose
+    random_standard_normal draws a run's normals as numpy's Generator
+    does."""
+    import sysconfig
+    return [*sysconfig.get_config_var("CC").split(), *CFLAGS,
+            "-I", sysconfig.get_paths()["include"], "-I", np.get_include(),
+            source, os.path.join(os.path.dirname(np.__file__), "random",
+                                 "lib", "libnpyrandom.a"), "-lm"]
+
+
 def load_truth():
     """The compiled step, the module hexsim._truth of _truth.c, loaded
     once per process (forked processes inherit it) from the __pycache__
     directory beside this file, where it is named by the CRC-32 of the
-    source, CFLAGS and the extension suffix.  If missing, it is built
-    there, and the libraries of that suffix built from an older source
-    or CFLAGS are removed."""
+    source, CFLAGS, the extension suffix and the numpy version.  If
+    missing, it is built there, and the libraries of that suffix built
+    from an older source, CFLAGS or numpy are removed."""
     global _truth
     if _truth is None:
         here = os.path.dirname(os.path.abspath(__file__))
         source = os.path.join(here, "_truth.c")
         suffix = EXTENSION_SUFFIXES[0]
         with open(source, "rb") as fh:
-            key = zlib.crc32(" ".join((*CFLAGS, suffix)).encode(),
-                             zlib.crc32(fh.read()))
+            key = zlib.crc32(
+                " ".join((*CFLAGS, suffix, np.__version__)).encode(),
+                zlib.crc32(fh.read()))
         path = os.path.join(here, "__pycache__", f"_truth.{key:08x}{suffix}")
         if not os.path.exists(path):
             _build(source, path)
@@ -209,9 +211,7 @@ def _build(source, path):
     os.replace moves to path (so no interpreter loads a half-written one),
     or raise OSError naming the command and the first line of its stderr."""
     import subprocess
-    import sysconfig
-    command = [*sysconfig.get_config_var("CC").split(), *CFLAGS,
-               "-I", sysconfig.get_paths()["include"], source]
+    command = compile_command(source)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -228,6 +228,21 @@ def _build(source, path):
     raise OSError(f"cannot build the truth step: {' '.join(command)}: {reason}")
 
 
+def truth_constants(params, eff):
+    """The floats _truth.c's step and ticks read of the platform (params,
+    eff), as an array('d'): F1 / m, F2's rows over J_x, J_y, J_z (what
+    scales a step's wrench), m, J_x, J_y, J_z, the gyroscopic
+    coefficients (J_y - J_z) / J_x, ..., g and 1 / tau, then F1 row by
+    row, which the accelerometer reads."""
+    m = params.mass
+    jx, jy, jz = params.inertia
+    per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
+    return array("d", (
+        *(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
+        m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
+        GRAVITY, 1.0 / params.motor_time_constant, *eff.F1.ravel().tolist()))
+
+
 class Kernel(NamedTuple):
     rates: Callable
     step: Callable
@@ -240,16 +255,16 @@ def make_step(params, eff):
     eff) bound.  All three work on Python floats; the constants of rates
     and specific_force are float literals (2.0, not 2): the same values,
     but CPython takes its slower mixed-type path for an int operand.
-    run_scenario builds one per run and passes it to step and
-    synthesize_sensors.
+    The closed loop does not build one: _truth.c's ticks reads
+    truth_constants.
 
     rates(qw, qx, qy, qz, ox, oy, oz, w1, ..., w6, inputs) takes the
     state scalars it reads and the 12-tuple inputs (w_cmd, the world
     force dist_force, the body moment dist_moment).  It returns the
     rates of v, q, omega and the rotor speeds as a 16-tuple: force
     balance in world frame, moment balance in body frame, rotor speeds
-    lagging toward w_cmd.  q need not have unit norm.  The closed loop
-    does not call it; derivative and acceleration read it.
+    lagging toward w_cmd.  q need not have unit norm.  derivative and
+    acceleration read it.
 
     step(s, w_cmd, wrenches, dt) is _truth.c's step (which see) over the
     constants of (params, eff): rates' dynamics, equal to rounding.
@@ -305,13 +320,7 @@ def make_step(params, eff):
             (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
         )
 
-    # F1 / m, F2's rows over J_x, J_y, J_z, what scales a step's wrench,
-    # the gyroscopic coefficients (J_y - J_z) / J_x, ... and 1 / tau
-    per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
-    constants = (*(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
-                 m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
-                 GRAVITY, 1.0 / tau)
-    step = functools.partial(load_truth().step, constants)
+    step = functools.partial(load_truth().step, truth_constants(params, eff))
 
     def specific_force(s, dist_force):
         (_, _, _, _, _, _, qw, qx, qy, qz, _, _, _,
@@ -354,8 +363,8 @@ def acceleration(x, kernel, dist_force):
     """World-frame translational acceleration at state x, as a list of 3
     floats: the velocity rates of the Kernel `kernel`.  x (laid out as
     the state vector) and dist_force are sequences of numbers; lists of
-    Python floats are fastest.  The closed loop does not call it: the
-    accelerometer reads the kernel's specific_force."""
+    Python floats are fastest.  The accelerometer reads the kernel's
+    specific_force instead."""
     return [*kernel.rates(*x[Q.start:],
                           (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]]
 
@@ -384,8 +393,9 @@ def synthesize_sensors(x, kernel, dist_force, scale, normals):
     specific_force of the Kernel `kernel`; gyro and the rotor
     tachometers read the body rate and the rotor speeds.  For scale > 0
     the accel and gyro channels add white Gaussian noise with sigma
-    ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the Normals tape
-    `normals`; the tachometers stay noise-free.
+    ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the tape `normals`
+    (as DisturbanceSampler's); the tachometers stay noise-free.
+    _truth.c's ticks synthesises the same readings and does not call it.
     """
     accel = kernel.specific_force(x, dist_force)
     gyro = x[OMEGA]

@@ -17,7 +17,9 @@ the mechanism behind the position-error gap in every study.  Set
 residual_scale = 0 for ideal-model studies.
 """
 
+import functools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import vehicle
-from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerInputs,
-                      ControllerModel, Gains, make_controller, make_model)
+from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerModel,
+                      Gains, make_controller, make_model)
 from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
@@ -266,15 +268,37 @@ def run_scenario(scenario, params=None, on_block=None):
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
-    Every LOG_BLOCK_ROWS ticks the rows just written are finished: their
-    tracking errors are filled in and, if given, on_block is called with
-    a view of them; the last, shorter block is finished after the loop.
-    Raises NonFiniteState carrying the time, scenario id, seed and last
-    finite state if the truth state diverges.
+    _truth.c's ticks runs LOG_BLOCK_ROWS ticks at a time (the last block
+    may be shorter) and writes their rows; then the block is finished:
+    its tracking errors are filled in and, if given, on_block is called
+    with a view of it.  Raises NonFiniteState carrying the time, scenario
+    id, seed and last finite state if the truth state diverges.
     """
-    params = params or vehicle.default_params()
+    ticks = _closed_loop(scenario, params or vehicle.default_params())
+    n_sub, n_steps = _clock(scenario)
+    n_ticks = (n_steps + n_sub - 1) // n_sub
+    rows = np.empty((n_ticks, len(LOG_HEADER)))
+    for start in range(0, n_ticks, LOG_BLOCK_ROWS):
+        stop = min(start + LOG_BLOCK_ROWS, n_ticks)
+        try:
+            ticks(rows, start, stop)
+        except dyn.NonFiniteState as exc:
+            k = start * n_sub + exc.offset  # the step that diverged
+            # a whole block is handed on before its last tick's steps
+            if k // n_sub == start + LOG_BLOCK_ROWS - 1:
+                _finish_block(rows[start:stop], on_block)
+            raise dyn.NonFiniteState(
+                exc.message, t=k * dyn.SIM_DT, scenario=scenario.id,
+                seed=scenario.seed, state=exc.state) from exc
+        _finish_block(rows[start:stop], on_block)
+    return _log_and_metrics(scenario, rows)
+
+
+def _closed_loop(scenario, params):
+    """The closed loop of scenario on the platform params, set up:
+    ticks(rows, start, stop), _truth.c's ticks bound to the run, whose
+    state it carries from one call to the next."""
     eff = vehicle.build_effectiveness(params)
-    kernel = dyn.make_step(params, eff)
     # the controller's belief: the truth's own matrix unless it is wrong
     model = (ControllerModel(params=params, eff=eff)
              if scenario.cf_mismatch == 1
@@ -282,81 +306,47 @@ def run_scenario(scenario, params=None, on_block=None):
 
     dt = dyn.SIM_DT
     n_sub, n_steps = _clock(scenario)
-    dt_c = n_sub * dt
     pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
-
-    # one tape feeds the gust (3 normals a truth step, drawn a tick at a
-    # time) and the sensor noise (12 a noisy tick), in the order they draw
-    normals = dyn.Normals(np.random.default_rng(scenario.seed))
-    # noise_scale multiplies the noise variances, so sigma goes with its root
-    sigma_scale = math.sqrt(scenario.noise_scale)
-
     controller = make_controller(
-        scenario.controller, model, scenario.gains, dt_c,
+        scenario.controller, model, scenario.gains, n_sub * dt,
         scenario.filter_cutoff_hz, scenario.filter_damping)
 
     trim = vehicle.hover_command(params, eff)
-    times = [sp.t for sp in scenario.script]
-    p0, rpy0 = _script_target(scenario.script, times, 0.0)
+    script = scenario.script
+    times = [sp.t for sp in script]
+    p0, rpy0 = _script_target(script, times, 0.0)
     q0 = quat_from_rpy(*rpy0)
-    x = [*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0, *trim.w_cmd]
     controller.warm_start(p0, q0, trim)
 
+    # noise_scale multiplies the noise variances, so sigma goes with its root
+    sigma = math.sqrt(scenario.noise_scale)
     sampler = dyn.DisturbanceSampler(
-        scenario.disturbance, dt, normals,
+        scenario.disturbance, dt, None,
         [scenario.residual_scale * r for r in RESIDUAL_FORCE],
         [scenario.residual_scale * r for r in RESIDUAL_MOMENT])
+    run = array("d", (dt, sigma, sigma * dyn.ACCEL_SIGMA,
+                      sigma * dyn.GYRO_SIGMA, *sampler.constants))
+    # what a block hands the next: the truth state, the 250 Hz pose
+    # sample held, the force the accelerometer sees and the gust's state
+    carried = array("d", (*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0,
+                          *trim.w_cmd, *p0, *q0, 0.0, 0.0, 0.0,
+                          0.0, 0.0, 0.0))
+    truth = dyn.load_truth()
+    # the normals of default_rng(seed), whose SeedSequence takes an int
+    # as its 32-bit words; the sensor noise and the gust share them
+    words = max(1, -(-scenario.seed.bit_length() // 32))
+    stream = truth.stream(scenario.seed.to_bytes(4 * words, "little"))
+    return functools.partial(
+        truth.ticks, dyn.truth_constants(params, eff),
+        controller.name == "indi", controller.constants, controller.state,
+        run, array("d", (*times, *(v for sp in script
+                                    for v in (*sp.pos, *sp.rpy)))),
+        n_sub, pose_every, n_steps, carried, stream)
 
-    # a row per tick in LOG_LAYOUT order; the errors are zeros until the
-    # row's block is finished, and w_meas holds the rotor speeds
-    n_ticks = (n_steps + n_sub - 1) // n_sub
-    rows = np.empty((n_ticks, len(LOG_HEADER)))
-    motion = slice(dyn.P.start, dyn.OMEGA.stop)
-    errors = (0.0,) * (LOG_BLOCKS["e_att_deg"].stop - LOG_BLOCKS["e_p"].start)
 
-    # x is the state as a list of Python floats; the pose is the latest
-    # sample of the 250 Hz pose clock, held between samples.  Each tick
-    # senses, ticks and logs at its first truth step k, draws the wrenches
-    # of its n_sub truth steps, then runs them in segments that end at a
-    # pose sample or at the tick's end, one dynamics.step call each
-    script, P, Q = scenario.script, dyn.P, dyn.Q
-    force = sampler.step(0, 1)[0][:3]
-    pose_p, pose_q = x[P], x[Q]
-    try:
-        for tick in range(n_ticks):
-            k = tick * n_sub
-            t = k * dt
-            accel, gyro, w_meas = dyn.synthesize_sensors(
-                x, kernel, force, sigma_scale, normals)
-            inputs = ControllerInputs(
-                pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
-                accel=accel, rotor_w_meas=w_meas)
-            target_pos, target_rpy = _script_target(script, times, t)
-            cmd, ref = controller.tick(target_pos, target_rpy, inputs)
-            rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
-                          *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
-                          *w_meas, *cmd.saturated)
-            if (tick + 1) % LOG_BLOCK_ROWS == 0:
-                _finish_block(rows[tick + 1 - LOG_BLOCK_ROWS:tick + 1],
-                              on_block)
-            first, end = k, min(k + n_sub, n_steps)
-            wrenches = sampler.step(k, end - k)
-            force = wrenches[-1][:3]
-            while k < end:
-                cut = min(end, k - k % pose_every + pose_every)
-                x = dyn.step(x, kernel, cmd,
-                             wrenches[k - first:cut - first], dt)
-                k = cut
-                if k % pose_every == 0:
-                    pose_p, pose_q = x[P], x[Q]
-    except dyn.NonFiniteState as exc:
-        # k is the first step of the segment that diverged
-        raise dyn.NonFiniteState(
-            exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
-            seed=scenario.seed, state=exc.state) from exc
-
-    if n_ticks % LOG_BLOCK_ROWS:
-        _finish_block(rows[n_ticks - n_ticks % LOG_BLOCK_ROWS:], on_block)
+def _log_and_metrics(scenario, rows):
+    """(log, RunMetrics) of a run's finished rows, as run_scenario
+    returns them."""
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
     log["rpy"] = rpy_from_quat(log["q"].T).T
 

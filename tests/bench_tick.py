@@ -8,13 +8,18 @@ run it on its own:
 It times one dynamics.step call over the 4 truth steps of a 500 Hz tick
 and one over the 40 of a 50 Hz tick (divide by extra_info["steps"] for
 the cost of a truth step), one geo and one indi controller tick on the
-inputs run_scenario passes (lists of Python floats), one sensor
+inputs the oracle loop passes (lists of Python floats), one sensor
 synthesis at exp5's noise level 7, one draw of exp3's gust sampler over
 the 4 truth steps of a 500 Hz tick inside its window, one take(3) of a
-Normals tape (a truth step's gust draw), one 500 Hz run_scenario of the
-2.1 s noisy hover of the sweep_noise benchmark workload (exp5 at noise
-level 7) and one 50 Hz run_scenario of the 2.2 s exp4 hover of the
-sweep_freq workload, where the truth step dominates.
+Normals tape (a truth step's gust draw): the Python layers and compiled
+calls of the loop that tests/oracles.py keeps.  Then one block of the
+compiled closed loop, LOG_BLOCK_ROWS ticks in one _truth.c call, of the
+500 Hz noisy indi hover of the sweep_noise workload and of the 50 Hz
+geo exp4 hover of the sweep_freq workload (extra_info["us_per_tick"]
+holds its median per tick), one 500 Hz run_scenario of the 2.1 s noisy
+hover of the sweep_noise benchmark workload (exp5 at noise level 7) and
+one 50 Hz run_scenario of the 2.2 s exp4 hover of the sweep_freq
+workload, where the truth step dominates.
 """
 
 import math
@@ -26,7 +31,7 @@ from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
-from oracles import pack
+from oracles import Normals, pack
 
 HOVER_Q = [1.0, 0.0, 0.0, 0.0]
 ZERO = (0.0, 0.0, 0.0)
@@ -34,7 +39,7 @@ CALM = (0.0,) * 6  # a held wrench with no force and no moment
 
 
 def tape():
-    return dyn.Normals(np.random.default_rng(1))
+    return Normals(np.random.default_rng(1))
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,22 @@ def test_controller_tick(benchmark, params, trim, hover, kind):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     target = (0.0, 0.0, 0.0)
     benchmark(ctrl.tick, target, target, inputs)
+
+
+@pytest.mark.parametrize("scenario_id, kind, overrides", [
+    ("exp5", "indi", {"noise_scale": 7, "duration": 2.1}),
+    ("exp4", "geo", {"controller_freq": 50.0, "duration": 5.2}),
+], ids=["500Hz-indi-noise7", "50Hz-geo"])
+def test_ticks_block(benchmark, params, scenario_id, kind, overrides):
+    # each call runs the block's ticks on from the state the last left
+    ticks = ex._closed_loop(
+        ex.build_scenario(scenario_id, kind, overrides), params)
+    n = ex.LOG_BLOCK_ROWS
+    rows = np.empty((n, len(ex.LOG_HEADER)))
+    benchmark(ticks, rows, 0, n)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_tick"] = (
+            benchmark.stats.stats.median / n * 1e6)
 
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])

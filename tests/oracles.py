@@ -16,9 +16,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hexsim import dynamics as dyn
+from hexsim import experiments as ex
 from hexsim import vehicle
-from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, PoseReference,
-                            ndi_invert)
+from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING,
+                            ControllerInputs, ControllerModel, PoseReference,
+                            make_controller, make_model, ndi_invert)
 from hexsim.dynamics import OMEGA, Q, ROTOR_W, NonFiniteState
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
@@ -918,6 +920,134 @@ def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
     out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     out[dyn.Q] /= np.linalg.norm(out[dyn.Q])
     return out
+
+
+class Normals:
+    """A run's tape of standard normals, read from one Generator in order.
+
+    take(n) returns the next n normals as a list of floats, equal bit for
+    bit to rng.standard_normal(n).tolist() at the same point of the
+    stream: the tape draws CHUNK normals at a time, so the generator runs
+    ahead of what has been taken.  run_scenario shares one tape between
+    the gust and the sensor noise, in the order they draw.
+    """
+
+    CHUNK = 384  # normals drawn at a time
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._tape = []
+        self._at = 0
+
+    def take(self, n):
+        at, tape = self._at, self._tape
+        end = at + n
+        if end > len(tape):
+            tape = self._tape = (
+                tape[at:] + self.rng.standard_normal(
+                    max(self.CHUNK, n)).tolist())
+            at, end = 0, n
+        self._at = end
+        return tape[at:end]
+
+
+# The closed loop as experiments.run_scenario ran it in Python before
+# _truth.c's ticks took it over, a tick at a time over the package's
+# Python layers (dynamics.synthesize_sensors, the DisturbanceSampler,
+# _script_target) and its compiled step and controller tick, which it
+# looks up at every call.  ticks must equal it bit for bit.
+def run_scenario(scenario, params=None, on_block=None, normals=Normals):
+    """experiments.run_scenario, the loop in Python: the same (log,
+    RunMetrics), blocks handed to on_block and NonFiniteState.  The
+    gust and the sensor noise draw from normals(default_rng(seed))."""
+    params = params or vehicle.default_params()
+    eff = vehicle.build_effectiveness(params)
+    kernel = dyn.make_step(params, eff)
+    # the controller's belief: the truth's own matrix unless it is wrong
+    model = (ControllerModel(params=params, eff=eff)
+             if scenario.cf_mismatch == 1
+             else make_model(params, scenario.cf_mismatch))
+
+    dt = dyn.SIM_DT
+    n_sub, n_steps = ex._clock(scenario)
+    dt_c = n_sub * dt
+    pose_every = int(round(1.0 / (ex.POSE_RATE_HZ * dt)))
+
+    # one tape feeds the gust (3 normals a truth step, drawn a tick at a
+    # time) and the sensor noise (12 a noisy tick), in the order they draw
+    tape = normals(np.random.default_rng(scenario.seed))
+    # noise_scale multiplies the noise variances, so sigma goes with its root
+    sigma_scale = math.sqrt(scenario.noise_scale)
+
+    controller = make_controller(
+        scenario.controller, model, scenario.gains, dt_c,
+        scenario.filter_cutoff_hz, scenario.filter_damping)
+
+    trim = vehicle.hover_command(params, eff)
+    times = [sp.t for sp in scenario.script]
+    p0, rpy0 = ex._script_target(scenario.script, times, 0.0)
+    q0 = quat_from_rpy(*rpy0)
+    x = [*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0, *trim.w_cmd]
+    controller.warm_start(p0, q0, trim)
+
+    sampler = dyn.DisturbanceSampler(
+        scenario.disturbance, dt, tape,
+        [scenario.residual_scale * r for r in ex.RESIDUAL_FORCE],
+        [scenario.residual_scale * r for r in ex.RESIDUAL_MOMENT])
+
+    # a row per tick in LOG_LAYOUT order; the errors are zeros until the
+    # row's block is finished, and w_meas holds the rotor speeds
+    n_ticks = (n_steps + n_sub - 1) // n_sub
+    rows = np.empty((n_ticks, len(ex.LOG_HEADER)))
+    motion = slice(dyn.P.start, dyn.OMEGA.stop)
+    blocks = ex.LOG_BLOCKS
+    errors = (0.0,) * (blocks["e_att_deg"].stop - blocks["e_p"].start)
+
+    # x is the state as a list of Python floats; the pose is the latest
+    # sample of the 250 Hz pose clock, held between samples.  Each tick
+    # senses, ticks and logs at its first truth step k, draws the wrenches
+    # of its n_sub truth steps, then runs them in segments that end at a
+    # pose sample or at the tick's end, one dynamics.step call each
+    script, P, Q = scenario.script, dyn.P, dyn.Q
+    force = sampler.step(0, 1)[0][:3]
+    pose_p, pose_q = x[P], x[Q]
+    try:
+        for tick in range(n_ticks):
+            k = tick * n_sub
+            t = k * dt
+            accel, gyro, w_meas = dyn.synthesize_sensors(
+                x, kernel, force, sigma_scale, tape)
+            inputs = ControllerInputs(
+                pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
+                accel=accel, rotor_w_meas=w_meas)
+            target_pos, target_rpy = ex._script_target(script, times, t)
+            cmd, ref = controller.tick(target_pos, target_rpy, inputs)
+            rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
+                          *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
+                          *w_meas, *cmd.saturated)
+            if (tick + 1) % ex.LOG_BLOCK_ROWS == 0:
+                ex._finish_block(
+                    rows[tick + 1 - ex.LOG_BLOCK_ROWS:tick + 1], on_block)
+            first, end = k, min(k + n_sub, n_steps)
+            wrenches = sampler.step(k, end - k)
+            force = wrenches[-1][:3]
+            while k < end:
+                cut = min(end, k - k % pose_every + pose_every)
+                x = dyn.step(x, kernel, cmd,
+                             wrenches[k - first:cut - first], dt)
+                k = cut
+                if k % pose_every == 0:
+                    pose_p, pose_q = x[P], x[Q]
+    except NonFiniteState as exc:
+        # k is the first step of the segment that diverged
+        raise NonFiniteState(
+            exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
+            seed=scenario.seed, state=exc.state) from exc
+
+    if n_ticks % ex.LOG_BLOCK_ROWS:
+        ex._finish_block(rows[n_ticks - n_ticks % ex.LOG_BLOCK_ROWS:],
+                         on_block)
+    return ex._log_and_metrics(scenario, rows)
 
 
 def whole_log_errors(log):

@@ -14,6 +14,7 @@ import pytest
 
 from hexsim import cli, dynamics, experiments, vehicle
 from hexsim.control import Gains
+import oracles
 
 
 def run_cli(*argv):
@@ -651,9 +652,10 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
 
 
 def nan_command_after(monkeypatch, steps):
-    """Make every truth step after the first `steps` of each run see NaN
-    rotor commands, so the run diverges there, wherever that step falls
-    in its dynamics.step call."""
+    """Run every closed loop in the oracle loop, whose truth steps go
+    through dynamics.step, and make every truth step after the first
+    `steps` of each run see NaN rotor commands, so the run diverges
+    there, wherever that step falls in its dynamics.step call."""
     real = dynamics.step
     count = [0]
 
@@ -675,9 +677,8 @@ def nan_command_after(monkeypatch, steps):
 
     def run_scenario(scenario, params=None, on_block=None):
         count[0] = 0
-        return real_run(scenario, params, on_block)
+        return oracles.run_scenario(scenario, params, on_block)
 
-    real_run = experiments.run_scenario
     monkeypatch.setattr(dynamics, "step", step)
     monkeypatch.setattr(experiments, "run_scenario", run_scenario)
 

@@ -357,7 +357,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
     oracle = oracle_cls(model, Gains(), DT)
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
-    normals = dyn.Normals(np.random.default_rng(11))
+    normals = oracles.Normals(np.random.default_rng(11))
     x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
     calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):
@@ -479,7 +479,7 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    normals = dyn.Normals(np.random.default_rng(11))
+    normals = oracles.Normals(np.random.default_rng(11))
     rng_o = np.random.default_rng(11)
     x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
              trim.w_cmd).tolist()

@@ -21,8 +21,8 @@ CALM = (0.0,) * 6  # a held wrench with no force and no moment
 
 
 def tape(seed):
-    """A Normals tape of default_rng(seed), as run_scenario makes one."""
-    return dyn.Normals(np.random.default_rng(seed))
+    """A Normals tape of default_rng(seed), as the oracle loop makes one."""
+    return oracles.Normals(np.random.default_rng(seed))
 
 
 def at(t):
@@ -168,7 +168,7 @@ def test_gust_statistics(rng):
     spec = dyn.DisturbanceSpec(kind="gust", force=np.array([2.0, 0, 0]),
                                t_on=0.0, t_off=1e9, gust_std=1.0,
                                gust_corr_time=0.5)
-    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, dyn.Normals(rng))
+    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, oracles.Normals(rng))
     n = 200000
     xs = np.array([wrench[0] for k in range(0, n, 40)
                    for wrench in sampler.step(k, 40)])
@@ -198,7 +198,7 @@ def test_gust_reproducible():
 def test_tape_equals_per_call_draws(seed, widths):
     # gust-wide and sensor-wide takes in any order, across at least one
     # refill (130 takes hold at least 390 normals), bit for bit
-    assert 130 * 3 > dyn.CHUNK
+    assert 130 * 3 > oracles.Normals.CHUNK
     normals = tape(seed)
     per_call = oracles.PerCallNormals(np.random.default_rng(seed))
     for n in widths:
@@ -207,7 +207,7 @@ def test_tape_equals_per_call_draws(seed, widths):
 
 def test_tape_takes_more_than_a_chunk():
     normals, rng = tape(4), np.random.default_rng(4)
-    for n in (5, dyn.CHUNK + 7, 3, 2 * dyn.CHUNK):
+    for n in (5, oracles.Normals.CHUNK + 7, 3, 2 * oracles.Normals.CHUNK):
         assert bits(normals.take(n)) == bits(rng.standard_normal(n))
 
 

@@ -1,12 +1,19 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import defaultdict
+from hashlib import sha256
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from hexsim import control, vehicle
 from hexsim import dynamics as dyn
@@ -14,6 +21,8 @@ from hexsim import experiments as ex
 from hexsim.geometry import quat_conj, quat_mul, rpy_from_quat
 import oracles
 from oracles import whole_log_errors
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_build_all_scenarios():
@@ -56,9 +65,10 @@ def test_controller_freq_must_divide_the_truth_rate():
 def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
     # the pose clock samples the state every 8 truth steps (250 Hz)
     # whatever the controller rate, so the tick at step k sees the state
-    # that truth step 8 floor(k / 8) started from.  Each dyn.step call
-    # runs one segment: it ends at a pose sample or at a tick's end, and
-    # crosses neither
+    # that truth step 8 floor(k / 8) started from.  The oracle loop shows
+    # it: each of its dyn.step calls runs one segment, which ends at a
+    # pose sample or at a tick's end and crosses neither.  The compiled
+    # loop logs what the oracle logs
     states, poses, segments = [], [], []
     real_step, real_tick = dyn.step, control.GeoNdiController.tick
 
@@ -76,8 +86,9 @@ def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
 
     monkeypatch.setattr(dyn, "step", recording_step)
     monkeypatch.setattr(control.GeoNdiController, "tick", recording_tick)
-    ex.run_scenario(ex.build_scenario("exp5", "geo", {
-        "controller_freq": freq, "duration": 2.1}))
+    sc = ex.build_scenario("exp5", "geo", {"controller_freq": freq,
+                                           "duration": 2.1})
+    want, _ = oracles.run_scenario(sc)
     n_sub = round(1.0 / (freq * dyn.SIM_DT))
     assert len(states) == 4200 and len(poses) == -(-4200 // n_sub)
     assert list(accumulate(segments)) == sorted(
@@ -90,13 +101,16 @@ def test_pose_holds_the_latest_250hz_sample(monkeypatch, freq):
         held_back += sample[dyn.P] != states[k][dyn.P]
     # the held sample is not the tick's own state at most ticks
     assert held_back > len(poses) // 2
+    log, _ = ex.run_scenario(sc)
+    assert same_bits(log["t"].base, want["t"].base)
 
 
 @pytest.mark.parametrize("controller", ["geo", "indi"])
 def test_closed_loop_passes_python_floats(monkeypatch, controller):
     # every number the truth step, the disturbance sampler and the
-    # controller tick take or return is a Python float (a bool for the
-    # saturation flags), never a numpy scalar
+    # controller tick take or return in the oracle loop, on per-call
+    # draws, is a Python float (a bool for the saturation flags), never a
+    # numpy scalar
     types = defaultdict(set)
 
     def note(name, *seqs):
@@ -133,8 +147,8 @@ def test_closed_loop_passes_python_floats(monkeypatch, controller):
     for cls in (control.GeoNdiController, control.IndiController):
         monkeypatch.setattr(cls, "tick", traced_tick(cls.tick))
     # the gust is on from t = 2 s, so both sampler branches run
-    ex.run_scenario(ex.build_scenario("exp3", controller, {
-        "gust": True, "duration": 2.5}))
+    oracles.run_scenario(ex.build_scenario("exp3", controller, {
+        "gust": True, "duration": 2.5}), normals=oracles.PerCallNormals)
     assert dict(types) == {"step": {float}, "sampler": {float},
                            "steps": {int}, "tick": {float},
                            "saturated": {bool}}
@@ -319,15 +333,32 @@ SHARED_STREAM_RUNS = [
 ]
 
 
+def test_a_run_loads_no_numpy_random():
+    # _truth.c draws a run's normals itself, so a run, noise and gust on,
+    # imports none of numpy.random's modules (6.4 MB resident on top of
+    # numpy's on a 2-core x86-64 VM, Python 3.11, numpy 2.4)
+    code = ("import sys\n"
+            "from hexsim import experiments as ex\n"
+            "before = set(sys.modules)\n"
+            "ex.run_scenario(ex.build_scenario('exp3', 'indi', {\n"
+            "    'gust': True, 'noise_scale': 3, 'duration': 2.1}))\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.startswith('numpy.random')))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=300)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 @pytest.mark.parametrize("controller, overrides", SHARED_STREAM_RUNS,
                          ids=["indi-500Hz", "geo-125Hz"])
-def test_tape_run_equals_per_call_draws(monkeypatch, controller, overrides):
-    # a run on the chunked tape logs, bit for bit, what it logged when
-    # the gust and the sensors drew their normals at every call
+def test_tape_run_equals_per_call_draws(controller, overrides):
+    # a run, whose normals _truth.c draws as numpy's default_rng(seed)
+    # does, logs bit for bit what the oracle loop logs when the gust and
+    # the sensors draw theirs from default_rng(seed) at every call
     sc = ex.build_scenario("exp3", controller, overrides)
     log, _ = ex.run_scenario(sc)
-    monkeypatch.setattr(dyn, "Normals", oracles.PerCallNormals)
-    want, _ = ex.run_scenario(sc)
+    want, _ = oracles.run_scenario(sc, normals=oracles.PerCallNormals)
     assert same_bits(log["t"].base, want["t"].base)
 
 
@@ -508,12 +539,20 @@ def test_logged_attitudes_match_per_tick_formula():
     assert np.abs(log["e_att_deg"]).max() > 0.5
 
 
+def divergence(run, *args):
+    """The NonFiniteState that run(*args) raises."""
+    with pytest.raises(dyn.NonFiniteState) as info:
+        run(*args)
+    return info.value
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("controller", ["geo", "indi"])
 def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     # a NaN gyro reading from t = 0.1 s on makes the controller command
     # NaN rotor speeds; the truth step must report the divergence, with
-    # its time, scenario, seed and last finite state
+    # its time, scenario, seed and last finite state.  The readings are
+    # made NaN in the oracle loop, the one whose sensors can be replaced
     real = dyn.synthesize_sensors
 
     def nan_gyro(x, kernel, dist_force, scale, normals):
@@ -526,10 +565,200 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     calls = []
     monkeypatch.setattr(dyn, "synthesize_sensors", nan_gyro)
     sc = ex.build_scenario("exp5", controller, {"duration": 2.5, "seed": 7})
-    with pytest.raises(dyn.NonFiniteState) as info:
-        ex.run_scenario(sc)
-    exc = info.value
+    exc = divergence(oracles.run_scenario, sc)
     assert exc.t == pytest.approx(0.1)
     assert (exc.scenario, exc.seed) == ("exp5", 7)
     assert np.isfinite(exc.state).all() and len(exc.state) == 19
     assert "t = 0.1000 s" in str(exc)
+
+
+# a motor lag below RK4's stability bound at SIM_DT (about 0.18 ms), which
+# the CLI's pre-flight rejects: the rotor speeds blow up.  At 0.179075 ms
+# the noise-free geo hover diverges in tick 255, the last of the first
+# block, which is handed on before that tick's truth steps
+NOISY = {"seed": 3, "noise_scale": 1}
+UNSTABLE_LAGS = [(1.5e-4, "geo", NOISY, 0.011, 0),
+                 (1.5e-4, "indi", NOISY, 0.0125, 0),
+                 (1.794e-4, "indi", NOISY, 1.869, 3),
+                 (1.79075e-4, "geo", {}, 0.511, 1)]
+
+
+@pytest.mark.parametrize("tau, controller, overrides, t, blocks",
+                         UNSTABLE_LAGS,
+                         ids=["geo", "indi", "indi-late", "geo-tick-255"])
+def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, t,
+                                              blocks):
+    # the compiled loop reports a real divergence as the oracle loop
+    # does: the time, scenario, seed and last finite state, and the
+    # blocks handed on before it
+    params = vehicle.default_params(motor_time_constant=tau)
+    sc = ex.build_scenario("exp5", controller,
+                           {"duration": 2.5, **overrides})
+    got, want = [], []
+    exc = divergence(ex.run_scenario, sc, params,
+                     lambda rows: got.append(rows.copy()))
+    oracle = divergence(oracles.run_scenario, sc, params,
+                        lambda rows: want.append(rows.copy()))
+    assert (exc.t, exc.scenario, exc.seed, str(exc)) == (
+        oracle.t, oracle.scenario, oracle.seed, str(oracle))
+    assert exc.t == t and exc.seed == sc.seed
+    assert oracles.bits(exc.state) == oracles.bits(oracle.state)
+    assert len(exc.state) == 19 and np.isfinite(exc.state).all()
+    assert len(got) == len(want) == blocks
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def closed_loops(draw):
+    """(scenario, params) of a short closed loop: either controller at
+    2000/n Hz, no disturbance, a constant load or a gust whose window
+    edges fall anywhere (inside a tick for n > 1), sensor noise or none,
+    a right or wrong model with or without the residual wrench, a
+    setpoint script, and the default platform, another valid one or one
+    whose motor lag is below RK4's stability bound, so that it
+    diverges."""
+    n_sub = draw(st.integers(1, 40))
+    # at least one tick after the warm-up
+    duration = draw(st.floats(ex.WARMUP_S + (n_sub + 1) * dyn.SIM_DT, 2.6))
+
+    def edges(lo, hi):
+        # anywhere, or on a truth step's start time, where < and <= part
+        return st.one_of(st.floats(lo, hi), st.integers(
+            math.ceil(lo / dyn.SIM_DT), int(hi / dyn.SIM_DT)).map(
+                lambda k: k * dyn.SIM_DT))
+
+    t_on = draw(edges(0.0, 1.5))
+    window = dict(t_on=t_on, t_off=draw(edges(t_on + 1e-3, 3.0)))
+    disturbance = draw(st.sampled_from([
+        dyn.DisturbanceSpec(),
+        dyn.DisturbanceSpec(kind="constant_load", force=(0.0, -4.9, 1.0),
+                            moment=(0.1, 0.6, -0.2), **window),
+        dyn.DisturbanceSpec(kind="gust", force=(2.0, 0.0, 0.5), gust_std=1.0,
+                            gust_corr_time=0.5, **window)]))
+    # setpoint times anywhere, or on a tick's time, where bisect_right
+    # and bisect_left part
+    tick_times = st.integers(0, int(duration / dyn.SIM_DT) // n_sub).map(
+        lambda tick: tick * n_sub * dyn.SIM_DT)
+    times = sorted(draw(st.lists(
+        st.one_of(st.floats(0.0, duration), tick_times), max_size=3)))
+    small = st.floats(-0.3, 0.3)
+    script = tuple(ex.Setpoint(t, draw(st.tuples(small, small, small)),
+                               draw(st.tuples(small, small, small)))
+                   for t in [draw(st.sampled_from([0.0, 0.3]))] + times)
+    controller = draw(st.sampled_from(["geo", "indi"]))
+    scenario = ex.build_scenario("exp5", controller, {
+        "controller_freq": 2000.0 / n_sub, "duration": duration,
+        "disturbance": disturbance, "script": script,
+        "noise_scale": draw(st.sampled_from([0.0, 1.0, 7.0, 31.0])),
+        "cf_mismatch": draw(st.sampled_from([1.0, 0.5, 1.3])),
+        "residual_scale": draw(st.sampled_from([1.0, 0.0])),
+        # seeds of one to five 32-bit words: SeedSequence mixes the
+        # words past its pool of 4 in last
+        "seed": draw(st.integers(1, 5).flatmap(lambda words: st.integers(
+            2 ** (32 * words - 32) - (words == 1), 2 ** (32 * words) - 1)))})
+    params = draw(st.one_of(
+        st.just(vehicle.default_params()), oracles.hovering_platforms,
+        st.floats(1.5e-4, 1.794e-4).map(
+            lambda tau: vehicle.default_params(motor_time_constant=tau))))
+    return scenario, params
+
+
+def outcome(run, scenario, params):
+    """What run(scenario, params) gives, as comparable values: digests of
+    the float bits of its rows and of every block it handed on, or its
+    divergence report.  Digests, so that a failure prints no 0.5 MB
+    diff."""
+    blocks = []
+    try:
+        log, _ = run(scenario, params,
+                     lambda rows: blocks.append(sha256(rows).hexdigest()))
+        result = sha256(log["t"].base).hexdigest()
+    except dyn.NonFiniteState as exc:
+        result = (exc.t, exc.scenario, exc.seed, oracles.bits(exc.state),
+                  str(exc))
+    return result, blocks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# no shrinking: shrinking a failing run's hundreds of draws takes minutes
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(loop=closed_loops())
+@example(loop=(ex.build_scenario("exp5", "indi", {
+    "duration": 2.048, "noise_scale": 7, "controller_freq": 400.0}),
+    vehicle.default_params()))
+@example(loop=(ex.build_scenario("exp3", "geo", {
+    "gust": True, "duration": 2.6, "controller_freq": 2000.0 / 7}),
+    vehicle.default_params()))
+@example(loop=(ex.build_scenario("exp5", "geo", {"duration": 2.5}),
+               vehicle.default_params(motor_time_constant=1.79075e-4)))
+@example(loop=(ex.build_scenario("exp5", "indi", {
+    "duration": 2.1, "noise_scale": 1, "seed": 2 ** 130 + 3}),
+    vehicle.default_params()))
+def test_compiled_loop_equals_oracle_loop(loop):
+    # the rows, the blocks handed on and the divergence report of the
+    # compiled loop are the Python loop's, bit for bit
+    scenario, params = loop
+    assert outcome(ex.run_scenario, scenario, params) == outcome(
+        oracles.run_scenario, scenario, params)
+
+
+def bound_block(params):
+    """(ticks, rows): a 500 Hz noisy indi hover's ticks, bound, and rows
+    for its first 4 ticks."""
+    ticks = ex._closed_loop(ex.build_scenario("exp5", "indi", {
+        "duration": 2.1, "noise_scale": 7}), params)
+    return ticks, np.empty((4, len(ex.LOG_HEADER)))
+
+
+def bad_rows(name):
+    rows = np.zeros((4, len(ex.LOG_HEADER)))
+    if name == "read-only":
+        rows.setflags(write=False)
+    return {"fortran": np.asfortranarray(rows), "strided": rows[:, ::2],
+            "float32": rows.astype(np.float32), "1-D": rows.ravel(),
+            "56-columns": rows[:, :56].copy(), "list": rows.tolist(),
+            "read-only": rows}[name]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("fortran", "C-contiguous"), ("strided", "C-contiguous"),
+    ("float32", "float64"), ("1-D", "2-D float64"),
+    ("56-columns", "57 columns"), ("list", "float64 array"),
+    ("read-only", "writable")])
+def test_ticks_rejects_rows_it_cannot_write(params, name, message):
+    ticks, _ = bound_block(params)
+    with pytest.raises(ValueError, match=message):
+        ticks(bad_rows(name), 0, 4)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 3), (2, 1), (0, 5), (3, 6)],
+                         ids=["negative", "backwards", "past-rows",
+                              "past-rows-late"])
+def test_ticks_rejects_ticks_outside_the_rows(params, start, stop):
+    ticks, rows = bound_block(params)
+    with pytest.raises(ValueError, match="outside"):
+        ticks(rows, start, stop)
+
+
+def test_ticks_rejects_ticks_past_the_run(params):
+    # 2.1 s at 500 Hz are 1050 ticks, whatever room the rows have
+    ticks = ex._closed_loop(ex.build_scenario("exp5", "geo", {
+        "duration": 2.1}), params)
+    with pytest.raises(ValueError, match="run's 1050 ticks"):
+        ticks(np.empty((1100, len(ex.LOG_HEADER))), 1049, 1051)
+
+
+def test_rejected_calls_leave_the_run_as_it_was(params):
+    # nothing of a rejected call is kept: the next call runs the ticks a
+    # fresh run does
+    ticks, rows = bound_block(params)
+    for name in ("read-only", "56-columns", "fortran"):
+        with pytest.raises(ValueError):
+            ticks(bad_rows(name), 0, 4)
+    with pytest.raises(ValueError):
+        ticks(rows, 0, 5)
+    ticks(rows, 0, 4)
+    fresh, want = bound_block(params)
+    fresh(want, 0, 4)
+    assert same_bits(rows, want)

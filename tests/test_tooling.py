@@ -3,7 +3,8 @@
 import os
 import subprocess
 import sys
-import sysconfig
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
 
 from hexsim import dynamics
@@ -19,19 +20,21 @@ def test_bench_tick_runs_once():
          "--benchmark-disable", str(ROOT / "tests" / "bench_tick.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "11 passed" in done.stdout.splitlines()[-1]
+    assert "13 passed" in done.stdout.splitlines()[-1]
 
 
 def test_truth_step_compiles_without_warnings(tmp_path):
     # the run-time build has no -Werror: a warning fails here, not in a
     # user's first run.  A whole build, so that the warnings only the
-    # optimiser emits (-Wmaybe-uninitialized) run too
+    # optimiser emits (-Wmaybe-uninitialized) run too, of every entry
+    # point: the step, both ticks, the closed loop and its stream
     done = subprocess.run(
-        [*sysconfig.get_config_var("CC").split(), *dynamics.CFLAGS,
-         "-Wall", "-Wextra", "-Werror",
-         "-I", sysconfig.get_paths()["include"],
-         str(ROOT / "src" / "hexsim" / "_truth.c"),
-         "-o", str(tmp_path / "_truth.so")],
+        [*dynamics.compile_command(str(ROOT / "src" / "hexsim" / "_truth.c")),
+         "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_truth.so")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "_truth.so").stat().st_size > 0
+    loader = ExtensionFileLoader("hexsim._truth", str(tmp_path / "_truth.so"))
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    assert {"step", "geo_tick", "indi_tick", "ticks", "stream"} <= set(
+        vars(module))

@@ -1,15 +1,15 @@
 """The calls that perfbench/layertrace.py counts from outside the package.
 
 The benchmark's per-layer trace wraps named functions at their module
-attributes (or on their class) and reads, among others, one
-dynamics.step call per segment of truth steps (a tick's steps, cut at
-every 250 Hz pose sample), one DisturbanceSampler.step call per tick
-plus one before the loop, one controller tick per tick (compiled, so its
-stages read no calls), and one cli.write_log_csv call per `hexsim
-run`.  These tests keep the
-package making exactly those calls through the wrappable attributes,
-and every traced name resolving.  layertrace.py is only read for its
-TARGETS table.
+attributes (or on their class) and reads, among others, the calls of
+a run's set-up (one _script_target, for the start pose, and one
+allocate and saturate, for the hover trim) and one cli.write_log_csv
+call per `hexsim run`.  The closed loop is compiled whole, so the
+Python layers it ports (dynamics.step, synthesize_sensors,
+DisturbanceSampler.step, the controller ticks and their stages) read no
+calls in a run.  These tests keep the package making exactly those
+calls through the wrappable attributes, and every traced name
+resolving.  layertrace.py is only read for its TARGETS table.
 
 The benchmark also times, in a fresh interpreter, a set-up snippet that
 calls the package with positional arguments and defaults of its own
@@ -81,38 +81,31 @@ def count_calls(monkeypatch, owner, leaf, record=None):
 
 
 @pytest.mark.parametrize("scenario_id, controller, overrides", [
-    ("exp3", "indi", {"gust": True, "duration": 2.5}),
+    ("exp3", "indi", {"gust": True, "noise_scale": 3, "duration": 2.5}),
     ("exp4", "geo", {"controller_freq": 50.0, "duration": 2.2}),
 ], ids=["exp3-gust", "exp4-50Hz"])
 def test_run_scenario_makes_the_traced_calls(monkeypatch, scenario_id,
                                              controller, overrides):
-    held = [0]
-
-    def add_wrenches(x, kernel, cmd, wrenches, dt):
-        held[0] += len(wrenches)
-
-    calls = count_calls(monkeypatch, dyn, "step", add_wrenches)
-    draws = count_calls(monkeypatch, dyn.DisturbanceSampler, "step")
-    scenario = ex.build_scenario(scenario_id, controller, overrides)
-    n_sub, n_steps = ex._clock(scenario)
-    pose_every = round(1.0 / (ex.POSE_RATE_HZ * dyn.SIM_DT))
-    ex.run_scenario(scenario)
-    # every truth step runs once; a call runs one segment, which ends at
-    # a pose sample or at a tick's end; one draw before the loop and one
-    # per tick
-    segments = len({*range(pose_every, n_steps, pose_every),
-                    *range(n_sub, n_steps, n_sub), n_steps})
-    assert held[0] == n_steps
-    assert calls[0] == segments
-    assert draws[0] == -(-n_steps // n_sub) + 1
+    counts = {
+        "step": count_calls(monkeypatch, dyn, "step"),
+        "sampler": count_calls(monkeypatch, dyn.DisturbanceSampler, "step"),
+        "sensors": count_calls(monkeypatch, dyn, "synthesize_sensors"),
+        "script_target": count_calls(monkeypatch, ex, "_script_target"),
+    }
+    ex.run_scenario(ex.build_scenario(scenario_id, controller, overrides))
+    # the compiled loop steps, samples and senses without them; the
+    # set-up looks up the start pose once
+    assert {name: calls[0] for name, calls in counts.items()} == {
+        "step": 0, "sampler": 0, "sensors": 0, "script_target": 1}
 
 
 @pytest.mark.parametrize("controller", ["geo", "indi"])
 def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
     counts = {
-        "tick": count_calls(monkeypatch, control.GeoNdiController, "tick"),
-        "other_tick": count_calls(monkeypatch, control.IndiController,
-                                  "tick"),
+        "geo_tick": count_calls(monkeypatch, control.GeoNdiController,
+                                "tick"),
+        "indi_tick": count_calls(monkeypatch, control.IndiController,
+                                 "tick"),
         "shaper": count_calls(monkeypatch, control.ReferenceShaper, "step"),
         "outer_loop": count_calls(monkeypatch, control, "outer_loop"),
         "ndi_invert": count_calls(monkeypatch, control, "ndi_invert"),
@@ -123,19 +116,13 @@ def test_each_tick_makes_the_traced_layer_calls(monkeypatch, controller):
         "derivative": count_calls(monkeypatch, filters.FilteredDerivative,
                                   "step"),
     }
-    if controller == "indi":
-        counts["tick"], counts["other_tick"] = (counts["other_tick"],
-                                                counts["tick"])
-    scenario = ex.build_scenario("exp5", controller,
-                                 {"duration": 2.1, "noise_scale": 7})
-    n_sub, n_steps = ex._clock(scenario)
-    ex.run_scenario(scenario)
-    ticks = (n_steps + n_sub - 1) // n_sub
-    # the tick is one compiled layer: its stages are not called through
-    # the package, and only the hover trim is allocated (and so
-    # saturated), once before the loop
+    ex.run_scenario(ex.build_scenario("exp5", controller,
+                                      {"duration": 2.1, "noise_scale": 7}))
+    # the tick runs inside the compiled loop: neither it nor its stages
+    # are called through the package, and only the hover trim is
+    # allocated (and so saturated), once before the loop
     assert {name: calls[0] for name, calls in counts.items()} == {
-        "tick": ticks, "other_tick": 0, "shaper": 0, "outer_loop": 0,
+        "geo_tick": 0, "indi_tick": 0, "shaper": 0, "outer_loop": 0,
         "ndi_invert": 0, "indi_invert": 0, "allocate": 1, "saturate": 1,
         "filter": 0, "derivative": 0}
 

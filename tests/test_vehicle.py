@@ -220,7 +220,7 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
     accel_w = dynamics.acceleration(x, kernel, dist_f)
     got = dynamics.synthesize_sensors(
         x, kernel, dist_f, scale,
-        dynamics.Normals(np.random.default_rng(seed)))
+        oracles.Normals(np.random.default_rng(seed)))
     want = oracles.synthesize_sensors(
         x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
         np.random.default_rng(seed))
