@@ -40,6 +40,9 @@
    form, the loop run_scenario ran before, is tests/oracles.py's
    run_scenario.
 
+   csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
+   each float with the bytes of repr.
+
    dynamics.py builds this file with -ffp-contract=off and without
    -ffast-math, so each operation rounds as a CPython float does: the
    compiled and the Python forms agree bit for bit.  It links numpy's
@@ -47,7 +50,11 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 #include "numpy/random/distributions.h"
 
@@ -1084,6 +1091,193 @@ done:
     return result;
 }
 
+/* repr(x) of a finite, normal x with 1e-9 <= |x| < 1e17 into out,
+   returning its length, or 0 for any other x or where two shortest
+   decimals are equally near x: then the caller asks
+   PyOS_double_to_string.  repr writes the shortest decimal that reads
+   back as x and, of two such, the nearer to x; this finds it exactly
+   in integers.  With x = M 2^E (2^52 <= M < 2^53) scaled by 10^k so
+   that it has 18 or more integer digits, the decimals that read back
+   as x are those between the midpoints to the doubles either side
+   (M 2^E +- 2^(E-1), the lower one 2^(E-2) below x when M = 2^52),
+   ends included when M is even, as strtod rounds half to even.  Their
+   shortest is a multiple of the largest 10^j of which one lies
+   between them.  It is written as repr does: in fixed notation with at
+   least one digit after the point, or as d.ddde+XX once the decimal
+   exponent is below -4 or above 15. */
+static int
+short_repr(double x, char *out)
+{
+    const double ax = fabs(x);
+    if (!(ax >= 1e-9 && ax < 1e17))
+        return 0;
+    int e2;
+    const uint64_t m = (uint64_t)ldexp(frexp(ax, &e2), 53);
+    e2 -= 55;                         /* x = 4m 2^e2 */
+    const int k = 17 - (int)floor(log10(ax));     /* 10^17 <= x 10^k */
+    uint64_t pow5 = 1;
+    for (int i = 0; i < k; i++)
+        pow5 *= 5;
+    const int shift = e2 + k;   /* x 10^k = 4m 5^k 2^shift */
+    const unsigned __int128 lo_gap = m == (1ULL << 52) ? 1 : 2;
+    unsigned __int128 xs = (unsigned __int128)(4 * m) * pow5,
+                      lo = (4 * m - lo_gap) * (unsigned __int128)pow5,
+                      hi = (unsigned __int128)(4 * m + 2) * pow5;
+    uint64_t vx, vm, vp;
+    unsigned __int128 frac = 0, one = 1;   /* x 10^k = vx + frac / one */
+    const int inclusive = m % 2 == 0;
+    if (shift >= 0) {
+        vx = (uint64_t)(xs << shift);
+        vm = (uint64_t)(lo << shift) + !inclusive;
+        vp = (uint64_t)(hi << shift) - !inclusive;
+    }
+    else {
+        const int s = -shift;
+        one = (unsigned __int128)1 << s;
+        const unsigned __int128 mask = one - 1;
+        vx = (uint64_t)(xs >> s);
+        frac = xs & mask;
+        vm = (uint64_t)(lo >> s) + ((lo & mask) != 0 || !inclusive);
+        vp = (uint64_t)(hi >> s) - ((hi & mask) == 0 && !inclusive);
+    }
+    if (vp >= 1000000000000000000ULL)   /* log10 rounded up: no room */
+        return 0;
+    /* the largest j with a multiple of 10^j in [vm, vp] */
+    int j = 0;
+    uint64_t p10 = 1;
+    while ((vm + 10 * p10 - 1) / (10 * p10) <= vp / (10 * p10)) {
+        p10 *= 10;
+        j++;
+    }
+    /* the multiple nearest x 10^k */
+    const uint64_t a = (vm + p10 - 1) / p10, b = vp / p10;
+    uint64_t c = vx / p10;
+    const unsigned __int128 twice = 2 * ((vx % p10) * one + frac),
+                            whole = (unsigned __int128)p10 * one;
+    if (twice == whole)
+        return 0;
+    if (twice > whole)
+        c++;
+    c = c < a ? a : c > b ? b : c;
+    char digits[20];
+    int n = 0;
+    for (; c; c /= 10)
+        digits[n++] = (char)('0' + c % 10);
+    const int decpt = n + j - k;   /* x = 0.d1d2... 10^decpt */
+    char *o = out;
+    if (x < 0)
+        *o++ = '-';
+    if (decpt <= -4 || decpt > 16) {
+        *o++ = digits[n - 1];
+        if (n > 1) {
+            *o++ = '.';
+            for (int i = n - 2; i >= 0; i--)
+                *o++ = digits[i];
+        }
+        o += sprintf(o, "e%c%02d", decpt - 1 < 0 ? '-' : '+',
+                     abs(decpt - 1));
+    }
+    else if (decpt <= 0) {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = 0; i < -decpt; i++)
+            *o++ = '0';
+        for (int i = n - 1; i >= 0; i--)
+            *o++ = digits[i];
+    }
+    else {
+        for (int i = 0; i < decpt; i++)
+            *o++ = i < n ? digits[n - 1 - i] : '0';
+        *o++ = '.';
+        if (decpt >= n)
+            *o++ = '0';
+        for (int i = n - 1 - decpt; i >= 0; i--)
+            *o++ = digits[i];
+    }
+    return (int)(o - out);
+}
+
+/* csv_rows(rows, n_flags) -> the lines of log.csv for rows, a 2-D
+   C-contiguous float64 array, as one str: a line per row, its values
+   joined by commas, each float as repr writes it (short_repr, else
+   PyOS_double_to_string's 'r' form, which float.__repr__ calls) and
+   the last n_flags columns as numpy's astype(int) writes them (0 and 1
+   for the saturation flags; a NaN or a value outside int64 as
+   INT64_MIN, as on x86-64). */
+static PyObject *
+csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
+         Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "csv_rows: expected 2 arguments");
+        return NULL;
+    }
+    const Py_ssize_t n_flags = PyLong_AsSsize_t(args[1]);
+    if (n_flags == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "rows: expected a float64 array");
+        return NULL;
+    }
+    if (view.ndim != 2 || view.itemsize != sizeof(double)
+        || strcmp(view.format, "d") != 0
+        || !PyBuffer_IsContiguous(&view, 'C')
+        || n_flags < 0 || n_flags > view.shape[1]) {
+        PyErr_SetString(PyExc_ValueError, "rows: expected a C-contiguous "
+                        "2-D float64 array of at least n_flags columns");
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    const Py_ssize_t n_rows = view.shape[0], n_cols = view.shape[1];
+    const double *x = view.buf;
+    /* a repr of a double has at most 24 characters, an int64 20 */
+    char *buf = PyMem_Malloc(n_rows * (n_cols * 25 + 1) + 1);
+    if (buf == NULL) {
+        PyBuffer_Release(&view);
+        return PyErr_NoMemory();
+    }
+    char *end = buf;
+    PyObject *result = NULL;
+    for (Py_ssize_t i = 0; i < n_rows; i++) {
+        for (Py_ssize_t j = 0; j < n_cols; j++) {
+            const double v = x[i * n_cols + j];
+            if (j)
+                *end++ = ',';
+            if (j >= n_cols - n_flags) {
+                const long long flag = v >= -0x1p63 && v < 0x1p63
+                                       ? (long long)v : LLONG_MIN;
+                end += sprintf(end, "%lld", flag);
+                continue;
+            }
+            if (v == 0.0) {
+                end += sprintf(end, signbit(v) ? "-0.0" : "0.0");
+                continue;
+            }
+            const int len = short_repr(v, end);
+            if (len) {
+                end += len;
+                continue;
+            }
+            char *r = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0,
+                                            NULL);
+            if (r == NULL)
+                goto done;
+            const size_t n = strlen(r);
+            memcpy(end, r, n);
+            end += n;
+            PyMem_Free(r);
+        }
+        *end++ = '\n';
+    }
+    result = PyUnicode_DecodeASCII(buf, end - buf, NULL);
+done:
+    PyMem_Free(buf);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
      "step(constants, s, w_cmd, wrenches, dt) -> the state after "
@@ -1103,13 +1297,17 @@ static PyMethodDef methods[] = {
     {"stream", stream, METH_O,
      "stream(entropy) -> the state of numpy's default_rng(seed), whose "
      "32-bit words entropy holds"},
+    {"csv_rows", (PyCFunction)(void (*)(void))csv_rows, METH_FASTCALL,
+     "csv_rows(rows, n_flags) -> the log.csv lines of rows, floats as "
+     "repr writes them and the last n_flags columns as ints"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef truth = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_truth",
-    .m_doc = "The compiled RK4 truth step, controller ticks and closed loop.",
+    .m_doc = "The compiled RK4 truth step, controller ticks, closed loop "
+             "and log.csv formatter.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -172,75 +172,39 @@ def _resolved_config(config, scenario):
 def write_log_blocks(fh, blocks):
     """experiments.LOG_HEADER, then a line per row of each block of log
     rows (the blocks of experiments.LOG_LAYOUT in order): floats as
-    round-trip-exact repr, the last block's flags as 0/1."""
-    flags = -len(experiments.LOG_LAYOUT[-1][1])
+    round-trip-exact repr, the last block's flags as 0/1, as _truth.c's
+    csv_rows formats them."""
+    csv_rows = dynamics.load_truth().csv_rows
+    flags = len(experiments.LOG_LAYOUT[-1][1])
     fh.write(",".join(experiments.LOG_HEADER) + "\n")
     for block in blocks:
-        values = block[:, :flags].tolist()
-        sat = block[:, flags:].astype(int).tolist()
-        fh.writelines(",".join(map(repr, row + row_sat)) + "\n"
-                      for row, row_sat in zip(values, sat))
-
-
-def _received_blocks(pipe):
-    """The blocks of log rows read from a pipe until it closes."""
-    width = len(experiments.LOG_HEADER)
-    while data := pipe.read(experiments.LOG_BLOCK_ROWS * width * 8):
-        yield np.frombuffer(data).reshape(-1, width)
+        fh.write(csv_rows(np.ascontiguousarray(block, dtype=float), flags))
 
 
 class LogWriter:
-    """log.csv at `path`, written while the closed loop runs by a forked
-    process: it writes the blocks of log rows that `send` hands it down
-    a pipe (write_log_blocks) and exits 0 once write_log_csv closes the
-    pipe.  Used as a context manager: an exception that leaves the block
-    kills and reaps the process; cmd_run then removes the partial log."""
+    """log.csv at `path`, opened at once and written after the closed
+    loop by a forked process: `send` hands it the blocks of log rows as
+    the loop finishes them, and write_log_csv forks the process that
+    writes them (write_log_blocks) and waits for it to exit 0.  Used as
+    a context manager: an exception that leaves the block kills and
+    reaps the process, if it runs; cmd_run then removes the partial log.
+
+    The formatting's allocations stay in the forked process.  It is
+    forked once the loop is over, not before it:
+    while a forked child lives, each page the loop writes to is first
+    copied for it, which made a 7 s exp3 run about 50 % slower, by a
+    varying amount."""
 
     def __init__(self, path):
-        import fcntl
-        import os
         self.path = path
-        fh = open(path, "w")
-        fds = ()
-        try:
-            fds = read_fd, write_fd = os.pipe()
-            try:  # room for several blocks, so a send rarely waits (Linux)
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except (AttributeError, OSError):
-                pass
-            self.pid = os.fork()
-        except BaseException:
-            fh.close()
-            for fd in fds:
-                os.close(fd)
-            raise
-        # The writer leaves only through os._exit.  It calls no BLAS
-        # routine, so forking beside numpy's BLAS threads is safe.
-        if self.pid == 0:
-            code = 1
-            try:
-                # the loop comes first: a writer woken by a send can share
-                # the loop's core until the scheduler moves it
-                os.nice(19)
-                os.close(write_fd)
-                with fh, open(read_fd, "rb") as pipe:
-                    write_log_blocks(fh, _received_blocks(pipe))
-                code = 0
-            except Exception as exc:
-                print(f"log writer: {exc}", file=sys.stderr, flush=True)
-            finally:
-                os._exit(code)
-        fh.close()
-        os.close(read_fd)
-        self.pipe = open(write_fd, "wb")
+        self.fh = open(path, "w")
+        self.blocks = []
+        self.pid = None
 
     def send(self, rows):
-        """Hand a block of finished log rows to the writer."""
-        try:
-            self.pipe.write(rows.tobytes())
-            self.pipe.flush()
-        except BrokenPipeError:
-            raise OSError(f"log writer for {self.path} stopped") from None
+        """Hand a block of finished log rows to the writer.  The rows must
+        not change until write_log_csv has returned."""
+        self.blocks.append(rows)
 
     def __enter__(self):
         return self
@@ -252,18 +216,29 @@ class LogWriter:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        try:
-            self.pipe.close()  # flushes what a failed send left, if any
-        except OSError:
-            pass
+        self.fh.close()
         return False
 
 
 def write_log_csv(writer):
-    """Finish a LogWriter's log.csv: close the pipe and wait for the
-    writer to exit.  Raises OSError unless it exits 0."""
+    """Write a LogWriter's log.csv: fork a process that writes the blocks
+    sent to it and wait for it to exit.  Raises OSError unless it exits
+    0."""
     import os
-    writer.pipe.close()
+    # The writer leaves only through os._exit.  It calls no BLAS
+    # routine, so forking beside numpy's BLAS threads is safe.
+    writer.pid = os.fork()
+    if writer.pid == 0:
+        code = 1
+        try:
+            with writer.fh:
+                write_log_blocks(writer.fh, writer.blocks)
+            code = 0
+        except Exception as exc:
+            print(f"log writer: {exc}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(code)
+    writer.fh.close()
     _, status = os.waitpid(writer.pid, 0)
     writer.pid = None
     code = os.waitstatus_to_exitcode(status)

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexsim import cli, dynamics, experiments, vehicle
 from hexsim.control import Gains
@@ -486,8 +488,7 @@ def random_log(n, rng):
 @pytest.mark.parametrize("n, block", [(700, 256), (700, 1), (256, 256),
                                       (255, 256), (0, 256)])
 def test_block_writer_matches_one_shot_writer(tmp_path, n, block):
-    # in this process, and through the forked writer, which reads the
-    # pipe in blocks of its own
+    # in this process, and through the forked writer
     log = random_log(n, np.random.default_rng(n + block))
     with open(tmp_path / "blocks.csv", "w") as fh:
         cli.write_log_blocks(fh, row_blocks(log, block))
@@ -496,6 +497,45 @@ def test_block_writer_matches_one_shot_writer(tmp_path, n, block):
     once = (tmp_path / "once.csv").read_bytes()
     assert (tmp_path / "blocks.csv").read_bytes() == once
     assert (tmp_path / "streamed.csv").read_bytes() == once
+
+
+def csv_line(values):
+    """_truth.c's csv_rows of one row of floats, no flag columns."""
+    return dynamics.load_truth().csv_rows(
+        np.array([values], dtype=float), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64)))),
+    min_size=1, max_size=40))
+def test_csv_rows_writes_any_float_as_repr(values):
+    # nan, infinities, zeros, subnormals and every bit pattern
+    assert csv_line(values) == ",".join(map(repr, values)) + "\n"
+
+
+def test_csv_rows_picks_the_shortest_nearest_decimal_as_repr():
+    # csv_rows finds the shortest decimal itself for 1e-9 <= |x| < 1e17:
+    # magnitudes across and past that range, short decimals and the
+    # doubles either side of them, powers of two (a closer lower
+    # neighbour) and powers of ten
+    rng = np.random.default_rng(0)
+    n = 20000
+    short = rng.integers(1, 10 ** 6, n) / 10.0 ** rng.integers(0, 12, n)
+    p2 = 2.0 ** np.arange(-40, 60)
+    p10 = 10.0 ** np.arange(-12, 19)
+    values = np.concatenate([
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 19, n),
+        short, np.nextafter(short, 0), np.nextafter(short, np.inf),
+        p2, np.nextafter(p2, 0), np.nextafter(p2, np.inf),
+        p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf),
+        rng.integers(-2 ** 60, 2 ** 60, n).astype(float),
+        np.arange(n) * 0.002])
+    rows = values[:len(values) // 50 * 50].reshape(-1, 50)
+    lines = dynamics.load_truth().csv_rows(rows, 0).splitlines()
+    assert lines == [",".join(map(repr, row)) for row in rows.tolist()]
 
 
 def test_log_writer_memory_is_bounded(tmp_path):
@@ -803,9 +843,9 @@ def test_failed_metrics_write_leaves_no_artifact(tmp_path, monkeypatch,
 def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
                                                  capsys, failure, message):
     # the forked writer runs this module's functions as they were at the
-    # fork: it fails after the first block, or after reading every block
-    # (then the loop has sent them all and learns it from the exit code).
-    # Or the fork itself fails, after log.csv was opened
+    # fork: it fails after the first block, or after reading every block,
+    # and the run learns it from the exit code.  Or the fork itself
+    # fails, after log.csv was opened
     blocks_read = 1 if failure == "mid-stream" else None
 
     def failing_writer(fh, blocks):
