@@ -20,6 +20,7 @@ import configparser
 import dataclasses
 import json
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -169,81 +170,52 @@ def _resolved_config(config, scenario):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def write_log_blocks(fh, blocks):
-    """experiments.LOG_HEADER, then a line per row of each block of log
-    rows (the blocks of experiments.LOG_LAYOUT in order): floats as
-    round-trip-exact repr, the last block's flags as 0/1, as _truth.c's
-    csv_rows formats them."""
+def write_log_rows(fh, rows):
+    """experiments.LOG_HEADER, then a line per row of run_scenario's row
+    array (a C-contiguous float64 array, the blocks of
+    experiments.LOG_LAYOUT side by side): floats as round-trip-exact
+    repr, the last block's flags as 0/1, as _truth.c's csv_rows formats
+    them, experiments.LOG_BLOCK_ROWS rows a call."""
     csv_rows = dynamics.load_truth().csv_rows
     flags = len(experiments.LOG_LAYOUT[-1][1])
+    step = experiments.LOG_BLOCK_ROWS
     fh.write(",".join(experiments.LOG_HEADER) + "\n")
-    for block in blocks:
-        fh.write(csv_rows(np.ascontiguousarray(block, dtype=float), flags))
+    for start in range(0, len(rows), step):
+        fh.write(csv_rows(rows[start:start + step], flags))
 
 
-class LogWriter:
-    """log.csv at `path`, opened at once and written after the closed
-    loop by a forked process: `send` hands it the blocks of log rows as
-    the loop finishes them, and write_log_csv forks the process that
-    writes them (write_log_blocks) and waits for it to exit 0.  Used as
-    a context manager: an exception that leaves the block kills and
-    reaps the process, if it runs; cmd_run then removes the partial log.
+def write_log_csv(fh, rows):
+    """Write log.csv, open as fh, from run_scenario's row array in a
+    forked process (write_log_rows), and wait for it to exit; OSError
+    unless it exits 0.  An interrupted wait kills and reaps it.
 
-    The formatting's allocations stay in the forked process.  It is
-    forked once the loop is over, not before it:
-    while a forked child lives, each page the loop writes to is first
-    copied for it, which made a 7 s exp3 run about 50 % slower, by a
-    varying amount."""
-
-    def __init__(self, path):
-        self.path = path
-        self.fh = open(path, "w")
-        self.blocks = []
-        self.pid = None
-
-    def send(self, rows):
-        """Hand a block of finished log rows to the writer.  The rows must
-        not change until write_log_csv has returned."""
-        self.blocks.append(rows)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        import os
-        import signal
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.fh.close()
-        return False
-
-
-def write_log_csv(writer):
-    """Write a LogWriter's log.csv: fork a process that writes the blocks
-    sent to it and wait for it to exit.  Raises OSError unless it exits
-    0."""
-    import os
+    The formatting's allocations stay in that process.  It is forked
+    after the loop, not before: while a child lives, each page the loop
+    writes to is first copied for it, which made a 7 s exp3 run about
+    50 % slower, by a varying amount."""
     # The writer leaves only through os._exit.  It calls no BLAS
     # routine, so forking beside numpy's BLAS threads is safe.
-    writer.pid = os.fork()
-    if writer.pid == 0:
+    pid = os.fork()
+    if pid == 0:
         code = 1
         try:
-            with writer.fh:
-                write_log_blocks(writer.fh, writer.blocks)
+            with fh:
+                write_log_rows(fh, rows)
             code = 0
         except Exception as exc:
             print(f"log writer: {exc}", file=sys.stderr, flush=True)
         finally:
             os._exit(code)
-    writer.fh.close()
-    _, status = os.waitpid(writer.pid, 0)
-    writer.pid = None
+    try:
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
     code = os.waitstatus_to_exitcode(status)
     if code:
-        raise OSError(f"log writer for {writer.path} exited with {code}")
+        raise OSError(f"log writer for {fh.name} exited with {code}")
 
 
 def write_metrics_json(path, metrics, config, scenario):
@@ -310,9 +282,9 @@ def cmd_run(config):
     log_csv, metrics_json = out_dir / "log.csv", out_dir / "metrics.json"
     begun = [log_csv]
     try:
-        with LogWriter(log_csv) as log:
-            _, metrics = experiments.run_scenario(scenario, params, log.send)
-            write_log_csv(log)
+        with open(log_csv, "w") as fh:  # a bad path fails before the run
+            log, metrics = experiments.run_scenario(scenario, params)
+            write_log_csv(fh, log["t"].base)
         begun.append(metrics_json)
         write_metrics_json(metrics_json, metrics, config, scenario)
     except BaseException:

@@ -82,8 +82,10 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind != "none" and not self.t_on < self.t_off:
             raise ValueError("need t_on < t_off")
-        if self.kind == "gust" and self.gust_corr_time <= 0:
+        if self.kind == "gust" and not self.gust_corr_time > 0:  # nan too
             raise ValueError("gust_corr_time must be positive")
+        if not (math.isfinite(self.gust_std) and self.gust_std >= 0):
+            raise ValueError("gust_std must be finite and >= 0")
         set_three_floats(self, "disturbance", "force", "moment")
 
 

@@ -19,6 +19,7 @@ residual_scale = 0 for ideal-model studies.
 
 import functools
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -65,7 +66,7 @@ def _log_blocks():
 
 
 LOG_BLOCKS, LOG_HEADER = _log_blocks()
-LOG_BLOCK_ROWS = 256  # log rows finished (errors filled) at a time
+LOG_BLOCK_ROWS = 256  # log rows run, finished and formatted at a time
 
 
 class UnknownScenario(Exception):
@@ -133,8 +134,16 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        try:  # a Python int, whose bytes seed the run's stream
+            object.__setattr__(self, "seed", int(operator.index(self.seed)))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
+        if not isinstance(self.gains, Gains):
+            raise ValueError(f"gains must be a Gains, not {self.gains!r}")
+        if not isinstance(self.disturbance, dyn.DisturbanceSpec):
+            raise ValueError("disturbance must be a DisturbanceSpec")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
         if self.filter_cutoff_hz <= 0:
@@ -262,17 +271,16 @@ def _script_target(script, times, t):
     return target.pos, target.rpy
 
 
-def run_scenario(scenario, params=None, on_block=None):
+def run_scenario(scenario, params=None):
     """Execute the closed loop (truth at 2 kHz, controller at the scenario
     frequency) and return (log, RunMetrics).
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
     _truth.c's ticks runs LOG_BLOCK_ROWS ticks at a time (the last block
-    may be shorter) and writes their rows; then the block is finished:
-    its tracking errors are filled in and, if given, on_block is called
-    with a view of it.  Raises NonFiniteState carrying the time, scenario
-    id, seed and last finite state if the truth state diverges.
+    may be shorter) and writes their rows; then the block's tracking
+    errors are filled in.  Raises NonFiniteState carrying the time,
+    scenario id, seed and last finite state if the truth state diverges.
     """
     ticks = _closed_loop(scenario, params or vehicle.default_params())
     n_sub, n_steps = _clock(scenario)
@@ -284,13 +292,10 @@ def run_scenario(scenario, params=None, on_block=None):
             ticks(rows, start, stop)
         except dyn.NonFiniteState as exc:
             k = start * n_sub + exc.offset  # the step that diverged
-            # a whole block is handed on before its last tick's steps
-            if k // n_sub == start + LOG_BLOCK_ROWS - 1:
-                _finish_block(rows[start:stop], on_block)
             raise dyn.NonFiniteState(
                 exc.message, t=k * dyn.SIM_DT, scenario=scenario.id,
                 seed=scenario.seed, state=exc.state) from exc
-        _finish_block(rows[start:stop], on_block)
+        _finish_block(rows[start:stop])
     return _log_and_metrics(scenario, rows)
 
 
@@ -361,17 +366,14 @@ def _log_and_metrics(scenario, rows):
     return log, metrics
 
 
-def _finish_block(rows, on_block):
+def _finish_block(rows):
     """Fill in the tracking errors of a block of log rows from their
-    reference and truth columns, then hand the block to on_block, if
-    given."""
+    reference and truth columns."""
     block = {name: rows[:, LOG_BLOCKS[name]]
              for name in ("p", "q", "ref_p", "ref_q", "e_p", "e_att_deg")}
     block["e_p"][:] = block["ref_p"] - block["p"]
     e_q = quat_mul(block["ref_q"].T, quat_conj(block["q"].T))
     block["e_att_deg"][:] = np.degrees(rpy_from_quat(e_q)).T
-    if on_block is not None:
-        on_block(rows)
 
 
 def rise_time(t, signal, onset, magnitude):

@@ -4,10 +4,12 @@ effectiveness matrix, the continuous-time step response of the INDI
 feedback filter, the list-form RK4 truth kernel, the tick side of the
 closed loop as it was before it was written out straight-line (with the
 sensor-noise settings and the sensor record it read and returned), the
-numpy forms of the controller layers and the truth step, the tracking
-errors of a run log computed over the whole log at once, and the
-hypothesis strategies the property tests draw from: valid platforms and
-numbers in [-1, 1]."""
+numpy forms of the controller layers and the truth step, the whole
+closed loop in Python (run_scenario: the row array, metrics and
+divergence report of experiments.run_scenario, whose rows log.csv is
+written from), the tracking errors of a run log computed over the whole
+log at once, and the hypothesis strategies the property tests draw
+from: valid platforms and numbers in [-1, 1]."""
 
 import math
 from dataclasses import dataclass
@@ -956,10 +958,10 @@ class Normals:
 # Python layers (dynamics.synthesize_sensors, the DisturbanceSampler,
 # _script_target) and its compiled step and controller tick, which it
 # looks up at every call.  ticks must equal it bit for bit.
-def run_scenario(scenario, params=None, on_block=None, normals=Normals):
+def run_scenario(scenario, params=None, normals=Normals):
     """experiments.run_scenario, the loop in Python: the same (log,
-    RunMetrics), blocks handed to on_block and NonFiniteState.  The
-    gust and the sensor noise draw from normals(default_rng(seed))."""
+    RunMetrics) and NonFiniteState.  The gust and the sensor noise draw
+    from normals(default_rng(seed))."""
     params = params or vehicle.default_params()
     eff = vehicle.build_effectiveness(params)
     kernel = dyn.make_step(params, eff)
@@ -996,7 +998,7 @@ def run_scenario(scenario, params=None, on_block=None, normals=Normals):
         [scenario.residual_scale * r for r in ex.RESIDUAL_MOMENT])
 
     # a row per tick in LOG_LAYOUT order; the errors are zeros until the
-    # row's block is finished, and w_meas holds the rotor speeds
+    # rows are finished after the loop, and w_meas holds the rotor speeds
     n_ticks = (n_steps + n_sub - 1) // n_sub
     rows = np.empty((n_ticks, len(ex.LOG_HEADER)))
     motion = slice(dyn.P.start, dyn.OMEGA.stop)
@@ -1025,9 +1027,6 @@ def run_scenario(scenario, params=None, on_block=None, normals=Normals):
             rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
                           *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
                           *w_meas, *cmd.saturated)
-            if (tick + 1) % ex.LOG_BLOCK_ROWS == 0:
-                ex._finish_block(
-                    rows[tick + 1 - ex.LOG_BLOCK_ROWS:tick + 1], on_block)
             first, end = k, min(k + n_sub, n_steps)
             wrenches = sampler.step(k, end - k)
             force = wrenches[-1][:3]
@@ -1044,9 +1043,8 @@ def run_scenario(scenario, params=None, on_block=None, normals=Normals):
             exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
             seed=scenario.seed, state=exc.state) from exc
 
-    if n_ticks % ex.LOG_BLOCK_ROWS:
-        ex._finish_block(rows[n_ticks - n_ticks % ex.LOG_BLOCK_ROWS:],
-                         on_block)
+    for start in range(0, n_ticks, ex.LOG_BLOCK_ROWS):
+        ex._finish_block(rows[start:start + ex.LOG_BLOCK_ROWS])
     return ex._log_and_metrics(scenario, rows)
 
 

@@ -1,12 +1,12 @@
 import concurrent.futures
 import errno
-import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import sysconfig
+import time
 import tracemalloc
 
 import numpy as np
@@ -410,8 +410,8 @@ LOG_COLUMNS = log_columns()
 
 
 def per_cell_log_csv(path, log):
-    """The cell-by-cell writer that the block writer
-    (cli.write_log_blocks) replaced, kept as its oracle."""
+    """The cell-by-cell writer that the row writer (cli.write_log_rows)
+    replaced, kept as its oracle."""
     n = len(log["t"])
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _, _ in LOG_COLUMNS) + "\n")
@@ -434,26 +434,23 @@ def test_log_csv_matches_per_cell_writer(tmp_path):
     # the short hover saturates nothing; set flags so both values show
     log["saturated"][::7, 2] = True
     log["saturated"][::3, 5] = True
-    stream_log_csv(tmp_path / "rows.csv", log, experiments.LOG_BLOCK_ROWS)
+    forked_log_csv(tmp_path / "rows.csv", log)
     per_cell_log_csv(tmp_path / "cells.csv", log)
     assert ((tmp_path / "rows.csv").read_bytes()
             == (tmp_path / "cells.csv").read_bytes())
 
 
-def row_blocks(log, block):
+def log_rows(log):
     """A log's rows, LOG_LAYOUT's blocks side by side as in run_scenario's
-    row array, in blocks of `block` rows."""
-    rows = np.column_stack([log[name] for name, _ in experiments.LOG_LAYOUT])
-    return [rows[i:i + block] for i in range(0, len(rows), block)]
+    row array."""
+    return np.column_stack([log[name] for name, _ in experiments.LOG_LAYOUT])
 
 
-def stream_log_csv(path, log, block):
-    """Write log.csv as `hexsim run` does: through a forked LogWriter,
-    sending `block` rows at a time."""
-    with cli.LogWriter(path) as writer:
-        for rows in row_blocks(log, block):
-            writer.send(rows)
-        cli.write_log_csv(writer)
+def forked_log_csv(path, log):
+    """Write log.csv as `hexsim run` does: the file opened, then its rows
+    written by the forked writer."""
+    with open(path, "w") as fh:
+        cli.write_log_csv(fh, log_rows(log))
 
 
 def one_shot_log_csv(path, log):
@@ -487,16 +484,19 @@ def random_log(n, rng):
 
 @pytest.mark.parametrize("n, block", [(700, 256), (700, 1), (256, 256),
                                       (255, 256), (0, 256)])
-def test_block_writer_matches_one_shot_writer(tmp_path, n, block):
-    # in this process, and through the forked writer
+def test_block_writer_matches_one_shot_writer(tmp_path, monkeypatch, n,
+                                              block):
+    # in this process, and through the forked writer, formatting `block`
+    # rows a call
+    monkeypatch.setattr(experiments, "LOG_BLOCK_ROWS", block)
     log = random_log(n, np.random.default_rng(n + block))
-    with open(tmp_path / "blocks.csv", "w") as fh:
-        cli.write_log_blocks(fh, row_blocks(log, block))
-    stream_log_csv(tmp_path / "streamed.csv", log, block)
+    with open(tmp_path / "rows.csv", "w") as fh:
+        cli.write_log_rows(fh, log_rows(log))
+    forked_log_csv(tmp_path / "forked.csv", log)
     one_shot_log_csv(tmp_path / "once.csv", log)
     once = (tmp_path / "once.csv").read_bytes()
-    assert (tmp_path / "blocks.csv").read_bytes() == once
-    assert (tmp_path / "streamed.csv").read_bytes() == once
+    assert (tmp_path / "rows.csv").read_bytes() == once
+    assert (tmp_path / "forked.csv").read_bytes() == once
 
 
 def csv_line(values):
@@ -541,12 +541,11 @@ def test_csv_rows_picks_the_shortest_nearest_decimal_as_repr():
 def test_log_writer_memory_is_bounded(tmp_path):
     # the 3500 rows of a 7 s exp3 gust log; converting them all at once
     # peaked at about 7.4 MB, one 256-row block at a time at about 1.2 MB
-    log = random_log(3500, np.random.default_rng(0))
-    blocks = row_blocks(log, experiments.LOG_BLOCK_ROWS)
+    rows = log_rows(random_log(3500, np.random.default_rng(0)))
     tracemalloc.start()
     try:
         with open(tmp_path / "log.csv", "w") as fh:
-            cli.write_log_blocks(fh, blocks)
+            cli.write_log_rows(fh, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -715,9 +714,9 @@ def nan_command_after(monkeypatch, steps):
                 exc.message, state=exc.state,
                 offset=clean + exc.offset) from exc
 
-    def run_scenario(scenario, params=None, on_block=None):
+    def run_scenario(scenario, params=None):
         count[0] = 0
-        return oracles.run_scenario(scenario, params, on_block)
+        return oracles.run_scenario(scenario, params)
 
     monkeypatch.setattr(dynamics, "step", step)
     monkeypatch.setattr(experiments, "run_scenario", run_scenario)
@@ -760,42 +759,74 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def count_sends(monkeypatch):
-    """Record the row count of every block sent to a LogWriter."""
-    sent, real_send = [], cli.LogWriter.send
+def record_runs_and_forks(monkeypatch):
+    """Record, in order, each return of experiments.run_scenario and each
+    os.fork of this process."""
+    events, real_run, real_fork = [], experiments.run_scenario, os.fork
 
-    def send(self, rows):
-        sent.append(len(rows))
-        return real_send(self, rows)
+    def run_scenario(*args):
+        result = real_run(*args)
+        events.append("run returned")
+        return result
 
-    monkeypatch.setattr(cli.LogWriter, "send", send)
-    return sent
+    def fork():
+        events.append("fork")
+        return real_fork()
+
+    monkeypatch.setattr(experiments, "run_scenario", run_scenario)
+    monkeypatch.setattr(os, "fork", fork)
+    return events
 
 
 RUN_EXP5 = ("run", "--scenario", "exp5", "--controller", "geo",
             "--duration", "2.5")
 
 
-def test_streamed_run_leaves_a_whole_log_and_no_process(tmp_path,
-                                                       monkeypatch):
-    sent = count_sends(monkeypatch)
+def test_run_forks_its_log_writer_once_after_the_loop(tmp_path,
+                                                      monkeypatch):
+    events = record_runs_and_forks(monkeypatch)
     out = tmp_path / "art"
     assert run_cli(*RUN_EXP5, "--out", str(out)) == 0
-    assert sent == [256] * 4 + [226]
+    assert events == ["run returned", "fork"]
     assert len((out / "log.csv").read_text().splitlines()) == 1 + 1250
     assert_no_child_left()
 
 
-def test_divergence_after_streamed_blocks_leaves_no_log(tmp_path,
-                                                        monkeypatch, capsys):
-    # 3000 truth steps are 750 ticks at 500 Hz: two blocks are streamed
-    # before the run diverges
-    sent = count_sends(monkeypatch)
+def test_diverging_run_forks_nothing_and_leaves_no_log(tmp_path,
+                                                       monkeypatch, capsys):
+    # 3000 truth steps are 750 ticks at 500 Hz: the run diverges in its
+    # third block of ticks
     nan_command_after(monkeypatch, 3000)
+    events = record_runs_and_forks(monkeypatch)
     out = tmp_path / "art"
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_DIVERGED
-    assert sent == [256, 256]
+    assert events == []
     assert "diverged at t = 1.5000 s" in capsys.readouterr().err
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch):
+    # the writer would take 60 s; the run's wait for it is interrupted.
+    # The library is built first, so that no compiler is waited for
+    dynamics.load_truth()
+    real_waitpid, waits = os.waitpid, []
+
+    def waitpid(pid, options):
+        waits.append(pid)
+        if len(waits) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "write_log_rows",
+                        lambda fh, rows: time.sleep(60))
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    out = tmp_path / "art"
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*RUN_EXP5, "--out", str(out))
+    assert time.monotonic() - start < 30
+    assert len(waits) == 2 and waits[0] == waits[1] > 0
     assert not out.exists()
     assert_no_child_left()
 
@@ -843,13 +874,14 @@ def test_failed_metrics_write_leaves_no_artifact(tmp_path, monkeypatch,
 def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
                                                  capsys, failure, message):
     # the forked writer runs this module's functions as they were at the
-    # fork: it fails after the first block, or after reading every block,
+    # fork: it fails after writing the first block of rows, or every row,
     # and the run learns it from the exit code.  Or the fork itself
     # fails, after log.csv was opened
-    blocks_read = 1 if failure == "mid-stream" else None
+    written = experiments.LOG_BLOCK_ROWS if failure == "mid-stream" else None
+    write_log_rows = cli.write_log_rows
 
-    def failing_writer(fh, blocks):
-        list(itertools.islice(blocks, blocks_read))
+    def failing_writer(fh, rows):
+        write_log_rows(fh, rows[:written])
         raise OSError("no space left on device")
 
     def failing_fork():
@@ -858,7 +890,7 @@ def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
     if failure == "at-fork":
         monkeypatch.setattr(os, "fork", failing_fork)
     else:
-        monkeypatch.setattr(cli, "write_log_blocks", failing_writer)
+        monkeypatch.setattr(cli, "write_log_rows", failing_writer)
     out = tmp_path / "art"
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
     err = capsys.readouterr().err

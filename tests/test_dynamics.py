@@ -152,6 +152,13 @@ def test_disturbance_validation():
         dyn.DisturbanceSpec(kind="wind")
     with pytest.raises(ValueError):
         dyn.DisturbanceSpec(kind="constant_load", t_on=3.0, t_off=1.0)
+    for gust_std in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gust_std"):
+            dyn.DisturbanceSpec(kind="gust", t_off=1.0, gust_std=gust_std)
+    for corr_time in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="gust_corr_time"):
+            dyn.DisturbanceSpec(kind="gust", t_off=1.0,
+                                gust_corr_time=corr_time)
 
 
 def test_disturbance_vectors_are_float_tuples():

@@ -48,6 +48,17 @@ def test_scenario_validation():
         ex.build_scenario("exp4", "geo", {"controller_freq": 123.0})
     with pytest.raises(ValueError):
         ex.build_scenario("exp5", "geo", {"noise_scale": -1})
+    # a seed is any integer, kept as a Python int
+    seed = ex.build_scenario("exp5", "geo", {"seed": np.int64(3)}).seed
+    assert (type(seed), seed) == (int, 3)
+    for seed in (1.5, "3", None, -1):
+        with pytest.raises(ValueError, match="seed"):
+            ex.build_scenario("exp5", "geo", {"seed": seed})
+    for name in ("gains", "disturbance"):
+        with pytest.raises(ValueError, match=name):
+            ex.build_scenario("exp5", "geo", {name: None})
+    with pytest.raises(ValueError, match="gains"):
+        ex.build_scenario("exp5", "geo", {"gains": {"k_p": 1.0}})
 
 
 def test_controller_freq_must_divide_the_truth_rate():
@@ -310,12 +321,16 @@ def same_bits(a, b):
     ("exp3", "indi", {"gust": True, "duration": 7.0, "seed": 3}),
     ("exp3", "indi", {"gust": True, "noise_scale": 3, "duration": 7.0,
                       "seed": 5}),
-], ids=["exp1-geo", "exp1-indi", "exp3-gust", "exp3-gust-noise"])
+    ("exp4", "indi", {"controller_freq": 50.0, "duration": 2.2}),
+    ("exp5", "indi", {"noise_scale": 7, "duration": 2.048}),
+], ids=["exp1-geo", "exp1-indi", "exp3-gust", "exp3-gust-noise",
+        "exp4-50Hz", "exp5-1024-ticks"])
 def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
                                                overrides):
     # the errors are filled a block of rows at a time, bit for bit as the
     # whole-log expressions gave them; the 20 s exp1 runs hold the roll
-    # and pitch steps and 39 full blocks and one partial one
+    # and pitch steps and 39 full blocks and one partial one, the exp4
+    # run one partial block and the exp5 run four full ones
     sc = ex.build_scenario(scenario_id, controller, overrides)
     log, _ = ex.run_scenario(sc)
     e_p, e_att_deg, rpy = whole_log_errors(log)
@@ -360,22 +375,6 @@ def test_tape_run_equals_per_call_draws(controller, overrides):
     log, _ = ex.run_scenario(sc)
     want, _ = oracles.run_scenario(sc, normals=oracles.PerCallNormals)
     assert same_bits(log["t"].base, want["t"].base)
-
-
-@pytest.mark.parametrize("scenario_id, overrides, sizes", [
-    ("exp4", {"controller_freq": 50.0, "duration": 2.2}, [110]),
-    ("exp5", {"duration": 2.048}, [256] * 4),
-], ids=["exp4-50Hz", "exp5-1024-ticks"])
-def test_blocks_handed_on_make_up_the_log(scenario_id, overrides, sizes):
-    # each block is handed on finished: copies taken at the hand-off
-    # equal the returned rows, errors included, and together make them up
-    blocks = []
-    sc = ex.build_scenario(scenario_id, "indi", overrides)
-    log, _ = ex.run_scenario(sc, None, lambda rows: blocks.append(rows.copy()))
-    assert [len(b) for b in blocks] == sizes
-    rows = log["t"].base
-    assert same_bits(np.concatenate(blocks), rows)
-    assert np.abs(rows[:, ex.LOG_BLOCKS["e_p"]]).max() > 0
 
 
 def test_repeat_runs_holds_no_earlier_log(monkeypatch):
@@ -575,37 +574,29 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
 # a motor lag below RK4's stability bound at SIM_DT (about 0.18 ms), which
 # the CLI's pre-flight rejects: the rotor speeds blow up.  At 0.179075 ms
 # the noise-free geo hover diverges in tick 255, the last of the first
-# block, which is handed on before that tick's truth steps
+# block of ticks
 NOISY = {"seed": 3, "noise_scale": 1}
-UNSTABLE_LAGS = [(1.5e-4, "geo", NOISY, 0.011, 0),
-                 (1.5e-4, "indi", NOISY, 0.0125, 0),
-                 (1.794e-4, "indi", NOISY, 1.869, 3),
-                 (1.79075e-4, "geo", {}, 0.511, 1)]
+UNSTABLE_LAGS = [(1.5e-4, "geo", NOISY, 0.011),
+                 (1.5e-4, "indi", NOISY, 0.0125),
+                 (1.794e-4, "indi", NOISY, 1.869),
+                 (1.79075e-4, "geo", {}, 0.511)]
 
 
-@pytest.mark.parametrize("tau, controller, overrides, t, blocks",
-                         UNSTABLE_LAGS,
+@pytest.mark.parametrize("tau, controller, overrides, t", UNSTABLE_LAGS,
                          ids=["geo", "indi", "indi-late", "geo-tick-255"])
-def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, t,
-                                              blocks):
+def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, t):
     # the compiled loop reports a real divergence as the oracle loop
-    # does: the time, scenario, seed and last finite state, and the
-    # blocks handed on before it
+    # does: the time, scenario, seed and last finite state
     params = vehicle.default_params(motor_time_constant=tau)
     sc = ex.build_scenario("exp5", controller,
                            {"duration": 2.5, **overrides})
-    got, want = [], []
-    exc = divergence(ex.run_scenario, sc, params,
-                     lambda rows: got.append(rows.copy()))
-    oracle = divergence(oracles.run_scenario, sc, params,
-                        lambda rows: want.append(rows.copy()))
+    exc = divergence(ex.run_scenario, sc, params)
+    oracle = divergence(oracles.run_scenario, sc, params)
     assert (exc.t, exc.scenario, exc.seed, str(exc)) == (
         oracle.t, oracle.scenario, oracle.seed, str(oracle))
     assert exc.t == t and exc.seed == sc.seed
     assert oracles.bits(exc.state) == oracles.bits(oracle.state)
     assert len(exc.state) == 19 and np.isfinite(exc.state).all()
-    assert len(got) == len(want) == blocks
-    assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 @st.composite
@@ -664,19 +655,15 @@ def closed_loops(draw):
 
 
 def outcome(run, scenario, params):
-    """What run(scenario, params) gives, as comparable values: digests of
-    the float bits of its rows and of every block it handed on, or its
-    divergence report.  Digests, so that a failure prints no 0.5 MB
-    diff."""
-    blocks = []
+    """What run(scenario, params) gives, as a comparable value: the digest
+    of the float bits of its rows, or its divergence report.  A digest,
+    so that a failure prints no 0.5 MB diff."""
     try:
-        log, _ = run(scenario, params,
-                     lambda rows: blocks.append(sha256(rows).hexdigest()))
-        result = sha256(log["t"].base).hexdigest()
+        log, _ = run(scenario, params)
+        return sha256(log["t"].base).hexdigest()
     except dyn.NonFiniteState as exc:
-        result = (exc.t, exc.scenario, exc.seed, oracles.bits(exc.state),
-                  str(exc))
-    return result, blocks
+        return (exc.t, exc.scenario, exc.seed, oracles.bits(exc.state),
+                str(exc))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -696,8 +683,8 @@ def outcome(run, scenario, params):
     "duration": 2.1, "noise_scale": 1, "seed": 2 ** 130 + 3}),
     vehicle.default_params()))
 def test_compiled_loop_equals_oracle_loop(loop):
-    # the rows, the blocks handed on and the divergence report of the
-    # compiled loop are the Python loop's, bit for bit
+    # the rows and the divergence report of the compiled loop are the
+    # Python loop's, bit for bit
     scenario, params = loop
     assert outcome(ex.run_scenario, scenario, params) == outcome(
         oracles.run_scenario, scenario, params)
