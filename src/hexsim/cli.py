@@ -173,9 +173,10 @@ def _resolved_config(config, scenario):
 def write_log_rows(fh, rows):
     """experiments.LOG_HEADER, then a line per row of run_scenario's row
     array (a C-contiguous float64 array, the blocks of
-    experiments.LOG_LAYOUT side by side): floats as round-trip-exact
-    repr, the last block's flags as 0/1, as _truth.c's csv_rows formats
-    them, experiments.LOG_BLOCK_ROWS rows a call."""
+    experiments.LOG_LAYOUT side by side): floats with the bytes of repr,
+    the shortest decimal that reads back as each (Ryū's d2s in C), and
+    the last block's flags as 0/1, as _truth.c's csv_rows formats them,
+    experiments.LOG_BLOCK_ROWS rows a call."""
     csv_rows = dynamics.load_truth().csv_rows
     flags = len(experiments.LOG_LAYOUT[-1][1])
     step = experiments.LOG_BLOCK_ROWS

@@ -19,7 +19,11 @@ geo exp4 hover of the sweep_freq workload (extra_info["us_per_tick"]
 holds its median per tick), one 500 Hz run_scenario of the 2.1 s noisy
 hover of the sweep_noise benchmark workload (exp5 at noise level 7) and
 one 50 Hz run_scenario of the 2.2 s exp4 hover of the sweep_freq
-workload, where the truth step dominates.
+workload, where the truth step dominates.  Last, the log writer: one
+_truth.c csv_rows call on a LOG_BLOCK_ROWS block from the middle of a
+7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
+whose near-hover values are tiny (extra_info["ns_per_value"] holds its
+median per value).
 """
 
 import math
@@ -118,3 +122,18 @@ def test_run_scenario_50hz(benchmark, kind):
                                           "controller_freq": 50.0})
     benchmark.pedantic(ex.run_scenario, args=(sc,), rounds=5,
                        warmup_rounds=1)
+
+
+@pytest.mark.parametrize("scenario_id, overrides", [
+    ("exp3", {"gust": True, "duration": 7.0}),
+    ("exp1", {}),
+], ids=["exp3-gust-7s", "exp1"])
+def test_csv_rows_block(benchmark, scenario_id, overrides):
+    log, _ = ex.run_scenario(ex.build_scenario(scenario_id, "indi", overrides))
+    rows = np.column_stack([log[name] for name, _ in ex.LOG_LAYOUT])
+    start = len(rows) // 2
+    block = rows[start:start + ex.LOG_BLOCK_ROWS]
+    benchmark(dyn.load_truth().csv_rows, block, len(ex.LOG_LAYOUT[-1][1]))
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_value"] = (
+            benchmark.stats.stats.median / block.size * 1e9)

@@ -3,11 +3,13 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import sysconfig
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +538,92 @@ def test_csv_rows_picks_the_shortest_nearest_decimal_as_repr():
     rows = values[:len(values) // 50 * 50].reshape(-1, 50)
     lines = dynamics.load_truth().csv_rows(rows, 0).splitlines()
     assert lines == [",".join(map(repr, row)) for row in rows.tolist()]
+
+
+def test_csv_rows_writes_the_edge_cases_as_repr():
+    p2 = 2.0 ** np.arange(-1074, 1024)
+    values = np.concatenate([
+        [5e-324, sys.float_info.max, sys.float_info.min, -0.0,
+         float(2 ** 53 - 1), float(2 ** 53 + 1),
+         # where repr switches between fixed and exponent notation
+         1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0],
+        # every power of two, where the lower gap halves, and its neighbours
+        p2, np.nextafter(p2, 0), np.nextafter(p2, np.inf),
+        # x.25 and x.75 between 2^50 and 2^51: exactly halfway between two
+        # shortest decimals, so the even one
+        (2.0 ** 52 + np.arange(1, 400, 2)) / 4,
+        # 4m between 2^54 and 2^55: for odd m an end of the interval is a
+        # shorter decimal that reads back as the other neighbour
+        2.0 ** 54 + 4 * np.arange(400)])
+    # the tiny nonzero values of a nominal exp1 log (near hover: the
+    # quaternion's vector part, the body rates, the attitude errors)
+    log, _ = experiments.run_scenario(
+        experiments.build_scenario("exp1", "indi"))
+    rows = log_rows(log).ravel()
+    tiny = rows[(rows != 0) & (np.abs(rows) < 1e-9)]
+    assert len(tiny) > 100000
+    values = np.concatenate([values, -values, tiny]).tolist()
+    line = dynamics.load_truth().csv_rows(np.array([values]), 0)
+    assert line.endswith("\n")
+    cells = line[:-1].split(",")
+    assert len(cells) == len(values)
+    # a short report: pytest's diff of two such lines takes minutes
+    wrong = [(cell, repr(x)) for cell, x in zip(cells, values)
+             if cell != repr(x)]
+    assert not wrong, f"{len(wrong)} values unlike repr, as (got, repr): " \
+                      f"{wrong[:5]}"
+
+
+TRUTH_C = Path(dynamics.__file__).with_name("_truth.c")
+TABLES_BEGIN = "/* BEGIN POW5 TABLES */\n"
+TABLES_END = "/* END POW5 TABLES */\n"
+
+
+def pow5_tables():
+    """Ryū's tables of 125-bit powers of five, from Python's exact
+    integers: for each index _truth.c's shortest reaches from a double's
+    exponent, POW5_INV[q] = 2^(L - 1 + 125) // 5^q + 1 and
+    POW5[i] = 5^i >> (L - 125), L the bit length of the power."""
+    q_max = i_max = 0
+    for biased in range(0x7ff):
+        e2 = max(biased, 1) - 1023 - 52 - 2
+        if e2 >= 0:
+            q_max = max(q_max, (e2 * 78913 >> 18) - (e2 > 3))
+        else:
+            i_max = max(i_max, -e2 - ((-e2 * 732923 >> 20) - (-e2 > 1)))
+    pow5 = [5 ** i for i in range(max(q_max, i_max) + 1)]
+    return {
+        "POW5_INV": [2 ** (p.bit_length() - 1 + 125) // p + 1
+                     for p in pow5[:q_max + 1]],
+        "POW5": [(p << 125) >> p.bit_length() for p in pow5[:i_max + 1]],
+    }
+
+
+def pow5_block(tables):
+    """The C source of tables, as _truth.c holds it between its
+    markers: each entry as its low and high 64-bit halves."""
+    lines = [TABLES_BEGIN]
+    for name, entries in tables.items():
+        lines.append(f"static const uint64_t {name}[{len(entries)}][2] = {{\n")
+        lines += [f"    {{0x{v & (2 ** 64 - 1):016x}, 0x{v >> 64:016x}}},\n"
+                  for v in entries]
+        lines.append("};\n")
+    return "".join(lines + [TABLES_END])
+
+
+def test_pow5_tables_match_their_generator():
+    expected = pow5_tables()
+    source = TRUTH_C.read_text()
+    block = source[source.index(TABLES_BEGIN):
+                   source.index(TABLES_END) + len(TABLES_END)]
+    found = {
+        name: [int(lo, 16) | int(hi, 16) << 64 for lo, hi in re.findall(
+            r"\{(0x[0-9a-f]+), (0x[0-9a-f]+)\}", body)]
+        for name, body in re.findall(
+            r"static const uint64_t (\w+)\[\d+\]\[2\] = \{(.*?)\};",
+            block, re.S)}
+    assert found == expected, (
+        "_truth.c's table block should read:\n" + pow5_block(expected))
 
 
 def test_log_writer_memory_is_bounded(tmp_path):
