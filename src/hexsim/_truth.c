@@ -34,8 +34,9 @@
    ticks(...) runs a block of closed-loop ticks and writes their log
    rows: per tick the sensors of dynamics.synthesize_sensors, the
    setpoint of experiments._script_target, the controller tick above,
-   and the wrenches (dynamics.DisturbanceSampler.step) and RK4 steps of
-   its truth steps.  The sensor noise and the gust draw from the run's
+   the row with its tracking errors (row_errors below), and the wrenches
+   (dynamics.DisturbanceSampler.step) and RK4 steps of its truth
+   steps.  The sensor noise and the gust draw from the run's
    stream (see stream below), numpy's default_rng(seed).  Its Python
    form, the loop run_scenario ran before, is tests/oracles.py's
    run_scenario.
@@ -697,7 +698,7 @@ indi_tick(PyObject *Py_UNUSED(module), PyObject *const *args,
 #define L_T 0
 #define L_MOTION 1    /* p, v, q, omega of the truth state (13) */
 #define L_REF 14      /* p_d, v_d, q_d, omega_d */
-#define L_ERRORS 27   /* e_p, e_att_deg: 0 until the block is finished */
+#define L_ERRORS 27   /* e_p, e_att_deg: see row_errors */
 #define L_U 33
 #define L_W_CMD 39
 #define L_W_MEAS 45
@@ -885,6 +886,40 @@ script_target(const double *script, Py_ssize_t n, double t)
     return script + n + 6 * (lo ? lo - 1 : 0);
 }
 
+/* A log row's tracking errors from its truth and reference columns:
+   e_p = p_d - p, and e_att_deg, the roll, pitch and yaw of
+   q_d (x) conj(q) in degrees.  The product is geometry.quat_mul's,
+   normalised by the root of its squares summed in order, as
+   np.linalg.norm(axis=0) sums them; the angles are rpy_from_quat's,
+   through libm's atan2 and asin, so that they do not follow numpy's
+   SIMD dispatch. */
+static void
+row_errors(double *row)
+{
+    const double *p = row + L_MOTION, *q = row + L_MOTION + 6;
+    const double *p_d = row + L_REF, *q_d = row + L_REF + 6;
+    double *e = row + L_ERRORS;
+    for (int j = 0; j < 3; j++)
+        e[j] = p_d[j] - p[j];
+    const double aw = q_d[0], ax = q_d[1], ay = q_d[2], az = q_d[3];
+    const double bw = q[0], bx = -q[1], by = -q[2], bz = -q[3];
+    double w = aw * bw - ax * bx - ay * by - az * bz;
+    double x = aw * bx + ax * bw + ay * bz - az * by;
+    double y = aw * by - ax * bz + ay * bw + az * bx;
+    double z = aw * bz + ax * by - ay * bx + az * bw;
+    const double norm = sqrt(w * w + x * x + y * y + z * z);
+    w /= norm;
+    x /= norm;
+    y /= norm;
+    z /= norm;
+    double s = 2.0 * (w * y - z * x);
+    s = s < -1.0 ? -1.0 : s > 1.0 ? 1.0 : s;  /* np.clip: NaN stays */
+    const double deg = 180.0 / Py_MATH_PI;  /* np.degrees' factor */
+    e[3] = atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)) * deg;
+    e[4] = asin(s) * deg;
+    e[5] = atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)) * deg;
+}
+
 /* The log rows into view, -1 with ValueError set unless they are a
    C-contiguous, writable 2-D float64 array of N_LOG_COLUMNS columns. */
 static int
@@ -1057,8 +1092,8 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         memcpy(row + L_REF + 3, ref.v, sizeof ref.v);
         memcpy(row + L_REF + 6, ref.q, sizeof ref.q);
         memcpy(row + L_REF + 10, ref.omega, sizeof ref.omega);
+        row_errors(row);
         for (int j = 0; j < 6; j++) {
-            row[L_ERRORS + j] = 0.0;
             row[L_U + j] = c[j];
             row[L_W_CMD + j] = w[j];
             row[L_W_MEAS + j] = in.w_meas[j];

@@ -30,7 +30,7 @@ from . import dynamics as dyn
 from . import vehicle
 from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerModel,
                       Gains, make_controller, make_model)
-from .geometry import quat_conj, quat_from_rpy, quat_mul, rpy_from_quat
+from .geometry import quat_from_rpy, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
 NOISE_SCALES = (0, 1, 3, 7, 15, 31)  # the exp5 sweep grid
@@ -66,7 +66,7 @@ def _log_blocks():
 
 
 LOG_BLOCKS, LOG_HEADER = _log_blocks()
-LOG_BLOCK_ROWS = 256  # log rows run, finished and formatted at a time
+LOG_BLOCK_ROWS = 256  # log rows run and formatted at a time
 
 
 class UnknownScenario(Exception):
@@ -278,9 +278,9 @@ def run_scenario(scenario, params=None):
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
     _truth.c's ticks runs LOG_BLOCK_ROWS ticks at a time (the last block
-    may be shorter) and writes their rows; then the block's tracking
-    errors are filled in.  Raises NonFiniteState carrying the time,
-    scenario id, seed and last finite state if the truth state diverges.
+    may be shorter) and writes their rows, tracking errors included.
+    Raises NonFiniteState carrying the time, scenario id, seed and last
+    finite state if the truth state diverges.
     """
     ticks = _closed_loop(scenario, params or vehicle.default_params())
     n_sub, n_steps = _clock(scenario)
@@ -295,7 +295,6 @@ def run_scenario(scenario, params=None):
             raise dyn.NonFiniteState(
                 exc.message, t=k * dyn.SIM_DT, scenario=scenario.id,
                 seed=scenario.seed, state=exc.state) from exc
-        _finish_block(rows[start:stop])
     return _log_and_metrics(scenario, rows)
 
 
@@ -364,16 +363,6 @@ def _log_and_metrics(scenario, rows):
         except NotReached:
             metrics.roll_rise_time = float("nan")
     return log, metrics
-
-
-def _finish_block(rows):
-    """Fill in the tracking errors of a block of log rows from their
-    reference and truth columns."""
-    block = {name: rows[:, LOG_BLOCKS[name]]
-             for name in ("p", "q", "ref_p", "ref_q", "e_p", "e_att_deg")}
-    block["e_p"][:] = block["ref_p"] - block["p"]
-    e_q = quat_mul(block["ref_q"].T, quat_conj(block["q"].T))
-    block["e_att_deg"][:] = np.degrees(rpy_from_quat(e_q)).T
 
 
 def rise_time(t, signal, onset, magnitude):

@@ -135,15 +135,19 @@ class EffectivenessMatrices:
 def build_effectiveness(params):
     """Assemble F1/F2 from the rotor layout; raises DegenerateGeometry if
     the stacked 6x6 matrix is rank deficient (e.g. zero tilt)."""
-    positions = params.rotor_positions
+    positions = params.rotor_positions.tolist()
     F1 = np.zeros((3, ROTOR_COUNT))
     F2 = np.zeros((3, ROTOR_COUNT))
     for i in range(ROTOR_COUNT):
         rot = params.rotor_frame(i)
         thrust_dir = rot @ (params.c_f * E3)
-        drag_dir = rot @ (ROTOR_SPIN_DIRS[i] * params.c_tau * E3)
+        d0, d1, d2 = (rot @ (ROTOR_SPIN_DIRS[i] * params.c_tau * E3)).tolist()
         F1[:, i] = thrust_dir
-        F2[:, i] = np.cross(positions[i], thrust_dir) + drag_dir
+        # positions[i] x thrust_dir + drag_dir, in np.cross's expressions
+        a0, a1, a2 = positions[i]
+        b0, b1, b2 = thrust_dir.tolist()
+        F2[:, i] = (a1 * b2 - a2 * b1 + d0, a2 * b0 - a0 * b2 + d1,
+                    a0 * b1 - a1 * b0 + d2)
     F0 = np.vstack([F1, F2])
     sv = np.linalg.svd(F0, compute_uv=False)
     if sv[-1] < 1e-9 * sv[0]:

@@ -23,7 +23,8 @@ workload, where the truth step dominates.  Last, the log writer: one
 _truth.c csv_rows call on a LOG_BLOCK_ROWS block from the middle of a
 7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
 whose near-hover values are tiny (extra_info["ns_per_value"] holds its
-median per value).
+median per value).  And one vehicle.build_effectiveness of the default
+platform, which every run calls in its set-up.
 """
 
 import math
@@ -33,6 +34,7 @@ import pytest
 
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
+from hexsim import vehicle
 from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
 from oracles import Normals, pack
@@ -137,3 +139,7 @@ def test_csv_rows_block(benchmark, scenario_id, overrides):
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_value"] = (
             benchmark.stats.stats.median / block.size * 1e9)
+
+
+def test_build_effectiveness(benchmark, params):
+    benchmark(vehicle.build_effectiveness, params)

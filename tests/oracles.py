@@ -1,15 +1,16 @@
 """Reference helpers that only the tests use: the state vector from its
 blocks, quaternion constructors and kinematics, the attitude-dependent
-effectiveness matrix, the continuous-time step response of the INDI
-feedback filter, the list-form RK4 truth kernel, the tick side of the
-closed loop as it was before it was written out straight-line (with the
-sensor-noise settings and the sensor record it read and returned), the
-numpy forms of the controller layers and the truth step, the whole
-closed loop in Python (run_scenario: the row array, metrics and
-divergence report of experiments.run_scenario, whose rows log.csv is
-written from), the tracking errors of a run log computed over the whole
-log at once, and the hypothesis strategies the property tests draw
-from: valid platforms and numbers in [-1, 1]."""
+effectiveness matrix and the np.cross form of its build, the
+continuous-time step response of the INDI feedback filter, the list-form
+RK4 truth kernel, the tick side of the closed loop as it was before it
+was written out straight-line (with the sensor-noise settings and the
+sensor record it read and returned), the numpy forms of the controller
+layers and the truth step, the whole closed loop in Python
+(run_scenario: the row array, metrics and divergence report of
+experiments.run_scenario, whose rows log.csv is written from), the
+tracking errors of a log row over Python floats and of a whole run log,
+and the hypothesis strategies the property tests draw from: valid
+platforms and numbers in [-1, 1]."""
 
 import math
 from dataclasses import dataclass
@@ -71,6 +72,27 @@ def quat_derivative(q, omega_body):
 def assemble_F(eff, q):
     """Attitude-dependent 6x6 effectiveness: rows 1-3 rotated to world."""
     return np.vstack([quat_to_rotmat(q) @ eff.F1, eff.F2])
+
+
+def numpy_build_effectiveness(params):
+    """vehicle.build_effectiveness with each rotor's moment column formed
+    as np.cross(position, thrust_dir) + drag_dir, as it was before the
+    cross product was written out over floats: its bit-for-bit oracle."""
+    positions = params.rotor_positions
+    F1 = np.zeros((3, vehicle.ROTOR_COUNT))
+    F2 = np.zeros((3, vehicle.ROTOR_COUNT))
+    for i in range(vehicle.ROTOR_COUNT):
+        rot = params.rotor_frame(i)
+        thrust_dir = rot @ (params.c_f * E3)
+        drag_dir = rot @ (vehicle.ROTOR_SPIN_DIRS[i] * params.c_tau * E3)
+        F1[:, i] = thrust_dir
+        F2[:, i] = np.cross(positions[i], thrust_dir) + drag_dir
+    F0 = np.vstack([F1, F2])
+    sv = np.linalg.svd(F0, compute_uv=False)
+    return vehicle.EffectivenessMatrices(
+        F1=F1, F2=F2, F0_inv=np.linalg.inv(F0),
+        condition_number=float(sv[0] / sv[-1]),
+        u_min=params.w_min ** 2, u_max=params.w_max ** 2)
 
 
 def analytic_step_response(natural_frequency, damping, t):
@@ -997,13 +1019,10 @@ def run_scenario(scenario, params=None, normals=Normals):
         [scenario.residual_scale * r for r in ex.RESIDUAL_FORCE],
         [scenario.residual_scale * r for r in ex.RESIDUAL_MOMENT])
 
-    # a row per tick in LOG_LAYOUT order; the errors are zeros until the
-    # rows are finished after the loop, and w_meas holds the rotor speeds
+    # a row per tick in LOG_LAYOUT order; w_meas holds the rotor speeds
     n_ticks = (n_steps + n_sub - 1) // n_sub
     rows = np.empty((n_ticks, len(ex.LOG_HEADER)))
     motion = slice(dyn.P.start, dyn.OMEGA.stop)
-    blocks = ex.LOG_BLOCKS
-    errors = (0.0,) * (blocks["e_att_deg"].stop - blocks["e_p"].start)
 
     # x is the state as a list of Python floats; the pose is the latest
     # sample of the 250 Hz pose clock, held between samples.  Each tick
@@ -1025,8 +1044,9 @@ def run_scenario(scenario, params=None, normals=Normals):
             target_pos, target_rpy = ex._script_target(script, times, t)
             cmd, ref = controller.tick(target_pos, target_rpy, inputs)
             rows[tick] = (t, *x[motion], *ref.p_d, *ref.v_d, *ref.q_d,
-                          *ref.omega_d, *errors, *cmd.u, *cmd.w_cmd,
-                          *w_meas, *cmd.saturated)
+                          *ref.omega_d,
+                          *row_errors(x[P], x[Q], ref.p_d, ref.q_d),
+                          *cmd.u, *cmd.w_cmd, *w_meas, *cmd.saturated)
             first, end = k, min(k + n_sub, n_steps)
             wrenches = sampler.step(k, end - k)
             force = wrenches[-1][:3]
@@ -1042,21 +1062,45 @@ def run_scenario(scenario, params=None, normals=Normals):
         raise NonFiniteState(
             exc.message, t=(k + exc.offset) * dt, scenario=scenario.id,
             seed=scenario.seed, state=exc.state) from exc
-
-    for start in range(0, n_ticks, ex.LOG_BLOCK_ROWS):
-        ex._finish_block(rows[start:start + ex.LOG_BLOCK_ROWS])
     return ex._log_and_metrics(scenario, rows)
 
 
+def row_errors(p, q, ref_p, ref_q):
+    """The 6 tracking errors of a log row, e_p then e_att_deg, as
+    _truth.c's row_errors forms them, over Python floats: ref_p - p, and
+    the roll, pitch and yaw in degrees of ref_q (x) conj(q), the product
+    in geometry.quat_mul's expression order, normalised by the root of
+    its squares summed in order, and the angles in rpy_from_quat's, by
+    math.atan2 and math.asin."""
+    aw, ax, ay, az = ref_q
+    bw, bx, by, bz = q[0], -q[1], -q[2], -q[3]
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    e_p = (ref_p[0] - p[0], ref_p[1] - p[1], ref_p[2] - p[2])
+    if not norm:  # q = 0, in the row before a divergence: C's 0 / 0
+        return (*e_p, math.nan, math.nan, math.nan)
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    s = min(max(2.0 * (w * y - z * x), -1.0), 1.0)
+    deg = 180.0 / math.pi
+    return (*e_p,
+            math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+            * deg,
+            math.asin(s) * deg,
+            math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+            * deg)
+
+
 def whole_log_errors(log):
-    """(e_p, e_att_deg, rpy) of a run log, computed after the loop over
-    the whole log at once, as run_scenario did before it filled the
-    errors a block of rows at a time: the oracle of that block form."""
-    e_p = log["ref_p"] - log["p"]
-    e_q = quat_mul(log["ref_q"].T, quat_conj(log["q"].T))
-    e_att_deg = np.degrees(rpy_from_quat(e_q)).T
-    rpy = rpy_from_quat(log["q"].T).T
-    return e_p, e_att_deg, rpy
+    """(e_p, e_att_deg, rpy) of a run log, computed after the loop from
+    its truth and reference columns: the errors by row_errors, row by
+    row, and the attitude by numpy's rpy_from_quat over the whole log at
+    once, as experiments.run_scenario computes it."""
+    errors = np.array([row_errors(*row) for row in zip(
+        *(log[name].tolist() for name in ("p", "q", "ref_p", "ref_q")))])
+    return errors[:, :3], errors[:, 3:], rpy_from_quat(log["q"].T).T
 
 
 # ---------------------------------------------------------------------------

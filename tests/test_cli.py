@@ -9,6 +9,7 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,54 @@ def test_run_deterministic_log(tmp_path):
                        "--noise-scale", "3", "--duration", "3",
                        "--out", str(out)) == 0
     assert (a / "log.csv").read_bytes() == (b / "log.csv").read_bytes()
+
+
+def avx512_dispatch_targets():
+    """numpy's AVX-512 dispatch targets, x86-64-v4 and the AVX512_ levels,
+    that this machine enables."""
+    from numpy._core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name == "X86_V4" or name.startswith("AVX512"))
+            and umath.__cpu_features__.get(name)]
+
+
+def test_run_artifacts_do_not_follow_numpy_cpu_dispatch(tmp_path):
+    # one run in two fresh interpreters, one of them with numpy's AVX-512
+    # loops switched off, writes the same bytes: no logged value comes
+    # from a numpy function whose SIMD loops round otherwise than its
+    # scalar ones (numpy's arctan2 and arcsin differ from libm's atan2 and
+    # asin on about 8 % of inputs on an AVX-512 machine)
+    targets = avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("this machine enables none of numpy's AVX-512 "
+                    "dispatch targets")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    envs = [env, dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(targets))]
+    # the switch takes: numpy reports the targets off
+    probe = subprocess.run(
+        [sys.executable, "-c", "from numpy._core import _multiarray_umath "
+         "as m; print(*(k for k, on in m.__cpu_features__.items() if on))"],
+        env=envs[1], capture_output=True, text=True, timeout=120)
+    assert not set(targets) & set(probe.stdout.split()), probe.stderr
+    # metrics.json records --out, so both runs write to ./art
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    runs = []
+    try:
+        for d, run_env in zip(dirs, envs):
+            d.mkdir()
+            runs.append(subprocess.Popen(
+                [sys.executable, "-m", "hexsim.cli", "run", "--scenario",
+                 "exp3", "--gust", "--out", "art"],
+                cwd=d, env=run_env, stdout=subprocess.DEVNULL))
+        assert [run.wait(timeout=300) for run in runs] == [0, 0]
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
+    for name in ("log.csv", "metrics.json"):
+        a, b = ((d / "art" / name).read_bytes() for d in dirs)
+        assert sha256(a).hexdigest() == sha256(b).hexdigest(), name
 
 
 # log.csv's header written out, so that a schema change shows here

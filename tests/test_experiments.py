@@ -327,10 +327,11 @@ def same_bits(a, b):
         "exp4-50Hz", "exp5-1024-ticks"])
 def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
                                                overrides):
-    # the errors are filled a block of rows at a time, bit for bit as the
-    # whole-log expressions gave them; the 20 s exp1 runs hold the roll
-    # and pitch steps and 39 full blocks and one partial one, the exp4
-    # run one partial block and the exp5 run four full ones
+    # _truth.c writes the errors with each row, bit for bit as the
+    # oracle's Python-float expressions give them, and the attitude is
+    # numpy's; the 20 s exp1 runs hold the roll and pitch steps and 39
+    # full blocks and one partial one, the exp4 run one partial block and
+    # the exp5 run four full ones
     sc = ex.build_scenario(scenario_id, controller, overrides)
     log, _ = ex.run_scenario(sc)
     e_p, e_att_deg, rpy = whole_log_errors(log)
@@ -524,8 +525,9 @@ def test_setpoint_rejects_non_finite_targets():
 
 
 def test_logged_attitudes_match_per_tick_formula():
-    # rpy and e_att_deg are computed after the loop from the stacked
-    # quaternions; the roll step at 5 s gives errors near a degree
+    # rpy, computed after the loop from the stacked quaternions, and
+    # e_att_deg, written with each row in C, agree with numpy's per-tick
+    # formula; the roll step at 5 s gives errors near a degree
     sc = ex.build_scenario("exp1", "indi", {"duration": 5.6})
     log, _ = ex.run_scenario(sc)
     for q, ref_q, rpy, e_att in zip(log["q"], log["ref_q"], log["rpy"],

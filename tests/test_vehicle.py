@@ -165,6 +165,24 @@ def test_full_rank_over_tilt_range(tilt_deg, sign, share):
     np.testing.assert_allclose(cmd.u, u, rtol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tilt_deg=tilt_degs, sign=tilt_signs, arm=st.floats(0.05, 1.0),
+       c_f=st.floats(1e-7, 1e-3), c_tau_share=st.floats(0.005, 0.05))
+def test_effectiveness_equals_the_cross_product_form(tilt_deg, sign, arm,
+                                                     c_f, c_tau_share):
+    # the moment columns are np.cross's own expressions over floats, so
+    # every matrix and the condition number keep numpy's bits
+    params = vehicle.default_params(
+        tilt_angle=sign * np.deg2rad(tilt_deg), arm_length=arm, c_f=c_f,
+        c_tau=c_tau_share * c_f)
+    got = vehicle.build_effectiveness(params)
+    want = oracles.numpy_build_effectiveness(params)
+    for name in ("F1", "F2", "F0_inv"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert bits([got.condition_number, got.u_min, got.u_max]) == bits(
+        [want.condition_number, want.u_min, want.u_max])
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=hovering_platforms)
 def test_hover_trim_is_an_equilibrium_over_platforms(params):
