@@ -31,15 +31,17 @@
    array('d') buffers laid out as the C_ and S_ offsets below say; a
    tick updates the state in place.
 
-   ticks(...) runs a block of closed-loop ticks and writes their log
-   rows: per tick the sensors of dynamics.synthesize_sensors, the
+   ticks(...) runs a whole closed-loop run in one call and writes its
+   log rows: per tick the sensors of dynamics.synthesize_sensors, the
    setpoint of experiments._script_target, the controller tick above,
    the row with its tracking errors (row_errors below), and the wrenches
    (dynamics.DisturbanceSampler.step) and RK4 steps of its truth
    steps.  The sensor noise and the gust draw from the run's
-   stream (see stream below), numpy's default_rng(seed).  Its Python
-   form, the loop run_scenario ran before, is tests/oracles.py's
-   run_scenario.
+   stream (see stream below), numpy's default_rng(seed).  It starts
+   from copies of the truth state x0, the controller state and the
+   stream, and writes only the rows, so a bound run gives the same rows
+   at every call.  Its Python form, the loop run_scenario ran before, is
+   tests/oracles.py's run_scenario.
 
    csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
    each float with the bytes of repr: the shortest decimal that reads
@@ -264,11 +266,12 @@ rk4_step(const double *k, const struct rk4 *rk, double *x,
     const double norm = sqrt(out[6] * out[6] + out[7] * out[7]
                              + out[8] * out[8] + out[9] * out[9]);
     /* a sum of floats is finite only if every term is (or it
-       overflows, which is divergence too) */
+       overflows, which is divergence too); q's norm overflows for
+       finite components whose squares do, and would turn q to 0 */
     double sum = 0.0;
     for (int j = 0; j < STATE_SIZE; j++)
         sum += out[j];
-    if (!(norm > 0.0 && isfinite(sum)))
+    if (!(norm > 0.0 && isfinite(norm) && isfinite(sum)))
         return -1;
     for (int j = 0; j < STATE_SIZE; j++)
         x[j] = 6 <= j && j < 10 ? out[j] / norm : out[j];
@@ -685,15 +688,6 @@ indi_tick(PyObject *Py_UNUSED(module), PyObject *const *args,
 #define D_LOAD 1
 #define D_GUST 2
 
-/* A run's carried state, K_ offsets into the array('d') each block
-   updates: */
-#define K_X 0         /* the truth state */
-#define K_POSE 19     /* the 250 Hz pose sample held: p (3), q (4) */
-#define K_FORCE 26    /* the world force the accelerometer sees: that of
-                         the last truth step's wrench */
-#define K_OU 29       /* the gust's Ornstein-Uhlenbeck state */
-#define N_CARRIED 32
-
 /* The log row, in experiments.LOG_LAYOUT order. */
 #define L_T 0
 #define L_MOTION 1    /* p, v, q, omega of the truth state (13) */
@@ -948,40 +942,37 @@ get_rows(PyObject *obj, Py_buffer *view)
     return 0;
 }
 
-#define N_TICKS_ARGS 14
+#define N_TICKS_ARGS 12
 
 static PyObject *
 ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    enum { TRUTH, CONTROL, STATE, RUN, SCRIPT, CARRIED, STREAM, ROWS };
+    enum { TRUTH, CONTROL, STATE, RUN, SCRIPT, X0, STREAM, ROWS };
     Py_buffer views[ROWS + 1];
     int held = 0;
     PyObject *result = NULL;
     if (nargs != N_TICKS_ARGS) {
         PyErr_SetString(PyExc_TypeError,
                         "ticks(truth, indi, control, state, run, script, "
-                        "n_sub, pose_every, n_steps, carried, stream, "
-                        "rows, start, stop)");
+                        "n_sub, pose_every, n_steps, x0, stream, rows)");
         return NULL;
     }
     const int indi = PyObject_IsTrue(args[1]);
     if (indi < 0)
         return NULL;
-    Py_ssize_t ints[5];  /* n_sub, pose_every, n_steps, start, stop */
-    PyObject *const int_args[5] = {args[6], args[7], args[8], args[12],
-                                   args[13]};
-    for (int i = 0; i < 5; i++) {
-        ints[i] = PyLong_AsSsize_t(int_args[i]);
+    Py_ssize_t ints[3];  /* n_sub, pose_every, n_steps */
+    for (int i = 0; i < 3; i++) {
+        ints[i] = PyLong_AsSsize_t(args[6 + i]);
         if (ints[i] == -1 && PyErr_Occurred())
             return NULL;
     }
-    const Py_ssize_t n_sub = ints[0], pose_every = ints[1],
-                     n_steps = ints[2], start = ints[3], stop = ints[4];
+    const Py_ssize_t n_sub = ints[0], pose_every = ints[1], n_steps = ints[2];
     if (n_sub < 1 || pose_every < 1 || n_steps < 1) {
         PyErr_SetString(PyExc_ValueError,
                         "n_sub, pose_every and n_steps must be positive");
         return NULL;
     }
+    const Py_ssize_t n_state = indi ? N_INDI_STATE : N_GEO_STATE;
     if (get_doubles(args[0], &views[TRUTH], N_TRUTH, PyBUF_SIMPLE,
                     "truth") < 0)
         goto done;
@@ -990,8 +981,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     PyBUF_SIMPLE, "control") < 0)
         goto done;
     held++;
-    if (get_doubles(args[3], &views[STATE],
-                    indi ? N_INDI_STATE : N_GEO_STATE, PyBUF_WRITABLE,
+    if (get_doubles(args[3], &views[STATE], n_state, PyBUF_SIMPLE,
                     "state") < 0)
         goto done;
     held++;
@@ -1008,11 +998,11 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "setpoint, at least one setpoint");
         goto done;
     }
-    if (get_doubles(args[9], &views[CARRIED], N_CARRIED, PyBUF_WRITABLE,
-                    "carried") < 0)
+    if (get_doubles(args[9], &views[X0], STATE_SIZE, PyBUF_SIMPLE,
+                    "x0") < 0)
         goto done;
     held++;
-    if (PyObject_GetBuffer(args[10], &views[STREAM], PyBUF_WRITABLE) < 0)
+    if (PyObject_GetBuffer(args[10], &views[STREAM], PyBUF_SIMPLE) < 0)
         goto done;
     held++;
     if (views[STREAM].len != sizeof(struct pcg64)) {
@@ -1024,17 +1014,14 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     held++;
     const Py_ssize_t n_ticks = (n_steps + n_sub - 1) / n_sub;
-    if (!(0 <= start && start <= stop && stop <= views[ROWS].shape[0]
-          && stop <= n_ticks)) {
-        PyErr_Format(PyExc_ValueError, "ticks %zd to %zd: outside the %zd "
-                     "rows and the run's %zd ticks", start, stop,
-                     views[ROWS].shape[0], n_ticks);
+    if (views[ROWS].shape[0] != n_ticks) {
+        PyErr_Format(PyExc_ValueError, "rows: expected the run's %zd rows, "
+                     "got %zd", n_ticks, views[ROWS].shape[0]);
         goto done;
     }
 
     const double *k = views[TRUTH].buf, *kc = views[CONTROL].buf;
     const double *r = views[RUN].buf, *script = views[SCRIPT].buf;
-    double *s = views[STATE].buf, *carried = views[CARRIED].buf;
     double *rows = views[ROWS].buf;
     const double dt = r[R_DT];
     const int noisy = r[R_NOISE] > 0.0;
@@ -1045,17 +1032,22 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     /* random_standard_normal reads 64-bit words and doubles only */
     bitgen_t normals = {&g, pcg64_next64, NULL, pcg64_next_double,
                         pcg64_next64};
-    double x[STATE_SIZE], pose[7], force[3], ou[3], wrench[6];
-    memcpy(x, carried + K_X, sizeof x);
-    memcpy(pose, carried + K_POSE, sizeof pose);
-    memcpy(force, carried + K_FORCE, sizeof force);
-    memcpy(ou, carried + K_OU, sizeof ou);
-    if (start == 0) {
-        /* the wrench of step 0 is drawn once before the first tick */
-        disturb(r, ou, &normals, 0, wrench);
-        memcpy(force, wrench, sizeof force);
-    }
-    for (Py_ssize_t tick = start; tick < stop; tick++) {
+    /* the truth state, the controller's, the 250 Hz pose sample held
+       (p, q), the world force the accelerometer sees (that of the last
+       truth step's wrench) and the gust's Ornstein-Uhlenbeck state */
+    double x[STATE_SIZE], s[N_INDI_STATE], pose[7], force[3],
+           ou[3] = {0.0, 0.0, 0.0}, wrench[6];
+    memcpy(x, views[X0].buf, sizeof x);
+    memcpy(s, views[STATE].buf, n_state * sizeof(double));
+    memcpy(pose, x, 3 * sizeof(double));
+    memcpy(pose + 3, x + 6, 4 * sizeof(double));
+    /* the wrench of step 0 is drawn once before the first tick */
+    disturb(r, ou, &normals, 0, wrench);
+    memcpy(force, wrench, sizeof force);
+    for (Py_ssize_t tick = 0; tick < n_ticks; tick++) {
+        /* a signal's handler runs here, so Ctrl-C stops a long run */
+        if (PyErr_CheckSignals() < 0)
+            goto done;
         const Py_ssize_t k0 = tick * n_sub;
         const double t = (double)k0 * dt;
         struct inputs in;
@@ -1105,7 +1097,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         for (Py_ssize_t j = k0; j < end; j++) {
             disturb(r, ou, &normals, j, wrench);
             if (rk4_step(k, &rk, x, w, wrench) < 0) {
-                diverged(module, x, j - start * n_sub);
+                diverged(module, x, j);
                 goto done;
             }
             if ((j + 1) % pose_every == 0) {
@@ -1115,11 +1107,6 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         memcpy(force, wrench, sizeof force);
     }
-    memcpy(carried + K_X, x, sizeof x);
-    memcpy(carried + K_POSE, pose, sizeof pose);
-    memcpy(carried + K_FORCE, force, sizeof force);
-    memcpy(carried + K_OU, ou, sizeof ou);
-    memcpy(views[STREAM].buf, &g, sizeof g);
     result = Py_NewRef(Py_None);
 done:
     while (held > 0)
@@ -2110,8 +2097,8 @@ static PyMethodDef methods[] = {
      "geo_tick's"},
     {"ticks", (PyCFunction)(void (*)(void))ticks, METH_FASTCALL,
      "ticks(truth, indi, control, state, run, script, n_sub, pose_every, "
-     "n_steps, carried, stream, rows, start, stop) -> None; runs the "
-     "closed loop's ticks start ... stop - 1 into their rows"},
+     "n_steps, x0, stream, rows) -> None; runs the closed loop from the "
+     "truth state x0 into its rows, one a tick"},
     {"stream", stream, METH_O,
      "stream(entropy) -> the state of numpy's default_rng(seed), whose "
      "32-bit words entropy holds"},

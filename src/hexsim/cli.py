@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
+LOG_BLOCK_ROWS = 256  # log rows write_log_rows formats a call
 
 
 class ConfigError(Exception):
@@ -176,13 +177,12 @@ def write_log_rows(fh, rows):
     experiments.LOG_LAYOUT side by side): floats with the bytes of repr,
     the shortest decimal that reads back as each (Ryū's d2s in C), and
     the last block's flags as 0/1, as _truth.c's csv_rows formats them,
-    experiments.LOG_BLOCK_ROWS rows a call."""
+    LOG_BLOCK_ROWS rows a call."""
     csv_rows = dynamics.load_truth().csv_rows
     flags = len(experiments.LOG_LAYOUT[-1][1])
-    step = experiments.LOG_BLOCK_ROWS
     fh.write(",".join(experiments.LOG_HEADER) + "\n")
-    for start in range(0, len(rows), step):
-        fh.write(csv_rows(rows[start:start + step], flags))
+    for start in range(0, len(rows), LOG_BLOCK_ROWS):
+        fh.write(csv_rows(rows[start:start + LOG_BLOCK_ROWS], flags))
 
 
 def write_log_csv(fh, rows):

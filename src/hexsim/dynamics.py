@@ -27,10 +27,10 @@ SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
 class NonFiniteState(Exception):
     """Simulation diverged: a state component became non-finite.
 
-    step and _truth.c's ticks raise it with the offset of the diverging
-    truth step within their call and the last finite state; run_scenario
-    raises it again with the time t at the start of that step, the
-    scenario id, the seed and the last finite state vector.
+    step raises it with the offset of the diverging truth step in its
+    call, _truth.c's ticks with the step's index in the run, both with
+    the last finite state; run_scenario raises it again with the time t
+    at the start of that step, the scenario id, the seed and that state.
     """
 
     def __init__(self, message="simulation state diverged", t=None,
@@ -82,7 +82,7 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind != "none" and not self.t_on < self.t_off:
             raise ValueError("need t_on < t_off")
-        if self.kind == "gust" and not self.gust_corr_time > 0:  # nan too
+        if not self.gust_corr_time > 0:  # nan too; every sampler divides
             raise ValueError("gust_corr_time must be positive")
         if not (math.isfinite(self.gust_std) and self.gust_std >= 0):
             raise ValueError("gust_std must be finite and >= 0")

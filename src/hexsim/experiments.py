@@ -66,7 +66,6 @@ def _log_blocks():
 
 
 LOG_BLOCKS, LOG_HEADER = _log_blocks()
-LOG_BLOCK_ROWS = 256  # log rows run and formatted at a time
 
 
 class UnknownScenario(Exception):
@@ -83,13 +82,15 @@ class EmptyWindow(Exception):
 
 @dataclass(frozen=True)
 class Setpoint:
-    """Position and ZYX attitude target from time t on; pos and rpy are
-    kept as tuples of three finite Python floats."""
+    """Position and ZYX attitude target from the finite time t on; pos
+    and rpy are kept as tuples of three finite Python floats."""
     t: float
     pos: tuple
     rpy: tuple
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError("setpoint t must be finite")
         dyn.set_three_floats(self, "setpoint", "pos", "rpy")
 
 
@@ -109,7 +110,7 @@ class Scenario:
     disturbance: dyn.DisturbanceSpec = field(
         default_factory=dyn.DisturbanceSpec, metadata={"record": "kind"})
     noise_scale: float = 0.0
-    script: tuple = field(default=(), metadata={"record": None})
+    script: tuple = field(default=(_HOVER,), metadata={"record": None})
     duration: float = 10.0
     seed: int = 1
     residual_scale: float = 1.0
@@ -144,6 +145,9 @@ class Scenario:
             raise ValueError(f"gains must be a Gains, not {self.gains!r}")
         if not isinstance(self.disturbance, dyn.DisturbanceSpec):
             raise ValueError("disturbance must be a DisturbanceSpec")
+        if not (isinstance(self.script, tuple) and self.script and all(
+                isinstance(sp, Setpoint) for sp in self.script)):
+            raise ValueError("script must be a non-empty tuple of Setpoints")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
         if self.filter_cutoff_hz <= 0:
@@ -232,7 +236,7 @@ def build_scenario(scenario_id, controller, overrides=None):
             moment=(0.0, 4.905 * 0.13, 0.0),  # 0.638 N m pitch
             t_on=6.0, t_off=14.0)
         base = Scenario(id=scenario_id, controller=controller,
-                        script=(_HOVER,), duration=20.0, disturbance=load)
+                        duration=20.0, disturbance=load)
     elif scenario_id == "exp3":
         script, dur = _exp3_script()
         disturbance = dyn.DisturbanceSpec(kind="none")
@@ -249,8 +253,7 @@ def build_scenario(scenario_id, controller, overrides=None):
         base = Scenario(id=scenario_id, controller=controller,
                         script=script, duration=dur, noise_scale=1)
     elif scenario_id == "exp5":
-        base = Scenario(id=scenario_id, controller=controller,
-                        script=(_HOVER,), duration=12.0)
+        base = Scenario(id=scenario_id, controller=controller, duration=12.0)
     else:
         raise UnknownScenario(scenario_id)
     if overrides:
@@ -277,31 +280,28 @@ def run_scenario(scenario, params=None):
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
-    _truth.c's ticks runs LOG_BLOCK_ROWS ticks at a time (the last block
-    may be shorter) and writes their rows, tracking errors included.
-    Raises NonFiniteState carrying the time, scenario id, seed and last
-    finite state if the truth state diverges.
+    One call of _truth.c's ticks runs the whole loop and writes every
+    row, tracking errors included.  Raises NonFiniteState carrying the
+    time, scenario id, seed and last finite state if the truth state
+    diverges.
     """
     ticks = _closed_loop(scenario, params or vehicle.default_params())
     n_sub, n_steps = _clock(scenario)
-    n_ticks = (n_steps + n_sub - 1) // n_sub
-    rows = np.empty((n_ticks, len(LOG_HEADER)))
-    for start in range(0, n_ticks, LOG_BLOCK_ROWS):
-        stop = min(start + LOG_BLOCK_ROWS, n_ticks)
-        try:
-            ticks(rows, start, stop)
-        except dyn.NonFiniteState as exc:
-            k = start * n_sub + exc.offset  # the step that diverged
-            raise dyn.NonFiniteState(
-                exc.message, t=k * dyn.SIM_DT, scenario=scenario.id,
-                seed=scenario.seed, state=exc.state) from exc
+    rows = np.empty(((n_steps + n_sub - 1) // n_sub, len(LOG_HEADER)))
+    try:
+        ticks(rows)
+    except dyn.NonFiniteState as exc:
+        raise dyn.NonFiniteState(
+            exc.message, t=exc.offset * dyn.SIM_DT, scenario=scenario.id,
+            seed=scenario.seed, state=exc.state) from exc
     return _log_and_metrics(scenario, rows)
 
 
 def _closed_loop(scenario, params):
     """The closed loop of scenario on the platform params, set up:
-    ticks(rows, start, stop), _truth.c's ticks bound to the run, whose
-    state it carries from one call to the next."""
+    ticks(rows), _truth.c's ticks bound to all of the run but its rows,
+    a row per tick.  It writes nothing but the rows, so each call runs
+    the whole run afresh."""
     eff = vehicle.build_effectiveness(params)
     # the controller's belief: the truth's own matrix unless it is wrong
     model = (ControllerModel(params=params, eff=eff)
@@ -330,11 +330,7 @@ def _closed_loop(scenario, params):
         [scenario.residual_scale * r for r in RESIDUAL_MOMENT])
     run = array("d", (dt, sigma, sigma * dyn.ACCEL_SIGMA,
                       sigma * dyn.GYRO_SIGMA, *sampler.constants))
-    # what a block hands the next: the truth state, the 250 Hz pose
-    # sample held, the force the accelerometer sees and the gust's state
-    carried = array("d", (*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0,
-                          *trim.w_cmd, *p0, *q0, 0.0, 0.0, 0.0,
-                          0.0, 0.0, 0.0))
+    x0 = array("d", (*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0, *trim.w_cmd))
     truth = dyn.load_truth()
     # the normals of default_rng(seed), whose SeedSequence takes an int
     # as its 32-bit words; the sensor noise and the gust share them
@@ -345,7 +341,7 @@ def _closed_loop(scenario, params):
         controller.name == "indi", controller.constants, controller.state,
         run, array("d", (*times, *(v for sp in script
                                     for v in (*sp.pos, *sp.rpy)))),
-        n_sub, pose_every, n_steps, carried, stream)
+        n_sub, pose_every, n_steps, x0, stream)
 
 
 def _log_and_metrics(scenario, rows):

@@ -12,16 +12,16 @@ inputs the oracle loop passes (lists of Python floats), one sensor
 synthesis at exp5's noise level 7, one draw of exp3's gust sampler over
 the 4 truth steps of a 500 Hz tick inside its window, one take(3) of a
 Normals tape (a truth step's gust draw): the Python layers and compiled
-calls of the loop that tests/oracles.py keeps.  Then one block of the
-compiled closed loop, LOG_BLOCK_ROWS ticks in one _truth.c call, of the
-500 Hz noisy indi hover of the sweep_noise workload and of the 50 Hz
-geo exp4 hover of the sweep_freq workload (extra_info["us_per_tick"]
-holds its median per tick), one 500 Hz run_scenario of the 2.1 s noisy
-hover of the sweep_noise benchmark workload (exp5 at noise level 7) and
-one 50 Hz run_scenario of the 2.2 s exp4 hover of the sweep_freq
-workload, where the truth step dominates.  Last, the log writer: one
-_truth.c csv_rows call on a LOG_BLOCK_ROWS block from the middle of a
-7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
+calls of the loop that tests/oracles.py keeps.  Then one whole run of
+the compiled closed loop, the one _truth.c ticks call of run_scenario,
+of the 2.1 s 500 Hz noisy indi hover of the sweep_noise workload and of
+a 5.2 s 50 Hz geo exp4 hover like the sweep_freq workload's
+(extra_info["us_per_tick"] holds its median per tick), one 500 Hz
+run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
+workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
+2.2 s exp4 hover of the sweep_freq workload, where the truth step
+dominates.  Last, the log writer: one _truth.c csv_rows call on a
+cli.LOG_BLOCK_ROWS block from the middle of a 7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
 whose near-hover values are tiny (extra_info["ns_per_value"] holds its
 median per value).  And one vehicle.build_effectiveness of the default
 platform, which every run calls in its set-up.
@@ -32,9 +32,9 @@ import math
 import numpy as np
 import pytest
 
+from hexsim import cli, vehicle
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
-from hexsim import vehicle
 from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
 from oracles import Normals, pack
@@ -100,12 +100,12 @@ def test_controller_tick(benchmark, params, trim, hover, kind):
     ("exp4", "geo", {"controller_freq": 50.0, "duration": 5.2}),
 ], ids=["500Hz-indi-noise7", "50Hz-geo"])
 def test_ticks_block(benchmark, params, scenario_id, kind, overrides):
-    # each call runs the block's ticks on from the state the last left
-    ticks = ex._closed_loop(
-        ex.build_scenario(scenario_id, kind, overrides), params)
-    n = ex.LOG_BLOCK_ROWS
-    rows = np.empty((n, len(ex.LOG_HEADER)))
-    benchmark(ticks, rows, 0, n)
+    # each call runs the whole run again from its start
+    scenario = ex.build_scenario(scenario_id, kind, overrides)
+    ticks = ex._closed_loop(scenario, params)
+    n_sub, n_steps = ex._clock(scenario)
+    n = -(-n_steps // n_sub)
+    benchmark(ticks, np.empty((n, len(ex.LOG_HEADER))))
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_tick"] = (
             benchmark.stats.stats.median / n * 1e6)
@@ -134,7 +134,7 @@ def test_csv_rows_block(benchmark, scenario_id, overrides):
     log, _ = ex.run_scenario(ex.build_scenario(scenario_id, "indi", overrides))
     rows = np.column_stack([log[name] for name, _ in ex.LOG_LAYOUT])
     start = len(rows) // 2
-    block = rows[start:start + ex.LOG_BLOCK_ROWS]
+    block = rows[start:start + cli.LOG_BLOCK_ROWS]
     benchmark(dyn.load_truth().csv_rows, block, len(ex.LOG_LAYOUT[-1][1]))
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_value"] = (

@@ -197,8 +197,10 @@ def make_step(params, eff):
         qw, qx, qy, qz = out[Q]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         # a sum of floats is finite only if every term is (or it
-        # overflows, which is divergence too)
-        if not (norm > 0.0 and math.isfinite(sum(out))):
+        # overflows, which is divergence too); q's norm overflows for
+        # finite components whose squares do, and would turn q to 0
+        if not (norm > 0.0 and math.isfinite(norm)
+                and math.isfinite(sum(out))):
             raise NonFiniteState()
         out[Q] = qw / norm, qx / norm, qy / norm, qz / norm
         return out
@@ -396,8 +398,10 @@ def make_segment_step(params, eff):
                    c4 + kn * r4, c5 + kn * r5, c6 + kn * r6)
             norm = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
             # a sum of floats is finite only if every term is (or it
-            # overflows, which is divergence too)
-            if not (norm > 0.0 and math.isfinite(sum(out))):
+            # overflows, which is divergence too); q's norm overflows for
+            # finite components whose squares do, and would turn q to 0
+            if not (norm > 0.0 and math.isfinite(norm)
+                    and math.isfinite(sum(out))):
                 raise NonFiniteState(
                     state=[px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy,
                            oz, w1, w2, w3, w4, w5, w6], offset=i)
@@ -1080,8 +1084,6 @@ def row_errors(p, q, ref_p, ref_q):
     z = aw * bz + ax * by - ay * bx + az * bw
     norm = math.sqrt(w * w + x * x + y * y + z * z)
     e_p = (ref_p[0] - p[0], ref_p[1] - p[1], ref_p[2] - p[2])
-    if not norm:  # q = 0, in the row before a divergence: C's 0 / 0
-        return (*e_p, math.nan, math.nan, math.nan)
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     s = min(max(2.0 * (w * y - z * x), -1.0), 1.0)
     deg = 180.0 / math.pi

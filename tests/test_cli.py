@@ -539,7 +539,7 @@ def test_block_writer_matches_one_shot_writer(tmp_path, monkeypatch, n,
                                               block):
     # in this process, and through the forked writer, formatting `block`
     # rows a call
-    monkeypatch.setattr(experiments, "LOG_BLOCK_ROWS", block)
+    monkeypatch.setattr(cli, "LOG_BLOCK_ROWS", block)
     log = random_log(n, np.random.default_rng(n + block))
     with open(tmp_path / "rows.csv", "w") as fh:
         cli.write_log_rows(fh, log_rows(log))
@@ -932,7 +932,7 @@ def test_run_forks_its_log_writer_once_after_the_loop(tmp_path,
 def test_diverging_run_forks_nothing_and_leaves_no_log(tmp_path,
                                                        monkeypatch, capsys):
     # 3000 truth steps are 750 ticks at 500 Hz: the run diverges in its
-    # third block of ticks
+    # tick 750
     nan_command_after(monkeypatch, 3000)
     events = record_runs_and_forks(monkeypatch)
     out = tmp_path / "art"
@@ -1014,7 +1014,7 @@ def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
     # fork: it fails after writing the first block of rows, or every row,
     # and the run learns it from the exit code.  Or the fork itself
     # fails, after log.csv was opened
-    written = experiments.LOG_BLOCK_ROWS if failure == "mid-stream" else None
+    written = cli.LOG_BLOCK_ROWS if failure == "mid-stream" else None
     write_log_rows = cli.write_log_rows
 
     def failing_writer(fh, rows):

@@ -155,10 +155,12 @@ def test_disturbance_validation():
     for gust_std in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="gust_std"):
             dyn.DisturbanceSpec(kind="gust", t_off=1.0, gust_std=gust_std)
-    for corr_time in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="gust_corr_time"):
-            dyn.DisturbanceSpec(kind="gust", t_off=1.0,
-                                gust_corr_time=corr_time)
+    # every kind's sampler divides by the correlation time
+    for kind in ("none", "constant_load", "gust"):
+        for corr_time in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="gust_corr_time"):
+                dyn.DisturbanceSpec(kind=kind, t_off=1.0,
+                                    gust_corr_time=corr_time)
 
 
 def test_disturbance_vectors_are_float_tuples():
@@ -517,6 +519,31 @@ def test_compiled_divergence_equals_python_oracle(params, eff, fault):
         got = divergence(kernel.step, x, w_cmd, wrenches)
         assert got == divergence(oracle, x, w_cmd, wrenches)
         assert got[0] == bad
+
+
+@pytest.mark.parametrize("form", ["compiled", "segment oracle",
+                                  "list oracle"])
+def test_overflowing_quaternion_norm_diverges(params, eff, kernel, trim,
+                                              form):
+    # at the hover trim, q = (1.5e154, 0, 0, 0) stays as it is over a
+    # step, and its square overflows: every value is finite, but q's norm
+    # is inf, which would turn q to 0.  The first step diverges, from the
+    # state it was given
+    state = hover_state(trim).tolist()
+    state[dyn.Q] = [1.5e154, 0.0, 0.0, 0.0]
+    w_cmd = list(trim.w_cmd)
+    with pytest.raises(dyn.NonFiniteState) as info:
+        if form == "compiled":
+            dyn.step(state, kernel, trim, [CALM] * 3, dyn.SIM_DT)
+        elif form == "segment oracle":
+            oracles.make_segment_step(params, eff)(state, w_cmd, [CALM] * 3,
+                                                   dyn.SIM_DT)
+        else:
+            _, step = oracles.make_step(params, eff)
+            step(state, w_cmd, CALM[:3], CALM[3:], dyn.SIM_DT)
+    if form != "list oracle":  # whose one step reports no offset or state
+        assert info.value.offset == 0
+        assert bits(info.value.state) == bits(state)
 
 
 def test_set_up_without_a_kernel_does_not_build_the_step(package_copy):

@@ -2,8 +2,10 @@ import dataclasses
 import gc
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from collections import defaultdict
 from hashlib import sha256
@@ -59,6 +61,18 @@ def test_scenario_validation():
             ex.build_scenario("exp5", "geo", {name: None})
     with pytest.raises(ValueError, match="gains"):
         ex.build_scenario("exp5", "geo", {"gains": {"k_p": 1.0}})
+    # a script is a non-empty tuple of setpoints, each from a finite time
+    hover = ex.Setpoint(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    for script in ((), [hover], (hover, None), ((0.0, (0, 0, 0), (0, 0, 0)),)):
+        with pytest.raises(ValueError, match="script"):
+            ex.build_scenario("exp5", "geo", {"script": script})
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="setpoint t"):
+            ex.Setpoint(t, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    # the default script hovers at the origin
+    sc = ex.Scenario(id="exp5", controller="geo", duration=3.0)
+    assert sc.script == (hover,)
+    assert math.isfinite(ex.run_scenario(sc)[1].pos_norm_mean)
 
 
 def test_controller_freq_must_divide_the_truth_rate():
@@ -329,9 +343,7 @@ def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
                                                overrides):
     # _truth.c writes the errors with each row, bit for bit as the
     # oracle's Python-float expressions give them, and the attitude is
-    # numpy's; the 20 s exp1 runs hold the roll and pitch steps and 39
-    # full blocks and one partial one, the exp4 run one partial block and
-    # the exp5 run four full ones
+    # numpy's; the 20 s exp1 runs hold the roll and pitch steps
     sc = ex.build_scenario(scenario_id, controller, overrides)
     log, _ = ex.run_scenario(sc)
     e_p, e_att_deg, rpy = whole_log_errors(log)
@@ -575,18 +587,19 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
 
 # a motor lag below RK4's stability bound at SIM_DT (about 0.18 ms), which
 # the CLI's pre-flight rejects: the rotor speeds blow up.  At 0.179075 ms
-# the noise-free geo hover diverges in tick 255, the last of the first
-# block of ticks
+# the noise-free geo hover diverges in tick 255.  Each case gives the
+# truth step that diverges: in the last three, q's norm overflows there
+# while every component of the state stays finite
 NOISY = {"seed": 3, "noise_scale": 1}
-UNSTABLE_LAGS = [(1.5e-4, "geo", NOISY, 0.011),
-                 (1.5e-4, "indi", NOISY, 0.0125),
-                 (1.794e-4, "indi", NOISY, 1.869),
-                 (1.79075e-4, "geo", {}, 0.511)]
+UNSTABLE_LAGS = [(1.5e-4, "geo", NOISY, 22),
+                 (1.5e-4, "indi", NOISY, 24),
+                 (1.794e-4, "indi", NOISY, 3737),
+                 (1.79075e-4, "geo", {}, 1021)]
 
 
-@pytest.mark.parametrize("tau, controller, overrides, t", UNSTABLE_LAGS,
+@pytest.mark.parametrize("tau, controller, overrides, k", UNSTABLE_LAGS,
                          ids=["geo", "indi", "indi-late", "geo-tick-255"])
-def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, t):
+def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, k):
     # the compiled loop reports a real divergence as the oracle loop
     # does: the time, scenario, seed and last finite state
     params = vehicle.default_params(motor_time_constant=tau)
@@ -596,9 +609,11 @@ def test_diverging_run_raises_nonfinite_state(tau, controller, overrides, t):
     oracle = divergence(oracles.run_scenario, sc, params)
     assert (exc.t, exc.scenario, exc.seed, str(exc)) == (
         oracle.t, oracle.scenario, oracle.seed, str(oracle))
-    assert exc.t == t and exc.seed == sc.seed
+    assert exc.t == k * dyn.SIM_DT and exc.seed == sc.seed
     assert oracles.bits(exc.state) == oracles.bits(oracle.state)
     assert len(exc.state) == 19 and np.isfinite(exc.state).all()
+    # the last finite state's q is a rotation
+    assert math.hypot(*exc.state[dyn.Q]) == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
@@ -692,62 +707,83 @@ def test_compiled_loop_equals_oracle_loop(loop):
         oracles.run_scenario, scenario, params)
 
 
-def bound_block(params):
-    """(ticks, rows): a 500 Hz noisy indi hover's ticks, bound, and rows
-    for its first 4 ticks."""
+def bound_run(params):
+    """(ticks, rows): a 2.1 s noisy indi hover at 500 Hz, its ticks
+    bound, and rows for its 1050 ticks."""
     ticks = ex._closed_loop(ex.build_scenario("exp5", "indi", {
         "duration": 2.1, "noise_scale": 7}), params)
-    return ticks, np.empty((4, len(ex.LOG_HEADER)))
+    return ticks, np.empty((1050, len(ex.LOG_HEADER)))
 
 
 def bad_rows(name):
-    rows = np.zeros((4, len(ex.LOG_HEADER)))
+    rows = np.zeros((1050, len(ex.LOG_HEADER)))
     if name == "read-only":
         rows.setflags(write=False)
     return {"fortran": np.asfortranarray(rows), "strided": rows[:, ::2],
             "float32": rows.astype(np.float32), "1-D": rows.ravel(),
             "56-columns": rows[:, :56].copy(), "list": rows.tolist(),
-            "read-only": rows}[name]
+            "read-only": rows, "1049-rows": rows[:-1],
+            "1051-rows": np.zeros((1051, len(ex.LOG_HEADER)))}[name]
 
 
 @pytest.mark.parametrize("name, message", [
     ("fortran", "C-contiguous"), ("strided", "C-contiguous"),
     ("float32", "float64"), ("1-D", "2-D float64"),
     ("56-columns", "57 columns"), ("list", "float64 array"),
-    ("read-only", "writable")])
+    ("read-only", "writable"), ("1049-rows", "run's 1050 rows, got 1049"),
+    ("1051-rows", "run's 1050 rows, got 1051")])
 def test_ticks_rejects_rows_it_cannot_write(params, name, message):
-    ticks, _ = bound_block(params)
+    ticks, _ = bound_run(params)
     with pytest.raises(ValueError, match=message):
-        ticks(bad_rows(name), 0, 4)
-
-
-@pytest.mark.parametrize("start, stop", [(-1, 3), (2, 1), (0, 5), (3, 6)],
-                         ids=["negative", "backwards", "past-rows",
-                              "past-rows-late"])
-def test_ticks_rejects_ticks_outside_the_rows(params, start, stop):
-    ticks, rows = bound_block(params)
-    with pytest.raises(ValueError, match="outside"):
-        ticks(rows, start, stop)
-
-
-def test_ticks_rejects_ticks_past_the_run(params):
-    # 2.1 s at 500 Hz are 1050 ticks, whatever room the rows have
-    ticks = ex._closed_loop(ex.build_scenario("exp5", "geo", {
-        "duration": 2.1}), params)
-    with pytest.raises(ValueError, match="run's 1050 ticks"):
-        ticks(np.empty((1100, len(ex.LOG_HEADER))), 1049, 1051)
+        ticks(bad_rows(name))
 
 
 def test_rejected_calls_leave_the_run_as_it_was(params):
     # nothing of a rejected call is kept: the next call runs the ticks a
     # fresh run does
-    ticks, rows = bound_block(params)
-    for name in ("read-only", "56-columns", "fortran"):
+    ticks, rows = bound_run(params)
+    for name in ("read-only", "56-columns", "fortran", "1049-rows"):
         with pytest.raises(ValueError):
-            ticks(bad_rows(name), 0, 4)
-    with pytest.raises(ValueError):
-        ticks(rows, 0, 5)
-    ticks(rows, 0, 4)
-    fresh, want = bound_block(params)
-    fresh(want, 0, 4)
+            ticks(bad_rows(name))
+    ticks(rows)
+    fresh, want = bound_run(params)
+    fresh(want)
     assert same_bits(rows, want)
+
+
+def test_a_bound_run_called_twice_writes_the_same_rows(params):
+    # a call writes only its rows: the controller state and the stream
+    # it was bound to are copied, not advanced, so a second call runs the
+    # same run again
+    ticks, rows = bound_run(params)
+    ticks(rows)
+    again = np.full_like(rows, np.nan)
+    ticks(again)
+    assert same_bits(rows, again)
+
+
+class Alarm(Exception):
+    pass
+
+
+def test_a_signal_stops_a_long_run():
+    # 2000 s of exp4 at 50 Hz, 100,000 ticks, about 1 s of loop on a
+    # 2-core x86-64 VM: a SIGALRM at 50 ms stops it in the tick that
+    # follows, with the exception the handler raises
+    sc = ex.build_scenario("exp4", "geo", {"controller_freq": 50.0,
+                                           "duration": 2000.0})
+
+    def handler(signum, frame):
+        raise Alarm
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        began = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Alarm):
+            ex.run_scenario(sc)
+        took = time.perf_counter() - began
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert took < 0.5
