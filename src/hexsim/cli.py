@@ -244,13 +244,13 @@ def preflight(params):
     hover trim inside the actuator limits and the motor lag inside RK4's
     stability interval."""
     try:
-        eff = vehicle.build_effectiveness(params)
+        eff = params.effectiveness
     except vehicle.DegenerateGeometry as exc:
         yield f"effectiveness: DEGENERATE ({exc})", False
         return
     yield (f"effectiveness rank: 6, condition number: "
            f"{eff.condition_number:.3f}", True)
-    trim = vehicle.hover_command(params, eff)
+    trim = params.hover
     hovers = not any(trim.saturated)
     yield (f"hover trim {'within' if hovers else 'outside'} actuator limits "
            f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s: "

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .filters import FilteredDerivative, SecondOrderFilter
 from .geometry import quat_from_rpy, rotmat, rpy_from_quat
-from .vehicle import GRAVITY, ActuatorCommand, build_effectiveness, \
-    with_cf_factor
+from .vehicle import GRAVITY, ActuatorCommand, with_cf_factor
 # perfbench's tests read vehicle.allocate through this module too
 from .vehicle import allocate  # noqa: F401
 
@@ -73,8 +72,7 @@ class ControllerModel:
 
 def make_model(params, cf_factor=1.0):
     model_params = with_cf_factor(params, cf_factor)
-    return ControllerModel(params=model_params,
-                           eff=build_effectiveness(model_params))
+    return ControllerModel(params=model_params, eff=model_params.effectiveness)
 
 
 def outer_loop(gains, ref, pos, vel, q, omega):

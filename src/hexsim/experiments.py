@@ -302,7 +302,7 @@ def _closed_loop(scenario, params):
     ticks(rows), _truth.c's ticks bound to all of the run but its rows,
     a row per tick.  It writes nothing but the rows, so each call runs
     the whole run afresh."""
-    eff = vehicle.build_effectiveness(params)
+    eff = params.effectiveness
     # the controller's belief: the truth's own matrix unless it is wrong
     model = (ControllerModel(params=params, eff=eff)
              if scenario.cf_mismatch == 1
@@ -315,7 +315,7 @@ def _closed_loop(scenario, params):
         scenario.controller, model, scenario.gains, n_sub * dt,
         scenario.filter_cutoff_hz, scenario.filter_damping)
 
-    trim = vehicle.hover_command(params, eff)
+    trim = params.hover
     script = scenario.script
     times = [sp.t for sp in script]
     p0, rpy0 = _script_target(script, times, 0.0)
@@ -381,10 +381,12 @@ def error_statistics(log, window):
     mask = (t >= window[0]) & (t < window[1])
     if not mask.any():
         raise EmptyWindow(f"no samples in {window}")
-    e_p = np.abs(log["e_p"][mask])
-    e_att = np.abs(log["e_att_deg"][mask])
-    lon = np.linalg.norm(log["e_att_deg"][mask][:, :2], axis=1)
-    pos_norm = np.linalg.norm(log["e_p"][mask], axis=1)
+    e_p, e_att = log["e_p"][mask], log["e_att_deg"][mask]
+    lon = np.linalg.norm(e_att[:, :2], axis=1)
+    pos_norm = np.linalg.norm(e_p, axis=1)
+    # the masked copies are this call's own
+    np.abs(e_p, out=e_p)
+    np.abs(e_att, out=e_att)
     return RunMetrics(
         pos_abs_mean=e_p.mean(axis=0),
         pos_abs_peak=e_p.max(axis=0),

@@ -86,6 +86,19 @@ class PlatformParams:
         return _axis_angle_matrix(radial,
                                   ROTOR_TILT_SIGNS[i] * self.tilt_angle)
 
+    # What depends on the platform alone is built once per object and
+    # shared by every run on it; dataclasses.replace (with_cf_factor)
+    # makes a new object, which builds its own.
+    @cached_property
+    def effectiveness(self):
+        """build_effectiveness(self), whose arrays are read-only."""
+        return build_effectiveness(self)
+
+    @cached_property
+    def hover(self):
+        """hover_command(self, self.effectiveness)."""
+        return hover_command(self, self.effectiveness)
+
 
 def default_params(**overrides):
     """Platform defaults: 2.95 kg, 750 mm motor span, 30 deg fixed tilt,
@@ -154,8 +167,12 @@ def build_effectiveness(params):
         raise DegenerateGeometry(
             "stacked effectiveness matrix is rank deficient; "
             "check tilt angle / spin pattern")
+    F0_inv = np.linalg.inv(F0)
+    # read-only, as every run on the platform shares them
+    for matrix in (F1, F2, F0_inv):
+        matrix.flags.writeable = False
     return EffectivenessMatrices(
-        F1=F1, F2=F2, F0_inv=np.linalg.inv(F0),
+        F1=F1, F2=F2, F0_inv=F0_inv,
         condition_number=float(sv[0] / sv[-1]),
         u_min=params.w_min ** 2, u_max=params.w_max ** 2)
 

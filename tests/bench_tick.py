@@ -20,11 +20,14 @@ a 5.2 s 50 Hz geo exp4 hover like the sweep_freq workload's
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
 2.2 s exp4 hover of the sweep_freq workload, where the truth step
-dominates.  Last, the log writer: one _truth.c csv_rows call on a
+dominates.  Then the log writer: one _truth.c csv_rows call on a
 cli.LOG_BLOCK_ROWS block from the middle of a 7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
 whose near-hover values are tiny (extra_info["ns_per_value"] holds its
-median per value).  And one vehicle.build_effectiveness of the default
-platform, which every run calls in its set-up.
+median per value).  Then one vehicle.build_effectiveness of the default
+platform, which a PlatformParams calls once, for its `effectiveness`
+that every run on it shares.  Last, one cli._sweep_cell of a 2.2 s
+50 Hz geo exp4 cell of one repeat on a shared PlatformParams, as the
+sweep_freq workload runs it: the Python around the compiled loop.
 """
 
 import math
@@ -143,3 +146,9 @@ def test_csv_rows_block(benchmark, scenario_id, overrides):
 
 def test_build_effectiveness(benchmark, params):
     benchmark(vehicle.build_effectiveness, params)
+
+
+def test_sweep_cell(benchmark, params):
+    sc = ex.build_scenario("exp4", "geo", {"duration": 2.2,
+                                           "controller_freq": 50.0})
+    benchmark(cli._sweep_cell, (sc, 1, params))

@@ -191,11 +191,23 @@ def test_controller_builds_a_matrix_only_when_mismatched(
         return real(params)
 
     monkeypatch.setattr(vehicle, "build_effectiveness", build)
-    monkeypatch.setattr(control, "build_effectiveness", build)
     params = vehicle.default_params()
     ex.run_scenario(ex.build_scenario("exp5", "indi", {
         "duration": 2.1, "cf_mismatch": cf_mismatch}), params)
     assert c_fs == [params.c_f, params.c_f * cf_mismatch][:built]
+
+
+@pytest.mark.parametrize("controller", ["geo", "indi"])
+def test_runs_sharing_a_platform_equal_runs_on_fresh_ones(controller):
+    # a PlatformParams builds its effectiveness matrix and hover trim
+    # once, for all its runs: no run leaves anything in them for the next
+    sc = ex.build_scenario("exp5", controller, {"noise_scale": 7,
+                                                "duration": 2.1})
+    shared = vehicle.default_params()
+    for _ in range(2):
+        log, _ = ex.run_scenario(sc, shared)
+        want, _ = ex.run_scenario(sc, vehicle.default_params())
+        assert same_bits(log["t"].base, want["t"].base)
 
 
 def test_duration_must_leave_a_tick_after_warmup():

@@ -20,7 +20,7 @@ def test_bench_tick_runs_once():
          "--benchmark-disable", str(ROOT / "tests" / "bench_tick.py")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "16 passed" in done.stdout.splitlines()[-1]
+    assert "17 passed" in done.stdout.splitlines()[-1]
 
 
 def test_truth_step_compiles_without_warnings(tmp_path):

@@ -138,6 +138,26 @@ def test_a_run_waits_for_its_log_writer_once(monkeypatch, tmp_path):
     assert (tmp_path / "log.csv").exists()
 
 
+def test_a_command_builds_the_effectiveness_matrix_once(monkeypatch,
+                                                       tmp_path):
+    # the preflight and every run share the PlatformParams' one matrix,
+    # which a later run on the same params reads without a build
+    builds = count_calls(monkeypatch, vehicle, "build_effectiveness")
+    assert cli.main(["sweep", "--axis", "noise", "--repeats", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert builds[0] == 1
+    builds[0] = 0
+    assert cli.main(["run", "--scenario", "exp5", "--duration", "2.1",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert builds[0] == 1
+    sc = ex.build_scenario("exp5", "indi", {"duration": 2.1})
+    params = vehicle.default_params()
+    ex.run_scenario(sc, params)
+    builds[0] = 0
+    ex.run_scenario(sc, params)
+    assert builds[0] == 0
+
+
 def setup_snippet():
     """perfbench/run.py's SETUP_SNIPPET, from the module-level SETUP_*
     assignments alone; the rest of that file is not run."""

@@ -127,6 +127,22 @@ def test_with_cf_factor(params):
     assert half.c_tau == params.c_tau
 
 
+def test_a_platform_builds_one_read_only_matrix_and_trim():
+    # every run on one PlatformParams shares its matrix and hover trim,
+    # so neither can be written; a scaled copy builds its own
+    params = vehicle.default_params()
+    eff = params.effectiveness
+    assert params.effectiveness is eff
+    assert params.hover is params.hover
+    assert params.hover == vehicle.hover_command(params, eff)
+    for matrix in (eff.F1, eff.F2, eff.F0_inv):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+    half = vehicle.with_cf_factor(params, 0.5)
+    assert half.effectiveness is not eff
+    np.testing.assert_allclose(half.effectiveness.F1, 0.5 * eff.F1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(q=st.tuples(unit, unit, unit, unit).filter(
            lambda q: sum(v * v for v in q) > 1e-2),
