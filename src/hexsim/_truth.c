@@ -41,7 +41,10 @@
    from copies of the truth state x0, the controller state and the
    stream, and writes only the rows, so a bound run gives the same rows
    at every call.  Its Python form, the loop run_scenario ran before, is
-   tests/oracles.py's run_scenario.
+   tests/oracles.py's run_scenario.  ticks holds the GIL only to read
+   its arguments, to check for signals before tick 0 and every
+   GIL_TICKS-th tick, to raise a divergence and to release its buffers;
+   its loop runs without it, so a sweep's cells run at once on threads.
 
    csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
    each float with the bytes of repr: the shortest decimal that reads
@@ -943,6 +946,12 @@ get_rows(PyObject *obj, Py_buffer *view)
 }
 
 #define N_TICKS_ARGS 12
+/* ticks' loop takes the GIL back every GIL_TICKS ticks.  A take waits
+   for any thread running Python: on a 2-core VM, a 2-thread sweep of
+   0.4-1 s of loop waited 2-11 ms in all at 64 ticks a take, 3.5-11 ms at
+   256 and 0.6-1.5 ms at 1024.  A 50 Hz tick is about 7 us, so a signal
+   waits at most about 7 ms. */
+#define GIL_TICKS 1024
 
 static PyObject *
 ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -1044,10 +1053,16 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     /* the wrench of step 0 is drawn once before the first tick */
     disturb(r, ou, &normals, 0, wrench);
     memcpy(force, wrench, sizeof force);
+    PyThreadState *unlocked = NULL;  /* while the loop runs without the GIL */
     for (Py_ssize_t tick = 0; tick < n_ticks; tick++) {
-        /* a signal's handler runs here, so Ctrl-C stops a long run */
-        if (PyErr_CheckSignals() < 0)
-            goto done;
+        if (tick % GIL_TICKS == 0) {
+            if (tick > 0)
+                PyEval_RestoreThread(unlocked);
+            /* a signal's handler runs here, so Ctrl-C stops a long run */
+            if (PyErr_CheckSignals() < 0)
+                goto done;
+            unlocked = PyEval_SaveThread();
+        }
         const Py_ssize_t k0 = tick * n_sub;
         const double t = (double)k0 * dt;
         struct inputs in;
@@ -1097,6 +1112,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         for (Py_ssize_t j = k0; j < end; j++) {
             disturb(r, ou, &normals, j, wrench);
             if (rk4_step(k, &rk, x, w, wrench) < 0) {
+                PyEval_RestoreThread(unlocked);
                 diverged(module, x, j);
                 goto done;
             }
@@ -1107,6 +1123,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         memcpy(force, wrench, sizeof force);
     }
+    PyEval_RestoreThread(unlocked);
     result = Py_NewRef(Py_None);
 done:
     while (held > 0)

@@ -322,13 +322,15 @@ def _sweep_cell(cell):
 
 
 def _sweep_results(cells, jobs):
-    """Each cell's result, in grid order, as it arrives."""
+    """Each cell's result, in grid order, as it arrives.  With jobs > 1
+    the cells run on threads, which share the cells' one params object
+    (preflight has built its matrices in this thread) and run at once
+    because ticks runs without the GIL."""
     if jobs == 1:
         yield from map(_sweep_cell, cells)
-    else:  # the pool starts all its workers up front
-        # imported here: multiprocessing keeps about 1 MB resident
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+    else:  # the pool starts a thread per cell up to max_workers
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             yield from pool.map(_sweep_cell, cells)
 
 
@@ -347,7 +349,7 @@ def cmd_sweep(config):
                   **config["run"], "scenario": scenario_id,
                   "controller": controller, key: value})), repeats, params)
              for controller in ("geo", "indi") for value in values]
-    dynamics.load_truth()  # before any output, and before the pool forks
+    dynamics.load_truth()  # before any output
     diverged = False
     with open(out, "w") as fh:
         try:

@@ -402,7 +402,8 @@ def error_statistics(log, window):
 def repeat_runs(scenario, n, params=None):
     """n runs with consecutive seeds from scenario.seed on.  The aggregate
     is error_statistics over the samples of all runs pooled, plus the mean
-    roll rise time.  Returns (aggregate RunMetrics, per-run list)."""
+    roll rise time: for n = 1 the run's own metrics.  Returns (aggregate
+    RunMetrics, per-run list)."""
     if n < 1:
         raise ValueError("need n >= 1")
     per_run, samples = [], []
@@ -410,6 +411,8 @@ def repeat_runs(scenario, n, params=None):
         log, metrics = run_scenario(
             replace(scenario, seed=scenario.seed + i), params)
         per_run.append(metrics)
+        if n == 1:
+            return metrics, per_run
         # copies, so that no run's whole log outlives its samples
         samples.append({key: log[key].copy()
                         for key in ("t", "e_p", "e_att_deg")})

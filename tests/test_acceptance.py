@@ -81,8 +81,7 @@ def sweep_table(out_dir, axis, repeats):
 
 
 def exp4_study(out_dir):
-    # one run per cell: repeat_runs pools one run's samples, so its
-    # statistics are that run's
+    # one run per cell: repeat_runs returns that run's own statistics
     return sweep_table(out_dir, "frequency", 1)
 
 

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 import tracemalloc
 from hashlib import sha256
@@ -793,9 +795,9 @@ def test_sweep_cells_carry_config(tmp_path, monkeypatch):
     ("frequency", 11, 10), ("frequency", 10 ** 6, 10)])
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
                                                  axis, jobs, workers):
-    # the pool starts all its workers up front, so --jobs is capped at the
-    # number of cells; a stand-in pool records max_workers and runs the
-    # cells here, starting no process
+    # the pool starts a thread per cell up to max_workers, so --jobs is
+    # capped at the number of cells; a stand-in pool records max_workers
+    # and runs the cells here, starting no thread
     pools = []
 
     class Pool:
@@ -817,7 +819,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch,
                                       pos_norm_mean=0.0,
                                       pos_norm_std=0.0), []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(experiments, "repeat_runs", fake_repeat_runs)
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--axis", axis, "--repeats", "1",
@@ -1088,15 +1090,89 @@ def test_sweep_failing_mid_grid_leaves_no_csv(tmp_path, capsys,
 
 
 def test_sweep_worker_pool_writes_the_serial_bytes(tmp_path):
-    # the real ProcessPoolExecutor, whose workers are all reaped
+    # the real thread pool: the cells run in this process, which starts
+    # no child; at --jobs 3 the threads, more than a 2-core machine's
+    # cores, switch every 10 us in Python
     (tmp_path / "c.ini").write_text("[run]\nduration = 2.1\n")
-    csvs = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert run_cli("sweep", "--config", str(tmp_path / "c.ini"),
-                       "--axis", "noise", "--repeats", "1",
-                       "--jobs", str(jobs), "--out", str(out)) == 0
-        csvs[jobs] = out.read_bytes()
-    assert csvs[2] == csvs[1]
+    csvs, interval = {}, sys.getswitchinterval()
+    try:
+        for jobs in (1, 2, 3):
+            if jobs == 3:
+                sys.setswitchinterval(1e-5)
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run_cli("sweep", "--config", str(tmp_path / "c.ini"),
+                           "--axis", "noise", "--repeats", "1",
+                           "--jobs", str(jobs), "--out", str(out)) == 0
+            csvs[jobs] = out.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert csvs[3] == csvs[2] == csvs[1]
     assert len(csvs[1].splitlines()) == 1 + 12
     assert_no_child_left()
+
+
+def test_threaded_sweep_cells_share_one_read_only_platform(tmp_path,
+                                                           monkeypatch):
+    # every --jobs 2 cell flies, off the main thread, the one params
+    # object that preflight read, and no cell can write its matrices
+    seen, real = [], experiments.repeat_runs
+
+    def repeat_runs(scenario, n, params=None):
+        seen.append((params, threading.get_ident()))
+        return real(scenario, n, params)
+
+    monkeypatch.setattr(experiments, "repeat_runs", repeat_runs)
+    (tmp_path / "c.ini").write_text("[run]\nduration = 2.1\n")
+    assert run_cli("sweep", "--config", str(tmp_path / "c.ini"),
+                   "--axis", "noise", "--repeats", "1", "--jobs", "2",
+                   "--out", str(tmp_path / "s.csv")) == 0
+    assert len(seen) == 12
+    params = seen[0][0]
+    assert all(cell_params is params for cell_params, _ in seen)
+    assert threading.get_ident() not in {ident for _, ident in seen}
+    for name in ("F1", "F2", "F0_inv"):
+        matrix = getattr(params.effectiveness, name)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+
+
+class Alarm(Exception):
+    pass
+
+
+def test_an_interrupted_threaded_sweep_stops_after_its_running_cells(
+        tmp_path, monkeypatch):
+    # a SIGALRM whose handler raises, 50 ms into a --jobs 2 sweep whose
+    # cells take 0.2-0.4 s each (2-core x86-64 VM): the two running cells
+    # finish, the ten pending ones never start, and the command returns
+    # within 0.1 s of the running cells' end (0.3-0.6 ms there) and
+    # leaves no CSV
+    started, ended, real = [], [], experiments.repeat_runs
+
+    def repeat_runs(scenario, n, params=None):
+        started.append(scenario.noise_scale)
+        try:
+            return real(scenario, n, params)
+        finally:
+            ended.append(time.perf_counter())
+
+    def handler(signum, frame):
+        raise Alarm
+
+    monkeypatch.setattr(experiments, "repeat_runs", repeat_runs)
+    out = tmp_path / "s.csv"
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Alarm):
+            run_cli("sweep", "--axis", "noise", "--repeats", "20",
+                    "--jobs", "2", "--out", str(out))
+        returned = time.perf_counter()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert sorted(started) == [0, 1]
+    assert len(ended) == 2
+    assert returned - max(ended) < 0.1
+    assert not out.exists()

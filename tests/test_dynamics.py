@@ -95,8 +95,9 @@ def test_divergence_reports_its_step_and_the_last_finite_state(kernel, trim,
                                                                n, bad):
     # a NaN wrench at offset `bad` of an n-step call: the call reports
     # that offset and the state after the `bad` clean steps before it,
-    # bit for bit, and the exception survives a pickle round trip (the
-    # sweep pool sends it between processes)
+    # bit for bit, and the exception survives a pickle round trip (its
+    # fields ride in its args, as a process pool that sent it between
+    # processes would need; no hexsim command pickles it)
     wrenches = [(0.1, -0.2, 0.3, 0.01, 0.0, -0.02)] * n
     wrenches[bad] = (np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)
     state = hover_state(trim).tolist()

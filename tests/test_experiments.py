@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from collections import defaultdict
@@ -772,6 +773,38 @@ def test_a_bound_run_called_twice_writes_the_same_rows(params):
     again = np.full_like(rows, np.nan)
     ticks(again)
     assert same_bits(rows, again)
+
+
+def test_ticks_runs_without_the_gil():
+    # a bound 200 s exp4 run at 50 Hz (10,000 ticks) on a thread, while
+    # this thread reads the clock in a loop: held over the call, the GIL
+    # would stop the loop for the whole call; released, the longest stop
+    # is a take of the GIL every 1024 ticks to check for signals
+    sc = ex.build_scenario("exp4", "geo", {"controller_freq": 50.0,
+                                           "duration": 200.0})
+    ticks = ex._closed_loop(sc, vehicle.default_params())
+    rows = np.empty((10_000, len(ex.LOG_HEADER)))
+    span = []
+
+    def run():
+        began = time.perf_counter()
+        ticks(rows)
+        span.append((began, time.perf_counter()))
+
+    thread = threading.Thread(target=run)
+    stops, last = [], time.perf_counter()
+    thread.start()
+    while thread.is_alive():
+        now = time.perf_counter()
+        if now - last > 1e-3:
+            stops.append((last, now))
+        last = now
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    (began, ended), = span
+    longest = max((min(b, ended) - max(a, began) for a, b in stops),
+                  default=0.0)
+    assert longest < 0.2 * (ended - began)
 
 
 class Alarm(Exception):

@@ -141,11 +141,15 @@ def test_a_run_waits_for_its_log_writer_once(monkeypatch, tmp_path):
 def test_a_command_builds_the_effectiveness_matrix_once(monkeypatch,
                                                        tmp_path):
     # the preflight and every run share the PlatformParams' one matrix,
-    # which a later run on the same params reads without a build
+    # also on a sweep's threads, and a later run on the same params reads
+    # it without a build
     builds = count_calls(monkeypatch, vehicle, "build_effectiveness")
-    assert cli.main(["sweep", "--axis", "noise", "--repeats", "1",
-                     "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert builds[0] == 1
+    for jobs in ("1", "2"):
+        builds[0] = 0
+        assert cli.main(["sweep", "--axis", "noise", "--repeats", "1",
+                         "--jobs", jobs,
+                         "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert builds[0] == 1
     builds[0] = 0
     assert cli.main(["run", "--scenario", "exp5", "--duration", "2.1",
                      "--out", str(tmp_path / "run")]) == 0
