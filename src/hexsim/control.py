@@ -22,11 +22,11 @@ layers stay as its readable reference.
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .filters import FilteredDerivative, SecondOrderFilter
 from .geometry import quat_from_rpy, rotmat, rpy_from_quat
-from .vehicle import GRAVITY, ActuatorCommand, with_cf_factor
+from .vehicle import GRAVITY, ActuatorCommand
 # perfbench's tests read vehicle.allocate through this module too
 from .vehicle import allocate  # noqa: F401
 
@@ -63,16 +63,14 @@ class PoseReference:
     omega_dot_d: tuple
 
 
-@dataclass(frozen=True)
-class ControllerModel:
-    """What the controller believes about the platform (possibly wrong)."""
-    params: object
-    eff: object
-
-
 def make_model(params, cf_factor=1.0):
-    model_params = with_cf_factor(params, cf_factor)
-    return ControllerModel(params=model_params, eff=model_params.effectiveness)
+    """What a controller believes about the platform params, as a
+    PlatformParams: params itself at cf_factor 1, else a copy with the
+    force coefficient scaled (c_tau untouched), which builds its own
+    effectiveness."""
+    if cf_factor == 1:
+        return params
+    return replace(params, c_f=params.c_f * cf_factor)
 
 
 def outer_loop(gains, ref, pos, vel, q, omega):
@@ -111,9 +109,8 @@ def ndi_invert(nu, omega, model):
     """Model-based inversion: wrench cancelling gravity and the gyroscopic
     term plus the inertia-scaled pseudo control, as a 6-tuple.  The
     downstream allocation applies F(q)^-1."""
-    p = model.params
-    m = p.mass
-    jx, jy, jz = p.inertia
+    m = model.mass
+    jx, jy, jz = model.inertia
     (ax, ay, az), (bx, by, bz) = nu
     ox, oy, oz = omega
     hx, hy, hz = jx * ox, jy * oy, jz * oz
@@ -127,9 +124,8 @@ def indi_invert(nu, rot, accel, omega_dot, model):
     """Sensor-based inversion: the wrench increment from the measured
     accelerations, R(q) accel - g and omega_dot, to the pseudo control,
     as a 6-tuple; accel is the body specific force, rot is R(q)."""
-    p = model.params
-    m = p.mass
-    jx, jy, jz = p.inertia
+    m = model.mass
+    jx, jy, jz = model.inertia
     (vx, vy, vz), (bx, by, bz) = nu
     a, b, c, d, e, f, g, h, i = rot
     (fx, fy, fz), (dx, dy, dz) = accel, omega_dot
@@ -262,7 +258,8 @@ def _model_constants(controller):
     """What a tick reads of the gains, the shaper and the model: k_p,
     k_v, k_q, k_w, the shaper's coefficients, m, J_x, J_y, J_z, g,
     F0^-1 row by row, u_min and u_max."""
-    g, eff, p = controller.gains, controller.model.eff, controller.model.params
+    g, p = controller.gains, controller.model
+    eff = p.effectiveness
     return (g.k_p, g.k_v, g.k_q, g.k_w, *controller.shaper.coefficients,
             p.mass, *p.inertia, GRAVITY, *sum(eff.F0_inv_rows, ()),
             eff.u_min, eff.u_max)

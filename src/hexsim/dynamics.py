@@ -230,12 +230,13 @@ def _build(source, path):
     raise OSError(f"cannot build the truth step: {' '.join(command)}: {reason}")
 
 
-def truth_constants(params, eff):
-    """The floats _truth.c's step and ticks read of the platform (params,
-    eff), as an array('d'): F1 / m, F2's rows over J_x, J_y, J_z (what
-    scales a step's wrench), m, J_x, J_y, J_z, the gyroscopic
-    coefficients (J_y - J_z) / J_x, ..., g and 1 / tau, then F1 row by
-    row, which the accelerometer reads."""
+def truth_constants(params):
+    """The floats _truth.c's step and ticks read of the platform params,
+    as an array('d'): F1 / m, F2's rows over J_x, J_y, J_z (what scales
+    a step's wrench), m, J_x, J_y, J_z, the gyroscopic coefficients
+    (J_y - J_z) / J_x, ..., g and 1 / tau, then F1 row by row, which the
+    accelerometer reads."""
+    eff = params.effectiveness
     m = params.mass
     jx, jy, jz = params.inertia
     per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
@@ -251,12 +252,13 @@ class Kernel(NamedTuple):
     specific_force: Callable
 
 
-def make_step(params, eff):
-    """The truth dynamics of one platform, specialised once: returns the
-    Kernel (rates, step, specific_force), with every constant of (params,
-    eff) bound.  All three work on Python floats; the constants of rates
-    and specific_force are float literals (2.0, not 2): the same values,
-    but CPython takes its slower mixed-type path for an int operand.
+def make_step(params):
+    """The truth dynamics of the platform params, specialised once:
+    returns the Kernel (rates, step, specific_force), with every constant
+    of params and its effectiveness bound.  All three work on Python
+    floats; the constants of rates and specific_force are float literals
+    (2.0, not 2): the same values, but CPython takes its slower
+    mixed-type path for an int operand.
     The closed loop does not build one: _truth.c's ticks reads
     truth_constants.
 
@@ -269,7 +271,7 @@ def make_step(params, eff):
     acceleration read it.
 
     step(s, w_cmd, wrenches, dt) is _truth.c's step (which see) over the
-    constants of (params, eff): rates' dynamics, equal to rounding.
+    constants of params: rates' dynamics, equal to rounding.
 
     specific_force(s, dist_force) is what an accelerometer at state s
     reads, R(q)^T (p_ddot + g e3) in the body frame, as a list of 3
@@ -277,6 +279,7 @@ def make_step(params, eff):
     moment play no part in it), with the same expressions, rotated back
     by the R(q) it formed.
     """
+    eff = params.effectiveness
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
      (fz1, fz2, fz3, fz4, fz5, fz6)) = eff.F1.tolist()
     ((mx1, mx2, mx3, mx4, mx5, mx6), (my1, my2, my3, my4, my5, my6),
@@ -322,7 +325,7 @@ def make_step(params, eff):
             (c4 - w4) / tau, (c5 - w5) / tau, (c6 - w6) / tau,
         )
 
-    step = functools.partial(load_truth().step, truth_constants(params, eff))
+    step = functools.partial(load_truth().step, truth_constants(params))
 
     def specific_force(s, dist_force):
         (_, _, _, _, _, _, qw, qx, qy, qz, _, _, _,

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import vehicle
-from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, ControllerModel,
-                      Gains, make_controller, make_model)
+from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, Gains,
+                      make_controller, make_model)
 from .geometry import quat_from_rpy, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
@@ -148,6 +148,9 @@ class Scenario:
         if not (isinstance(self.script, tuple) and self.script and all(
                 isinstance(sp, Setpoint) for sp in self.script)):
             raise ValueError("script must be a non-empty tuple of Setpoints")
+        # the run bisects the times; of equal times the last one wins
+        if any(b.t < a.t for a, b in zip(self.script, self.script[1:])):
+            raise ValueError("script setpoint times must not decrease")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
         if self.filter_cutoff_hz <= 0:
@@ -302,11 +305,7 @@ def _closed_loop(scenario, params):
     ticks(rows), _truth.c's ticks bound to all of the run but its rows,
     a row per tick.  It writes nothing but the rows, so each call runs
     the whole run afresh."""
-    eff = params.effectiveness
-    # the controller's belief: the truth's own matrix unless it is wrong
-    model = (ControllerModel(params=params, eff=eff)
-             if scenario.cf_mismatch == 1
-             else make_model(params, scenario.cf_mismatch))
+    model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
     n_sub, n_steps = _clock(scenario)
@@ -337,7 +336,7 @@ def _closed_loop(scenario, params):
     words = max(1, -(-scenario.seed.bit_length() // 32))
     stream = truth.stream(scenario.seed.to_bytes(4 * words, "little"))
     return functools.partial(
-        truth.ticks, dyn.truth_constants(params, eff),
+        truth.ticks, dyn.truth_constants(params),
         controller.name == "indi", controller.constants, controller.state,
         run, array("d", (*times, *(v for sp in script
                                     for v in (*sp.pos, *sp.rpy)))),

@@ -7,7 +7,7 @@ force/torque effectiveness matrix full rank (checked at construction).
 """
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -87,7 +87,7 @@ class PlatformParams:
                                   ROTOR_TILT_SIGNS[i] * self.tilt_angle)
 
     # What depends on the platform alone is built once per object and
-    # shared by every run on it; dataclasses.replace (with_cf_factor)
+    # shared by every run on it; dataclasses.replace (control.make_model)
     # makes a new object, which builds its own.
     @cached_property
     def effectiveness(self):
@@ -96,8 +96,9 @@ class PlatformParams:
 
     @cached_property
     def hover(self):
-        """hover_command(self, self.effectiveness)."""
-        return hover_command(self, self.effectiveness)
+        """The rotor command that balances gravity at identity attitude."""
+        wrench = (0.0, 0.0, self.mass * GRAVITY, 0.0, 0.0, 0.0)
+        return allocate(self.effectiveness, (1.0, 0.0, 0.0, 0.0), wrench)
 
 
 def default_params(**overrides):
@@ -227,14 +228,3 @@ def solve_wrench(eff, q, wrench):
 def allocate(eff, q, wrench_demand):
     """Solve F(q) u = wrench for the rotor commands, then clamp."""
     return saturate(eff, solve_wrench(eff, q, wrench_demand))
-
-
-def hover_command(params, eff):
-    """Rotor command that balances gravity at identity attitude."""
-    wrench = (0.0, 0.0, params.mass * GRAVITY, 0.0, 0.0, 0.0)
-    return allocate(eff, (1.0, 0.0, 0.0, 0.0), wrench)
-
-
-def with_cf_factor(params, factor):
-    """Copy of params with the force coefficient scaled (c_tau untouched)."""
-    return replace(params, c_f=params.c_f * factor)

@@ -14,17 +14,17 @@ def params():
 
 @pytest.fixture(scope="session")
 def eff(params):
-    return vehicle.build_effectiveness(params)
+    return params.effectiveness
 
 
 @pytest.fixture(scope="session")
-def kernel(params, eff):
-    return dynamics.make_step(params, eff)
+def kernel(params):
+    return dynamics.make_step(params)
 
 
 @pytest.fixture(scope="session")
-def trim(params, eff):
-    return vehicle.hover_command(params, eff)
+def trim(params):
+    return params.hover
 
 
 @pytest.fixture

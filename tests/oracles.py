@@ -22,8 +22,8 @@ from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim import vehicle
 from hexsim.control import (FILTER_CUTOFF_HZ, FILTER_DAMPING,
-                            ControllerInputs, ControllerModel, PoseReference,
-                            make_controller, make_model, ndi_invert)
+                            ControllerInputs, PoseReference, make_controller,
+                            make_model, ndi_invert)
 from hexsim.dynamics import OMEGA, Q, ROTOR_W, NonFiniteState
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
@@ -114,10 +114,10 @@ def analytic_step_response(natural_frequency, damping, t):
 # The truth kernel as it was before its RK4 stages were written out over
 # scalars: 19-element stage lists built with zip and one list-returning
 # rates call per stage.  dynamics.make_step must equal it bit for bit.
-def make_step(params, eff):
-    """The truth dynamics of one platform, specialised once: returns the
-    pair (rates, step), with every constant of (params, eff) bound as a
-    closure local.  Both work on Python floats.
+def make_step(params):
+    """The truth dynamics of the platform params, specialised once:
+    returns the pair (rates, step), with every constant of params and its
+    effectiveness bound as a closure local.  Both work on Python floats.
 
     rates(s, w_cmd, dist_force, dist_moment) is the time derivative of
     the state s (laid out as the state vector) under its rotor speeds, as
@@ -132,6 +132,7 @@ def make_step(params, eff):
     new state as a list with the quaternion normalised, and raises
     NonFiniteState if any component diverges.
     """
+    eff = params.effectiveness
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
      (fz1, fz2, fz3, fz4, fz5, fz6)) = eff.F1.tolist()
     ((mx1, mx2, mx3, mx4, mx5, mx6), (my1, my2, my3, my4, my5, my6),
@@ -211,8 +212,8 @@ def make_step(params, eff):
 # The truth step as dynamics.make_step wrote it in Python before it was
 # compiled: the RK4 stages written out inline over 19 local floats, over
 # the 45 constants make_step binds.  _truth.c must equal it bit for bit.
-def make_segment_step(params, eff):
-    """step(s, w_cmd, wrenches, dt) of the platform (params, eff), as
+def make_segment_step(params):
+    """step(s, w_cmd, wrenches, dt) of the platform params, as
     dynamics.make_step's Kernel.step: len(wrenches) RK4 steps from s
     under w_cmd, each with its wrench held, returned as a list; a
     diverging step raises NonFiniteState with its offset in the call and
@@ -222,6 +223,7 @@ def make_segment_step(params, eff):
     tau = params.motor_time_constant
     # F1 / m, F2's rows over J_x, J_y, J_z, what scales a step's wrench,
     # the gyroscopic coefficients (J_y - J_z) / J_x, ... and 1 / tau
+    eff = params.effectiveness
     per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
     constants = (*(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
                  m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
@@ -579,7 +581,7 @@ class GeoNdiController:
         nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
                         inputs.q, inputs.gyro)
         wrench = ndi_invert(nu, inputs.gyro, self.model)
-        return allocate(self.model.eff, inputs.q, wrench), ref
+        return allocate(self.model.effectiveness, inputs.q, wrench), ref
 
 
 class IndiController:
@@ -627,15 +629,15 @@ class IndiController:
         ax, ay, az = mat_vec(rotmat_rows(inputs.q), accel_f)
         omdot0 = self.d_gyro.step(gyro_f)
 
-        p = self.model.params
+        p = self.model
         m = p.mass
         (vx, vy, vz), v_att = nu
         increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
                      *[j * (v - w)
                        for j, v, w in zip(p.inertia, v_att, omdot0)])
         u = [a + b for a, b in zip(
-            solve_wrench(self.model.eff, inputs.q, increment), u0)]
-        return saturate(self.model.eff, u), ref
+            solve_wrench(self.model.effectiveness, inputs.q, increment), u0)]
+        return saturate(self.model.effectiveness, u), ref
 
 
 def saturate(eff, u):
@@ -791,7 +793,7 @@ def numpy_outer_loop(gains, ref, pos, vel, q, omega):
 
 
 def numpy_ndi_invert(nu, omega, model):
-    p = model.params
+    p = model
     v_p, v_att = nu
     jw = np.asarray(p.inertia) * omega
     force = p.mass * np.asarray(v_p) + p.mass * GRAVITY * E3
@@ -881,7 +883,7 @@ class NumpyGeo:
         nu = numpy_outer_loop(self.gains, ref, inputs.pos, inputs.vel,
                               inputs.q, inputs.gyro)
         wrench = numpy_ndi_invert(nu, inputs.gyro, self.model)
-        return numpy_allocate(self.model.eff, inputs.q, wrench), ref
+        return numpy_allocate(self.model.effectiveness, inputs.q, wrench), ref
 
 
 class NumpyIndi:
@@ -910,18 +912,19 @@ class NumpyIndi:
         pddot0 = rot @ accel_f - GRAVITY * E3
         omdot0 = (gyro_f - self.prev_gyro) / self.dt
         self.prev_gyro = gyro_f.copy()
-        p = self.model.params
+        p = self.model
         v_p, v_att = nu
         force_inc = p.mass * (v_p - pddot0)
         torque_inc = np.asarray(p.inertia) * (v_att - omdot0)
         rhs = np.concatenate([rot.T @ force_inc, torque_inc])
-        u = self.model.eff.F0_inv @ rhs + u0
-        return numpy_saturate(self.model.eff, u), ref
+        u = self.model.effectiveness.F0_inv @ rhs + u0
+        return numpy_saturate(self.model.effectiveness, u), ref
 
 
-def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
+def numpy_derivative(x, params, w_cmd, dist_force, dist_moment):
     """The numpy form of dyn.derivative over state vectors, kept as the
     oracle of the scalar kernel."""
+    eff = params.effectiveness
     q, om, rotor_w = x[dyn.Q], x[dyn.OMEGA], x[dyn.ROTOR_W]
     u = rotor_w * np.abs(rotor_w)
     j = np.asarray(params.inertia)
@@ -937,9 +940,9 @@ def numpy_derivative(x, params, eff, w_cmd, dist_force, dist_moment):
     return dx
 
 
-def numpy_step(x, params, eff, cmd, dist_force, dist_moment, dt):
+def numpy_step(x, params, cmd, dist_force, dist_moment, dt):
     def f(s):
-        return numpy_derivative(s, params, eff, cmd.w_cmd, dist_force,
+        return numpy_derivative(s, params, cmd.w_cmd, dist_force,
                                 dist_moment)
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -989,12 +992,8 @@ def run_scenario(scenario, params=None, normals=Normals):
     RunMetrics) and NonFiniteState.  The gust and the sensor noise draw
     from normals(default_rng(seed))."""
     params = params or vehicle.default_params()
-    eff = vehicle.build_effectiveness(params)
-    kernel = dyn.make_step(params, eff)
-    # the controller's belief: the truth's own matrix unless it is wrong
-    model = (ControllerModel(params=params, eff=eff)
-             if scenario.cf_mismatch == 1
-             else make_model(params, scenario.cf_mismatch))
+    kernel = dyn.make_step(params)
+    model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
     n_sub, n_steps = ex._clock(scenario)
@@ -1011,7 +1010,7 @@ def run_scenario(scenario, params=None, normals=Normals):
         scenario.controller, model, scenario.gains, dt_c,
         scenario.filter_cutoff_hz, scenario.filter_damping)
 
-    trim = vehicle.hover_command(params, eff)
+    trim = params.hover
     times = [sp.t for sp in scenario.script]
     p0, rpy0 = ex._script_target(scenario.script, times, 0.0)
     q0 = quat_from_rpy(*rpy0)
@@ -1114,8 +1113,7 @@ tilt_signs = st.sampled_from((1.0, -1.0))
 
 
 def can_hover(params):
-    eff = vehicle.build_effectiveness(params)
-    return not any(vehicle.hover_command(params, eff).saturated)
+    return not any(params.hover.saturated)
 
 
 @st.composite

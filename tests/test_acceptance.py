@@ -31,8 +31,7 @@ from hexsim import cli
 from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim import vehicle
-from hexsim.control import (Gains, PoseReference, make_model, ndi_invert,
-                            outer_loop)
+from hexsim.control import Gains, PoseReference, ndi_invert, outer_loop
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.vehicle import GRAVITY
 from oracles import (analytic_step_response, assemble_F, pack,
@@ -156,7 +155,6 @@ def test_03_pole_placement(params, eff, kernel, trim, capsys):
     # unshaped 1 m position step through the model-based inversion; the
     # closed loop should follow e'' + k_v e' + k_p e = 0
     gains = Gains()
-    model = make_model(params)
     ref = PoseReference(p_d=np.array([1.0, 0, 0]), v_d=np.zeros(3),
                         a_d=np.zeros(3), q_d=np.array([1.0, 0, 0, 0]),
                         omega_d=np.zeros(3), omega_dot_d=np.zeros(3))
@@ -168,7 +166,7 @@ def test_03_pole_placement(params, eff, kernel, trim, capsys):
         if k % 4 == 0:  # 500 Hz controller
             p, q, omega = state[dyn.P], state[dyn.Q], state[dyn.OMEGA]
             nu = outer_loop(gains, ref, p, state[dyn.V], q, omega)
-            cmd = vehicle.allocate(eff, q, ndi_invert(nu, omega, model))
+            cmd = vehicle.allocate(eff, q, ndi_invert(nu, omega, params))
             ts.append(k * dyn.SIM_DT)
             es.append(1.0 - p[0])
         state = dyn.step(state, kernel, cmd, [(0.0,) * 6], dyn.SIM_DT)

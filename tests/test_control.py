@@ -9,8 +9,7 @@ from scipy.linalg import expm
 
 from hexsim import dynamics as dyn
 from hexsim import vehicle
-from hexsim.control import (ControllerInputs, ControllerModel, Gains,
-                            GeoNdiController,
+from hexsim.control import (ControllerInputs, Gains, GeoNdiController,
                             IndiController, PoseReference, ReferenceShaper,
                             _ShapedAxes, indi_invert, make_controller,
                             make_model, ndi_invert, outer_loop)
@@ -99,8 +98,7 @@ def test_indi_equals_ndi_on_truth_measurements_over_platforms(
     # the truth: unlike a hover, this tells the two inversions apart.
     # With the believed c_f halved the identity fails on every draw.
     # The scale is u0 as well as u, as the increment cancels F(q) u0.
-    eff = vehicle.build_effectiveness(params)
-    rates, _, specific_force = dyn.make_step(params, eff)
+    rates, _, specific_force = dyn.make_step(params)
     q = (np.array(q) / np.linalg.norm(q)).tolist()
     w = [params.w_min + s * (params.w_max - params.w_min) for s in share]
     x = pack(np.zeros(3), np.zeros(3), q, omega, w).tolist()
@@ -111,9 +109,9 @@ def test_indi_equals_ndi_on_truth_measurements_over_platforms(
     nu = (list(v_p), list(v_att))
     u0 = np.array(w) * np.abs(w)
     u_indi = u0 + vehicle.solve_wrench(
-        model.eff, q, indi_invert(nu, rot, f, omega_dot, model))
+        model.effectiveness, q, indi_invert(nu, rot, f, omega_dot, model))
     u_ndi = np.array(vehicle.solve_wrench(
-        model.eff, q, ndi_invert(nu, omega, model)))
+        model.effectiveness, q, ndi_invert(nu, omega, model)))
     gap = np.abs(u_indi - u_ndi).max() / max(np.abs(u_ndi).max(),
                                              np.abs(u0).max())
     assert (gap <= 1e-12) == holds
@@ -216,6 +214,19 @@ def test_mismatched_model_scales_inverse(params, trim):
     cmd_half, _ = ctrl_half.tick(np.zeros(3), np.zeros(3), hover_inputs(trim))
     np.testing.assert_allclose(cmd_half.u, 2 * np.asarray(cmd_full.u),
                                rtol=1e-9)
+
+
+def test_make_model_scales_the_force_coefficient(params):
+    # the belief is the platform itself at factor 1; otherwise a copy
+    # with c_f scaled and c_tau untouched, which builds its own matrix
+    assert make_model(params) is params
+    assert make_model(params, 1.0) is params
+    half = make_model(params, 0.5)
+    assert half.c_f == pytest.approx(0.5 * params.c_f)
+    assert half.c_tau == params.c_tau
+    assert half.effectiveness is not params.effectiveness
+    np.testing.assert_allclose(half.effectiveness.F1,
+                               0.5 * params.effectiveness.F1)
 
 
 def test_make_controller_kinds(params):
@@ -558,7 +569,7 @@ def test_compiled_tick_equals_float_oracle_over_platforms(
     compiled_cls, oracle_cls = {
         "geo": (GeoNdiController, oracles.GeoNdiController),
         "indi": (IndiController, oracles.IndiController)}[kind]
-    trim = vehicle.hover_command(params, vehicle.build_effectiveness(params))
+    trim = params.hover
     pos, q = data.draw(st.tuples(target, target, target)), data.draw(
         near_level)
     ticks = [(data.draw(st.tuples(target, target, target)),
@@ -586,12 +597,16 @@ def test_compiled_tick_equals_float_oracle_over_platforms(
     limit = data.draw(st.sampled_from([None, "u_min", "u_max"]))
     if limit is not None and free:
         j = data.draw(st.sampled_from(free))
-        model = ControllerModel(params=model.params, eff=replace(
-            model.eff, **{limit: first.u[j]}))
+        # the limited matrix is cached on a fresh copy of the believed
+        # platform, not on the one make_model returned: at cf_mismatch 1
+        # that is params itself
+        limited = replace(model.effectiveness, **{limit: first.u[j]})
+        model = replace(model)
+        vars(model)["effectiveness"] = limited
     flown = fly(compiled_cls, model)
     for (cmd, ref), (cmd_o, ref_o) in zip(flown, fly(oracle_cls, model)):
         assert_same_command(cmd, cmd_o)
         assert_same_reference(ref, ref_o)
     if limit is not None and free:
-        assert flown[0][0].u[j] == getattr(model.eff, limit)
+        assert flown[0][0].u[j] == getattr(model.effectiveness, limit)
         assert not flown[0][0].saturated[j]

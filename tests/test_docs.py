@@ -1,11 +1,14 @@
 """The README against the code: the log.csv block list and the config
 key table must name exactly what the code has, so that an added column
-or key cannot leave the docs stale."""
+or key cannot leave the docs stale, and every function or constant it
+cites must exist, so that a refactor cannot leave it naming a deleted
+one."""
 
 import re
 from pathlib import Path
 
-from hexsim import cli, experiments
+from hexsim import (cli, control, dynamics, experiments, filters, geometry,
+                    vehicle)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,3 +32,24 @@ def test_readme_key_table_names_every_config_key():
     assert documented == {(section, key)
                           for section, keys in cli._SECTIONS.items()
                           for key in keys}
+
+
+def test_readme_cites_only_names_the_package_has():
+    # a backticked `module.name`, or `module.Class.attribute`, up to its
+    # first other character (an argument list, say)
+    modules = {module.__name__.rpartition(".")[2]: module for module in (
+        cli, control, dynamics, experiments, filters, geometry, vehicle)}
+    cited = set(re.findall(
+        rf"`({'|'.join(modules)})\.(\w+(?:\.\w+)*)", README))
+    assert cited, "README cites no package names"
+
+    def resolves(module, path):
+        obj = modules[module]
+        for name in path.split("."):
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    assert sorted(f"{module}.{path}" for module, path in cited
+                  if not resolves(module, path)) == []

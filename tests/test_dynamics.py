@@ -310,7 +310,7 @@ def test_rotor_lane_is_rk4_of_the_lag(tau, n, seed):
     # Taylor polynomial P(dt / tau) of exp(-dt / tau) a step, whatever
     # the body does; one call over n steps equals n powers of it
     p = vehicle.default_params(motor_time_constant=tau)
-    kernel = dyn.make_step(p, vehicle.build_effectiveness(p))
+    kernel = dyn.make_step(p)
     x, cmd, dist_f, dist_m = random_case(p, np.random.default_rng(seed))
     z = dyn.SIM_DT / tau
     gain = 1.0 - z + z ** 2 / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
@@ -384,14 +384,14 @@ def assert_blocks_close(got, want):
                 <= 1e-12 * np.abs(want[block]).max()), (block, got, want)
 
 
-def test_scalar_step_matches_numpy_oracle(params, eff, kernel, rng):
+def test_scalar_step_matches_numpy_oracle(params, kernel, rng):
     for _ in range(300):
         x, cmd, dist_f, dist_m = random_case(params, rng)
         before = x.copy()
         out = dyn.step(x, kernel, cmd, [(*dist_f, *dist_m)], dyn.SIM_DT)
         np.testing.assert_array_equal(x, before)
         np.testing.assert_allclose(
-            out, numpy_step(x, params, eff, cmd, dist_f, dist_m, dyn.SIM_DT),
+            out, numpy_step(x, params, cmd, dist_f, dist_m, dyn.SIM_DT),
             rtol=1e-12, atol=0.0)
 
 
@@ -404,7 +404,7 @@ def test_acceleration_is_the_derivative_force_balance(params, kernel, rng):
             dyn.acceleration(x, kernel, dist_f), dx[dyn.V])
 
 
-def test_kernel_equals_list_form_oracle(params, eff, rng):
+def test_kernel_equals_list_form_oracle(params, rng):
     # step, derivative and acceleration against the list-form kernel, on
     # the default platform and on a second one: one step call over
     # n = 1 ... 40 wrenches, held or varying from step to step, equals n
@@ -413,9 +413,9 @@ def test_kernel_equals_list_form_oracle(params, eff, rng):
     other = vehicle.default_params(mass=4.1, inertia=(0.11, 0.07, 0.2),
                                    motor_time_constant=0.035,
                                    c_f=1.3 * params.c_f)
-    for p, e in [(params, eff), (other, vehicle.build_effectiveness(other))]:
-        rates, kernel_step = oracles.make_step(p, e)
-        kernel = dyn.make_step(p, e)
+    for p in (params, other):
+        rates, kernel_step = oracles.make_step(p)
+        kernel = dyn.make_step(p)
         for case in range(300):
             x, cmd, dist_f, dist_m = random_case(p, rng)
             wrenches = wrench_run(rng, 1 + case % 40, dist_f, dist_m,
@@ -450,26 +450,25 @@ def test_step_matches_numpy_oracle_over_platforms(mass, inertia, tau,
         mass=mass, inertia=inertia, motor_time_constant=tau,
         c_f=cf_factor * vehicle.default_params().c_f,
         tilt_angle=np.radians(tilt_deg))
-    e = vehicle.build_effectiveness(p)
-    kernel = dyn.make_step(p, e)
+    kernel = dyn.make_step(p)
     rng = np.random.default_rng(seed)
     x, cmd, dist_f, dist_m = random_case(p, rng)
     np.testing.assert_allclose(
         dyn.step(x, kernel, cmd, [(*dist_f, *dist_m)], dyn.SIM_DT),
-        numpy_step(x, p, e, cmd, dist_f, dist_m, dyn.SIM_DT),
+        numpy_step(x, p, cmd, dist_f, dist_m, dyn.SIM_DT),
         rtol=1e-12, atol=0.0)
-    _, oracle_step = oracles.make_step(p, e)
+    _, oracle_step = oracles.make_step(p)
     wrenches = wrench_run(rng, n, dist_f, dist_m, varying)
     assert_blocks_close(
         dyn.step(x, kernel, cmd, wrenches, dyn.SIM_DT),
         oracle_steps(oracle_step, x.tolist(), cmd.w_cmd.tolist(), wrenches))
 
 
-def trim_case(params, eff, rng, n):
+def trim_case(params, rng, n):
     """As lists: a state with a unit q, body rates up to 5 rad/s and
     rotor speeds from 0.5 to 1.5 times the hover trim, a rotor command in
     the same range and n random wrenches."""
-    trim = np.asarray(vehicle.hover_command(params, eff).w_cmd)
+    trim = np.asarray(params.hover.w_cmd)
     q = rng.normal(size=4)
     x = pack(rng.normal(size=3), rng.normal(size=3), q / np.linalg.norm(q),
              rng.uniform(-5.0, 5.0, 3), trim * rng.uniform(0.5, 1.5, 6))
@@ -484,10 +483,9 @@ def trim_case(params, eff, rng, n):
 def test_compiled_step_equals_python_oracle(p, seed, n):
     # the compiled step against the Python step it was ported from, over
     # valid platforms and calls of 1 to 40 wrenches, bit for bit
-    e = vehicle.build_effectiveness(p)
-    x, w_cmd, wrenches = trim_case(p, e, np.random.default_rng(seed), n)
-    got = dyn.make_step(p, e).step(x, w_cmd, wrenches, dyn.SIM_DT)
-    want = oracles.make_segment_step(p, e)(x, w_cmd, wrenches, dyn.SIM_DT)
+    x, w_cmd, wrenches = trim_case(p, np.random.default_rng(seed), n)
+    got = dyn.make_step(p).step(x, w_cmd, wrenches, dyn.SIM_DT)
+    want = oracles.make_segment_step(p)(x, w_cmd, wrenches, dyn.SIM_DT)
     assert bits(got) == bits(want)
 
 
@@ -501,15 +499,14 @@ def divergence(step, x, w_cmd, wrenches):
 
 @pytest.mark.parametrize("fault", ["overflowing wrench", "nan state",
                                    "zero q"])
-def test_compiled_divergence_equals_python_oracle(params, eff, fault):
+def test_compiled_divergence_equals_python_oracle(params, kernel, fault):
     # an overflowing wrench diverges at its own offset, a NaN anywhere in
     # the state or a zero q at the first step; the compiled step reports
     # the offset and the last finite state the Python one does
-    kernel = dyn.make_step(params, eff)
-    oracle = oracles.make_segment_step(params, eff)
+    oracle = oracles.make_segment_step(params)
     rng = np.random.default_rng(11)
     for n in (1, 4, 40):
-        x, w_cmd, wrenches = trim_case(params, eff, rng, n)
+        x, w_cmd, wrenches = trim_case(params, rng, n)
         bad = int(rng.integers(n)) if fault == "overflowing wrench" else 0
         if fault == "overflowing wrench":
             wrenches[bad] = (1e308, -1e308, 1e308, 0.0, 0.0, 0.0)
@@ -524,8 +521,7 @@ def test_compiled_divergence_equals_python_oracle(params, eff, fault):
 
 @pytest.mark.parametrize("form", ["compiled", "segment oracle",
                                   "list oracle"])
-def test_overflowing_quaternion_norm_diverges(params, eff, kernel, trim,
-                                              form):
+def test_overflowing_quaternion_norm_diverges(params, kernel, trim, form):
     # at the hover trim, q = (1.5e154, 0, 0, 0) stays as it is over a
     # step, and its square overflows: every value is finite, but q's norm
     # is inf, which would turn q to 0.  The first step diverges, from the
@@ -537,10 +533,10 @@ def test_overflowing_quaternion_norm_diverges(params, eff, kernel, trim,
         if form == "compiled":
             dyn.step(state, kernel, trim, [CALM] * 3, dyn.SIM_DT)
         elif form == "segment oracle":
-            oracles.make_segment_step(params, eff)(state, w_cmd, [CALM] * 3,
-                                                   dyn.SIM_DT)
+            oracles.make_segment_step(params)(state, w_cmd, [CALM] * 3,
+                                              dyn.SIM_DT)
         else:
-            _, step = oracles.make_step(params, eff)
+            _, step = oracles.make_step(params)
             step(state, w_cmd, CALM[:3], CALM[3:], dyn.SIM_DT)
     if form != "list oracle":  # whose one step reports no offset or state
         assert info.value.offset == 0
@@ -566,16 +562,15 @@ def test_set_up_without_a_kernel_does_not_build_the_step(package_copy):
 STEP_IN_A_FRESH_INTERPRETER = """
 from hexsim import dynamics, vehicle
 p = vehicle.default_params()
-e = vehicle.build_effectiveness(p)
-trim = vehicle.hover_command(p, e)
+trim = p.hover
 x = [0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
      *trim.w_cmd]
-print(dynamics.step(x, dynamics.make_step(p, e), trim, [(0.1,) * 6] * 8,
+print(dynamics.step(x, dynamics.make_step(p), trim, [(0.1,) * 6] * 8,
                     dynamics.SIM_DT))
 """
 
 
-def test_two_fresh_interpreters_build_one_library(params, eff, trim,
+def test_two_fresh_interpreters_build_one_library(params, kernel, trim,
                                                   package_copy):
     # two interpreters at once against an empty cache, as
     # test_10_determinism starts them: both build, import and step, and
@@ -594,8 +589,7 @@ def test_two_fresh_interpreters_build_one_library(params, eff, trim,
     assert [run.returncode for run in runs] == [0, 0], outs
     x = hover_state(trim)
     x[dyn.V] = [0.1, 0.0, 0.0]
-    here = dyn.step(x, dyn.make_step(params, eff), trim, [(0.1,) * 6] * 8,
-                    dyn.SIM_DT)
+    here = dyn.step(x, kernel, trim, [(0.1,) * 6] * 8, dyn.SIM_DT)
     assert [out for out, _ in outs] == [f"{here}\n"] * 2
     cache = package_copy / "hexsim" / "__pycache__"
     library = os.path.basename(dyn.load_truth().__file__)

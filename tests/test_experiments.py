@@ -70,6 +70,18 @@ def test_scenario_validation():
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="setpoint t"):
             ex.Setpoint(t, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    # a run bisects the setpoint times, so they must not fall back; of
+    # equal times the last setpoint is flown
+    x, y = (1.0, 0.0, 0.0), (0.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="must not decrease"):
+        ex.build_scenario("exp5", "geo", {"script": (
+            hover, ex.Setpoint(2.5, x, hover.rpy),
+            ex.Setpoint(1.0, y, hover.rpy))})
+    ref_p = ex.run_scenario(ex.build_scenario("exp5", "geo", {
+        "duration": 2.1, "script": (
+            hover, ex.Setpoint(1.0, x, hover.rpy),
+            ex.Setpoint(1.0, y, hover.rpy))}))[0]["ref_p"]
+    assert ref_p[:, 0].max() == 0.0 and ref_p[-1, 1] > 0.5
     # the default script hovers at the origin
     sc = ex.Scenario(id="exp5", controller="geo", duration=3.0)
     assert sc.script == (hover,)
@@ -657,15 +669,16 @@ def closed_loops(draw):
         dyn.DisturbanceSpec(kind="gust", force=(2.0, 0.0, 0.5), gust_std=1.0,
                             gust_corr_time=0.5, **window)]))
     # setpoint times anywhere, or on a tick's time, where bisect_right
-    # and bisect_left part
+    # and bisect_left part, in the order a script must hold them
     tick_times = st.integers(0, int(duration / dyn.SIM_DT) // n_sub).map(
         lambda tick: tick * n_sub * dyn.SIM_DT)
-    times = sorted(draw(st.lists(
-        st.one_of(st.floats(0.0, duration), tick_times), max_size=3)))
+    times = draw(st.lists(
+        st.one_of(st.floats(0.0, duration), tick_times), max_size=3))
     small = st.floats(-0.3, 0.3)
     script = tuple(ex.Setpoint(t, draw(st.tuples(small, small, small)),
                                draw(st.tuples(small, small, small)))
-                   for t in [draw(st.sampled_from([0.0, 0.3]))] + times)
+                   for t in sorted([draw(st.sampled_from([0.0, 0.3])),
+                                    *times]))
     controller = draw(st.sampled_from(["geo", "indi"]))
     scenario = ex.build_scenario("exp5", controller, {
         "controller_freq": 2000.0 / n_sub, "duration": duration,

@@ -121,26 +121,19 @@ def test_lateral_force_without_attitude_change(params, eff):
     np.testing.assert_allclose(F @ cmd.u, wrench, atol=1e-9)
 
 
-def test_with_cf_factor(params):
-    half = vehicle.with_cf_factor(params, 0.5)
-    assert half.c_f == pytest.approx(0.5 * params.c_f)
-    assert half.c_tau == params.c_tau
-
-
 def test_a_platform_builds_one_read_only_matrix_and_trim():
     # every run on one PlatformParams shares its matrix and hover trim,
-    # so neither can be written; a scaled copy builds its own
+    # so neither can be written
     params = vehicle.default_params()
     eff = params.effectiveness
     assert params.effectiveness is eff
     assert params.hover is params.hover
-    assert params.hover == vehicle.hover_command(params, eff)
+    assert params.hover == vehicle.allocate(
+        eff, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, params.mass * GRAVITY, 0.0,
+                                    0.0, 0.0))
     for matrix in (eff.F1, eff.F2, eff.F0_inv):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 0.0
-    half = vehicle.with_cf_factor(params, 0.5)
-    assert half.effectiveness is not eff
-    np.testing.assert_allclose(half.effectiveness.F1, 0.5 * eff.F1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,9 +197,8 @@ def test_effectiveness_equals_the_cross_product_form(tilt_deg, sign, arm,
 def test_hover_trim_is_an_equilibrium_over_platforms(params):
     # at the trim, level and at rest, the truth kernel's rates of v,
     # omega and the rotor speeds vanish up to rounding
-    eff = vehicle.build_effectiveness(params)
-    w = vehicle.hover_command(params, eff).w_cmd
-    rates, _, _ = dynamics.make_step(params, eff)
+    w = params.hover.w_cmd
+    rates, _, _ = dynamics.make_step(params)
     r = rates(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *w, (*w, *[0.0] * 6))
     moment = params.mass * GRAVITY * params.arm_length
     assert np.abs(r[0:3]).max() <= 1e-9 * GRAVITY
@@ -243,7 +235,7 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
     # the kernel's specific force, and the readings synthesize_sensors
     # makes of it, equal dynamics.acceleration followed by the sensor
     # oracle bit for bit, at a random state and disturbance force
-    kernel = dynamics.make_step(params, vehicle.build_effectiveness(params))
+    kernel = dynamics.make_step(params)
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     x = pack(rng.normal(size=3), rng.normal(size=3),
