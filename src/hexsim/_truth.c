@@ -21,15 +21,15 @@
    (dynamics sets it on load) with its offset in the call and the state
    it started from.
 
-   geo_tick and indi_tick are one tick of control.GeoNdiController and
-   control.IndiController: the reference shaper, (INDI's 12-channel
-   filter bank and its gyro difference,) outer_loop, ndi_invert or
-   indi_invert, solve_wrench and saturate, each the Python layer of
-   control.py and vehicle.py ported expression by expression in the
-   same order, with math.cos and math.sin as libm's cos and sin.  The
-   controller binds each to its constants and to the state it owns, two
-   array('d') buffers laid out as the C_ and S_ offsets below say; a
-   tick updates the state in place.
+   tick is one tick of control.GeoNdiController, or with INDI's two
+   further inputs of control.IndiController: the reference shaper,
+   (INDI's 12-channel filter bank and its gyro difference,) outer_loop,
+   ndi_invert or indi_invert, solve_wrench and saturate, each the Python
+   layer of control.py and vehicle.py ported expression by expression
+   in the same order, with math.cos and math.sin as libm's cos and sin.
+   It reads the controller's constants and updates its state in place,
+   the two array('d') buffers its warm_start lays out as the C_ and S_
+   offsets below say.
 
    ticks(...) runs a whole closed-loop run in one call and writes its
    log rows: per tick the sensors of dynamics.synthesize_sensors, the
@@ -326,7 +326,7 @@ done:
 }
 
 /* The controller ticks.  A tick's constants, C_ offsets into the
-   array('d') control.py binds: */
+   array('d') a controller's warm_start lays out: */
 #define C_GAINS 0     /* k_p, k_v, k_q, k_w */
 #define C_POS 4       /* the position shaper: a00, a01, a10, a11, b0, b1,
                          wn^2, 2 wn */
@@ -573,104 +573,58 @@ saturate(const double *k, const double *u, double *c, double *w, int *sat)
     }
 }
 
-/* The tick's result ((u, w_cmd, saturated), (p_d, v_d, a_d, q_d,
-   omega_d, omega_dot_d)), the fields of vehicle.ActuatorCommand and
-   control.PoseReference, from the unclamped u. */
+/* tick(constants, state, target_pos, target_rpy, pos, vel, q, gyro):
+   one GeoNdiController tick; with accel and rotor_w_meas after gyro,
+   one IndiController tick.  Returns ((u, w_cmd, saturated), (p_d, v_d,
+   a_d, q_d, omega_d, omega_dot_d)), the fields of
+   vehicle.ActuatorCommand and control.PoseReference. */
 static PyObject *
-tick_result(const double *k, const double *u, const struct reference *ref)
+tick(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    double c[6], w[6];
-    int sat[6];
-    saturate(k, u, c, w, sat);
-    PyObject *saturated = PyTuple_New(6);
-    if (saturated == NULL)
+    if (nargs != 8 && nargs != 10) {
+        PyErr_SetString(PyExc_TypeError,
+                        "tick(constants, state, target_pos, target_rpy, pos, "
+                        "vel, q, gyro[, accel, rotor_w_meas])");
         return NULL;
-    for (int j = 0; j < 6; j++)
-        PyTuple_SET_ITEM(saturated, j, PyBool_FromLong(sat[j]));
-    return Py_BuildValue(
-        "((NNN)(NNNNNN))", floats(c, 6, 0), floats(w, 6, 0), saturated,
-        floats(ref->p, 3, 1), floats(ref->v, 3, 1), floats(ref->a, 3, 1),
-        floats(ref->q, 4, 0), floats(ref->omega, 3, 0),
-        floats(ref->omega_dot, 3, 0));
-}
-
-/* A tick's arguments: constants, state, target_pos, target_rpy, pos,
-   vel, q and gyro, then for indi accel and rotor_w_meas. */
-struct tick_args {
+    }
+    const int indi = nargs == 10;
     Py_buffer constants, state;
     struct inputs in;
-};
-
-static void
-release_tick_args(struct tick_args *a)
-{
-    PyBuffer_Release(&a->state);
-    PyBuffer_Release(&a->constants);
-}
-
-static int
-read_tick_args(PyObject *const *args, Py_ssize_t nargs, int indi,
-               struct tick_args *a)
-{
-    struct inputs *in = &a->in;
-    if (nargs != (indi ? 10 : 8)) {
-        PyErr_SetString(PyExc_TypeError, indi
-            ? "indi_tick(constants, state, target_pos, target_rpy, pos, "
-              "vel, q, gyro, accel, rotor_w_meas)"
-            : "geo_tick(constants, state, target_pos, target_rpy, pos, "
-              "vel, q, gyro)");
-        return -1;
-    }
-    if (get_doubles(args[0], &a->constants, indi ? N_INDI : N_GEO,
+    struct reference ref;
+    double u[6], c[6], w[6];
+    int sat[6];
+    PyObject *saturated, *result = NULL;
+    if (get_doubles(args[0], &constants, indi ? N_INDI : N_GEO,
                     PyBUF_SIMPLE, "constants") < 0)
-        return -1;
-    if (get_doubles(args[1], &a->state, indi ? N_INDI_STATE : N_GEO_STATE,
-                    PyBUF_WRITABLE, "state") < 0) {
-        PyBuffer_Release(&a->constants);
-        return -1;
-    }
-    if (read_numbers(args[2], in->target_pos, 3, "target_pos") < 0
-        || read_numbers(args[3], in->target_rpy, 3, "target_rpy") < 0
-        || read_numbers(args[4], in->pos, 3, "pos") < 0
-        || read_numbers(args[5], in->vel, 3, "vel") < 0
-        || read_numbers(args[6], in->q, 4, "q") < 0
-        || read_numbers(args[7], in->gyro, 3, "gyro") < 0
-        || (indi && (read_numbers(args[8], in->accel, 3, "accel") < 0
-                     || read_numbers(args[9], in->w_meas, 6,
-                                     "rotor_w_meas") < 0))) {
-        release_tick_args(a);
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-geo_tick(PyObject *Py_UNUSED(module), PyObject *const *args,
-         Py_ssize_t nargs)
-{
-    struct tick_args a;
-    if (read_tick_args(args, nargs, 0, &a) < 0)
         return NULL;
-    struct reference ref;
-    double u[6];
-    geo_core(a.constants.buf, a.state.buf, &a.in, &ref, u);
-    PyObject *result = tick_result(a.constants.buf, u, &ref);
-    release_tick_args(&a);
-    return result;
-}
-
-static PyObject *
-indi_tick(PyObject *Py_UNUSED(module), PyObject *const *args,
-          Py_ssize_t nargs)
-{
-    struct tick_args a;
-    if (read_tick_args(args, nargs, 1, &a) < 0)
-        return NULL;
-    struct reference ref;
-    double u[6];
-    indi_core(a.constants.buf, a.state.buf, &a.in, &ref, u);
-    PyObject *result = tick_result(a.constants.buf, u, &ref);
-    release_tick_args(&a);
+    if (get_doubles(args[1], &state, indi ? N_INDI_STATE : N_GEO_STATE,
+                    PyBUF_WRITABLE, "state") < 0)
+        goto release_constants;
+    if (read_numbers(args[2], in.target_pos, 3, "target_pos") < 0
+        || read_numbers(args[3], in.target_rpy, 3, "target_rpy") < 0
+        || read_numbers(args[4], in.pos, 3, "pos") < 0
+        || read_numbers(args[5], in.vel, 3, "vel") < 0
+        || read_numbers(args[6], in.q, 4, "q") < 0
+        || read_numbers(args[7], in.gyro, 3, "gyro") < 0
+        || (indi && (read_numbers(args[8], in.accel, 3, "accel") < 0
+                     || read_numbers(args[9], in.w_meas, 6,
+                                     "rotor_w_meas") < 0)))
+        goto release;
+    (indi ? indi_core : geo_core)(constants.buf, state.buf, &in, &ref, u);
+    saturate(constants.buf, u, c, w, sat);
+    if ((saturated = PyTuple_New(6)) == NULL)
+        goto release;
+    for (int j = 0; j < 6; j++)
+        PyTuple_SET_ITEM(saturated, j, PyBool_FromLong(sat[j]));
+    result = Py_BuildValue(
+        "((NNN)(NNNNNN))", floats(c, 6, 0), floats(w, 6, 0), saturated,
+        floats(ref.p, 3, 1), floats(ref.v, 3, 1), floats(ref.a, 3, 1),
+        floats(ref.q, 4, 0), floats(ref.omega, 3, 0),
+        floats(ref.omega_dot, 3, 0));
+release:
+    PyBuffer_Release(&state);
+release_constants:
+    PyBuffer_Release(&constants);
     return result;
 }
 
@@ -1054,16 +1008,16 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     disturb(r, ou, &normals, 0, wrench);
     memcpy(force, wrench, sizeof force);
     PyThreadState *unlocked = NULL;  /* while the loop runs without the GIL */
-    for (Py_ssize_t tick = 0; tick < n_ticks; tick++) {
-        if (tick % GIL_TICKS == 0) {
-            if (tick > 0)
+    for (Py_ssize_t i = 0; i < n_ticks; i++) {
+        if (i % GIL_TICKS == 0) {
+            if (i > 0)
                 PyEval_RestoreThread(unlocked);
             /* a signal's handler runs here, so Ctrl-C stops a long run */
             if (PyErr_CheckSignals() < 0)
                 goto done;
             unlocked = PyEval_SaveThread();
         }
-        const Py_ssize_t k0 = tick * n_sub;
+        const Py_ssize_t k0 = i * n_sub;
         const double t = (double)k0 * dt;
         struct inputs in;
         /* dynamics.synthesize_sensors: of its 12 normals a noisy tick
@@ -1092,7 +1046,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int sat[6];
         (indi ? indi_core : geo_core)(kc, s, &in, &ref, u);
         saturate(kc, u, c, w, sat);
-        double *row = rows + tick * N_LOG_COLUMNS;
+        double *row = rows + i * N_LOG_COLUMNS;
         row[L_T] = t;
         memcpy(row + L_MOTION, x, 13 * sizeof(double));
         memcpy(row + L_REF, ref.p, sizeof ref.p);
@@ -2104,14 +2058,11 @@ static PyMethodDef methods[] = {
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL,
      "step(constants, s, w_cmd, wrenches, dt) -> the state after "
      "len(wrenches) RK4 steps, as a list"},
-    {"geo_tick", (PyCFunction)(void (*)(void))geo_tick, METH_FASTCALL,
-     "geo_tick(constants, state, target_pos, target_rpy, pos, vel, q, "
-     "gyro) -> one GeoNdiController tick: ((u, w_cmd, saturated), "
+    {"tick", (PyCFunction)(void (*)(void))tick, METH_FASTCALL,
+     "tick(constants, state, target_pos, target_rpy, pos, vel, q, gyro[, "
+     "accel, rotor_w_meas]) -> one GeoNdiController tick, or with accel "
+     "and rotor_w_meas one IndiController tick: ((u, w_cmd, saturated), "
      "(p_d, v_d, a_d, q_d, omega_d, omega_dot_d))"},
-    {"indi_tick", (PyCFunction)(void (*)(void))indi_tick, METH_FASTCALL,
-     "indi_tick(constants, state, target_pos, target_rpy, pos, vel, q, "
-     "gyro, accel, rotor_w_meas) -> one IndiController tick, as "
-     "geo_tick's"},
     {"ticks", (PyCFunction)(void (*)(void))ticks, METH_FASTCALL,
      "ticks(truth, indi, control, state, run, script, n_sub, pose_every, "
      "n_steps, x0, stream, rows) -> None; runs the closed loop from the "

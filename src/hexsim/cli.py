@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, experiments, vehicle
-from .control import Gains
+from .control import Gains, make_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,11 +238,11 @@ def write_metrics_json(path, metrics, config, scenario):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def preflight(params):
+def preflight(params, cf_mismatch=1.0):
     """Yield (line, passed) for each check a platform must pass to fly:
-    the effectiveness rank (a degenerate layout ends the checks), the
-    hover trim inside the actuator limits and the motor lag inside RK4's
-    stability interval."""
+    the effectiveness rank (a degenerate layout ends the checks), that of
+    the model at cf_mismatch (if not 1), the hover trim inside the
+    actuator limits and the motor lag inside RK4's stability interval."""
     try:
         eff = params.effectiveness
     except vehicle.DegenerateGeometry as exc:
@@ -250,6 +250,15 @@ def preflight(params):
         return
     yield (f"effectiveness rank: 6, condition number: "
            f"{eff.condition_number:.3f}", True)
+    if cf_mismatch != 1:
+        label = f"controller model at cf_mismatch {cf_mismatch!r}"
+        try:
+            model = make_model(params, cf_mismatch).effectiveness
+        except vehicle.DegenerateGeometry as exc:
+            yield f"{label}: DEGENERATE ({exc})", False
+        else:
+            yield (f"{label}: effectiveness rank 6, condition number "
+                   f"{model.condition_number:.3f}", True)
     trim = params.hover
     hovers = not any(trim.saturated)
     yield (f"hover trim {'within' if hovers else 'outside'} actuator limits "
@@ -264,18 +273,18 @@ def preflight(params):
            f"at the {dynamics.SIM_DT} s truth step", stable)
 
 
-def _flyable_params(config):
+def _flyable_params(config, cf_mismatch):
     """build_params, or ConfigError with the first failed preflight line."""
     params = build_params(config)
-    for line, passed in preflight(params):
+    for line, passed in preflight(params, cf_mismatch):
         if not passed:
             raise ConfigError(line)
     return params
 
 
 def cmd_run(config):
-    params = _flyable_params(config)
     scenario = build_run_scenario(config)
+    params = _flyable_params(config, scenario.cf_mismatch)
     dynamics.load_truth()  # before any output, and before the writer forks
     out_dir = Path(config["run"]["out"])
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -343,12 +352,13 @@ def cmd_sweep(config):
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
         raise ConfigError("sweep jobs must be >= 1")
-    params = _flyable_params(config)
     scenario_id, key, values = _SWEEP_AXES[axis]
-    cells = [(build_run_scenario(dict(config, run={
-                  **config["run"], "scenario": scenario_id,
-                  "controller": controller, key: value})), repeats, params)
-             for controller in ("geo", "indi") for value in values]
+    scenarios = [build_run_scenario(dict(config, run={
+                     **config["run"], "scenario": scenario_id,
+                     "controller": controller, key: value}))
+                 for controller in ("geo", "indi") for value in values]
+    params = _flyable_params(config, scenarios[0].cf_mismatch)
+    cells = [(scenario, repeats, params) for scenario in scenarios]
     dynamics.load_truth()  # before any output
     diverged = False
     with open(out, "w") as fh:
@@ -394,10 +404,10 @@ def _divergence_report(exc):
 
 def cmd_validate(config):
     params = build_params(config)
-    build_run_scenario(config)  # the [run], [gains] and [filters] checks
+    scenario = build_run_scenario(config)  # the [run], [gains], [filters]
     print(f"mass: {params.mass} kg, arm: {params.arm_length} m, "
           f"tilt: {math.degrees(params.tilt_angle):.1f} deg")
-    lines, verdicts = zip(*preflight(params))
+    lines, verdicts = zip(*preflight(params, scenario.cf_mismatch))
     print(*lines, f"result: {'OK' if all(verdicts) else 'FAIL'}", sep="\n")
     return EXIT_OK if all(verdicts) else EXIT_CONFIG
 

@@ -12,14 +12,12 @@ differ only in the inversion that turns it into a wrench:
     force and angular acceleration in place of the model terms; its
     wrench is an increment on the measured rotor state.
 
-A controller ticks in C: warm_start binds geo_tick or indi_tick of
-_truth.c, a port of these layers expression by expression that agrees
-with them bit for bit, to the controller's constants and state, which
-experiments.run_scenario's compiled loop ticks on too.  The Python
-layers stay as its readable reference.
+A controller's tick passes the two array('d') that warm_start lays
+out, its constants and state, to _truth.c's tick (as run_scenario's
+compiled loop does), a bit-for-bit port of these layers expression by
+expression; the Python layers stay as its readable reference.
 """
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -237,58 +235,51 @@ class ControllerInputs:
     rotor_w_meas: list
 
 
-def _before_warm_start(*args):
-    raise RuntimeError("a controller ticks only after its warm_start")
+def _tick(controller, *inputs):
+    """(ActuatorCommand, PoseReference) of _truth.c's tick over the
+    controller's constants and state, which it updates in place."""
+    if controller.state is None:
+        raise RuntimeError("a controller ticks only after its warm_start")
+    from . import dynamics
+    cmd, ref = dynamics.load_truth().tick(controller.constants,
+                                          controller.state, *inputs)
+    return ActuatorCommand(*cmd), PoseReference(*ref)
 
 
-def _bind(controller, entry, constants, state):
-    """Bind controller's tick to `entry` of _truth.c over its constants
-    and state: two array('d') of these floats, laid out as _truth.c's C_
-    and S_ offsets say, kept as controller.constants and
-    controller.state.  Each tick updates the state in place."""
-    from .dynamics import load_truth
-    controller.constants = array("d", constants)
-    controller.state = array("d", state)
-    controller._tick = functools.partial(getattr(load_truth(), entry),
-                                         controller.constants,
-                                         controller.state)
-
-
-def _model_constants(controller):
-    """What a tick reads of the gains, the shaper and the model: k_p,
-    k_v, k_q, k_w, the shaper's coefficients, m, J_x, J_y, J_z, g,
-    F0^-1 row by row, u_min and u_max."""
+def _warm_constants(controller, pos, q):
+    """(k_p, k_v, k_q, k_w, a reference shaper's coefficients, m, J_x,
+    J_y, J_z, g, F0^-1 row by row, u_min, u_max), what a tick reads, and
+    the shaper's state, with the shaper reset to hold pos and q."""
+    shaper = ReferenceShaper(controller.dt)
+    shaper.reset_to(pos, rpy_from_quat(q))
     g, p = controller.gains, controller.model
     eff = p.effectiveness
-    return (g.k_p, g.k_v, g.k_q, g.k_w, *controller.shaper.coefficients,
-            p.mass, *p.inertia, GRAVITY, *sum(eff.F0_inv_rows, ()),
-            eff.u_min, eff.u_max)
+    return ((g.k_p, g.k_v, g.k_q, g.k_w, *shaper.coefficients, p.mass,
+             *p.inertia, GRAVITY, *sum(eff.F0_inv_rows, ()), eff.u_min,
+             eff.u_max), shaper.state)
 
 
 class GeoNdiController:
     """Model-based geometric NDI: outer loop -> model inversion -> allocation.
 
-    Its shaper gives the compiled tick its coefficients and warm start;
-    from there the tick reads `constants` and carries the shaper's state
-    in `state`, which the closed loop's compiled ticks use too."""
+    warm_start fills `constants` and `state` from a reference shaper it
+    builds and drops, for the compiled ticks to read and update."""
 
     name = "geo"
 
     def __init__(self, model, gains, dt):
         self.model = model
         self.gains = gains
-        self.shaper = ReferenceShaper(dt)
+        self.dt = dt
         self.constants = self.state = None
-        self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
-        self.shaper.reset_to(pos, rpy_from_quat(q))
-        _bind(self, "geo_tick", _model_constants(self), self.shaper.state)
+        constants, state = _warm_constants(self, pos, q)
+        self.constants, self.state = array("d", constants), array("d", state)
 
     def tick(self, target_pos, target_rpy, inputs):
-        cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,
-                              inputs.q, inputs.gyro)
-        return ActuatorCommand(*cmd), PoseReference(*ref)
+        return _tick(self, target_pos, target_rpy, inputs.pos, inputs.vel,
+                     inputs.q, inputs.gyro)
 
 
 class IndiController:
@@ -302,10 +293,8 @@ class IndiController:
     saturation the next increment starts from what the actuators actually
     achieved.
 
-    The shaper, the filter bank and the gyro difference give the
-    compiled tick their coefficients and warm start; from there the tick
-    reads `constants` and carries their state in `state`, as
-    GeoNdiController's does.
+    warm_start fills `constants` and `state` as GeoNdiController's does,
+    from the filter bank too and from a gyro difference it drops.
     """
 
     name = "indi"
@@ -314,30 +303,26 @@ class IndiController:
                  filter_damping=FILTER_DAMPING):
         self.model = model
         self.gains = gains
-        self.shaper = ReferenceShaper(dt)
+        self.dt = dt
         # channels: specific force (3), gyro (3), squared rotor speeds (6)
         self.feedback = SecondOrderFilter(
             2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
-        self.d_gyro = FilteredDerivative(dt, 3)
         self.constants = self.state = None
-        self._tick = _before_warm_start
 
     def warm_start(self, pos, q, trim_cmd):
-        self.shaper.reset_to(pos, rpy_from_quat(q))
-        self.feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0,
-                                *trim_cmd.u])
-        self.d_gyro.reset_to([0.0, 0.0, 0.0])
+        constants, state = _warm_constants(self, pos, q)
         feedback = self.feedback
-        _bind(self, "indi_tick",
-              (*_model_constants(self), *feedback.b, feedback.a1,
-               feedback.a2, self.d_gyro.sample_time),
-              (*self.shaper.state, *feedback.state, *self.d_gyro.state))
+        feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0, *trim_cmd.u])
+        d_gyro = FilteredDerivative(self.dt, 3)
+        d_gyro.reset_to([0.0, 0.0, 0.0])
+        self.constants = array("d", (*constants, *feedback.b, feedback.a1,
+                                     feedback.a2, d_gyro.sample_time))
+        self.state = array("d", (*state, *feedback.state, *d_gyro.state))
 
     def tick(self, target_pos, target_rpy, inputs):
-        cmd, ref = self._tick(target_pos, target_rpy, inputs.pos, inputs.vel,
-                              inputs.q, inputs.gyro, inputs.accel,
-                              inputs.rotor_w_meas)
-        return ActuatorCommand(*cmd), PoseReference(*ref)
+        return _tick(self, target_pos, target_rpy, inputs.pos, inputs.vel,
+                     inputs.q, inputs.gyro, inputs.accel,
+                     inputs.rotor_w_meas)
 
 
 def make_controller(kind, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,

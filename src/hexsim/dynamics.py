@@ -9,6 +9,7 @@ the commanded setpoints, evaluated inside the RK4 stages.
 import functools
 import math
 import os
+import threading
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -164,6 +165,7 @@ class DisturbanceSampler:
 # into fused multiply-adds, so each operation rounds as a CPython float does
 CFLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
 _truth = None
+_truth_lock = threading.Lock()
 
 
 def compile_command(source):
@@ -181,13 +183,17 @@ def compile_command(source):
 
 def load_truth():
     """The compiled step, the module hexsim._truth of _truth.c, loaded
-    once per process (forked processes inherit it) from the __pycache__
-    directory beside this file, where it is named by the CRC-32 of the
-    source, CFLAGS, the extension suffix and the numpy version.  If
-    missing, it is built there, and the libraries of that suffix built
-    from an older source, CFLAGS or numpy are removed."""
+    once per process (forked processes inherit it; threads calling at
+    once wait for one load) from the __pycache__ directory beside this
+    file, named by the CRC-32 of the source, CFLAGS, the extension
+    suffix and the numpy version.  If missing, it is built there, and
+    the libraries of that suffix with another name are removed."""
     global _truth
-    if _truth is None:
+    if _truth is not None:  # the lock guards the first load only
+        return _truth
+    with _truth_lock:
+        if _truth is not None:
+            return _truth
         here = os.path.dirname(os.path.abspath(__file__))
         source = os.path.join(here, "_truth.c")
         suffix = EXTENSION_SUFFIXES[0]
@@ -202,10 +208,11 @@ def load_truth():
                 if str(old) != path:
                     old.unlink(missing_ok=True)
         loader = ExtensionFileLoader("hexsim._truth", path)
-        _truth = module_from_spec(spec_from_loader(loader.name, loader))
-        loader.exec_module(_truth)
-        _truth.NonFiniteState = NonFiniteState
-    return _truth
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        module.NonFiniteState = NonFiniteState
+        _truth = module
+        return _truth
 
 
 def _build(source, path):

@@ -282,11 +282,10 @@ def run_scenario(scenario, params=None):
     frequency) and return (log, RunMetrics).
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
-    a row per tick, and "rpy" to the attitude's roll, pitch and yaw.
-    One call of _truth.c's ticks runs the whole loop and writes every
-    row, tracking errors included.  Raises NonFiniteState carrying the
-    time, scenario id, seed and last finite state if the truth state
-    diverges.
+    a row per tick.  One call of _truth.c's ticks runs the whole loop and
+    writes every row, tracking errors included.  Raises NonFiniteState
+    carrying the time, scenario id, seed and last finite state if the
+    truth state diverges.
     """
     ticks = _closed_loop(scenario, params or vehicle.default_params())
     n_sub, n_steps = _clock(scenario)
@@ -347,13 +346,11 @@ def _log_and_metrics(scenario, rows):
     """(log, RunMetrics) of a run's finished rows, as run_scenario
     returns them."""
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
-    log["rpy"] = rpy_from_quat(log["q"].T).T
-
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
     if scenario.id in ("exp1", "exp4"):
         try:
             metrics.roll_rise_time = rise_time(
-                log["t"], log["rpy"][:, 0], onset=5.0,
+                log["t"], rpy_from_quat(log["q"].T)[0], onset=5.0,
                 magnitude=math.radians(8.0))
         except NotReached:
             metrics.roll_rise_time = float("nan")

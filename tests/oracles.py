@@ -1095,13 +1095,11 @@ def row_errors(p, q, ref_p, ref_q):
 
 
 def whole_log_errors(log):
-    """(e_p, e_att_deg, rpy) of a run log, computed after the loop from
-    its truth and reference columns: the errors by row_errors, row by
-    row, and the attitude by numpy's rpy_from_quat over the whole log at
-    once, as experiments.run_scenario computes it."""
+    """(e_p, e_att_deg) of a run log, computed after the loop from its
+    truth and reference columns by row_errors, row by row."""
     errors = np.array([row_errors(*row) for row in zip(
         *(log[name].tolist() for name in ("p", "q", "ref_p", "ref_q")))])
-    return errors[:, :3], errors[:, 3:], rpy_from_quat(log["q"].T).T
+    return errors[:, :3], errors[:, 3:]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,34 @@ def test_sweep_rejects_a_platform_that_cannot_hover(tmp_path, capsys,
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("validate", ()), ("run", ("--out", "art")),
+    ("sweep", ("--repeats", "1", "--out", "art")),
+])
+def test_a_model_without_rank_6_fails_the_preflight(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    args):
+    # the platform flies, but a controller believing c_f 1e-12 times as
+    # large has no rank-6 effectiveness: each command names cf_mismatch
+    # and writes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text("[run]\ncf_mismatch = 1e-12\n")
+    assert run_cli(command, "--config", "c.ini", *args) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    line = "controller model at cf_mismatch 1e-12: DEGENERATE"
+    assert line in (out if command == "validate" else err)
+    assert "result: OK" not in out
+    assert not (tmp_path / "art").exists()
+
+
+def test_validate_reports_the_model_at_a_cf_mismatch(tmp_path, capsys):
+    (tmp_path / "c.ini").write_text("[run]\ncf_mismatch = 0.5\n")
+    assert run_cli("validate", "--config", str(tmp_path / "c.ini")) == 0
+    out = capsys.readouterr().out
+    assert "controller model at cf_mismatch 0.5: effectiveness rank 6" in out
+    assert "result: OK" in out
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nbogus = 1\n")

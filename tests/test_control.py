@@ -522,6 +522,45 @@ def test_a_tick_before_warm_start_raises(params, trim, kind):
         ctrl.tick((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), hover_inputs(trim))
 
 
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+def test_a_warm_controller_keeps_only_its_arrays(params, trim, kind):
+    # warm_start reads a shaper's (and a gyro difference's) coefficients
+    # and warm state into the two arrays and keeps neither object; a
+    # tick updates the state in place
+    ctrl = make_controller(kind, make_model(params), Gains(), DT)
+    ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
+    assert set(vars(ctrl)) == {"model", "gains", "dt", "constants", "state",
+                               *(("feedback",) if kind == "indi" else ())}
+    state, before = ctrl.state, bytes(ctrl.state)
+    ctrl.tick((0.1, 0.0, 0.0), (0.0, 0.0, 0.2), hover_inputs(trim))
+    assert ctrl.state is state and bytes(state) != before
+
+
+def test_the_compiled_tick_checks_its_arguments(params, trim):
+    # 8 arguments tick geo, 10 indi, each on arrays of its own length; a
+    # rejected call leaves the state as it was
+    geo, indi = (make_controller(kind, make_model(params), Gains(), DT)
+                 for kind in ("geo", "indi"))
+    for ctrl in (geo, indi):
+        ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
+    tick, i = dyn.load_truth().tick, hover_inputs(trim)
+    args = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), i.pos, i.vel, i.q, i.gyro)
+    before = bytes(indi.state)
+    for call, error, match in [
+            ((geo.constants, geo.state, *args[:-1]), TypeError, "tick"),
+            ((indi.constants, indi.state, *args, i.accel), TypeError,
+             "tick"),
+            ((geo.constants, geo.state, *args, i.accel, i.rotor_w_meas),
+             ValueError, "constants"),
+            ((indi.constants, geo.state, *args, i.accel, i.rotor_w_meas),
+             ValueError, "state"),
+            ((indi.constants, indi.state, *args, i.accel,
+              i.rotor_w_meas[:5]), ValueError, "rotor_w_meas")]:
+        with pytest.raises(error, match=match):
+            tick(*call)
+    assert bytes(indi.state) == before
+
+
 TICKS = 3  # ticks a draw flies
 INPUTS = ("pos", "vel", "q", "gyro", "accel", "rotor_w_meas")
 # a target component: a zero of either sign or a number

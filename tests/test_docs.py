@@ -53,3 +53,19 @@ def test_readme_cites_only_names_the_package_has():
 
     assert sorted(f"{module}.{path}" for module, path in cited
                   if not resolves(module, path)) == []
+
+
+def test_readme_cites_only_functions_truth_c_defines():
+    # "`_truth.c`'s `name`" and "`name` [and `name`] of
+    # `[src/hexsim/]_truth.c`", across a line break too, where a `name`
+    # may carry its arguments; a C function's name starts the line of
+    # its definition
+    source = (Path(dynamics.__file__).parent / "_truth.c").read_text()
+    name = r"`(\w+)(?:\([^`]*\))?`"
+    cited = set(re.findall(rf"`_truth\.c`'s {name}", README))
+    for pair in re.findall(rf"{name}(?:\s+and\s+{name})?\s+of\s+"
+                           r"`(?:src/hexsim/)?_truth\.c`", README):
+        cited.update(filter(None, pair))
+    assert {"row_errors", "stream", "ticks", "csv_rows", "step"} <= cited
+    assert sorted(cite for cite in cited if not re.search(
+        rf"^{cite}\(", source, re.MULTILINE)) == []

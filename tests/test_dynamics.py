@@ -596,6 +596,41 @@ def test_two_fresh_interpreters_build_one_library(params, kernel, trim,
     assert [f.name for f in cache.glob("_truth*")] == [library]
 
 
+LOAD_FROM_FOUR_THREADS = """
+import threading, time
+from hexsim import dynamics
+builds, modules, real_build = [], [], dynamics._build
+
+def slow_build(source, path):
+    builds.append(path)
+    time.sleep(0.2)
+    return real_build(source, path)
+
+def load():
+    start.wait()
+    modules.append(dynamics.load_truth())
+
+dynamics._build, start = slow_build, threading.Barrier(4)
+threads = [threading.Thread(target=load) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(len(builds), len(modules), len(set(map(id, modules))))
+"""
+
+
+def test_threads_loading_at_once_share_one_build_and_module(package_copy):
+    # the first load_truth of a process, from four threads at once
+    # against an empty cache: one builds and loads, the rest wait for it
+    # and share its module
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_FROM_FOUR_THREADS], capture_output=True,
+        text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(package_copy)))
+    assert (done.returncode, done.stdout) == (0, "1 4 1\n"), done.stderr
+
+
 def test_a_build_removes_stale_libraries_of_its_suffix(package_copy):
     # a library built from an older source goes; one built for another
     # Python, with another extension suffix, stays

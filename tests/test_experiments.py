@@ -334,13 +334,14 @@ def test_run_scenario_log_shapes():
 
 def test_log_blocks_are_views_of_one_row_per_tick():
     # the log is one float row per tick, exactly log.csv's columns, and
-    # each block of the layout is a view of it
+    # it holds nothing but a view of it per block of the layout
     sc = ex.build_scenario("exp5", "indi", {"duration": 2.5})
     log, _ = ex.run_scenario(sc)
     rows = log["t"].base
     assert rows.shape == (len(log["t"]), len(ex.LOG_HEADER)) == (
         len(log["t"]), 57)
     assert [name for name, _ in ex.LOG_LAYOUT] == list(ex.LOG_BLOCKS)
+    assert list(log) == list(ex.LOG_BLOCKS)
     for name, suffixes in ex.LOG_LAYOUT:
         assert log[name].base is rows
         assert log[name].shape[1:] == (() if suffixes is None
@@ -367,15 +368,14 @@ def same_bits(a, b):
 def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
                                                overrides):
     # _truth.c writes the errors with each row, bit for bit as the
-    # oracle's Python-float expressions give them, and the attitude is
-    # numpy's; the 20 s exp1 runs hold the roll and pitch steps
+    # oracle's Python-float expressions give them; the 20 s exp1 runs
+    # hold the roll and pitch steps
     sc = ex.build_scenario(scenario_id, controller, overrides)
     log, _ = ex.run_scenario(sc)
-    e_p, e_att_deg, rpy = whole_log_errors(log)
+    e_p, e_att_deg = whole_log_errors(log)
     assert np.abs(log["e_att_deg"]).max() > 0.1
     assert same_bits(log["e_p"], e_p)
     assert same_bits(log["e_att_deg"], e_att_deg)
-    assert same_bits(log["rpy"], rpy)
 
 
 # gust and sensor noise on, so both draw from the run's one stream
@@ -561,15 +561,25 @@ def test_setpoint_rejects_non_finite_targets():
         ex.Setpoint(0.0, np.zeros(3), (np.nan, 0.0, 0.0))
 
 
-def test_logged_attitudes_match_per_tick_formula():
-    # rpy, computed after the loop from the stacked quaternions, and
-    # e_att_deg, written with each row in C, agree with numpy's per-tick
-    # formula; the roll step at 5 s gives errors near a degree
+def test_logged_attitudes_match_per_tick_formula(monkeypatch):
+    # the roll that rise_time reads, computed after the loop from the
+    # stacked quaternions, and e_att_deg, written with each row in C,
+    # agree with numpy's per-tick formula; the roll step at 5 s gives
+    # errors near a degree
+    signals, real_rise_time = [], ex.rise_time
+
+    def recording_rise_time(t, signal, onset, magnitude):
+        signals.append(signal)
+        return real_rise_time(t, signal, onset, magnitude)
+
+    monkeypatch.setattr(ex, "rise_time", recording_rise_time)
     sc = ex.build_scenario("exp1", "indi", {"duration": 5.6})
     log, _ = ex.run_scenario(sc)
-    for q, ref_q, rpy, e_att in zip(log["q"], log["ref_q"], log["rpy"],
-                                    log["e_att_deg"]):
-        np.testing.assert_allclose(rpy, rpy_from_quat(q),
+    (roll,) = signals
+    assert len(roll) == len(log["q"])
+    for q, ref_q, r, e_att in zip(log["q"], log["ref_q"], roll,
+                                  log["e_att_deg"]):
+        np.testing.assert_allclose(r, rpy_from_quat(q)[0],
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(
             e_att, np.degrees(rpy_from_quat(quat_mul(ref_q, quat_conj(q)))),

@@ -27,7 +27,7 @@ def test_truth_step_compiles_without_warnings(tmp_path):
     # the run-time build has no -Werror: a warning fails here, not in a
     # user's first run.  A whole build, so that the warnings only the
     # optimiser emits (-Wmaybe-uninitialized) run too, of every entry
-    # point: the step, both ticks, the closed loop and its stream
+    # point: the step, the controller tick, the closed loop and its stream
     done = subprocess.run(
         [*dynamics.compile_command(str(ROOT / "src" / "hexsim" / "_truth.c")),
          "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_truth.so")],
@@ -36,5 +36,4 @@ def test_truth_step_compiles_without_warnings(tmp_path):
     loader = ExtensionFileLoader("hexsim._truth", str(tmp_path / "_truth.so"))
     module = module_from_spec(spec_from_loader(loader.name, loader))
     loader.exec_module(module)
-    assert {"step", "geo_tick", "indi_tick", "ticks", "stream"} <= set(
-        vars(module))
+    assert {"step", "tick", "ticks", "stream"} <= set(vars(module))
