@@ -31,20 +31,22 @@
    the two array('d') buffers its warm_start lays out as the C_ and S_
    offsets below say.
 
-   ticks(...) runs a whole closed-loop run in one call and writes its
-   log rows: per tick the sensors of dynamics.synthesize_sensors, the
-   setpoint of experiments._script_target, the controller tick above,
-   the row with its tracking errors (row_errors below), and the wrenches
-   (dynamics.DisturbanceSampler.step) and RK4 steps of its truth
-   steps.  The sensor noise and the gust draw from the run's
-   stream (see stream below), numpy's default_rng(seed).  It starts
-   from copies of the truth state x0, the controller state and the
-   stream, and writes only the rows, so a bound run gives the same rows
-   at every call.  Its Python form, the loop run_scenario ran before, is
-   tests/oracles.py's run_scenario.  ticks holds the GIL only to read
-   its arguments, to check for signals before tick 0 and every
-   GIL_TICKS-th tick, to raise a divergence and to release its buffers;
-   its loop runs without it, so a sweep's cells run at once on threads.
+   ticks(...) runs a whole closed-loop run in one call and returns its
+   log, a new numpy array of a row per tick: per tick the sensors of
+   dynamics.synthesize_sensors, the setpoint of
+   experiments._script_target, the controller tick above (geo or indi
+   by the length of its constants), the row with its tracking errors
+   (row_errors below), and the wrenches (dynamics.DisturbanceSampler.step)
+   and RK4 steps of its truth steps.  The sensor noise and the gust draw
+   from the run's stream, numpy's default_rng(seed), which it seeds from
+   the seed's words (see stream below).  It starts from copies of the
+   truth state x0 and the controller state and writes only its log, so
+   a bound run gives the same rows at every call.  Its Python form, the
+   loop run_scenario ran before, is tests/oracles.py's run_scenario.
+   ticks holds the GIL only to read its arguments and allocate its log,
+   to check for signals before tick 0 and every GIL_TICKS-th tick, to
+   raise a divergence and to release its buffers; its loop runs without
+   it, so a sweep's cells run at once on threads.
 
    csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
    each float with the bytes of repr: the shortest decimal that reads
@@ -53,8 +55,9 @@
 
    dynamics.py builds this file with -ffp-contract=off and without
    -ffast-math, so each operation rounds as a CPython float does: the
-   compiled and the Python forms agree bit for bit.  It links numpy's
-   static libnpyrandom.a for random_standard_normal. */
+   compiled and the Python forms agree bit for bit.  It uses numpy's C
+   API for ticks' log and links numpy's static libnpyrandom.a for
+   random_standard_normal. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -63,6 +66,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include "numpy/arrayobject.h"
 #include "numpy/random/distributions.h"
 
 #define T_F1 45       /* F1 row by row: the truth constants past the step's */
@@ -772,23 +777,12 @@ word(const unsigned char *bytes, Py_ssize_t i)
            | (uint32_t)b[3] << 24;
 }
 
-/* stream(entropy) -> the state of default_rng(seed) as a bytearray, from
-   entropy, the seed's 32-bit words least significant first (one word, 0,
-   for seed 0) as little-endian bytes. */
-static PyObject *
-stream(PyObject *Py_UNUSED(module), PyObject *entropy)
+/* The state of default_rng(seed) into g, from the n 32-bit words of the
+   seed, least significant first (one word, 0, for seed 0), as the
+   little-endian bytes. */
+static void
+stream(const unsigned char *bytes, Py_ssize_t n, struct pcg64 *g)
 {
-    Py_buffer view;
-    if (PyObject_GetBuffer(entropy, &view, PyBUF_SIMPLE) < 0)
-        return NULL;
-    const Py_ssize_t n = view.len / 4;
-    if (n < 1 || view.len != 4 * n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "entropy: expected whole 32-bit words");
-        PyBuffer_Release(&view);
-        return NULL;
-    }
-    const unsigned char *bytes = view.buf;
     uint32_t pool[SEED_POOL], hash = INIT_A, words[2 * SEED_POOL];
     for (int i = 0; i < SEED_POOL; i++)
         pool[i] = hashmix(i < n ? word(bytes, i) : 0, &hash);
@@ -799,7 +793,6 @@ stream(PyObject *Py_UNUSED(module), PyObject *entropy)
     for (Py_ssize_t src = SEED_POOL; src < n; src++)
         for (int dst = 0; dst < SEED_POOL; dst++)
             pool[dst] = mix(pool[dst], hashmix(word(bytes, src), &hash));
-    PyBuffer_Release(&view);
     hash = INIT_B;
     for (int i = 0; i < 2 * SEED_POOL; i++) {
         uint32_t value = pool[i % SEED_POOL] ^ hash;
@@ -813,11 +806,10 @@ stream(PyObject *Py_UNUSED(module), PyObject *entropy)
     u128 w[4];
     for (int i = 0; i < 4; i++)
         w[i] = words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
-    struct pcg64 g = {0, (w[2] << 64 | w[3]) << 1 | 1};
-    pcg64_next64(&g);
-    g.state += w[0] << 64 | w[1];
-    pcg64_next64(&g);
-    return PyByteArray_FromStringAndSize((const char *)&g, sizeof g);
+    *g = (struct pcg64){0, (w[2] << 64 | w[3]) << 1 | 1};
+    pcg64_next64(g);
+    g->state += w[0] << 64 | w[1];
+    pcg64_next64(g);
 }
 
 /* bisect.bisect_right's own search: the setpoint, (pos, rpy), of the
@@ -871,35 +863,7 @@ row_errors(double *row)
     e[5] = atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)) * deg;
 }
 
-/* The log rows into view, -1 with ValueError set unless they are a
-   C-contiguous, writable 2-D float64 array of N_LOG_COLUMNS columns. */
-static int
-get_rows(PyObject *obj, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError, "rows: expected a float64 array");
-        return -1;
-    }
-    const char *why = NULL;
-    if (view->ndim != 2 || view->itemsize != sizeof(double)
-        || strcmp(view->format, "d") != 0)
-        why = "a 2-D float64 array";
-    else if (!PyBuffer_IsContiguous(view, 'C'))
-        why = "a C-contiguous array";
-    else if (view->readonly)
-        why = "a writable array";
-    else if (view->shape[1] != N_LOG_COLUMNS)
-        why = "57 columns";
-    if (why != NULL) {
-        PyErr_Format(PyExc_ValueError, "rows: expected %s", why);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
-#define N_TICKS_ARGS 12
+#define N_TICKS_ARGS 10
 /* ticks' loop takes the GIL back every GIL_TICKS ticks.  A take waits
    for any thread running Python: on a 2-core VM, a 2-thread sweep of
    0.4-1 s of loop waited 2-11 ms in all at 64 ticks a take, 3.5-11 ms at
@@ -910,22 +874,19 @@ get_rows(PyObject *obj, Py_buffer *view)
 static PyObject *
 ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    enum { TRUTH, CONTROL, STATE, RUN, SCRIPT, X0, STREAM, ROWS };
-    Py_buffer views[ROWS + 1];
+    enum { TRUTH, CONTROL, STATE, RUN, SCRIPT, X0, ENTROPY };
+    Py_buffer views[ENTROPY + 1];
     int held = 0;
     PyObject *result = NULL;
     if (nargs != N_TICKS_ARGS) {
         PyErr_SetString(PyExc_TypeError,
-                        "ticks(truth, indi, control, state, run, script, "
-                        "n_sub, pose_every, n_steps, x0, stream, rows)");
+                        "ticks(truth, control, state, run, script, n_sub, "
+                        "pose_every, n_steps, x0, entropy)");
         return NULL;
     }
-    const int indi = PyObject_IsTrue(args[1]);
-    if (indi < 0)
-        return NULL;
     Py_ssize_t ints[3];  /* n_sub, pose_every, n_steps */
     for (int i = 0; i < 3; i++) {
-        ints[i] = PyLong_AsSsize_t(args[6 + i]);
+        ints[i] = PyLong_AsSsize_t(args[5 + i]);
         if (ints[i] == -1 && PyErr_Occurred())
             return NULL;
     }
@@ -935,23 +896,29 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "n_sub, pose_every and n_steps must be positive");
         return NULL;
     }
-    const Py_ssize_t n_state = indi ? N_INDI_STATE : N_GEO_STATE;
     if (get_doubles(args[0], &views[TRUTH], N_TRUTH, PyBUF_SIMPLE,
                     "truth") < 0)
         goto done;
     held++;
-    if (get_doubles(args[2], &views[CONTROL], indi ? N_INDI : N_GEO,
-                    PyBUF_SIMPLE, "control") < 0)
+    if (PyObject_GetBuffer(args[1], &views[CONTROL], PyBUF_SIMPLE) < 0)
         goto done;
     held++;
-    if (get_doubles(args[3], &views[STATE], n_state, PyBUF_SIMPLE,
+    /* the kind by the length of its constants, as tick's by its arity */
+    const int indi = views[CONTROL].len == N_INDI * (Py_ssize_t)sizeof(double);
+    if (!indi && views[CONTROL].len != N_GEO * (Py_ssize_t)sizeof(double)) {
+        PyErr_Format(PyExc_ValueError, "control: expected %d or %d doubles, "
+                     "got %zd bytes", N_GEO, N_INDI, views[CONTROL].len);
+        goto done;
+    }
+    const Py_ssize_t n_state = indi ? N_INDI_STATE : N_GEO_STATE;
+    if (get_doubles(args[2], &views[STATE], n_state, PyBUF_SIMPLE,
                     "state") < 0)
         goto done;
     held++;
-    if (get_doubles(args[4], &views[RUN], N_RUN, PyBUF_SIMPLE, "run") < 0)
+    if (get_doubles(args[3], &views[RUN], N_RUN, PyBUF_SIMPLE, "run") < 0)
         goto done;
     held++;
-    if (PyObject_GetBuffer(args[5], &views[SCRIPT], PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(args[4], &views[SCRIPT], PyBUF_SIMPLE) < 0)
         goto done;
     held++;
     const Py_ssize_t n_script = views[SCRIPT].len / (7 * sizeof(double));
@@ -961,37 +928,33 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "setpoint, at least one setpoint");
         goto done;
     }
-    if (get_doubles(args[9], &views[X0], STATE_SIZE, PyBUF_SIMPLE,
+    if (get_doubles(args[8], &views[X0], STATE_SIZE, PyBUF_SIMPLE,
                     "x0") < 0)
         goto done;
     held++;
-    if (PyObject_GetBuffer(args[10], &views[STREAM], PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(args[9], &views[ENTROPY], PyBUF_SIMPLE) < 0)
         goto done;
     held++;
-    if (views[STREAM].len != sizeof(struct pcg64)) {
-        PyErr_SetString(PyExc_ValueError, "stream: expected the bytearray "
-                        "of stream()");
+    const Py_ssize_t n_words = views[ENTROPY].len / 4;
+    if (n_words < 1 || views[ENTROPY].len != 4 * n_words) {
+        PyErr_SetString(PyExc_ValueError,
+                        "entropy: expected whole 32-bit words");
         goto done;
     }
-    if (get_rows(args[11], &views[ROWS]) < 0)
-        goto done;
-    held++;
     const Py_ssize_t n_ticks = (n_steps + n_sub - 1) / n_sub;
-    if (views[ROWS].shape[0] != n_ticks) {
-        PyErr_Format(PyExc_ValueError, "rows: expected the run's %zd rows, "
-                     "got %zd", n_ticks, views[ROWS].shape[0]);
+    npy_intp shape[2] = {n_ticks, N_LOG_COLUMNS};
+    if ((result = PyArray_SimpleNew(2, shape, NPY_DOUBLE)) == NULL)
         goto done;
-    }
 
     const double *k = views[TRUTH].buf, *kc = views[CONTROL].buf;
     const double *r = views[RUN].buf, *script = views[SCRIPT].buf;
-    double *rows = views[ROWS].buf;
+    double *rows = PyArray_DATA((PyArrayObject *)result);
     const double dt = r[R_DT];
     const int noisy = r[R_NOISE] > 0.0;
     struct rk4 rk;
     rk4_init(&rk, k, dt);
     struct pcg64 g;
-    memcpy(&g, views[STREAM].buf, sizeof g);
+    stream(views[ENTROPY].buf, n_words, &g);
     /* random_standard_normal reads 64-bit words and doubles only */
     bitgen_t normals = {&g, pcg64_next64, NULL, pcg64_next_double,
                         pcg64_next64};
@@ -1078,8 +1041,9 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         memcpy(force, wrench, sizeof force);
     }
     PyEval_RestoreThread(unlocked);
-    result = Py_NewRef(Py_None);
 done:
+    if (PyErr_Occurred())  /* a signal's exception or a divergence */
+        Py_CLEAR(result);
     while (held > 0)
         PyBuffer_Release(&views[--held]);
     return result;
@@ -2064,11 +2028,9 @@ static PyMethodDef methods[] = {
      "and rotor_w_meas one IndiController tick: ((u, w_cmd, saturated), "
      "(p_d, v_d, a_d, q_d, omega_d, omega_dot_d))"},
     {"ticks", (PyCFunction)(void (*)(void))ticks, METH_FASTCALL,
-     "ticks(truth, indi, control, state, run, script, n_sub, pose_every, "
-     "n_steps, x0, stream, rows) -> None; runs the closed loop from the "
-     "truth state x0 into its rows, one a tick"},
-    {"stream", stream, METH_O,
-     "stream(entropy) -> the state of numpy's default_rng(seed), whose "
+     "ticks(truth, control, state, run, script, n_sub, pose_every, "
+     "n_steps, x0, entropy) -> the log of the closed loop from the truth "
+     "state x0, a row a tick, its normals those of default_rng(seed) whose "
      "32-bit words entropy holds"},
     {"csv_rows", (PyCFunction)(void (*)(void))csv_rows, METH_FASTCALL,
      "csv_rows(rows, n_flags) -> the log.csv lines of rows, floats as "
@@ -2088,5 +2050,6 @@ static struct PyModuleDef truth = {
 PyMODINIT_FUNC
 PyInit__truth(void)
 {
+    import_array();
     return PyModule_Create(&truth);
 }

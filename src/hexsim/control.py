@@ -22,7 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 
-from .filters import FilteredDerivative, SecondOrderFilter
+from .filters import FilteredDerivative, SecondOrderFilter, check_positive
 from .geometry import quat_from_rpy, rotmat, rpy_from_quat
 from .vehicle import GRAVITY, ActuatorCommand
 # perfbench's tests read vehicle.allocate through this module too
@@ -65,10 +65,16 @@ def make_model(params, cf_factor=1.0):
     """What a controller believes about the platform params, as a
     PlatformParams: params itself at cf_factor 1, else a copy with the
     force coefficient scaled (c_tau untouched), which builds its own
-    effectiveness."""
+    effectiveness.  The copy is made once per params object and
+    cf_factor and kept in params.models, so the preflight and every run
+    of a mismatched sweep share one believed platform."""
     if cf_factor == 1:
         return params
-    return replace(params, c_f=params.c_f * cf_factor)
+    model = params.models.get(cf_factor)
+    if model is None:  # of two threads that race here, the first one wins
+        model = params.models.setdefault(
+            cf_factor, replace(params, c_f=params.c_f * cf_factor))
+    return model
 
 
 def outer_loop(gains, ref, pos, vel, q, omega):
@@ -268,6 +274,7 @@ class GeoNdiController:
     name = "geo"
 
     def __init__(self, model, gains, dt):
+        check_positive(dt, "dt")
         self.model = model
         self.gains = gains
         self.dt = dt
@@ -294,24 +301,27 @@ class IndiController:
     achieved.
 
     warm_start fills `constants` and `state` as GeoNdiController's does,
-    from the filter bank too and from a gyro difference it drops.
+    from a filter bank and a gyro difference too, which it also builds
+    and drops; the controller keeps the bank's cutoff and damping.
     """
 
     name = "indi"
 
     def __init__(self, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,
                  filter_damping=FILTER_DAMPING):
+        check_positive(dt, "dt")
         self.model = model
         self.gains = gains
         self.dt = dt
-        # channels: specific force (3), gyro (3), squared rotor speeds (6)
-        self.feedback = SecondOrderFilter(
-            2 * math.pi * filter_cutoff_hz, filter_damping, dt, 12)
+        self.filter_cutoff_hz = filter_cutoff_hz
+        self.filter_damping = filter_damping
         self.constants = self.state = None
 
     def warm_start(self, pos, q, trim_cmd):
         constants, state = _warm_constants(self, pos, q)
-        feedback = self.feedback
+        # channels: specific force (3), gyro (3), squared rotor speeds (6)
+        feedback = SecondOrderFilter(2 * math.pi * self.filter_cutoff_hz,
+                                     self.filter_damping, self.dt, 12)
         feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0, *trim_cmd.u])
         d_gyro = FilteredDerivative(self.dt, 3)
         d_gyro.reset_to([0.0, 0.0, 0.0])

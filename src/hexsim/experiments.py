@@ -283,15 +283,13 @@ def run_scenario(scenario, params=None):
 
     The log maps each block of LOG_LAYOUT to its view of one float array,
     a row per tick.  One call of _truth.c's ticks runs the whole loop and
-    writes every row, tracking errors included.  Raises NonFiniteState
+    returns every row, tracking errors included.  Raises NonFiniteState
     carrying the time, scenario id, seed and last finite state if the
     truth state diverges.
     """
     ticks = _closed_loop(scenario, params or vehicle.default_params())
-    n_sub, n_steps = _clock(scenario)
-    rows = np.empty(((n_steps + n_sub - 1) // n_sub, len(LOG_HEADER)))
     try:
-        ticks(rows)
+        rows = ticks()
     except dyn.NonFiniteState as exc:
         raise dyn.NonFiniteState(
             exc.message, t=exc.offset * dyn.SIM_DT, scenario=scenario.id,
@@ -301,9 +299,8 @@ def run_scenario(scenario, params=None):
 
 def _closed_loop(scenario, params):
     """The closed loop of scenario on the platform params, set up:
-    ticks(rows), _truth.c's ticks bound to all of the run but its rows,
-    a row per tick.  It writes nothing but the rows, so each call runs
-    the whole run afresh."""
+    _truth.c's ticks bound to the whole run.  Each call runs the run
+    afresh and returns its log, a new array of a row per tick."""
     model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
@@ -329,17 +326,16 @@ def _closed_loop(scenario, params):
     run = array("d", (dt, sigma, sigma * dyn.ACCEL_SIGMA,
                       sigma * dyn.GYRO_SIGMA, *sampler.constants))
     x0 = array("d", (*p0, 0.0, 0.0, 0.0, *q0, 0.0, 0.0, 0.0, *trim.w_cmd))
-    truth = dyn.load_truth()
     # the normals of default_rng(seed), whose SeedSequence takes an int
     # as its 32-bit words; the sensor noise and the gust share them
     words = max(1, -(-scenario.seed.bit_length() // 32))
-    stream = truth.stream(scenario.seed.to_bytes(4 * words, "little"))
     return functools.partial(
-        truth.ticks, dyn.truth_constants(params),
-        controller.name == "indi", controller.constants, controller.state,
-        run, array("d", (*times, *(v for sp in script
-                                    for v in (*sp.pos, *sp.rpy)))),
-        n_sub, pose_every, n_steps, x0, stream)
+        dyn.load_truth().ticks, dyn.truth_constants(params),
+        controller.constants, controller.state, run,
+        array("d", (*times, *(v for sp in script
+                             for v in (*sp.pos, *sp.rpy)))),
+        n_sub, pose_every, n_steps, x0,
+        scenario.seed.to_bytes(4 * words, "little"))
 
 
 def _log_and_metrics(scenario, rows):
@@ -402,6 +398,7 @@ def repeat_runs(scenario, n, params=None):
     RunMetrics, per-run list)."""
     if n < 1:
         raise ValueError("need n >= 1")
+    params = params or vehicle.default_params()  # one for all n runs
     per_run, samples = [], []
     for i in range(n):
         log, metrics = run_scenario(

@@ -6,6 +6,14 @@ group delay; the rotational acceleration is obtained by differentiating
 the filtered gyro signal.
 """
 
+import math
+
+
+def check_positive(value, name):
+    """Raise ValueError unless value is a finite, positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, not {value!r}")
+
 
 def _as_list(x, channels):
     """A new list of the values of the sequence x, which must hold one
@@ -24,8 +32,8 @@ class SecondOrderFilter:
     """
 
     def __init__(self, natural_frequency, damping, sample_time, channels=1):
-        if natural_frequency <= 0:
-            raise ValueError("natural_frequency must be positive")
+        check_positive(natural_frequency, "natural_frequency")
+        check_positive(sample_time, "sample_time")
         if not 0 < damping <= 2:
             raise ValueError("damping must be in (0, 2]")
         wn = natural_frequency
@@ -75,6 +83,7 @@ class FilteredDerivative:
     """
 
     def __init__(self, sample_time, channels=1):
+        check_positive(sample_time, "sample_time")
         self.sample_time = sample_time
         self._prev = None
         self._channels = channels

@@ -100,6 +100,11 @@ class PlatformParams:
         wrench = (0.0, 0.0, self.mass * GRAVITY, 0.0, 0.0, 0.0)
         return allocate(self.effectiveness, (1.0, 0.0, 0.0, 0.0), wrench)
 
+    @cached_property
+    def models(self):
+        """control.make_model's copies of this platform, by cf_factor."""
+        return {}
+
 
 def default_params(**overrides):
     """Platform defaults: 2.95 kg, 750 mm motor span, 30 deg fixed tilt,

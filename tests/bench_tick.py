@@ -14,8 +14,9 @@ the 4 truth steps of a 500 Hz tick inside its window, one take(3) of a
 Normals tape (a truth step's gust draw): the Python layers and compiled
 calls of the loop that tests/oracles.py keeps.  Then one whole run of
 the compiled closed loop, the one _truth.c ticks call of run_scenario,
-of the 2.1 s 500 Hz noisy indi hover of the sweep_noise workload and of
-a 5.2 s 50 Hz geo exp4 hover like the sweep_freq workload's
+which seeds its stream and allocates and returns its log, of the 2.1 s
+500 Hz noisy indi hover of the sweep_noise workload and of a 5.2 s
+50 Hz geo exp4 hover like the sweep_freq workload's
 (extra_info["us_per_tick"] holds its median per tick), one 500 Hz
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
@@ -103,12 +104,10 @@ def test_controller_tick(benchmark, params, trim, hover, kind):
     ("exp4", "geo", {"controller_freq": 50.0, "duration": 5.2}),
 ], ids=["500Hz-indi-noise7", "50Hz-geo"])
 def test_ticks_block(benchmark, params, scenario_id, kind, overrides):
-    # each call runs the whole run again from its start
-    scenario = ex.build_scenario(scenario_id, kind, overrides)
-    ticks = ex._closed_loop(scenario, params)
-    n_sub, n_steps = ex._clock(scenario)
-    n = -(-n_steps // n_sub)
-    benchmark(ticks, np.empty((n, len(ex.LOG_HEADER))))
+    # each call runs the whole run again from its start into a new log
+    ticks = ex._closed_loop(
+        ex.build_scenario(scenario_id, kind, overrides), params)
+    n = len(benchmark(ticks))
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_tick"] = (
             benchmark.stats.stats.median / n * 1e6)

@@ -222,6 +222,7 @@ def test_make_model_scales_the_force_coefficient(params):
     assert make_model(params) is params
     assert make_model(params, 1.0) is params
     half = make_model(params, 0.5)
+    assert make_model(params, 0.5) is half
     assert half.c_f == pytest.approx(0.5 * params.c_f)
     assert half.c_tau == params.c_tau
     assert half.effectiveness is not params.effectiveness
@@ -235,6 +236,24 @@ def test_make_controller_kinds(params):
     assert make_controller("indi", model, Gains(), DT).name == "indi"
     with pytest.raises(ValueError):
         make_controller("pid", model, Gains(), DT)
+
+
+@pytest.mark.parametrize("kind", ["geo", "indi"])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -DT, 0.0])
+def test_a_controller_needs_a_finite_positive_dt(params, kind, dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        make_controller(kind, make_model(params), Gains(), dt)
+
+
+@pytest.mark.parametrize("cutoff, damping", [
+    (math.nan, 0.7), (math.inf, 0.7), (0.0, 0.7), (15.0, math.nan)])
+def test_indi_rejects_filter_settings_before_its_first_tick(
+        params, trim, cutoff, damping):
+    ctrl = make_controller("indi", make_model(params), Gains(), DT, cutoff,
+                           damping)
+    with pytest.raises(ValueError):
+        ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
+    assert ctrl.state is None
 
 
 def random_unit_quat(rng):
@@ -524,13 +543,14 @@ def test_a_tick_before_warm_start_raises(params, trim, kind):
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])
 def test_a_warm_controller_keeps_only_its_arrays(params, trim, kind):
-    # warm_start reads a shaper's (and a gyro difference's) coefficients
-    # and warm state into the two arrays and keeps neither object; a
-    # tick updates the state in place
+    # warm_start reads a shaper's (and a filter bank's and a gyro
+    # difference's) coefficients and warm state into the two arrays and
+    # keeps none of the objects; a tick updates the state in place
     ctrl = make_controller(kind, make_model(params), Gains(), DT)
     ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
     assert set(vars(ctrl)) == {"model", "gains", "dt", "constants", "state",
-                               *(("feedback",) if kind == "indi" else ())}
+                               *(("filter_cutoff_hz", "filter_damping")
+                                 if kind == "indi" else ())}
     state, before = ctrl.state, bytes(ctrl.state)
     ctrl.tick((0.1, 0.0, 0.0), (0.0, 0.0, 0.2), hover_inputs(trim))
     assert ctrl.state is state and bytes(state) != before

@@ -744,57 +744,59 @@ def test_compiled_loop_equals_oracle_loop(loop):
 
 
 def bound_run(params):
-    """(ticks, rows): a 2.1 s noisy indi hover at 500 Hz, its ticks
-    bound, and rows for its 1050 ticks."""
-    ticks = ex._closed_loop(ex.build_scenario("exp5", "indi", {
+    """ticks bound to a 2.1 s noisy indi hover at 500 Hz, 1050 ticks."""
+    return ex._closed_loop(ex.build_scenario("exp5", "indi", {
         "duration": 2.1, "noise_scale": 7}), params)
-    return ticks, np.empty((1050, len(ex.LOG_HEADER)))
 
 
-def bad_rows(name):
-    rows = np.zeros((1050, len(ex.LOG_HEADER)))
-    if name == "read-only":
-        rows.setflags(write=False)
-    return {"fortran": np.asfortranarray(rows), "strided": rows[:, ::2],
-            "float32": rows.astype(np.float32), "1-D": rows.ravel(),
-            "56-columns": rows[:, :56].copy(), "list": rows.tolist(),
-            "read-only": rows, "1049-rows": rows[:-1],
-            "1051-rows": np.zeros((1051, len(ex.LOG_HEADER)))}[name]
+TICKS_ARGUMENTS = ("truth", "control", "state", "run", "script", "n_sub",
+                   "pose_every", "n_steps", "x0", "entropy")
+BAD_CALLS = ["entropy-0-bytes", "entropy-6-bytes", "control-64-doubles",
+             "state-of-geo", "script-6-doubles"]
 
 
-@pytest.mark.parametrize("name, message", [
-    ("fortran", "C-contiguous"), ("strided", "C-contiguous"),
-    ("float32", "float64"), ("1-D", "2-D float64"),
-    ("56-columns", "57 columns"), ("list", "float64 array"),
-    ("read-only", "writable"), ("1049-rows", "run's 1050 rows, got 1049"),
-    ("1051-rows", "run's 1050 rows, got 1051")])
-def test_ticks_rejects_rows_it_cannot_write(params, name, message):
-    ticks, _ = bound_run(params)
-    with pytest.raises(ValueError, match=message):
-        ticks(bad_rows(name))
+def bad_args(ticks, name):
+    """The bound run's arguments, the one `name` starts with made wrong."""
+    args = dict(zip(TICKS_ARGUMENTS, ticks.args))
+    args[name.partition("-")[0]] = {
+        "entropy-0-bytes": b"",
+        "entropy-6-bytes": args["entropy"] + b"\0\0",
+        "control-64-doubles": np.zeros(64),
+        "state-of-geo": np.zeros(12),  # beside indi's 69 constants
+        "script-6-doubles": np.frombuffer(args["script"])[:6].copy()}[name]
+    return args.values()
+
+
+@pytest.mark.parametrize("name", BAD_CALLS)
+def test_ticks_rejects_arguments_it_cannot_run(params, name):
+    # the seed's words, the constants' length that gives the kind, the
+    # state of that kind and whole setpoints; the error names the argument
+    ticks = bound_run(params)
+    with pytest.raises(ValueError, match=name.partition("-")[0]):
+        ticks.func(*bad_args(ticks, name))
 
 
 def test_rejected_calls_leave_the_run_as_it_was(params):
     # nothing of a rejected call is kept: the next call runs the ticks a
     # fresh run does
-    ticks, rows = bound_run(params)
-    for name in ("read-only", "56-columns", "fortran", "1049-rows"):
+    ticks = bound_run(params)
+    for name in BAD_CALLS:
         with pytest.raises(ValueError):
-            ticks(bad_rows(name))
-    ticks(rows)
-    fresh, want = bound_run(params)
-    fresh(want)
-    assert same_bits(rows, want)
+            ticks.func(*bad_args(ticks, name))
+    assert same_bits(ticks(), bound_run(params)())
 
 
 def test_a_bound_run_called_twice_writes_the_same_rows(params):
-    # a call writes only its rows: the controller state and the stream
-    # it was bound to are copied, not advanced, so a second call runs the
-    # same run again
-    ticks, rows = bound_run(params)
-    ticks(rows)
-    again = np.full_like(rows, np.nan)
-    ticks(again)
+    # a call writes only the log it returns: the controller state and the
+    # stream it seeds are copied, not advanced, so a second call runs the
+    # same run again into a new array of its own
+    ticks = bound_run(params)
+    rows, again = ticks(), ticks()
+    assert rows is not again and not np.shares_memory(rows, again)
+    for log in (rows, again):
+        assert log.shape == (1050, len(ex.LOG_HEADER))
+        assert log.dtype == np.float64 and log.flags.c_contiguous
+        assert log.flags.owndata and log.base is None
     assert same_bits(rows, again)
 
 
@@ -806,12 +808,11 @@ def test_ticks_runs_without_the_gil():
     sc = ex.build_scenario("exp4", "geo", {"controller_freq": 50.0,
                                            "duration": 200.0})
     ticks = ex._closed_loop(sc, vehicle.default_params())
-    rows = np.empty((10_000, len(ex.LOG_HEADER)))
     span = []
 
     def run():
         began = time.perf_counter()
-        ticks(rows)
+        assert len(ticks()) == 10_000
         span.append((began, time.perf_counter()))
 
     thread = threading.Thread(target=run)

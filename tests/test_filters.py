@@ -63,6 +63,17 @@ def test_parameter_validation():
         SecondOrderFilter(WN, 0.0, DT)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -DT])
+def test_rates_and_sample_times_must_be_finite_and_positive(bad):
+    # a NaN slips past a "<= 0" check and builds NaN coefficients
+    for name, make in [
+            ("natural_frequency", lambda: SecondOrderFilter(bad, 0.7, DT)),
+            ("sample_time", lambda: SecondOrderFilter(WN, 0.7, bad)),
+            ("sample_time", lambda: FilteredDerivative(bad))]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
+
 @pytest.mark.parametrize("make", [
     lambda: SecondOrderFilter(WN, 0.7, DT, channels=12),
     lambda: FilteredDerivative(DT, channels=12)],

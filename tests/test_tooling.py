@@ -27,7 +27,8 @@ def test_truth_step_compiles_without_warnings(tmp_path):
     # the run-time build has no -Werror: a warning fails here, not in a
     # user's first run.  A whole build, so that the warnings only the
     # optimiser emits (-Wmaybe-uninitialized) run too, of every entry
-    # point: the step, the controller tick, the closed loop and its stream
+    # point: the step, the controller tick, the closed loop and the log
+    # formatter, and nothing else
     done = subprocess.run(
         [*dynamics.compile_command(str(ROOT / "src" / "hexsim" / "_truth.c")),
          "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_truth.so")],
@@ -36,4 +37,5 @@ def test_truth_step_compiles_without_warnings(tmp_path):
     loader = ExtensionFileLoader("hexsim._truth", str(tmp_path / "_truth.so"))
     module = module_from_spec(spec_from_loader(loader.name, loader))
     loader.exec_module(module)
-    assert {"step", "tick", "ticks", "stream"} <= set(vars(module))
+    assert {name for name in vars(module) if not name.startswith("_")} == {
+        "step", "tick", "ticks", "csv_rows"}

@@ -142,7 +142,8 @@ def test_a_command_builds_the_effectiveness_matrix_once(monkeypatch,
                                                        tmp_path):
     # the preflight and every run share the PlatformParams' one matrix,
     # also on a sweep's threads, and a later run on the same params reads
-    # it without a build
+    # it without a build; a mismatched sweep builds one more, for the
+    # believed platform that the preflight and every run share
     builds = count_calls(monkeypatch, vehicle, "build_effectiveness")
     for jobs in ("1", "2"):
         builds[0] = 0
@@ -150,6 +151,12 @@ def test_a_command_builds_the_effectiveness_matrix_once(monkeypatch,
                          "--jobs", jobs,
                          "--out", str(tmp_path / "sweep.csv")]) == 0
         assert builds[0] == 1
+    (tmp_path / "c.ini").write_text("[run]\ncf_mismatch = 0.5\n")
+    builds[0] = 0
+    assert cli.main(["sweep", "--config", str(tmp_path / "c.ini"),
+                     "--axis", "noise", "--repeats", "2",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert builds[0] == 2
     builds[0] = 0
     assert cli.main(["run", "--scenario", "exp5", "--duration", "2.1",
                      "--out", str(tmp_path / "run")]) == 0
