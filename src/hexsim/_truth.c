@@ -51,7 +51,8 @@
    csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
    each float with the bytes of repr: the shortest decimal that reads
    back as it, found for every finite double by a port of Ryū's d2s
-   (see shortest below) and laid out by repr's rules.
+   (see shortest below) and laid out by repr's rules, and each
+   saturation flag as 0 or 1.
 
    dynamics.py builds this file with -ffp-contract=off and without
    -ffast-math, so each operation rounds as a CPython float does: the
@@ -61,7 +62,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -638,7 +638,8 @@ release_constants:
 #define R_DT 0        /* the truth step */
 #define R_NOISE 1     /* the sensor noise's sigma scale, then the accel
                          and gyro sigmas times it */
-#define R_KIND 4      /* the disturbance: D_NONE, D_LOAD or D_GUST */
+#define R_KIND 4      /* the disturbance: D_NONE, 1 (a constant load) or
+                         D_GUST */
 #define R_WINDOW 5    /* t_on, t_off */
 #define R_OU 7        /* the gust's decay and diffusion a truth step */
 #define R_FORCE 9     /* the spec's force */
@@ -647,7 +648,6 @@ release_constants:
 #define R_OFF 21      /* and outside it */
 #define N_RUN 27
 #define D_NONE 0
-#define D_LOAD 1
 #define D_GUST 2
 
 /* The log row, in experiments.LOG_LAYOUT order. */
@@ -670,8 +670,7 @@ specific_force(const double *k, const double *x, const double *force,
 {
     const double *f = k + T_F1, m = k[36], g = k[43];
     const double weight = m * g;
-    const double qw = x[6], qx = x[7], qy = x[8], qz = x[9];
-    double u[6], b[3];
+    double u[6], b[3], rot[9];
     for (int j = 0; j < 6; j++)
         u[j] = x[13 + j] * fabs(x[13 + j]);
     for (int r = 0; r < 3; r++) {
@@ -679,22 +678,16 @@ specific_force(const double *k, const double *x, const double *force,
         b[r] = (fr[0] * u[0] + fr[1] * u[1] + fr[2] * u[2]
                 + fr[3] * u[3] + fr[4] * u[4] + fr[5] * u[5]);
     }
-    const double xx = qx * qx, yy = qy * qy, zz = qz * qz;
-    const double xy = qx * qy, xz = qx * qz, yz = qy * qz;
-    const double wx = qw * qx, wy = qw * qy, wz = qw * qz;
-    const double r00 = 1.0 - 2.0 * (yy + zz), r01 = 2.0 * (xy - wz),
-                 r02 = 2.0 * (xz + wy);
-    const double r10 = 2.0 * (xy + wz), r11 = 1.0 - 2.0 * (xx + zz),
-                 r12 = 2.0 * (yz - wx);
-    const double r20 = 2.0 * (xz - wy), r21 = 2.0 * (yz + wx),
-                 r22 = 1.0 - 2.0 * (xx + yy);
-    const double ax = ((r00 * b[0] + r01 * b[1] + r02 * b[2]) + force[0]) / m;
-    const double ay = ((r10 * b[0] + r11 * b[1] + r12 * b[2]) + force[1]) / m;
-    const double az = (((r20 * b[0] + r21 * b[1] + r22 * b[2]) - weight
-                        + force[2]) / m + g);
-    out[0] = r00 * ax + r10 * ay + r20 * az;
-    out[1] = r01 * ax + r11 * ay + r21 * az;
-    out[2] = r02 * ax + r12 * ay + r22 * az;
+    rotmat(x + 6, rot);
+    const double ax = (rot[0] * b[0] + rot[1] * b[1] + rot[2] * b[2]
+                       + force[0]) / m;
+    const double ay = (rot[3] * b[0] + rot[4] * b[1] + rot[5] * b[2]
+                       + force[1]) / m;
+    const double az = (rot[6] * b[0] + rot[7] * b[1] + rot[8] * b[2]
+                       - weight + force[2]) / m + g;
+    out[0] = rot[0] * ax + rot[3] * ay + rot[6] * az;
+    out[1] = rot[1] * ax + rot[4] * ay + rot[7] * az;
+    out[2] = rot[2] * ax + rot[5] * ay + rot[8] * az;
 }
 
 /* The wrench held over the truth step j into wrench: the
@@ -1877,18 +1870,6 @@ write_digits(uint64_t v, char *end)
         end[-1] = (char)('0' + w);
 }
 
-/* str(v) into out; returns its end. */
-static char *
-write_int(long long v, char *out)
-{
-    const uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
-    if (v < 0)
-        *out++ = '-';
-    const int n = decimal_length(u);
-    write_digits(u, out + n);
-    return out + n;
-}
-
 /* repr(v) into out, at most 24 characters; returns its end.  A finite,
    nonzero v has the digits of shortest, laid out as repr does: in fixed
    notation with at least one digit after the point while the decimal
@@ -1958,11 +1939,10 @@ write_float(double v, char *out)
 
 /* csv_rows(rows, n_flags) -> the lines of log.csv for rows, a 2-D
    C-contiguous float64 array, as one str: a line per row, its values
-   joined by commas, each float as repr writes it (write_float) and the
-   last n_flags columns as numpy's astype(int) writes them (0 and 1 for
-   the saturation flags; a NaN or a value outside int64 as INT64_MIN,
-   as on x86-64).  The lines are written straight into the str, sized
-   for the longest values and then shrunk. */
+   joined by commas, each float as repr writes it (write_float) and
+   each of the last n_flags columns, the saturation flags, as 0 for 0.0
+   and -0.0 and as 1 otherwise.  The lines are written straight into
+   the str, sized for the longest values and then shrunk. */
 static PyObject *
 csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
          Py_ssize_t nargs)
@@ -1991,7 +1971,7 @@ csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
     const Py_ssize_t n_rows = view.shape[0], n_cols = view.shape[1];
     const double *x = view.buf;
-    /* a repr of a double has at most 24 characters, an int64 20 */
+    /* a repr of a double has at most 24 characters */
     PyObject *result = PyUnicode_New(n_rows * (n_cols * 25 + 1), 127);
     if (result == NULL) {
         PyBuffer_Release(&view);
@@ -2007,8 +1987,7 @@ csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
             if (j < n_cols - n_flags)
                 end = write_float(v, end);
             else
-                end = write_int(v >= -0x1p63 && v < 0x1p63
-                                ? (long long)v : LLONG_MIN, end);
+                *end++ = v == 0.0 ? '0' : '1';
         }
         *end++ = '\n';
     }
@@ -2034,7 +2013,7 @@ static PyMethodDef methods[] = {
      "32-bit words entropy holds"},
     {"csv_rows", (PyCFunction)(void (*)(void))csv_rows, METH_FASTCALL,
      "csv_rows(rows, n_flags) -> the log.csv lines of rows, floats as "
-     "repr writes them and the last n_flags columns as ints"},
+     "repr writes them and the last n_flags columns as 0 or 1"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -261,7 +261,7 @@ def _warm_constants(controller, pos, q):
     g, p = controller.gains, controller.model
     eff = p.effectiveness
     return ((g.k_p, g.k_v, g.k_q, g.k_w, *shaper.coefficients, p.mass,
-             *p.inertia, GRAVITY, *sum(eff.F0_inv_rows, ()), eff.u_min,
+             *p.inertia, GRAVITY, *eff.F0_inv.ravel().tolist(), eff.u_min,
              eff.u_max), shaper.state)
 
 

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .geometry import rotmat
 from .vehicle import GRAVITY
 
 SIM_DT = 5e-4  # 2 kHz truth rate; divides all controller frequencies evenly
@@ -273,9 +274,9 @@ def make_step(params):
     state scalars it reads and the 12-tuple inputs (w_cmd, the world
     force dist_force, the body moment dist_moment).  It returns the
     rates of v, q, omega and the rotor speeds as a 16-tuple: force
-    balance in world frame, moment balance in body frame, rotor speeds
-    lagging toward w_cmd.  q need not have unit norm.  derivative and
-    acceleration read it.
+    balance in world frame, with R(q) from geometry.rotmat, moment
+    balance in body frame, rotor speeds lagging toward w_cmd.  q need
+    not have unit norm.  derivative and acceleration read it.
 
     step(s, w_cmd, wrenches, dt) is _truth.c's step (which see) over the
     constants of params: rates' dynamics, equal to rounding.
@@ -284,7 +285,7 @@ def make_step(params):
     reads, R(q)^T (p_ddot + g e3) in the body frame, as a list of 3
     floats: the force balance of rates alone (the rotor command and the
     moment play no part in it), with the same expressions, rotated back
-    by the R(q) it formed.
+    by the same R(q).
     """
     eff = params.effectiveness
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
@@ -304,15 +305,10 @@ def make_step(params):
         bx = fx1 * u1 + fx2 * u2 + fx3 * u3 + fx4 * u4 + fx5 * u5 + fx6 * u6
         by = fy1 * u1 + fy2 * u2 + fy3 * u3 + fy4 * u4 + fy5 * u5 + fy6 * u6
         bz = fz1 * u1 + fz2 * u2 + fz3 * u3 + fz4 * u4 + fz5 * u5 + fz6 * u6
-        xx, yy, zz = qx * qx, qy * qy, qz * qz
-        xy, xz, yz = qx * qy, qx * qz, qy * qz
-        wx, wy, wz = qw * qx, qw * qy, qw * qz
-        fx = ((1.0 - 2.0 * (yy + zz)) * bx + 2.0 * (xy - wz) * by
-              + 2.0 * (xz + wy) * bz) + dfx
-        fy = (2.0 * (xy + wz) * bx + (1.0 - 2.0 * (xx + zz)) * by
-              + 2.0 * (yz - wx) * bz) + dfy
-        fz = (2.0 * (xz - wy) * bx + 2.0 * (yz + wx) * by
-              + (1.0 - 2.0 * (xx + yy)) * bz) - weight + dfz
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotmat((qw, qx, qy, qz))
+        fx = (r00 * bx + r01 * by + r02 * bz) + dfx
+        fy = (r10 * bx + r11 * by + r12 * bz) + dfy
+        fz = (r20 * bx + r21 * by + r22 * bz) - weight + dfz
         tx = mx1 * u1 + mx2 * u2 + mx3 * u3 + mx4 * u4 + mx5 * u5 + mx6 * u6
         ty = my1 * u1 + my2 * u2 + my3 * u3 + my4 * u4 + my5 * u5 + my6 * u6
         tz = mz1 * u1 + mz2 * u2 + mz3 * u3 + mz4 * u4 + mz5 * u5 + mz6 * u6
@@ -343,12 +339,7 @@ def make_step(params):
         bx = fx1 * u1 + fx2 * u2 + fx3 * u3 + fx4 * u4 + fx5 * u5 + fx6 * u6
         by = fy1 * u1 + fy2 * u2 + fy3 * u3 + fy4 * u4 + fy5 * u5 + fy6 * u6
         bz = fz1 * u1 + fz2 * u2 + fz3 * u3 + fz4 * u4 + fz5 * u5 + fz6 * u6
-        xx, yy, zz = qx * qx, qy * qy, qz * qz
-        xy, xz, yz = qx * qy, qx * qz, qy * qz
-        wx, wy, wz = qw * qx, qw * qy, qw * qz
-        r00, r01, r02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)
-        r10, r11, r12 = 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
-        r20, r21, r22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotmat((qw, qx, qy, qz))
         ax = ((r00 * bx + r01 * by + r02 * bz) + dfx) / m
         ay = ((r10 * bx + r11 * by + r12 * bz) + dfy) / m
         az = ((r20 * bx + r21 * by + r22 * bz) - weight + dfz) / m + GRAVITY

@@ -221,11 +221,13 @@ def build_scenario(scenario_id, controller, overrides=None):
     """Construct one of the five predefined scenarios.
 
     overrides is a flat dict applied on top of the defaults; unknown keys
-    raise. `gust` switches exp3's fan disturbance on; any other scenario
-    rejects it.
+    raise. `gust`, a bool, switches exp3's fan disturbance on; any other
+    scenario rejects it.
     """
     overrides = dict(overrides or {})
-    gust = bool(overrides.pop("gust", False))
+    gust = overrides.pop("gust", False)
+    if not isinstance(gust, bool):
+        raise ValueError(f"gust must be a bool, not {gust!r}")
     if gust and scenario_id != "exp3":
         raise ValueError(f"gust applies to exp3 only, not {scenario_id}")
     if scenario_id == "exp1":

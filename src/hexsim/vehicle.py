@@ -144,12 +144,6 @@ class EffectivenessMatrices:
     u_min: float
     u_max: float
 
-    @cached_property
-    def F0_inv_rows(self):
-        """F0_inv as a tuple of rows of Python floats, for the controller
-        tick."""
-        return tuple(map(tuple, self.F0_inv.tolist()))
-
 
 def build_effectiveness(params):
     """Assemble F1/F2 from the rotor layout; raises DegenerateGeometry if
@@ -190,23 +184,15 @@ class ActuatorCommand(NamedTuple):
 
 
 def saturate(eff, u):
-    """Clamp squared-speed commands (any sequence of 6 numbers) into
-    actuator limits.  A NaN passes through, unflagged."""
+    """Clamp squared-speed commands (a sequence of 6 numbers) into
+    actuator limits; ValueError for any other length.  A NaN passes
+    through, unflagged."""
+    if len(u) != ROTOR_COUNT:
+        raise ValueError(f"need {ROTOR_COUNT} rotor commands, got {len(u)}")
     lo, hi = eff.u_min, eff.u_max
-    u1, u2, u3, u4, u5, u6 = u
-    c1 = lo if u1 < lo else hi if u1 > hi else u1
-    c2 = lo if u2 < lo else hi if u2 > hi else u2
-    c3 = lo if u3 < lo else hi if u3 > hi else u3
-    c4 = lo if u4 < lo else hi if u4 > hi else u4
-    c5 = lo if u5 < lo else hi if u5 > hi else u5
-    c6 = lo if u6 < lo else hi if u6 > hi else u6
-    sqrt = math.sqrt
-    return ActuatorCommand(
-        u=(c1, c2, c3, c4, c5, c6),
-        w_cmd=(sqrt(c1), sqrt(c2), sqrt(c3), sqrt(c4), sqrt(c5), sqrt(c6)),
-        saturated=(u1 < lo or u1 > hi, u2 < lo or u2 > hi,
-                   u3 < lo or u3 > hi, u4 < lo or u4 > hi,
-                   u5 < lo or u5 > hi, u6 < lo or u6 > hi))
+    clamped = tuple(lo if v < lo else hi if v > hi else v for v in u)
+    return ActuatorCommand(u=clamped, w_cmd=tuple(map(math.sqrt, clamped)),
+                           saturated=tuple(v < lo or v > hi for v in u))
 
 
 def solve_wrench(eff, q, wrench):
@@ -219,15 +205,8 @@ def solve_wrench(eff, q, wrench):
     a, b, c, d, e, f, g, h, i = rotmat(q)
     r1, r2, r3 = (a * fx + d * fy + g * fz, b * fx + e * fy + h * fz,
                   c * fx + f * fy + i * fz)
-    ((a1, b1, c1, d1, e1, f1), (a2, b2, c2, d2, e2, f2),
-     (a3, b3, c3, d3, e3, f3), (a4, b4, c4, d4, e4, f4),
-     (a5, b5, c5, d5, e5, f5), (a6, b6, c6, d6, e6, f6)) = eff.F0_inv_rows
-    return [a1 * r1 + b1 * r2 + c1 * r3 + d1 * t1 + e1 * t2 + f1 * t3,
-            a2 * r1 + b2 * r2 + c2 * r3 + d2 * t1 + e2 * t2 + f2 * t3,
-            a3 * r1 + b3 * r2 + c3 * r3 + d3 * t1 + e3 * t2 + f3 * t3,
-            a4 * r1 + b4 * r2 + c4 * r3 + d4 * t1 + e4 * t2 + f4 * t3,
-            a5 * r1 + b5 * r2 + c5 * r3 + d5 * t1 + e5 * t2 + f5 * t3,
-            a6 * r1 + b6 * r2 + c6 * r3 + d6 * t1 + e6 * t2 + f6 * t3]
+    return [a * r1 + b * r2 + c * r3 + d * t1 + e * t2 + f * t3
+            for a, b, c, d, e, f in eff.F0_inv.tolist()]
 
 
 def allocate(eff, q, wrench_demand):

@@ -658,7 +658,7 @@ def solve_wrench(eff, q, wrench):
     fx, fy, fz, t1, t2, t3 = wrench
     r1, r2, r3 = mat_t_vec(rotmat_rows(q), (fx, fy, fz))
     return [a * r1 + b * r2 + c * r3 + d * t1 + e * t2 + f * t3
-            for a, b, c, d, e, f in eff.F0_inv_rows]
+            for a, b, c, d, e, f in eff.F0_inv.tolist()]
 
 
 def allocate(eff, q, wrench_demand):

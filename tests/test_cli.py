@@ -653,6 +653,14 @@ def test_csv_rows_writes_the_edge_cases_as_repr():
                       f"{wrong[:5]}"
 
 
+def test_csv_rows_writes_the_flag_columns_as_0_or_1():
+    # each flag column 0 for either zero, else 1; the floats before them
+    # as repr
+    row = [0.1, -0.0, 1e-300, 0.0, -0.0, 1.0]
+    assert dynamics.load_truth().csv_rows(np.array([row]), 3) == (
+        "0.1,-0.0,1e-300,0,0,1\n")
+
+
 TRUTH_C = Path(dynamics.__file__).with_name("_truth.c")
 TABLES_BEGIN = "/* BEGIN POW5 TABLES */\n"
 TABLES_END = "/* END POW5 TABLES */\n"

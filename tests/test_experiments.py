@@ -267,6 +267,16 @@ def test_exp3_square_corners():
     assert gusty.disturbance.force[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("scenario_id, value", [
+    ("exp3", "no"), ("exp1", "false"), ("exp3", 1), ("exp3", None)])
+def test_gust_override_must_be_a_bool(scenario_id, value):
+    # a truthy string would fly the gust, and any value on exp1 would
+    # read as a gust asked for where none applies
+    with pytest.raises(ValueError, match=f"gust must be a bool, not "
+                                         f"{value!r}"):
+        ex.build_scenario(scenario_id, "indi", {"gust": value})
+
+
 def test_exp4_carries_intrinsic_noise():
     sc = ex.build_scenario("exp4", "indi", {"controller_freq": 62.5})
     assert sc.noise_scale == 1

@@ -28,10 +28,12 @@ def test_truth_step_compiles_without_warnings(tmp_path):
     # user's first run.  A whole build, so that the warnings only the
     # optimiser emits (-Wmaybe-uninitialized) run too, of every entry
     # point: the step, the controller tick, the closed loop and the log
-    # formatter, and nothing else
+    # formatter, and nothing else.  -Wunused-macros catches an offset
+    # that a change of a layout left behind
     done = subprocess.run(
         [*dynamics.compile_command(str(ROOT / "src" / "hexsim" / "_truth.c")),
-         "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_truth.so")],
+         "-Wall", "-Wextra", "-Wunused-macros", "-Werror",
+         "-o", str(tmp_path / "_truth.so")],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loader = ExtensionFileLoader("hexsim._truth", str(tmp_path / "_truth.so"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsim import dynamics, vehicle
@@ -112,6 +112,12 @@ def test_allocate_negative_clamped_to_min(params, eff):
     assert np.all(np.asarray(cmd.w_cmd) >= params.w_min - 1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_saturate_takes_exactly_six_commands(eff, n):
+    with pytest.raises(ValueError):
+        vehicle.saturate(eff, [eff.u_min] * n)
+
+
 def test_lateral_force_without_attitude_change(params, eff):
     # full actuation: pure lateral force demand is feasible near hover
     wrench = np.array([2.0, 0, params.mass * GRAVITY, 0, 0, 0])
@@ -177,15 +183,23 @@ def test_full_rank_over_tilt_range(tilt_deg, sign, share):
 @settings(max_examples=200, deadline=None)
 @given(tilt_deg=tilt_degs, sign=tilt_signs, arm=st.floats(0.05, 1.0),
        c_f=st.floats(1e-7, 1e-3), c_tau_share=st.floats(0.005, 0.05))
+@example(tilt_deg=45.0, sign=1.0, arm=0.05, c_f=1e-3, c_tau_share=0.05)
 def test_effectiveness_equals_the_cross_product_form(tilt_deg, sign, arm,
                                                      c_f, c_tau_share):
     # the moment columns are np.cross's own expressions over floats, so
-    # every matrix and the condition number keep numpy's bits
+    # every matrix and the condition number keep numpy's bits, and the
+    # package rejects exactly the layouts whose singular values fail
+    # its rank rule (the example: condition number 6.3e17)
     params = vehicle.default_params(
         tilt_angle=sign * np.deg2rad(tilt_deg), arm_length=arm, c_f=c_f,
         c_tau=c_tau_share * c_f)
-    got = vehicle.build_effectiveness(params)
     want = oracles.numpy_build_effectiveness(params)
+    sv = np.linalg.svd(np.vstack([want.F1, want.F2]), compute_uv=False)
+    if sv[-1] < 1e-9 * sv[0]:
+        with pytest.raises(vehicle.DegenerateGeometry):
+            vehicle.build_effectiveness(params)
+        return
+    got = vehicle.build_effectiveness(params)
     for name in ("F1", "F2", "F0_inv"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     assert bits([got.condition_number, got.u_min, got.u_max]) == bits(
