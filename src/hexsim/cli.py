@@ -241,8 +241,9 @@ def write_metrics_json(path, metrics, config, scenario):
 def preflight(params, cf_mismatch=1.0):
     """Yield (line, passed) for each check a platform must pass to fly:
     the effectiveness rank (a degenerate layout ends the checks), that of
-    the model at cf_mismatch (if not 1), the hover trim inside the
-    actuator limits and the motor lag inside RK4's stability interval."""
+    the model at cf_mismatch (if not 1; a c_f * cf_mismatch that
+    underflows to 0 fails it), a finite hover trim inside the actuator
+    limits and the motor lag inside RK4's stability interval."""
     try:
         eff = params.effectiveness
     except vehicle.DegenerateGeometry as exc:
@@ -256,21 +257,34 @@ def preflight(params, cf_mismatch=1.0):
             model = make_model(params, cf_mismatch).effectiveness
         except vehicle.DegenerateGeometry as exc:
             yield f"{label}: DEGENERATE ({exc})", False
+        except ValueError as exc:
+            yield f"{label}: INVALID ({exc})", False
         else:
             yield (f"{label}: effectiveness rank 6, condition number "
                    f"{model.condition_number:.3f}", True)
     trim = params.hover
-    hovers = not any(trim.saturated)
-    yield (f"hover trim {'within' if hovers else 'outside'} actuator limits "
-           f"[{params.w_min:.2f}, {params.w_max:.2f}] rad/s: "
-           f"{' '.join(f'{w:.2f}' for w in trim.w_cmd)} rad/s", hovers)
+    speeds = f"{' '.join(f'{w:.2f}' for w in trim.w_cmd)} rad/s"
+    if not all(map(math.isfinite, trim.w_cmd)):
+        # saturate passes a NaN unflagged.  The trim's u scales as
+        # mass / c_f, and an overflow on the way gives NaN speeds
+        yield (f"hover trim not finite at mass {params.mass:g} kg and "
+               f"c_f {params.c_f:g}: {speeds}", False)
+    else:
+        hovers = not any(trim.saturated)
+        yield (f"hover trim {'within' if hovers else 'outside'} actuator "
+               f"limits [{params.w_min:.2f}, {params.w_max:.2f}] rad/s: "
+               f"{speeds}", hovers)
     # a truth step scales w - w_cmd by P(SIM_DT / tau), P(x) = 1 - x +
-    # x^2/2 - x^3/6 + x^4/24, which grows once |P| >= 1 (tau < ~0.18 ms)
+    # x^2/2 - x^3/6 + x^4/24, which grows once |P| >= 1 (tau < ~0.18 ms).
+    # P rises past 1 from x = 3 on, so a larger x, whose powers could
+    # overflow, is not evaluated
     x = dynamics.SIM_DT / params.motor_time_constant
-    stable = abs(1.0 - x + x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0) < 1.0
+    stable = x < 3.0 and abs(
+        1.0 - x + x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0) < 1.0
     yield (f"motor lag {params.motor_time_constant!r} s "
            f"{'inside' if stable else 'outside'} RK4's stability interval "
-           f"at the {dynamics.SIM_DT} s truth step", stable)
+           f"at the {dynamics.SIM_DT} s truth step "
+           f"([platform] motor_time_constant)", stable)
 
 
 def _flyable_params(config, cf_mismatch):

@@ -100,21 +100,22 @@ class DisturbanceSampler:
     inside [t_on, t_off), zero outside, plus the constant residual
     wrench.  A gust adds to the force an Ornstein-Uhlenbeck process (std
     gust_std, correlation time gust_corr_time) that advances on every
-    truth step, with 3 normals a step from the tape `normals`, taken in
-    one take(3 n) (normals.take(n) returns the next n normals as a list
-    of floats); every other held value is computed once.
+    truth step, with 3 normals a step from the numpy Generator rng,
+    drawn in one rng.standard_normal(3 n); every other held value is
+    computed once.
 
     The closed loop steps it over step 0 once before the first tick, then
     over each tick's steps, and the accelerometer at a tick sees the
     force of the previous step's draw; _truth.c's ticks does so from
-    its constants, and does not call step.
+    its constants, and does not call step (experiments.run_scenario
+    builds its sampler with rng None).
     """
 
-    def __init__(self, spec, dt, normals, residual_force=(0.0, 0.0, 0.0),
+    def __init__(self, spec, dt, rng, residual_force=(0.0, 0.0, 0.0),
                  residual_moment=(0.0, 0.0, 0.0)):
         self.spec = spec
         self.dt = dt
-        self.normals = normals
+        self.rng = rng
         self._ou = (0.0, 0.0, 0.0)
         decay = np.exp(-dt / spec.gust_corr_time)
         self._decay = float(decay)
@@ -151,7 +152,7 @@ class DisturbanceSampler:
         f1, f2, f3 = spec.force
         r1, r2, r3 = self._residual_force
         _, _, _, m1, m2, m3 = self._on
-        draws = iter(self.normals.take(3 * n))
+        draws = iter(self.rng.standard_normal(3 * n).tolist())
         wrenches = []
         for j, n1, n2, n3 in zip(range(k, k + n), draws, draws, draws):
             o1, o2, o3 = a * o1 + s * n1, a * o2 + s * n2, a * o3 + s * n3
@@ -387,7 +388,7 @@ GYRO_SIGMA = 0.02    # rad/s, gyro white noise at noise scale 1
 ACCEL_SIGMA = 0.05   # m/s^2, accelerometer white noise at noise scale 1
 
 
-def synthesize_sensors(x, kernel, dist_force, scale, normals):
+def synthesize_sensors(x, kernel, dist_force, scale, rng):
     """Sensor outputs (accel, gyro, rotor_w_meas) at the truth state x (a
     sequence laid out as the state vector; a list of Python floats is
     fastest) under the world force dist_force.
@@ -396,18 +397,19 @@ def synthesize_sensors(x, kernel, dist_force, scale, normals):
     specific_force of the Kernel `kernel`; gyro and the rotor
     tachometers read the body rate and the rotor speeds.  For scale > 0
     the accel and gyro channels add white Gaussian noise with sigma
-    ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the tape `normals`
-    (as DisturbanceSampler's); the tachometers stay noise-free.
+    ACCEL_SIGMA * scale and GYRO_SIGMA * scale, from the numpy
+    Generator rng (as DisturbanceSampler's); the tachometers stay
+    noise-free.
     _truth.c's ticks synthesises the same readings and does not call it.
     """
     accel = kernel.specific_force(x, dist_force)
     gyro = x[OMEGA]
     if scale > 0.0:
         # 12 normals a call, in the order accel, gyro, rotor.  The six
-        # rotor draws go unused; taking them keeps every later draw of
+        # rotor draws go unused; drawing them keeps every later draw of
         # the shared stream (the next ticks' noise and the gust) equal to
         # the stored references'
-        n1, n2, n3, n4, n5, n6 = normals.take(12)[:6]
+        n1, n2, n3, n4, n5, n6 = rng.standard_normal(12).tolist()[:6]
         sa, sg = scale * ACCEL_SIGMA, scale * GYRO_SIGMA
         (a1, a2, a3), (g1, g2, g3) = accel, gyro
         accel = [a1 + sa * n1, a2 + sa * n2, a3 + sa * n3]

@@ -67,6 +67,8 @@ class PlatformParams:
             raise ValueError("motor_time_constant must be positive")
         if not (0 < self.w_min < self.w_max):
             raise ValueError("need 0 < w_min < w_max")
+        if not self.w_max * self.w_max < math.inf:  # u_max = w_max ** 2
+            raise ValueError("w_max ** 2 must be finite")
         if abs(self.tilt_angle) >= np.pi / 2:
             raise ValueError("|tilt_angle| must be < pi/2")
         if len(self.inertia) != 3 or min(self.inertia) <= 0:
@@ -117,8 +119,9 @@ def default_params(**overrides):
     tilt = overrides.pop("tilt_angle", np.deg2rad(30.0))
     w_max = overrides.pop("w_max", 2 * np.pi * 100.0)
     w_min = overrides.pop("w_min", 2 * np.pi * 8.0)
-    c_f = overrides.pop(
-        "c_f", 2.8 * mass * GRAVITY / (6.0 * w_max ** 2 * np.cos(tilt)))
+    c_f = overrides.pop("c_f", None)
+    if c_f is None:
+        c_f = 2.8 * mass * GRAVITY / (6.0 * w_max ** 2 * np.cos(tilt))
     params = PlatformParams(
         mass=mass,
         inertia=overrides.pop("inertia", (0.08, 0.08, 0.14)),
@@ -163,11 +166,14 @@ def build_effectiveness(params):
                     a0 * b1 - a1 * b0 + d2)
     F0 = np.vstack([F1, F2])
     sv = np.linalg.svd(F0, compute_uv=False)
-    if sv[-1] < 1e-9 * sv[0]:
+    try:
+        F0_inv = np.linalg.inv(F0)
+    except np.linalg.LinAlgError:  # subnormal entries can pass the ratio
+        F0_inv = None
+    if F0_inv is None or sv[-1] < 1e-9 * sv[0]:
         raise DegenerateGeometry(
             "stacked effectiveness matrix is rank deficient; "
             "check tilt angle / spin pattern")
-    F0_inv = np.linalg.inv(F0)
     # read-only, as every run on the platform shares them
     for matrix in (F1, F2, F0_inv):
         matrix.flags.writeable = False

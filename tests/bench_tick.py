@@ -9,10 +9,10 @@ It times one dynamics.step call over the 4 truth steps of a 500 Hz tick
 and one over the 40 of a 50 Hz tick (divide by extra_info["steps"] for
 the cost of a truth step), one geo and one indi controller tick on the
 inputs the oracle loop passes (lists of Python floats), one sensor
-synthesis at exp5's noise level 7, one draw of exp3's gust sampler over
-the 4 truth steps of a 500 Hz tick inside its window, one take(3) of a
-Normals tape (a truth step's gust draw): the Python layers and compiled
-calls of the loop that tests/oracles.py keeps.  Then one whole run of
+synthesis at exp5's noise level 7 and one draw of exp3's gust sampler
+over the 4 truth steps of a 500 Hz tick inside its window, both drawing
+from a numpy Generator: the Python layers and compiled calls of the loop
+that tests/oracles.py keeps.  Then one whole run of
 the compiled closed loop, the one _truth.c ticks call of run_scenario,
 which seeds its stream and allocates and returns its log, of the 2.1 s
 500 Hz noisy indi hover of the sweep_noise workload and of a 5.2 s
@@ -22,7 +22,8 @@ run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
 2.2 s exp4 hover of the sweep_freq workload, where the truth step
 dominates.  Then the log writer: one _truth.c csv_rows call on a
-cli.LOG_BLOCK_ROWS block from the middle of a 7 s exp3 gust log (the run_gust workload's) and of a nominal exp1 log,
+cli.LOG_BLOCK_ROWS block from the middle of a 7 s exp3 gust log (the
+run_gust workload's) and of a nominal exp1 log,
 whose near-hover values are tiny (extra_info["ns_per_value"] holds its
 median per value).  Then one vehicle.build_effectiveness of the default
 platform, which a PlatformParams calls once, for its `effectiveness`
@@ -41,15 +42,11 @@ from hexsim import dynamics as dyn
 from hexsim import experiments as ex
 from hexsim.control import ControllerInputs, Gains, make_controller, \
     make_model
-from oracles import Normals, pack
+from oracles import pack
 
 HOVER_Q = [1.0, 0.0, 0.0, 0.0]
 ZERO = (0.0, 0.0, 0.0)
 CALM = (0.0,) * 6  # a held wrench with no force and no moment
-
-
-def tape():
-    return Normals(np.random.default_rng(1))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +56,7 @@ def hover(kernel, trim):
     x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
              trim.w_cmd).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        x, kernel, ZERO, math.sqrt(7.0), tape())
+        x, kernel, ZERO, math.sqrt(7.0), np.random.default_rng(1))
     inputs = ControllerInputs(
         pos=x[dyn.P], vel=x[dyn.V], q=x[dyn.Q], gyro=gyro, accel=accel,
         rotor_w_meas=w_meas)
@@ -75,19 +72,16 @@ def test_dynamics_step(benchmark, kernel, trim, hover, steps):
 
 def test_synthesize_sensors(benchmark, kernel, hover):
     x, _ = hover
-    benchmark(dyn.synthesize_sensors, x, kernel, ZERO, math.sqrt(7.0), tape())
+    benchmark(dyn.synthesize_sensors, x, kernel, ZERO, math.sqrt(7.0),
+              np.random.default_rng(1))
 
 
 def test_gust_sampler_step(benchmark):
     sc = ex.build_scenario("exp3", "geo", {"gust": True})
     sampler = dyn.DisturbanceSampler(
-        sc.disturbance, dyn.SIM_DT, tape(), ex.RESIDUAL_FORCE,
-        ex.RESIDUAL_MOMENT)
+        sc.disturbance, dyn.SIM_DT, np.random.default_rng(1),
+        ex.RESIDUAL_FORCE, ex.RESIDUAL_MOMENT)
     benchmark(sampler.step, int(round(3.0 / dyn.SIM_DT)), 4)
-
-
-def test_tape_take_3(benchmark):
-    benchmark(tape().take, 3)
 
 
 @pytest.mark.parametrize("kind", ["geo", "indi"])

@@ -4,10 +4,12 @@ effectiveness matrix and the np.cross form of its build, the
 continuous-time step response of the INDI feedback filter, the list-form
 RK4 truth kernel, the tick side of the closed loop as it was before it
 was written out straight-line (with the sensor-noise settings and the
-sensor record it read and returned), the numpy forms of the controller
-layers and the truth step, the whole closed loop in Python
-(run_scenario: the row array, metrics and divergence report of
-experiments.run_scenario, whose rows log.csv is written from), the
+sensor record it read and returned; its controllers allocate through
+vehicle's), the numpy forms of the controller layers and the truth
+step, the whole closed loop in Python (run_scenario: the row array,
+metrics and divergence report of experiments.run_scenario, whose rows
+log.csv is written from, with the gust and the sensor noise drawn from
+one numpy Generator), the
 tracking errors of a log row over Python floats and of a whole run log,
 and the hypothesis strategies the property tests draw from: valid
 platforms and numbers in [-1, 1]."""
@@ -28,7 +30,7 @@ from hexsim.dynamics import OMEGA, Q, ROTOR_W, NonFiniteState
 from hexsim.filters import FilteredDerivative, SecondOrderFilter
 from hexsim.geometry import (E3, quat_conj, quat_from_rpy, quat_mul,
                              quat_to_rotmat, rpy_from_quat)
-from hexsim.vehicle import GRAVITY, ActuatorCommand
+from hexsim.vehicle import GRAVITY
 
 
 def bits(values):
@@ -418,10 +420,11 @@ def make_segment_step(params):
 
 # ---------------------------------------------------------------------------
 # The tick side of the closed loop as it was before it was written out
-# straight-line: the shaper, the outer loop, the geo and indi ticks,
-# solve_wrench/saturate/allocate, the disturbance sampler and sensor
-# synthesis, over the row-tuple geometry helpers.  The package's forms,
-# the compiled controller ticks included, must equal them bit for bit.
+# straight-line: the shaper, the outer loop, the geo and indi ticks (which
+# allocate through vehicle's solve_wrench and saturate), the disturbance
+# sampler and sensor synthesis, over the row-tuple geometry helpers.  The
+# package's forms, the compiled controller ticks included, must equal
+# them bit for bit.
 
 def rotmat_rows(q):
     """R(q) mapping body vectors to world, as three row tuples."""
@@ -581,7 +584,8 @@ class GeoNdiController:
         nu = outer_loop(self.gains, ref, inputs.pos, inputs.vel,
                         inputs.q, inputs.gyro)
         wrench = ndi_invert(nu, inputs.gyro, self.model)
-        return allocate(self.model.effectiveness, inputs.q, wrench), ref
+        return vehicle.allocate(self.model.effectiveness, inputs.q,
+                                wrench), ref
 
 
 class IndiController:
@@ -635,35 +639,10 @@ class IndiController:
         increment = (m * (vx - ax), m * (vy - ay), m * (vz - (az - GRAVITY)),
                      *[j * (v - w)
                        for j, v, w in zip(p.inertia, v_att, omdot0)])
+        eff = self.model.effectiveness
         u = [a + b for a, b in zip(
-            solve_wrench(self.model.effectiveness, inputs.q, increment), u0)]
-        return saturate(self.model.effectiveness, u), ref
-
-
-def saturate(eff, u):
-    """Clamp squared-speed commands (any sequence of 6 numbers) into
-    actuator limits.  A NaN passes through, unflagged."""
-    lo, hi = eff.u_min, eff.u_max
-    clamped = tuple(lo if v < lo else hi if v > hi else v for v in u)
-    return ActuatorCommand(u=clamped, w_cmd=tuple(map(math.sqrt, clamped)),
-                           saturated=tuple(v < lo or v > hi for v in u))
-
-
-def solve_wrench(eff, q, wrench):
-    """The unclamped u solving F(q) u = wrench, as a list.
-
-    Uses the precomputed inverse of [F1; F2]; the attitude only rotates
-    the force rows, so F(q)^-1 = F0^-1 blkdiag(R^T, I).
-    """
-    fx, fy, fz, t1, t2, t3 = wrench
-    r1, r2, r3 = mat_t_vec(rotmat_rows(q), (fx, fy, fz))
-    return [a * r1 + b * r2 + c * r3 + d * t1 + e * t2 + f * t3
-            for a, b, c, d, e, f in eff.F0_inv.tolist()]
-
-
-def allocate(eff, q, wrench_demand):
-    """Solve F(q) u = wrench for the rotor commands, then clamp."""
-    return saturate(eff, solve_wrench(eff, q, wrench_demand))
+            vehicle.solve_wrench(eff, inputs.q, increment), u0)]
+        return vehicle.saturate(eff, u), ref
 
 
 class DisturbanceSampler:
@@ -708,17 +687,6 @@ class DisturbanceSampler:
             return (tuple((f + o) + r for f, o, r in zip(
                 self._force, self._ou, self._residual_force)), self._on[1])
         return self._on
-
-
-class PerCallNormals:
-    """dynamics.Normals as each draw was made before the tape: take(n)
-    draws rng.standard_normal(n) at the call."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def take(self, n):
-        return self.rng.standard_normal(n).tolist()
 
 
 @dataclass(frozen=True)
@@ -953,44 +921,15 @@ def numpy_step(x, params, cmd, dist_force, dist_moment, dt):
     return out
 
 
-class Normals:
-    """A run's tape of standard normals, read from one Generator in order.
-
-    take(n) returns the next n normals as a list of floats, equal bit for
-    bit to rng.standard_normal(n).tolist() at the same point of the
-    stream: the tape draws CHUNK normals at a time, so the generator runs
-    ahead of what has been taken.  run_scenario shares one tape between
-    the gust and the sensor noise, in the order they draw.
-    """
-
-    CHUNK = 384  # normals drawn at a time
-
-    def __init__(self, rng):
-        self.rng = rng
-        self._tape = []
-        self._at = 0
-
-    def take(self, n):
-        at, tape = self._at, self._tape
-        end = at + n
-        if end > len(tape):
-            tape = self._tape = (
-                tape[at:] + self.rng.standard_normal(
-                    max(self.CHUNK, n)).tolist())
-            at, end = 0, n
-        self._at = end
-        return tape[at:end]
-
-
 # The closed loop as experiments.run_scenario ran it in Python before
 # _truth.c's ticks took it over, a tick at a time over the package's
 # Python layers (dynamics.synthesize_sensors, the DisturbanceSampler,
 # _script_target) and its compiled step and controller tick, which it
 # looks up at every call.  ticks must equal it bit for bit.
-def run_scenario(scenario, params=None, normals=Normals):
+def run_scenario(scenario, params=None):
     """experiments.run_scenario, the loop in Python: the same (log,
     RunMetrics) and NonFiniteState.  The gust and the sensor noise draw
-    from normals(default_rng(seed))."""
+    from one default_rng(seed), in the order _truth.c's ticks draws."""
     params = params or vehicle.default_params()
     kernel = dyn.make_step(params)
     model = make_model(params, scenario.cf_mismatch)
@@ -1000,9 +939,10 @@ def run_scenario(scenario, params=None, normals=Normals):
     dt_c = n_sub * dt
     pose_every = int(round(1.0 / (ex.POSE_RATE_HZ * dt)))
 
-    # one tape feeds the gust (3 normals a truth step, drawn a tick at a
-    # time) and the sensor noise (12 a noisy tick), in the order they draw
-    tape = normals(np.random.default_rng(scenario.seed))
+    # one Generator feeds the gust (3 normals a truth step, drawn a tick
+    # at a time) and the sensor noise (12 a noisy tick), in the order they
+    # draw
+    rng = np.random.default_rng(scenario.seed)
     # noise_scale multiplies the noise variances, so sigma goes with its root
     sigma_scale = math.sqrt(scenario.noise_scale)
 
@@ -1018,7 +958,7 @@ def run_scenario(scenario, params=None, normals=Normals):
     controller.warm_start(p0, q0, trim)
 
     sampler = dyn.DisturbanceSampler(
-        scenario.disturbance, dt, tape,
+        scenario.disturbance, dt, rng,
         [scenario.residual_scale * r for r in ex.RESIDUAL_FORCE],
         [scenario.residual_scale * r for r in ex.RESIDUAL_MOMENT])
 
@@ -1040,7 +980,7 @@ def run_scenario(scenario, params=None, normals=Normals):
             k = tick * n_sub
             t = k * dt
             accel, gyro, w_meas = dyn.synthesize_sensors(
-                x, kernel, force, sigma_scale, tape)
+                x, kernel, force, sigma_scale, rng)
             inputs = ControllerInputs(
                 pos=pose_p, vel=x[dyn.V], q=pose_q, gyro=gyro,
                 accel=accel, rotor_w_meas=w_meas)

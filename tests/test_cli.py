@@ -1,5 +1,7 @@
 import concurrent.futures
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsim import cli, dynamics, experiments, vehicle
@@ -121,6 +123,77 @@ def test_validate_reports_the_model_at_a_cf_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "controller model at cf_mismatch 0.5: effectiveness rank 6" in out
     assert "result: OK" in out
+
+
+# inputs whose arithmetic overflowed, underflowed to a zero c_f or gave a
+# NaN hover trim
+OUT_OF_RANGE = [
+    ("run", "cf_mismatch", 1e-320),
+    ("platform", "w_max", 1e200),
+    ("platform", "w_max", 1e300),
+    ("platform", "w_max", 1e308),
+    ("platform", "w_max", -1e308),
+    ("platform", "motor_time_constant", 1e-150),
+    ("platform", "motor_time_constant", 1e-300),
+    ("platform", "mass", 1e308),
+    ("platform", "c_f", 1e-320),
+]
+ANY_KEY = [("run", "cf_mismatch"),
+           *(("platform", key) for key in cli._SECTIONS["platform"])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(ANY_KEY), value=st.just(0.0) | st.builds(
+    lambda sign, exponent: sign * 10.0 ** exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(-320.0, 308.0)))
+@example(key=("run", "cf_mismatch"), value=1e-320)
+@example(key=("platform", "w_max"), value=1e200)
+@example(key=("platform", "w_max"), value=1e300)
+@example(key=("platform", "w_max"), value=1e308)
+@example(key=("platform", "w_max"), value=-1e308)
+@example(key=("platform", "motor_time_constant"), value=1e-150)
+@example(key=("platform", "motor_time_constant"), value=1e-300)
+@example(key=("platform", "mass"), value=1e308)
+@example(key=("platform", "c_f"), value=1e-320)
+@example(key=("platform", "c_f"), value=5e-324)  # inv finds it singular
+def test_validate_exits_0_or_2_on_any_value(tmp_path_factory, key, value):
+    # one [platform] key or cf_mismatch set to any magnitude from a
+    # subnormal to near the largest float, of either sign, or to 0:
+    # validate passes or fails the config, raises nothing, and never
+    # passes a NaN hover trim
+    section, name = key
+    ini = tmp_path_factory.getbasetemp() / "any_value.ini"
+    ini.write_text(f"[{section}]\n{name} = {value!r}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--config", str(ini)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err.getvalue()
+    assert not ("result: OK" in out.getvalue() and "nan" in out.getvalue())
+
+
+@pytest.mark.parametrize("command, args", [
+    ("validate", ()), ("run", ("--out", "art")),
+    ("sweep", ("--repeats", "1", "--out", "art")),
+])
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
+                         ids=[f"{key}={value!r}"
+                              for _, key, value in OUT_OF_RANGE])
+def test_out_of_range_input_exits_2_naming_its_key(
+        tmp_path, capsys, monkeypatch, command, args, section, key, value):
+    # each is a config error that names its key (validate prints a
+    # failed check below its platform line), and nothing is written
+    monkeypatch.chdir(tmp_path)
+    setting = f"{key} = {value!r}\n"
+    (tmp_path / "c.ini").write_text(
+        "[run]\nduration = 2.1\n"
+        + (setting if section == "run" else f"[{section}]\n{setting}"))
+    assert run_cli(command, "--config", "c.ini", *args) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    if command == "validate" and not err:
+        assert out.endswith("result: FAIL\n")
+        err = out.partition("\n")[2]
+    assert key in err
+    assert not (tmp_path / "art").exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

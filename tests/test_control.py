@@ -340,7 +340,7 @@ def test_ndi_invert_matches_numpy_oracle(params, rng):
 
 def test_allocate_matches_numpy_oracle(params, eff, rng):
     hover = params.mass * GRAVITY
-    for _ in range(300):
+    for case in range(300):
         q = random_unit_quat(rng)
         # about half of the demands saturate some rotor
         body_force = [rng.normal(0.0, 6.0), rng.normal(0.0, 6.0),
@@ -350,7 +350,10 @@ def test_allocate_matches_numpy_oracle(params, eff, rng):
         assert_command_close(
             vehicle.allocate(eff, q.tolist(), wrench.tolist()),
             numpy_allocate(eff, q, wrench))
+        # inside, outside and exactly on the limits, and a NaN (it
+        # passes through, unflagged)
         u = rng.uniform(0.0, 1.5 * eff.u_max, 6)
+        u[case % 6] = (eff.u_min, eff.u_max, math.nan)[case % 3]
         assert_command_close(vehicle.saturate(eff, u.tolist()),
                              numpy_saturate(eff, u))
 
@@ -387,7 +390,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
     oracle = oracle_cls(model, Gains(), DT)
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
-    normals = oracles.Normals(np.random.default_rng(11))
+    stream = np.random.default_rng(11)
     x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3), trim.w_cmd)
     calm = [(0.0,) * 6] * 4  # a tick's four truth steps, no wrench
     for tick in range(600):
@@ -395,7 +398,7 @@ def test_whole_tick_matches_numpy_oracle(params, kernel, trim, kind,
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else (0.0, 0.0, 0.0)
         xs = np.asarray(x).tolist()
         accel, gyro, w_meas = dyn.synthesize_sensors(
-            xs, kernel, (0.0, 0.0, 0.0), math.sqrt(7.0), normals)
+            xs, kernel, (0.0, 0.0, 0.0), math.sqrt(7.0), stream)
         inputs = ControllerInputs(
             pos=xs[dyn.P], vel=xs[dyn.V], q=xs[dyn.Q], gyro=gyro,
             accel=accel, rotor_w_meas=w_meas)
@@ -458,25 +461,6 @@ def test_outer_loop_equals_float_oracle(params, rng):
         assert bits(v_att) == bits(expected_att)
 
 
-def test_allocation_equals_float_oracle(params, eff, rng):
-    hover = params.mass * GRAVITY
-    for case in range(300):
-        q = random_unit_quat(rng).tolist()
-        body_force = [rng.normal(0.0, 6.0), rng.normal(0.0, 6.0),
-                      hover * rng.uniform(0.5, 2.5)]
-        wrench = (quat_to_rotmat(q) @ body_force).tolist() + rng.normal(
-            0.0, 1.0, 3).tolist()
-        assert bits(vehicle.solve_wrench(eff, q, wrench)) == bits(
-            oracles.solve_wrench(eff, q, wrench))
-        assert_same_command(vehicle.allocate(eff, q, wrench),
-                            oracles.allocate(eff, q, wrench))
-        # inside, outside and exactly on the limits, and a NaN
-        u = rng.uniform(0.0, 1.5 * eff.u_max, 6).tolist()
-        u[case % 6] = (eff.u_min, eff.u_max, math.nan)[case % 3]
-        assert_same_command(vehicle.saturate(eff, u),
-                            oracles.saturate(eff, u))
-
-
 @pytest.mark.parametrize("kind", ["geo", "indi"])
 def test_tick_equals_float_oracle(params, trim, rng, kind):
     oracle_cls = {"geo": oracles.GeoNdiController,
@@ -509,8 +493,7 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
     ctrl.warm_start(np.zeros(3), HOVER_Q, trim)
     oracle.warm_start(np.zeros(3), HOVER_Q, trim)
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=math.sqrt(7.0))
-    normals = oracles.Normals(np.random.default_rng(11))
-    rng_o = np.random.default_rng(11)
+    stream, rng_o = np.random.default_rng(11), np.random.default_rng(11)
     x = pack(np.zeros(3), np.zeros(3), HOVER_Q, np.zeros(3),
              trim.w_cmd).tolist()
     zero = (0.0, 0.0, 0.0)
@@ -520,7 +503,7 @@ def test_closed_loop_equals_float_oracle(params, kernel, trim, kind):
         target_rpy = (0.1, -0.1, 0.4) if tick >= 50 else zero
         accel_w = dyn.acceleration(x, kernel, zero)
         sensors = dyn.synthesize_sensors(x, kernel, zero, noise.scale,
-                                         normals)
+                                         stream)
         sensors_o = oracles.synthesize_sensors(x, accel_w, noise, rng_o)
         assert bits(sensors) == bits(vars(sensors_o).values())
         accel, gyro, w_meas = sensors

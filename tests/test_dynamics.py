@@ -20,11 +20,6 @@ from oracles import bits, numpy_step, pack
 CALM = (0.0,) * 6  # a held wrench with no force and no moment
 
 
-def tape(seed):
-    """A Normals tape of default_rng(seed), as the oracle loop makes one."""
-    return oracles.Normals(np.random.default_rng(seed))
-
-
 def at(t):
     """The truth step that starts at time t."""
     return int(round(t / dyn.SIM_DT))
@@ -115,7 +110,8 @@ def test_constant_disturbance_window():
                                force=np.array([1.0, 0, 0]),
                                moment=np.array([0, 0.1, 0]),
                                t_on=2.0, t_off=5.0)
-    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(0))
+    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT,
+                                     np.random.default_rng(0))
     (off,) = sampler.step(at(1.0), 1)
     assert not np.asarray(off).any()
     (on,) = sampler.step(at(3.0), 1)
@@ -138,9 +134,9 @@ def test_sampler_adds_residual_wrench(spec):
     # the held total is the spec's wrench plus the residual, inside the
     # window and outside it, bit for bit
     residual_f, residual_m = np.array([1.4, 1.6, 3.7]), np.array([0, 0, 0.01])
-    bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3))
-    total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(3), residual_f,
-                                   residual_m)
+    bare = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3))
+    total = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(3),
+                                   residual_f, residual_m)
     residual = np.concatenate((residual_f, residual_m))
     for t in (0.0, 1.0, 2.0, 3.0, 4.9995, 5.0, 6.0):
         (wrench,) = bare.step(at(t), 1)
@@ -178,7 +174,7 @@ def test_gust_statistics(rng):
     spec = dyn.DisturbanceSpec(kind="gust", force=np.array([2.0, 0, 0]),
                                t_on=0.0, t_off=1e9, gust_std=1.0,
                                gust_corr_time=0.5)
-    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, oracles.Normals(rng))
+    sampler = dyn.DisturbanceSampler(spec, dyn.SIM_DT, rng)
     n = 200000
     xs = np.array([wrench[0] for k in range(0, n, 40)
                    for wrench in sampler.step(k, 40)])
@@ -195,36 +191,17 @@ def test_gust_reproducible():
     spec = dyn.DisturbanceSpec(kind="gust", force=np.zeros(3),
                                t_on=0.0, t_off=10.0, gust_std=1.0)
     # the same draws whether a call spans one step or many
-    a = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
-    b = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(7))
+    a = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(7))
+    b = dyn.DisturbanceSampler(spec, dyn.SIM_DT, np.random.default_rng(7))
     one_by_one = [a.step(k, 1)[0] for k in range(100)]
     chunked = [*b.step(0, 4), *b.step(4, 40), *b.step(44, 1), *b.step(45, 55)]
     assert bits(one_by_one) == bits(chunked)
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       widths=st.lists(st.sampled_from([3, 12]), min_size=130, max_size=400))
-def test_tape_equals_per_call_draws(seed, widths):
-    # gust-wide and sensor-wide takes in any order, across at least one
-    # refill (130 takes hold at least 390 normals), bit for bit
-    assert 130 * 3 > oracles.Normals.CHUNK
-    normals = tape(seed)
-    per_call = oracles.PerCallNormals(np.random.default_rng(seed))
-    for n in widths:
-        assert bits(normals.take(n)) == bits(per_call.take(n))
-
-
-def test_tape_takes_more_than_a_chunk():
-    normals, rng = tape(4), np.random.default_rng(4)
-    for n in (5, oracles.Normals.CHUNK + 7, 3, 2 * oracles.Normals.CHUNK):
-        assert bits(normals.take(n)) == bits(rng.standard_normal(n))
-
-
 def test_sensors_noiseless_exact(kernel, trim):
     state = hover_state(trim).tolist()
     accel, gyro, w_meas = dyn.synthesize_sensors(
-        state, kernel, (0.0, 0.0, 0.0), 0.0, tape(0))
+        state, kernel, (0.0, 0.0, 0.0), 0.0, np.random.default_rng(0))
     # at hover the specific force reads +g on body z
     np.testing.assert_allclose(accel, GRAVITY * E3, atol=1e-9)
     np.testing.assert_array_equal(gyro, state[dyn.OMEGA])
@@ -233,10 +210,10 @@ def test_sensors_noiseless_exact(kernel, trim):
 
 def test_sensor_noise_scales(kernel, trim):
     state = hover_state(trim).tolist()
-    normals = tape(3)
+    rng = np.random.default_rng(3)
     samples = np.array([
         dyn.synthesize_sensors(state, kernel, (0.0, 0.0, 0.0), np.sqrt(9.0),
-                               normals)[1]
+                               rng)[1]
         for _ in range(20000)])
     assert samples.std() == pytest.approx(3.0 * 0.02, rel=0.05)
 
@@ -251,7 +228,8 @@ def test_sensors_equal_float_oracle(params, kernel, rng):
         accel_w = dyn.acceleration(x, kernel, dist_f)
         scale = np.sqrt((0, 1, 3, 7, 15, 31)[case % 6])
         seed = int(rng.integers(2 ** 32))
-        got = dyn.synthesize_sensors(x, kernel, dist_f, scale, tape(seed))
+        got = dyn.synthesize_sensors(x, kernel, dist_f, scale,
+                                     np.random.default_rng(seed))
         want = oracles.synthesize_sensors(
             x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
             np.random.default_rng(seed))
@@ -260,10 +238,10 @@ def test_sensors_equal_float_oracle(params, kernel, rng):
 
 def test_sensor_stream_equals_float_oracle(params, kernel, rng):
     # 300 noisy calls on one stream: the tachometers read the rotor speeds
-    # exactly, and every call still takes 12 normals, so the tape's next
+    # exactly, and every call still draws 12 normals, so the stream's next
     # draws are the oracle stream's next draws
     noise = oracles.NoiseSpec(rotor_sigma=0.0, scale=np.sqrt(7.0))
-    stream, stream_o = tape(5), np.random.default_rng(5)
+    stream, stream_o = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(300):
         x, _, dist_f, _ = random_case(params, rng)
         x, dist_f = x.tolist(), dist_f.tolist()
@@ -272,7 +250,8 @@ def test_sensor_stream_equals_float_oracle(params, kernel, rng):
                                               noise.scale, stream)
         oracles.synthesize_sensors(x, accel_w, noise, stream_o)
         assert bits(w_meas) == bits(x[dyn.ROTOR_W])
-    assert bits(stream.take(12)) == bits(stream_o.standard_normal(12))
+    assert bits(stream.standard_normal(12)) == bits(
+        stream_o.standard_normal(12))
 
 
 @pytest.mark.parametrize("kind", ["none", "constant_load", "gust"])
@@ -289,8 +268,8 @@ def test_sampler_equals_float_oracle(rng, kind):
             gust_corr_time=float(rng.uniform(0.01, 1.0)))
         residual = rng.normal(0.0, 2.0, 3), rng.normal(0.0, 0.1, 3)
         seed = int(rng.integers(2 ** 32))
-        got = dyn.DisturbanceSampler(spec, dyn.SIM_DT, tape(seed),
-                                     *residual)
+        got = dyn.DisturbanceSampler(
+            spec, dyn.SIM_DT, np.random.default_rng(seed), *residual)
         want = oracles.DisturbanceSampler(
             spec, dyn.SIM_DT, np.random.default_rng(seed), *residual)
         k = 0

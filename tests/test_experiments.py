@@ -186,7 +186,7 @@ def test_closed_loop_passes_python_floats(monkeypatch, controller):
         monkeypatch.setattr(cls, "tick", traced_tick(cls.tick))
     # the gust is on from t = 2 s, so both sampler branches run
     oracles.run_scenario(ex.build_scenario("exp3", controller, {
-        "gust": True, "duration": 2.5}), normals=oracles.PerCallNormals)
+        "gust": True, "duration": 2.5}))
     assert dict(types) == {"step": {float}, "sampler": {float},
                            "steps": {int}, "tick": {float},
                            "saturated": {bool}}
@@ -388,14 +388,6 @@ def test_block_errors_equal_the_whole_log_form(scenario_id, controller,
     assert same_bits(log["e_att_deg"], e_att_deg)
 
 
-# gust and sensor noise on, so both draw from the run's one stream
-SHARED_STREAM_RUNS = [
-    ("indi", {"gust": True, "noise_scale": 3, "duration": 4.0, "seed": 5}),
-    ("geo", {"gust": True, "noise_scale": 1, "controller_freq": 125.0,
-             "duration": 4.0, "seed": 9}),
-]
-
-
 def test_a_run_loads_no_numpy_random():
     # _truth.c draws a run's normals itself, so a run, noise and gust on,
     # imports none of numpy.random's modules (6.4 MB resident on top of
@@ -411,18 +403,6 @@ def test_a_run_loads_no_numpy_random():
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=300)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
-
-
-@pytest.mark.parametrize("controller, overrides", SHARED_STREAM_RUNS,
-                         ids=["indi-500Hz", "geo-125Hz"])
-def test_tape_run_equals_per_call_draws(controller, overrides):
-    # a run, whose normals _truth.c draws as numpy's default_rng(seed)
-    # does, logs bit for bit what the oracle loop logs when the gust and
-    # the sensors draw theirs from default_rng(seed) at every call
-    sc = ex.build_scenario("exp3", controller, overrides)
-    log, _ = ex.run_scenario(sc)
-    want, _ = oracles.run_scenario(sc, normals=oracles.PerCallNormals)
-    assert same_bits(log["t"].base, want["t"].base)
 
 
 def test_repeat_runs_holds_no_earlier_log(monkeypatch):
@@ -613,8 +593,8 @@ def test_nan_command_raises_nonfinite_state(monkeypatch, controller):
     # made NaN in the oracle loop, the one whose sensors can be replaced
     real = dyn.synthesize_sensors
 
-    def nan_gyro(x, kernel, dist_force, scale, normals):
-        accel, gyro, w_meas = real(x, kernel, dist_force, scale, normals)
+    def nan_gyro(x, kernel, dist_force, scale, rng):
+        accel, gyro, w_meas = real(x, kernel, dist_force, scale, rng)
         if len(calls) >= 50:
             gyro = [math.nan] * 3
         calls.append(1)
@@ -745,6 +725,13 @@ def outcome(run, scenario, params):
 @example(loop=(ex.build_scenario("exp5", "indi", {
     "duration": 2.1, "noise_scale": 1, "seed": 2 ** 130 + 3}),
     vehicle.default_params()))
+# gust and sensor noise on, so both draw from the run's one stream
+@example(loop=(ex.build_scenario("exp3", "indi", {
+    "gust": True, "noise_scale": 3, "duration": 4.0, "seed": 5}),
+    vehicle.default_params()))
+@example(loop=(ex.build_scenario("exp3", "geo", {
+    "gust": True, "noise_scale": 1, "controller_freq": 125.0,
+    "duration": 4.0, "seed": 9}), vehicle.default_params()))
 def test_compiled_loop_equals_oracle_loop(loop):
     # the rows and the divergence report of the compiled loop are the
     # Python loop's, bit for bit

@@ -259,8 +259,7 @@ def test_fused_accelerometer_equals_two_call_form_over_platforms(
     scale = np.sqrt(7.0) if noisy else 0.0
     accel_w = dynamics.acceleration(x, kernel, dist_f)
     got = dynamics.synthesize_sensors(
-        x, kernel, dist_f, scale,
-        oracles.Normals(np.random.default_rng(seed)))
+        x, kernel, dist_f, scale, np.random.default_rng(seed))
     want = oracles.synthesize_sensors(
         x, accel_w, oracles.NoiseSpec(rotor_sigma=0.0, scale=scale),
         np.random.default_rng(seed))
