@@ -48,11 +48,12 @@
    raise a divergence and to release its buffers; its loop runs without
    it, so a sweep's cells run at once on threads.
 
-   csv_rows(rows, n_flags) writes log rows as the lines of log.csv,
-   each float with the bytes of repr: the shortest decimal that reads
-   back as it, found for every finite double by a port of Ryū's d2s
-   (see shortest below) and laid out by repr's rules, and each
-   saturation flag as 0 or 1.
+   write_csv(fd, rows, n_flags) writes log rows as the lines of log.csv
+   to a file descriptor, each float with the bytes of repr: the
+   shortest decimal that reads back as it, found for every finite
+   double by a port of Ryū's d2s (see shortest below) and laid out by
+   repr's rules, and each saturation flag as 0 or 1.  It formats on two
+   threads without the GIL and writes their chunks in order.
 
    dynamics.py builds this file with -ffp-contract=off and without
    -ffast-math, so each operation rounds as a CPython float does: the
@@ -62,10 +63,13 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include "numpy/arrayobject.h"
 #include "numpy/random/distributions.h"
@@ -1937,25 +1941,128 @@ write_float(double v, char *out)
     return out + n + 1;
 }
 
-/* csv_rows(rows, n_flags) -> the lines of log.csv for rows, a 2-D
-   C-contiguous float64 array, as one str: a line per row, its values
-   joined by commas, each float as repr writes it (write_float) and
-   each of the last n_flags columns, the saturation flags, as 0 for 0.0
-   and -0.0 and as 1 otherwise.  The lines are written straight into
-   the str, sized for the longest values and then shrunk. */
-static PyObject *
-csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
-         Py_ssize_t nargs)
+/* The lines of log.csv for the n rows of n_cols values from x into out,
+   which has room for n * (n_cols * 25 + 1) characters; returns their
+   end.  A line's values are joined by commas, each float as repr writes
+   it (write_float) and each of the last n_flags columns, the saturation
+   flags, as 0 for 0.0 and -0.0 and as 1 otherwise. */
+static char *
+csv_lines(const double *x, Py_ssize_t n, Py_ssize_t n_cols,
+          Py_ssize_t n_flags, char *out)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "csv_rows: expected 2 arguments");
+    for (Py_ssize_t i = 0; i < n; i++) {
+        for (Py_ssize_t j = 0; j < n_cols; j++) {
+            const double v = x[i * n_cols + j];
+            if (j)
+                *out++ = ',';
+            if (j < n_cols - n_flags)
+                out = write_float(v, out);
+            else
+                *out++ = v == 0.0 ? '0' : '1';
+        }
+        *out++ = '\n';
+    }
+    return out;
+}
+
+/* The n bytes at p to fd, however many calls write takes; 0, or the
+   errno of the call that failed.  An interrupted call is repeated. */
+static int
+write_all(int fd, const char *p, size_t n)
+{
+    while (n) {
+        const ssize_t done = write(fd, p, n);
+        if (done < 0) {
+            if (errno == EINTR)
+                continue;
+            return errno;
+        }
+        p += done;
+        n -= (size_t)done;
+    }
+    return 0;
+}
+
+#define CSV_CHUNK_ROWS 64  /* the rows write_csv formats between writes */
+
+/* One write_csv call: its rows, and the chunk whose turn it is to be
+   written, or the errno of the write that failed. */
+struct csv_job {
+    const double *x;
+    Py_ssize_t n_rows, n_cols, n_flags;
+    int fd;
+    pthread_mutex_t lock;
+    pthread_cond_t turn_done;
+    Py_ssize_t turn;
+    int error;
+};
+
+/* A formatting thread's share of a csv_job: the chunks first,
+   first + stride, ..., each formatted into buf and written in its
+   turn. */
+struct csv_share {
+    struct csv_job *job;
+    Py_ssize_t first, stride;
+    char *buf;
+};
+
+/* Format and write a csv_share's chunks.  A thread formats its next
+   chunk while the other writes, and waits for its turn only to write;
+   after a failed write no chunk is written. */
+static void *
+csv_chunks(void *arg)
+{
+    const struct csv_share *share = arg;
+    struct csv_job *job = share->job;
+    for (Py_ssize_t c = share->first; c * CSV_CHUNK_ROWS < job->n_rows;
+         c += share->stride) {
+        const Py_ssize_t row = c * CSV_CHUNK_ROWS;
+        const Py_ssize_t n = job->n_rows - row < CSV_CHUNK_ROWS
+                             ? job->n_rows - row : CSV_CHUNK_ROWS;
+        const char *end = csv_lines(job->x + row * job->n_cols, n,
+                                    job->n_cols, job->n_flags, share->buf);
+        pthread_mutex_lock(&job->lock);
+        while (job->turn != c && !job->error)
+            pthread_cond_wait(&job->turn_done, &job->lock);
+        int error = job->error;
+        pthread_mutex_unlock(&job->lock);
+        if (error)
+            break;
+        error = write_all(job->fd, share->buf, (size_t)(end - share->buf));
+        pthread_mutex_lock(&job->lock);
+        job->turn++;
+        if (error)
+            job->error = error;
+        pthread_cond_broadcast(&job->turn_done);
+        pthread_mutex_unlock(&job->lock);
+        if (error)
+            break;
+    }
+    return NULL;
+}
+
+/* write_csv(fd, rows, n_flags) writes the lines of log.csv for rows, a
+   2-D C-contiguous float64 array (csv_lines), to the file descriptor
+   fd, CSV_CHUNK_ROWS rows a write, in order.  Without the GIL, two
+   threads format alternate chunks, each into its own buffer, so the
+   memory it takes does not grow with the rows; a failed write raises
+   OSError with its errno, and no later chunk is written. */
+static PyObject *
+write_csv(PyObject *Py_UNUSED(module), PyObject *const *args,
+          Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "write_csv: expected 3 arguments");
         return NULL;
     }
-    const Py_ssize_t n_flags = PyLong_AsSsize_t(args[1]);
+    const int fd = PyObject_AsFileDescriptor(args[0]);
+    if (fd < 0)
+        return NULL;
+    const Py_ssize_t n_flags = PyLong_AsSsize_t(args[2]);
     if (n_flags == -1 && PyErr_Occurred())
         return NULL;
     Py_buffer view;
-    if (PyObject_GetBuffer(args[0], &view, PyBUF_RECORDS_RO) < 0) {
+    if (PyObject_GetBuffer(args[1], &view, PyBUF_RECORDS_RO) < 0) {
         PyErr_Clear();
         PyErr_SetString(PyExc_ValueError, "rows: expected a float64 array");
         return NULL;
@@ -1969,32 +2076,41 @@ csv_rows(PyObject *Py_UNUSED(module), PyObject *const *args,
         PyBuffer_Release(&view);
         return NULL;
     }
-    const Py_ssize_t n_rows = view.shape[0], n_cols = view.shape[1];
-    const double *x = view.buf;
+    struct csv_job job = {
+        .x = view.buf, .n_rows = view.shape[0], .n_cols = view.shape[1],
+        .n_flags = n_flags, .fd = fd};
     /* a repr of a double has at most 24 characters */
-    PyObject *result = PyUnicode_New(n_rows * (n_cols * 25 + 1), 127);
-    if (result == NULL) {
+    const size_t chunk = CSV_CHUNK_ROWS * (size_t)(job.n_cols * 25 + 1);
+    char *buf = PyMem_RawMalloc(2 * chunk);
+    if (buf == NULL) {
         PyBuffer_Release(&view);
-        return NULL;
+        return PyErr_NoMemory();
     }
-    char *const start = (char *)PyUnicode_1BYTE_DATA(result);
-    char *end = start;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        for (Py_ssize_t j = 0; j < n_cols; j++) {
-            const double v = x[i * n_cols + j];
-            if (j)
-                *end++ = ',';
-            if (j < n_cols - n_flags)
-                end = write_float(v, end);
-            else
-                *end++ = v == 0.0 ? '0' : '1';
-        }
-        *end++ = '\n';
-    }
+    pthread_mutex_init(&job.lock, NULL);
+    pthread_cond_init(&job.turn_done, NULL);
+    struct csv_share mine = {&job, 0, 2, buf};
+    struct csv_share other = {&job, 1, 2, buf + chunk};
+    pthread_t helper;
+    Py_BEGIN_ALLOW_THREADS
+    /* one chunk, or no second thread: this thread writes every chunk */
+    const int threaded =
+        job.n_rows > CSV_CHUNK_ROWS
+        && pthread_create(&helper, NULL, csv_chunks, &other) == 0;
+    if (!threaded)
+        mine.stride = 1;
+    csv_chunks(&mine);
+    if (threaded)
+        pthread_join(helper, NULL);
+    Py_END_ALLOW_THREADS
+    pthread_cond_destroy(&job.turn_done);
+    pthread_mutex_destroy(&job.lock);
+    PyMem_RawFree(buf);
     PyBuffer_Release(&view);
-    if (PyUnicode_Resize(&result, end - start) < 0)
-        Py_CLEAR(result);
-    return result;
+    if (job.error) {
+        errno = job.error;
+        return PyErr_SetFromErrno(PyExc_OSError);
+    }
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
@@ -2011,9 +2127,10 @@ static PyMethodDef methods[] = {
      "n_steps, x0, entropy) -> the log of the closed loop from the truth "
      "state x0, a row a tick, its normals those of default_rng(seed) whose "
      "32-bit words entropy holds"},
-    {"csv_rows", (PyCFunction)(void (*)(void))csv_rows, METH_FASTCALL,
-     "csv_rows(rows, n_flags) -> the log.csv lines of rows, floats as "
-     "repr writes them and the last n_flags columns as 0 or 1"},
+    {"write_csv", (PyCFunction)(void (*)(void))write_csv, METH_FASTCALL,
+     "write_csv(fd, rows, n_flags) writes the log.csv lines of rows to the "
+     "file descriptor fd, floats as repr writes them and the last n_flags "
+     "columns as 0 or 1"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2021,7 +2138,7 @@ static struct PyModuleDef truth = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_truth",
     .m_doc = "The compiled RK4 truth step, controller ticks, closed loop "
-             "and log.csv formatter.",
+             "and log.csv writer.",
     .m_size = -1,
     .m_methods = methods,
 };

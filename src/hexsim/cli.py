@@ -34,7 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
-LOG_BLOCK_ROWS = 256  # log rows write_log_rows formats a call
 
 
 class ConfigError(Exception):
@@ -171,37 +170,30 @@ def _resolved_config(config, scenario):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def write_log_rows(fh, rows):
-    """experiments.LOG_HEADER, then a line per row of run_scenario's row
-    array (a C-contiguous float64 array, the blocks of
-    experiments.LOG_LAYOUT side by side): floats with the bytes of repr,
-    the shortest decimal that reads back as each (Ryū's d2s in C), and
-    the last block's flags as 0/1, as _truth.c's csv_rows formats them,
-    LOG_BLOCK_ROWS rows a call."""
-    csv_rows = dynamics.load_truth().csv_rows
-    flags = len(experiments.LOG_LAYOUT[-1][1])
-    fh.write(",".join(experiments.LOG_HEADER) + "\n")
-    for start in range(0, len(rows), LOG_BLOCK_ROWS):
-        fh.write(csv_rows(rows[start:start + LOG_BLOCK_ROWS], flags))
-
-
 def write_log_csv(fh, rows):
-    """Write log.csv, open as fh, from run_scenario's row array in a
-    forked process (write_log_rows), and wait for it to exit; OSError
-    unless it exits 0.  An interrupted wait kills and reaps it.
+    """Write log.csv, open as fh, from run_scenario's row array (a
+    C-contiguous float64 array, the blocks of experiments.LOG_LAYOUT side
+    by side): experiments.LOG_HEADER, then a line per row, which a forked
+    process writes to fh's file descriptor with _truth.c's write_csv
+    (floats with the bytes of repr, the last block's flags as 0/1).  Waits
+    for that process to exit; OSError unless it exits 0.  An interrupted
+    wait kills and reaps it.
 
-    The formatting's allocations stay in that process.  It is forked
-    after the loop, not before: while a child lives, each page the loop
-    writes to is first copied for it, which made a 7 s exp3 run about
-    50 % slower, by a varying amount."""
+    The formatting's threads and buffers stay in that process.  It is
+    forked after the loop, not before: while a child lives, each page the
+    loop writes to is first copied for it, which made a 7 s exp3 run
+    about 50 % slower, by a varying amount."""
+    fh.write(",".join(experiments.LOG_HEADER) + "\n")
+    fh.flush()  # the rows follow at the descriptor's offset
+    write_csv = dynamics.load_truth().write_csv
+    flags = len(experiments.LOG_LAYOUT[-1][1])
     # The writer leaves only through os._exit.  It calls no BLAS
     # routine, so forking beside numpy's BLAS threads is safe.
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            with fh:
-                write_log_rows(fh, rows)
+            write_csv(fh.fileno(), rows, flags)
             code = 0
         except Exception as exc:
             print(f"log writer: {exc}", file=sys.stderr, flush=True)
@@ -243,7 +235,8 @@ def preflight(params, cf_mismatch=1.0):
     the effectiveness rank (a degenerate layout ends the checks), that of
     the model at cf_mismatch (if not 1; a c_f * cf_mismatch that
     underflows to 0 fails it), a finite hover trim inside the actuator
-    limits and the motor lag inside RK4's stability interval."""
+    limits, the motor lag inside RK4's stability interval and finite
+    constants of the truth step (dynamics.truth_constants)."""
     try:
         eff = params.effectiveness
     except vehicle.DegenerateGeometry as exc:
@@ -285,6 +278,13 @@ def preflight(params, cf_mismatch=1.0):
            f"{'inside' if stable else 'outside'} RK4's stability interval "
            f"at the {dynamics.SIM_DT} s truth step "
            f"([platform] motor_time_constant)", stable)
+    # a tiny inertia overflows the moment's scale F2 / J and the
+    # gyroscopic coefficients, and the run would diverge at t = 0
+    with np.errstate(all="ignore"):
+        finite = all(map(math.isfinite, dynamics.truth_constants(params)))
+    yield (f"truth step constants {'finite' if finite else 'NOT FINITE'} at "
+           f"inertia {', '.join(map(repr, params.inertia))} kg m^2 "
+           f"([platform] inertia_xx, inertia_yy, inertia_zz)", finite)
 
 
 def _flyable_params(config, cf_mismatch):
@@ -473,7 +473,8 @@ def make_parser():
 
     validate = sub.add_parser(
         "validate", help="resolve the config as run does, then check the "
-                         "allocation rank, hover trim and motor lag")
+                         "allocation rank, hover trim, motor lag and truth "
+                         "step constants")
     add_common(validate)
     return parser
 

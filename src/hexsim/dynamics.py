@@ -164,8 +164,9 @@ class DisturbanceSampler:
 
 
 # how load_truth compiles _truth.c: no -ffast-math and no contraction
-# into fused multiply-adds, so each operation rounds as a CPython float does
-CFLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
+# into fused multiply-adds, so each operation rounds as a CPython float
+# does; -pthread for the log writer's second thread
+CFLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off", "-pthread")
 _truth = None
 _truth_lock = threading.Lock()
 

@@ -113,15 +113,17 @@ def default_params(**overrides):
     rotor speeds 8-100 Hz, thrust-to-weight 2.8 at full speed.
 
     The force coefficient is anchored so the vertical thrust component at
-    w_max over all six rotors equals 2.8 * m * g.
+    w_max over all six rotors equals 2.8 * m * g.  Each default is a
+    Python float, the inertia a tuple of them.
     """
     mass = overrides.pop("mass", 2.95)
-    tilt = overrides.pop("tilt_angle", np.deg2rad(30.0))
+    tilt = overrides.pop("tilt_angle", float(np.deg2rad(30.0)))
     w_max = overrides.pop("w_max", 2 * np.pi * 100.0)
     w_min = overrides.pop("w_min", 2 * np.pi * 8.0)
     c_f = overrides.pop("c_f", None)
     if c_f is None:
-        c_f = 2.8 * mass * GRAVITY / (6.0 * w_max ** 2 * np.cos(tilt))
+        c_f = 2.8 * mass * GRAVITY / (
+            6.0 * w_max ** 2 * float(np.cos(tilt)))
     params = PlatformParams(
         mass=mass,
         inertia=overrides.pop("inertia", (0.08, 0.08, 0.14)),

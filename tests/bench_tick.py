@@ -21,18 +21,18 @@ which seeds its stream and allocates and returns its log, of the 2.1 s
 run_scenario of the 2.1 s noisy hover of the sweep_noise benchmark
 workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
 2.2 s exp4 hover of the sweep_freq workload, where the truth step
-dominates.  Then the log writer: one _truth.c csv_rows call on a
-cli.LOG_BLOCK_ROWS block from the middle of a 7 s exp3 gust log (the
-run_gust workload's) and of a nominal exp1 log,
-whose near-hover values are tiny (extra_info["ns_per_value"] holds its
-median per value).  Then one vehicle.build_effectiveness of the default
-platform, which a PlatformParams calls once, for its `effectiveness`
-that every run on it shares.  Last, one cli._sweep_cell of a 2.2 s
+dominates.  Then the log writer: one _truth.c write_csv call, on its
+two threads, of a whole 7 s exp3 gust log (the run_gust workload's) to
+/dev/null (extra_info["ns_per_value"] holds its median per value).
+Then one vehicle.build_effectiveness of the default platform, which a
+PlatformParams calls once, for its `effectiveness` that every run on it
+shares.  Last, one cli._sweep_cell of a 2.2 s
 50 Hz geo exp4 cell of one repeat on a shared PlatformParams, as the
 sweep_freq workload runs it: the Python around the compiled loop.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -122,19 +122,16 @@ def test_run_scenario_50hz(benchmark, kind):
                        warmup_rounds=1)
 
 
-@pytest.mark.parametrize("scenario_id, overrides", [
-    ("exp3", {"gust": True, "duration": 7.0}),
-    ("exp1", {}),
-], ids=["exp3-gust-7s", "exp1"])
-def test_csv_rows_block(benchmark, scenario_id, overrides):
-    log, _ = ex.run_scenario(ex.build_scenario(scenario_id, "indi", overrides))
-    rows = np.column_stack([log[name] for name, _ in ex.LOG_LAYOUT])
-    start = len(rows) // 2
-    block = rows[start:start + cli.LOG_BLOCK_ROWS]
-    benchmark(dyn.load_truth().csv_rows, block, len(ex.LOG_LAYOUT[-1][1]))
+def test_write_csv(benchmark):
+    log, _ = ex.run_scenario(
+        ex.build_scenario("exp3", "indi", {"gust": True, "duration": 7.0}))
+    rows = log["t"].base
+    with open(os.devnull, "wb") as fh:
+        benchmark(dyn.load_truth().write_csv, fh.fileno(), rows,
+                  len(ex.LOG_LAYOUT[-1][1]))
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_value"] = (
-            benchmark.stats.stats.median / block.size * 1e9)
+            benchmark.stats.stats.median / rows.size * 1e9)
 
 
 def test_build_effectiveness(benchmark, params):

@@ -6,10 +6,12 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
 import sysconfig
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -125,8 +127,8 @@ def test_validate_reports_the_model_at_a_cf_mismatch(tmp_path, capsys):
     assert "result: OK" in out
 
 
-# inputs whose arithmetic overflowed, underflowed to a zero c_f or gave a
-# NaN hover trim
+# inputs whose arithmetic overflowed, underflowed to a zero c_f, gave a
+# NaN hover trim or infinite truth step constants
 OUT_OF_RANGE = [
     ("run", "cf_mismatch", 1e-320),
     ("platform", "w_max", 1e200),
@@ -137,6 +139,7 @@ OUT_OF_RANGE = [
     ("platform", "motor_time_constant", 1e-300),
     ("platform", "mass", 1e308),
     ("platform", "c_f", 1e-320),
+    ("platform", "inertia_xx", 1e-320),
 ]
 ANY_KEY = [("run", "cf_mismatch"),
            *(("platform", key) for key in cli._SECTIONS["platform"])]
@@ -156,6 +159,7 @@ ANY_KEY = [("run", "cf_mismatch"),
 @example(key=("platform", "mass"), value=1e308)
 @example(key=("platform", "c_f"), value=1e-320)
 @example(key=("platform", "c_f"), value=5e-324)  # inv finds it singular
+@example(key=("platform", "inertia_xx"), value=1e-320)
 def test_validate_exits_0_or_2_on_any_value(tmp_path_factory, key, value):
     # one [platform] key or cf_mismatch set to any magnitude from a
     # subnormal to near the largest float, of either sign, or to 0:
@@ -178,10 +182,12 @@ def test_validate_exits_0_or_2_on_any_value(tmp_path_factory, key, value):
 @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
                          ids=[f"{key}={value!r}"
                               for _, key, value in OUT_OF_RANGE])
+@pytest.mark.filterwarnings("error")
 def test_out_of_range_input_exits_2_naming_its_key(
         tmp_path, capsys, monkeypatch, command, args, section, key, value):
     # each is a config error that names its key (validate prints a
-    # failed check below its platform line), and nothing is written
+    # failed check below its platform line), nothing is written and no
+    # arithmetic warns
     monkeypatch.chdir(tmp_path)
     setting = f"{key} = {value!r}\n"
     (tmp_path / "c.ini").write_text(
@@ -564,8 +570,8 @@ LOG_COLUMNS = log_columns()
 
 
 def per_cell_log_csv(path, log):
-    """The cell-by-cell writer that the row writer (cli.write_log_rows)
-    replaced, kept as its oracle."""
+    """The cell-by-cell writer that the compiled one (_truth.c's
+    write_csv) replaced, kept as its oracle."""
     n = len(log["t"])
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _, _ in LOG_COLUMNS) + "\n")
@@ -609,7 +615,7 @@ def forked_log_csv(path, log):
 
 def one_shot_log_csv(path, log):
     """The writer that converted the whole log to Python lists at once,
-    kept as the oracle of the block writer."""
+    kept as the oracle of the chunk writer."""
     flags = [c for c in LOG_COLUMNS if c[1] == "saturated"]
     floats = [c for c in LOG_COLUMNS if c[1] != "saturated"]
     values = np.column_stack(
@@ -636,27 +642,41 @@ def random_log(n, rng):
     return log
 
 
-@pytest.mark.parametrize("n, block", [(700, 256), (700, 1), (256, 256),
-                                      (255, 256), (0, 256)])
-def test_block_writer_matches_one_shot_writer(tmp_path, monkeypatch, n,
-                                              block):
-    # in this process, and through the forked writer, formatting `block`
-    # rows a call
-    monkeypatch.setattr(cli, "LOG_BLOCK_ROWS", block)
-    log = random_log(n, np.random.default_rng(n + block))
-    with open(tmp_path / "rows.csv", "w") as fh:
-        cli.write_log_rows(fh, log_rows(log))
+TRUTH_C = Path(dynamics.__file__).with_name("_truth.c")
+# the rows _truth.c's write_csv formats between writes
+CHUNK = int(re.search(r"#define CSV_CHUNK_ROWS (\d+)",
+                      TRUTH_C.read_text()).group(1))
+
+
+def written_csv(rows, n_flags=0):
+    """What _truth.c's write_csv writes of rows, through a temporary
+    file, as a str."""
+    with tempfile.TemporaryFile() as fh:
+        dynamics.load_truth().write_csv(fh.fileno(), rows, n_flags)
+        fh.seek(0)
+        return fh.read().decode()
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                               2 * CHUNK + 1, 700])
+def test_write_csv_matches_one_shot_writer(tmp_path, n):
+    # in this process, and through the forked writer: no chunk, one
+    # short or whole chunk, a last chunk of one row for either thread
+    log = random_log(n, np.random.default_rng(n))
+    flags = len(experiments.LOG_LAYOUT[-1][1])
     forked_log_csv(tmp_path / "forked.csv", log)
     one_shot_log_csv(tmp_path / "once.csv", log)
+    per_cell_log_csv(tmp_path / "cells.csv", log)
     once = (tmp_path / "once.csv").read_bytes()
-    assert (tmp_path / "rows.csv").read_bytes() == once
+    lines = once.partition(b"\n")[2]
+    assert written_csv(log_rows(log), flags).encode() == lines
     assert (tmp_path / "forked.csv").read_bytes() == once
+    assert (tmp_path / "cells.csv").read_bytes() == once
 
 
 def csv_line(values):
-    """_truth.c's csv_rows of one row of floats, no flag columns."""
-    return dynamics.load_truth().csv_rows(
-        np.array([values], dtype=float), 0)
+    """_truth.c's write_csv of one row of floats, no flag columns."""
+    return written_csv(np.array([values], dtype=float))
 
 
 @settings(max_examples=300, deadline=None)
@@ -688,7 +708,7 @@ def test_csv_rows_picks_the_shortest_nearest_decimal_as_repr():
         rng.integers(-2 ** 60, 2 ** 60, n).astype(float),
         np.arange(n) * 0.002])
     rows = values[:len(values) // 50 * 50].reshape(-1, 50)
-    lines = dynamics.load_truth().csv_rows(rows, 0).splitlines()
+    lines = written_csv(rows).splitlines()
     assert lines == [",".join(map(repr, row)) for row in rows.tolist()]
 
 
@@ -715,7 +735,7 @@ def test_csv_rows_writes_the_edge_cases_as_repr():
     tiny = rows[(rows != 0) & (np.abs(rows) < 1e-9)]
     assert len(tiny) > 100000
     values = np.concatenate([values, -values, tiny]).tolist()
-    line = dynamics.load_truth().csv_rows(np.array([values]), 0)
+    line = written_csv(np.array([values]))
     assert line.endswith("\n")
     cells = line[:-1].split(",")
     assert len(cells) == len(values)
@@ -730,11 +750,62 @@ def test_csv_rows_writes_the_flag_columns_as_0_or_1():
     # each flag column 0 for either zero, else 1; the floats before them
     # as repr
     row = [0.1, -0.0, 1e-300, 0.0, -0.0, 1.0]
-    assert dynamics.load_truth().csv_rows(np.array([row]), 3) == (
-        "0.1,-0.0,1e-300,0,0,1\n")
+    assert written_csv(np.array([row]), 3) == "0.1,-0.0,1e-300,0,0,1\n"
 
 
-TRUTH_C = Path(dynamics.__file__).with_name("_truth.c")
+def test_write_csv_keeps_its_chunks_in_order_on_busy_cores():
+    # four calls at once, each with its two threads, on two cores: every
+    # file holds its chunks in order, and every call returns in time
+    rows = log_rows(random_log(10 * CHUNK + 3, np.random.default_rng(1)))
+    expected = written_csv(rows, 6)
+    results = []
+
+    def write():
+        results.extend(written_csv(rows, 6) == expected for _ in range(10))
+
+    writers = [threading.Thread(target=write, daemon=True) for _ in range(4)]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60)
+    assert not any(writer.is_alive() for writer in writers)
+    assert results == [True] * 40
+
+
+def test_write_csv_raises_the_errno_of_a_failed_write():
+    # /dev/full fails every write with ENOSPC: each thread stops, and the
+    # call returns within the timeout.  A log of several chunks, so that
+    # both threads run
+    rows = log_rows(random_log(5 * CHUNK, np.random.default_rng(0)))
+    failures = []
+
+    def write():
+        with open("/dev/full", "wb") as fh:
+            try:
+                dynamics.load_truth().write_csv(fh.fileno(), rows, 6)
+            except OSError as exc:
+                failures.append(exc.errno)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert failures == [errno.ENOSPC]
+
+
+def test_run_whose_log_is_dev_full_exits_4(tmp_path, capsys):
+    # the header's flush fails before the writer forks; nothing else is
+    # written and the log's link stays
+    out = tmp_path / "art"
+    out.mkdir()
+    (out / "log.csv").symlink_to("/dev/full")
+    assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and "No space left on device" in err
+    assert list(out.iterdir()) == [out / "log.csv"]
+    assert_no_child_left()
+
+
 TABLES_BEGIN = "/* BEGIN POW5 TABLES */\n"
 TABLES_END = "/* END POW5 TABLES */\n"
 
@@ -787,17 +858,21 @@ def test_pow5_tables_match_their_generator():
 
 
 def test_log_writer_memory_is_bounded(tmp_path):
-    # the 3500 rows of a 7 s exp3 gust log; converting them all at once
-    # peaked at about 7.4 MB, one 256-row block at a time at about 1.2 MB
-    rows = log_rows(random_log(3500, np.random.default_rng(0)))
-    tracemalloc.start()
-    try:
-        with open(tmp_path / "log.csv", "w") as fh:
-            cli.write_log_rows(fh, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5e6
+    # the 3500 rows of a 7 s exp3 gust log, and a fifth of them; converting
+    # them all at once peaked at about 7.4 MB, one 256-row str at a time at
+    # about 1.2 MB.  write_csv takes its two chunk buffers (2 * 64 rows of
+    # at most 57 * 25 + 1 characters, 182,528 bytes), whatever the rows
+    peaks = []
+    for n in (700, 3500):
+        rows = log_rows(random_log(n, np.random.default_rng(0)))
+        with open(tmp_path / "log.csv", "wb") as fh:
+            tracemalloc.start()
+            try:
+                dynamics.load_truth().write_csv(fh.fileno(), rows, 6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] == peaks[1] < 2.5e5
 
 
 def test_flags_override_config(tmp_path):
@@ -1055,8 +1130,9 @@ def test_diverging_run_forks_nothing_and_leaves_no_log(tmp_path,
 
 
 def test_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch):
-    # the writer would take 60 s; the run's wait for it is interrupted.
-    # The library is built first, so that no compiler is waited for
+    # log.csv is a pipe that nothing reads: the writer's threads block once
+    # it is full, and the run's wait for it is interrupted.  The library
+    # is built first, so that no compiler is waited for
     dynamics.load_truth()
     real_waitpid, waits = os.waitpid, []
 
@@ -1066,16 +1142,20 @@ def test_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real_waitpid(pid, options)
 
-    monkeypatch.setattr(cli, "write_log_rows",
-                        lambda fh, rows: time.sleep(60))
     monkeypatch.setattr(os, "waitpid", waitpid)
     out = tmp_path / "art"
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run_cli(*RUN_EXP5, "--out", str(out))
-    assert time.monotonic() - start < 30
+    out.mkdir()
+    os.mkfifo(out / "log.csv")
+    reader = os.open(out / "log.csv", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*RUN_EXP5, "--out", str(out))
+        assert time.monotonic() - start < 30
+    finally:
+        os.close(reader)
     assert len(waits) == 2 and waits[0] == waits[1] > 0
-    assert not out.exists()
+    assert list(out.iterdir()) == [out / "log.csv"]  # the pipe, unread
     assert_no_child_left()
 
 
@@ -1116,29 +1196,52 @@ def test_failed_metrics_write_leaves_no_artifact(tmp_path, monkeypatch,
     assert_no_child_left()
 
 
+class FailingWriter:
+    """The compiled module, whose write_csv writes the first `written`
+    rows (all of them for None) and then fails."""
+
+    def __init__(self, written):
+        self.truth, self.written = dynamics.load_truth(), written
+
+    def __getattr__(self, name):
+        return getattr(self.truth, name)
+
+    def write_csv(self, fd, rows, n_flags):
+        self.truth.write_csv(fd, rows[:self.written], n_flags)
+        raise OSError("no space left on device")
+
+
 @pytest.mark.parametrize("failure, message", [
     ("mid-stream", "log writer for"), ("at-close", "exited with 1"),
-    ("at-fork", "[Errno 11]")], ids=["mid-stream", "at-close", "at-fork"])
+    ("at-fork", "[Errno 11]"), ("file-size-limit", "exited with 1")],
+    ids=["mid-stream", "at-close", "at-fork", "file-size-limit"])
 def test_failed_writer_exits_4_and_leaves_no_log(tmp_path, monkeypatch,
                                                  capsys, failure, message):
     # the forked writer runs this module's functions as they were at the
-    # fork: it fails after writing the first block of rows, or every row,
+    # fork: it fails after writing the first chunk of rows, or every row,
     # and the run learns it from the exit code.  Or the fork itself
-    # fails, after log.csv was opened
-    written = cli.LOG_BLOCK_ROWS if failure == "mid-stream" else None
-    write_log_rows = cli.write_log_rows
-
-    def failing_writer(fh, rows):
-        write_log_rows(fh, rows[:written])
-        raise OSError("no space left on device")
+    # fails, after log.csv was opened.  Or the writer's file may not grow
+    # past 100 kB, so a write of its second chunk fails with EFBIG, on
+    # the second thread
+    real_fork = os.fork
 
     def failing_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+    def limited_fork():
+        pid = real_fork()
+        if pid == 0:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+        return pid
+
     if failure == "at-fork":
         monkeypatch.setattr(os, "fork", failing_fork)
+    elif failure == "file-size-limit":
+        monkeypatch.setattr(os, "fork", limited_fork)
     else:
-        monkeypatch.setattr(cli, "write_log_rows", failing_writer)
+        writer = FailingWriter(CHUNK if failure == "mid-stream" else None)
+        monkeypatch.setattr(dynamics, "load_truth", lambda: writer)
     out = tmp_path / "art"
     assert run_cli(*RUN_EXP5, "--out", str(out)) == cli.EXIT_IO
     err = capsys.readouterr().err

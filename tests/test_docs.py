@@ -66,6 +66,6 @@ def test_readme_cites_only_functions_truth_c_defines():
     for pair in re.findall(rf"{name}(?:\s+and\s+{name})?\s+of\s+"
                            r"`(?:src/hexsim/)?_truth\.c`", README):
         cited.update(filter(None, pair))
-    assert {"row_errors", "stream", "ticks", "csv_rows", "step"} <= cited
+    assert {"row_errors", "stream", "ticks", "write_csv", "step"} <= cited
     assert sorted(cite for cite in cited if not re.search(
         rf"^{cite}\(", source, re.MULTILINE)) == []

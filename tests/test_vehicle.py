@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,23 @@ def test_default_params_values(params):
     assert params.w_min == pytest.approx(2 * np.pi * 8)
     assert params.w_max == pytest.approx(2 * np.pi * 100)
     assert params.c_tau == pytest.approx(0.016 * params.c_f)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"tilt_angle": 0.4}],
+                         ids=["nominal", "tilt"])
+def test_default_params_fields_are_python_floats(overrides):
+    # float, not np.float64, with numpy's bits: np.cos's last ulp, not
+    # math.cos's
+    params = vehicle.default_params(**overrides)
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        values = value if type(value) is tuple else (value,)
+        assert [type(x) for x in values] == [float] * len(values), f.name
+    tilt = overrides.get("tilt_angle", np.deg2rad(30.0))
+    assert params.tilt_angle == tilt
+    assert params.c_f == 2.8 * 2.95 * GRAVITY / (
+        6.0 * params.w_max ** 2 * np.cos(tilt))
+    assert params.c_tau == 0.016 * params.c_f
 
 
 def test_cf_thrust_to_weight_anchor(params):
