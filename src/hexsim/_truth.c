@@ -48,6 +48,11 @@
    raise a divergence and to release its buffers; its loop runs without
    it, so a sweep's cells run at once on threads.
 
+   statistics(t, e_p, e_att_deg, lo, hi) is experiments.error_statistics:
+   the error statistics of the log's samples with lo <= t < hi, in one
+   pass over its columns where they lie, with the bits of the numpy form
+   that tests/oracles.py keeps (see statistics below).
+
    write_csv(fd, rows, n_flags) writes log rows as the lines of log.csv
    to a file descriptor, each float with the bytes of repr: the
    shortest decimal that reads back as it, found for every finite
@@ -1041,6 +1046,178 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 done:
     if (PyErr_Occurred())  /* a signal's exception or a divergence */
         Py_CLEAR(result);
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+    return result;
+}
+
+/* numpy's pairwise sum of the n doubles a, as its add.reduce sums a
+   contiguous float64 array (pairwise_sum in numpy's loops_utils.h.src):
+   below 8 values in order from -0.0; up to PW_BLOCK values in 8 running
+   sums, a[j], a[j + 8], ..., that meet as a tree, then the rest in
+   order; above that the two halves apart, the first a multiple of 8
+   values long. */
+#define PW_BLOCK 128
+
+static double
+pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= PW_BLOCK) {
+        double r[8];
+        memcpy(r, a, sizeof r);
+        Py_ssize_t i;
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    Py_ssize_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* v.mean() and v.std() of the n doubles v into out[0] and out[1], as
+   numpy forms them: the pairwise sum over n, then the root of the
+   pairwise sum of the squared deviations over n, which it leaves in v. */
+static void
+mean_std(double *v, Py_ssize_t n, double *out)
+{
+    const double mean = pairwise_sum(v, n) / (double)n;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const double d = v[i] - mean;
+        v[i] = d * d;
+    }
+    out[0] = mean;
+    out[1] = sqrt(pairwise_sum(v, n) / (double)n);
+}
+
+/* The float64 values of obj, a 1-D array (n_cols 0) or a 2-D one of
+   n_cols columns, with any strides, into view; -1 with an exception
+   set otherwise. */
+static int
+get_column_block(PyObject *obj, Py_buffer *view, int n_cols, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (view->ndim != (n_cols ? 2 : 1) || view->itemsize != sizeof(double)
+        || strcmp(view->format, "d") != 0
+        || (n_cols && view->shape[1] != n_cols)) {
+        PyErr_Format(PyExc_ValueError, n_cols
+                     ? "%s: expected a 2-D float64 array of %d columns"
+                     : "%s: expected a 1-D float64 array", what, n_cols);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+#define N_STATISTICS 16
+
+/* statistics(t, e_p, e_att_deg, lo, hi): experiments.error_statistics
+   over the samples i with lo <= t[i] < hi, in one pass, bit for bit as
+   its numpy form in tests/oracles.py forms them, or None if there are
+   none.  Its result is a new array of N_STATISTICS floats: the per-axis
+   means and peaks of |e_p|, then of |e_att_deg|, then the mean and std
+   of the (roll, pitch) error's norm and of e_p's norm.  The means of
+   the columns sum in order, as numpy's axis-0 add.reduce does; a norm
+   is sqrt((x * x + y * y) + z * z), np.linalg.norm(axis=1)'s order;
+   the norms are gathered into one buffer for numpy's pairwise sums
+   (mean_std).  A NaN in the window's errors carries into the means,
+   peaks and norms, as np.maximum carries it.  It reads t, n rows, and
+   the n-by-3 e_p and e_att_deg with any strides, without the GIL. */
+static PyObject *
+statistics(PyObject *Py_UNUSED(module), PyObject *const *args,
+           Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "statistics(t, e_p, e_att_deg, lo, hi)");
+        return NULL;
+    }
+    const double lo = PyFloat_AsDouble(args[3]);
+    if (lo == -1.0 && PyErr_Occurred())
+        return NULL;
+    const double hi = PyFloat_AsDouble(args[4]);
+    if (hi == -1.0 && PyErr_Occurred())
+        return NULL;
+    static const char *names[3] = {"t", "e_p", "e_att_deg"};
+    Py_buffer views[3];
+    int held = 0;
+    PyObject *result = NULL;
+    for (; held < 3; held++)
+        if (get_column_block(args[held], &views[held], held ? 3 : 0,
+                             names[held]) < 0)
+            goto done;
+    const Py_ssize_t n = views[0].shape[0];
+    if (views[1].shape[0] != n || views[2].shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "e_p and e_att_deg: expected a row per t");
+        goto done;
+    }
+    /* the window's norms: lon's first, then pos_norm's from n on */
+    double *norms = PyMem_RawMalloc(2 * (size_t)(n ? n : 1) * sizeof(double));
+    if (norms == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* the sums of |e_p| and |e_att_deg| then their peaks, each by axis */
+    double sums[6] = {0.0}, peaks[6], out[N_STATISTICS];
+    for (int j = 0; j < 6; j++)
+        peaks[j] = -INFINITY;
+    Py_ssize_t m = 0;  /* the window's samples so far */
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const double t = *(const double *)((const char *)views[0].buf
+                                           + i * views[0].strides[0]);
+        if (!(t >= lo && t < hi))
+            continue;
+        double e[6];  /* e_p then e_att_deg */
+        for (int b = 0; b < 2; b++) {
+            const char *row = (const char *)views[1 + b].buf
+                              + i * views[1 + b].strides[0];
+            for (int j = 0; j < 3; j++)
+                e[3 * b + j] = *(const double *)(row
+                                                 + j * views[1 + b].strides[1]);
+        }
+        norms[m] = sqrt(e[3] * e[3] + e[4] * e[4]);
+        norms[n + m] = sqrt((e[0] * e[0] + e[1] * e[1]) + e[2] * e[2]);
+        for (int j = 0; j < 6; j++) {
+            const double a = fabs(e[j]);
+            sums[j] += a;
+            /* np.maximum: a NaN on either side wins */
+            peaks[j] = peaks[j] >= a || isnan(peaks[j]) ? peaks[j] : a;
+        }
+        m++;
+    }
+    if (m > 0) {
+        for (int b = 0; b < 2; b++)
+            for (int j = 0; j < 3; j++) {
+                out[6 * b + j] = sums[3 * b + j] / (double)m;
+                out[6 * b + 3 + j] = peaks[3 * b + j];
+            }
+        mean_std(norms, m, out + 12);
+        mean_std(norms + n, m, out + 14);
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(norms);
+    if (m == 0) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    npy_intp size = N_STATISTICS;
+    if ((result = PyArray_SimpleNew(1, &size, NPY_DOUBLE)) != NULL)
+        memcpy(PyArray_DATA((PyArrayObject *)result), out, sizeof out);
+done:
     while (held > 0)
         PyBuffer_Release(&views[--held]);
     return result;
@@ -2127,6 +2304,10 @@ static PyMethodDef methods[] = {
      "n_steps, x0, entropy) -> the log of the closed loop from the truth "
      "state x0, a row a tick, its normals those of default_rng(seed) whose "
      "32-bit words entropy holds"},
+    {"statistics", (PyCFunction)(void (*)(void))statistics, METH_FASTCALL,
+     "statistics(t, e_p, e_att_deg, lo, hi) -> the error statistics of the "
+     "samples with lo <= t < hi as an array of 16 floats, or None if there "
+     "are none"},
     {"write_csv", (PyCFunction)(void (*)(void))write_csv, METH_FASTCALL,
      "write_csv(fd, rows, n_flags) writes the log.csv lines of rows to the "
      "file descriptor fd, floats as repr writes them and the last n_flags "
@@ -2137,8 +2318,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef truth = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_truth",
-    .m_doc = "The compiled RK4 truth step, controller ticks, closed loop "
-             "and log.csv writer.",
+    .m_doc = "The compiled RK4 truth step, controller ticks, closed loop, "
+             "error statistics and log.csv writer.",
     .m_size = -1,
     .m_methods = methods,
 };

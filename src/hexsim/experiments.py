@@ -37,6 +37,7 @@ NOISE_SCALES = (0, 1, 3, 7, 15, 31)  # the exp5 sweep grid
 
 POSE_RATE_HZ = 250.0
 WARMUP_S = 2.0   # excluded from all metric windows
+ROLL_STEP_ONSET = 5.0  # s, exp1's +8 deg roll step, whose rise time is kept
 
 # hardware-reality stand-in: constant unmodeled force (world) and moment
 # (body) present in all experiment scenarios
@@ -196,7 +197,7 @@ class RunMetrics:
 def _exp1_script():
     """5 s hover, then attitude steps of +-8 deg roll, +-8 deg pitch and
     +-45 deg yaw, each held 4 s with a 4 s return to zero."""
-    script, t = [_HOVER], 5.0
+    script, t = [_HOVER], ROLL_STEP_ONSET
     for axis, deg in ((0, 8.0), (1, 8.0), (2, 45.0)):
         for sign in (1.0, -1.0):
             rpy = tuple(sign * math.radians(deg) if i == axis else 0.0
@@ -217,6 +218,11 @@ def _exp3_script():
     return tuple(script), t + 4.0
 
 
+# (script, duration) of exp1 and exp3, built once: a Setpoint is frozen,
+# so every scenario of a study shares its tuple
+_EXP1, _EXP3 = _exp1_script(), _exp3_script()
+
+
 def build_scenario(scenario_id, controller, overrides=None):
     """Construct one of the five predefined scenarios.
 
@@ -231,7 +237,7 @@ def build_scenario(scenario_id, controller, overrides=None):
     if gust and scenario_id != "exp3":
         raise ValueError(f"gust applies to exp3 only, not {scenario_id}")
     if scenario_id == "exp1":
-        script, dur = _exp1_script()
+        script, dur = _EXP1
         base = Scenario(id=scenario_id, controller=controller,
                         script=script, duration=dur)
     elif scenario_id == "exp2":
@@ -243,7 +249,7 @@ def build_scenario(scenario_id, controller, overrides=None):
         base = Scenario(id=scenario_id, controller=controller,
                         duration=20.0, disturbance=load)
     elif scenario_id == "exp3":
-        script, dur = _exp3_script()
+        script, dur = _EXP3
         disturbance = dyn.DisturbanceSpec(kind="none")
         if gust:
             disturbance = dyn.DisturbanceSpec(
@@ -254,7 +260,7 @@ def build_scenario(scenario_id, controller, overrides=None):
     elif scenario_id == "exp4":
         # frequency study inherits the exp1 maneuver; sensors carry their
         # intrinsic (1x) noise so rate-dependent noise amplification shows
-        script, dur = _exp1_script()
+        script, dur = _EXP1
         base = Scenario(id=scenario_id, controller=controller,
                         script=script, duration=dur, noise_scale=1)
     elif scenario_id == "exp5":
@@ -346,12 +352,18 @@ def _log_and_metrics(scenario, rows):
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
     if scenario.id in ("exp1", "exp4"):
-        try:
-            metrics.roll_rise_time = rise_time(
-                log["t"], rpy_from_quat(log["q"].T)[0], onset=5.0,
-                magnitude=math.radians(8.0))
-        except NotReached:
-            metrics.roll_rise_time = float("nan")
+        # rise_time reads no row before the onset: the roll is converted
+        # from it on, and not at all in a run that ends before it
+        t = log["t"]
+        i = int(np.searchsorted(t, ROLL_STEP_ONSET))
+        metrics.roll_rise_time = float("nan")  # unless 90 % is reached
+        if i < len(t):
+            try:
+                metrics.roll_rise_time = rise_time(
+                    t[i:], rpy_from_quat(log["q"][i:].T)[0],
+                    onset=ROLL_STEP_ONSET, magnitude=math.radians(8.0))
+            except NotReached:
+                pass
     return log, metrics
 
 
@@ -370,27 +382,17 @@ def rise_time(t, signal, onset, magnitude):
 
 
 def error_statistics(log, window):
-    """Per-axis and norm error statistics over [window[0], window[1])."""
-    t = log["t"]
-    mask = (t >= window[0]) & (t < window[1])
-    if not mask.any():
+    """Per-axis and norm error statistics over [window[0], window[1]):
+    _truth.c's statistics, one pass over the log's strided columns."""
+    s = dyn.load_truth().statistics(log["t"], log["e_p"], log["e_att_deg"],
+                                    *window)
+    if s is None:
         raise EmptyWindow(f"no samples in {window}")
-    e_p, e_att = log["e_p"][mask], log["e_att_deg"][mask]
-    lon = np.linalg.norm(e_att[:, :2], axis=1)
-    pos_norm = np.linalg.norm(e_p, axis=1)
-    # the masked copies are this call's own
-    np.abs(e_p, out=e_p)
-    np.abs(e_att, out=e_att)
     return RunMetrics(
-        pos_abs_mean=e_p.mean(axis=0),
-        pos_abs_peak=e_p.max(axis=0),
-        att_abs_mean_deg=e_att.mean(axis=0),
-        att_abs_peak_deg=e_att.max(axis=0),
-        lon_att_mean_deg=float(lon.mean()),
-        lon_att_std_deg=float(lon.std()),
-        pos_norm_mean=float(pos_norm.mean()),
-        pos_norm_std=float(pos_norm.std()),
-    )
+        pos_abs_mean=s[0:3], pos_abs_peak=s[3:6],
+        att_abs_mean_deg=s[6:9], att_abs_peak_deg=s[9:12],
+        lon_att_mean_deg=float(s[12]), lon_att_std_deg=float(s[13]),
+        pos_norm_mean=float(s[14]), pos_norm_std=float(s[15]))
 
 
 def repeat_runs(scenario, n, params=None):

@@ -24,7 +24,12 @@ workload (exp5 at noise level 7) and one 50 Hz run_scenario of the
 dominates.  Then the log writer: one _truth.c write_csv call, on its
 two threads, of a whole 7 s exp3 gust log (the run_gust workload's) to
 /dev/null (extra_info["ns_per_value"] holds its median per value).
-Then one vehicle.build_effectiveness of the default platform, which a
+Then one experiments._log_and_metrics, a run's metrics from its
+finished rows (the one _truth.c statistics pass, and the roll of the
+rows from the 5 s onset for exp4's rise time), of a 2.2 s 50 Hz exp4
+cell like the sweep_freq workload's, which converts no roll, and of the
+7 s exp3 gust run of the run_gust workload.  Then one
+vehicle.build_effectiveness of the default platform, which a
 PlatformParams calls once, for its `effectiveness` that every run on it
 shares.  Last, one cli._sweep_cell of a 2.2 s
 50 Hz geo exp4 cell of one repeat on a shared PlatformParams, as the
@@ -132,6 +137,16 @@ def test_write_csv(benchmark):
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_value"] = (
             benchmark.stats.stats.median / rows.size * 1e9)
+
+
+@pytest.mark.parametrize("scenario_id, kind, overrides", [
+    ("exp4", "geo", {"controller_freq": 50.0, "duration": 2.2}),
+    ("exp3", "indi", {"gust": True, "duration": 7.0}),
+], ids=["50Hz-exp4-cell", "exp3-gust"])
+def test_log_and_metrics(benchmark, params, scenario_id, kind, overrides):
+    sc = ex.build_scenario(scenario_id, kind, overrides)
+    rows = ex._closed_loop(sc, params)()
+    benchmark(ex._log_and_metrics, sc, rows)
 
 
 def test_build_effectiveness(benchmark, params):

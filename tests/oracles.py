@@ -11,7 +11,7 @@ metrics and divergence report of experiments.run_scenario, whose rows
 log.csv is written from, with the gust and the sensor noise drawn from
 one numpy Generator), the
 tracking errors of a log row over Python floats and of a whole run log,
-and the hypothesis strategies the property tests draw from: valid
+the numpy form of experiments.error_statistics, and the hypothesis strategies the property tests draw from: valid
 platforms and numbers in [-1, 1]."""
 
 import math
@@ -1040,6 +1040,33 @@ def whole_log_errors(log):
     errors = np.array([row_errors(*row) for row in zip(
         *(log[name].tolist() for name in ("p", "q", "ref_p", "ref_q")))])
     return errors[:, :3], errors[:, 3:]
+
+
+def error_statistics(log, window):
+    """experiments.error_statistics in numpy, the form _truth.c's
+    statistics reproduces: a boolean mask, np.linalg.norm by row and the
+    axis-0 means, peaks and the norms' means and stds of the masked
+    copies."""
+    t = log["t"]
+    mask = (t >= window[0]) & (t < window[1])
+    if not mask.any():
+        raise ex.EmptyWindow(f"no samples in {window}")
+    e_p, e_att = log["e_p"][mask], log["e_att_deg"][mask]
+    lon = np.linalg.norm(e_att[:, :2], axis=1)
+    pos_norm = np.linalg.norm(e_p, axis=1)
+    # the masked copies are this call's own
+    np.abs(e_p, out=e_p)
+    np.abs(e_att, out=e_att)
+    return ex.RunMetrics(
+        pos_abs_mean=e_p.mean(axis=0),
+        pos_abs_peak=e_p.max(axis=0),
+        att_abs_mean_deg=e_att.mean(axis=0),
+        att_abs_peak_deg=e_att.max(axis=0),
+        lon_att_mean_deg=float(lon.mean()),
+        lon_att_std_deg=float(lon.std()),
+        pos_norm_mean=float(pos_norm.mean()),
+        pos_norm_std=float(pos_norm.std()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,126 @@ def test_error_statistics_empty_window():
         ex.error_statistics(log, (5.0, 6.0))
 
 
+STATISTICS = ("pos_abs_mean", "pos_abs_peak", "att_abs_mean_deg",
+              "att_abs_peak_deg", "lon_att_mean_deg", "lon_att_std_deg",
+              "pos_norm_mean", "pos_norm_std")
+
+
+def statistics_bits(metrics):
+    return oracles.bits([getattr(metrics, name) for name in STATISTICS])
+
+
+def assert_statistics_equal_oracle(log, window):
+    """_truth.c's statistics, through error_statistics, give the numpy
+    oracle's bits on log over window; returns them."""
+    got = statistics_bits(ex.error_statistics(log, window))
+    assert got == statistics_bits(oracles.error_statistics(log, window))
+    return got
+
+
+def errors_log(rng, n, strided):
+    """n samples at shuffled times 0, 0.01, ... with errors over seven
+    decades; strided, the columns are views of one wide row array as a
+    run's log holds them, else contiguous arrays."""
+    rows = np.empty((n, 9 if strided else 7))
+    rows[:, 0] = rng.permutation(n) * 0.01
+    rows[:, 1:7] = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(
+        -4, 3, size=(n, 6))
+    log = {"t": rows[:, 0], "e_p": rows[:, 1:4], "e_att_deg": rows[:, 4:7]}
+    return log if strided else {k: v.copy() for k, v in log.items()}
+
+
+@pytest.mark.parametrize("sid", ["exp1", "exp2", "exp3", "exp4", "exp5"])
+@pytest.mark.parametrize("controller", ["geo", "indi"])
+def test_statistics_equal_numpy_on_runs(sid, controller):
+    # a run's log: strided views of its rows, then contiguous copies
+    sc = ex.build_scenario(sid, controller)
+    log, metrics = ex.run_scenario(sc)
+    window = (ex.WARMUP_S, sc.duration)
+    got = assert_statistics_equal_oracle(log, window)
+    assert statistics_bits(metrics) == got
+    assert assert_statistics_equal_oracle(
+        {k: log[k].copy() for k in ("t", "e_p", "e_att_deg")}, window) == got
+
+
+def test_statistics_equal_numpy_on_pooled_samples(monkeypatch):
+    # repeat_runs' pooled samples: contiguous, their t not monotone
+    calls, real = [], ex.error_statistics
+
+    def recording(log, window):
+        calls.append((log, window))
+        return real(log, window)
+
+    monkeypatch.setattr(ex, "error_statistics", recording)
+    sc = ex.build_scenario("exp5", "indi", {"duration": 3.0,
+                                            "noise_scale": 3})
+    ex.repeat_runs(sc, 3)
+    assert len(calls) == 4  # a run's each, then the pooled samples'
+    pooled = calls[-1][0]
+    assert len(pooled["t"]) == 3 * len(calls[0][0]["t"])
+    assert (np.diff(pooled["t"]) < 0).any()
+    monkeypatch.undo()
+    for log, window in calls:
+        assert_statistics_equal_oracle(log, window)
+
+
+@pytest.mark.parametrize("strided", [True, False],
+                         ids=["strided", "contiguous"])
+@pytest.mark.parametrize("lengths", [range(1, 301), range(1000, 20001, 1327)],
+                         ids=["1-300", "1000-20000"])
+def test_statistics_equal_numpy_over_window_lengths(lengths, strided):
+    # numpy's pairwise sum: in order below 8 values, 8 running sums up to
+    # 128, halves above; each window has 2 samples left out on each side
+    rng = np.random.default_rng(len(lengths))
+    for n in lengths:
+        log = errors_log(rng, n + 4, strided)
+        window = (0.015, (n + 1.5) * 0.01)
+        assert ((log["t"] >= window[0]) & (log["t"] < window[1])).sum() == n
+        assert_statistics_equal_oracle(log, window)
+
+
+def test_statistics_window_counts_lo_and_excludes_hi():
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    e = np.array([[8.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [9.0, 0, 0]])
+    log = {"t": t, "e_p": e, "e_att_deg": -e}
+    metrics = ex.error_statistics(log, (1.0, 3.0))
+    assert metrics.pos_abs_peak[0] == metrics.att_abs_peak_deg[0] == 2.0
+    assert metrics.pos_abs_mean[0] == metrics.lon_att_mean_deg == 1.5
+    assert metrics.pos_norm_std == 0.5
+    assert_statistics_equal_oracle(log, (1.0, 3.0))
+
+
+def test_statistics_carry_a_nan_as_numpy_does(rng):
+    log = errors_log(rng, 50, strided=True)
+    window = (0.1, 0.4)
+    inside = int(np.flatnonzero((log["t"] >= 0.2) & (log["t"] < 0.3))[0])
+    outside = int(np.flatnonzero(log["t"] >= 0.4)[0])
+    log["e_att_deg"][outside, 1] = math.nan
+    log["t"][int(np.flatnonzero(log["t"] == 0.0)[0])] = math.nan
+    clean = assert_statistics_equal_oracle(log, window)
+    log["e_p"][inside, 0] = math.nan
+    metrics = ex.error_statistics(log, window)
+    assert math.isnan(metrics.pos_abs_mean[0])
+    assert math.isnan(metrics.pos_abs_peak[0])
+    assert math.isnan(metrics.pos_norm_mean)
+    assert math.isnan(metrics.pos_norm_std)
+    got = assert_statistics_equal_oracle(log, window)
+    # the attitude statistics do not read e_p
+    assert got[2:6] == clean[2:6]
+
+
+@pytest.mark.parametrize("t, e_p, e_att_deg", [
+    (np.zeros(4, dtype=np.float32), np.zeros((4, 3)), np.zeros((4, 3))),
+    (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros((4, 3))),
+    (np.zeros(4), np.zeros((4, 2)), np.zeros((4, 3))),
+    (np.zeros(4), np.zeros((4, 3)), np.zeros((5, 3))),
+    (np.zeros(4), np.zeros((4, 3), dtype=int), np.zeros((4, 3))),
+], ids=["float32-t", "2-D-t", "two-columns", "rows-mismatch", "int-e_p"])
+def test_statistics_reject_other_arrays(t, e_p, e_att_deg):
+    with pytest.raises(ValueError):
+        dyn.load_truth().statistics(t, e_p, e_att_deg, 0.0, 1.0)
+
+
 def test_run_scenario_log_shapes():
     sc = ex.build_scenario("exp5", "indi", {"duration": 3.0})
     log, metrics = ex.run_scenario(sc)
@@ -559,22 +679,36 @@ def test_logged_attitudes_match_per_tick_formula(monkeypatch):
     signals, real_rise_time = [], ex.rise_time
 
     def recording_rise_time(t, signal, onset, magnitude):
-        signals.append(signal)
+        signals.append((t, signal))
         return real_rise_time(t, signal, onset, magnitude)
 
     monkeypatch.setattr(ex, "rise_time", recording_rise_time)
     sc = ex.build_scenario("exp1", "indi", {"duration": 5.6})
     log, _ = ex.run_scenario(sc)
-    (roll,) = signals
-    assert len(roll) == len(log["q"])
-    for q, ref_q, r, e_att in zip(log["q"], log["ref_q"], roll,
-                                  log["e_att_deg"]):
+    ((t, roll),) = signals
+    # the roll of the rows from the 5 s onset on, and only of them
+    onset = np.flatnonzero(log["t"] >= ex.ROLL_STEP_ONSET)[0]
+    assert len(roll) == len(log["q"]) - onset == 300
+    np.testing.assert_array_equal(t, log["t"][onset:])
+    for q, r in zip(log["q"][onset:], roll):
         np.testing.assert_allclose(r, rpy_from_quat(q)[0],
                                    rtol=1e-12, atol=1e-15)
+    for q, ref_q, e_att in zip(log["q"], log["ref_q"], log["e_att_deg"]):
         np.testing.assert_allclose(
             e_att, np.degrees(rpy_from_quat(quat_mul(ref_q, quat_conj(q)))),
             rtol=1e-12, atol=1e-13)
     assert np.abs(log["e_att_deg"]).max() > 0.5
+
+
+def test_a_run_ending_before_the_roll_step_converts_no_roll(monkeypatch):
+    # a 2.2 s sweep cell: no row from the 5 s onset on, so no roll and a
+    # rise time never reached
+    monkeypatch.setattr(ex, "rpy_from_quat", None)
+    monkeypatch.setattr(ex, "rise_time", None)
+    sc = ex.build_scenario("exp4", "geo", {"controller_freq": 50.0,
+                                           "duration": 2.2})
+    _, metrics = ex.run_scenario(sc)
+    assert math.isnan(metrics.roll_rise_time)
 
 
 def divergence(run, *args):
