@@ -21,21 +21,21 @@
    (dynamics sets it on load) with its offset in the call and the state
    it started from.
 
-   tick is one tick of control.GeoNdiController, or with INDI's two
-   further inputs of control.IndiController: the reference shaper,
-   (INDI's 12-channel filter bank and its gyro difference,) outer_loop,
-   ndi_invert or indi_invert, solve_wrench and saturate, each the Python
-   layer of control.py and vehicle.py ported expression by expression
-   in the same order, with math.cos and math.sin as libm's cos and sin.
-   It reads the controller's constants and updates its state in place,
-   the two array('d') buffers its warm_start lays out as the C_ and S_
-   offsets below say.
+   tick is one tick of control.GeoNdiController or, by the length of
+   its constants (controller_kind below), control.IndiController: the
+   reference shaper, (INDI's 12-channel filter bank and its gyro
+   difference,) outer_loop, ndi_invert or indi_invert, solve_wrench and
+   saturate, each the Python layer of control.py and vehicle.py ported
+   expression by expression in the same order, with math.cos and
+   math.sin as libm's cos and sin.  It reads the controller's constants
+   and updates its state in place, the two array('d') buffers its
+   warm_start lays out as the C_ and S_ offsets below say.
 
    ticks(...) runs a whole closed-loop run in one call and returns its
    log, a new numpy array of a row per tick: per tick the sensors of
    dynamics.synthesize_sensors, the setpoint of
-   experiments._script_target, the controller tick above (geo or indi
-   by the length of its constants), the row with its tracking errors
+   experiments._script_target, the controller tick above (of the kind
+   its constants say), the row with its tracking errors
    (row_errors below), and the wrenches (dynamics.DisturbanceSampler.step)
    and RK4 steps of its truth steps.  The sensor noise and the gust draw
    from the run's stream, numpy's default_rng(seed), which it seeds from
@@ -362,8 +362,20 @@ done:
 #define S_GYRO 36     /* the filtered gyro of the tick before */
 #define N_INDI_STATE 39
 
-/* What a tick reads: the setpoint, then control.ControllerInputs
-   (accel and w_meas only for indi). */
+/* 1 if view holds an IndiController's constants, 0 if a
+   GeoNdiController's; else -1 with a ValueError naming it what. */
+static int
+controller_kind(const Py_buffer *view, const char *what)
+{
+    const Py_ssize_t indi = N_INDI * (Py_ssize_t)sizeof(double);
+    if (view->len == indi || view->len == N_GEO * (Py_ssize_t)sizeof(double))
+        return view->len == indi;
+    PyErr_Format(PyExc_ValueError, "%s: expected %d or %d doubles, got %zd "
+                 "bytes", what, N_GEO, N_INDI, view->len);
+    return -1;
+}
+
+/* What a tick reads: the setpoint, then control.ControllerInputs. */
 struct inputs {
     double target_pos[3], target_rpy[3], pos[3], vel[3], q[4], gyro[3];
     double accel[3], w_meas[6];
@@ -492,7 +504,7 @@ solve_wrench(const double *k, const double *rot, const double *wrench,
 }
 
 /* One GeoNdiController tick: its reference into ref, the unclamped u
-   into u. */
+   into u.  It reads no accel and no w_meas. */
 static void
 geo_core(const double *k, double *s, const struct inputs *in,
          struct reference *ref, double *u)
@@ -587,42 +599,35 @@ saturate(const double *k, const double *u, double *c, double *w, int *sat)
     }
 }
 
-/* tick(constants, state, target_pos, target_rpy, pos, vel, q, gyro):
-   one GeoNdiController tick; with accel and rotor_w_meas after gyro,
-   one IndiController tick.  Returns ((u, w_cmd, saturated), (p_d, v_d,
-   a_d, q_d, omega_d, omega_dot_d)), the fields of
-   vehicle.ActuatorCommand and control.PoseReference. */
 static PyObject *
 tick(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8 && nargs != 10) {
+    if (nargs != 10) {
         PyErr_SetString(PyExc_TypeError,
                         "tick(constants, state, target_pos, target_rpy, pos, "
-                        "vel, q, gyro[, accel, rotor_w_meas])");
+                        "vel, q, gyro, accel, rotor_w_meas)");
         return NULL;
     }
-    const int indi = nargs == 10;
-    Py_buffer constants, state;
+    Py_buffer constants, state = {0};  /* a failed get leaves obj NULL */
     struct inputs in;
     struct reference ref;
     double u[6], c[6], w[6];
     int sat[6];
     PyObject *saturated, *result = NULL;
-    if (get_doubles(args[0], &constants, indi ? N_INDI : N_GEO,
-                    PyBUF_SIMPLE, "constants") < 0)
+    if (PyObject_GetBuffer(args[0], &constants, PyBUF_SIMPLE) < 0)
         return NULL;
-    if (get_doubles(args[1], &state, indi ? N_INDI_STATE : N_GEO_STATE,
-                    PyBUF_WRITABLE, "state") < 0)
-        goto release_constants;
-    if (read_numbers(args[2], in.target_pos, 3, "target_pos") < 0
+    const int indi = controller_kind(&constants, "constants");
+    if (indi < 0
+        || get_doubles(args[1], &state, indi ? N_INDI_STATE : N_GEO_STATE,
+                       PyBUF_WRITABLE, "state") < 0
+        || read_numbers(args[2], in.target_pos, 3, "target_pos") < 0
         || read_numbers(args[3], in.target_rpy, 3, "target_rpy") < 0
         || read_numbers(args[4], in.pos, 3, "pos") < 0
         || read_numbers(args[5], in.vel, 3, "vel") < 0
         || read_numbers(args[6], in.q, 4, "q") < 0
         || read_numbers(args[7], in.gyro, 3, "gyro") < 0
-        || (indi && (read_numbers(args[8], in.accel, 3, "accel") < 0
-                     || read_numbers(args[9], in.w_meas, 6,
-                                     "rotor_w_meas") < 0)))
+        || read_numbers(args[8], in.accel, 3, "accel") < 0
+        || read_numbers(args[9], in.w_meas, 6, "rotor_w_meas") < 0)
         goto release;
     (indi ? indi_core : geo_core)(constants.buf, state.buf, &in, &ref, u);
     saturate(constants.buf, u, c, w, sat);
@@ -637,7 +642,6 @@ tick(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         floats(ref.omega_dot, 3, 0));
 release:
     PyBuffer_Release(&state);
-release_constants:
     PyBuffer_Release(&constants);
     return result;
 }
@@ -865,7 +869,6 @@ row_errors(double *row)
     e[5] = atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)) * deg;
 }
 
-#define N_TICKS_ARGS 10
 /* ticks' loop takes the GIL back every GIL_TICKS ticks.  A take waits
    for any thread running Python: on a 2-core VM, a 2-thread sweep of
    0.4-1 s of loop waited 2-11 ms in all at 64 ticks a take, 3.5-11 ms at
@@ -880,7 +883,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_buffer views[ENTROPY + 1];
     int held = 0;
     PyObject *result = NULL;
-    if (nargs != N_TICKS_ARGS) {
+    if (nargs != 10) {
         PyErr_SetString(PyExc_TypeError,
                         "ticks(truth, control, state, run, script, n_sub, "
                         "pose_every, n_steps, x0, entropy)");
@@ -905,13 +908,9 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (PyObject_GetBuffer(args[1], &views[CONTROL], PyBUF_SIMPLE) < 0)
         goto done;
     held++;
-    /* the kind by the length of its constants, as tick's by its arity */
-    const int indi = views[CONTROL].len == N_INDI * (Py_ssize_t)sizeof(double);
-    if (!indi && views[CONTROL].len != N_GEO * (Py_ssize_t)sizeof(double)) {
-        PyErr_Format(PyExc_ValueError, "control: expected %d or %d doubles, "
-                     "got %zd bytes", N_GEO, N_INDI, views[CONTROL].len);
+    const int indi = controller_kind(&views[CONTROL], "control");
+    if (indi < 0)
         goto done;
-    }
     const Py_ssize_t n_state = indi ? N_INDI_STATE : N_GEO_STATE;
     if (get_doubles(args[2], &views[STATE], n_state, PyBUF_SIMPLE,
                     "state") < 0)
@@ -2295,9 +2294,9 @@ static PyMethodDef methods[] = {
      "step(constants, s, w_cmd, wrenches, dt) -> the state after "
      "len(wrenches) RK4 steps, as a list"},
     {"tick", (PyCFunction)(void (*)(void))tick, METH_FASTCALL,
-     "tick(constants, state, target_pos, target_rpy, pos, vel, q, gyro[, "
-     "accel, rotor_w_meas]) -> one GeoNdiController tick, or with accel "
-     "and rotor_w_meas one IndiController tick: ((u, w_cmd, saturated), "
+     "tick(constants, state, target_pos, target_rpy, pos, vel, q, gyro, "
+     "accel, rotor_w_meas) -> one tick of the GeoNdiController or "
+     "IndiController whose constants these are: ((u, w_cmd, saturated), "
      "(p_d, v_d, a_d, q_d, omega_d, omega_dot_d))"},
     {"ticks", (PyCFunction)(void (*)(void))ticks, METH_FASTCALL,
      "ticks(truth, control, state, run, script, n_sub, pose_every, "

@@ -148,7 +148,8 @@ def build_run_scenario(config):
         return experiments.build_scenario(
             run["scenario"], run["controller"], overrides)
     except (experiments.UnknownScenario, ValueError) as exc:
-        raise ConfigError(str(exc))
+        # the Scenario field filter_<key> is the [filters] key
+        raise ConfigError(str(exc).replace("filter_", "[filters] "))
 
 
 def _resolved_config(config, scenario):

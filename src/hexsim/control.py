@@ -12,17 +12,18 @@ differ only in the inversion that turns it into a wrench:
     force and angular acceleration in place of the model terms; its
     wrench is an increment on the measured rotor state.
 
-A controller's tick passes the two array('d') that warm_start lays
-out, its constants and state, to _truth.c's tick (as run_scenario's
-compiled loop does), a bit-for-bit port of these layers expression by
-expression; the Python layers stay as its readable reference.
+Both controllers tick through one function.  It passes the two
+array('d') that warm_start lays out, the constants (whose length tells
+the controllers apart) and state, and the same inputs to _truth.c's
+tick, a bit-for-bit port of these layers expression by expression; the
+Python layers stay as its readable reference.
 """
 
 import math
 from array import array
 from dataclasses import dataclass, replace
 
-from .filters import FilteredDerivative, SecondOrderFilter, check_positive
+from .filters import SecondOrderFilter, check_positive
 from .geometry import quat_from_rpy, rotmat, rpy_from_quat
 from .vehicle import GRAVITY, ActuatorCommand
 # perfbench's tests read vehicle.allocate through this module too
@@ -241,17 +242,6 @@ class ControllerInputs:
     rotor_w_meas: list
 
 
-def _tick(controller, *inputs):
-    """(ActuatorCommand, PoseReference) of _truth.c's tick over the
-    controller's constants and state, which it updates in place."""
-    if controller.state is None:
-        raise RuntimeError("a controller ticks only after its warm_start")
-    from . import dynamics
-    cmd, ref = dynamics.load_truth().tick(controller.constants,
-                                          controller.state, *inputs)
-    return ActuatorCommand(*cmd), PoseReference(*ref)
-
-
 def _warm_constants(controller, pos, q):
     """(k_p, k_v, k_q, k_w, a reference shaper's coefficients, m, J_x,
     J_y, J_z, g, F0^-1 row by row, u_min, u_max), what a tick reads, and
@@ -285,8 +275,22 @@ class GeoNdiController:
         self.constants, self.state = array("d", constants), array("d", state)
 
     def tick(self, target_pos, target_rpy, inputs):
-        return _tick(self, target_pos, target_rpy, inputs.pos, inputs.vel,
-                     inputs.q, inputs.gyro)
+        """(ActuatorCommand, PoseReference) of _truth.c's tick, which
+        updates the state in place; IndiController's tick too."""
+        if self.state is None:
+            raise RuntimeError("a controller ticks only after its warm_start")
+        from . import dynamics
+        cmd, ref = dynamics.load_truth().tick(
+            self.constants, self.state, target_pos, target_rpy, inputs.pos,
+            inputs.vel, inputs.q, inputs.gyro, inputs.accel,
+            inputs.rotor_w_meas)
+        return ActuatorCommand(*cmd), PoseReference(*ref)
+
+
+def feedback_filter(cutoff_hz, damping, dt):
+    """IndiController's filter bank at the tick period dt: specific force
+    (3), gyro (3) and squared rotor speeds (6)."""
+    return SecondOrderFilter(2 * math.pi * cutoff_hz, damping, dt, 12)
 
 
 class IndiController:
@@ -301,8 +305,8 @@ class IndiController:
     achieved.
 
     warm_start fills `constants` and `state` as GeoNdiController's does,
-    from a filter bank and a gyro difference too, which it also builds
-    and drops; the controller keeps the bank's cutoff and damping.
+    from a filter bank too (then dt and a zero gyro for the gyro
+    difference); the controller keeps the bank's cutoff and damping.
     """
 
     name = "indi"
@@ -319,20 +323,14 @@ class IndiController:
 
     def warm_start(self, pos, q, trim_cmd):
         constants, state = _warm_constants(self, pos, q)
-        # channels: specific force (3), gyro (3), squared rotor speeds (6)
-        feedback = SecondOrderFilter(2 * math.pi * self.filter_cutoff_hz,
-                                     self.filter_damping, self.dt, 12)
+        feedback = feedback_filter(self.filter_cutoff_hz,
+                                   self.filter_damping, self.dt)
         feedback.reset_to([0.0, 0.0, GRAVITY, 0.0, 0.0, 0.0, *trim_cmd.u])
-        d_gyro = FilteredDerivative(self.dt, 3)
-        d_gyro.reset_to([0.0, 0.0, 0.0])
         self.constants = array("d", (*constants, *feedback.b, feedback.a1,
-                                     feedback.a2, d_gyro.sample_time))
-        self.state = array("d", (*state, *feedback.state, *d_gyro.state))
+                                     feedback.a2, self.dt))
+        self.state = array("d", (*state, *feedback.state, 0.0, 0.0, 0.0))
 
-    def tick(self, target_pos, target_rpy, inputs):
-        return _tick(self, target_pos, target_rpy, inputs.pos, inputs.vel,
-                     inputs.q, inputs.gyro, inputs.accel,
-                     inputs.rotor_w_meas)
+    tick = GeoNdiController.tick
 
 
 def make_controller(kind, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,

@@ -256,6 +256,11 @@ def truth_constants(params):
         GRAVITY, 1.0 / params.motor_time_constant, *eff.F1.ravel().tolist()))
 
 
+# what acceleration and specific_force pass for the rotor command,
+# whose rates they drop
+_IDLE = (0.0,) * 6
+
+
 class Kernel(NamedTuple):
     rates: Callable
     step: Callable
@@ -285,9 +290,8 @@ def make_step(params):
 
     specific_force(s, dist_force) is what an accelerometer at state s
     reads, R(q)^T (p_ddot + g e3) in the body frame, as a list of 3
-    floats: the force balance of rates alone (the rotor command and the
-    moment play no part in it), with the same expressions, rotated back
-    by the same R(q).
+    floats: the translational rate of rates (which the rotor command and
+    the moment do not touch), rotated back by the same R(q).
     """
     eff = params.effectiveness
     ((fx1, fx2, fx3, fx4, fx5, fx6), (fy1, fy2, fy3, fy4, fy5, fy6),
@@ -333,26 +337,14 @@ def make_step(params):
     step = functools.partial(load_truth().step, truth_constants(params))
 
     def specific_force(s, dist_force):
-        (_, _, _, _, _, _, qw, qx, qy, qz, _, _, _,
-         w1, w2, w3, w4, w5, w6) = s
-        dfx, dfy, dfz = dist_force
-        u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
-        u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
-        bx = fx1 * u1 + fx2 * u2 + fx3 * u3 + fx4 * u4 + fx5 * u5 + fx6 * u6
-        by = fy1 * u1 + fy2 * u2 + fy3 * u3 + fy4 * u4 + fy5 * u5 + fy6 * u6
-        bz = fz1 * u1 + fz2 * u2 + fz3 * u3 + fz4 * u4 + fz5 * u5 + fz6 * u6
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotmat((qw, qx, qy, qz))
-        ax = ((r00 * bx + r01 * by + r02 * bz) + dfx) / m
-        ay = ((r10 * bx + r11 * by + r12 * bz) + dfy) / m
-        az = ((r20 * bx + r21 * by + r22 * bz) - weight + dfz) / m + GRAVITY
+        ax, ay, az = rates(*s[Q.start:],
+                           (*_IDLE, *dist_force, 0.0, 0.0, 0.0))[:3]
+        az = az + GRAVITY
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotmat(s[Q])
         return [r00 * ax + r10 * ay + r20 * az, r01 * ax + r11 * ay + r21 * az,
                 r02 * ax + r12 * ay + r22 * az]
 
     return Kernel(rates, step, specific_force)
-
-
-# what acceleration passes for the rotor command, whose rates it drops
-_IDLE = (0.0,) * 6
 
 
 def derivative(x, kernel, w_cmd, dist_force, dist_moment):

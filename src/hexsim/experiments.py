@@ -29,7 +29,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import vehicle
 from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, Gains,
-                      make_controller, make_model)
+                      feedback_filter, make_controller, make_model)
 from .geometry import quat_from_rpy, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
@@ -131,7 +131,7 @@ class Scenario:
                 f"controller_freq must be {1 / dyn.SIM_DT:g} Hz over a "
                 f"whole number of truth steps, not {self.controller_freq}")
         for name in ("duration", "cf_mismatch", "noise_scale",
-                     "residual_scale", "filter_cutoff_hz"):
+                     "residual_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.noise_scale < 0:
@@ -154,11 +154,20 @@ class Scenario:
             raise ValueError("script setpoint times must not decrease")
         if self.cf_mismatch <= 0:
             raise ValueError("cf_mismatch must be positive")
-        if self.filter_cutoff_hz <= 0:
-            raise ValueError("filter_cutoff_hz must be positive")
-        if not 0 < self.filter_damping <= 2:
-            raise ValueError("filter_damping must be in (0, 2]")
+        # the run's truth steps and its log's bytes (len(LOG_HEADER)
+        # doubles a tick) must fit ticks' ssize_t and numpy's intp
+        truth_steps = self.duration / dyn.SIM_DT  # inf past 9e304 s
+        if not max(truth_steps, truth_steps / round(steps) * 8
+                   * len(LOG_HEADER)) < np.iinfo(np.intp).max:
+            raise ValueError(f"duration {self.duration:g} s makes a run log "
+                             "larger than an array can hold")
         n_sub, n_steps = _clock(self)
+        try:  # the INDI filter at the tick period
+            feedback_filter(self.filter_cutoff_hz, self.filter_damping,
+                            n_sub * dyn.SIM_DT)
+        except ValueError as exc:
+            raise ValueError("filter_cutoff_hz and filter_damping give no "
+                             f"INDI filter: {exc}")
         if (n_steps - 1) // n_sub * n_sub * dyn.SIM_DT < WARMUP_S:
             raise ValueError(
                 f"duration {self.duration} s leaves no controller tick "

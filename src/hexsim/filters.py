@@ -42,6 +42,10 @@ class SecondOrderFilter:
         self.b = (wn * wn / a0, 2 * wn * wn / a0, wn * wn / a0)
         self.a1 = (2 * wn * wn - 2 * k * k) / a0
         self.a2 = (k * k - 2 * damping * wn * k + wn * wn) / a0
+        if not all(map(math.isfinite, (*self.b, self.a1, self.a2))):
+            raise ValueError(  # wn^2 or k^2 overflowed: inf / inf is NaN
+                f"coefficients not finite at natural_frequency {wn!r} and "
+                f"sample_time {sample_time!r}")
         self._channels = channels
         self._z1 = [0.0] * channels
         self._z2 = [0.0] * channels
@@ -90,11 +94,6 @@ class FilteredDerivative:
 
     def reset_to(self, value):
         self._prev = _as_list(value, self._channels)
-
-    @property
-    def state(self):
-        """The previous sample, one value per channel."""
-        return tuple(self._prev)
 
     def step(self, x):
         """Difference of x (one value per channel) with the previous

@@ -128,7 +128,8 @@ def test_validate_reports_the_model_at_a_cf_mismatch(tmp_path, capsys):
 
 
 # inputs whose arithmetic overflowed, underflowed to a zero c_f, gave a
-# NaN hover trim or infinite truth step constants
+# NaN hover trim, infinite truth step constants or an INDI filter that
+# is not finite (2 pi f overflows at 1e308, wn^2 at 1e200)
 OUT_OF_RANGE = [
     ("run", "cf_mismatch", 1e-320),
     ("platform", "w_max", 1e200),
@@ -140,6 +141,8 @@ OUT_OF_RANGE = [
     ("platform", "mass", 1e308),
     ("platform", "c_f", 1e-320),
     ("platform", "inertia_xx", 1e-320),
+    ("filters", "cutoff_hz", 1e200),
+    ("filters", "cutoff_hz", 1e308),
 ]
 ANY_KEY = [("run", "cf_mismatch"),
            *(("platform", key) for key in cli._SECTIONS["platform"])]
@@ -330,6 +333,34 @@ def test_a_log_too_long_to_allocate_is_a_config_error(tmp_path, capsys):
         assert err.count("\n") == 1
     assert not (tmp_path / "art" / "log.csv").exists()
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("validate", ()), ("run", ("--out", "art")),
+    ("sweep", ("--repeats", "1", "--out", "art")),
+])
+@pytest.mark.parametrize("duration", [1e15, 1e30])
+def test_a_log_no_array_can_hold_exits_2_naming_duration(
+        tmp_path, capsys, monkeypatch, command, args, duration):
+    # numpy's "array is too big" (1e15), and a step count past the
+    # ssize_t that ticks reads (1e30), were tracebacks, and validate
+    # passed both
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(f"[run]\nduration = {duration!r}\n")
+    assert run_cli(command, "--config", "c.ini", *args) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: duration") and "array" in err
+    assert "result: OK" not in out
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.ini"]
+
+
+def test_a_filter_of_finite_coefficients_flies(tmp_path):
+    # 1e150 Hz squares to 4e301: the coefficients stay finite
+    (tmp_path / "c.ini").write_text("[filters]\ncutoff_hz = 1e150\n")
+    assert run_cli("validate", "--config", str(tmp_path / "c.ini")) == 0
+    assert run_cli("run", "--scenario", "exp5", "--duration", "2.1",
+                   "--config", str(tmp_path / "c.ini"),
+                   "--out", str(tmp_path / "art")) == cli.EXIT_OK
 
 
 def test_rejected_run_leaves_no_output_directory(tmp_path):

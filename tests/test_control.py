@@ -1,4 +1,5 @@
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -540,28 +541,50 @@ def test_a_warm_controller_keeps_only_its_arrays(params, trim, kind):
 
 
 def test_the_compiled_tick_checks_its_arguments(params, trim):
-    # 8 arguments tick geo, 10 indi, each on arrays of its own length; a
-    # rejected call leaves the state as it was
+    # one arity for both kinds; the length of the constants says the
+    # kind, and the state's length follows it; a rejected call leaves the
+    # state as it was
     geo, indi = (make_controller(kind, make_model(params), Gains(), DT)
                  for kind in ("geo", "indi"))
     for ctrl in (geo, indi):
         ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
     tick, i = dyn.load_truth().tick, hover_inputs(trim)
-    args = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), i.pos, i.vel, i.q, i.gyro)
-    before = bytes(indi.state)
+    args = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), i.pos, i.vel, i.q, i.gyro,
+            i.accel, i.rotor_w_meas)
+    before = bytes(indi.state), bytes(geo.state)
     for call, error, match in [
-            ((geo.constants, geo.state, *args[:-1]), TypeError, "tick"),
-            ((indi.constants, indi.state, *args, i.accel), TypeError,
-             "tick"),
-            ((geo.constants, geo.state, *args, i.accel, i.rotor_w_meas),
+            ((geo.constants, geo.state, *args[:-2]), TypeError, "tick"),
+            ((indi.constants, indi.state, *args[:-1]), TypeError, "tick"),
+            ((geo.constants[:-1], geo.state, *args), ValueError,
+             "constants"),
+            ((indi.constants + array("d", [0.0]), indi.state, *args),
              ValueError, "constants"),
-            ((indi.constants, geo.state, *args, i.accel, i.rotor_w_meas),
-             ValueError, "state"),
-            ((indi.constants, indi.state, *args, i.accel,
-              i.rotor_w_meas[:5]), ValueError, "rotor_w_meas")]:
+            ((geo.constants, indi.state, *args), ValueError, "state"),
+            ((indi.constants, geo.state, *args), ValueError, "state"),
+            ((geo.constants, geo.state, *args[:-1], i.rotor_w_meas[:5]),
+             ValueError, "rotor_w_meas"),
+            ((indi.constants, indi.state, *args[:-1], i.rotor_w_meas[:5]),
+             ValueError, "rotor_w_meas")]:
         with pytest.raises(error, match=match):
             tick(*call)
-    assert bytes(indi.state) == before
+    assert (bytes(indi.state), bytes(geo.state)) == before
+
+
+@pytest.mark.parametrize("name", ["accel", "rotor_w_meas"])
+def test_a_geo_tick_reads_no_accel_or_rotor_speeds(params, trim, name):
+    # a NaN in either changes neither the command, the reference nor the
+    # state of a geo tick
+    ticked = []
+    for nan in (False, True):
+        ctrl = make_controller("geo", make_model(params), Gains(), DT)
+        ctrl.warm_start((0.0, 0.0, 0.0), HOVER_Q, trim)
+        inputs = hover_inputs(trim)
+        if nan:
+            inputs = replace(inputs, **{name: [math.nan] * len(
+                getattr(inputs, name))})
+        cmd, ref = ctrl.tick((0.1, 0.0, 0.0), (0.0, 0.0, 0.2), inputs)
+        ticked.append((repr(cmd), repr(ref), bytes(ctrl.state)))
+    assert ticked[0] == ticked[1]
 
 
 TICKS = 3  # ticks a draw flies

@@ -74,6 +74,14 @@ def test_rates_and_sample_times_must_be_finite_and_positive(bad):
             make()
 
 
+@pytest.mark.parametrize("wn, sample_time", [(1e160, DT), (WN, 1e-160)])
+def test_coefficients_must_be_finite(wn, sample_time):
+    # wn^2 or (2 / sample_time)^2 overflows, and inf / inf is NaN
+    with pytest.raises(ValueError, match="coefficients not finite"):
+        SecondOrderFilter(wn, 0.7, sample_time)
+    SecondOrderFilter(1e150, 0.7, DT)  # 1e300 does not overflow
+
+
 @pytest.mark.parametrize("make", [
     lambda: SecondOrderFilter(WN, 0.7, DT, channels=12),
     lambda: FilteredDerivative(DT, channels=12)],
