@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, experiments, vehicle
-from .control import Gains, make_model
+from .control import CONTROLLER_KINDS, Gains, make_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,11 +59,17 @@ _SECTIONS = {
     "sweep": {"axis": str, "repeats": int, "jobs": int, "out": str},
 }
 
+# sweep axis (the first is the default) -> (scenario, [run] key, grid)
+_SWEEP_AXES = {
+    "frequency": ("exp4", "controller_freq", experiments.CONTROLLER_FREQS),
+    "noise": ("exp5", "noise_scale", experiments.NOISE_SCALES),
+}
+
 _DEFAULTS = {
     "run": {"scenario": "exp1", "controller": "indi", "seed": 1,
             "gust": False, "out": "out"},
     "gains": {}, "filters": {}, "platform": {},
-    "sweep": {"axis": "frequency", "repeats": 3, "jobs": 1,
+    "sweep": {"axis": next(iter(_SWEEP_AXES)), "repeats": 3, "jobs": 1,
               "out": "sweep.csv"},
 }
 
@@ -327,11 +333,6 @@ def cmd_run(config):
     return EXIT_OK
 
 
-# sweep axis -> (scenario, the [run] key it sets, the grid of values)
-_SWEEP_AXES = {
-    "frequency": ("exp4", "controller_freq", experiments.CONTROLLER_FREQS),
-    "noise": ("exp5", "noise_scale", experiments.NOISE_SCALES),
-}
 # a sweep row's RunMetrics fields
 _SWEEP_STATS = ("lon_att_mean_deg", "lon_att_std_deg", "pos_norm_mean",
                 "pos_norm_std")
@@ -362,7 +363,8 @@ def cmd_sweep(config):
     axis, repeats, jobs, out = (
         config["sweep"][key] for key in ("axis", "repeats", "jobs", "out"))
     if axis not in _SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be frequency or noise, got {axis}")
+        raise ConfigError(f"sweep axis must be {' or '.join(_SWEEP_AXES)}, "
+                          f"got {axis}")
     if repeats < 1:
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
@@ -371,7 +373,7 @@ def cmd_sweep(config):
     scenarios = [build_run_scenario(dict(config, run={
                      **config["run"], "scenario": scenario_id,
                      "controller": controller, key: value}))
-                 for controller in ("geo", "indi") for value in values]
+                 for controller in CONTROLLER_KINDS for value in values]
     params = _flyable_params(config, scenarios[0].cf_mismatch)
     cells = [(scenario, repeats, params) for scenario in scenarios]
     dynamics.load_truth()  # before any output
@@ -453,9 +455,8 @@ def make_parser():
 
     run = sub.add_parser("run", help="run one scenario, write log + metrics")
     add_common(run)
-    _add_setting(run, "run", "scenario",
-                 choices=["exp1", "exp2", "exp3", "exp4", "exp5"])
-    _add_setting(run, "run", "controller", choices=["geo", "indi"])
+    _add_setting(run, "run", "scenario", choices=experiments.STUDIES)
+    _add_setting(run, "run", "controller", choices=CONTROLLER_KINDS)
     for key in ("controller_freq", "cf_mismatch", "noise_scale", "seed",
                 "duration", "residual_scale"):
         _add_setting(run, "run", key)
@@ -465,7 +466,7 @@ def make_parser():
     sweep = sub.add_parser(
         "sweep", help="grid over controller frequency or noise level")
     add_common(sweep)
-    _add_setting(sweep, "sweep", "axis", choices=["frequency", "noise"])
+    _add_setting(sweep, "sweep", "axis", choices=_SWEEP_AXES)
     _add_setting(sweep, "sweep", "repeats")
     _add_setting(sweep, "sweep", "jobs")
     _add_setting(sweep, "run", "seed")

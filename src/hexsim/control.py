@@ -333,12 +333,16 @@ class IndiController:
     tick = GeoNdiController.tick
 
 
+# the kinds make_controller builds, in the order a sweep flies them
+CONTROLLER_KINDS = (GeoNdiController.name, IndiController.name)
+
+
 def make_controller(kind, model, gains, dt, filter_cutoff_hz=FILTER_CUTOFF_HZ,
                     filter_damping=FILTER_DAMPING):
     """Controller of the given kind; the filter settings apply to indi."""
-    if kind == "geo":
+    if kind == GeoNdiController.name:
         return GeoNdiController(model, gains, dt)
-    if kind == "indi":
+    if kind == IndiController.name:
         return IndiController(model, gains, dt, filter_cutoff_hz,
                               filter_damping)
     raise ValueError(f"unknown controller {kind!r}")

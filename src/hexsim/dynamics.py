@@ -69,9 +69,13 @@ def set_three_floats(obj, label, *names):
         object.__setattr__(obj, name, value)
 
 
+# the disturbance kinds; a kind's index is its code in _truth.c (R_KIND)
+DISTURBANCE_KINDS = ("none", "constant_load", "gust")
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    kind: str = "none"                 # none | constant_load | gust
+    kind: str = "none"                 # one of DISTURBANCE_KINDS
     force: tuple = (0.0, 0.0, 0.0)     # N, world
     moment: tuple = (0.0, 0.0, 0.0)    # N m, body
     t_on: float = 0.0
@@ -80,7 +84,7 @@ class DisturbanceSpec:
     gust_corr_time: float = 0.5        # s
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant_load", "gust"):
+        if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind != "none" and not self.t_on < self.t_off:
             raise ValueError("need t_on < t_off")
@@ -129,12 +133,12 @@ class DisturbanceSampler:
     @property
     def constants(self):
         """What _truth.c's ticks read of the sampler, from its R_KIND
-        offset on: the kind (0 none, 1 constant_load, 2 gust), t_on and
-        t_off, the gust's decay and diffusion a truth step, the spec's
-        force, the residual force, and the wrenches held inside and
-        outside [t_on, t_off)."""
+        offset on: the kind's index in DISTURBANCE_KINDS, t_on and t_off,
+        the gust's decay and diffusion a truth step, the spec's force,
+        the residual force, and the wrenches held inside and outside
+        [t_on, t_off)."""
         spec = self.spec
-        return (("none", "constant_load", "gust").index(spec.kind),
+        return (DISTURBANCE_KINDS.index(spec.kind),
                 spec.t_on, spec.t_off, self._decay, self._diffusion,
                 *spec.force, *self._residual_force, *self._on, *self._off)
 

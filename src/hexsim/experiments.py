@@ -1,4 +1,4 @@
-"""Scenario definitions and metric computation for the five studies:
+"""Scenario definitions and metric computation for the five STUDIES:
 
   exp1  attitude step tracking, optionally with a 50% force-coefficient
         mismatch in the controller model
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import vehicle
-from .control import (FILTER_CUTOFF_HZ, FILTER_DAMPING, Gains,
-                      feedback_filter, make_controller, make_model)
+from .control import (CONTROLLER_KINDS, FILTER_CUTOFF_HZ, FILTER_DAMPING,
+                      Gains, feedback_filter, make_controller, make_model)
 from .geometry import quat_from_rpy, rpy_from_quat
 
 CONTROLLER_FREQS = (500.0, 250.0, 125.0, 62.5, 50.0)  # the exp4 sweep grid
@@ -105,7 +105,7 @@ class Scenario:
     metrics.json records it: as the one attribute it names, or not at all
     if None; every other field is recorded by value."""
     id: str
-    controller: str                       # geo | indi
+    controller: str                       # one of CONTROLLER_KINDS
     controller_freq: float = 500.0
     cf_mismatch: float = 1.0
     disturbance: dyn.DisturbanceSpec = field(
@@ -120,7 +120,7 @@ class Scenario:
     filter_damping: float = FILTER_DAMPING
 
     def __post_init__(self):
-        if self.controller not in ("geo", "indi"):
+        if self.controller not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller {self.controller!r}")
         # a tick spans a whole number (>= 1) of truth steps
         ticks_per_step = self.controller_freq * dyn.SIM_DT
@@ -130,10 +130,13 @@ class Scenario:
             raise ValueError(
                 f"controller_freq must be {1 / dyn.SIM_DT:g} Hz over a "
                 f"whole number of truth steps, not {self.controller_freq}")
-        for name in ("duration", "cf_mismatch", "noise_scale",
-                     "residual_scale"):
+        for name in ("duration", "cf_mismatch", "noise_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(self.residual_scale * r)
+                   for r in RESIDUAL_FORCE + RESIDUAL_MOMENT):
+            raise ValueError("residual_scale and the residual wrench it "
+                             f"scales must be finite: {self.residual_scale}")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
         try:  # a Python int, whose bytes seed the run's stream
@@ -161,7 +164,7 @@ class Scenario:
                    * len(LOG_HEADER)) < np.iinfo(np.intp).max:
             raise ValueError(f"duration {self.duration:g} s makes a run log "
                              "larger than an array can hold")
-        n_sub, n_steps = _clock(self)
+        n_sub, n_steps, _ = _clock(self)
         try:  # the INDI filter at the tick period
             feedback_filter(self.filter_cutoff_hz, self.filter_damping,
                             n_sub * dyn.SIM_DT)
@@ -175,10 +178,12 @@ class Scenario:
 
 
 def _clock(scenario):
-    """(truth steps per controller tick, truth steps) of a run; the ticks
-    fall on the steps k = 0, n_sub, 2 n_sub, ... below n_steps."""
+    """(truth steps per controller tick, truth steps, truth steps per pose
+    sample) of a run; the ticks fall on the steps k = 0, n_sub, 2 n_sub,
+    ... below n_steps, and the pose is sampled every pose_every steps."""
     return (int(round(1.0 / (scenario.controller_freq * dyn.SIM_DT))),
-            int(round(scenario.duration / dyn.SIM_DT)))
+            int(round(scenario.duration / dyn.SIM_DT)),
+            int(round(1.0 / (POSE_RATE_HZ * dyn.SIM_DT))))
 
 
 @dataclass
@@ -214,7 +219,7 @@ def _exp1_script():
             script.append(Setpoint(t, _ZERO, rpy))
             script.append(Setpoint(t + 4.0, _ZERO, _ZERO))
             t += 8.0
-    return tuple(script), t
+    return {"script": tuple(script), "duration": t}
 
 
 def _exp3_script():
@@ -224,65 +229,51 @@ def _exp3_script():
     for x, y in corners[1:]:
         script.append(Setpoint(t, (x, y, 0.0), _ZERO))
         t += 8.0
-    return tuple(script), t + 4.0
+    return {"script": tuple(script), "duration": t + 4.0}
 
 
-# (script, duration) of exp1 and exp3, built once: a Setpoint is frozen,
-# so every scenario of a study shares its tuple
-_EXP1, _EXP3 = _exp1_script(), _exp3_script()
+# each study's Scenario field defaults, over the dataclass's own.  The
+# scripts are built once: a Setpoint is frozen, so every scenario of a
+# study (and exp4's of exp1's) shares its tuple
+_EXP1 = _exp1_script()
+STUDIES = {
+    "exp1": _EXP1,
+    "exp2": {"duration": 20.0, "disturbance": dyn.DisturbanceSpec(
+        kind="constant_load", force=(0.0, -4.905, 0.0),
+        moment=(0.0, 4.905 * 0.13, 0.0),  # 0.638 N m pitch
+        t_on=6.0, t_off=14.0)},
+    "exp3": _exp3_script(),
+    # exp1's maneuver; the sensors carry their intrinsic (1x) noise, so
+    # that rate-dependent noise amplification shows
+    "exp4": {**_EXP1, "noise_scale": 1},
+    "exp5": {"duration": 12.0},
+}
+# exp3's fan gust, which the override `gust` switches on
+_EXP3_GUST = dyn.DisturbanceSpec(
+    kind="gust", force=(2.0, 0.0, 0.0), t_on=WARMUP_S,
+    t_off=STUDIES["exp3"]["duration"], gust_std=1.0, gust_corr_time=0.5)
 
 
 def build_scenario(scenario_id, controller, overrides=None):
-    """Construct one of the five predefined scenarios.
-
-    overrides is a flat dict applied on top of the defaults; unknown keys
-    raise. `gust`, a bool, switches exp3's fan disturbance on; any other
-    scenario rejects it.
-    """
+    """The Scenario of one of the STUDIES, constructed once from its
+    defaults and overrides, a flat dict of Scenario fields that win over
+    them; unknown keys raise.  `gust`, a bool, switches exp3's fan
+    disturbance on; any other scenario rejects it."""
     overrides = dict(overrides or {})
     gust = overrides.pop("gust", False)
     if not isinstance(gust, bool):
         raise ValueError(f"gust must be a bool, not {gust!r}")
     if gust and scenario_id != "exp3":
         raise ValueError(f"gust applies to exp3 only, not {scenario_id}")
-    if scenario_id == "exp1":
-        script, dur = _EXP1
-        base = Scenario(id=scenario_id, controller=controller,
-                        script=script, duration=dur)
-    elif scenario_id == "exp2":
-        load = dyn.DisturbanceSpec(
-            kind="constant_load",
-            force=(0.0, -4.905, 0.0),
-            moment=(0.0, 4.905 * 0.13, 0.0),  # 0.638 N m pitch
-            t_on=6.0, t_off=14.0)
-        base = Scenario(id=scenario_id, controller=controller,
-                        duration=20.0, disturbance=load)
-    elif scenario_id == "exp3":
-        script, dur = _EXP3
-        disturbance = dyn.DisturbanceSpec(kind="none")
-        if gust:
-            disturbance = dyn.DisturbanceSpec(
-                kind="gust", force=(2.0, 0.0, 0.0),
-                t_on=WARMUP_S, t_off=dur, gust_std=1.0, gust_corr_time=0.5)
-        base = Scenario(id=scenario_id, controller=controller,
-                        script=script, duration=dur, disturbance=disturbance)
-    elif scenario_id == "exp4":
-        # frequency study inherits the exp1 maneuver; sensors carry their
-        # intrinsic (1x) noise so rate-dependent noise amplification shows
-        script, dur = _EXP1
-        base = Scenario(id=scenario_id, controller=controller,
-                        script=script, duration=dur, noise_scale=1)
-    elif scenario_id == "exp5":
-        base = Scenario(id=scenario_id, controller=controller, duration=12.0)
-    else:
+    if scenario_id not in STUDIES:
         raise UnknownScenario(scenario_id)
-    if overrides:
-        valid = set(Scenario.__dataclass_fields__)
-        unknown = set(overrides) - valid
-        if unknown:
-            raise UnknownScenario(f"unknown overrides: {sorted(unknown)}")
-        base = replace(base, **overrides)
-    return base
+    unknown = overrides.keys() - Scenario.__dataclass_fields__
+    if unknown:
+        raise UnknownScenario(f"unknown overrides: {sorted(unknown)}")
+    return Scenario(**{"id": scenario_id, "controller": controller,
+                       **STUDIES[scenario_id],
+                       **({"disturbance": _EXP3_GUST} if gust else {}),
+                       **overrides})
 
 
 def _script_target(script, times, t):
@@ -321,8 +312,7 @@ def _closed_loop(scenario, params):
     model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
-    n_sub, n_steps = _clock(scenario)
-    pose_every = int(round(1.0 / (POSE_RATE_HZ * dt)))
+    n_sub, n_steps, pose_every = _clock(scenario)
     controller = make_controller(
         scenario.controller, model, scenario.gains, n_sub * dt,
         scenario.filter_cutoff_hz, scenario.filter_damping)
@@ -413,9 +403,9 @@ def repeat_runs(scenario, n, params=None):
         raise ValueError("need n >= 1")
     params = params or vehicle.default_params()  # one for all n runs
     per_run, samples = [], []
-    for i in range(n):
-        log, metrics = run_scenario(
-            replace(scenario, seed=scenario.seed + i), params)
+    for i in range(n):  # the scenario itself flies the first seed
+        run = replace(scenario, seed=scenario.seed + i) if i else scenario
+        log, metrics = run_scenario(run, params)
         per_run.append(metrics)
         if n == 1:
             return metrics, per_run

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexsim import dynamics, vehicle
+from hexsim import dynamics, experiments, vehicle
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,20 @@ def trim(params):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """The Scenarios constructed during the test, in order, by __init__
+    or dataclasses.replace."""
+    made, real = [], experiments.Scenario.__post_init__
+
+    def post_init(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(experiments.Scenario, "__post_init__", post_init)
+    return made
 
 
 @pytest.fixture

@@ -935,9 +935,8 @@ def run_scenario(scenario, params=None):
     model = make_model(params, scenario.cf_mismatch)
 
     dt = dyn.SIM_DT
-    n_sub, n_steps = ex._clock(scenario)
+    n_sub, n_steps, pose_every = ex._clock(scenario)
     dt_c = n_sub * dt
-    pose_every = int(round(1.0 / (ex.POSE_RATE_HZ * dt)))
 
     # one Generator feeds the gust (3 normals a truth step, drawn a tick
     # at a time) and the sensor noise (12 a noisy tick), in the order they

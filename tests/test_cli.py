@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexsim import cli, dynamics, experiments, vehicle
+from hexsim import cli, control, dynamics, experiments, vehicle
 from hexsim.control import Gains
 import oracles
 
@@ -128,10 +128,13 @@ def test_validate_reports_the_model_at_a_cf_mismatch(tmp_path, capsys):
 
 
 # inputs whose arithmetic overflowed, underflowed to a zero c_f, gave a
-# NaN hover trim, infinite truth step constants or an INDI filter that
-# is not finite (2 pi f overflows at 1e308, wn^2 at 1e200)
+# NaN hover trim, infinite truth step constants, an INDI filter that is
+# not finite (2 pi f overflows at 1e308, wn^2 at 1e200) or an infinite
+# residual wrench (3.7 N x 1e308)
 OUT_OF_RANGE = [
     ("run", "cf_mismatch", 1e-320),
+    ("run", "residual_scale", 1e308),
+    ("run", "residual_scale", -1e308),
     ("platform", "w_max", 1e200),
     ("platform", "w_max", 1e300),
     ("platform", "w_max", 1e308),
@@ -144,7 +147,7 @@ OUT_OF_RANGE = [
     ("filters", "cutoff_hz", 1e200),
     ("filters", "cutoff_hz", 1e308),
 ]
-ANY_KEY = [("run", "cf_mismatch"),
+ANY_KEY = [("run", "cf_mismatch"), ("run", "residual_scale"),
            *(("platform", key) for key in cli._SECTIONS["platform"])]
 
 
@@ -450,6 +453,18 @@ def test_every_setting_flag_is_checked():
         checked = {ini[1:].replace("]\n", ".").split(" = ")[0]
                    for c, _, ini in FLAG_AND_INI if c == command}
         assert settings == checked
+
+
+def test_the_parser_offers_the_tables():
+    # each choice of a flag is a key of the table it reads
+    commands = next(action.choices for action in cli.make_parser()._actions
+                    if action.dest == "command")
+    offered = {action.dest: list(action.choices)
+               for parser in commands.values() for action in parser._actions
+               if action.choices}
+    assert offered == {"run.scenario": list(experiments.STUDIES),
+                       "run.controller": list(control.CONTROLLER_KINDS),
+                       "sweep.axis": list(cli._SWEEP_AXES)}
 
 
 def test_run_writes_artifacts(tmp_path, monkeypatch):
@@ -1003,6 +1018,18 @@ def test_sweep_cells_carry_config(tmp_path, monkeypatch):
         assert sc.gains == Gains(k_p=5.0)
         assert (sc.filter_cutoff_hz, sc.filter_damping) == (20.0, 0.9)
     assert {sc.controller for sc in seen} == {"geo", "indi"}
+
+
+@pytest.mark.parametrize("repeats, built", [(1, 10), (3, 30)])
+def test_a_sweep_builds_a_scenario_per_run(tmp_path, constructed, repeats,
+                                           built):
+    # a cell's scenario flies its first seed, and each later seed is one
+    # more construction
+    (tmp_path / "c.ini").write_text("[run]\nduration = 2.2\n")
+    assert run_cli("sweep", "--config", str(tmp_path / "c.ini"), "--axis",
+                   "frequency", "--repeats", str(repeats), "--out",
+                   str(tmp_path / "sweep.csv")) == 0
+    assert len(constructed) == built
 
 
 @pytest.mark.parametrize("axis, jobs, workers", [

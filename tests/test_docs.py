@@ -1,8 +1,8 @@
-"""The README against the code: the log.csv block list and the config
-key table must name exactly what the code has, so that an added column
-or key cannot leave the docs stale, and every function or constant it
-cites must exist, so that a refactor cannot leave it naming a deleted
-one."""
+"""The README against the code: the scenario table, the log.csv block
+list and the config key table must name exactly what the code has, so
+that an added study, column or key cannot leave the docs stale, and
+every function or constant it cites must exist, so that a refactor
+cannot leave it naming a deleted one."""
 
 import re
 from pathlib import Path
@@ -11,6 +11,14 @@ from hexsim import (cli, control, dynamics, experiments, filters, geometry,
                     vehicle)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_scenario_table_lists_every_study():
+    listed = re.search(r"^\| id +\| study \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                       README, re.MULTILINE)
+    assert listed, "README has no scenario table"
+    ids = re.findall(r"^\| (\w+) +\|", listed.group(1), re.MULTILINE)
+    assert ids == list(experiments.STUDIES)
 
 
 def test_readme_lists_the_log_blocks_in_order():

@@ -309,6 +309,51 @@ def test_scenario_is_a_plain_value(sid, overrides):
     assert len(values) > len(dataclasses.fields(a))
 
 
+def test_build_scenario_constructs_its_scenario_once(constructed):
+    sc = ex.build_scenario("exp4", "geo", {"controller_freq": 50.0,
+                                           "duration": 2.2, "seed": 3})
+    assert len(constructed) == 1 and constructed[0] is sc
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_repeat_runs_flies_its_scenario_first(monkeypatch, constructed, n):
+    # only the later seeds construct a scenario
+    sc = ex.build_scenario("exp5", "geo", {"controller_freq": 50.0,
+                                           "duration": 2.1, "seed": 4})
+    real, flown = ex.run_scenario, []
+
+    def run_scenario(scenario, params=None):
+        flown.append(scenario)
+        return real(scenario, params)
+
+    monkeypatch.setattr(ex, "run_scenario", run_scenario)
+    del constructed[:]
+    ex.repeat_runs(sc, n)
+    assert flown[0] is sc and flown[1:] == constructed
+    assert [scenario.seed for scenario in flown] == list(range(4, 4 + n))
+
+
+OVERRIDE_SETS = [
+    {}, {"duration": 2.2}, {"controller_freq": 50.0}, {"seed": 7},
+    {"disturbance": dyn.DisturbanceSpec(
+        kind="constant_load", force=(1.0, 0.0, 0.0), t_on=3.0, t_off=4.0)},
+    {"duration": 2.2, "controller_freq": 62.5, "seed": 0, "noise_scale": 3},
+]
+
+
+@pytest.mark.parametrize("sid, base", [
+    *((sid, {}) for sid in ex.STUDIES), ("exp3", {"gust": True})],
+    ids=[*ex.STUDIES, "exp3-gust"])
+@pytest.mark.parametrize("controller", control.CONTROLLER_KINDS)
+def test_overrides_equal_a_replace_of_the_study(sid, base, controller):
+    # the one construction from a study's defaults and the overrides is
+    # the scenario that replacing the study's fields gives
+    study = ex.build_scenario(sid, controller, base)
+    for overrides in OVERRIDE_SETS:
+        built = ex.build_scenario(sid, controller, {**base, **overrides})
+        assert built == dataclasses.replace(study, **overrides)
+
+
 def test_rise_time_on_synthetic_first_order():
     t = np.linspace(0, 5, 2000)
     tau = 0.3
