@@ -212,8 +212,10 @@ def make_step(params):
 
 
 # The truth step as dynamics.make_step wrote it in Python before it was
-# compiled: the RK4 stages written out inline over 19 local floats, over
-# the 45 constants make_step binds.  _truth.c must equal it bit for bit.
+# compiled, over the 45 constants make_step binds: one stage function
+# with the expressions of _truth.c's stage, run for stage a and then for
+# stages b, c and d from one loop, as _truth.c's rk4_step runs it.
+# _truth.c must equal it bit for bit.
 def make_segment_step(params):
     """step(s, w_cmd, wrenches, dt) of the platform params, as
     dynamics.make_step's Kernel.step: len(wrenches) RK4 steps from s
@@ -227,18 +229,42 @@ def make_segment_step(params):
     # the gyroscopic coefficients (J_y - J_z) / J_x, ... and 1 / tau
     eff = params.effectiveness
     per_inertia = eff.F2 / np.reshape(params.inertia, (3, 1))
-    constants = (*(eff.F1 / m).ravel().tolist(), *per_inertia.ravel().tolist(),
-                 m, jx, jy, jz, (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz,
-                 GRAVITY, 1.0 / tau)
+    rows = (*(eff.F1 / m).tolist(), *per_inertia.tolist())
+    ix, iy, iz = (jy - jz) / jx, (jz - jx) / jy, (jx - jy) / jz
+    lam = 1.0 / tau
+
+    def stage(q, o, w, s, e):
+        """The rates at the attitude q, body rate o and rotor speeds w,
+        with the wrench's specific force s (less g) and angular
+        acceleration e: v_dot, twice q_dot and omega_dot.  R(q) is formed
+        from doubled x, y, z."""
+        qw, qx, qy, qz = q
+        ox, oy, oz = o
+        u1, u2, u3, u4, u5, u6 = [wj * abs(wj) for wj in w]
+        bx, by, bz, tx, ty, tz = [
+            r1 * u1 + r2 * u2 + r3 * u3 + r4 * u4 + r5 * u5 + r6 * u6
+            for r1, r2, r3, r4, r5, r6 in rows]
+        x2, y2, z2 = qx + qx, qy + qy, qz + qz
+        xx, yy, zz = qx * x2, qy * y2, qz * z2
+        xy, xz, yz = qx * y2, qx * z2, qy * z2
+        wx, wy, wz = qw * x2, qw * y2, qw * z2
+        dv = ((1.0 - (yy + zz)) * bx + (xy - wz) * by + (xz + wy) * bz + s[0],
+              (xy + wz) * bx + (1.0 - (xx + zz)) * by + (yz - wx) * bz + s[1],
+              (xz - wy) * bx + (yz + wx) * by + (1.0 - (xx + yy)) * bz + s[2])
+        dq = (-qx * ox - qy * oy - qz * oz,
+              qw * ox + qy * oz - qz * oy,
+              qw * oy - qx * oz + qz * ox,
+              qw * oz + qx * oy - qy * ox)
+        dom = (tx + ix * oy * oz + e[0],
+               ty + iy * oz * ox + e[1],
+               tz + iz * ox * oy + e[2])
+        return dv, dq, dom
+
+    def rk4(x, k, a, b, c, d):
+        return [xj + k * (aj + 2.0 * bj + 2.0 * cj + dj)
+                for xj, aj, bj, cj, dj in zip(x, a, b, c, d)]
 
     def step(s, w_cmd, wrenches, dt):
-        (ax1, ax2, ax3, ax4, ax5, ax6, ay1, ay2, ay3, ay4, ay5, ay6,
-         az1, az2, az3, az4, az5, az6, nx1, nx2, nx3, nx4, nx5, nx6,
-         ny1, ny2, ny3, ny4, ny5, ny6, nz1, nz2, nz3, nz4, nz5, nz6,
-         m, jx, jy, jz, ix, iy, iz, g, lam) = constants
-        (px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
-         w1, w2, w3, w4, w5, w6) = s
-        c1, c2, c3, c4, c5, c6 = w_cmd
         h, c, cp = 0.5 * dt, dt / 6.0, dt * dt / 6.0
         # the dq are twice q_dot: the 0.5 rides on the step sizes
         qh, qdt, qc = 0.5 * h, 0.5 * dt, 0.5 * c
@@ -247,173 +273,38 @@ def make_segment_step(params):
         kc = 1.0 - h * lam * kb
         kd = 1.0 - dt * lam * kc
         kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd)
-        for i, (dfx, dfy, dfz, dmx, dmy, dmz) in enumerate(wrenches):
-            # stage a: the rates at the state; R(q) from doubled x2, y2, z2
-            sx, sy, sz = dfx / m, dfy / m, dfz / m - g
-            ex, ey, ez = dmx / jx, dmy / jy, dmz / jz
-            r1, r2, r3 = w1 - c1, w2 - c2, w3 - c3
-            r4, r5, r6 = w4 - c4, w5 - c5, w6 - c6
-            u1, u2, u3 = w1 * abs(w1), w2 * abs(w2), w3 * abs(w3)
-            u4, u5, u6 = w4 * abs(w4), w5 * abs(w5), w6 * abs(w6)
-            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
-                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
-            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
-                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
-            bz = (az1 * u1 + az2 * u2 + az3 * u3
-                  + az4 * u4 + az5 * u5 + az6 * u6)
-            x2, y2, z2 = qx + qx, qy + qy, qz + qz
-            xx, yy, zz = qx * x2, qy * y2, qz * z2
-            xy, xz, yz = qx * y2, qx * z2, qy * z2
-            wx, wy, wz = qw * x2, qw * y2, qw * z2
-            dvxa = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + sx)
-            dvya = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + sy)
-            dvza = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz + sz)
-            dqwa = -qx * ox - qy * oy - qz * oz
-            dqxa = qw * ox + qy * oz - qz * oy
-            dqya = qw * oy - qx * oz + qz * ox
-            dqza = qw * oz + qx * oy - qy * ox
-            doxa = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
-                    + nx5 * u5 + nx6 * u6 + ix * oy * oz + ex)
-            doya = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
-                    + ny5 * u5 + ny6 * u6 + iy * oz * ox + ey)
-            doza = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
-                    + nz5 * u5 + nz6 * u6 + iz * ox * oy + ez)
-            # stage b: at the state plus h times stage a's rates
-            qwb, qxb, qyb, qzb = (qw + qh * dqwa, qx + qh * dqxa,
-                                  qy + qh * dqya, qz + qh * dqza)
-            oxb, oyb, ozb = ox + h * doxa, oy + h * doya, oz + h * doza
-            w1b, w2b, w3b = c1 + kb * r1, c2 + kb * r2, c3 + kb * r3
-            w4b, w5b, w6b = c4 + kb * r4, c5 + kb * r5, c6 + kb * r6
-            u1, u2, u3 = w1b * abs(w1b), w2b * abs(w2b), w3b * abs(w3b)
-            u4, u5, u6 = w4b * abs(w4b), w5b * abs(w5b), w6b * abs(w6b)
-            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
-                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
-            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
-                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
-            bz = (az1 * u1 + az2 * u2 + az3 * u3
-                  + az4 * u4 + az5 * u5 + az6 * u6)
-            x2, y2, z2 = qxb + qxb, qyb + qyb, qzb + qzb
-            xx, yy, zz = qxb * x2, qyb * y2, qzb * z2
-            xy, xz, yz = qxb * y2, qxb * z2, qyb * z2
-            wx, wy, wz = qwb * x2, qwb * y2, qwb * z2
-            dvxb = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + sx)
-            dvyb = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + sy)
-            dvzb = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz + sz)
-            dqwb = -qxb * oxb - qyb * oyb - qzb * ozb
-            dqxb = qwb * oxb + qyb * ozb - qzb * oyb
-            dqyb = qwb * oyb - qxb * ozb + qzb * oxb
-            dqzb = qwb * ozb + qxb * oyb - qyb * oxb
-            doxb = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
-                    + nx5 * u5 + nx6 * u6 + ix * oyb * ozb + ex)
-            doyb = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
-                    + ny5 * u5 + ny6 * u6 + iy * ozb * oxb + ey)
-            dozb = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
-                    + nz5 * u5 + nz6 * u6 + iz * oxb * oyb + ez)
-            # stage c: at the state plus h times stage b's rates
-            qwc, qxc, qyc, qzc = (qw + qh * dqwb, qx + qh * dqxb,
-                                  qy + qh * dqyb, qz + qh * dqzb)
-            oxc, oyc, ozc = ox + h * doxb, oy + h * doyb, oz + h * dozb
-            w1c, w2c, w3c = c1 + kc * r1, c2 + kc * r2, c3 + kc * r3
-            w4c, w5c, w6c = c4 + kc * r4, c5 + kc * r5, c6 + kc * r6
-            u1, u2, u3 = w1c * abs(w1c), w2c * abs(w2c), w3c * abs(w3c)
-            u4, u5, u6 = w4c * abs(w4c), w5c * abs(w5c), w6c * abs(w6c)
-            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
-                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
-            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
-                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
-            bz = (az1 * u1 + az2 * u2 + az3 * u3
-                  + az4 * u4 + az5 * u5 + az6 * u6)
-            x2, y2, z2 = qxc + qxc, qyc + qyc, qzc + qzc
-            xx, yy, zz = qxc * x2, qyc * y2, qzc * z2
-            xy, xz, yz = qxc * y2, qxc * z2, qyc * z2
-            wx, wy, wz = qwc * x2, qwc * y2, qwc * z2
-            dvxc = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + sx)
-            dvyc = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + sy)
-            dvzc = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz + sz)
-            dqwc = -qxc * oxc - qyc * oyc - qzc * ozc
-            dqxc = qwc * oxc + qyc * ozc - qzc * oyc
-            dqyc = qwc * oyc - qxc * ozc + qzc * oxc
-            dqzc = qwc * ozc + qxc * oyc - qyc * oxc
-            doxc = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
-                    + nx5 * u5 + nx6 * u6 + ix * oyc * ozc + ex)
-            doyc = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
-                    + ny5 * u5 + ny6 * u6 + iy * ozc * oxc + ey)
-            dozc = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
-                    + nz5 * u5 + nz6 * u6 + iz * oxc * oyc + ez)
-            # stage d: at the state plus dt times stage c's rates
-            qwd, qxd, qyd, qzd = (qw + qdt * dqwc, qx + qdt * dqxc,
-                                  qy + qdt * dqyc, qz + qdt * dqzc)
-            oxd, oyd, ozd = ox + dt * doxc, oy + dt * doyc, oz + dt * dozc
-            w1d, w2d, w3d = c1 + kd * r1, c2 + kd * r2, c3 + kd * r3
-            w4d, w5d, w6d = c4 + kd * r4, c5 + kd * r5, c6 + kd * r6
-            u1, u2, u3 = w1d * abs(w1d), w2d * abs(w2d), w3d * abs(w3d)
-            u4, u5, u6 = w4d * abs(w4d), w5d * abs(w5d), w6d * abs(w6d)
-            bx = (ax1 * u1 + ax2 * u2 + ax3 * u3
-                  + ax4 * u4 + ax5 * u5 + ax6 * u6)
-            by = (ay1 * u1 + ay2 * u2 + ay3 * u3
-                  + ay4 * u4 + ay5 * u5 + ay6 * u6)
-            bz = (az1 * u1 + az2 * u2 + az3 * u3
-                  + az4 * u4 + az5 * u5 + az6 * u6)
-            x2, y2, z2 = qxd + qxd, qyd + qyd, qzd + qzd
-            xx, yy, zz = qxd * x2, qyd * y2, qzd * z2
-            xy, xz, yz = qxd * y2, qxd * z2, qyd * z2
-            wx, wy, wz = qwd * x2, qwd * y2, qwd * z2
-            dvxd = ((1.0 - (yy + zz)) * bx + (xy - wz) * by
-                    + (xz + wy) * bz + sx)
-            dvyd = ((xy + wz) * bx + (1.0 - (xx + zz)) * by
-                    + (yz - wx) * bz + sy)
-            dvzd = ((xz - wy) * bx + (yz + wx) * by
-                    + (1.0 - (xx + yy)) * bz + sz)
-            dqwd = -qxd * oxd - qyd * oyd - qzd * ozd
-            dqxd = qwd * oxd + qyd * ozd - qzd * oyd
-            dqyd = qwd * oyd - qxd * ozd + qzd * oxd
-            dqzd = qwd * ozd + qxd * oyd - qyd * oxd
-            doxd = (nx1 * u1 + nx2 * u2 + nx3 * u3 + nx4 * u4
-                    + nx5 * u5 + nx6 * u6 + ix * oyd * ozd + ex)
-            doyd = (ny1 * u1 + ny2 * u2 + ny3 * u3 + ny4 * u4
-                    + ny5 * u5 + ny6 * u6 + iy * ozd * oxd + ey)
-            dozd = (nz1 * u1 + nz2 * u2 + nz3 * u3 + nz4 * u4
-                    + nz5 * u5 + nz6 * u6 + iz * oxd * oyd + ez)
-            nw = qw + qc * (dqwa + 2.0 * dqwb + 2.0 * dqwc + dqwd)
-            nx = qx + qc * (dqxa + 2.0 * dqxb + 2.0 * dqxc + dqxd)
-            ny = qy + qc * (dqya + 2.0 * dqyb + 2.0 * dqyc + dqyd)
-            nz = qz + qc * (dqza + 2.0 * dqzb + 2.0 * dqzc + dqzd)
+        x = list(s)
+        for i, (fx, fy, fz, mx, my, mz) in enumerate(wrenches):
+            sf = (fx / m, fy / m, fz / m - GRAVITY)
+            e = (mx / jx, my / jy, mz / jz)
+            p, v, q, o, w = x[0:3], x[3:6], x[6:10], x[10:13], x[13:19]
+            r = [wj - cj for wj, cj in zip(w, w_cmd)]
+            # stage a at the state, then b, c and d at the state plus
+            # h, h and dt times the previous stage's rates
+            rates = [stage(q, o, w, sf, e)]
+            for qk, ok, k in ((qh, h, kb), (qh, h, kc), (qdt, dt, kd)):
+                _, dq, dom = rates[-1]
+                rates.append(stage([a + qk * b for a, b in zip(q, dq)],
+                                   [a + ok * b for a, b in zip(o, dom)],
+                                   [cj + k * rj for cj, rj in zip(w_cmd, r)],
+                                   sf, e))
+            dv, dq, dom = zip(*rates)
             # p gains dt v + dt^2/6 (a_a + a_b + a_c): no stage velocity
-            out = (px + dt * vx + cp * (dvxa + dvxb + dvxc),
-                   py + dt * vy + cp * (dvya + dvyb + dvyc),
-                   pz + dt * vz + cp * (dvza + dvzb + dvzc),
-                   vx + c * (dvxa + 2.0 * dvxb + 2.0 * dvxc + dvxd),
-                   vy + c * (dvya + 2.0 * dvyb + 2.0 * dvyc + dvyd),
-                   vz + c * (dvza + 2.0 * dvzb + 2.0 * dvzc + dvzd),
-                   nw, nx, ny, nz,
-                   ox + c * (doxa + 2.0 * doxb + 2.0 * doxc + doxd),
-                   oy + c * (doya + 2.0 * doyb + 2.0 * doyc + doyd),
-                   oz + c * (doza + 2.0 * dozb + 2.0 * dozc + dozd),
-                   c1 + kn * r1, c2 + kn * r2, c3 + kn * r3,
-                   c4 + kn * r4, c5 + kn * r5, c6 + kn * r6)
+            out = [*(pj + dt * vj + cp * (a + b + c_)
+                     for pj, vj, a, b, c_ in zip(p, v, *dv[:3])),
+                   *rk4(v, c, *dv), *rk4(q, qc, *dq), *rk4(o, c, *dom),
+                   *(cj + kn * rj for cj, rj in zip(w_cmd, r))]
+            nw, nx, ny, nz = out[6:10]
             norm = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
             # a sum of floats is finite only if every term is (or it
             # overflows, which is divergence too); q's norm overflows for
             # finite components whose squares do, and would turn q to 0
             if not (norm > 0.0 and math.isfinite(norm)
                     and math.isfinite(sum(out))):
-                raise NonFiniteState(
-                    state=[px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy,
-                           oz, w1, w2, w3, w4, w5, w6], offset=i)
-            (px, py, pz, vx, vy, vz, _, _, _, _, ox, oy, oz,
-             w1, w2, w3, w4, w5, w6) = out
-            qw, qx, qy, qz = nw / norm, nx / norm, ny / norm, nz / norm
-        return [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz,
-                w1, w2, w3, w4, w5, w6]
+                raise NonFiniteState(state=x, offset=i)
+            out[6:10] = nw / norm, nx / norm, ny / norm, nz / norm
+            x = out
+        return x
 
     return step
 

@@ -458,13 +458,15 @@ def trim_case(params, rng, n):
 
 @settings(max_examples=200, deadline=None)
 @given(p=oracles.platforms(), seed=st.integers(0, 2 ** 32 - 1),
-       n=st.integers(1, 40))
-def test_compiled_step_equals_python_oracle(p, seed, n):
+       n=st.integers(1, 40),
+       dt=st.sampled_from([dyn.SIM_DT, dyn.SIM_DT / 2, dyn.SIM_DT / 4]))
+def test_compiled_step_equals_python_oracle(p, seed, n, dt):
     # the compiled step against the Python step it was ported from, over
-    # valid platforms and calls of 1 to 40 wrenches, bit for bit
+    # valid platforms, calls of 1 to 40 wrenches and truth steps at 2, 4
+    # and 8 kHz (the rotor-lag factors depend on dt), bit for bit
     x, w_cmd, wrenches = trim_case(p, np.random.default_rng(seed), n)
-    got = dyn.make_step(p).step(x, w_cmd, wrenches, dyn.SIM_DT)
-    want = oracles.make_segment_step(p)(x, w_cmd, wrenches, dyn.SIM_DT)
+    got = dyn.make_step(p).step(x, w_cmd, wrenches, dt)
+    want = oracles.make_segment_step(p)(x, w_cmd, wrenches, dt)
     assert bits(got) == bits(want)
 
 
