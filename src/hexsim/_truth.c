@@ -15,11 +15,13 @@
    Its stages take the rigid-body rates in fewer operations than the
    textbook form, equal to rounding: a stage's rotor speeds are
    w_cmd + k (w - w_cmd), and p gains dt v + dt^2/6 (a_a + a_b + a_c).
-   Every operation is that of the Python step in tests/oracles.py, in
-   the same order.  After every step q is normalised and the state
-   checked; a diverging step raises the module's NonFiniteState
-   (dynamics sets it on load) with its offset in the call and the state
-   it started from.
+   One function, stage, gives a stage's rates; rk4_step runs it at the
+   state and then for stages b, c and d from one loop.  Every operation
+   is that of the Python step in tests/oracles.py, make_segment_step,
+   which has the same stage function and loop, in the same order.
+   After every step q is normalised and the state checked; a diverging
+   step raises the module's NonFiniteState (dynamics sets it on load)
+   with its offset in the call and the state it started from.
 
    tick is one tick of control.GeoNdiController or, by the length of
    its constants (controller_kind below), control.IndiController: the
@@ -200,28 +202,30 @@ stage(const double *k, const double *q, const double *o, const double *w,
     dom[2] = t[2] + iz * ox * oy + e[2];
 }
 
-/* What an RK4 step of dt takes from dt and 1 / tau alone. */
+/* What an RK4 step of dt takes from dt and 1 / tau alone: for stages
+   b, c and d, the (q step, omega step, rotor-lag factor) that take them
+   from the state and the previous stage's rates. */
 struct rk4 {
-    double dt, h, c, cp, qh, qdt, qc, kb, kc, kd, kn;
+    double dt, c, cp, qc, kn, next[3][3];
 };
 
 static void
 rk4_init(struct rk4 *r, const double *k, double dt)
 {
-    const double lam = k[44];
-    r->dt = dt;
-    r->h = 0.5 * dt;
-    r->c = dt / 6.0;
-    r->cp = dt * dt / 6.0;
-    /* the dq are twice q_dot: the 0.5 rides on the step sizes */
-    r->qh = 0.5 * r->h;
-    r->qdt = 0.5 * dt;
-    r->qc = 0.5 * r->c;
+    const double lam = k[44], h = 0.5 * dt, c = dt / 6.0;
     /* the motor lag is linear: stage s's rotor speeds are c + ks (w - c) */
-    r->kb = 1.0 - r->h * lam;
-    r->kc = 1.0 - r->h * lam * r->kb;
-    r->kd = 1.0 - dt * lam * r->kc;
-    r->kn = 1.0 - r->c * lam * (1.0 + 2.0 * r->kb + 2.0 * r->kc + r->kd);
+    const double kb = 1.0 - h * lam;
+    const double kc = 1.0 - h * lam * kb;
+    const double kd = 1.0 - dt * lam * kc;
+    /* the dq are twice q_dot: the 0.5 rides on the step sizes */
+    const double next[3][3] = {{0.5 * h, h, kb}, {0.5 * h, h, kc},
+                               {0.5 * dt, dt, kd}};
+    r->dt = dt;
+    r->c = c;
+    r->cp = dt * dt / 6.0;
+    r->qc = 0.5 * c;
+    r->kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd);
+    memcpy(r->next, next, sizeof next);
 }
 
 /* One RK4 step of the state x under the rotor command cmd with the
@@ -231,55 +235,39 @@ rk4_step(const double *k, const struct rk4 *rk, double *x,
          const double *cmd, const double *wrench)
 {
     const double m = k[36], jx = k[37], jy = k[38], jz = k[39], g = k[43];
-    const double dt = rk->dt, h = rk->h, c = rk->c, cp = rk->cp;
-    const double qh = rk->qh, qdt = rk->qdt, qc = rk->qc;
-    const double kb = rk->kb, kc = rk->kc, kd = rk->kd, kn = rk->kn;
+    const double dt = rk->dt, c = rk->c, cp = rk->cp, qc = rk->qc;
     const double s[3] = {wrench[0] / m, wrench[1] / m, wrench[2] / m - g};
     const double e[3] = {wrench[3] / jx, wrench[4] / jy, wrench[5] / jz};
     double r[6], w[6], q[4], o[3], out[STATE_SIZE];
-    double dva[3], dqa[4], doa[3], dvb[3], dqb[4], dob[3];
-    double dvc[3], dqc[4], doc[3], dvd[3], dqd[4], dod[3];
+    double dv[4][3], dq[4][4], dom[4][3];
     for (int j = 0; j < 6; j++)
         r[j] = x[13 + j] - cmd[j];
-    /* stage a: the rates at the state */
-    stage(k, x + 6, x + 10, x + 13, s, e, dva, dqa, doa);
-    /* stage b: at the state plus h times stage a's rates */
-    for (int j = 0; j < 4; j++)
-        q[j] = x[6 + j] + qh * dqa[j];
-    for (int j = 0; j < 3; j++)
-        o[j] = x[10 + j] + h * doa[j];
-    for (int j = 0; j < 6; j++)
-        w[j] = cmd[j] + kb * r[j];
-    stage(k, q, o, w, s, e, dvb, dqb, dob);
-    /* stage c: at the state plus h times stage b's rates */
-    for (int j = 0; j < 4; j++)
-        q[j] = x[6 + j] + qh * dqb[j];
-    for (int j = 0; j < 3; j++)
-        o[j] = x[10 + j] + h * dob[j];
-    for (int j = 0; j < 6; j++)
-        w[j] = cmd[j] + kc * r[j];
-    stage(k, q, o, w, s, e, dvc, dqc, doc);
-    /* stage d: at the state plus dt times stage c's rates */
-    for (int j = 0; j < 4; j++)
-        q[j] = x[6 + j] + qdt * dqc[j];
-    for (int j = 0; j < 3; j++)
-        o[j] = x[10 + j] + dt * doc[j];
-    for (int j = 0; j < 6; j++)
-        w[j] = cmd[j] + kd * r[j];
-    stage(k, q, o, w, s, e, dvd, dqd, dod);
+    /* stage a at the state, then b, c and d at the state plus h, h and
+       dt times the previous stage's rates */
+    stage(k, x + 6, x + 10, x + 13, s, e, dv[0], dq[0], dom[0]);
+    for (int i = 1; i < 4; i++) {
+        const double *n = rk->next[i - 1];
+        for (int j = 0; j < 4; j++)
+            q[j] = x[6 + j] + n[0] * dq[i - 1][j];
+        for (int j = 0; j < 3; j++)
+            o[j] = x[10 + j] + n[1] * dom[i - 1][j];
+        for (int j = 0; j < 6; j++)
+            w[j] = cmd[j] + n[2] * r[j];
+        stage(k, q, o, w, s, e, dv[i], dq[i], dom[i]);
+    }
     /* p gains dt v + dt^2/6 (a_a + a_b + a_c): no stage velocity */
     for (int j = 0; j < 3; j++) {
-        out[j] = x[j] + dt * x[3 + j] + cp * (dva[j] + dvb[j] + dvc[j]);
-        out[3 + j] = x[3 + j] + c * (dva[j] + 2.0 * dvb[j]
-                                     + 2.0 * dvc[j] + dvd[j]);
-        out[10 + j] = x[10 + j] + c * (doa[j] + 2.0 * dob[j]
-                                       + 2.0 * doc[j] + dod[j]);
+        out[j] = x[j] + dt * x[3 + j] + cp * (dv[0][j] + dv[1][j] + dv[2][j]);
+        out[3 + j] = x[3 + j] + c * (dv[0][j] + 2.0 * dv[1][j]
+                                     + 2.0 * dv[2][j] + dv[3][j]);
+        out[10 + j] = x[10 + j] + c * (dom[0][j] + 2.0 * dom[1][j]
+                                       + 2.0 * dom[2][j] + dom[3][j]);
     }
     for (int j = 0; j < 4; j++)
-        out[6 + j] = x[6 + j] + qc * (dqa[j] + 2.0 * dqb[j]
-                                      + 2.0 * dqc[j] + dqd[j]);
+        out[6 + j] = x[6 + j] + qc * (dq[0][j] + 2.0 * dq[1][j]
+                                      + 2.0 * dq[2][j] + dq[3][j]);
     for (int j = 0; j < 6; j++)
-        out[13 + j] = cmd[j] + kn * r[j];
+        out[13 + j] = cmd[j] + rk->kn * r[j];
     const double norm = sqrt(out[6] * out[6] + out[7] * out[7]
                              + out[8] * out[8] + out[9] * out[9]);
     /* a sum of floats is finite only if every term is (or it
