@@ -209,23 +209,19 @@ struct rk4 {
     double dt, c, cp, qc, kn, next[3][3];
 };
 
-static void
-rk4_init(struct rk4 *r, const double *k, double dt)
+static struct rk4
+rk4_init(const double *k, double dt)
 {
     const double lam = k[44], h = 0.5 * dt, c = dt / 6.0;
     /* the motor lag is linear: stage s's rotor speeds are c + ks (w - c) */
     const double kb = 1.0 - h * lam;
     const double kc = 1.0 - h * lam * kb;
     const double kd = 1.0 - dt * lam * kc;
+    const double kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd);
     /* the dq are twice q_dot: the 0.5 rides on the step sizes */
-    const double next[3][3] = {{0.5 * h, h, kb}, {0.5 * h, h, kc},
-                               {0.5 * dt, dt, kd}};
-    r->dt = dt;
-    r->c = c;
-    r->cp = dt * dt / 6.0;
-    r->qc = 0.5 * c;
-    r->kn = 1.0 - c * lam * (1.0 + 2.0 * kb + 2.0 * kc + kd);
-    memcpy(r->next, next, sizeof next);
+    return (struct rk4){dt, c, dt * dt / 6.0, 0.5 * c, kn,
+                        {{0.5 * h, h, kb}, {0.5 * h, h, kc},
+                         {0.5 * dt, dt, kd}}};
 }
 
 /* One RK4 step of the state x under the rotor command cmd with the
@@ -307,8 +303,7 @@ step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     const double *k = constants.buf;
-    struct rk4 rk;
-    rk4_init(&rk, k, dt);
+    const struct rk4 rk = rk4_init(k, dt);
     Py_ssize_t n = PySequence_Fast_GET_SIZE(wrenches);
     PyObject **items = PySequence_Fast_ITEMS(wrenches);
     PyObject *result = NULL;
@@ -715,7 +710,11 @@ disturb(const double *r, double *ou, bitgen_t *stream, Py_ssize_t j,
    gust share in the order they draw: numpy's default_rng(seed), a PCG64
    (XSL-RR 128/64) seeded by numpy's SeedSequence of the seed, read by
    numpy's own random_standard_normal, so the same normals bit for bit.
-   Its state is the generator's 128-bit state and increment. */
+   Its state is the generator's 128-bit state and increment.  numpy's
+   own PCG64, through its bit generator's capsule, draws the same
+   normals at the same cost, but importing numpy.random, which no
+   hexsim command does, costs a process 12-20 ms, and each PCG64(seed)
+   8 us more. */
 typedef unsigned __int128 u128;
 struct pcg64 {
     u128 state, inc;
@@ -940,8 +939,7 @@ ticks(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     double *rows = PyArray_DATA((PyArrayObject *)result);
     const double dt = r[R_DT];
     const int noisy = r[R_NOISE] > 0.0;
-    struct rk4 rk;
-    rk4_init(&rk, k, dt);
+    const struct rk4 rk = rk4_init(k, dt);
     struct pcg64 g;
     stream(views[ENTROPY].buf, n_words, &g);
     /* random_standard_normal reads 64-bit words and doubles only */

@@ -359,7 +359,9 @@ def _sweep_results(cells, jobs):
             yield from pool.map(_sweep_cell, cells)
 
 
-def cmd_sweep(config):
+def _sweep_settings(config):
+    """[sweep]'s axis, repeats, jobs and out; a ConfigError naming the
+    key for a value that sweep cannot run."""
     axis, repeats, jobs, out = (
         config["sweep"][key] for key in ("axis", "repeats", "jobs", "out"))
     if axis not in _SWEEP_AXES:
@@ -369,6 +371,11 @@ def cmd_sweep(config):
         raise ConfigError("sweep repeats must be >= 1")
     if jobs < 1:
         raise ConfigError("sweep jobs must be >= 1")
+    return axis, repeats, jobs, out
+
+
+def cmd_sweep(config):
+    axis, repeats, jobs, out = _sweep_settings(config)
     scenario_id, key, values = _SWEEP_AXES[axis]
     scenarios = [build_run_scenario(dict(config, run={
                      **config["run"], "scenario": scenario_id,
@@ -420,6 +427,7 @@ def _divergence_report(exc):
 
 
 def cmd_validate(config):
+    _sweep_settings(config)
     params = build_params(config)
     scenario = build_run_scenario(config)  # the [run], [gains], [filters]
     print(f"mass: {params.mass} kg, arm: {params.arm_length} m, "

@@ -97,6 +97,9 @@ class Setpoint:
 
 _ZERO = (0.0, 0.0, 0.0)
 _HOVER = Setpoint(0.0, _ZERO, _ZERO)  # level at the origin from t = 0 on
+# exp1's first step, +8 deg roll: a run whose script holds it keeps its
+# rise time
+ROLL_STEP = Setpoint(ROLL_STEP_ONSET, _ZERO, (math.radians(8.0), 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,10 @@ class RunMetrics:
 
 
 def _exp1_script():
-    """5 s hover, then attitude steps of +-8 deg roll, +-8 deg pitch and
-    +-45 deg yaw, each held 4 s with a 4 s return to zero."""
-    script, t = [_HOVER], ROLL_STEP_ONSET
+    """5 s hover, then attitude steps of +-8 deg roll (the first is
+    ROLL_STEP), +-8 deg pitch and +-45 deg yaw, each held 4 s with a 4 s
+    return to zero."""
+    script, t = [_HOVER], ROLL_STEP.t
     for axis, deg in ((0, 8.0), (1, 8.0), (2, 45.0)):
         for sign in (1.0, -1.0):
             rpy = tuple(sign * math.radians(deg) if i == axis else 0.0
@@ -350,17 +354,17 @@ def _log_and_metrics(scenario, rows):
     returns them."""
     log = {name: rows[:, block] for name, block in LOG_BLOCKS.items()}
     metrics = error_statistics(log, (WARMUP_S, scenario.duration))
-    if scenario.id in ("exp1", "exp4"):
+    if ROLL_STEP in scenario.script:
         # rise_time reads no row before the onset: the roll is converted
         # from it on, and not at all in a run that ends before it
         t = log["t"]
-        i = int(np.searchsorted(t, ROLL_STEP_ONSET))
+        i = int(np.searchsorted(t, ROLL_STEP.t))
         metrics.roll_rise_time = float("nan")  # unless 90 % is reached
         if i < len(t):
             try:
                 metrics.roll_rise_time = rise_time(
                     t[i:], rpy_from_quat(log["q"][i:].T)[0],
-                    onset=ROLL_STEP_ONSET, magnitude=math.radians(8.0))
+                    onset=ROLL_STEP.t, magnitude=ROLL_STEP.rpy[0])
             except NotReached:
                 pass
     return log, metrics

@@ -290,8 +290,8 @@ def make_segment_step(params):
                                    sf, e))
             dv, dq, dom = zip(*rates)
             # p gains dt v + dt^2/6 (a_a + a_b + a_c): no stage velocity
-            out = [*(pj + dt * vj + cp * (a + b + c_)
-                     for pj, vj, a, b, c_ in zip(p, v, *dv[:3])),
+            out = [*(pj + dt * vj + cp * (da + db + dc)
+                     for pj, vj, da, db, dc in zip(p, v, *dv[:3])),
                    *rk4(v, c, *dv), *rk4(q, qc, *dq), *rk4(o, c, *dom),
                    *(cj + kn * rj for cj, rj in zip(w_cmd, r))]
             nw, nx, ny, nz = out[6:10]

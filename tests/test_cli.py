@@ -967,6 +967,24 @@ def test_sweep_zero_repeats_rejected(tmp_path, capsys, argv, ini):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("key, value", [("axis", "sideways"),
+                                        ("repeats", 0), ("repeats", -1),
+                                        ("jobs", 0)])
+def test_sweep_settings_rejected_by_validate_and_sweep(
+        tmp_path, capsys, monkeypatch, command, key, value):
+    # validate rejects every [sweep] value that sweep rejects, with the
+    # same message and before its platform lines; neither writes anything
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(f"[sweep]\n{key} = {value}\n"
+                                    "out = s.csv\n")
+    assert run_cli(command, "--config", "c.ini") == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: sweep {key} must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
 def test_sweep_bad_axis_rejected():
     with pytest.raises(SystemExit):
         run_cli("sweep", "--axis", "altitude")

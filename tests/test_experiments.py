@@ -756,6 +756,18 @@ def test_a_run_ending_before_the_roll_step_converts_no_roll(monkeypatch):
     assert math.isnan(metrics.roll_rise_time)
 
 
+def test_rise_time_kept_exactly_when_the_script_holds_the_roll_step():
+    # exp5 flying exp1's +8 deg roll step gets its rise time, and exp1
+    # flying a script without it gets none
+    hover = ex.Setpoint(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    stepped = ex.build_scenario("exp5", "geo", {
+        "script": (hover, ex.ROLL_STEP), "duration": 6.0})
+    assert 0.0 < ex.run_scenario(stepped)[1].roll_rise_time < 1.0
+    level = ex.build_scenario("exp1", "geo", {"script": (hover,),
+                                              "duration": 6.0})
+    assert ex.run_scenario(level)[1].roll_rise_time is None
+
+
 def divergence(run, *args):
     """The NonFiniteState that run(*args) raises."""
     with pytest.raises(dyn.NonFiniteState) as info:
