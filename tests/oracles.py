@@ -212,8 +212,8 @@ def make_step(params):
 
 
 # The truth step as dynamics.make_step wrote it in Python before it was
-# compiled, over the 45 constants make_step binds: one stage function
-# with the expressions of _truth.c's stage, run for stage a and then for
+# compiled, over the constants make_step binds: one stage function with
+# the expressions of _truth.c's stage, run for stage a and then for
 # stages b, c and d from one loop, as _truth.c's rk4_step runs it.
 # _truth.c must equal it bit for bit.
 def make_segment_step(params):
